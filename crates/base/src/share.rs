@@ -13,7 +13,7 @@
 //!   deliberately `!Send`: the compiler, not a convention, keeps it on the
 //!   thread that minted it.
 //! * [`SyncDv`] — the [`Arc`]-backed counterpart for runtimes that really
-//!   do hand snapshots across threads (`rdt_sim`'s threaded runtime). The
+//!   do hand snapshots across threads (`rdt_sim`'s sharded engine). The
 //!   atomic refcount cost is paid only where the `Send` bound is real,
 //!   instead of on every message of the single-threaded hot path.
 //!

@@ -295,8 +295,8 @@ fn merge(mut queues: Vec<(u64, VecDeque<FrameEvent>)>) -> Result<Merged, String>
     loop {
         let mut progress = false;
         let mut exhausted = true;
-        for i in 0..queues.len() {
-            let Some(head) = queues[i].1.front().cloned() else {
+        for (_, queue) in &mut queues {
+            let Some(head) = queue.front().cloned() else {
                 continue;
             };
             exhausted = false;
@@ -321,7 +321,7 @@ fn merge(mut queues: Vec<(u64, VecDeque<FrameEvent>)>) -> Result<Merged, String>
                             let outside_window = !dumped.contains(&head.peer)
                                 || window
                                     .get(&head.peer)
-                                    .map_or(true, |(lo, hi)| head.seq < *lo || head.seq > *hi);
+                                    .is_none_or(|(lo, hi)| head.seq < *lo || head.seq > *hi);
                             if !outside_window {
                                 return Err(format!(
                                     "{}: {} of frame ({}, {}) has no matching send \
@@ -379,7 +379,7 @@ fn merge(mut queues: Vec<(u64, VecDeque<FrameEvent>)>) -> Result<Merged, String>
                     emit(head.kind.as_str(), &head, &mut pos, &mut lines);
                 }
             }
-            queues[i].1.pop_front();
+            queue.pop_front();
             progress = true;
         }
         if exhausted {

@@ -9,7 +9,7 @@
 //! `__serve-worker` subcommand. Each worker binds a datagram socket in the
 //! shared run directory, opens its durable checkpoint directory
 //! (`p<rank>/`, a `DiskSink` behind a generic `Middleware`), and drives a
-//! [`LiveNode`] — the same delivery path as the threaded runtime — over a
+//! [`LiveNode`] — the same delivery path as the threaded example — over a
 //! [`RealEnv`] bundle: monotonic clock, seeded generator, UDS transport.
 //!
 //! # The trace log and its write ordering
@@ -230,7 +230,7 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
     // Always-on flight recorder: the bounded ring costs nothing until
     // frames move, periodic flushes survive a SIGKILL, and the panic hook
     // dumps on any worker failure.
-    rdt_obs::flight::install(&flight_path(&cfg.dir, rank, resume), 0);
+    rdt_obs::flight::install(flight_path(&cfg.dir, rank, resume), 0);
 
     let transport = UdsTransport::bind(&cfg.dir, rank, Duration::from_millis(1))
         .map_err(|e| format!("bind failed: {e}"))?;

@@ -25,18 +25,14 @@
 //! fnv            u64   checksum over everything above
 //! ```
 //!
-//! The v1 layout (`"RDTp"`, no `parent_*` fields) is still decoded —
-//! frames persisted before the trace-context bump, or sent by an older
-//! peer, parse with `parent = None`. Encoding always emits v2.
+//! The v1 layout (`"RDTp"`, no `parent_*` fields) is not accepted: its
+//! magic is rejected like any other unknown tag.
 
 use rdt_base::ProcessId;
 
-/// Current frame magic: `b"RDTq"` read as a little-endian u32 (v2, with
-/// trace context).
-const MAGIC_V2: u32 = u32::from_le_bytes(*b"RDTq");
-
-/// Legacy frame magic: `b"RDTp"` (v1, no trace context). Decode-only.
-const MAGIC_V1: u32 = u32::from_le_bytes(*b"RDTp");
+/// Frame magic: `b"RDTq"` read as a little-endian u32 (v2, with trace
+/// context).
+const MAGIC: u32 = u32::from_le_bytes(*b"RDTq");
 
 /// `parent_origin` sentinel marking a frame without a causal parent.
 const NO_PARENT: u32 = u32::MAX;
@@ -75,7 +71,7 @@ impl WireFrame {
     /// Serializes the frame (v2 layout), appending the checksum.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(4 + 4 + 8 + 8 + 4 + 8 + 4 + self.lineages.len() * 12 + 8);
-        out.extend_from_slice(&MAGIC_V2.to_le_bytes());
+        out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&(self.sender.index() as u32).to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
         out.extend_from_slice(&self.index.to_le_bytes());
@@ -92,10 +88,8 @@ impl WireFrame {
         out
     }
 
-    /// Parses and checksums a frame, accepting both the current v2 layout
-    /// and the legacy v1 layout (which parses with `parent = None`).
-    /// `None` for anything malformed: unknown magic, truncation, trailing
-    /// bytes or checksum mismatch.
+    /// Parses and checksums a frame. `None` for anything malformed:
+    /// unknown magic, truncation, trailing bytes or checksum mismatch.
     pub fn decode(bytes: &[u8]) -> Option<Self> {
         struct Cursor<'a> {
             bytes: &'a [u8],
@@ -115,29 +109,23 @@ impl WireFrame {
         }
         let mut cur = Cursor { bytes, at: 0 };
 
-        let versioned = match cur.u32()? {
-            MAGIC_V2 => true,
-            MAGIC_V1 => false,
-            _ => return None,
-        };
+        if cur.u32()? != MAGIC {
+            return None;
+        }
         let sender = cur.u32()? as usize;
         let seq = cur.u64()?;
         let index = cur.u64()?;
-        let parent = if versioned {
-            let parent_origin = cur.u32()?;
-            let parent_seq = cur.u64()?;
-            if parent_origin == NO_PARENT {
-                // The sentinel must carry a zero seq; anything else is a
-                // malformed (likely torn) frame, not a valid "no parent".
-                if parent_seq != 0 {
-                    return None;
-                }
-                None
-            } else {
-                Some((parent_origin, parent_seq))
+        let parent_origin = cur.u32()?;
+        let parent_seq = cur.u64()?;
+        let parent = if parent_origin == NO_PARENT {
+            // The sentinel must carry a zero seq; anything else is a
+            // malformed (likely torn) frame, not a valid "no parent".
+            if parent_seq != 0 {
+                return None;
             }
-        } else {
             None
+        } else {
+            Some((parent_origin, parent_seq))
         };
         let n = cur.u32()? as usize;
         // Bound n by what the buffer can actually hold before allocating.
@@ -179,23 +167,6 @@ mod tests {
         }
     }
 
-    /// Hand-encodes the same logical frame in the legacy v1 layout.
-    fn v1_bytes(f: &WireFrame) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC_V1.to_le_bytes());
-        out.extend_from_slice(&(f.sender.index() as u32).to_le_bytes());
-        out.extend_from_slice(&f.seq.to_le_bytes());
-        out.extend_from_slice(&f.index.to_le_bytes());
-        out.extend_from_slice(&(f.lineages.len() as u32).to_le_bytes());
-        for &(inc, interval) in &f.lineages {
-            out.extend_from_slice(&inc.to_le_bytes());
-            out.extend_from_slice(&(interval as u64).to_le_bytes());
-        }
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
-    }
-
     #[test]
     fn round_trip() {
         let f = frame();
@@ -214,17 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_frames_decode_with_no_parent() {
-        let f = frame();
-        let decoded = WireFrame::decode(&v1_bytes(&f)).expect("v1 frame parses");
-        assert_eq!(decoded.parent, None);
-        assert_eq!(
-            decoded,
-            WireFrame {
-                parent: None,
-                ..f
-            }
-        );
+    fn v1_frames_are_rejected() {
+        // The pre-trace-context magic: no code path ever produced it, so
+        // it is as alien as any other tag.
+        let mut bytes = frame().encode();
+        bytes[..4].copy_from_slice(b"RDTp");
+        assert_eq!(WireFrame::decode(&bytes), None);
     }
 
     #[test]
@@ -236,16 +202,6 @@ mod tests {
                 assert_eq!(WireFrame::decode(&bytes), None, "flipped byte {i} parsed");
                 bytes[i] ^= 0x40;
             }
-        }
-    }
-
-    #[test]
-    fn v1_corruption_is_rejected() {
-        let mut bytes = v1_bytes(&frame());
-        for i in 0..bytes.len() {
-            bytes[i] ^= 0x40;
-            assert_eq!(WireFrame::decode(&bytes), None, "flipped v1 byte {i} parsed");
-            bytes[i] ^= 0x40;
         }
     }
 

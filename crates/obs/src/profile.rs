@@ -305,12 +305,10 @@ impl ProfileReport {
             if let Some(comment) = line.strip_prefix('#') {
                 let mut words = comment.split_whitespace();
                 match words.next() {
-                    Some("HELP") | Some("TYPE") => {
-                        if words.next().is_none() {
-                            return Err(err("comment names no metric"));
-                        }
+                    Some("HELP") | Some("TYPE") if words.next().is_none() => {
+                        return Err(err("comment names no metric"));
                     }
-                    _ => {} // free-form comment
+                    _ => {} // free-form comment, or a named metric
                 }
                 continue;
             }

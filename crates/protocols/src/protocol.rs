@@ -135,7 +135,7 @@ impl Piggyback {
 
 /// The `Send` flavour of [`Piggyback`], backed by an atomically
 /// reference-counted [`SyncDv`]: what a multi-threaded runtime (e.g.
-/// `rdt_sim`'s threaded runtime) ships between process threads. The
+/// `rdt_sim`'s sharded engine) ships between worker threads. The
 /// single-threaded hot path never pays this refcount.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SyncPiggyback {

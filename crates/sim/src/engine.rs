@@ -1,14 +1,15 @@
 //! The deterministic discrete-event simulator.
 
-use rdt_base::{Incarnation, Payload, ProcessId, Result, TraceEvent};
-use rdt_core::{ControlInfo, GcKind, LastIntervals};
+use rdt_base::{Incarnation, MessageId, ProcessId, Result, TraceEvent};
+use rdt_core::GcKind;
 use rdt_env::{Rng as _, SimEnv};
-use rdt_protocols::{CheckpointReport, Middleware, Piggyback, ProtocolKind, ReceiveReport};
-use rdt_recovery::{RecoveryManager, RecoveryMode, RecoverySessionReport};
+use rdt_protocols::{Middleware, Piggyback, ProtocolKind};
+use rdt_recovery::{FaultySet, RecoveryManager, RecoveryMode, RecoverySessionReport};
 use rdt_workloads::{AppOp, WorkloadSpec};
 
 use crate::config::{ChannelConfig, SimConfig};
-use crate::metrics::Metrics;
+use crate::metrics::{MetricOp, Metrics};
+use crate::step::{self, Sink, StepCore};
 
 /// Outcome of a simulation run.
 #[derive(Debug, Clone)]
@@ -196,48 +197,138 @@ impl SimulationBuilder {
     }
 }
 
-/// Reports reused across every event of a run (cleared, never
-/// reallocated). Shared with the shard workers of the parallel engine,
-/// whose handlers mirror the sequential ones event for event.
-#[derive(Debug, Default)]
-pub(crate) struct EventScratch {
-    pub(crate) receive: ReceiveReport,
-    pub(crate) checkpoint: CheckpointReport,
-}
-
+/// One scheduled event. `C` is what a delivery carries: here the sender's
+/// piggyback (`Rc`-shared with the sender's snapshot, so queueing one
+/// copies a pointer — no entries, no atomics); in the sharded engine's
+/// planning pass, which does no middleware work, the planned send's place.
 #[derive(Debug)]
-enum EventKind {
+pub(crate) enum EventKind<C> {
     App(AppOp),
     Deliver {
         to: ProcessId,
-        id: rdt_base::MessageId,
-        /// The sender's piggyback; the vector inside is `Rc`-shared with
-        /// the sender's snapshot, so queueing a delivery copies a pointer
-        /// and bumps a non-atomic counter — no entries, no atomics.
-        pb: Piggyback,
+        id: MessageId,
+        carry: C,
     },
     ControlRound,
 }
 
-/// The discrete-event simulation state.
-///
-/// Scheduling, virtual time and randomness live in a
-/// [`SimEnv`](rdt_env::SimEnv) — the engine is a driver over the
-/// environment abstraction, and a fixed seed reproduces the exact event
-/// and rng stream of the pre-abstraction engine (replay-golden).
+/// The run's schedule — queue, virtual clock and rng in a
+/// [`SimEnv`](rdt_env::SimEnv) — and every decision a run draws from it: a
+/// send's loss and delay, a crash's correlated faulty set. The sequential
+/// engine and the sharded engine's planning pass both draw *here*, so the
+/// plan gets the sequential `(at, seq)` keys and rng stream by construction.
 #[derive(Debug)]
-pub struct Simulation {
-    env: SimEnv<EventKind>,
-    processes: Vec<Middleware>,
+pub(crate) struct Schedule<C> {
+    pub(crate) env: SimEnv<EventKind<C>>,
     config: SimConfig,
-    manager: RecoveryManager,
-    metrics: Metrics,
-    trace: Vec<TraceEvent>,
-    occupancy: Vec<(u64, ProcessId, usize)>,
-    recovery_sessions: Vec<RecoverySessionReport>,
     /// Time of the last scheduled application op; control rounds stop
     /// rescheduling past it so the event queue drains.
     horizon: u64,
+}
+
+impl<C> Schedule<C> {
+    pub(crate) fn new(seed: u64, config: SimConfig) -> Self {
+        // The seed salt predates the environment split; keeping it on
+        // this side of the boundary keeps historical seeds stable.
+        let mut env = SimEnv::new(seed ^ 0x5eed_c0de);
+        if let Some(every) = config.control_every {
+            env.schedule(every, EventKind::ControlRound);
+        }
+        Self {
+            env,
+            config,
+            horizon: 0,
+        }
+    }
+
+    /// Schedules an operation stream ([`Simulation::schedule_ops`]).
+    pub(crate) fn ops(&mut self, ops: &[AppOp]) {
+        for (k, op) in ops.iter().enumerate() {
+            let at = k as u64 * self.config.ticks_per_op;
+            self.horizon = self.horizon.max(at);
+            self.env.schedule(at, EventKind::App(*op));
+        }
+    }
+
+    /// The channel's verdict on a message sent now: the loss draw, then —
+    /// only if it survives — the delay draw and the delivery's place in
+    /// the queue. Returns whether the message was lost.
+    pub(crate) fn transmit(&mut self, to: ProcessId, id: MessageId, carry: C) -> bool {
+        let channel = self.config.channel;
+        let lost = self.env.rng().chance(channel.loss_rate);
+        if !lost {
+            let delay = self.env.rng().between(channel.min_delay, channel.max_delay);
+            let at = self.env.now() + delay;
+            self.env.schedule(at, EventKind::Deliver { to, id, carry });
+        }
+        lost
+    }
+
+    /// The faulty set of a crash of `p` among `n` processes: `p` plus one
+    /// correlated-failure draw per other process, ascending.
+    pub(crate) fn faulty(&mut self, p: ProcessId, n: usize) -> FaultySet {
+        let mut faulty: FaultySet = [p].into_iter().collect();
+        let prob = self.config.correlated_crash_prob;
+        if prob > 0.0 {
+            let others = ProcessId::all(n).filter(|&q| q != p);
+            faulty.extend(others.filter(|_| self.env.rng().chance(prob)));
+        }
+        faulty
+    }
+
+    /// Schedules the control round after the one running now, if any op
+    /// is still to come by then.
+    pub(crate) fn next_control(&mut self) {
+        if let Some(every) = self.config.control_every {
+            let at = self.env.now() + every;
+            if at <= self.horizon {
+                self.env.schedule(at, EventKind::ControlRound);
+            }
+        }
+    }
+}
+
+/// The sequential engine's [`Sink`]: every observable is applied on the
+/// spot, in handler order — which *is* the global event order here.
+#[derive(Debug)]
+struct DirectSink {
+    metrics: Metrics,
+    /// `Some` iff [`SimConfig::record_trace`].
+    trace: Option<Vec<TraceEvent>>,
+    /// `Some` iff [`SimConfig::record_occupancy`].
+    occupancy: Option<Vec<(u64, ProcessId, usize)>>,
+}
+
+impl Sink for DirectSink {
+    fn trace(&mut self, event: TraceEvent) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(event);
+        }
+    }
+
+    fn metric(&mut self, op: MetricOp) {
+        self.metrics.apply(op);
+    }
+
+    fn occupancy(&mut self, at: u64, p: ProcessId, retained: usize) {
+        if let Some(occupancy) = &mut self.occupancy {
+            occupancy.push((at, p, retained));
+        }
+    }
+}
+
+/// The discrete-event simulation state.
+///
+/// *When* each event runs lives in the [`Schedule`] shared with the
+/// sharded engine's planning pass; what it *does* lives in the step core
+/// shared with the shard workers.
+#[derive(Debug)]
+pub struct Simulation {
+    sched: Schedule<Piggyback>,
+    core: StepCore,
+    manager: RecoveryManager,
+    out: DirectSink,
+    recovery_sessions: Vec<RecoverySessionReport>,
     /// Phase timings ([`SimConfig::profile`]); a disabled profiler never
     /// reads the clock, so the default run pays one branch per event.
     profiler: rdt_obs::Profiler,
@@ -264,54 +355,34 @@ impl Simulation {
         if let Err(e) = config.validate() {
             panic!("invalid simulator configuration: {e}");
         }
-        let mut sim = Self {
-            // The seed salt predates the environment split; keeping it on
-            // this side of the boundary keeps historical seeds stable.
-            env: SimEnv::new(seed ^ 0x5eed_c0de),
-            processes: (0..n)
-                .map(|i| {
-                    let mut mw = Middleware::new(ProcessId::new(i), n, protocol, gc);
-                    mw.set_state_size(config.state_size);
-                    mw
-                })
-                .collect(),
-            config,
+        Self {
+            sched: Schedule::new(seed, config),
+            core: StepCore::new(ProcessId::all(n), n, protocol, gc, config.state_size),
             manager: RecoveryManager::with_mode(recovery_mode),
-            metrics: Metrics::new(n),
-            trace: Vec::new(),
-            occupancy: Vec::new(),
+            out: DirectSink {
+                metrics: Metrics::new(n),
+                trace: config.record_trace.then(Vec::new),
+                occupancy: config.record_occupancy.then(Vec::new),
+            },
             recovery_sessions: Vec::new(),
-            horizon: 0,
             profiler: rdt_obs::Profiler::new(config.profile || rdt_obs::profile::env_enabled()),
-        };
-        if let Some(every) = config.control_every {
-            sim.push_at(every, EventKind::ControlRound);
         }
-        sim
     }
 
     /// Schedules an operation stream, one op per
     /// [`ticks_per_op`](SimConfig::ticks_per_op), pre-sizing the recording
     /// buffers from the op count so the hot loop never reallocates them.
     pub fn schedule_ops(&mut self, ops: &[AppOp]) {
-        if self.config.record_trace {
+        if let Some(trace) = &mut self.out.trace {
             // Sends dominate: send + deliver + occasional forced
             // checkpoint/collect per op. 3x covers every observed mix.
-            self.trace.reserve(ops.len() * 3 + 16);
+            trace.reserve(ops.len() * 3 + 16);
         }
-        if self.config.record_occupancy {
+        if let Some(occupancy) = &mut self.out.occupancy {
             // One sample per handled event: app op + delivery.
-            self.occupancy.reserve(ops.len() * 2 + 16);
+            occupancy.reserve(ops.len() * 2 + 16);
         }
-        for (k, op) in ops.iter().enumerate() {
-            let at = k as u64 * self.config.ticks_per_op;
-            self.horizon = self.horizon.max(at);
-            self.push_at(at, EventKind::App(*op));
-        }
-    }
-
-    fn push_at(&mut self, at: u64, kind: EventKind) {
-        self.env.schedule(at, kind);
+        self.sched.ops(ops);
     }
 
     /// Runs until the event queue drains.
@@ -320,330 +391,104 @@ impl Simulation {
     ///
     /// Propagates middleware errors (none occur under normal scheduling).
     pub fn run_to_completion(&mut self) -> Result<()> {
-        // One report of each kind serves the whole run: the middleware's
-        // `_into` entry points clear and refill them, so the per-event loop
-        // performs no report allocation.
-        let mut scratch = EventScratch::default();
         let wall = self.profiler.start();
-        while let Some((_at, _seq, kind)) = self.env.pop() {
+        while let Some((_at, _seq, kind)) = self.sched.env.pop() {
+            let now = self.sched.env.now();
+            // A crash op runs a whole recovery session; everything else
+            // but a control round is ordinary queue drain.
+            let phase = match kind {
+                EventKind::App(AppOp::Crash(_)) => "engine/recovery",
+                EventKind::ControlRound => "engine/control_round",
+                _ => "engine/drain",
+            };
+            let t = self.profiler.start();
             match kind {
-                EventKind::App(op) => {
-                    // A crash op runs a whole recovery session; everything
-                    // else is ordinary queue drain.
-                    let phase = if matches!(op, AppOp::Crash(_)) {
-                        "engine/recovery"
-                    } else {
-                        "engine/drain"
-                    };
-                    let t = self.profiler.start();
-                    self.handle_app(op, &mut scratch)?;
-                    self.profiler.stop(phase, t);
+                EventKind::App(AppOp::Checkpoint(p)) => {
+                    self.core.checkpoint(p, now, &mut self.out)?;
                 }
-                EventKind::Deliver { to, id, pb } => {
-                    let t = self.profiler.start();
-                    self.handle_deliver(to, id, pb, &mut scratch)?;
-                    self.profiler.stop("engine/drain", t);
+                EventKind::App(AppOp::Send { from, to }) => {
+                    let mint = Middleware::piggyback;
+                    if let Some((id, pb)) = self.core.send(from, to, now, &mut self.out, mint) {
+                        if self.sched.transmit(to, id, pb) {
+                            step::lose(to, id, &mut self.out);
+                        }
+                    }
                 }
-                EventKind::ControlRound => {
-                    let t = self.profiler.start();
-                    self.handle_control_round()?;
-                    self.profiler.stop("engine/control_round", t);
+                EventKind::App(AppOp::Crash(p)) => self.run_recovery_session(p, now)?,
+                EventKind::Deliver { to, id, carry } => {
+                    self.core.deliver(to, id, &carry, now, &mut self.out)?;
                 }
+                EventKind::ControlRound => self.handle_control_round(now)?,
             }
+            self.profiler.stop(phase, t);
         }
         self.profiler.stop("engine/run", wall);
         Ok(())
     }
 
-    /// Advances `p`'s garbage-collector clock to the current simulation
-    /// time (only the time-based baseline reacts).
-    fn tick_process(&mut self, p: ProcessId) {
-        let collected = self.processes[p.index()].tick(self.env.now());
-        if !collected.is_empty() {
-            self.trace_collects(p, &collected);
-            self.sample(p);
-        }
-    }
-
-    /// Records garbage-collection eliminations in the trace, for the
-    /// offline safety audit.
-    fn trace_collects(&mut self, p: ProcessId, collected: &[rdt_base::CheckpointIndex]) {
-        if self.config.record_trace {
-            for &index in collected {
-                self.trace.push(TraceEvent::Collect { process: p, index });
-            }
-        }
-    }
-
-    fn handle_app(&mut self, op: AppOp, scratch: &mut EventScratch) -> Result<()> {
-        match op {
-            AppOp::Checkpoint(p) => {
-                if self.processes[p.index()].is_crashed() {
-                    return Ok(());
-                }
-                self.tick_process(p);
-                self.processes[p.index()].basic_checkpoint_into(&mut scratch.checkpoint)?;
-                if self.config.record_trace {
-                    self.trace.push(TraceEvent::Checkpoint {
-                        process: p,
-                        forced: false,
-                    });
-                }
-                self.trace_collects(p, &scratch.checkpoint.eliminated);
-                self.sample(p);
-            }
-            AppOp::Send { from, to } => {
-                if self.processes[from.index()].is_crashed() {
-                    return Ok(());
-                }
-                self.tick_process(from);
-                let pb = self.processes[from.index()].piggyback();
-                let (msg, post_send_forced) =
-                    self.processes[from.index()].send_reported(to, Payload::empty());
-                self.metrics.per_process[from.index()].sent += 1;
-                if self.config.record_trace {
-                    self.trace.push(TraceEvent::Send {
-                        id: msg.meta.id,
-                        to,
-                    });
-                    if post_send_forced.is_some() {
-                        self.trace.push(TraceEvent::Checkpoint {
-                            process: from,
-                            forced: true,
-                        });
-                    }
-                }
-                if let Some(ck) = post_send_forced {
-                    self.trace_collects(from, &ck.eliminated);
-                    self.sample(from);
-                }
-                let lost = self.env.rng().chance(self.config.channel.loss_rate);
-                if lost {
-                    self.metrics.per_process[to.index()].lost += 1;
-                    if self.config.record_trace {
-                        self.trace.push(TraceEvent::Drop { id: msg.meta.id });
-                    }
-                } else {
-                    let delay = self
-                        .env
-                        .rng()
-                        .between(self.config.channel.min_delay, self.config.channel.max_delay);
-                    let at = self.env.now() + delay;
-                    self.push_at(
-                        at,
-                        EventKind::Deliver {
-                            to,
-                            id: msg.meta.id,
-                            pb,
-                        },
-                    );
-                }
-            }
-            AppOp::Crash(p) => {
-                if self.processes[p.index()].is_crashed() {
-                    return Ok(());
-                }
-                self.run_recovery_session(p)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn handle_deliver(
-        &mut self,
-        to: ProcessId,
-        id: rdt_base::MessageId,
-        pb: Piggyback,
-        scratch: &mut EventScratch,
-    ) -> Result<()> {
-        if self.processes[to.index()].is_crashed() {
-            self.metrics.per_process[to.index()].lost += 1;
-            if self.config.record_trace {
-                self.trace.push(TraceEvent::Drop { id });
-            }
-            return Ok(());
-        }
-        self.tick_process(to);
-        self.processes[to.index()].receive_piggyback_into(&pb, &mut scratch.receive)?;
-        self.metrics.per_process[to.index()].delivered += 1;
-        if self.config.record_trace {
-            if scratch.receive.forced.is_some() {
-                self.trace.push(TraceEvent::Checkpoint {
-                    process: to,
-                    forced: true,
-                });
-            }
-            self.trace.push(TraceEvent::Deliver { id });
-        }
-        self.trace_collects(to, &scratch.receive.eliminated);
-        self.sample(to);
-        Ok(())
-    }
-
-    fn handle_control_round(&mut self) -> Result<()> {
-        self.metrics.control_rounds += 1;
-        // Coordinator with reliable control messages: sees everyone's
-        // stable-store state (the coordination RDT-LGC does *without*).
-        // Each ControlInfo variant is built once per round — and only when
-        // the configured collector actually consumes it — then delivered to
-        // every process by reference.
-        let gc_kind = self.processes[0].gc_kind();
-        let info = if gc_kind.needs_control_messages() {
-            match gc_kind {
-                GcKind::SimpleCoordinated => {
-                    let all: rdt_recovery::FaultySet =
-                        (0..self.processes.len()).map(ProcessId::new).collect();
-                    Some(ControlInfo::GlobalLine(
-                        self.manager
-                            .recovery_line(&self.processes, &all)
-                            .map_err(rdt_base::Error::from)?,
-                    ))
-                }
-                _ => {
-                    let components: Vec<_> = self
-                        .processes
-                        .iter()
-                        .map(|m| (m.last_stable(), m.incarnation()))
-                        .collect();
-                    Some(ControlInfo::LastIntervals(LastIntervals::from_components(
-                        &components,
-                    )))
-                }
-            }
+    fn handle_control_round(&mut self, now: u64) -> Result<()> {
+        self.out.metric(MetricOp::ControlRound);
+        // Built once per round — and only when the configured collector
+        // actually consumes it — then delivered to every process by
+        // reference.
+        let processes = self.core.processes();
+        let info = if processes[0].gc_kind().needs_control_messages() {
+            Some(step::control_info(&self.manager, processes)?)
         } else {
             None
         };
-        for k in 0..self.processes.len() {
-            if let Some(info) = &info {
-                let collected = self.processes[k].control(info);
-                self.trace_collects(ProcessId::new(k), &collected);
-            }
-            self.sample(ProcessId::new(k));
+        for p in ProcessId::all(processes.len()) {
+            self.core.control(p, info.as_ref(), now, &mut self.out);
         }
-        if let Some(every) = self.config.control_every {
-            let at = self.env.now() + every;
-            if at <= self.horizon {
-                self.push_at(at, EventKind::ControlRound);
-            }
-        }
+        self.sched.next_control();
         Ok(())
     }
 
     /// A crash of `p` (plus correlated failures): in-transit messages are
     /// lost, the recovery manager stops the world, computes the recovery
     /// line and rolls processes back.
-    fn run_recovery_session(&mut self, p: ProcessId) -> Result<()> {
-        let mut faulty: rdt_recovery::FaultySet = [p].into_iter().collect();
-        if self.config.correlated_crash_prob > 0.0 {
-            for q in ProcessId::all(self.processes.len()) {
-                if q != p
-                    && !self.processes[q.index()].is_crashed()
-                    && self.env.rng().chance(self.config.correlated_crash_prob)
-                {
-                    faulty.insert(q);
-                }
-            }
-        }
-        for &f in &faulty {
-            self.processes[f.index()].crash();
-            if self.config.record_trace {
-                self.trace.push(TraceEvent::Crash { process: f });
-            }
-        }
+    fn run_recovery_session(&mut self, p: ProcessId, now: u64) -> Result<()> {
+        let faulty = self.sched.faulty(p, self.core.processes().len());
+        step::open_session(&faulty, &mut self.out);
+        self.core.crash(&faulty);
         // All in-transit messages are lost (the recovered CCP excludes
         // them, Section 2.2): an in-place retain over the bucket queue,
-        // dropping deliveries in deterministic (at, seq) order. No queue
-        // rebuild, no re-pushes.
-        let metrics = &mut self.metrics;
-        let trace = &mut self.trace;
-        let record_trace = self.config.record_trace;
-        self.env.cancel(
+        // dropping deliveries in deterministic (at, seq) order.
+        let out = &mut self.out;
+        self.sched.env.cancel(
             |kind| !matches!(kind, EventKind::Deliver { .. }),
             |_, kind| {
                 if let EventKind::Deliver { to, id, .. } = kind {
-                    metrics.per_process[to.index()].lost += 1;
-                    if record_trace {
-                        trace.push(TraceEvent::Drop { id });
-                    }
+                    step::lose(to, id, out);
                 }
             },
         );
 
-        let report = self
-            .manager
-            .recover(&mut self.processes, &faulty)
-            .map_err(rdt_base::Error::from)?;
-        self.metrics.recovery_sessions += 1;
-        self.metrics.total_rolled_back += report.rolled_back.len() as u64;
-        self.metrics.degraded_lines += report.degraded.len() as u64;
-        if self.config.record_trace {
-            for (proc_, to) in &report.rolled_back {
-                self.trace.push(TraceEvent::Restore {
-                    process: *proc_,
-                    to: *to,
-                });
-            }
-        }
-        for k in 0..self.processes.len() {
-            self.sample(ProcessId::new(k));
+        let plan = self.manager.plan(self.core.processes(), &faulty)?;
+        let applied = self.core.apply_recovery(&self.manager, &plan)?;
+        let report = step::close_session(&self.manager, &faulty, plan, applied, &mut self.out);
+        for q in ProcessId::all(report.line.len()) {
+            self.core.sample(q, now, &mut self.out);
         }
         self.recovery_sessions.push(report);
         Ok(())
     }
 
-    fn sample(&mut self, p: ProcessId) {
-        let store = self.processes[p.index()].store();
-        let (len, peak) = (store.len(), store.peak());
-        self.metrics.sample(p, len, peak);
-        if self.config.record_occupancy {
-            self.occupancy.push((self.env.now(), p, len));
-        }
-    }
-
     /// Finalizes counters and produces the report.
-    pub fn into_report(mut self) -> SimulationReport {
-        self.metrics.ticks = self.env.now();
-        for (k, mw) in self.processes.iter().enumerate() {
-            let m = &mut self.metrics.per_process[k];
-            m.retained = mw.store().len();
-            m.peak_retained = m.peak_retained.max(mw.store().peak());
-            m.total_stored = mw.store().total_stored();
-            m.total_collected = mw.store().total_collected();
-            m.basic = mw.basic_count();
-            m.forced = mw.forced_count();
-        }
-        SimulationReport {
-            n: self.processes.len(),
-            final_dvs: self.processes.iter().map(|mw| mw.dv().clone()).collect(),
-            final_last_stable: self
-                .processes
-                .iter()
-                .map(|mw| mw.last_stable().value())
-                .collect(),
-            final_retained: self
-                .processes
-                .iter()
-                .map(|mw| mw.store().indices().map(|i| i.value()).collect())
-                .collect(),
-            final_incarnations: self.processes.iter().map(|mw| mw.incarnation()).collect(),
-            metrics: self.metrics,
-            trace: if self.config.record_trace {
-                Some(self.trace)
-            } else {
-                None
-            },
-            occupancy: if self.config.record_occupancy {
-                Some(self.occupancy)
-            } else {
-                None
-            },
-            recovery_sessions: self.recovery_sessions,
-            profile: self.profiler.into_report(),
-        }
+    pub fn into_report(self) -> SimulationReport {
+        step::assemble_report(
+            self.core.finals(),
+            self.out.metrics,
+            self.sched.env.now(),
+            self.out.trace,
+            self.out.occupancy,
+            self.recovery_sessions,
+            self.profiler.into_report(),
+        )
     }
 
     /// Read access to the processes (for integration tests).
     pub fn processes(&self) -> &[Middleware] {
-        &self.processes
+        self.core.processes()
     }
 }

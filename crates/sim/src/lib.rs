@@ -1,8 +1,12 @@
 //! Simulators for asynchronous message-passing systems running RDT
 //! checkpointing with garbage collection.
 //!
-//! Three execution engines share the `rdt-protocols` middleware stack,
-//! all running over the `rdt-env` runtime abstraction:
+//! Two execution engines run the `rdt-protocols` middleware stack over
+//! the `rdt-env` runtime abstraction, and both drive one crate-private
+//! step core: each per-process event — checkpoint, send, receive, a
+//! process's share of a control round or recovery session — is
+//! implemented once, and an engine only decides *when* it runs and *where
+//! its observables go*.
 //!
 //! * [`SimulationBuilder`] / [`Simulation`] — a deterministic, seeded
 //!   **discrete-event simulator** over `SimEnv` (virtual clock +
@@ -18,14 +22,16 @@
 //!   `min_delay`, with cross-shard deliveries exchanged at window
 //!   barriers. Output is byte-identical to the sequential engine for a
 //!   fixed seed, at any shard count.
+//!
+//! Beside the engines:
+//!
 //! * [`run_script`] — exact, delivery-placed execution of
 //!   [`Script`](rdt_workloads::Script)s, used to reproduce the paper's
 //!   worked figures (4 and 5).
-//! * [`run_threaded`] — the same middleware driven by OS threads and
-//!   crossbeam channels through the [`LiveNode`] wire-frame driver
-//!   (shared with the `rdt serve` multi-process runtime), validating
-//!   that the algorithm's guarantees do not depend on the simulator's
-//!   determinism.
+//! * [`LiveNode`] — the wire-frame driver around one middleware that the
+//!   `rdt serve` multi-process runtime runs over real sockets (and
+//!   `examples/threaded_runtime.rs` over OS threads), validating that the
+//!   algorithm's guarantees do not depend on the simulator's determinism.
 //!
 //! ```
 //! use rdt_sim::SimulationBuilder;
@@ -46,7 +52,7 @@ mod live;
 mod metrics;
 mod parallel;
 mod script;
-mod threaded;
+mod step;
 mod worker;
 
 pub use config::{ChannelConfig, Partitioning, ShardConfig, SimConfig, ZeroLookaheadFallback};
@@ -54,7 +60,6 @@ pub use engine::{Simulation, SimulationBuilder, SimulationReport};
 pub use live::{DeliverOutcome, LiveNode};
 pub use metrics::{Metrics, ProcessMetrics};
 pub use script::{run_script, ScriptRun};
-pub use threaded::{run_threaded, ProcessOutcome, ThreadedReport};
 
 // Re-exported so report consumers can name the profile types without
 // depending on `rdt-obs` directly.

@@ -6,9 +6,9 @@
 //! [`WireFrame`] codec: sends produce an encoded frame ready for any
 //! [`Transport`](rdt_env::Transport) (or an in-process channel), receives
 //! consume raw bytes and reject malformed or alien frames instead of
-//! panicking. The threaded runtime and the `rdt serve` workers both drive
-//! this type, so the protocol-side handling of a message exists exactly
-//! once.
+//! panicking. The `rdt serve` workers, the benchmark's frame path and the
+//! threaded example all drive this type, so the protocol-side handling of
+//! a message exists exactly once.
 //!
 //! Every frame movement also emits a causal span event (`frame_send` /
 //! `frame_recv` / `frame_apply`, target `rdt_sim::live`): sends are
@@ -75,7 +75,7 @@ pub struct LiveNode<S: Storage = Volatile> {
 }
 
 impl LiveNode {
-    /// A fresh node with volatile storage (the threaded runtime's flavour).
+    /// A fresh node with volatile storage.
     pub fn new(owner: ProcessId, n: usize, protocol: ProtocolKind, gc: GcKind) -> Self {
         Self::over(Middleware::new(owner, n, protocol, gc))
     }

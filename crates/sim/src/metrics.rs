@@ -72,7 +72,48 @@ pub struct Metrics {
     pub sequential_fallbacks: u64,
 }
 
+/// One metric mutation. `Sample` is the order-sensitive one: it refreshes
+/// `peak_global_retained` from the *current* per-process retained values,
+/// which is why the sharded engine logs ops under their global event key
+/// and replays them in key order instead of summing per shard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum MetricOp {
+    Sent(ProcessId),
+    Delivered(ProcessId),
+    Lost(ProcessId),
+    Sample {
+        p: ProcessId,
+        retained: usize,
+        peak: usize,
+    },
+    ControlRound,
+    Session {
+        rolled_back: u64,
+        degraded: u64,
+    },
+}
+
 impl Metrics {
+    /// Applies one mutation: on the spot in the sequential engine, in
+    /// global key order when the sharded coordinator replays worker logs.
+    pub(crate) fn apply(&mut self, op: MetricOp) {
+        match op {
+            MetricOp::Sent(p) => self.per_process[p.index()].sent += 1,
+            MetricOp::Delivered(p) => self.per_process[p.index()].delivered += 1,
+            MetricOp::Lost(p) => self.per_process[p.index()].lost += 1,
+            MetricOp::Sample { p, retained, peak } => self.sample(p, retained, peak),
+            MetricOp::ControlRound => self.control_rounds += 1,
+            MetricOp::Session {
+                rolled_back,
+                degraded,
+            } => {
+                self.recovery_sessions += 1;
+                self.total_rolled_back += rolled_back;
+                self.degraded_lines += degraded;
+            }
+        }
+    }
+
     /// Creates zeroed metrics for `n` processes.
     pub fn new(n: usize) -> Self {
         Self {

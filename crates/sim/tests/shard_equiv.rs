@@ -108,7 +108,11 @@ fn zero_lookahead_falls_back_loudly_to_the_sequential_engine() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // 32 cases: under the shim's per-test seed, fewer never pair
+    // `SimpleCoordinated` with control rounds at more than one shard, and
+    // no golden scenario takes its `GlobalLine` control path (gathered
+    // views → recovery line).
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Arbitrary seeds, topologies, collectors, crash/loss mixes, shard
     /// counts and partitionings: sharded ≡ sequential, byte for byte.
@@ -120,7 +124,7 @@ proptest! {
         steps in 50usize..300,
         seed in 0u64..u64::MAX,
         proto in 0usize..4,
-        gc in 0usize..4,
+        gc in 0usize..5,
         pattern in 0usize..3,
         crash in 0.0f64..0.03,
         loss in 0.0f64..0.15,
@@ -146,6 +150,7 @@ proptest! {
                 GcKind::None,
                 GcKind::WangGlobal,
                 GcKind::TimeBased { horizon: 100 },
+                GcKind::SimpleCoordinated,
             ][gc],
             pattern: [Pattern::UniformRandom, Pattern::Ring, Pattern::TokenRing][pattern],
             crash,

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! magic   [u8; 4]   b"RDTC"
-//! version u16       current: 2
+//! version u16       2
 //! owner   u32       process id
 //! index   u64       checkpoint index γ
 //! n       u32       dependency-vector length
@@ -22,10 +22,6 @@
 //! fit the current packing decodes to a typed error instead of silently
 //! folding into the wrong lineage.
 //!
-//! Version 1 records (written before incarnation numbers reached the disk
-//! format) carried bare `u64` intervals; they decode with every entry in
-//! the initial incarnation. Encoding always writes the current version.
-//!
 //! The checksum turns torn writes and bit rot into decode errors instead of
 //! silently corrupt recovery state — a checkpoint that cannot be trusted
 //! must not be restored.
@@ -35,9 +31,7 @@ use rdt_base::{CheckpointIndex, DependencyVector, ProcessId};
 use crate::error::{Error, Result};
 
 const MAGIC: [u8; 4] = *b"RDTC";
-/// Pre-incarnation format: bare `u64` intervals. Decoded, never written.
-const VERSION_NARROW: u16 = 1;
-/// Current format: wide `(u32 incarnation, u64 interval)` entries.
+/// The one format: wide `(u32 incarnation, u64 interval)` entries.
 const VERSION: u16 = 2;
 
 /// One decoded checkpoint record.
@@ -63,7 +57,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Encodes a record into its on-disk bytes (always the current version).
+/// Encodes a record into its on-disk bytes.
 pub fn encode(record: &Record) -> Vec<u8> {
     let lineages = record.dv.to_raw_lineages();
     let mut out = Vec::with_capacity(4 + 2 + 4 + 8 + 4 + lineages.len() * 12 + 8 + 8);
@@ -82,7 +76,7 @@ pub fn encode(record: &Record) -> Vec<u8> {
     out
 }
 
-/// Decodes a record from its on-disk bytes (current or version-1 format).
+/// Decodes a record from its on-disk bytes.
 ///
 /// # Errors
 ///
@@ -95,8 +89,7 @@ pub fn decode(bytes: &[u8]) -> Result<Record> {
     if magic != MAGIC {
         return Err(Error::Corrupt("bad magic"));
     }
-    let version = cursor.u16()?;
-    if version != VERSION && version != VERSION_NARROW {
+    if cursor.u16()? != VERSION {
         return Err(Error::Corrupt("unsupported version"));
     }
     let owner = cursor.u32()? as usize;
@@ -105,14 +98,13 @@ pub fn decode(bytes: &[u8]) -> Result<Record> {
     if n == 0 {
         return Err(Error::Corrupt("empty dependency vector"));
     }
-    let entry_size = if version == VERSION { 12 } else { 8 };
     // Guard against absurd lengths from corrupt headers before allocating.
-    if bytes.len() < cursor.pos + n.saturating_mul(entry_size) + 16 {
+    if bytes.len() < cursor.pos + n.saturating_mul(12) + 16 {
         return Err(Error::Corrupt("truncated dependency vector"));
     }
     let mut lineages = Vec::with_capacity(n);
     for _ in 0..n {
-        let incarnation = if version == VERSION { cursor.u32()? } else { 0 };
+        let incarnation = cursor.u32()?;
         let interval = cursor.u64()? as usize;
         lineages.push((incarnation, interval));
     }
@@ -178,24 +170,6 @@ mod tests {
         }
     }
 
-    /// Hand-rolls a version-1 record (bare `u64` intervals) for
-    /// backward-compatibility tests.
-    fn encode_v1(owner: u32, index: u64, raw: &[u64], state_size: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION_NARROW.to_le_bytes());
-        out.extend_from_slice(&owner.to_le_bytes());
-        out.extend_from_slice(&index.to_le_bytes());
-        out.extend_from_slice(&(raw.len() as u32).to_le_bytes());
-        for &entry in raw {
-            out.extend_from_slice(&entry.to_le_bytes());
-        }
-        out.extend_from_slice(&state_size.to_le_bytes());
-        let check = fnv1a(&out);
-        out.extend_from_slice(&check.to_le_bytes());
-        out
-    }
-
     #[test]
     fn roundtrip() {
         let r = record();
@@ -214,9 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn version_1_records_decode_in_the_initial_incarnation() {
-        let bytes = encode_v1(2, 7, &[3, 0, 8], 4096);
-        assert_eq!(decode(&bytes).unwrap(), record());
+    fn version_1_records_are_rejected() {
+        // The pre-incarnation format (bare `u64` intervals) never had a
+        // deployed producer; its version number is as foreign as any other.
+        let mut bytes = encode(&record());
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(matches!(
+            decode(&bytes),
+            Err(Error::Corrupt("unsupported version"))
+        ));
     }
 
     #[test]

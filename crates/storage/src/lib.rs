@@ -30,12 +30,10 @@ pub mod backend;
 pub mod codec;
 mod durable;
 mod error;
-mod mirror;
 mod sink;
 pub mod torture;
 
 pub use backend::{FaultFs, FaultKind, FaultPlan, StdFs, StorageBackend};
 pub use durable::{DurableStore, RestartReport};
 pub use error::{Error, Result};
-pub use mirror::MirroredMiddleware;
 pub use sink::DiskSink;

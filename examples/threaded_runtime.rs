@@ -1,39 +1,60 @@
-//! The same middleware stack under real OS threads and crossbeam channels:
-//! the paper's bounds are properties of the algorithm, not of the
-//! deterministic simulator's schedule.
-//!
-//! ```sh
-//! cargo run --example threaded_runtime
-//! ```
+//! The same middleware under real OS threads: one `LiveNode` per thread, encoded wire frames
+//! between them; the paper's retention bounds hold under whatever schedule the OS produces.
 
-use rdt_checkpointing::prelude::*;
+use rdt_checkpointing::{prelude::*, sim::LiveNode, workloads::AppOp};
+use std::sync::mpsc::{channel, Receiver, Sender};
+
+enum Msg {
+    Op(AppOp),
+    Frame(Vec<u8>),
+}
+
+/// One process, its node minted here and never moved (the middleware is `!Send`): handles `quota`
+/// messages — one per own op, one per frame addressed to it — and checks the `n` / `n + 1` bounds.
+fn run(me: usize, quota: usize, inbox: Receiver<Msg>, peers: Vec<Sender<Msg>>) {
+    let n = peers.len();
+    let mut node = LiveNode::new(ProcessId::new(me), n, ProtocolKind::Fdas, GcKind::RdtLgc);
+    for _ in 0..quota {
+        match inbox.recv().expect("senders outlive the quota") {
+            Msg::Op(AppOp::Checkpoint(_)) => drop(node.checkpoint().expect("alive")),
+            Msg::Op(AppOp::Send { to, .. }) => {
+                let frame = Msg::Frame(node.send_frame(to).0.encode());
+                peers[to.index()].send(frame).expect("peer awaits it");
+            }
+            Msg::Op(AppOp::Crash(_)) => {} // recovery needs a stop-the-world manager
+            Msg::Frame(bytes) => drop(node.deliver_frame(&bytes).expect("alive")),
+        }
+    }
+    let store = node.middleware().store();
+    let (retained, peak) = (store.len(), store.peak());
+    println!("p{me}: retained {retained} (≤ {n}), peak {peak} (≤ {n} + 1)");
+    assert!(retained <= n && peak <= n + 1, "the n / n + 1 bounds");
+}
 
 fn main() {
     let n = 6;
-    let ops = WorkloadSpec::uniform_random(n, 2_000)
-        .with_seed(5)
-        .with_checkpoint_prob(0.25)
-        .generate();
-
-    println!("== threaded runtime ==");
-    println!(
-        "running {} ops over {n} OS threads (FDAS + RDT-LGC)...",
-        ops.len()
-    );
-    let report = run_threaded(n, &ops, ProtocolKind::Fdas, GcKind::RdtLgc);
-
-    for mw in &report.processes {
-        println!(
-            "  {} retained {:>2}  peak {:>2}  forced {:>3}  (bound: ≤ {} / {} transient)",
-            mw.owner(),
-            mw.store().len(),
-            mw.store().peak(),
-            mw.forced_count(),
-            n,
-            n + 1,
-        );
-        assert!(mw.store().len() <= n);
-        assert!(mw.store().peak() <= n + 1);
+    let ops = WorkloadSpec::uniform_random(n, 2_000).generate();
+    let home = |op: &AppOp| {
+        let (AppOp::Checkpoint(p) | AppOp::Crash(p) | AppOp::Send { from: p, .. }) = *op;
+        p.index()
+    };
+    let mut quota = vec![0; n];
+    for op in &ops {
+        quota[home(op)] += 1;
+        if let AppOp::Send { to, .. } = *op {
+            quota[to.index()] += 1;
+        }
     }
-    println!("\nretention bounds held under genuine concurrency and reordering.");
+    let (txs, inboxes): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<Msg>()).unzip();
+    let mut processes = Vec::new();
+    for (me, inbox) in inboxes.into_iter().enumerate() {
+        let (quota, peers) = (quota[me], txs.clone());
+        processes.push(std::thread::spawn(move || run(me, quota, inbox, peers)));
+    }
+    for op in &ops {
+        txs[home(op)].send(Msg::Op(*op)).expect("process alive");
+    }
+    for process in processes {
+        process.join().expect("a process broke a bound");
+    }
 }

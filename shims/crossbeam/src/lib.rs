@@ -1,13 +1,11 @@
 //! Offline shim for `crossbeam` covering the surface this workspace uses:
-//! `channel::{unbounded, bounded, Sender, Receiver}` and the `select!`
-//! macro over `recv` arms.
+//! `channel::{unbounded, bounded, Sender, Receiver}`.
 //!
 //! Channels are MPMC queues built on `Mutex<VecDeque>` + `Condvar`;
-//! bounded senders block while the queue is at capacity. `select!` polls
-//! its arms round-robin with a short parked sleep between sweeps. Adequate
-//! for the threaded test runtime and the sharded engine's window-barrier
-//! inboxes; swap `[workspace.dependencies]` to the real crates.io
-//! `crossbeam` when a registry is reachable.
+//! bounded senders block while the queue is at capacity. Adequate for the
+//! sharded engine's command, reply and window-barrier channels; swap
+//! `[workspace.dependencies]` to the real crates.io `crossbeam` when a
+//! registry is reachable.
 
 /// Multi-producer multi-consumer channels.
 pub mod channel {
@@ -53,15 +51,6 @@ pub mod channel {
     /// is gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
-
-    /// Error returned by `try_recv`.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// No message is currently queued.
-        Empty,
-        /// No message is queued and every sender is gone.
-        Disconnected,
-    }
 
     impl fmt::Display for RecvError {
         fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -151,25 +140,6 @@ pub mod channel {
                 queue = self.0.ready.wait(queue).expect("channel poisoned");
             }
         }
-
-        /// Non-blocking receive.
-        ///
-        /// # Errors
-        ///
-        /// [`TryRecvError::Empty`] when nothing is queued,
-        /// [`TryRecvError::Disconnected`] when additionally all senders
-        /// dropped.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self.0.queue.lock().expect("channel poisoned");
-            if let Some(v) = queue.pop_front() {
-                self.0.space.notify_one();
-                return Ok(v);
-            }
-            if self.0.senders.load(Ordering::SeqCst) == 0 {
-                return Err(TryRecvError::Disconnected);
-            }
-            Err(TryRecvError::Empty)
-        }
     }
 
     impl<T> Clone for Receiver<T> {
@@ -177,39 +147,6 @@ pub mod channel {
             Receiver(Arc::clone(&self.0))
         }
     }
-
-    pub use crate::select;
-}
-
-/// Waits on multiple `recv` operations, executing the first arm whose
-/// channel produces a message (or disconnects, yielding `Err`).
-///
-/// Supports the subset `recv($rx) -> $pattern => $body` this workspace
-/// uses. Arms are polled round-robin with a brief sleep between sweeps.
-#[macro_export]
-macro_rules! select {
-    ($(recv($rx:expr) -> $var:pat => $body:expr),+ $(,)?) => {{
-        loop {
-            $(
-                match ($rx).try_recv() {
-                    Ok(v) => {
-                        let $var =
-                            ::core::result::Result::<_, $crate::channel::RecvError>::Ok(v);
-                        break $body;
-                    }
-                    Err($crate::channel::TryRecvError::Disconnected) => {
-                        let $var =
-                            ::core::result::Result::<_, $crate::channel::RecvError>::Err(
-                                $crate::channel::RecvError,
-                            );
-                        break $body;
-                    }
-                    Err($crate::channel::TryRecvError::Empty) => {}
-                }
-            )+
-            ::std::thread::sleep(::std::time::Duration::from_micros(20));
-        }
-    }};
 }
 
 #[cfg(test)]
@@ -234,18 +171,6 @@ mod tests {
         // Queued messages drain before disconnection reports.
         assert_eq!(rx2.recv(), Ok(1));
         assert!(rx2.recv().is_err());
-    }
-
-    #[test]
-    fn select_prefers_ready_channel() {
-        let (tx_a, rx_a) = channel::unbounded::<u8>();
-        let (_tx_b, rx_b) = channel::unbounded::<u8>();
-        tx_a.send(9).unwrap();
-        let got = select! {
-            recv(rx_a) -> v => v.unwrap(),
-            recv(rx_b) -> v => v.unwrap(),
-        };
-        assert_eq!(got, 9);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   FDAS + RDT-LGC implementation (Algorithm 4).
 //! * [`analysis`] — rollback-dependency graphs, rollback-propagation
 //!   quantification, CCP statistics and storage timelines.
-//! * [`sim`] — deterministic discrete-event and threaded simulators.
+//! * [`sim`] — deterministic discrete-event simulators (sequential and
+//!   sharded), the script runner and the `LiveNode` wire-frame driver.
 //! * [`recovery`] — recovery-line computation, rollback orchestration, and
 //!   Wang's decentralized online min/max consistent global checkpoints.
 //! * [`storage`] — file-backed stable storage that survives crashes, with
@@ -67,9 +68,7 @@ pub mod prelude {
     pub use rdt_core::{CheckpointStore, GarbageCollector, GcKind, LastIntervals, RdtLgc};
     pub use rdt_protocols::{Middleware, ProtocolKind};
     pub use rdt_recovery::{RecoveryManager, RecoveryMode};
-    pub use rdt_sim::{
-        run_script, run_threaded, ChannelConfig, SimConfig, SimulationBuilder, SimulationReport,
-    };
+    pub use rdt_sim::{run_script, ChannelConfig, SimConfig, SimulationBuilder, SimulationReport};
     pub use rdt_storage::{
         DurableStore, FaultFs, FaultKind, FaultPlan, RestartReport, StdFs, StorageBackend,
     };

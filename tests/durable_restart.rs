@@ -483,3 +483,92 @@ mod torture_props {
         }
     }
 }
+
+mod disk_sink_props {
+    use proptest::prelude::*;
+    use rdt_checkpointing::prelude::*;
+    use rdt_checkpointing::storage::DiskSink;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// A volatile middleware and a `Middleware<DiskSink>` fed identical
+        /// events agree on every observable, the directory always equals
+        /// the in-memory stable store, and a restart from the directory
+        /// alone rebuilds exactly that store.
+        #[test]
+        fn disk_sink_is_transparent_and_restart_rebuilds_the_store(
+            ops in prop::collection::vec((0u8..4, 0usize..16), 0..30),
+            proto in prop::sample::select(vec![ProtocolKind::Fdas, ProtocolKind::Cas]),
+        ) {
+            let n = 2;
+            let dir = super::scratch("disk-sink-props");
+            let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+            let mut plain = Middleware::new(p0, n, proto, GcKind::RdtLgc);
+            let disk = DurableStore::open(&dir, p0).expect("scratch dir");
+            let mut durable =
+                Middleware::with_storage(p0, n, proto, GcKind::RdtLgc, DiskSink::over(disk));
+            // A fixed peer feeding both the same piggybacks.
+            let mut peer = Middleware::new(p1, n, proto, GcKind::RdtLgc);
+
+            for step in 0..=ops.len() {
+                // Checked before the first op too: `s^0` is already on disk.
+                prop_assert_eq!(durable.take_sink_error(), None);
+                prop_assert_eq!(plain.dv(), durable.dv());
+                prop_assert_eq!(
+                    durable.sink().disk().indices().expect("readable"),
+                    durable.store().indices().collect::<Vec<_>>()
+                );
+                let Some(&(kind, a)) = ops.get(step) else { break };
+                match kind {
+                    0 => prop_assert_eq!(
+                        plain.basic_checkpoint().expect("alive"),
+                        durable.basic_checkpoint().expect("alive")
+                    ),
+                    1 => prop_assert_eq!(
+                        plain.send(p1, Payload::empty()).meta.dv,
+                        durable.send(p1, Payload::empty()).meta.dv
+                    ),
+                    2 => {
+                        if a % 3 == 0 {
+                            peer.basic_checkpoint().expect("alive");
+                        }
+                        let pb = peer.piggyback();
+                        peer.send(p0, Payload::empty());
+                        prop_assert_eq!(
+                            plain.receive_piggyback(&pb).expect("alive"),
+                            durable.receive_piggyback(&pb).expect("alive")
+                        );
+                    }
+                    _ => {
+                        // Roll both back to their last stable checkpoint.
+                        let target = plain.last_stable();
+                        prop_assert_eq!(
+                            plain.rollback(target, None).expect("stored"),
+                            durable.rollback(target, None).expect("stored")
+                        );
+                    }
+                }
+            }
+
+            // A crashed process refuses to checkpoint and leaves the disk alone.
+            durable.crash();
+            prop_assert!(durable.basic_checkpoint().is_err());
+            let before: Vec<_> = durable.store().iter().map(|(i, dv)| (i, dv.clone())).collect();
+            let incarnation = durable.incarnation();
+            drop(durable); // the kill: everything volatile is gone
+
+            let disk = DurableStore::open(&dir, p0).expect("directory survives");
+            let (rebuilt, report) = disk.rebuild_reported().expect("readable");
+            prop_assert_eq!(report.quarantined, 0);
+            let after: Vec<_> = rebuilt.iter().map(|(i, dv)| (i, dv.clone())).collect();
+            prop_assert_eq!(after, before);
+            let sink = DiskSink::over(disk);
+            let restarted =
+                Middleware::from_store_with(p0, n, proto, GcKind::RdtLgc, rebuilt, sink);
+            prop_assert!(restarted.is_crashed());
+            prop_assert!(restarted.incarnation() >= incarnation, "no incarnation is ever reused");
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+}

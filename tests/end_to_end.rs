@@ -147,11 +147,3 @@ fn simulation_is_deterministic_in_the_seed() {
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.final_retained, b.final_retained);
 }
-
-#[test]
-fn threaded_and_des_agree_on_guarantees() {
-    let n = 4;
-    let ops = WorkloadSpec::uniform_random(n, 300).with_seed(5).generate();
-    let threaded = run_threaded(n, &ops, ProtocolKind::Fdas, GcKind::RdtLgc);
-    assert!(threaded.max_peak_retained() <= n + 1);
-}
