@@ -14,7 +14,8 @@
 //! Two bundles implement them:
 //!
 //! * [`SimEnv`] — deterministic virtual clock over the bucket calendar
-//!   queue plus a seeded generator. Fixed-seed runs are replay-golden:
+//!   queue plus a seeded generator; a run's pre-planned events merge in
+//!   from an ordered [`Lane`] beside it. Fixed-seed runs are replay-golden:
 //!   the discrete-event engine draws through this bundle in exactly the
 //!   order it always did, so goldens stay byte-identical.
 //! * [`RealEnv`] — a monotonic OS clock, an entropy-seeded generator and
@@ -38,7 +39,7 @@ pub mod transport;
 pub mod wire;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
-pub use queue::BucketQueue;
+pub use queue::{BucketQueue, Lane};
 pub use rng::{DetRng, Rng};
 pub use shard::ShardEnv;
 pub use sim::SimEnv;

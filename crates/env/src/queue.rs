@@ -11,9 +11,15 @@
 //! produced; the in-file `equivalence` proptest module proves it against a
 //! heap reference, operation by operation.
 //!
-//! Crash sessions use [`retain`](BucketQueue::retain) to drop in-transit
-//! deliveries **in place** — the old engine rebuilt the whole heap
-//! (`mem::take` + re-push of every surviving event) on every crash.
+//! The queue holds only what a run creates *while it executes* —
+//! deliveries, control rounds. The part of a run whose final `(at, seq)`
+//! order is known before it starts (the application op stream, a shard's
+//! planned events) stays out of it, in an ordered [`Lane`] that
+//! [`pop_merged`](BucketQueue::pop_merged) merges with the queue by key:
+//! no bucket and no allocation per pre-planned event. A crash session's
+//! [`retain`](BucketQueue::retain), which drops the in-transit deliveries
+//! in place, therefore visits the handful of events in flight, never the
+//! ops still to come.
 //!
 //! Exhausted buckets are recycled through a pool, so a long simulation
 //! reuses a handful of allocations regardless of event count.
@@ -29,15 +35,18 @@ const WINDOW: u64 = 1024;
 /// One per-tick bucket: events in push (= `seq`) order.
 type Bucket<T> = VecDeque<(u64, T)>;
 
+/// The ordered lane beside a [`BucketQueue`]: events whose `(at, seq, item)`
+/// keys were all known up front, in key order, consumed from the front.
+pub type Lane<L> = VecDeque<(u64, u64, L)>;
+
 /// A priority queue over `(at, seq)` keys, specialized for monotone
 /// discrete-event scheduling.
 ///
 /// Invariants the caller must uphold (the simulator does by construction):
 ///
-/// * `seq` strictly increases across pushes;
-/// * `at` is never below the tick of the most recently popped event.
-///
-/// Both are `debug_assert`ed.
+/// * `seq` strictly increases across pushes (`debug_assert`ed);
+/// * `at` is never below the tick of the most recently popped event
+///   (`assert`ed: a release run must not reorder silently).
 #[derive(Debug)]
 pub struct BucketQueue<T> {
     /// Tick represented by `ring[0]`.
@@ -103,9 +112,8 @@ impl<T> BucketQueue<T> {
             self.last_seq == 0 || seq > self.last_seq,
             "sequence numbers must increase"
         );
-        debug_assert!(at >= self.base, "cannot schedule into the past");
+        assert!(at >= self.base, "cannot schedule into the past");
         self.last_seq = seq;
-        let at = at.max(self.base);
         if at >= self.base + WINDOW {
             self.overflow.entry(at).or_default().push_back((seq, item));
         } else {
@@ -124,8 +132,7 @@ impl<T> BucketQueue<T> {
     /// already queued at the same tick. Position is found by binary search,
     /// and the global-monotonicity invariant is deliberately not asserted.
     pub fn insert(&mut self, at: u64, seq: u64, item: T) {
-        debug_assert!(at >= self.base, "cannot schedule into the past");
-        let at = at.max(self.base);
+        assert!(at >= self.base, "cannot schedule into the past");
         let bucket = if at >= self.base + WINDOW {
             self.overflow.entry(at).or_default()
         } else {
@@ -185,6 +192,27 @@ impl<T> BucketQueue<T> {
                 }
             }
         }
+    }
+
+    /// Dequeues the earliest event below `bound` of this queue and `lane`
+    /// merged by `(at, seq)`; a lane item becomes a `T` through `wrap`. The
+    /// queue is only ever drained up to the lane's head, so the base never
+    /// passes the head's tick and whatever handling the head schedules
+    /// (a delivery at `head.at + delay`) is still a legal push.
+    pub fn pop_merged<L>(
+        &mut self,
+        lane: &mut Lane<L>,
+        bound: (u64, u64),
+        wrap: impl FnOnce(L) -> T,
+    ) -> Option<(u64, u64, T)> {
+        let head = lane.front().map(|&(at, seq, _)| (at, seq));
+        let head = head.filter(|&head| head < bound);
+        if let Some(event) = self.pop_before(head.unwrap_or(bound)) {
+            return Some(event);
+        }
+        head?;
+        let (at, seq, item) = lane.pop_front()?;
+        Some((at, seq, wrap(item)))
     }
 
     /// Dequeues the earliest event as `(at, seq, item)`, in `(at, seq)`
@@ -288,8 +316,9 @@ impl<T> BucketQueue<T> {
 
 #[cfg(test)]
 mod equivalence {
-    //! The bucket queue must pop events in exactly the `(at, seq)` order of
-    //! the `BinaryHeap<Reverse<…>>` it replaced, under arbitrary interleaved
+    //! The bucket queue — alone, and merged with an ordered lane — must pop
+    //! events in exactly the `(at, seq)` order of the
+    //! `BinaryHeap<Reverse<…>>` it replaced, under arbitrary interleaved
     //! pushes, pops and crash-style retains.
 
     use std::cmp::Reverse;
@@ -297,7 +326,8 @@ mod equivalence {
 
     use proptest::prelude::*;
 
-    use super::BucketQueue;
+    use super::{BucketQueue, Lane};
+    use crate::SimEnv;
 
     /// One scripted step: numbers map onto the currently legal moves.
     #[derive(Debug, Clone, Copy)]
@@ -318,13 +348,26 @@ mod equivalence {
         )
     }
 
+    type Heap = BinaryHeap<Reverse<(u64, u64, u8)>>;
+
+    /// Drops payload class `doomed` from the reference heap; returns the
+    /// drops as `(at, payload)` in the `(at, seq)` order `retain` reports.
+    fn heap_retain(heap: &mut Heap, doomed: u8) -> Vec<(u64, u8)> {
+        let (mut dropped, kept): (Vec<_>, Vec<_>) =
+            heap.drain().partition(|Reverse((_, _, p))| *p == doomed);
+        heap.extend(kept);
+        dropped.sort_unstable_by_key(|&Reverse(key)| key);
+        let drops = dropped.into_iter().map(|Reverse((at, _, p))| (at, p));
+        drops.collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn pops_match_binary_heap_reference(script in ops(120)) {
             let mut bucket: BucketQueue<u8> = BucketQueue::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64, u8)>> = BinaryHeap::new();
+            let mut heap = Heap::new();
             let mut time = 0u64;
             let mut seq = 1u64;
             for op in script {
@@ -348,29 +391,9 @@ mod equivalence {
                     }
                     // Crash-style retain: drop one payload class from both.
                     _ => {
-                        let doomed = op.payload;
                         let mut dropped = Vec::new();
-                        bucket.retain(|&p| p != doomed, |at, p| dropped.push((at, p)));
-                        let mut expected_dropped = Vec::new();
-                        let survivors: Vec<Reverse<(u64, u64, u8)>> = heap
-                            .drain()
-                            .filter(|Reverse((at, s, p))| {
-                                if *p == doomed {
-                                    expected_dropped.push((*at, *s, *p));
-                                    false
-                                } else {
-                                    true
-                                }
-                            })
-                            .collect();
-                        heap.extend(survivors);
-                        // The bucket queue reports drops in (at, seq) order.
-                        expected_dropped.sort_unstable();
-                        let expected_dropped: Vec<(u64, u8)> = expected_dropped
-                            .into_iter()
-                            .map(|(at, _, p)| (at, p))
-                            .collect();
-                        prop_assert_eq!(dropped, expected_dropped);
+                        bucket.retain(|&p| p != op.payload, |at, p| dropped.push((at, p)));
+                        prop_assert_eq!(dropped, heap_retain(&mut heap, op.payload));
                     }
                 }
             }
@@ -378,6 +401,61 @@ mod equivalence {
             loop {
                 let expected = heap.pop().map(|Reverse(e)| e);
                 let got = bucket.pop();
+                prop_assert_eq!(got, expected);
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+
+        /// A preloaded key-ordered lane merged with the queue — the way the
+        /// engine runs: ops wait in the lane, whatever handling them
+        /// schedules at `now + delay` is queued, crashes cancel queued
+        /// events only — pops in the order of one heap holding everything.
+        #[test]
+        fn lane_merge_matches_binary_heap_reference(
+            preloaded in prop::collection::vec((0u64..40, 0u8..4), 0..60),
+            script in ops(120),
+        ) {
+            // Lane payloads sit in a class of their own: a cancel never
+            // matches them, as the engine's never matches an op.
+            const LANE: u8 = 100;
+            let mut env: SimEnv<u8> = SimEnv::new(0);
+            let mut heap = Heap::new();
+            let mut seq = 0u64;
+            let mut at = 0u64;
+            let mut lane = Lane::new();
+            for (gap, payload) in preloaded {
+                at += gap;
+                let stamp = env.next_seq();
+                prop_assert_eq!(stamp, seq);
+                lane.push_back((at, stamp, LANE + payload));
+                heap.push(Reverse((at, seq, LANE + payload)));
+                seq += 1;
+            }
+            prop_assert_eq!(env.pending(), 0);
+            for op in script {
+                match op.kind {
+                    0..=3 => {
+                        let at = env.now() + op.delay;
+                        env.schedule(at, op.payload);
+                        heap.push(Reverse((at, seq, op.payload)));
+                        seq += 1;
+                    }
+                    4..=6 => {
+                        let expected = heap.pop().map(|Reverse(e)| e);
+                        prop_assert_eq!(env.pop_merged(&mut lane, |p| p), expected);
+                    }
+                    _ => {
+                        let mut dropped = Vec::new();
+                        env.cancel(|&p| p != op.payload, |at, p| dropped.push((at, p)));
+                        prop_assert_eq!(dropped, heap_retain(&mut heap, op.payload));
+                    }
+                }
+            }
+            loop {
+                let expected = heap.pop().map(|Reverse(e)| e);
+                let got = env.pop_merged(&mut lane, |p| p);
                 prop_assert_eq!(got, expected);
                 if got.is_none() {
                     break;

@@ -4,19 +4,21 @@
 //! The sharded engine pre-plans every random draw in a sequential planning
 //! pass (so draw order cannot depend on shard interleaving), which leaves
 //! a shard worker with exactly two needs: hold its processes' events in
-//! `(at, seq)` order, and advance a local clock as it consumes them.
-//! Cross-shard deliveries arrive between windows via
+//! `(at, seq)` order, and advance a local clock as it consumes them. The
+//! planned events arrive already key-ordered and stay in a [`Lane`] beside
+//! the queue; only deliveries are queued. Cross-shard deliveries arrive
+//! between windows via
 //! [`insert`](BucketQueue::insert) — out of global sequence order, which
 //! is why this bundle is not just a `SimEnv` with the rng ignored.
 
 use crate::clock::{Clock, VirtualClock};
-use crate::queue::BucketQueue;
+use crate::queue::{BucketQueue, Lane};
 
 /// Event queue + clock for one shard of a partitioned simulation.
 ///
 /// All events carry the *global* `(at, seq)` keys assigned by the planning
 /// pass; a worker drains the ones it owns, strictly below each lookahead
-/// bound, through [`pop_before`](Self::pop_before).
+/// bound, through [`pop_merged`](Self::pop_merged).
 #[derive(Debug, Default)]
 pub struct ShardEnv<T> {
     clock: VirtualClock,
@@ -52,10 +54,16 @@ impl<T> ShardEnv<T> {
         self.queue.insert(at, seq, item);
     }
 
-    /// Pops the earliest event strictly below `bound` and advances the
+    /// Pops the earliest event strictly below `bound` of the queue and
+    /// `lane` merged by key ([`BucketQueue::pop_merged`]) and advances the
     /// clock to it; `None` once the window is drained.
-    pub fn pop_before(&mut self, bound: (u64, u64)) -> Option<(u64, u64, T)> {
-        let (at, seq, item) = self.queue.pop_before(bound)?;
+    pub fn pop_merged<L>(
+        &mut self,
+        lane: &mut Lane<L>,
+        bound: (u64, u64),
+        wrap: impl FnOnce(L) -> T,
+    ) -> Option<(u64, u64, T)> {
+        let (at, seq, item) = self.queue.pop_merged(lane, bound, wrap)?;
         self.clock.advance_to(at);
         Some((at, seq, item))
     }
@@ -68,15 +76,20 @@ mod tests {
     #[test]
     fn clock_follows_popped_events_within_windows() {
         let mut env: ShardEnv<&str> = ShardEnv::new();
-        env.insert(5, 2, "a");
-        env.insert(9, 1, "b");
+        let mut lane = Lane::from([(5, 2, "planned"), (9, 1, "b")]);
+        env.insert(5, 3, "delivered");
         assert_eq!(env.now(), 0);
-        assert_eq!(env.pop_before((9, 1)), Some((5, 2, "a")));
-        assert_eq!(env.now(), 5);
-        assert_eq!(env.pop_before((9, 1)), None);
+        assert_eq!(env.len(), 1, "planned events take no queue slot");
+        let mut pop = |bound| env.pop_merged(&mut lane, bound, |ev| ev);
+        assert_eq!(pop((9, 1)), Some((5, 2, "planned")));
+        assert_eq!(pop((9, 1)), Some((5, 3, "delivered")));
+        assert_eq!(pop((9, 1)), None);
         assert_eq!(env.now(), 5, "an empty window leaves the clock alone");
-        assert_eq!(env.pop_before((u64::MAX, u64::MAX)), Some((9, 1, "b")));
+        assert_eq!(
+            env.pop_merged(&mut lane, (u64::MAX, u64::MAX), |ev| ev),
+            Some((9, 1, "b"))
+        );
         assert_eq!(env.now(), 9);
-        assert!(env.is_empty());
+        assert!(env.is_empty() && lane.is_empty());
     }
 }

@@ -10,7 +10,7 @@
 //! replay goldens in `rdt-sim` pin.
 
 use crate::clock::{Clock, VirtualClock};
-use crate::queue::BucketQueue;
+use crate::queue::{BucketQueue, Lane};
 use crate::rng::DetRng;
 
 /// Deterministic simulated runtime: schedule events, pop them in
@@ -41,11 +41,18 @@ impl<T> SimEnv<T> {
         self.clock.now()
     }
 
+    /// Draws the next sequence number without enqueuing anything: the
+    /// stamp of an event kept in an ordered [`Lane`] beside the queue.
+    pub fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
     /// Enqueues `item` at tick `at`, stamping it with the next sequence
     /// number (total order over equal ticks is push order).
     pub fn schedule(&mut self, at: u64, item: T) {
-        let seq = self.seq;
-        self.seq += 1;
+        let seq = self.next_seq();
         self.queue.push(at, seq, item);
     }
 
@@ -55,6 +62,23 @@ impl<T> SimEnv<T> {
         let (at, seq, item) = self.queue.pop()?;
         self.clock.advance_to(at);
         Some((at, seq, item))
+    }
+
+    /// Dequeues the earliest event of the queue and `lane` merged by
+    /// `(at, seq)` ([`BucketQueue::pop_merged`]), advancing the clock to
+    /// its tick. With the lane spent this is [`pop`](Self::pop), which —
+    /// unlike a bounded drain — leaves an empty queue ready for new events.
+    pub fn pop_merged<L>(
+        &mut self,
+        lane: &mut Lane<L>,
+        wrap: impl FnOnce(L) -> T,
+    ) -> Option<(u64, u64, T)> {
+        if lane.is_empty() {
+            return self.pop();
+        }
+        let event = self.queue.pop_merged(lane, (u64::MAX, u64::MAX), wrap)?;
+        self.clock.advance_to(event.0);
+        Some(event)
     }
 
     /// In-place drain of scheduled events failing `keep`; dropped events
@@ -94,6 +118,35 @@ mod tests {
         assert_eq!(env.pop(), Some((5, 2, "c")));
         assert_eq!(env.now(), 5);
         assert_eq!(env.pop(), None);
+    }
+
+    #[test]
+    fn lane_events_merge_with_the_queue_by_key() {
+        let mut env: SimEnv<&str> = SimEnv::new(7);
+        let mut lane = Lane::new();
+        for (at, item) in [(0, "op0"), (10, "op1"), (20, "op2")] {
+            lane.push_back((at, env.next_seq(), item));
+        }
+        assert_eq!(env.pending(), 0, "a lane event takes no queue slot");
+        assert_eq!(env.pop_merged(&mut lane, |op| op), Some((0, 0, "op0")));
+        // Scheduled while op0 runs: lands between op1 and op2, and on
+        // op1's own tick after it (later sequence number).
+        env.schedule(env.now() + 15, "late");
+        env.schedule(env.now() + 10, "tie");
+        let order: Vec<_> = std::iter::from_fn(|| env.pop_merged(&mut lane, |op| op)).collect();
+        assert_eq!(
+            order,
+            vec![
+                (10, 1, "op1"),
+                (10, 4, "tie"),
+                (15, 3, "late"),
+                (20, 2, "op2")
+            ]
+        );
+        assert_eq!(env.now(), 20);
+        // Spent lane, drained queue: the environment still takes events.
+        env.schedule(env.now(), "after");
+        assert_eq!(env.pop_merged(&mut lane, |op| op), Some((20, 5, "after")));
     }
 
     #[test]

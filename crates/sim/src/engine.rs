@@ -2,7 +2,7 @@
 
 use rdt_base::{Incarnation, MessageId, ProcessId, Result, TraceEvent};
 use rdt_core::GcKind;
-use rdt_env::{Rng as _, SimEnv};
+use rdt_env::{Lane, Rng as _, SimEnv};
 use rdt_protocols::{Middleware, Piggyback, ProtocolKind};
 use rdt_recovery::{FaultySet, RecoveryManager, RecoveryMode, RecoverySessionReport};
 use rdt_workloads::{AppOp, WorkloadSpec};
@@ -213,13 +213,21 @@ pub(crate) enum EventKind<C> {
 }
 
 /// The run's schedule — queue, virtual clock and rng in a
-/// [`SimEnv`](rdt_env::SimEnv) — and every decision a run draws from it: a
-/// send's loss and delay, a crash's correlated faulty set. The sequential
-/// engine and the sharded engine's planning pass both draw *here*, so the
-/// plan gets the sequential `(at, seq)` keys and rng stream by construction.
+/// [`SimEnv`](rdt_env::SimEnv), the op stream in an ordered lane beside it
+/// — and every decision a run draws from it: a send's loss and delay, a
+/// crash's correlated faulty set. The sequential engine and the sharded
+/// engine's planning pass both draw *here*, so the plan gets the sequential
+/// `(at, seq)` keys and rng stream by construction.
+///
+/// The queue holds only what the run creates as it executes (deliveries,
+/// control rounds); [`pop`](Self::pop) merges it with the lane by key. The
+/// lane is typed [`AppOp`], so a crash session's `env.cancel` cannot even
+/// visit an op still to come — only what is in flight.
 #[derive(Debug)]
 pub(crate) struct Schedule<C> {
     pub(crate) env: SimEnv<EventKind<C>>,
+    /// The application ops not yet run, in `(at, seq)` order.
+    lane: Lane<AppOp>,
     config: SimConfig,
     /// Time of the last scheduled application op; control rounds stop
     /// rescheduling past it so the event queue drains.
@@ -236,18 +244,36 @@ impl<C> Schedule<C> {
         }
         Self {
             env,
+            lane: Lane::new(),
             config,
             horizon: 0,
         }
     }
 
-    /// Schedules an operation stream ([`Simulation::schedule_ops`]).
+    /// Schedules an operation stream ([`Simulation::schedule_ops`]): op `k`
+    /// at `now + k * ticks_per_op`, stamped from the environment's sequence
+    /// counter exactly as if it were queued. A later call's ops merge into
+    /// the unconsumed lane by `(at, seq)`.
     pub(crate) fn ops(&mut self, ops: &[AppOp]) {
+        let (start, step) = (self.env.now(), self.config.ticks_per_op);
+        let merge = !self.lane.is_empty();
+        self.lane.reserve(ops.len());
         for (k, op) in ops.iter().enumerate() {
-            let at = k as u64 * self.config.ticks_per_op;
+            let at = start + k as u64 * step;
+            self.lane.push_back((at, self.env.next_seq(), *op));
             self.horizon = self.horizon.max(at);
-            self.env.schedule(at, EventKind::App(*op));
         }
+        if merge {
+            // Two key-ordered runs: the adaptive stable sort is one merge.
+            let lane = self.lane.make_contiguous();
+            lane.sort_by_key(|&(at, seq, _)| (at, seq));
+        }
+    }
+
+    /// The next event of lane and queue merged by `(at, seq)`, advancing
+    /// the clock to it.
+    pub(crate) fn pop(&mut self) -> Option<(u64, u64, EventKind<C>)> {
+        self.env.pop_merged(&mut self.lane, EventKind::App)
     }
 
     /// The channel's verdict on a message sent now: the loss draw, then —
@@ -370,8 +396,13 @@ impl Simulation {
     }
 
     /// Schedules an operation stream, one op per
-    /// [`ticks_per_op`](SimConfig::ticks_per_op), pre-sizing the recording
-    /// buffers from the op count so the hot loop never reallocates them.
+    /// [`ticks_per_op`](SimConfig::ticks_per_op) from the current time on,
+    /// pre-sizing the recording buffers from the op count so the hot loop
+    /// never reallocates them. The ops are not queued: their order is final,
+    /// so they wait in an ordered lane that the run merges with the event
+    /// queue by `(tick, sequence)`. A further call — before, during or
+    /// after a run — merges its ops into the ones still waiting the same
+    /// way; on equal ticks the earlier call's op runs first.
     pub fn schedule_ops(&mut self, ops: &[AppOp]) {
         if let Some(trace) = &mut self.out.trace {
             // Sends dominate: send + deliver + occasional forced
@@ -385,14 +416,17 @@ impl Simulation {
         self.sched.ops(ops);
     }
 
-    /// Runs until the event queue drains.
+    /// Runs until the op lane and the event queue drain.
     ///
     /// # Errors
     ///
     /// Propagates middleware errors (none occur under normal scheduling).
     pub fn run_to_completion(&mut self) -> Result<()> {
         let wall = self.profiler.start();
-        while let Some((_at, _seq, kind)) = self.sched.env.pop() {
+        // Intervals chain — one clock read per event: an event's phase
+        // runs from the previous event's end, so it includes its own pop.
+        let mut t = wall;
+        while let Some((_at, _seq, kind)) = self.sched.pop() {
             let now = self.sched.env.now();
             // A crash op runs a whole recovery session; everything else
             // but a control round is ordinary queue drain.
@@ -401,7 +435,6 @@ impl Simulation {
                 EventKind::ControlRound => "engine/control_round",
                 _ => "engine/drain",
             };
-            let t = self.profiler.start();
             match kind {
                 EventKind::App(AppOp::Checkpoint(p)) => {
                     self.core.checkpoint(p, now, &mut self.out)?;
@@ -420,7 +453,7 @@ impl Simulation {
                 }
                 EventKind::ControlRound => self.handle_control_round(now)?,
             }
-            self.profiler.stop(phase, t);
+            self.profiler.lap(phase, &mut t);
         }
         self.profiler.stop("engine/run", wall);
         Ok(())
@@ -453,7 +486,9 @@ impl Simulation {
         self.core.crash(&faulty);
         // All in-transit messages are lost (the recovered CCP excludes
         // them, Section 2.2): an in-place retain over the bucket queue,
-        // dropping deliveries in deterministic (at, seq) order.
+        // dropping deliveries in deterministic (at, seq) order. The queue
+        // holds nothing but those and the next control round — the ops
+        // still to come wait in the lane — so this costs O(in flight).
         let out = &mut self.out;
         self.sched.env.cancel(
             |kind| !matches!(kind, EventKind::Deliver { .. }),
@@ -490,5 +525,110 @@ impl Simulation {
     /// Read access to the processes (for integration tests).
     pub fn processes(&self) -> &[Middleware] {
         self.core.processes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stream(seed: u64, steps: usize) -> Vec<AppOp> {
+        let spec = WorkloadSpec::uniform_random(4, steps).with_seed(seed);
+        spec.with_crash_prob(0.01).generate()
+    }
+
+    /// Pops one event the way the planning pass does: a send goes through
+    /// the channel. Returns its key and, for an op, the op.
+    fn step(sched: &mut Schedule<()>) -> Option<((u64, u64), Option<AppOp>)> {
+        let (at, seq, kind) = sched.pop()?;
+        let EventKind::App(op) = kind else {
+            return Some(((at, seq), None));
+        };
+        if let AppOp::Send { from, to } = op {
+            sched.transmit(to, MessageId::new(from, seq), ());
+        }
+        Some(((at, seq), Some(op)))
+    }
+
+    /// Calls of `schedule_ops` made back to back (equal ticks: the earlier
+    /// call's op first) and in mid-run (from `now` on, over the tail of the
+    /// earlier streams) all merge into one key-ordered lane.
+    #[test]
+    fn later_op_streams_merge_into_the_unconsumed_lane() {
+        let streams = [stream(1, 40), stream(2, 25), stream(3, 40)];
+        let mut sched: Schedule<()> = Schedule::new(9, SimConfig::default());
+        sched.ops(&streams[0]);
+        sched.ops(&streams[1]);
+        assert_eq!(sched.env.pending(), 0, "ops take no queue slot");
+
+        let mut popped: Vec<_> = (0..30).map_while(|_| step(&mut sched)).collect();
+        let now = sched.env.now();
+        assert!(
+            now > 0 && sched.env.pending() > 0,
+            "mid-run, sends in flight"
+        );
+        sched.ops(&streams[2]);
+        assert_eq!(sched.lane.iter().filter(|event| event.0 < now).count(), 0);
+        popped.extend(std::iter::from_fn(|| step(&mut sched)));
+
+        assert!(popped.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        // Stamps are drawn in call order, stream order within a call: by
+        // stamp, the ops read as the streams laid end to end — each once.
+        let mut ops: Vec<_> = popped
+            .iter()
+            .filter_map(|&(key, op)| Some((key.1, op?)))
+            .collect();
+        ops.sort_unstable_by_key(|&(seq, _)| seq);
+        let ops: Vec<AppOp> = ops.into_iter().map(|(_, op)| op).collect();
+        assert_eq!(ops, streams.concat());
+    }
+
+    /// A crash session's cancel visits what is in flight — deliveries and
+    /// the next control round — and never an op still to come.
+    #[test]
+    fn a_crash_cancels_only_what_is_in_flight() {
+        let config = SimConfig {
+            control_every: Some(35),
+            ..SimConfig::fault_heavy()
+        };
+        let mut sched: Schedule<()> = Schedule::new(5, config);
+        sched.ops(&stream(5, 4000));
+        assert_eq!(sched.env.pending(), 1, "only the first control round");
+
+        let (mut in_flight, mut control, mut sessions) = (0, true, 0);
+        while let Some((_, seq, kind)) = sched.pop() {
+            match kind {
+                EventKind::App(AppOp::Send { from, to }) => {
+                    let lost = sched.transmit(to, MessageId::new(from, seq), ());
+                    in_flight += usize::from(!lost);
+                }
+                EventKind::App(AppOp::Checkpoint(_)) => {}
+                EventKind::Deliver { .. } => in_flight -= 1,
+                EventKind::ControlRound => {
+                    let before = sched.env.pending();
+                    sched.next_control();
+                    control = sched.env.pending() > before;
+                }
+                EventKind::App(AppOp::Crash(p)) => {
+                    sched.faulty(p, 4);
+                    let (mut visited, mut dropped) = (0, 0);
+                    sched.env.cancel(
+                        |kind| {
+                            visited += 1;
+                            assert!(!matches!(kind, EventKind::App(_)), "a queued op");
+                            !matches!(kind, EventKind::Deliver { .. })
+                        },
+                        |_, _| dropped += 1,
+                    );
+                    assert_eq!(visited, in_flight + usize::from(control));
+                    assert_eq!(dropped, in_flight);
+                    (in_flight, sessions) = (0, sessions + 1);
+                }
+            }
+        }
+        assert!(
+            sessions >= 20,
+            "the stream crashes often: {sessions} sessions"
+        );
     }
 }

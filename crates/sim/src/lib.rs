@@ -14,13 +14,18 @@
 //!   (Section 2): asynchronous processes, channels with variable delay,
 //!   loss and reordering, crash/recover failures with a centralized
 //!   recovery manager, and optional coordinator control rounds for the
-//!   coordinated baseline collectors.
+//!   coordinated baseline collectors. The application op stream, whose
+//!   order is final before the run starts, waits in an ordered lane
+//!   beside the queue; the queue holds only the deliveries and control
+//!   rounds the run creates, so a crash cancels what is in flight at a
+//!   cost independent of the ops still to come.
 //! * The **sharded parallel engine** — reached through the same builder
 //!   via [`SimulationBuilder::shards`]: processes partitioned across
-//!   worker shards, each draining its own bucket queue inside
-//!   conservative lookahead windows derived from the channel's
-//!   `min_delay`, with cross-shard deliveries exchanged at window
-//!   barriers. Output is byte-identical to the sequential engine for a
+//!   worker shards, each draining its planned events (an ordered lane,
+//!   as the plan hands them over) merged with its own bucket queue of
+//!   deliveries inside conservative lookahead windows derived from the
+//!   channel's `min_delay`, with cross-shard deliveries exchanged at
+//!   window barriers. Output is byte-identical to the sequential engine for a
 //!   fixed seed, at any shard count.
 //!
 //! Beside the engines:

@@ -8,8 +8,8 @@
 //! the configuration and the seed: every rng draw happens at a
 //! deterministic point of the event stream, none depends on middleware
 //! state. A **planning pass** therefore drains the sequential engine's own
-//! [`Schedule`] — same seed, same draws — without doing any middleware
-//! work. The pass resolves, ahead of time:
+//! [`Schedule`] — same seed, same draws, same lane-and-queue merge —
+//! without doing any middleware work. The pass resolves, ahead of time:
 //!
 //! - every event's global `(tick, sequence)` key, including the key each
 //!   delivery will carry — so cross-shard deliveries are inserted at the
@@ -28,7 +28,9 @@
 //!   the windows non-trivial (and why `min_delay == 0` falls back to the
 //!   sequential engine).
 //!
-//! Between cuts, each worker shard drains its own bucket queue with no
+//! Between cuts, each worker shard drains its slice of the plan — already
+//! in key order, so it is handed over as the worker's ordered lane, nothing
+//! re-queued — merged with its own bucket queue of deliveries, with no
 //! synchronization whatsoever; at a cut, workers exchange outboxes over
 //! bounded channels (an all-to-all with one batch per directed pair) and
 //! the coordinator runs any global event. Per-process state transitions
@@ -120,7 +122,7 @@ fn build_plan(builder: &SimulationBuilder, ops: &[AppOp], shards: usize) -> RunP
     // crash-cancelled message's `Drop` without ever seeing the message.
     let mut send_seq = vec![0u64; n];
 
-    while let Some((at, seq, kind)) = sched.env.pop() {
+    while let Some((at, seq, kind)) = sched.pop() {
         match kind {
             EventKind::App(AppOp::Checkpoint(p)) => {
                 locals[shard_of[p.index()] as usize].push((at, seq, PlannedLocal::Checkpoint(p)));

@@ -1,7 +1,8 @@
 //! One shard worker of the parallel engine: owns a contiguous or strided
-//! subset of the middlewares in a [`StepCore`], drains its [`ShardEnv`]
-//! inside each conservative lookahead window, and exchanges cross-shard
-//! deliveries with its peers at window barriers.
+//! subset of the middlewares in a [`StepCore`], drains its planned events —
+//! a key-ordered lane, used as the plan hands it over — merged with the
+//! deliveries in its [`ShardEnv`] inside each conservative lookahead window,
+//! and exchanges cross-shard deliveries with its peers at window barriers.
 //!
 //! Workers never touch the run's [`Metrics`](crate::Metrics), trace or
 //! occupancy buffers directly — the exact values of order-sensitive
@@ -18,7 +19,7 @@ use crossbeam::channel::{Receiver, Sender};
 
 use rdt_base::{MessageId, ProcessId, TraceEvent};
 use rdt_core::ControlInfo;
-use rdt_env::ShardEnv;
+use rdt_env::{Lane, ShardEnv};
 use rdt_protocols::SyncPiggyback;
 use rdt_recovery::{FaultySet, ProcessView, RecoveryManager, RecoveryPlan};
 
@@ -130,7 +131,8 @@ pub(crate) enum PlannedLocal {
     },
 }
 
-/// A live event in a worker's queue.
+/// An event a worker handles: planned ones come from its lane, deliveries
+/// from its queue.
 enum LocalEvent {
     Planned(PlannedLocal),
     Deliver {
@@ -194,6 +196,7 @@ pub(crate) struct FinishData {
 pub(crate) struct WorkerSetup<'a> {
     pub shard: usize,
     pub shard_of: &'a [u32],
+    /// The shard's planned events, in `(at, seq)` order.
     pub events: Vec<(u64, u64, PlannedLocal)>,
     pub builder: &'a SimulationBuilder,
     pub profile: bool,
@@ -221,10 +224,6 @@ pub(crate) fn run_worker(setup: WorkerSetup<'_>) {
     let wall = prof.start();
     let t_setup = prof.start();
 
-    let mut env: ShardEnv<LocalEvent> = ShardEnv::new();
-    for (at, seq, ev) in setup.events {
-        env.insert(at, seq, LocalEvent::Planned(ev));
-    }
     let (run, config) = (setup.builder, &setup.builder.config);
     let manager = RecoveryManager::with_mode(run.recovery_mode);
     let owned =
@@ -235,7 +234,8 @@ pub(crate) fn run_worker(setup: WorkerSetup<'_>) {
         shard: setup.shard,
         shard_of: setup.shard_of,
         core: StepCore::new(owned, run.spec.n, run.protocol, run.gc, config.state_size),
-        env,
+        lane: setup.events.into(),
+        env: ShardEnv::new(),
         sink: KeyedSink::new(config.record_trace, config.record_occupancy),
         outboxes: vec![Vec::new(); setup.out_txs.len()],
         out_txs: setup.out_txs,
@@ -308,6 +308,9 @@ struct Worker<'a> {
     shard: usize,
     shard_of: &'a [u32],
     core: StepCore,
+    /// Planned events not yet run; the plan built them in key order.
+    lane: Lane<PlannedLocal>,
+    /// Deliveries in flight to owned processes.
     env: ShardEnv<LocalEvent>,
     sink: KeyedSink,
     outboxes: Vec<Vec<RemoteMsg>>,
@@ -323,27 +326,33 @@ struct Worker<'a> {
 const ALIVE: &str = "processes are alive at event boundaries";
 
 impl Worker<'_> {
+    /// The next owned event below `upto`, lane and queue merged by key.
+    fn pop(&mut self, upto: (u64, u64)) -> Option<(u64, u64, LocalEvent)> {
+        self.env
+            .pop_merged(&mut self.lane, upto, LocalEvent::Planned)
+    }
+
     fn advance(&mut self, upto: (u64, u64)) {
-        let t_drain = self.prof.start();
-        while let Some((at, seq, ev)) = self.env.pop_before(upto) {
+        // The three phases chain: one clock read closes one and opens the
+        // next.
+        let mut t = self.prof.start();
+        while let Some((at, seq, ev)) = self.pop(upto) {
             self.sink.begin((at, seq), 0);
             self.handle(at, ev);
         }
-        self.prof.stop("shard/drain", t_drain);
+        self.prof.lap("shard/drain", &mut t);
         // Window barrier: ship this window's cross-shard sends, then take
         // delivery of every peer's. Batches pair up exactly because all
         // workers execute the identical Advance sequence.
-        let t_send = self.prof.start();
         for j in 0..self.out_txs.len() {
             if j != self.shard {
                 let batch = std::mem::take(&mut self.outboxes[j]);
                 self.out_txs[j].send(batch).expect("peer shard gone");
             }
         }
-        self.prof.stop("shard/exchange", t_send);
+        self.prof.lap("shard/exchange", &mut t);
         // The receive half blocks until every peer reaches the same
         // barrier: this is where a load-imbalanced shard waits.
-        let t_wait = self.prof.start();
         for j in 0..self.in_rxs.len() {
             if j != self.shard {
                 let batch = self.in_rxs[j].recv().expect("peer shard gone");
@@ -353,7 +362,7 @@ impl Worker<'_> {
                 }
             }
         }
-        self.prof.stop("shard/barrier_wait", t_wait);
+        self.prof.lap("shard/barrier_wait", &mut t);
     }
 
     /// Handles one owned event at tick `at`: the step core does the work,
