@@ -20,64 +20,142 @@
 //! Both types deref to [`DependencyVector`]; converting between them clones
 //! the underlying vector (the two refcount headers are incompatible), which
 //! is exactly the copy a cross-thread handoff must pay anyway.
+//!
+//! # Stamps
+//!
+//! Every handle also carries a *stamp*: a `u64` minted when a vector is
+//! interned (or an existing `Rc` / `Arc` is wrapped), unique within the OS
+//! process and never handed out twice. What it promises is one-directional:
+//! **same stamp ⇒ same immutable content**. `clone` copies it, and
+//! [`SharedDv::to_sync`] / [`SyncDv::to_local`] keep it, since the copy they
+//! make has the same content; two snapshots of equal value interned
+//! separately have different stamps, so a stamp mismatch says nothing. A
+//! receiver that has merged a snapshot can therefore recognise the next
+//! piggyback of the same burst in O(1), without holding the snapshot alive
+//! — which would keep its memory and stop the sender from taking it back
+//! ([`SharedDv::try_unwrap`]). Stamps are process-local: they take no part in
+//! equality, hashing or formatting, and they are never put on the wire — a
+//! decoded frame is interned afresh.
 
+use std::cell::Cell;
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::DependencyVector;
 
+/// Mints a stamp no other call in this OS process has returned or will.
+///
+/// Ids come in blocks of 2³² (the block index is the high half), one block
+/// at a time per thread: the shared counter is touched once per block, so
+/// interning a snapshot costs a thread-local increment, not a locked
+/// instruction. The low half of a stamp is never zero — a thread-local
+/// `next` whose low half is zero has no block (initially) or has used its
+/// block up, and takes a new one.
+fn mint_stamp() -> u64 {
+    const BLOCK: u64 = 1 << 32;
+    // Relaxed: the counter publishes no other data; an atomic
+    // read-modify-write alone makes every returned block index distinct.
+    static NEXT_BLOCK: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static NEXT: Cell<u64> = const { Cell::new(0) };
+    }
+    NEXT.with(|next| {
+        let mut stamp = next.get();
+        if stamp % BLOCK == 0 {
+            let block = NEXT_BLOCK.fetch_add(1, Ordering::Relaxed);
+            stamp = block.checked_mul(BLOCK).expect("stamp space exhausted") + 1;
+        }
+        next.set(stamp + 1);
+        stamp
+    })
+}
+
 /// A thread-local (non-atomic, `!Send`) shared dependency-vector snapshot —
 /// the piggyback payload of the single-threaded hot path.
 #[derive(Clone, Serialize, Deserialize)]
-pub struct SharedDv(Rc<DependencyVector>);
+pub struct SharedDv {
+    dv: Rc<DependencyVector>,
+    #[serde(skip, default = "mint_stamp")]
+    stamp: u64,
+}
 
 impl SharedDv {
-    /// Interns an owned vector.
+    /// Interns an owned vector under a fresh stamp.
     pub fn new(dv: DependencyVector) -> Self {
-        Self(Rc::new(dv))
+        Rc::new(dv).into()
     }
 
     /// Deep-copies into the [`Arc`]-backed flavour for a cross-thread
-    /// handoff.
+    /// handoff. Same content, so the same stamp.
     pub fn to_sync(&self) -> SyncDv {
-        SyncDv::new(self.0.as_ref().clone())
+        SyncDv {
+            dv: Arc::new(self.dv.as_ref().clone()),
+            stamp: self.stamp,
+        }
+    }
+
+    /// Takes the vector back out if this is the only handle left —
+    /// every clone has been dropped — and returns the handle otherwise.
+    pub fn try_unwrap(self) -> Result<DependencyVector, Self> {
+        let stamp = self.stamp;
+        Rc::try_unwrap(self.dv).map_err(|dv| Self { dv, stamp })
     }
 }
 
 /// A `Send + Sync` (atomic) shared dependency-vector snapshot, for runtimes
 /// that move piggybacks between threads.
 #[derive(Clone, Serialize, Deserialize)]
-pub struct SyncDv(Arc<DependencyVector>);
+pub struct SyncDv {
+    dv: Arc<DependencyVector>,
+    #[serde(skip, default = "mint_stamp")]
+    stamp: u64,
+}
 
 impl SyncDv {
-    /// Interns an owned vector.
+    /// Interns an owned vector under a fresh stamp.
     pub fn new(dv: DependencyVector) -> Self {
-        Self(Arc::new(dv))
+        Arc::new(dv).into()
     }
 
-    /// Deep-copies into the thread-local flavour.
+    /// Deep-copies into the thread-local flavour. Same content, so the
+    /// same stamp.
     pub fn to_local(&self) -> SharedDv {
-        SharedDv::new(self.0.as_ref().clone())
+        SharedDv {
+            dv: Rc::new(self.dv.as_ref().clone()),
+            stamp: self.stamp,
+        }
     }
 }
 
 macro_rules! snapshot_impls {
     ($ty:ident) => {
+        impl $ty {
+            /// The snapshot's stamp, unique to the interning it came from
+            /// and shared by every clone and cross-flavour copy of it:
+            /// equal stamps mean equal, immutable content; unequal stamps
+            /// mean nothing. Process-local — never compared, hashed,
+            /// printed or put on the wire.
+            pub fn stamp(&self) -> u64 {
+                self.stamp
+            }
+        }
+
         impl Deref for $ty {
             type Target = DependencyVector;
 
             fn deref(&self) -> &DependencyVector {
-                &self.0
+                &self.dv
             }
         }
 
         impl AsRef<DependencyVector> for $ty {
             fn as_ref(&self) -> &DependencyVector {
-                &self.0
+                &self.dv
             }
         }
 
@@ -87,10 +165,11 @@ macro_rules! snapshot_impls {
             }
         }
 
-        /// Equality is over the snapshot's value, not pointer identity.
+        /// Equality is over the snapshot's value, not pointer identity
+        /// or stamp.
         impl PartialEq for $ty {
             fn eq(&self, other: &Self) -> bool {
-                self.0 == other.0
+                self.dv == other.dv
             }
         }
 
@@ -98,19 +177,19 @@ macro_rules! snapshot_impls {
 
         impl std::hash::Hash for $ty {
             fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-                self.0.hash(state);
+                self.dv.hash(state);
             }
         }
 
         impl fmt::Debug for $ty {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                fmt::Debug::fmt(&*self.0, f)
+                fmt::Debug::fmt(&*self.dv, f)
             }
         }
 
         impl fmt::Display for $ty {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                fmt::Display::fmt(&*self.0, f)
+                fmt::Display::fmt(&*self.dv, f)
             }
         }
     };
@@ -119,15 +198,23 @@ macro_rules! snapshot_impls {
 snapshot_impls!(SharedDv);
 snapshot_impls!(SyncDv);
 
+/// Wraps the `Rc` under a fresh stamp: its other holders are unknown here.
 impl From<Rc<DependencyVector>> for SharedDv {
-    fn from(rc: Rc<DependencyVector>) -> Self {
-        Self(rc)
+    fn from(dv: Rc<DependencyVector>) -> Self {
+        Self {
+            dv,
+            stamp: mint_stamp(),
+        }
     }
 }
 
+/// Wraps the `Arc` under a fresh stamp: its other holders are unknown here.
 impl From<Arc<DependencyVector>> for SyncDv {
-    fn from(arc: Arc<DependencyVector>) -> Self {
-        Self(arc)
+    fn from(dv: Arc<DependencyVector>) -> Self {
+        Self {
+            dv,
+            stamp: mint_stamp(),
+        }
     }
 }
 
@@ -140,7 +227,7 @@ mod tests {
     fn clones_share_one_vector() {
         let a = SharedDv::new(DependencyVector::from_raw(vec![1, 2]));
         let b = a.clone();
-        assert!(Rc::ptr_eq(&a.0, &b.0));
+        assert!(Rc::ptr_eq(&a.dv, &b.dv));
         assert_eq!(a, b);
         assert_eq!(b.entry(ProcessId::new(1)).value(), 2);
     }
@@ -160,10 +247,58 @@ mod tests {
     }
 
     #[test]
+    fn stamps_follow_content_not_value() {
+        let a = SharedDv::new(DependencyVector::from_raw(vec![4, 1]));
+        assert_eq!(a.clone().stamp(), a.stamp());
+        assert_eq!(a.to_sync().stamp(), a.stamp());
+        assert_eq!(a.to_sync().to_local().stamp(), a.stamp());
+        // Equal value, interned separately: equal handles, unrelated stamps.
+        let b = SharedDv::new(DependencyVector::from_raw(vec![4, 1]));
+        assert_eq!(a, b);
+        assert_ne!(a.stamp(), b.stamp());
+        let rc = Rc::new(DependencyVector::from_raw(vec![4, 1]));
+        assert_ne!(
+            SharedDv::from(rc.clone()).stamp(),
+            SharedDv::from(rc).stamp()
+        );
+    }
+
+    #[test]
+    fn stamps_are_distinct_across_threads() {
+        let mint = || {
+            let dv = DependencyVector::from_raw(vec![0]);
+            (0..1000)
+                .map(|_| SyncDv::new(dv.clone()).stamp())
+                .collect::<Vec<_>>()
+        };
+        let spawned: Vec<_> = (0..4).map(|_| std::thread::spawn(mint)).collect();
+        let mut all = mint();
+        for handle in spawned {
+            all.extend(handle.join().expect("minting thread panicked"));
+        }
+        let minted = all.len();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(all.len(), minted);
+    }
+
+    #[test]
+    fn try_unwrap_succeeds_only_on_the_last_handle() {
+        let a = SharedDv::new(DependencyVector::from_raw(vec![7, 2]));
+        let stamp = a.stamp();
+        let b = a.clone();
+        let a = a.try_unwrap().expect_err("b still shares the vector");
+        assert_eq!(a.stamp(), stamp);
+        drop(b);
+        let dv = a.try_unwrap().expect("last handle");
+        assert_eq!(dv, DependencyVector::from_raw(vec![7, 2]));
+    }
+
+    #[test]
     fn equality_is_by_value_across_allocations() {
         let a = SharedDv::new(DependencyVector::from_raw(vec![4]));
         let b = SharedDv::new(DependencyVector::from_raw(vec![4]));
-        assert!(!Rc::ptr_eq(&a.0, &b.0));
+        assert!(!Rc::ptr_eq(&a.dv, &b.dv));
         assert_eq!(a, b);
         assert_eq!(format!("{a}"), "(4)");
     }

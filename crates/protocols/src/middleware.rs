@@ -1,5 +1,28 @@
 //! The checkpointing middleware: protocol + garbage collector + stable
 //! storage, merged as in the paper's Algorithm 4.
+//!
+//! # What an event costs
+//!
+//! Algorithm 2 piggybacks `DV` on every send, compares and merges it on
+//! every receive and stores it with every checkpoint — O(n) each. The
+//! handlers here pay that only for work not yet done:
+//!
+//! * **Send** interns one snapshot of `dv` per interval
+//!   ([`SharedDv`]); every further send of the burst shares it.
+//! * **Receive** (`receive_parts_into`) remembers the
+//!   [stamp](SharedDv::stamp) of the last snapshot it merged in full. A
+//!   piggyback with that stamp has the same content, and `dv` has only
+//!   grown since, so the news test and the merge are skipped: no forced
+//!   checkpoint on account of news, an empty update set. The liveness
+//!   check, the forced-checkpoint rules that do not read the vector (CBR,
+//!   CASBR, MRS, BCS) and the BCS index run as ever. A stamp and not a
+//!   handle: keeping the snapshot alive would hold its memory and stop
+//!   the sender from reusing it.
+//! * **Rollback** is the one event after which `dv` may be *below* what
+//!   was merged, so it — and nothing else — forgets the remembered stamp.
+//! * **Checkpoint** (`take_checkpoint_into`) ends the interval, so the
+//!   interned snapshot, still equal to `dv`, is moved into the store
+//!   instead of a copy whenever no undelivered message shares it.
 
 use serde::{Deserialize, Serialize};
 
@@ -129,15 +152,21 @@ pub struct Middleware<S: Storage = Volatile> {
     incarnation: Incarnation,
     /// Interned snapshot of `dv` shared with outgoing piggybacks and
     /// messages; invalidated whenever `dv` mutates (copy-on-write: a burst
-    /// of sends within one interval shares a single allocation). The
-    /// refcount is non-atomic — this field is what makes `Middleware`
-    /// `!Send`.
+    /// of sends within one interval shares a single allocation), so while
+    /// it is `Some` it equals `dv`. The refcount is non-atomic — this field
+    /// is what makes `Middleware` `!Send`.
     dv_snapshot: Option<SharedDv>,
     /// [`Arc`](std::sync::Arc)-backed counterpart of `dv_snapshot`, interned
     /// lazily for runtimes that ship piggybacks across threads
     /// ([`piggyback_sync`](Self::piggyback_sync)); invalidated together
     /// with it. `None` forever on the single-threaded hot path.
     sync_snapshot: Option<SyncDv>,
+    /// Stamp of the last piggybacked snapshot merged in full; see
+    /// [`merged_stamp`](Self::merged_stamp).
+    merged: Option<u64>,
+    /// Receives that found their piggyback's stamp in `merged`.
+    #[cfg(test)]
+    memo_hits: u64,
     /// The durability sink state changes are offered to. [`Volatile`] by
     /// default: calls vanish at compile time.
     sink: S,
@@ -232,6 +261,9 @@ impl<S: Storage> Middleware<S> {
             incarnation: Incarnation::ZERO,
             dv_snapshot: None,
             sync_snapshot: None,
+            merged: None,
+            #[cfg(test)]
+            memo_hits: 0,
             sink,
             sink_err: None,
         };
@@ -278,6 +310,9 @@ impl<S: Storage> Middleware<S> {
             incarnation,
             dv_snapshot: None,
             sync_snapshot: None,
+            merged: None,
+            #[cfg(test)]
+            memo_hits: 0,
             sink,
             sink_err: None,
         }
@@ -343,6 +378,20 @@ impl<S: Storage> Middleware<S> {
         self.incarnation
     }
 
+    /// The [stamp](SharedDv::stamp) of the last piggybacked snapshot this
+    /// process merged in full, if none of its knowledge has been rolled
+    /// back since: the vector is entry-wise at least that snapshot, so
+    /// receiving it again teaches nothing. `None` after construction and
+    /// after every [`rollback`](Self::rollback).
+    pub fn merged_stamp(&self) -> Option<u64> {
+        self.merged
+    }
+
+    /// Consumes the middleware, keeping only its dependency vector.
+    pub fn into_dv(self) -> DependencyVector {
+        self.dv
+    }
+
     /// Sets the size (in bytes) recorded for subsequently stored
     /// checkpoints — models the application's state-snapshot footprint for
     /// storage-space experiments.
@@ -391,18 +440,30 @@ impl<S: Storage> Middleware<S> {
     }
 
     /// [`take_checkpoint`](Self::take_checkpoint) appending eliminations to
-    /// a caller-owned scratch buffer; returns the stored index. The
-    /// allocation-free core every checkpoint path funnels through.
+    /// a caller-owned scratch buffer; returns the stored index. The core
+    /// every checkpoint path funnels through.
+    ///
+    /// The vector that goes into the store is the interned piggyback
+    /// snapshot itself when there is one (it exists only while it equals
+    /// `dv`) and no message still carries it — every one was delivered or
+    /// lost; the interval ends here, so nothing will ask for that snapshot
+    /// again. Otherwise it is a copy of `dv`, which leaves a snapshot still
+    /// in flight as it was. Under FDAS a forced checkpoint always finds a
+    /// snapshot: the send that set `sent` interned it, and `dv` cannot have
+    /// changed since without forcing first.
     fn take_checkpoint_into(
         &mut self,
         forced: bool,
         eliminated: &mut Vec<CheckpointIndex>,
     ) -> CheckpointIndex {
         let index = self.dv.entry(self.owner).as_checkpoint();
-        // A plain clone: for inline vectors (n <= 16) this is a pure
-        // memcpy into the store's entry — no allocation, no refcount.
-        self.store
-            .insert_with_size(index, self.dv.clone(), self.state_size);
+        let stored = match self.dv_snapshot.take().map(SharedDv::try_unwrap) {
+            Some(Ok(snapshot)) => snapshot,
+            // For inline vectors (n <= 16) a pure memcpy into the store's
+            // entry — no allocation, no refcount.
+            _ => self.dv.clone(),
+        };
+        self.store.insert_with_size(index, stored, self.state_size);
         self.gc
             .after_checkpoint_into(&mut self.store, index, &self.dv, eliminated);
         self.protocol.note_checkpoint(forced);
@@ -593,7 +654,7 @@ impl<S: Storage> Middleware<S> {
         m: &Piggyback,
         report: &mut ReceiveReport,
     ) -> Result<()> {
-        self.receive_parts_into(&m.dv, m.index, report)
+        self.receive_parts_into(&m.dv, m.dv.stamp(), m.index, report)
     }
 
     /// [`receive_piggyback_into`](Self::receive_piggyback_into) for the
@@ -607,26 +668,44 @@ impl<S: Storage> Middleware<S> {
         m: &SyncPiggyback,
         report: &mut ReceiveReport,
     ) -> Result<()> {
-        self.receive_parts_into(&m.dv, m.index, report)
+        self.receive_parts_into(&m.dv, m.dv.stamp(), m.index, report)
     }
 
     /// The receive handler over the piggyback's components — the shared
     /// core behind both piggyback flavours.
+    ///
+    /// A piggyback whose stamp is [`merged_stamp`](Self::merged_stamp) is
+    /// the snapshot merged last (same stamp, same content), and between
+    /// then and now `dv` has only grown: merges and checkpoints raise
+    /// entries, and the one thing that lowers them, `rollback`, clears the
+    /// memo. So both O(n) scans are known to come back empty and are
+    /// skipped — the news test a protocol may force on answers *false*, the
+    /// update set stays empty. Everything that does not depend on the
+    /// vector's content runs as for any other receive.
     fn receive_parts_into(
         &mut self,
         their_dv: &DependencyVector,
+        their_stamp: u64,
         their_index: u64,
         report: &mut ReceiveReport,
     ) -> Result<()> {
         self.ensure_alive()?;
         report.clear_for_reuse();
+        let known = self.merged == Some(their_stamp);
+        #[cfg(test)]
+        {
+            self.memo_hits += u64::from(known);
+        }
         if self
             .protocol
-            .must_force_parts(&self.dv, their_dv, their_index)
+            .must_force_with(their_index, || !known && self.dv.would_learn_from(their_dv))
         {
             report.forced = Some(self.take_checkpoint_into(true, &mut report.eliminated));
         }
-        self.dv.merge_from_into(their_dv, &mut report.updated);
+        if !known {
+            self.dv.merge_from_into(their_dv, &mut report.updated);
+            self.merged = Some(their_stamp);
+        }
         if !report.updated.is_empty() {
             self.invalidate_snapshots();
             let before = report.eliminated.len();
@@ -691,6 +770,8 @@ impl<S: Storage> Middleware<S> {
         self.store.raise_incarnation_floor(self.incarnation);
         dv.resume_incarnation(self.owner, self.incarnation);
         self.dv = dv;
+        // The restored vector may lie below what was merged before.
+        self.merged = None;
         self.invalidate_snapshots();
         let eliminated = self.gc.after_rollback(&mut self.store, ri, li, &self.dv);
         self.protocol.note_checkpoint(true); // clears `sent`; not counted
@@ -965,6 +1046,127 @@ mod tests {
             a.basic_checkpoint().unwrap();
         }
         assert_eq!(a.store().len(), 6);
+    }
+
+    #[test]
+    fn rollback_forgets_the_merged_snapshot() {
+        let (mut a, mut b) = pair(ProtocolKind::Fdas);
+        b.basic_checkpoint().unwrap();
+        let s = b.piggyback();
+        a.receive_piggyback(&s).unwrap();
+        assert_eq!(a.merged_stamp(), Some(s.dv.stamp()));
+        assert_eq!(a.dv().entry(p(1)).value(), 2);
+        // Back below S: s^0 knows nothing of b.
+        a.crash();
+        a.rollback(idx(0), None).unwrap();
+        assert_eq!(a.merged_stamp(), None);
+        assert_eq!(a.dv().entry(p(1)).value(), 0);
+        let r = a.receive_piggyback(&s).unwrap();
+        assert_eq!(r.updated.to_vec(), vec![p(1)], "S is news again");
+        assert_eq!(a.dv().entry(p(1)).value(), 2);
+        assert_eq!(a.memo_hits, 0);
+    }
+
+    #[test]
+    fn memo_hits_within_a_burst_and_misses_after_any_sender_mutation() {
+        let mut a = Middleware::new(p(0), 3, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let mut b = Middleware::new(p(1), 3, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let mut c = Middleware::new(p(2), 3, ProtocolKind::Fdas, GcKind::RdtLgc);
+        // A same-interval burst is one snapshot: a scan, then two hits.
+        let burst: Vec<Piggyback> = (0..3).map(|_| b.piggyback()).collect();
+        for (i, pb) in burst.iter().enumerate() {
+            let r = a.receive_piggyback(pb).unwrap();
+            assert_eq!(r.updated.is_empty(), i > 0);
+        }
+        assert_eq!(a.memo_hits, 2);
+        // The copies made for and after a thread hop are that snapshot too.
+        let hop = SyncPiggyback::new(burst[0].dv.to_sync(), 0);
+        let mut report = ReceiveReport::default();
+        a.receive_sync_piggyback_into(&hop, &mut report).unwrap();
+        a.receive_piggyback(&Piggyback::new(hop.dv.to_local(), 0))
+            .unwrap();
+        assert_eq!(a.memo_hits, 4);
+        // Each way b's vector can change re-interns: a checkpoint, ...
+        b.basic_checkpoint().unwrap();
+        a.receive_piggyback(&b.piggyback()).unwrap();
+        assert_eq!(a.memo_hits, 4);
+        // ... a merge that learned something, ...
+        c.basic_checkpoint().unwrap();
+        b.receive_piggyback(&c.piggyback()).unwrap();
+        a.receive_piggyback(&b.piggyback()).unwrap();
+        assert_eq!(a.memo_hits, 4);
+        // ... a rollback.
+        b.crash();
+        b.rollback(idx(1), None).unwrap();
+        let r = a.receive_piggyback(&b.piggyback()).unwrap();
+        assert_eq!(a.memo_hits, 4);
+        assert_eq!(r.updated.to_vec(), vec![p(1)], "b's new incarnation");
+        // A receive that taught b nothing leaves its snapshot alone: a hit.
+        let stale = Piggyback::new(DependencyVector::new(3), 0);
+        assert!(b.receive_piggyback(&stale).unwrap().updated.is_empty());
+        a.receive_piggyback(&b.piggyback()).unwrap();
+        assert_eq!(a.memo_hits, 5);
+        // The memo is the *last* snapshot merged, not every one ever seen.
+        a.receive_piggyback(&burst[0]).unwrap();
+        assert_eq!(a.memo_hits, 5);
+        // An equal vector interned separately is not recognised.
+        let copy = Piggyback::new((*burst[0].dv).clone(), 0);
+        assert!(a.receive_piggyback(&copy).unwrap().updated.is_empty());
+        assert_eq!(a.memo_hits, 5);
+    }
+
+    #[test]
+    fn memo_hit_still_runs_the_content_independent_rules() {
+        // MRS forces on any receive after a send, news or not; BCS adopts
+        // the piggybacked index.
+        let (mut a, mut b) = pair(ProtocolKind::Mrs);
+        let pb = b.piggyback();
+        a.receive_piggyback(&pb).unwrap();
+        a.send(p(1), Payload::empty());
+        assert!(a.receive_piggyback(&pb).unwrap().forced.is_some());
+        assert_eq!(a.memo_hits, 1);
+
+        let (mut a, mut b) = pair(ProtocolKind::Bcs);
+        let first = b.piggyback();
+        a.receive_piggyback(&first).unwrap();
+        let same_vector_higher_index = Piggyback::new(first.dv.clone(), first.index + 5);
+        let r = a.receive_piggyback(&same_vector_higher_index).unwrap();
+        assert!(r.forced.is_some());
+        assert_eq!(a.memo_hits, 1);
+        assert_eq!(a.piggyback().index, first.index + 5);
+    }
+
+    #[test]
+    fn checkpoint_copies_a_snapshot_in_flight_and_adopts_a_delivered_one() {
+        // n > 16, so a vector's entries are a heap buffer whose address
+        // tells a moved vector from a copied one.
+        let n = 32;
+        let mut a = Middleware::new(p(0), n, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let mut b = Middleware::new(p(1), n, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let entries = |dv: &DependencyVector| dv.as_slice().as_ptr();
+        // In flight: the checkpoint must leave the message's vector alone.
+        let in_flight = a.send(p(1), Payload::empty());
+        let carried = (*in_flight.meta.dv).clone();
+        let stored = a.basic_checkpoint().unwrap().stored;
+        assert_eq!(*in_flight.meta.dv, carried);
+        assert_eq!(a.store().dv(stored).unwrap(), &carried);
+        assert_ne!(
+            entries(a.store().dv(stored).unwrap()),
+            entries(&in_flight.meta.dv),
+            "copied"
+        );
+        // Delivered and dropped: the snapshot is the sender's alone again
+        // and goes into the store as it is.
+        let m = a.send(p(1), Payload::empty());
+        b.receive(&m).unwrap();
+        let snapshot = entries(&m.meta.dv);
+        drop(m);
+        let at_checkpoint = a.dv().clone();
+        let stored = a.basic_checkpoint().unwrap().stored;
+        assert_eq!(a.store().dv(stored).unwrap(), &at_checkpoint);
+        assert_eq!(entries(a.store().dv(stored).unwrap()), snapshot, "adopted");
+        // Either way the next interval interns afresh.
+        assert_eq!(*a.piggyback().dv, *a.dv());
     }
 
     /// Test sink observing the commit/WAL call pattern, optionally failing.

@@ -213,12 +213,20 @@ impl ProtocolState {
         their_dv: &DependencyVector,
         their_index: u64,
     ) -> bool {
+        self.must_force_with(their_index, || dv.would_learn_from(their_dv))
+    }
+
+    /// The rule itself, with the O(n) question — would the piggybacked
+    /// vector bring new causal information? — asked through `learns` only
+    /// by the kinds that depend on it (FDI; FDAS after a send), so a caller
+    /// that already knows the answer need not scan for it.
+    pub fn must_force_with(&self, their_index: u64, learns: impl FnOnce() -> bool) -> bool {
         match self.kind {
             ProtocolKind::NoForced | ProtocolKind::Cas => false,
             ProtocolKind::Cbr | ProtocolKind::Casbr => true,
             ProtocolKind::Mrs => self.sent,
-            ProtocolKind::Fdi => dv.would_learn_from(their_dv),
-            ProtocolKind::Fdas => self.sent && dv.would_learn_from(their_dv),
+            ProtocolKind::Fdi => learns(),
+            ProtocolKind::Fdas => self.sent && learns(),
             ProtocolKind::Bcs => their_index > self.index,
         }
     }

@@ -382,6 +382,22 @@ mod tests {
     }
 
     #[test]
+    fn a_decoded_frame_is_never_a_known_snapshot() {
+        // Stamps do not travel: each decode interns afresh, so even the
+        // same bytes twice are two snapshots and the second is scanned.
+        let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let bytes = b.send_frame(p(0)).0.encode();
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            a.deliver_frame(&bytes).unwrap().expect("valid frame");
+            seen.push(a.middleware().merged_stamp().expect("merged"));
+        }
+        seen.dedup();
+        assert_eq!(seen.len(), 3, "a frame hit the receive memo");
+    }
+
+    #[test]
     fn crashed_node_rejects_delivery() {
         let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
         let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);

@@ -1,4 +1,17 @@
 //! Measurement of the quantities the paper's analysis bounds.
+//!
+//! [`Metrics::sample`] runs after every handled event, so it must not cost
+//! O(n): the global retained total behind
+//! [`peak_global_retained`](Metrics::peak_global_retained) is kept as a
+//! running sum, adjusted by the sampled process's change, and never
+//! re-added from the per-process values. The sum is bookkeeping, not an
+//! observable — it is left out of `Debug`, equality and serialisation, and
+//! [`Metrics::total_retained`] still answers from the per-process values.
+//! A debug build checks the two against each other at every sample; code
+//! that writes `per_process[..].retained` directly, the field being
+//! public, must not sample afterwards.
+
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
@@ -44,7 +57,7 @@ impl ProcessMetrics {
 }
 
 /// Whole-run metrics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Metrics {
     /// Per-process counters, indexed by process id.
     pub per_process: Vec<ProcessMetrics>,
@@ -70,12 +83,72 @@ pub struct Metrics {
     /// metrics serialized before this field existed deserializable.
     #[serde(default)]
     pub sequential_fallbacks: u64,
+    /// Running sum of `per_process[..].retained`, kept by
+    /// [`set_retained`](Self::set_retained).
+    #[serde(skip)]
+    retained_total: usize,
 }
 
-/// One metric mutation. `Sample` is the order-sensitive one: it refreshes
-/// `peak_global_retained` from the *current* per-process retained values,
-/// which is why the sharded engine logs ops under their global event key
-/// and replays them in key order instead of summing per shard.
+/// Every field but the running retained total, exactly as derived. (The
+/// destructuring makes a field added later a compile error here until it
+/// is listed.)
+impl fmt::Debug for Metrics {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Self {
+            per_process,
+            peak_global_retained,
+            recovery_sessions,
+            total_rolled_back,
+            control_rounds,
+            ticks,
+            degraded_lines,
+            sequential_fallbacks,
+            retained_total: _,
+        } = self;
+        f.debug_struct("Metrics")
+            .field("per_process", per_process)
+            .field("peak_global_retained", peak_global_retained)
+            .field("recovery_sessions", recovery_sessions)
+            .field("total_rolled_back", total_rolled_back)
+            .field("control_rounds", control_rounds)
+            .field("ticks", ticks)
+            .field("degraded_lines", degraded_lines)
+            .field("sequential_fallbacks", sequential_fallbacks)
+            .finish()
+    }
+}
+
+/// Every field but the running retained total, exactly as derived.
+impl PartialEq for Metrics {
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            per_process,
+            peak_global_retained,
+            recovery_sessions,
+            total_rolled_back,
+            control_rounds,
+            ticks,
+            degraded_lines,
+            sequential_fallbacks,
+            retained_total: _,
+        } = self;
+        *per_process == other.per_process
+            && *peak_global_retained == other.peak_global_retained
+            && *recovery_sessions == other.recovery_sessions
+            && *total_rolled_back == other.total_rolled_back
+            && *control_rounds == other.control_rounds
+            && *ticks == other.ticks
+            && *degraded_lines == other.degraded_lines
+            && *sequential_fallbacks == other.sequential_fallbacks
+    }
+}
+
+/// One metric mutation. `Sample` is the order-sensitive one: it moves the
+/// global retained total by the sampled process's change and raises
+/// `peak_global_retained` to the total *as of that sample*, so the peak
+/// depends on how the samples of different processes interleave — which is
+/// why the sharded engine logs ops under their global event key and replays
+/// them in key order instead of summing per shard.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MetricOp {
     Sent(ProcessId),
@@ -174,22 +247,65 @@ impl Metrics {
         self.per_process.iter().map(|m| m.delivered).sum()
     }
 
-    /// Records a retained-count sample for `p` and refreshes the global
-    /// peak.
-    pub fn sample(&mut self, p: ProcessId, retained: usize, peak: usize) {
+    /// Sets `p`'s current retained count, moving the running total by the
+    /// difference.
+    pub(crate) fn set_retained(&mut self, p: ProcessId, retained: usize) -> &mut ProcessMetrics {
         let m = &mut self.per_process[p.index()];
+        self.retained_total = self.retained_total - m.retained + retained;
         m.retained = retained;
+        m
+    }
+
+    /// Records a retained-count sample for `p` and raises the global peak
+    /// to the new total, in O(1).
+    pub fn sample(&mut self, p: ProcessId, retained: usize, peak: usize) {
+        let m = self.set_retained(p, retained);
         m.peak_retained = m.peak_retained.max(peak);
         m.retained_sum += retained as u64;
         m.samples += 1;
-        let total = self.total_retained();
-        self.peak_global_retained = self.peak_global_retained.max(total);
+        debug_assert_eq!(
+            self.retained_total,
+            self.total_retained(),
+            "a retained count was written past set_retained"
+        );
+        self.peak_global_retained = self.peak_global_retained.max(self.retained_total);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    proptest! {
+        /// The running total gives the peak a re-summing `sample` gives,
+        /// and never shows in the derived-looking impls.
+        #[test]
+        fn peak_equals_the_resumming_reference(
+            n in 1usize..9,
+            samples in prop::collection::vec((0usize..64, 0usize..40), 0..200),
+        ) {
+            let mut m = Metrics::new(n);
+            let mut retained = vec![0usize; n];
+            let mut peak = 0;
+            for (p, r) in samples {
+                let p = p % n;
+                m.sample(ProcessId::new(p), r, r);
+                retained[p] = r;
+                peak = peak.max(retained.iter().sum());
+                prop_assert_eq!(m.peak_global_retained, peak);
+                prop_assert_eq!(m.total_retained(), retained.iter().sum::<usize>());
+            }
+            // Same public fields, different running totals: still equal.
+            let mut rebuilt = Metrics::new(n);
+            rebuilt.per_process.clone_from(&m.per_process);
+            rebuilt.peak_global_retained = m.peak_global_retained;
+            prop_assert_eq!(&rebuilt, &m);
+            prop_assert_eq!(format!("{rebuilt:?}"), format!("{m:?}"));
+            prop_assert!(!format!("{m:#?}").contains("retained_total"));
+        }
+    }
 
     #[test]
     fn sample_tracks_peaks_and_averages() {

@@ -412,10 +412,30 @@ impl Coordinator<'_> {
     }
 }
 
-/// One merged log, stripped of its keys, in global key order.
-fn in_key_order<T>(mut log: Vec<(LogKey, T)>) -> impl Iterator<Item = T> {
-    log.sort_unstable_by_key(|e| e.0);
-    log.into_iter().map(|(_, e)| e)
+/// The coordinator's and every worker's log of one kind merged into global
+/// key order, stripped of the keys. Each log is already a run in key
+/// order — a [`KeyedSink`] is only ever handed ascending event keys, and
+/// counts the sub-key up within one — so this is a k-way merge, not a sort;
+/// with a run per shard, finding the least head by scanning them is cheaper
+/// than a heap.
+fn in_key_order<T>(runs: Vec<Vec<(LogKey, T)>>) -> impl Iterator<Item = T> {
+    let entries: usize = runs.iter().map(Vec::len).sum();
+    let mut runs: Vec<_> = runs
+        .into_iter()
+        .map(|run| {
+            debug_assert!(run.is_sorted_by_key(|e| e.0), "a keyed log out of order");
+            run.into_iter()
+        })
+        .collect();
+    // Counted, so that a `collect` allocates once.
+    (0..entries).map(move |_| {
+        let least = runs
+            .iter_mut()
+            .filter(|run| !run.as_slice().is_empty())
+            .min_by_key(|run| run.as_slice()[0].0);
+        let (_, entry) = least.and_then(Iterator::next).expect("an entry per count");
+        entry
+    })
 }
 
 /// Drives the run: advances all shards cut by cut, executes global
@@ -451,16 +471,19 @@ fn coordinate(
     }
 
     co.broadcast(|| Cmd::Finish);
-    let mut logs = std::mem::take(&mut co.sink.logs);
+    // One run per log kind from the coordinator, then one from each worker.
+    let own = std::mem::take(&mut co.sink.logs);
+    let (mut trace, mut occupancy, mut metric_ops) =
+        (vec![own.trace], vec![own.occupancy], vec![own.metrics]);
     let mut finals = Vec::with_capacity(builder.spec.n);
     for (shard, reply) in co.replies().enumerate() {
         let Reply::Done(data) = reply else {
             panic!("worker sent a non-final reply to Finish");
         };
         let data = *data;
-        logs.trace.extend(data.logs.trace);
-        logs.occupancy.extend(data.logs.occupancy);
-        logs.metrics.extend(data.logs.metrics);
+        trace.push(data.logs.trace);
+        occupancy.push(data.logs.occupancy);
+        metric_ops.push(data.logs.metrics);
         finals.extend(data.finals);
         // Namespace each worker's phases under its shard index: the
         // `reply_rxs` slice is in shard order, so `shard` is the sender.
@@ -475,19 +498,17 @@ fn coordinate(
     // including the order-sensitive `peak_global_retained` — exactly.
     let t_merge = prof.start();
     let mut metrics = Metrics::new(finals.len());
-    in_key_order(logs.metrics).for_each(|op| metrics.apply(op));
+    in_key_order(metric_ops).for_each(|op| metrics.apply(op));
     // The profile is filled by `run_sharded` from the merged
     // coordinator+worker profilers after the scope joins.
     let report = step::assemble_report(
         finals,
         metrics,
         plan.ticks,
-        config
-            .record_trace
-            .then(|| in_key_order(logs.trace).collect()),
+        config.record_trace.then(|| in_key_order(trace).collect()),
         config
             .record_occupancy
-            .then(|| in_key_order(logs.occupancy).collect()),
+            .then(|| in_key_order(occupancy).collect()),
         co.recovery_sessions,
         None,
     );
@@ -501,6 +522,20 @@ mod tests {
 
     use super::*;
     use crate::{ChannelConfig, SimConfig};
+
+    #[test]
+    fn runs_merge_into_key_order() {
+        let run = |keys: &[(u64, u64, u64)]| keys.iter().map(|&k| (k, k)).collect::<Vec<_>>();
+        let merged = in_key_order(vec![
+            run(&[(1, 0, 0), (4, 2, 0), (4, 2, 1 << 63)]),
+            run(&[]),
+            run(&[(0, 9, 0), (4, 2, 1), (7, 0, 0)]),
+        ]);
+        assert_eq!(merged.size_hint(), (6, Some(6)));
+        let merged: Vec<_> = merged.collect();
+        assert_eq!(merged.len(), 6);
+        assert!(merged.is_sorted());
+    }
 
     /// `SimulationBuilder::run` keeps `shards == 1` on the sequential
     /// engine, so nothing outside this crate ever runs the sharded engine

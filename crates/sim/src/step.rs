@@ -266,13 +266,13 @@ impl StepCore {
             .collect()
     }
 
-    /// Reads every owned process's final state off its middleware.
-    pub(crate) fn finals(&self) -> Vec<FinalProcess> {
+    /// Takes every owned process's final state off its middleware; the
+    /// vector is moved out, not copied.
+    pub(crate) fn finals(self) -> Vec<FinalProcess> {
         self.mws
-            .iter()
+            .into_iter()
             .map(|mw| FinalProcess {
                 p: mw.owner(),
-                dv: mw.dv().clone(),
                 last_stable: mw.last_stable(),
                 incarnation: mw.incarnation(),
                 retained: mw.store().indices().map(|i| i.value()).collect(),
@@ -281,6 +281,7 @@ impl StepCore {
                 total_collected: mw.store().total_collected(),
                 basic: mw.basic_count(),
                 forced: mw.forced_count(),
+                dv: mw.into_dv(),
             })
             .collect()
     }
@@ -432,8 +433,7 @@ pub(crate) fn assemble_report(
         profile,
     };
     for f in finals {
-        let m = &mut report.metrics.per_process[f.p.index()];
-        m.retained = f.retained.len();
+        let m = report.metrics.set_retained(f.p, f.retained.len());
         m.peak_retained = m.peak_retained.max(f.peak);
         m.total_stored = f.total_stored;
         m.total_collected = f.total_collected;
