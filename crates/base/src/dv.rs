@@ -157,8 +157,8 @@ impl DependencyVector {
     ///
     /// # Panics
     ///
-    /// Panics if a component exceeds its packed [`DvEntry`] field; use
-    /// [`try_from_lineages`](Self::try_from_lineages) for untrusted input.
+    /// Panics if a component exceeds its packed [`DvEntry`] field; decode
+    /// untrusted input with [`crate::codec::read_entries`].
     pub fn from_lineages(raw: Vec<(u32, usize)>) -> Self {
         assert!(!raw.is_empty(), "a system needs at least one process");
         Self {
@@ -168,31 +168,6 @@ impl DependencyVector {
                     .collect(),
             ),
         }
-    }
-
-    /// Fallible [`from_lineages`](Self::from_lineages) for untrusted input
-    /// (e.g. decoding stored records): a component that does not fit its
-    /// packed [`DvEntry`] field is a typed error, never a truncation.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::IncarnationOverflow`] / [`Error::IntervalOverflow`] for
-    /// components beyond the packed field widths;
-    /// [`Error::SystemSizeMismatch`] for an empty slice.
-    pub fn try_from_lineages(raw: &[(u32, usize)]) -> Result<Self> {
-        if raw.is_empty() {
-            return Err(Error::SystemSizeMismatch {
-                expected: 1,
-                actual: 0,
-            });
-        }
-        let entries = raw
-            .iter()
-            .map(|&(v, g)| DvEntry::try_new(Incarnation::new(v), IntervalIndex::new(g)))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            entries: Entries::from_vec(entries),
-        })
     }
 
     /// The number of processes `n` this vector covers.
@@ -265,6 +240,12 @@ impl DependencyVector {
     /// Incarnation-qualified entries, in process order.
     pub fn as_slice(&self) -> &[DvEntry] {
         self.entries.as_slice()
+    }
+
+    /// The entries, mutably: for [`crate::codec::read_entries`], which
+    /// decodes into a vector its caller already owns.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [DvEntry] {
+        self.entries.as_mut_slice()
     }
 
     /// Raw interval components as plain integers, in process order.
@@ -656,21 +637,6 @@ mod tests {
     fn display_matches_paper_tuple_notation() {
         let dv = DependencyVector::from_raw(vec![1, 4, 2]);
         assert_eq!(dv.to_string(), "(1, 4, 2)");
-    }
-
-    #[test]
-    fn try_from_lineages_guards_the_packing_boundary() {
-        let ok = DependencyVector::try_from_lineages(&[(1, 4), (0, 0)]).unwrap();
-        assert_eq!(ok, DependencyVector::from_lineages(vec![(1, 4), (0, 0)]));
-        assert!(matches!(
-            DependencyVector::try_from_lineages(&[(0, DvEntry::MAX_INTERVAL + 1)]),
-            Err(Error::IntervalOverflow { .. })
-        ));
-        assert!(matches!(
-            DependencyVector::try_from_lineages(&[(DvEntry::MAX_INCARNATION + 1, 0)]),
-            Err(Error::IncarnationOverflow { .. })
-        ));
-        assert!(DependencyVector::try_from_lineages(&[]).is_err());
     }
 
     #[test]

@@ -57,7 +57,7 @@ use rdt_base::{MessageId, ProcessId, TraceEvent};
 use rdt_ccp::CcpBuilder;
 use rdt_core::GcKind;
 use rdt_env::transport::MAX_FRAME;
-use rdt_env::{RealEnv, Rng as _, Transport as _, UdsTransport};
+use rdt_env::{RealEnv, Rng as _, Transport as _, UdsTransport, WireFrame};
 use rdt_protocols::{Middleware, ProtocolKind};
 use rdt_recovery::{FaultySet, RecoveryManager};
 use rdt_sim::LiveNode;
@@ -85,6 +85,15 @@ fn parse_config(
     let n: usize = get("processes").parse().map_err(|e| format!("-n: {e}"))?;
     if n < 2 {
         return Err("-n: at least two processes required".into());
+    }
+    // A frame the receiver's buffer would cut short is dropped for good:
+    // refuse the system size, not every message of the run.
+    if WireFrame::encoded_len(n).is_none_or(|len| len > MAX_FRAME) {
+        return Err(format!(
+            "-n: a frame for {n} processes exceeds the transport's frame limit of {MAX_FRAME} bytes \
+             (at most {} processes)",
+            (MAX_FRAME - WireFrame::encoded_len(0).expect("header")) / rdt_base::codec::ENTRY_BYTES
+        ));
     }
     Ok(ServeConfig {
         n,
@@ -325,6 +334,7 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
                 ProcessId::new(if k >= rank { k + 1 } else { k })
             };
             let (frame, forced) = node.send_frame(peer);
+            let bytes = frame.encode();
             let mut lines = format!("S {} {}\n", frame.seq, peer.index());
             if let Some(idx) = forced {
                 lines.push_str(&format!("C {}\n", idx.value()));
@@ -335,7 +345,7 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
             // Transmit strictly after the send is in the log: a peer can
             // only deliver a message whose Send the oracle will find.
             let t = prof.start();
-            let sent = env.transport.send(peer, &frame.encode());
+            let sent = env.transport.send(peer, bytes);
             prof.stop("live/send", t);
             sent.map_err(|e| format!("send failed: {e}"))?;
             stats.sent += 1;

@@ -58,3 +58,17 @@ fn serve_rejects_a_single_process() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("at least two"));
 }
+
+#[test]
+fn serve_rejects_a_system_whose_frames_exceed_the_transport_limit() {
+    // 5 457 processes fill a 64 KiB frame; one more would have every
+    // message cut short by the receiver's buffer and dropped.
+    let output = rdt()
+        .args(["serve", "-n", "6000", "--ops", "1"])
+        .output()
+        .expect("spawning rdt");
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("frame limit of 65536 bytes"), "{stderr}");
+    assert!(stderr.contains("at most 5457 processes"), "{stderr}");
+}

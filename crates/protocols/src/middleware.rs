@@ -599,21 +599,25 @@ impl<S: Storage> Middleware<S> {
         SyncPiggyback::new(self.sync_dv(), self.protocol.index())
     }
 
-    /// A send whose entire observable output is the cross-thread piggyback:
-    /// performs the send-side protocol duties ([`send`](Self::send)'s
-    /// `sent` flag, sequence bump, and the CAS/CASBR post-send forced
-    /// checkpoint) and mints the [`SyncPiggyback`] — without constructing
-    /// the thread-local [`Message`] (and its [`SharedDv`] snapshot) that a
-    /// threaded runtime would immediately discard.
+    /// A send whose piggyback the caller serialises on the spot: performs
+    /// the send-side protocol duties ([`send`](Self::send)'s `sent` flag,
+    /// sequence bump, and the CAS/CASBR post-send forced checkpoint) and
+    /// hands `encode` the vector and the BCS index as of the send event —
+    /// borrowed, so a frame that never leaves the thread as a snapshot
+    /// mints no [`SharedDv`] / [`SyncDv`]. Returns what `encode` made and
+    /// the report of the forced checkpoint, if any.
     ///
     /// # Panics
     ///
     /// Panics while crashed, like [`send`](Self::send).
-    pub fn send_sync(&mut self) -> (SyncPiggyback, Option<CheckpointReport>) {
+    pub fn send_with<R>(
+        &mut self,
+        encode: impl FnOnce(&DependencyVector, u64) -> R,
+    ) -> (R, Option<CheckpointReport>) {
         let _seq = self.begin_send();
-        let pb = self.piggyback_sync();
+        let encoded = encode(&self.dv, self.protocol.index());
         let forced = self.post_send_force();
-        (pb, forced)
+        (encoded, forced)
     }
 
     /// Processes a received message (Algorithm 4's receive handler):
@@ -654,7 +658,25 @@ impl<S: Storage> Middleware<S> {
         m: &Piggyback,
         report: &mut ReceiveReport,
     ) -> Result<()> {
-        self.receive_parts_into(&m.dv, m.dv.stamp(), m.index, report)
+        self.receive_parts_into(&m.dv, Some(m.dv.stamp()), m.index, report)
+    }
+
+    /// [`receive_piggyback_into`](Self::receive_piggyback_into) for a
+    /// vector that is not a snapshot — one a live runtime decoded from a
+    /// frame into its own scratch vector. Having no stamp it neither
+    /// consults nor replaces the remembered one: merging more only grows
+    /// `dv`, so what was merged before stays merged.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ProcessCrashed`] while crashed.
+    pub fn receive_vector_into(
+        &mut self,
+        their_dv: &DependencyVector,
+        their_index: u64,
+        report: &mut ReceiveReport,
+    ) -> Result<()> {
+        self.receive_parts_into(their_dv, None, their_index, report)
     }
 
     /// [`receive_piggyback_into`](Self::receive_piggyback_into) for the
@@ -668,11 +690,12 @@ impl<S: Storage> Middleware<S> {
         m: &SyncPiggyback,
         report: &mut ReceiveReport,
     ) -> Result<()> {
-        self.receive_parts_into(&m.dv, m.dv.stamp(), m.index, report)
+        self.receive_parts_into(&m.dv, Some(m.dv.stamp()), m.index, report)
     }
 
     /// The receive handler over the piggyback's components — the shared
-    /// core behind both piggyback flavours.
+    /// core behind every flavour, inlined into each so the snapshot paths
+    /// see their stamp as the plain `u64` it is.
     ///
     /// A piggyback whose stamp is [`merged_stamp`](Self::merged_stamp) is
     /// the snapshot merged last (same stamp, same content), and between
@@ -681,17 +704,19 @@ impl<S: Storage> Middleware<S> {
     /// memo. So both O(n) scans are known to come back empty and are
     /// skipped — the news test a protocol may force on answers *false*, the
     /// update set stays empty. Everything that does not depend on the
-    /// vector's content runs as for any other receive.
+    /// vector's content runs as for any other receive. A vector without a
+    /// stamp is never known and leaves the memo alone.
+    #[inline(always)]
     fn receive_parts_into(
         &mut self,
         their_dv: &DependencyVector,
-        their_stamp: u64,
+        their_stamp: Option<u64>,
         their_index: u64,
         report: &mut ReceiveReport,
     ) -> Result<()> {
         self.ensure_alive()?;
         report.clear_for_reuse();
-        let known = self.merged == Some(their_stamp);
+        let known = their_stamp.is_some() && self.merged == their_stamp;
         #[cfg(test)]
         {
             self.memo_hits += u64::from(known);
@@ -704,7 +729,7 @@ impl<S: Storage> Middleware<S> {
         }
         if !known {
             self.dv.merge_from_into(their_dv, &mut report.updated);
-            self.merged = Some(their_stamp);
+            self.merged = their_stamp.or(self.merged);
         }
         if !report.updated.is_empty() {
             self.invalidate_snapshots();
@@ -989,18 +1014,18 @@ mod tests {
     }
 
     #[test]
-    fn send_sync_matches_send_side_effects() {
-        // CAS: the piggyback carries the pre-checkpoint vector and the
+    fn send_with_matches_send_side_effects() {
+        // CAS: the closure sees the pre-checkpoint vector and the
         // post-send forced checkpoint is reported, exactly like send.
         let (mut a, _) = pair(ProtocolKind::Cas);
-        let (pb, forced) = a.send_sync();
-        assert_eq!(pb.dv.entry(p(0)).value(), 1);
+        let (own, forced) = a.send_with(|dv, _index| dv.entry(p(0)).value());
+        assert_eq!(own, 1);
         assert_eq!(forced.expect("CAS forces after send").stored, idx(1));
         assert_eq!(a.forced_count(), 1);
         // FDAS: no post-send force, but the sent flag is noted — the next
         // news-bearing receive forces.
         let (mut c, mut d) = pair(ProtocolKind::Fdas);
-        let (_, none) = c.send_sync();
+        let ((), none) = c.send_with(|_, _| ());
         assert!(none.is_none());
         d.basic_checkpoint().unwrap();
         let m = d.send(p(0), Payload::empty());
@@ -1065,6 +1090,26 @@ mod tests {
         assert_eq!(r.updated.to_vec(), vec![p(1)], "S is news again");
         assert_eq!(a.dv().entry(p(1)).value(), 2);
         assert_eq!(a.memo_hits, 0);
+    }
+
+    #[test]
+    fn a_stampless_vector_is_always_scanned_and_leaves_the_memo_alone() {
+        let (mut a, mut b) = pair(ProtocolKind::Fdas);
+        let s = b.piggyback();
+        a.receive_piggyback(&s).unwrap();
+        b.basic_checkpoint().unwrap();
+        let newer = b.dv().clone();
+        let mut report = ReceiveReport::default();
+        for learns in [true, false] {
+            a.receive_vector_into(&newer, 0, &mut report).unwrap();
+            assert_eq!(!report.updated.is_empty(), learns);
+        }
+        assert_eq!(a.dv().entry(p(1)).value(), 2);
+        assert_eq!(a.merged_stamp(), Some(s.dv.stamp()), "memo replaced");
+        assert_eq!(a.memo_hits, 0, "a bare vector hit the memo");
+        // S is still known: dv only grew since it was merged.
+        a.receive_piggyback(&s).unwrap();
+        assert_eq!(a.memo_hits, 1);
     }
 
     #[test]

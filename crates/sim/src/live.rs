@@ -10,6 +10,13 @@
 //! threaded example all drive this type, so the protocol-side handling of
 //! a message exists exactly once.
 //!
+//! There is no representation between the middleware's vector and the
+//! frame's bytes: a send encodes straight from `Middleware::dv()` into a
+//! frame-sized buffer the node keeps, a delivery validates the bytes and
+//! unpacks them into an n-entry vector the node keeps, which the
+//! middleware merges by reference. With observability off the steady state
+//! allocates nothing (`tests/live_alloc.rs` counts).
+//!
 //! Every frame movement also emits a causal span event (`frame_send` /
 //! `frame_recv` / `frame_apply`, target `rdt_sim::live`): sends are
 //! stamped with the node's causal parent — the identity of the last frame
@@ -20,11 +27,11 @@
 //! `debug`; when neither is active the fields are never materialized, so
 //! the hot path stays cheap and the deterministic engine is untouched.
 
-use rdt_base::{CheckpointIndex, DependencyVector, ProcessId, Result, SharedDv};
+use rdt_base::{CheckpointIndex, DependencyVector, ProcessId, Result};
 use rdt_core::GcKind;
 use rdt_env::{Storage, Volatile, WireFrame};
 use rdt_obs::{Event, Level, Value};
-use rdt_protocols::{Middleware, Piggyback, ProtocolKind, ReceiveReport};
+use rdt_protocols::{Middleware, ProtocolKind, ReceiveReport};
 
 /// Target for causal span events.
 const OBS_TARGET: &str = "rdt_sim::live";
@@ -56,12 +63,17 @@ pub struct DeliverOutcome {
     pub eliminated: usize,
 }
 
-/// One process of a live runtime: a middleware plus the wire codec and a
-/// reusable receive report (steady-state receives allocate nothing).
+/// One process of a live runtime: a middleware plus the wire codec and
+/// the reused buffers of the frame path.
 #[derive(Debug)]
 pub struct LiveNode<S: Storage = Volatile> {
     mw: Middleware<S>,
     scratch: ReceiveReport,
+    /// The outgoing frame; [`send_frame`](Self::send_frame) returns a view
+    /// over it.
+    out: Vec<u8>,
+    /// The vector of the frame being delivered.
+    incoming: DependencyVector,
     /// Sender-local sequence of the next outgoing message — the wire
     /// identity peers see; volatile, like the middleware's own counter.
     next_seq: u64,
@@ -86,8 +98,10 @@ impl<S: Storage> LiveNode<S> {
     /// storage after a crash).
     pub fn over(mw: Middleware<S>) -> Self {
         Self {
-            mw,
             scratch: ReceiveReport::default(),
+            out: Vec::new(),
+            incoming: DependencyVector::new(mw.n()),
+            mw,
             next_seq: 0,
             last_applied: None,
             prof: rdt_obs::Profiler::disabled(),
@@ -140,27 +154,23 @@ impl<S: Storage> LiveNode<S> {
     }
 
     /// Performs a send's protocol duties and encodes the piggyback as a
-    /// wire frame for the caller to transmit. Returns the frame and the
-    /// post-send forced checkpoint (CAS/CASBR), if any.
+    /// wire frame for the caller to transmit (`frame.encode()` is the
+    /// node's buffer, valid until the next call). Returns the frame and
+    /// the post-send forced checkpoint (CAS/CASBR), if any.
     ///
     /// # Panics
     ///
     /// Panics while crashed, like [`Middleware::send`].
-    pub fn send_frame(&mut self, to: ProcessId) -> (WireFrame, Option<CheckpointIndex>) {
+    pub fn send_frame(&mut self, to: ProcessId) -> (WireFrame<'_>, Option<CheckpointIndex>) {
         let t = self.prof.start();
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (pb, forced) = self.mw.send_sync();
-        let frame = WireFrame {
-            sender: self.mw.owner(),
-            seq,
-            index: pb.index,
-            parent: self.last_applied,
-            lineages: pb.dv.to_raw_lineages(),
-        };
+        let (owner, parent, out) = (self.mw.owner(), self.last_applied, &mut self.out);
+        let (frame, forced) = self
+            .mw
+            .send_with(move |dv, index| WireFrame::write(out, owner, seq, index, parent, dv));
         self.prof.stop("live/encode", t);
         if obs_active() {
-            let owner = self.mw.owner();
             let own = self.mw.dv().lineage(owner);
             let mut fields = vec![
                 ("process", Value::U64(owner.index() as u64)),
@@ -203,13 +213,11 @@ impl<S: Storage> LiveNode<S> {
         let Some(frame) = WireFrame::decode(bytes) else {
             return Ok(None);
         };
-        if frame.lineages.len() != self.mw.n() || frame.sender.index() >= self.mw.n() {
+        // A vector of another system size or with an overflowing lineage
+        // fails to unpack; `incoming` is scratch, the middleware untouched.
+        if frame.sender.index() >= self.mw.n() || frame.unpack_into(&mut self.incoming).is_err() {
             return Ok(None);
         }
-        let Ok(dv) = DependencyVector::try_from_lineages(&frame.lineages) else {
-            return Ok(None);
-        };
-        let pb = Piggyback::new(SharedDv::new(dv), frame.index);
         let active = obs_active();
         if active {
             let mut fields = vec![
@@ -229,7 +237,8 @@ impl<S: Storage> LiveNode<S> {
                 fields,
             });
         }
-        self.mw.receive_piggyback_into(&pb, &mut self.scratch)?;
+        self.mw
+            .receive_vector_into(&self.incoming, frame.index, &mut self.scratch)?;
         self.last_applied = Some((frame.sender.index() as u32, frame.seq));
         let eliminated = self.scratch.eliminated.len();
         if active {
@@ -315,7 +324,7 @@ mod tests {
         assert_eq!(frame.seq, 0);
         assert_eq!(frame.parent, None, "first send is a causal root");
         let outcome = a
-            .deliver_frame(&frame.encode())
+            .deliver_frame(frame.encode())
             .unwrap()
             .expect("valid frame");
         assert_eq!(outcome.sender, p(1));
@@ -335,13 +344,13 @@ mod tests {
         // a sends, then b checkpoints and sends fresher info back: forced.
         let (f1, _) = wire_a.send_frame(p(1));
         let m1 = mem_a.send(p(1), rdt_base::Payload::empty());
-        wire_b.deliver_frame(&f1.encode()).unwrap().unwrap();
+        wire_b.deliver_frame(f1.encode()).unwrap().unwrap();
         mem_b.receive(&m1).unwrap();
         wire_b.checkpoint().unwrap();
         mem_b.basic_checkpoint().unwrap();
         let (f2, _) = wire_b.send_frame(p(0));
         let m2 = mem_b.send(p(0), rdt_base::Payload::empty());
-        let wire_out = wire_a.deliver_frame(&f2.encode()).unwrap().unwrap();
+        let wire_out = wire_a.deliver_frame(f2.encode()).unwrap().unwrap();
         let mem_out = mem_a.receive(&m2).unwrap();
 
         assert_eq!(wire_out.forced, mem_out.forced);
@@ -353,48 +362,89 @@ mod tests {
     fn garbage_and_alien_frames_are_ignored() {
         let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
         assert_eq!(a.deliver_frame(b"not a frame").unwrap(), None);
-        // A frame from a 3-process system does not fit a 2-process node.
-        let alien = WireFrame {
-            sender: p(2),
-            seq: 0,
-            index: 0,
-            parent: None,
-            lineages: vec![(0, 1), (0, 0), (0, 0)],
-        };
-        assert_eq!(a.deliver_frame(&alien.encode()).unwrap(), None);
+        // A frame from a 3-process system does not fit a 2-process node,
+        // nor does a sender the node has no entry for.
+        let mut buf = Vec::new();
+        for (sender, n) in [(2, 3), (2, 2)] {
+            let alien =
+                WireFrame::write(&mut buf, p(sender), 0, 0, None, &DependencyVector::new(n));
+            assert_eq!(a.deliver_frame(alien.encode()).unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn an_overflowing_lineage_is_ignored_and_leaves_the_node_untouched() {
+        let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
+        b.checkpoint().unwrap();
+        let mut bytes = b.send_frame(p(0)).0.encode().to_vec();
+        // Entry 1's incarnation becomes 2¹⁶ under a valid checksum: the
+        // frame decodes, the entry does not fit the packed word.
+        let body = bytes.len() - 8;
+        bytes[40 + 12 + 2] = 1;
+        let sum = rdt_base::codec::checksum(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+        assert!(WireFrame::decode(&bytes).is_some());
+        let before = a.middleware().dv().clone();
+        assert_eq!(a.deliver_frame(&bytes).unwrap(), None);
+        assert_eq!(a.middleware().dv(), &before);
+        // The scratch vector holds half a frame now; the next valid frame
+        // overwrites all of it.
+        a.deliver_frame(b.send_frame(p(0)).0.encode())
+            .unwrap()
+            .expect("valid frame");
+        assert_eq!(a.middleware().dv().to_raw(), vec![1, 2]);
     }
 
     #[test]
     fn causal_parent_is_the_last_applied_frame() {
         let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
         let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
-        let (f0, _) = b.send_frame(p(0));
+        let f0 = b.send_frame(p(0)).0.encode().to_vec();
         let (f1, _) = b.send_frame(p(0));
-        assert_eq!(f1.parent, None, "sends without any applied frame stay roots");
-        a.deliver_frame(&f0.encode()).unwrap().unwrap();
+        assert_eq!(
+            f1.parent, None,
+            "sends without any applied frame stay roots"
+        );
+        a.deliver_frame(&f0).unwrap().unwrap();
         let (fa, _) = a.send_frame(p(1));
         assert_eq!(fa.parent, Some((1, 0)), "parent is b's frame seq 0");
-        a.deliver_frame(&f1.encode()).unwrap().unwrap();
+        a.deliver_frame(f1.encode()).unwrap().unwrap();
         let (fa2, _) = a.send_frame(p(1));
         assert_eq!(fa2.parent, Some((1, 1)), "parent advances with each apply");
         // The parent survives the wire.
-        assert_eq!(WireFrame::decode(&fa2.encode()).unwrap().parent, Some((1, 1)));
+        assert_eq!(
+            WireFrame::decode(fa2.encode()).unwrap().parent,
+            Some((1, 1))
+        );
     }
 
     #[test]
     fn a_decoded_frame_is_never_a_known_snapshot() {
-        // Stamps do not travel: each decode interns afresh, so even the
-        // same bytes twice are two snapshots and the second is scanned.
-        let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
-        let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
-        let bytes = b.send_frame(p(0)).0.encode();
-        let mut seen = Vec::new();
-        for _ in 0..3 {
+        // Stamps do not travel, so a frame can neither hit the receive memo
+        // nor displace what an in-memory snapshot left there.
+        let mut a = LiveNode::new(p(0), 3, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let mut b = LiveNode::new(p(1), 3, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let mut c = Middleware::new(p(2), 3, ProtocolKind::Fdas, GcKind::RdtLgc);
+        let bytes = b.send_frame(p(0)).0.encode().to_vec();
+        a.deliver_frame(&bytes).unwrap().expect("valid frame");
+        assert_eq!(a.middleware().merged_stamp(), None);
+        let snapshot = c.piggyback();
+        a.middleware_mut().receive_piggyback(&snapshot).unwrap();
+        let stamp = Some(snapshot.dv.stamp());
+        // The same bytes again, after a rollback took their news away: were
+        // they remembered as merged, entry 1 would stay 0.
+        a.middleware_mut().crash();
+        a.middleware_mut()
+            .rollback(CheckpointIndex::ZERO, None)
+            .unwrap();
+        a.middleware_mut().receive_piggyback(&snapshot).unwrap();
+        assert_eq!(a.middleware().dv().entry(p(1)).value(), 0);
+        for _ in 0..2 {
             a.deliver_frame(&bytes).unwrap().expect("valid frame");
-            seen.push(a.middleware().merged_stamp().expect("merged"));
+            assert_eq!(a.middleware().dv().entry(p(1)).value(), 1, "not scanned");
+            assert_eq!(a.middleware().merged_stamp(), stamp, "memo displaced");
         }
-        seen.dedup();
-        assert_eq!(seen.len(), 3, "a frame hit the receive memo");
     }
 
     #[test]
@@ -403,6 +453,6 @@ mod tests {
         let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
         let (frame, _) = b.send_frame(p(0));
         a.middleware_mut().crash();
-        assert!(a.deliver_frame(&frame.encode()).is_err());
+        assert!(a.deliver_frame(frame.encode()).is_err());
     }
 }

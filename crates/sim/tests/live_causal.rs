@@ -33,11 +33,11 @@ fn live_frames_emit_causal_events_and_flight_dump() {
     let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
     b.checkpoint().unwrap();
     let (f0, _) = b.send_frame(p(0));
-    let out = a.deliver_frame(&f0.encode()).unwrap().unwrap();
+    let out = a.deliver_frame(f0.encode()).unwrap().unwrap();
     assert_eq!(out.sender, p(1));
     let (f1, _) = a.send_frame(p(1));
     assert_eq!(f1.parent, Some((1, 0)));
-    b.deliver_frame(&f1.encode()).unwrap().unwrap();
+    b.deliver_frame(f1.encode()).unwrap().unwrap();
 
     rdt_obs::flight::flush();
     let body = std::fs::read_to_string(&dump).unwrap();
@@ -91,7 +91,7 @@ fn live_frames_emit_causal_events_and_flight_dump() {
     rdt_obs::flight::uninstall().unwrap();
     rdt_obs::set_level(Some(Level::Error));
     let (f2, _) = b.send_frame(p(0));
-    a.deliver_frame(&f2.encode()).unwrap().unwrap();
+    a.deliver_frame(f2.encode()).unwrap().unwrap();
     assert!(capture.drain().is_empty());
 
     std::fs::remove_dir_all(&dir).unwrap();

@@ -4,35 +4,40 @@
 //!
 //! ```text
 //! magic   [u8; 4]   b"RDTC"
-//! version u16       2
+//! version u16       3
 //! owner   u32       process id
 //! index   u64       checkpoint index γ
 //! n       u32       dependency-vector length
 //! dv      (u32 + u64) × n   entries: incarnation ν, interval γ
 //! size    u64       application state-snapshot size, in bytes
-//! check   u64       FNV-1a over every preceding byte
+//! check   u64       rdt_base::codec::checksum of every preceding byte
 //! ```
 //!
-//! The dependency-vector entries are stored **wide** — an explicit
-//! `u32` incarnation next to a full `u64` interval per entry — even though
-//! the in-memory [`rdt_base::DvEntry`] packs both into one word. Durable
-//! bytes outlive the in-memory representation: keeping the fields explicit
-//! means a future change of the packed field split (16/48 today) re-reads
-//! old mirrors without a migration, and an entry whose components no longer
-//! fit the current packing decodes to a typed error instead of silently
-//! folding into the wrong lineage.
+//! The dependency-vector entries are stored **wide**, in the encoding the
+//! wire frame shares ([`rdt_base::codec::ENTRY_BYTES`], where the reasons
+//! are): an entry whose components no longer fit the in-memory packing
+//! decodes to a typed error instead of silently folding into the wrong
+//! lineage.
 //!
 //! The checksum turns torn writes and bit rot into decode errors instead of
 //! silently corrupt recovery state — a checkpoint that cannot be trusted
-//! must not be restored.
+//! must not be restored. It is the workspace's one checksum and rejects
+//! every single-bit flip with certainty (the argument is in
+//! [`rdt_base::codec`]). Version 2 differed only in carrying FNV-1a there;
+//! its records are rejected at the version field and a directory of them
+//! is quarantined on open like any other corrupt file — nothing deployed
+//! produces them.
 
+use rdt_base::codec::{self, Reader, ENTRY_BYTES};
 use rdt_base::{CheckpointIndex, DependencyVector, ProcessId};
 
 use crate::error::{Error, Result};
 
 const MAGIC: [u8; 4] = *b"RDTC";
-/// The one format: wide `(u32 incarnation, u64 interval)` entries.
-const VERSION: u16 = 2;
+/// The one format.
+const VERSION: u16 = 3;
+/// Bytes before the entries; `size` and `check` follow them.
+const HEADER: usize = 4 + 2 + 4 + 8 + 4;
 
 /// One decoded checkpoint record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,36 +52,25 @@ pub struct Record {
     pub state_size: usize,
 }
 
-/// FNV-1a, 64-bit. Shared with the incarnation-log slot format.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Encodes a record into its on-disk bytes.
 pub fn encode(record: &Record) -> Vec<u8> {
-    let lineages = record.dv.to_raw_lineages();
-    let mut out = Vec::with_capacity(4 + 2 + 4 + 8 + 4 + lineages.len() * 12 + 8 + 8);
+    let n = record.dv.len();
+    let mut out = Vec::with_capacity(HEADER + n * ENTRY_BYTES + 8 + 8);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(record.owner.index() as u32).to_le_bytes());
     out.extend_from_slice(&(record.index.value() as u64).to_le_bytes());
-    out.extend_from_slice(&(lineages.len() as u32).to_le_bytes());
-    for (incarnation, interval) in lineages {
-        out.extend_from_slice(&incarnation.to_le_bytes());
-        out.extend_from_slice(&(interval as u64).to_le_bytes());
-    }
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    out.resize(HEADER + n * ENTRY_BYTES, 0);
+    codec::write_entries(&record.dv, &mut out[HEADER..]);
     out.extend_from_slice(&(record.state_size as u64).to_le_bytes());
-    let check = fnv1a(&out);
+    let check = codec::checksum(&out);
     out.extend_from_slice(&check.to_le_bytes());
     out
 }
 
-/// Decodes a record from its on-disk bytes.
+/// Decodes a record from its on-disk bytes. Length and checksum are
+/// settled before an entry is looked at or anything is allocated.
 ///
 /// # Errors
 ///
@@ -84,40 +78,35 @@ pub fn encode(record: &Record) -> Vec<u8> {
 /// trailing bytes, checksum mismatch, or an entry whose components do not
 /// fit the in-memory packed representation.
 pub fn decode(bytes: &[u8]) -> Result<Record> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let magic = cursor.take(4)?;
-    if magic != MAGIC {
+    const TRUNCATED: Error = Error::Corrupt("truncated record");
+    let mut r = Reader::new(bytes);
+    if r.take(4).ok_or(TRUNCATED)? != MAGIC {
         return Err(Error::Corrupt("bad magic"));
     }
-    if cursor.u16()? != VERSION {
+    if r.u16().ok_or(TRUNCATED)? != VERSION {
         return Err(Error::Corrupt("unsupported version"));
     }
-    let owner = cursor.u32()? as usize;
-    let index = cursor.u64()? as usize;
-    let n = cursor.u32()? as usize;
+    let owner = r.u32().ok_or(TRUNCATED)? as usize;
+    let index = r.u64().ok_or(TRUNCATED)? as usize;
+    let n = r.u32().ok_or(TRUNCATED)? as usize;
     if n == 0 {
         return Err(Error::Corrupt("empty dependency vector"));
     }
-    // Guard against absurd lengths from corrupt headers before allocating.
-    if bytes.len() < cursor.pos + n.saturating_mul(12) + 16 {
-        return Err(Error::Corrupt("truncated dependency vector"));
-    }
-    let mut lineages = Vec::with_capacity(n);
-    for _ in 0..n {
-        let incarnation = cursor.u32()?;
-        let interval = cursor.u64()? as usize;
-        lineages.push((incarnation, interval));
-    }
-    let state_size = cursor.u64()? as usize;
-    let payload_end = cursor.pos;
-    let check = cursor.u64()?;
-    if cursor.pos != bytes.len() {
+    // A lying n is a length the file does not have, never an allocation.
+    let entries = r
+        .take_items(n, ENTRY_BYTES)
+        .ok_or(Error::Corrupt("truncated dependency vector"))?;
+    let state_size = r.u64().ok_or(TRUNCATED)? as usize;
+    let payload = &bytes[..r.position()];
+    let check = r.u64().ok_or(TRUNCATED)?;
+    if !r.is_empty() {
         return Err(Error::Corrupt("trailing bytes"));
     }
-    if fnv1a(&bytes[..payload_end]) != check {
+    if codec::checksum(payload) != check {
         return Err(Error::Corrupt("checksum mismatch"));
     }
-    let dv = DependencyVector::try_from_lineages(&lineages)
+    let mut dv = DependencyVector::new(n);
+    codec::read_entries(entries, &mut dv)
         .map_err(|_| Error::Corrupt("entry overflows the packed dependency-vector word"))?;
     Ok(Record {
         owner: ProcessId::new(owner),
@@ -125,36 +114,6 @@ pub fn decode(bytes: &[u8]) -> Result<Record> {
         dv,
         state_size,
     })
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, len: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(Error::Corrupt("truncated record"))?;
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
 }
 
 #[cfg(test)]
@@ -189,14 +148,16 @@ mod tests {
 
     #[test]
     fn version_1_records_are_rejected() {
-        // The pre-incarnation format (bare `u64` intervals) never had a
-        // deployed producer; its version number is as foreign as any other.
-        let mut bytes = encode(&record());
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            decode(&bytes),
-            Err(Error::Corrupt("unsupported version"))
-        ));
+        // Neither older format (bare `u64` intervals; FNV-1a trailer) has a
+        // deployed producer; their version numbers are as foreign as any.
+        for old in [1u16, 2] {
+            let mut bytes = encode(&record());
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                decode(&bytes),
+                Err(Error::Corrupt("unsupported version"))
+            ));
+        }
     }
 
     #[test]
@@ -210,7 +171,7 @@ mod tests {
         bytes[off..off + 8].copy_from_slice(&(1u64 << 48).to_le_bytes());
         // Re-seal the checksum so only the overflow check can fire.
         let payload_end = bytes.len() - 8;
-        let check = fnv1a(&bytes[..payload_end]);
+        let check = codec::checksum(&bytes[..payload_end]);
         bytes[payload_end..].copy_from_slice(&check.to_le_bytes());
         assert!(matches!(
             decode(&bytes),

@@ -44,11 +44,12 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use rdt_base::codec::checksum;
 use rdt_base::{CheckpointIndex, DependencyVector, Incarnation, ProcessId};
 use rdt_core::CheckpointStore;
 
 use crate::backend::{is_transient, StdFs, StorageBackend};
-use crate::codec::{decode, encode, fnv1a, Record};
+use crate::codec::{decode, encode, Record};
 use crate::error::{Error, Result};
 
 /// Magic prefix of an incarnation-log slot.
@@ -262,12 +263,12 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Encodes one incarnation-log slot: magic, value, FNV-1a checksum.
+    /// Encodes one incarnation-log slot: magic, value, checksum.
     fn encode_incarnation(v: Incarnation) -> [u8; 16] {
         let mut out = [0u8; 16];
         out[..4].copy_from_slice(&INCARNATION_MAGIC);
         out[4..8].copy_from_slice(&v.value().to_le_bytes());
-        let check = fnv1a(&out[..8]);
+        let check = checksum(&out[..8]);
         out[8..16].copy_from_slice(&check.to_le_bytes());
         out
     }
@@ -280,7 +281,7 @@ impl DurableStore {
             return None;
         }
         let check = u64::from_le_bytes(arr[8..16].try_into().expect("len 8"));
-        if fnv1a(&arr[..8]) != check {
+        if checksum(&arr[..8]) != check {
             return None;
         }
         let value = u32::from_le_bytes(arr[4..8].try_into().expect("len 4"));

@@ -1,5 +1,6 @@
-//! Property tests for the on-disk codec: roundtrip fidelity and rejection
-//! of every single-bit corruption.
+//! Property tests for the on-disk codec, the trust boundary towards the
+//! disk: roundtrip fidelity, rejection of every single-bit corruption, and
+//! no panic on — or acceptance of — bytes no encoder wrote.
 
 use proptest::prelude::*;
 use rdt_base::{CheckpointIndex, DependencyVector, ProcessId};
@@ -11,7 +12,7 @@ fn record_strategy() -> impl Strategy<Value = Record> {
         0usize..10_000,
         // Incarnation-qualified entries, spanning the packed fields up to
         // their exact maxima (the top of each range is promoted to the
-        // field maximum): the wide v2 encoding must carry both components
+        // field maximum): the wide encoding must carry both components
         // faithfully.
         prop::collection::vec((0u32..16, 0usize..1_000_000), 1..32),
         0usize..(1 << 30),
@@ -60,12 +61,42 @@ proptest! {
         bytes[bit / 8] ^= 1 << (bit % 8);
         match decode(&bytes) {
             Err(_) => {}
-            // A flip could conceivably produce a *different* valid record
-            // only if FNV collides on a 1-bit delta, which it cannot for
-            // records of this size; decoding the same record back would
-            // mean the flip changed nothing, also impossible.
+            // The checksum tells any two inputs apart that differ within
+            // one word (`rdt_base::codec`), so this arm is dead; it stays
+            // as the weaker claim the format could fall back on.
             Ok(decoded) => prop_assert_ne!(decoded, record, "corruption accepted"),
         }
+    }
+
+    /// Bytes no encoder wrote — random, or random behind a valid magic and
+    /// version — are an error, whatever length they claim.
+    #[test]
+    fn arbitrary_bytes_are_never_accepted(
+        noise in prop::collection::vec(0u8..=255, 0..256),
+        header in 0u8..2,
+    ) {
+        let mut bytes = noise;
+        if header == 1 && bytes.len() >= 6 {
+            bytes[..6].copy_from_slice(b"RDTC\x03\x00");
+        }
+        prop_assert!(decode(&bytes).is_err());
+    }
+
+    /// A stretch of a valid record overwritten with noise decodes only if
+    /// the noise happened to be the bytes already there.
+    #[test]
+    fn overwritten_records_are_never_accepted(
+        record in record_strategy(),
+        at in any::<prop::sample::Index>(),
+        noise in prop::collection::vec(0u8..=255, 1..24),
+    ) {
+        let valid = encode(&record);
+        let mut bytes = valid.clone();
+        let at = at.index(bytes.len());
+        for (b, noise) in bytes[at..].iter_mut().zip(noise) {
+            *b = noise;
+        }
+        prop_assert!(decode(&bytes).is_err() || bytes == valid);
     }
 
     /// Any truncation is rejected.

@@ -18,7 +18,7 @@ fn run(me: usize, quota: usize, inbox: Receiver<Msg>, peers: Vec<Sender<Msg>>) {
         match inbox.recv().expect("senders outlive the quota") {
             Msg::Op(AppOp::Checkpoint(_)) => drop(node.checkpoint().expect("alive")),
             Msg::Op(AppOp::Send { to, .. }) => {
-                let frame = Msg::Frame(node.send_frame(to).0.encode());
+                let frame = Msg::Frame(node.send_frame(to).0.encode().to_vec());
                 peers[to.index()].send(frame).expect("peer awaits it");
             }
             Msg::Op(AppOp::Crash(_)) => {} // recovery needs a stop-the-world manager
