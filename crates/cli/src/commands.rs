@@ -821,7 +821,6 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
         fault_plans: get("fault-plans")
             .parse()
             .map_err(|e| format!("--fault-plans: {e}"))?,
-        root: None,
     };
     let report = run_torture(&opts).map_err(|e| format!("torture harness failed: {e}"))?;
     if m.get_flag("json") {
@@ -836,6 +835,7 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
                 Json::UInt(report.fault_plans_tested as u64),
             )
             .field("quarantined", Json::UInt(report.quarantined as u64))
+            .field("append_faults", Json::UInt(report.append_faults))
             .field("transient_retries", Json::UInt(report.transient_retries))
             .field(
                 "restarts",
@@ -843,12 +843,12 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
                     report
                         .restarts
                         .iter()
-                        .map(|r| {
+                        .map(|(crash_point, r)| {
                             Json::obj()
-                                .field("crash_point", Json::UInt(r.crash_point))
+                                .field("crash_point", Json::UInt(*crash_point))
                                 .field("loaded", Json::UInt(r.loaded as u64))
                                 .field("quarantined", Json::UInt(r.quarantined as u64))
-                                .field("skipped_alien", Json::UInt(r.skipped_alien as u64))
+                                .field("log_bytes", Json::UInt(r.log_bytes as u64))
                                 .field("transient_retries", Json::UInt(r.transient_retries))
                                 .build()
                         })
@@ -871,10 +871,11 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
     } else {
         println!(
             "tortured {} backend ops: {} crash points, {} fault plans \
-             ({} quarantined, {} transient retries absorbed)",
+             ({} torn or bit-flipped appends, {} quarantined, {} transient retries absorbed)",
             report.total_ops,
             report.crash_points_tested,
             report.fault_plans_tested,
+            report.append_faults,
             report.quarantined,
             report.transient_retries,
         );
@@ -893,11 +894,12 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
         metrics.add("torture_crash_points_tested", report.crash_points_tested as u64);
         metrics.add("torture_fault_plans_tested", report.fault_plans_tested as u64);
         metrics.add("torture_failures", report.failures.len() as u64);
+        metrics.add("torture_append_faults", report.append_faults);
         metrics.add("restart_quarantined", report.quarantined as u64);
         metrics.add("restart_transient_retries", report.transient_retries);
-        for r in &report.restarts {
+        for (_, r) in &report.restarts {
             metrics.add("restart_loaded", r.loaded as u64);
-            metrics.add("restart_skipped_alien", r.skipped_alien as u64);
+            metrics.add("restart_log_bytes", r.log_bytes as u64);
         }
         std::fs::write(path, metrics.to_prometheus())
             .map_err(|e| format!("--metrics-out {path}: {e}"))?;

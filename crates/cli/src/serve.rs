@@ -218,7 +218,7 @@ fn write_prom(
     if let Some(restart) = &stats.restart {
         report.add("restart_loaded", restart.loaded as u64);
         report.add("restart_quarantined", restart.quarantined as u64);
-        report.add("restart_skipped_alien", restart.skipped_alien as u64);
+        report.add("restart_log_bytes", restart.log_bytes as u64);
         report.add("restart_transient_retries", restart.transient_retries);
     }
     std::fs::write(prom_path(dir, rank), report.to_prometheus())

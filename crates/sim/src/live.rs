@@ -150,7 +150,9 @@ impl<S: Storage> LiveNode<S> {
     ///
     /// As [`Middleware::basic_checkpoint`].
     pub fn checkpoint(&mut self) -> Result<CheckpointIndex> {
-        Ok(self.mw.basic_checkpoint()?.stored)
+        let stored = self.mw.basic_checkpoint()?.stored;
+        crate::step::debug_assert_retained_bound(&self.mw);
+        Ok(stored)
     }
 
     /// Performs a send's protocol duties and encodes the piggyback as a
@@ -239,6 +241,7 @@ impl<S: Storage> LiveNode<S> {
         }
         self.mw
             .receive_vector_into(&self.incoming, frame.index, &mut self.scratch)?;
+        crate::step::debug_assert_retained_bound(&self.mw);
         self.last_applied = Some((frame.sender.index() as u32, frame.seq));
         let eliminated = self.scratch.eliminated.len();
         if active {

@@ -156,6 +156,7 @@ impl StepCore {
         }
         self.tick_process(p, now, sink);
         self.mws[i].basic_checkpoint_into(&mut self.checkpoint)?;
+        debug_assert_retained_bound(&self.mws[i]);
         trace_checkpoint(p, false, sink);
         trace_collects(p, &self.checkpoint.eliminated, sink);
         self.sample(p, now, sink);
@@ -211,6 +212,7 @@ impl StepCore {
         }
         self.tick_process(to, now, sink);
         pb.receive_into(&mut self.mws[i], &mut self.receive)?;
+        debug_assert_retained_bound(&self.mws[i]);
         sink.metric(MetricOp::Delivered(to));
         if self.receive.forced.is_some() {
             trace_checkpoint(to, true, sink);
@@ -262,7 +264,11 @@ impl StepCore {
     ) -> AppliedBatch {
         self.mws
             .iter_mut()
-            .map(|mw| Ok((mw.owner(), manager.apply_to(mw, plan)?)))
+            .map(|mw| {
+                let applied = manager.apply_to(mw, plan)?;
+                debug_assert_retained_bound(mw);
+                Ok((mw.owner(), applied))
+            })
             .collect()
     }
 
@@ -285,6 +291,23 @@ impl StepCore {
             })
             .collect()
     }
+}
+
+/// The paper's space bound, where state changes: under RDT-LGC a process
+/// retains at most `n` checkpoints, `n + 1` while a new one is stored and
+/// the one it obsoletes not yet released (Section 4.5) — across crashes
+/// and incarnations too. It is what lets a durable store stay one small
+/// log. The baseline collectors promise nothing of the kind. Debug builds
+/// only.
+pub(crate) fn debug_assert_retained_bound<S: rdt_env::Storage>(mw: &Middleware<S>) {
+    let (store, n) = (mw.store(), mw.n());
+    debug_assert!(
+        !matches!(mw.gc_kind(), GcKind::RdtLgc) || (store.len() <= n && store.peak() <= n + 1),
+        "{} retains {} checkpoints (peak {}) under RDT-LGC, n = {n}",
+        mw.owner(),
+        store.len(),
+        store.peak(),
+    );
 }
 
 /// Per-process outcomes of an applied recovery session, or the first

@@ -2,12 +2,13 @@
 //!
 //! [`DurableStore`](crate::DurableStore) performs every filesystem
 //! operation through the [`StorageBackend`] trait, so the same
-//! atomic-write/rename/fsync discipline can run against the real
-//! filesystem ([`StdFs`]) or a deterministic fault injector ([`FaultFs`])
-//! that torments it with the crash images and I/O failures the paper's
-//! stable-storage contract has to survive: stopping dead after any
-//! operation, tearing a write to a prefix, flipping a bit, losing a rename
-//! (the crash-before-directory-fsync image), and transient `EIO`/`ENOSPC`
+//! append/fsync commit and write/fsync/rename/fsync compaction can run
+//! against the real filesystem ([`StdFs`]) or a deterministic fault
+//! injector ([`FaultFs`]) that torments them with the crash images and I/O
+//! failures the paper's stable-storage contract has to survive: stopping
+//! dead after any operation, tearing a write or an append to a prefix,
+//! flipping a bit in one, losing a rename (the
+//! crash-before-directory-fsync image), and transient `EIO`/`ENOSPC`
 //! bursts.
 //!
 //! Faults are driven by a [`FaultPlan`] keyed on a global operation
@@ -16,6 +17,7 @@
 //! one deterministic, totally ordered operation sequence — the basis of
 //! the [`torture`](crate::torture) harness.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
@@ -26,8 +28,9 @@ use std::sync::{Arc, Mutex};
 /// The filesystem surface the durable store relies on.
 ///
 /// Implementations must make `write` + `fsync` + `rename` + `fsync_dir`
-/// sufficient for the usual atomic-replace discipline: a `rename` is only
-/// durable once the parent directory has been fsynced.
+/// sufficient for the usual atomic-replace discipline (a `rename` is only
+/// durable once the parent directory has been fsynced), and `append` +
+/// `fsync` sufficient to extend an existing file durably.
 pub trait StorageBackend: fmt::Debug {
     /// Creates `dir` and any missing parents.
     ///
@@ -86,6 +89,18 @@ pub trait StorageBackend: fmt::Debug {
     ///
     /// Underlying I/O errors.
     fn list(&self, dir: &Path) -> io::Result<Vec<String>>;
+
+    /// Appends `bytes` to the file at `path`, creating it if absent. Not
+    /// durable until [`fsync`](Self::fsync) succeeds. Provided, as
+    /// [`StdFs`] does it, so a backend written against the eight methods
+    /// above keeps compiling; one that counts or faults writes overrides it.
+    ///
+    /// # Errors
+    ///
+    /// Underlying I/O errors.
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        StdFs.append(path, bytes)
+    }
 }
 
 /// The real filesystem, with the full fsync discipline.
@@ -137,21 +152,29 @@ impl StorageBackend for StdFs {
         }
         Ok(out)
     }
+
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let mut f = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        f.write_all(bytes)
+    }
 }
 
 /// One injected fault, keyed to a backend-operation index in a
 /// [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// A `write` at this operation stores only the first half of its bytes
-    /// (prefix truncation), reports success, and the backend crashes at
-    /// the next operation — the crash image of dying mid-write, before
-    /// the following fsync could have confirmed the bytes. Non-write
-    /// operations are unaffected.
+    /// A `write` or `append` at this operation stores only the first half
+    /// of its bytes (prefix truncation), reports success, and the backend
+    /// crashes at the next operation — the crash image of dying
+    /// mid-write, before the following fsync could have confirmed the
+    /// bytes. Other operations are unaffected.
     TornWrite,
-    /// A `write` at this operation has one bit flipped (deterministically
-    /// chosen from the operation index), reports success, and the backend
-    /// crashes at the next operation.
+    /// A `write` or `append` at this operation has one bit flipped
+    /// (deterministically chosen from the payload length), reports
+    /// success, and the backend crashes at the next operation.
     BitFlip,
     /// A `rename` at this operation reports success without renaming, and
     /// the backend crashes at the next operation — the on-disk image of
@@ -207,6 +230,8 @@ struct FaultState {
     plan: FaultPlan,
     crashed: bool,
     injected: u64,
+    /// How many of the injected faults tore or bit-flipped an append.
+    append_faults: u64,
 }
 
 /// A deterministic fault-injecting backend over the real filesystem.
@@ -225,6 +250,7 @@ pub struct FaultFs {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKind {
     Write,
+    Append,
     Rename,
     Other,
 }
@@ -238,6 +264,7 @@ impl FaultFs {
                 plan,
                 crashed: false,
                 injected: 0,
+                append_faults: 0,
             })),
             inner: StdFs,
         }
@@ -257,6 +284,27 @@ impl FaultFs {
     /// of the wrong kind does not fire).
     pub fn faults_injected(&self) -> u64 {
         self.state.lock().expect("fault state").injected
+    }
+
+    /// Number of torn or bit-flipped **appends** among the injected faults.
+    pub fn append_faults_injected(&self) -> u64 {
+        self.state.lock().expect("fault state").append_faults
+    }
+
+    /// Admits a `write` or `append` of `bytes`; returns what reaches the
+    /// media (a prefix, or one bit off, under the faults that say so).
+    fn admit_bytes<'a>(&self, kind: OpKind, bytes: &'a [u8]) -> io::Result<Cow<'a, [u8]>> {
+        Ok(match self.admit(kind)? {
+            Some(FaultKind::TornWrite) => Cow::Borrowed(&bytes[..bytes.len() / 2]),
+            Some(FaultKind::BitFlip) if !bytes.is_empty() => {
+                let mut corrupted = bytes.to_vec();
+                // Deterministic victim bit derived from the payload length.
+                let byte = corrupted.len() / 2;
+                corrupted[byte] ^= 1 << (corrupted.len() % 8);
+                Cow::Owned(corrupted)
+            }
+            _ => Cow::Borrowed(bytes),
+        })
     }
 
     /// Ticks the operation clock; returns the fault to apply, if any.
@@ -288,9 +336,10 @@ impl FaultFs {
                 Err(io::Error::from_raw_os_error(libc_enospc()))
             }
             Some(f @ FaultKind::TornWrite) | Some(f @ FaultKind::BitFlip)
-                if kind == OpKind::Write =>
+                if matches!(kind, OpKind::Write | OpKind::Append) =>
             {
                 st.injected += 1;
+                st.append_faults += u64::from(kind == OpKind::Append);
                 st.crashed = true; // this op "succeeds", then the machine dies
                 Ok(Some(f))
             }
@@ -329,17 +378,13 @@ impl StorageBackend for FaultFs {
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        match self.admit(OpKind::Write)? {
-            Some(FaultKind::TornWrite) => self.inner.write(path, &bytes[..bytes.len() / 2]),
-            Some(FaultKind::BitFlip) if !bytes.is_empty() => {
-                let mut corrupted = bytes.to_vec();
-                // Deterministic victim bit derived from the payload length.
-                let byte = corrupted.len() / 2;
-                corrupted[byte] ^= 1 << (corrupted.len() % 8);
-                self.inner.write(path, &corrupted)
-            }
-            _ => self.inner.write(path, bytes),
-        }
+        self.inner
+            .write(path, &self.admit_bytes(OpKind::Write, bytes)?)
+    }
+
+    fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.inner
+            .append(path, &self.admit_bytes(OpKind::Append, bytes)?)
     }
 
     fn fsync(&self, path: &Path) -> io::Result<()> {
@@ -454,6 +499,39 @@ mod tests {
             .sum();
         assert_eq!(diff, 1);
         assert!(f.has_crashed());
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn appends_extend_the_file_and_tear_or_flip_like_writes() {
+        let dir = scratch("append");
+        let path = dir.join("log");
+        let plan = FaultPlan::none().with_fault(2, FaultKind::TornWrite);
+        let f = FaultFs::new(plan);
+        f.append(&path, b"01234").unwrap(); // op 0: creates the file
+        f.append(&path, b"56789").unwrap(); // op 1
+        f.append(&path, b"abcdef").unwrap(); // op 2: torn, then dead
+        assert_eq!(StdFs.read(&path).unwrap(), b"0123456789abc");
+        assert!(f.has_crashed());
+        assert_eq!((f.faults_injected(), f.append_faults_injected()), (1, 1));
+
+        // A flipped bit lands in the appended bytes, not in what was there.
+        let f = FaultFs::new(FaultPlan::none().with_fault(0, FaultKind::BitFlip));
+        f.append(&path, b"ghij").unwrap();
+        let got = StdFs.read(&path).unwrap();
+        assert_eq!(&got[..13], b"0123456789abc");
+        let diff: u32 = got[13..]
+            .iter()
+            .zip(b"ghij")
+            .map(|(a, b)| (a ^ b).count_ones())
+            .sum();
+        assert_eq!((got.len(), diff), (17, 1));
+        assert_eq!(f.append_faults_injected(), 1);
+
+        // A fault on a plain write is not an append fault.
+        let f = FaultFs::new(FaultPlan::none().with_fault(0, FaultKind::TornWrite));
+        f.write(&path, b"xy").unwrap();
+        assert_eq!((f.faults_injected(), f.append_faults_injected()), (1, 0));
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -24,9 +24,8 @@
 //! must not be restored. It is the workspace's one checksum and rejects
 //! every single-bit flip with certainty (the argument is in
 //! [`rdt_base::codec`]). Version 2 differed only in carrying FNV-1a there;
-//! its records are rejected at the version field and a directory of them
-//! is quarantined on open like any other corrupt file — nothing deployed
-//! produces them.
+//! its records are rejected at the version field like any other damage —
+//! nothing deployed produces them.
 
 use rdt_base::codec::{self, Reader, ENTRY_BYTES};
 use rdt_base::{CheckpointIndex, DependencyVector, ProcessId};
@@ -54,64 +53,137 @@ pub struct Record {
 
 /// Encodes a record into its on-disk bytes.
 pub fn encode(record: &Record) -> Vec<u8> {
-    let n = record.dv.len();
-    let mut out = Vec::with_capacity(HEADER + n * ENTRY_BYTES + 8 + 8);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(record.owner.index() as u32).to_le_bytes());
-    out.extend_from_slice(&(record.index.value() as u64).to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    out.resize(HEADER + n * ENTRY_BYTES, 0);
-    codec::write_entries(&record.dv, &mut out[HEADER..]);
-    out.extend_from_slice(&(record.state_size as u64).to_le_bytes());
-    let check = codec::checksum(&out);
-    out.extend_from_slice(&check.to_le_bytes());
+    let mut out = Vec::with_capacity(HEADER + record.dv.len() * ENTRY_BYTES + 8 + 8);
+    let Record {
+        owner,
+        index,
+        dv,
+        state_size,
+    } = record;
+    encode_into(*owner, *index, dv, *state_size, &mut out);
     out
 }
 
-/// Decodes a record from its on-disk bytes. Length and checksum are
-/// settled before an entry is looked at or anything is allocated.
+/// Appends the on-disk bytes of one record to `out` — [`encode`] from
+/// borrowed parts, so a commit of several records fills one buffer.
+pub fn encode_into(
+    owner: ProcessId,
+    index: CheckpointIndex,
+    dv: &DependencyVector,
+    state_size: usize,
+    out: &mut Vec<u8>,
+) {
+    let (start, n) = (out.len(), dv.len());
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(owner.index() as u32).to_le_bytes());
+    out.extend_from_slice(&(index.value() as u64).to_le_bytes());
+    out.extend_from_slice(&(n as u32).to_le_bytes());
+    out.resize(start + HEADER + n * ENTRY_BYTES, 0);
+    codec::write_entries(dv, &mut out[start + HEADER..]);
+    out.extend_from_slice(&(state_size as u64).to_le_bytes());
+    let check = codec::checksum(&out[start..]);
+    out.extend_from_slice(&check.to_le_bytes());
+}
+
+/// One record validated in place — structure, length and checksum — with
+/// its vector still in wire form: what a log replay keeps per record, so
+/// only the records that end up live pay for a decoded vector.
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<'a> {
+    /// The process that took the checkpoint.
+    pub owner: ProcessId,
+    /// The checkpoint index.
+    pub index: CheckpointIndex,
+    /// Application state-snapshot size, in bytes.
+    pub state_size: usize,
+    /// The record's bytes, checksum included.
+    pub bytes: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    /// Validates the record at the start of `bytes`; what follows it is
+    /// the caller's. Length is settled before the checksum, the checksum
+    /// before an entry is looked at or anything is allocated — and
+    /// `admit` is shown the length first and may refuse to have that
+    /// many bytes hashed.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Corrupt`] for truncation, bad magic, unsupported version,
+    /// an empty vector, a length `admit` refuses or a checksum mismatch.
+    pub fn parse(bytes: &'a [u8], admit: impl FnOnce(usize) -> bool) -> Result<Self> {
+        const TRUNCATED: Error = Error::Corrupt("truncated record");
+        let mut r = Reader::new(bytes);
+        if r.take(4).ok_or(TRUNCATED)? != MAGIC {
+            return Err(Error::Corrupt("bad magic"));
+        }
+        if r.u16().ok_or(TRUNCATED)? != VERSION {
+            return Err(Error::Corrupt("unsupported version"));
+        }
+        let owner = r.u32().ok_or(TRUNCATED)? as usize;
+        let index = r.u64().ok_or(TRUNCATED)? as usize;
+        let n = r.u32().ok_or(TRUNCATED)? as usize;
+        if n == 0 {
+            return Err(Error::Corrupt("empty dependency vector"));
+        }
+        // A lying n is a length the file does not have, never an allocation.
+        r.take_items(n, ENTRY_BYTES)
+            .ok_or(Error::Corrupt("truncated dependency vector"))?;
+        let state_size = r.u64().ok_or(TRUNCATED)? as usize;
+        let payload = &bytes[..r.position()];
+        let check = r.u64().ok_or(TRUNCATED)?;
+        if !admit(r.position()) {
+            return Err(Error::Corrupt("record length refused"));
+        }
+        if codec::checksum(payload) != check {
+            return Err(Error::Corrupt("checksum mismatch"));
+        }
+        Ok(Self {
+            owner: ProcessId::new(owner),
+            index: CheckpointIndex::new(index),
+            state_size,
+            bytes: &bytes[..r.position()],
+        })
+    }
+
+    /// Decodes the vector.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Corrupt`] for an entry whose components do not fit the
+    /// in-memory packed representation.
+    pub fn dv(&self) -> Result<DependencyVector> {
+        let entries = &self.bytes[HEADER..self.bytes.len() - 16];
+        let mut dv = DependencyVector::new(entries.len() / ENTRY_BYTES);
+        codec::read_entries(entries, &mut dv)
+            .map_err(|_| Error::Corrupt("entry overflows the packed dependency-vector word"))?;
+        Ok(dv)
+    }
+}
+
+/// Decodes a record from its on-disk bytes.
 ///
 /// # Errors
 ///
-/// [`Error::Corrupt`] for truncation, bad magic, unsupported version,
-/// trailing bytes, checksum mismatch, or an entry whose components do not
-/// fit the in-memory packed representation.
+/// [`Error::Corrupt`] for whatever [`Frame::parse`] rejects, trailing
+/// bytes, or an entry whose components do not fit the in-memory packed
+/// representation.
 pub fn decode(bytes: &[u8]) -> Result<Record> {
-    const TRUNCATED: Error = Error::Corrupt("truncated record");
-    let mut r = Reader::new(bytes);
-    if r.take(4).ok_or(TRUNCATED)? != MAGIC {
-        return Err(Error::Corrupt("bad magic"));
-    }
-    if r.u16().ok_or(TRUNCATED)? != VERSION {
-        return Err(Error::Corrupt("unsupported version"));
-    }
-    let owner = r.u32().ok_or(TRUNCATED)? as usize;
-    let index = r.u64().ok_or(TRUNCATED)? as usize;
-    let n = r.u32().ok_or(TRUNCATED)? as usize;
-    if n == 0 {
-        return Err(Error::Corrupt("empty dependency vector"));
-    }
-    // A lying n is a length the file does not have, never an allocation.
-    let entries = r
-        .take_items(n, ENTRY_BYTES)
-        .ok_or(Error::Corrupt("truncated dependency vector"))?;
-    let state_size = r.u64().ok_or(TRUNCATED)? as usize;
-    let payload = &bytes[..r.position()];
-    let check = r.u64().ok_or(TRUNCATED)?;
-    if !r.is_empty() {
+    let frame = Frame::parse(bytes, |_| true)?;
+    if frame.bytes.len() != bytes.len() {
         return Err(Error::Corrupt("trailing bytes"));
     }
-    if codec::checksum(payload) != check {
-        return Err(Error::Corrupt("checksum mismatch"));
-    }
-    let mut dv = DependencyVector::new(n);
-    codec::read_entries(entries, &mut dv)
-        .map_err(|_| Error::Corrupt("entry overflows the packed dependency-vector word"))?;
+    let Frame {
+        owner,
+        index,
+        state_size,
+        ..
+    } = frame;
     Ok(Record {
-        owner: ProcessId::new(owner),
-        index: CheckpointIndex::new(index),
-        dv,
+        owner,
+        index,
+        dv: frame.dv()?,
         state_size,
     })
 }

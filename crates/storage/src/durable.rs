@@ -1,61 +1,53 @@
-//! A per-process checkpoint directory that survives crashes.
+//! A per-process stable store that survives crashes: one append-only
+//! record log ([`log`](crate::log)) of checkpoints (the [`codec`] format),
+//! collects of the checkpoints the garbage collector eliminated, and the
+//! **incarnation floor** — the highest incarnation the owner ever opened.
+//! Rollbacks bump the incarnation without storing a checkpoint, so a
+//! restart that read only checkpoints could resume at an incarnation the
+//! dead execution already used and propagated; reusing one is never safe,
+//! so a log whose floor records are all damaged fails the restart.
 //!
-//! One file per stable checkpoint (`ckpt_<γ>.bin`, the [`codec`] format),
-//! written atomically (temp file + fsync + rename + parent-directory
-//! fsync) so a crash mid-write never leaves a half-checkpoint that could
-//! be restored, and a crash right after the rename cannot lose it either.
-//! This is the "stable storage persists through failures" of the paper's
-//! Section 2, made literal — and made testable: every filesystem call goes
-//! through a [`StorageBackend`], so the fault injector in
-//! [`backend`](crate::backend) can crash, tear, or corrupt any single
-//! operation deterministically.
+//! **A commit is one append and one flush.** [`DurableStore::sync`]
+//! remembers what the log holds and appends exactly the difference — new
+//! checkpoints *first*, then collects — so a torn append leaves a valid
+//! prefix: persist before remove, never without an anchor. **A restart is
+//! one read** that writes nothing ([`DurableStore::rebuild_reported`]).
+//! **Compaction is what the paper's bound buys**: RDT-LGC retains at most
+//! n + 1 checkpoints, so the commit that would leave more dead bytes than
+//! live ones writes the live set instead (temp file, fsync, rename,
+//! directory fsync) and the log never exceeds twice its live set plus one
+//! commit. The full contract is in `CRASH_CONSISTENCY.md`.
 //!
-//! Alongside the checkpoints lives the **incarnation log**: the highest
-//! incarnation the owner ever opened. Rollbacks bump the incarnation
-//! without storing a checkpoint, so a restart that read only the
-//! checkpoint files could resume at an incarnation the dead execution
-//! already used and propagated — aliasing the very knowledge incarnation
-//! numbers exist to disambiguate. Because reusing an incarnation is never
-//! safe, the log keeps hard-error semantics (an unreadable log fails the
-//! restart) but is **double-slotted** (`incarnation_a.bin` /
-//! `incarnation_b.bin`, each checksummed): the slots are written one after
-//! the other, so a torn write can corrupt at most the slot being written
-//! and the other still carries an acknowledged value. Reads take the
-//! maximum over the valid slots (plus the legacy 4-byte
-//! `incarnation.bin`, still decoded for old directories).
-//!
-//! Restart is **lenient** where that is safe: [`DurableStore::rebuild`]
-//! quarantines checkpoint files that fail validation (renamed to
-//! `*.quarantined`, counted in the [`RestartReport`]) and restores from
-//! the remaining intact records, and unrecognized alien files are skipped
-//! and counted instead of failing the restart. Transient `EIO`/`ENOSPC`
-//! style failures are absorbed by a bounded retry-with-backoff path;
-//! exhaustion surfaces as [`Error::Transient`]. Every absorbed retry is
-//! reported as a structured `transient_retry` info event through the
-//! [`rdt_obs`] sink (exhaustion as a `transient_exhausted` warning), and
-//! when profiling is on (see [`DurableStore::set_profiling`]) each
-//! backend operation's latency lands in a `store/*` phase.
+//! Every filesystem call goes through a [`StorageBackend`], so the fault
+//! injector in [`backend`](crate::backend) can crash, tear, or corrupt any
+//! single operation deterministically. Transient `EIO`/`ENOSPC` style
+//! failures are absorbed by a bounded retry-with-backoff path; exhaustion
+//! surfaces as [`Error::Transient`]. Every absorbed retry is reported as a
+//! structured `transient_retry` info event through the [`rdt_obs`] sink
+//! (exhaustion as a `transient_exhausted` warning), and when profiling is
+//! on (see [`DurableStore::set_profiling`]) each backend operation's
+//! latency lands in a `store/*` phase.
 //!
 //! [`codec`]: crate::codec
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
+use std::cell::{Cell, RefCell, RefMut};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use rdt_base::codec::checksum;
-use rdt_base::{CheckpointIndex, DependencyVector, Incarnation, ProcessId};
+use rdt_base::{CheckpointIndex, Incarnation, ProcessId};
 use rdt_core::CheckpointStore;
 
 use crate::backend::{is_transient, StdFs, StorageBackend};
-use crate::codec::{decode, encode, Record};
+use crate::codec::encode_into;
 use crate::error::{Error, Result};
+use crate::log::{self, Replay, FLOOR_BYTES};
 
-/// Magic prefix of an incarnation-log slot.
-const INCARNATION_MAGIC: [u8; 4] = *b"RDTI";
 /// Bounded retry attempts for transient I/O errors.
 const RETRY_ATTEMPTS: u32 = 5;
+/// Compact past this multiple of the live bytes: at 2, dead bytes never outweigh live ones.
+const COMPACT_AT: usize = 2;
 
 /// What a restart found on disk: how much was restored, and what had to
 /// be set aside to get there.
@@ -63,26 +55,42 @@ const RETRY_ATTEMPTS: u32 = 5;
 pub struct RestartReport {
     /// Checkpoint records restored intact.
     pub loaded: usize,
-    /// Checkpoint files that failed validation during this restart and
-    /// were renamed to `*.quarantined`.
+    /// Stretches of the log that failed validation during this restart
+    /// and were skipped (a torn tail included).
     pub quarantined: usize,
-    /// Files in the directory that match no known naming scheme and were
-    /// skipped.
-    pub skipped_alien: usize,
+    /// Size of the log the restart read, in bytes.
+    pub log_bytes: usize,
     /// Transient I/O errors absorbed by the retry path over this store's
     /// lifetime so far.
     pub transient_retries: u64,
 }
 
-/// What one directory listing classified.
+/// What the store remembers of its log, so a commit appends only the
+/// difference and never reads.
 #[derive(Debug, Default)]
-struct DirScan {
-    /// Well-formed `ckpt_<γ>.bin` names, ascending.
-    checkpoints: BTreeSet<CheckpointIndex>,
-    /// Files already quarantined by an earlier restart.
-    quarantined: usize,
-    /// Names matching no known scheme.
-    alien: usize,
+struct LogState {
+    /// Whether the fields below describe the file (a replay filled them
+    /// and no failed commit has left the file unknown since).
+    known: bool,
+    /// Encoded length of each checkpoint record the log holds live.
+    live: BTreeMap<CheckpointIndex, usize>,
+    floor: Incarnation,
+    /// Size of the file; 0 also when there is none.
+    bytes: usize,
+    /// The last replay skipped something: rewrite before appending.
+    damaged: bool,
+    /// The records of the commit being built; reused across commits.
+    buf: Vec<u8>,
+}
+
+impl LogState {
+    fn adopt(&mut self, replay: &Replay<'_>, floor: Incarnation, bytes: usize) {
+        self.live.clear();
+        let lens = replay.live.iter().map(|(&i, f)| (i, f.bytes.len()));
+        self.live.extend(lens);
+        (self.floor, self.bytes) = (floor, bytes);
+        (self.known, self.damaged) = (true, replay.damaged > 0);
+    }
 }
 
 /// A durable, per-process stable store.
@@ -91,12 +99,10 @@ pub struct DurableStore {
     owner: ProcessId,
     dir: PathBuf,
     fs: Box<dyn StorageBackend>,
-    /// The incarnation floor, cached after the first disk read; all writes
-    /// to the log go through this handle, so the cache never goes stale.
-    floor: Cell<Option<Incarnation>>,
+    log: RefCell<LogState>,
     /// Transient errors absorbed by the retry path (for reports).
     retries: Cell<u64>,
-    /// Per-operation latency phases (`store/write`, `store/fsync`, …);
+    /// Per-operation latency phases (`store/append`, `store/fsync`, …);
     /// off unless `RDT_PROFILE` is set or [`set_profiling`] turned it on.
     ///
     /// [`set_profiling`]: Self::set_profiling
@@ -104,8 +110,8 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Opens (creating if needed) the checkpoint directory for `owner`,
-    /// on the real filesystem.
+    /// Opens (creating if needed) the store directory for `owner`, on the
+    /// real filesystem.
     ///
     /// # Errors
     ///
@@ -114,8 +120,8 @@ impl DurableStore {
         Self::open_with(dir, owner, Box::new(StdFs))
     }
 
-    /// Opens the checkpoint directory through an explicit backend — the
-    /// entry point for fault injection.
+    /// Opens the store directory through an explicit backend — the entry
+    /// point for fault injection.
     ///
     /// # Errors
     ///
@@ -130,7 +136,7 @@ impl DurableStore {
             owner,
             dir,
             fs,
-            floor: Cell::new(None),
+            log: RefCell::default(),
             retries: Cell::new(0),
             prof: RefCell::new(rdt_obs::Profiler::new(rdt_obs::profile::env_enabled())),
         };
@@ -139,13 +145,14 @@ impl DurableStore {
     }
 
     /// Enables (or disables) per-operation latency profiling: every
-    /// backend call records into a `store/*` phase (`store/write`,
-    /// `store/fsync`, `store/fsync_dir`, `store/rename`, `store/read`,
-    /// `store/list`, `store/remove`, `store/create_dir`), and absorbed
-    /// transient retries count under the `store/transient_retries`
-    /// counter. Replaces any previously accumulated timings. Latencies
-    /// include time spent inside the bounded retry loop, backoff sleeps
-    /// included — a retried fsync *is* that slow from the caller's seat.
+    /// backend call records into a `store/*` phase (`store/append`,
+    /// `store/fsync`, `store/read`, and for compactions `store/write`,
+    /// `store/rename`, `store/fsync_dir`; `store/create_dir`), and
+    /// absorbed transient retries count under the
+    /// `store/transient_retries` counter. Replaces any previously
+    /// accumulated timings. Latencies include time spent inside the
+    /// bounded retry loop, backoff sleeps included — a retried fsync *is*
+    /// that slow from the caller's seat.
     pub fn set_profiling(&self, on: bool) {
         *self.prof.borrow_mut() = rdt_obs::Profiler::new(on);
     }
@@ -156,30 +163,19 @@ impl DurableStore {
         self.prof.borrow().report().cloned()
     }
 
-    /// Removes and returns the accumulated I/O timings, leaving
-    /// profiling in its current on/off state.
-    pub fn take_profile(&self) -> Option<rdt_obs::ProfileReport> {
-        let on = self.prof.borrow().enabled();
-        self.prof.replace(rdt_obs::Profiler::new(on)).into_report()
-    }
-
-    /// The owning process.
-    pub fn owner(&self) -> ProcessId {
-        self.owner
-    }
-
     /// The backing directory.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
 
+    /// The one file a restart reads.
+    pub fn log_path(&self) -> PathBuf {
+        self.dir.join("store.log")
+    }
+
     /// Transient I/O errors absorbed by the bounded retry path so far.
     pub fn transient_retries(&self) -> u64 {
         self.retries.get()
-    }
-
-    fn path_for(&self, index: CheckpointIndex) -> PathBuf {
-        self.dir.join(format!("ckpt_{}.bin", index.value()))
     }
 
     /// Runs one backend operation under the bounded retry-with-backoff
@@ -194,68 +190,58 @@ impl DurableStore {
         mut op: impl FnMut() -> io::Result<T>,
     ) -> Result<T> {
         let t = self.prof.borrow().start();
-        let out = self.retry_loop(phase, &mut op);
+        let mut delay = Duration::from_micros(100);
+        let mut attempt = 1;
+        let out = loop {
+            match op() {
+                Ok(v) => break Ok(v),
+                Err(source) if is_transient(&source) => {
+                    self.retries.set(self.retries.get() + 1);
+                    self.prof.borrow_mut().add("store/transient_retries", 1);
+                    rdt_obs::info("rdt_storage::durable", "transient_retry")
+                        .message(&source)
+                        .str("op", phase)
+                        .str("process", self.owner)
+                        .u64("attempt", u64::from(attempt))
+                        .emit();
+                    if attempt == RETRY_ATTEMPTS {
+                        rdt_obs::warn("rdt_storage::durable", "transient_exhausted")
+                            .message(&source)
+                            .str("op", phase)
+                            .str("process", self.owner)
+                            .u64("attempts", u64::from(RETRY_ATTEMPTS))
+                            .emit();
+                        let attempts = RETRY_ATTEMPTS;
+                        break Err(Error::Transient { source, attempts });
+                    }
+                    std::thread::sleep(delay);
+                    delay *= 2;
+                    attempt += 1;
+                }
+                Err(e) => break Err(Error::Io(e)),
+            }
+        };
         self.prof.borrow_mut().stop(phase, t);
         out
     }
 
-    fn retry_loop<T>(
-        &self,
-        phase: &'static str,
-        op: &mut impl FnMut() -> io::Result<T>,
-    ) -> Result<T> {
-        let mut delay = Duration::from_micros(100);
-        let mut last = None;
-        for attempt in 0..RETRY_ATTEMPTS {
-            match op() {
-                Ok(v) => return Ok(v),
-                Err(e) if is_transient(&e) => {
-                    self.retries.set(self.retries.get() + 1);
-                    self.prof.borrow_mut().add("store/transient_retries", 1);
-                    rdt_obs::info("rdt_storage::durable", "transient_retry")
-                        .message(&e)
-                        .str("op", phase)
-                        .str("process", self.owner)
-                        .u64("attempt", u64::from(attempt + 1))
-                        .emit();
-                    last = Some(e);
-                    if attempt + 1 < RETRY_ATTEMPTS {
-                        std::thread::sleep(delay);
-                        delay *= 2;
-                    }
-                }
-                Err(e) => return Err(Error::Io(e)),
-            }
-        }
-        let source = last.expect("loop exits early unless a transient error occurred");
-        rdt_obs::warn("rdt_storage::durable", "transient_exhausted")
-            .message(&source)
-            .str("op", phase)
-            .str("process", self.owner)
-            .u64("attempts", u64::from(RETRY_ATTEMPTS))
-            .emit();
-        Err(Error::Transient {
-            source,
-            attempts: RETRY_ATTEMPTS,
-        })
-    }
-
-    /// Reads a whole file, treating "not found" as `None`.
-    fn read_opt(&self, path: &Path) -> Result<Option<Vec<u8>>> {
-        match self.with_retry("store/read", || self.fs.read(path)) {
-            Ok(bytes) => Ok(Some(bytes)),
-            Err(Error::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+    /// Reads the whole log; a missing file is an empty log.
+    fn read_log(&self) -> Result<Vec<u8>> {
+        let path = self.log_path();
+        match self.with_retry("store/read", || self.fs.read(&path)) {
+            Ok(bytes) => Ok(bytes),
+            Err(Error::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(Vec::new()),
             Err(e) => Err(e),
         }
     }
 
-    /// Writes `bytes` to `name` with the full atomic-replace discipline:
-    /// temp file, fsync, rename, parent-directory fsync. The final fsync
-    /// is what actually commits the rename — without it a crash can roll
-    /// the directory entry back to the old state (the lost-rename image).
-    fn atomic_write(&self, name: &str, bytes: &[u8]) -> Result<()> {
-        let tmp = self.dir.join(format!(".{name}.tmp"));
-        let target = self.dir.join(name);
+    /// Replaces the log with `bytes`: temp file, fsync, rename,
+    /// parent-directory fsync. The final fsync is what actually commits
+    /// the rename — without it a crash can roll the directory entry back
+    /// to the old log (the lost-rename image).
+    fn replace_log(&self, bytes: &[u8]) -> Result<()> {
+        let tmp = self.dir.join(".store.log.tmp");
+        let target = self.log_path();
         self.with_retry("store/write", || self.fs.write(&tmp, bytes))?;
         self.with_retry("store/fsync", || self.fs.fsync(&tmp))?;
         self.with_retry("store/rename", || self.fs.rename(&tmp, &target))?;
@@ -263,255 +249,142 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Encodes one incarnation-log slot: magic, value, checksum.
-    fn encode_incarnation(v: Incarnation) -> [u8; 16] {
-        let mut out = [0u8; 16];
-        out[..4].copy_from_slice(&INCARNATION_MAGIC);
-        out[4..8].copy_from_slice(&v.value().to_le_bytes());
-        let check = checksum(&out[..8]);
-        out[8..16].copy_from_slice(&check.to_le_bytes());
-        out
+    /// What the store remembers of its log, replaying the file first if
+    /// it remembers nothing.
+    fn log(&self) -> Result<RefMut<'_, LogState>> {
+        if !self.log.borrow().known {
+            self.rebuild_reported()?;
+        }
+        Ok(self.log.borrow_mut())
     }
 
-    /// Decodes one slot; `None` if torn or corrupt (the *other* slot still
-    /// carries an acknowledged value).
-    fn decode_incarnation(bytes: &[u8]) -> Option<Incarnation> {
-        let arr: &[u8; 16] = bytes.try_into().ok()?;
-        if arr[..4] != INCARNATION_MAGIC {
-            return None;
+    /// Makes the records in `st.buf` durable; `st.live` and `st.floor`
+    /// already say what the log holds once they are. One append and one
+    /// flush — unless the log would outgrow [`COMPACT_AT`] times its live
+    /// bytes, is damaged, or does not exist yet (a new file's directory
+    /// entry needs the atomic-replace discipline anyway): then the file is
+    /// read back, replayed together with the new records, and replaced by
+    /// what is live at the end. A failure leaves the file unknown.
+    fn commit(&self, st: &mut LogState) -> Result<()> {
+        st.known = false;
+        let floor_bytes = usize::from(st.floor > Incarnation::ZERO) * FLOOR_BYTES;
+        let live_bytes = st.live.values().sum::<usize>() + floor_bytes;
+        if st.bytes > 0 && !st.damaged && st.bytes + st.buf.len() <= COMPACT_AT * live_bytes {
+            let path = self.log_path();
+            self.with_retry("store/append", || self.fs.append(&path, &st.buf))?;
+            self.with_retry("store/fsync", || self.fs.fsync(&path))?;
+            st.bytes += st.buf.len();
+        } else {
+            let mut image = if st.bytes > 0 {
+                self.read_log()?
+            } else {
+                Vec::new()
+            };
+            let on_disk = image.len();
+            image.extend_from_slice(&st.buf);
+            let replay = log::replay(&image, self.owner);
+            if replay.damaged > 0 {
+                // For forensics only: nothing reads it back, so no flush.
+                let aside = self.dir.join("store.log.quarantined");
+                self.with_retry("store/write", || self.fs.write(&aside, &image[..on_disk]))?;
+            }
+            st.buf.clear();
+            replay.compact_into(st.floor, &mut st.buf);
+            self.replace_log(&st.buf)?;
+            st.adopt(&replay, st.floor, st.buf.len());
         }
-        let check = u64::from_le_bytes(arr[8..16].try_into().expect("len 8"));
-        if checksum(&arr[..8]) != check {
-            return None;
-        }
-        let value = u32::from_le_bytes(arr[4..8].try_into().expect("len 4"));
-        Some(Incarnation::new(value))
+        st.known = true;
+        Ok(())
     }
 
-    /// The incarnation log on disk: the highest incarnation the owner ever
-    /// opened, or [`Incarnation::ZERO`] if never written (crash-free
-    /// stores). Reads the maximum over the valid slots; the legacy 4-byte
-    /// `incarnation.bin` format still decodes.
+    /// The incarnation floor the log holds: the highest incarnation the
+    /// owner ever opened, or [`Incarnation::ZERO`] if never written
+    /// (crash-free stores).
     ///
     /// # Errors
     ///
-    /// I/O errors; [`Error::Corrupt`] if log files exist but **none**
-    /// decodes — resuming at an unknown incarnation is never safe, so this
-    /// is the one restart path that stays a hard error.
+    /// As for [`rebuild_reported`](Self::rebuild_reported), when this is
+    /// the handle's first look at the log.
     pub fn incarnation_floor(&self) -> Result<Incarnation> {
-        if let Some(v) = self.floor.get() {
-            return Ok(v);
-        }
-        let mut present = false;
-        let mut best: Option<Incarnation> = None;
-        for name in ["incarnation_a.bin", "incarnation_b.bin"] {
-            if let Some(bytes) = self.read_opt(&self.dir.join(name))? {
-                present = true;
-                if let Some(v) = Self::decode_incarnation(&bytes) {
-                    best = Some(best.map_or(v, |b| b.max(v)));
-                }
-            }
-        }
-        if let Some(bytes) = self.read_opt(&self.dir.join("incarnation.bin"))? {
-            present = true;
-            if let Ok(arr) = <[u8; 4]>::try_from(bytes.as_slice()) {
-                let v = Incarnation::new(u32::from_le_bytes(arr));
-                best = Some(best.map_or(v, |b| b.max(v)));
-            }
-        }
-        let floor = match (present, best) {
-            (false, _) => Incarnation::ZERO,
-            (true, Some(v)) => v,
-            (true, None) => return Err(Error::Corrupt("no incarnation-log slot decodes")),
-        };
-        self.floor.set(Some(floor));
-        Ok(floor)
+        Ok(self.log()?.floor)
     }
 
-    /// Persists the incarnation log. Monotone: never lowers the on-disk
-    /// value. Both slots are written in sequence, each with the full
-    /// atomic-replace discipline, so a crash tears at most the slot being
-    /// written and the maximum over valid slots never lags a value that
-    /// was acknowledged to the caller.
+    /// Persists the incarnation floor: one append (both copies of the
+    /// record) and one flush. Monotone: never lowers the value.
     ///
     /// # Errors
     ///
     /// I/O errors along the write path.
     pub fn persist_incarnation_floor(&self, v: Incarnation) -> Result<()> {
-        if v <= self.incarnation_floor()? {
+        let mut st = self.log()?;
+        if v <= st.floor {
             return Ok(());
         }
-        let bytes = Self::encode_incarnation(v);
-        self.atomic_write("incarnation_a.bin", &bytes)?;
-        self.atomic_write("incarnation_b.bin", &bytes)?;
-        self.floor.set(Some(v));
-        Ok(())
+        st.buf.clear();
+        log::encode_floor(v, &mut st.buf);
+        st.floor = v;
+        self.commit(&mut st)
     }
 
-    /// Persists one checkpoint atomically: temp file, fsync, rename,
-    /// parent-directory fsync.
+    /// The checkpoint indices the log holds live, ascending.
     ///
     /// # Errors
     ///
-    /// I/O errors anywhere along the write path.
-    pub fn persist(
-        &self,
-        index: CheckpointIndex,
-        dv: &DependencyVector,
-        state_size: usize,
-    ) -> Result<()> {
-        let record = Record {
-            owner: self.owner,
-            index,
-            dv: dv.clone(),
-            state_size,
-        };
-        let bytes = encode(&record);
-        self.atomic_write(&format!("ckpt_{}.bin", index.value()), &bytes)
-    }
-
-    /// Eliminates one checkpoint from disk. Missing files are fine, and
-    /// the removal is not followed by a directory fsync: a crash may
-    /// resurrect the file, but an eliminated checkpoint is Theorem-1
-    /// obsolete — a strictly newer dominating checkpoint exists on disk,
-    /// so the newest-first recovery scan never restores the revenant and
-    /// the next sync removes it again.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors other than "not found".
-    pub fn remove(&self, index: CheckpointIndex) -> Result<()> {
-        let path = self.path_for(index);
-        match self.with_retry("store/remove", || self.fs.remove(&path)) {
-            Ok(()) => Ok(()),
-            Err(Error::Io(e)) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Classifies every name in the directory.
-    fn scan(&self) -> Result<DirScan> {
-        let mut out = DirScan::default();
-        for name in self.with_retry("store/list", || self.fs.list(&self.dir))? {
-            if name.starts_with('.') {
-                continue; // incomplete temp file from a crash: ignored
-            }
-            if name == "incarnation.bin"
-                || name == "incarnation_a.bin"
-                || name == "incarnation_b.bin"
-            {
-                continue; // the incarnation log is not a checkpoint
-            }
-            if name.ends_with(".quarantined") {
-                out.quarantined += 1;
-                continue; // set aside by an earlier restart
-            }
-            match name
-                .strip_prefix("ckpt_")
-                .and_then(|rest| rest.strip_suffix(".bin"))
-                .and_then(|num| num.parse::<usize>().ok())
-            {
-                Some(index) => {
-                    out.checkpoints.insert(CheckpointIndex::new(index));
-                }
-                None => out.alien += 1,
-            }
-        }
-        Ok(out)
-    }
-
-    /// The checkpoint indices currently on disk, ascending. Files that
-    /// match no known naming scheme are skipped (they are counted in the
-    /// [`RestartReport`] of a restart), never an error: a stray file must
-    /// not brick a restart.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors.
+    /// As for [`incarnation_floor`](Self::incarnation_floor).
     pub fn indices(&self) -> Result<Vec<CheckpointIndex>> {
-        Ok(self.scan()?.checkpoints.into_iter().collect())
+        Ok(self.log()?.live.keys().copied().collect())
     }
 
-    /// Loads and validates every checkpoint record, ascending by index.
-    /// Strict: any invalid record fails the whole load. Restart paths
-    /// should prefer [`rebuild`](Self::rebuild), which quarantines instead.
+    /// Rebuilds an in-memory [`CheckpointStore`] from the log — the first
+    /// step of a process restart — and reports what it found. One read, no
+    /// write. Lenient: records that fail validation (torn, bit-flipped,
+    /// another owner's) are skipped and counted, and the store is rebuilt
+    /// from the intact remainder; files other than the log are never
+    /// looked at.
     ///
     /// # Errors
     ///
-    /// I/O errors; [`Error::Corrupt`] if any record fails validation.
-    pub fn load(&self) -> Result<Vec<Record>> {
-        self.indices()?
-            .into_iter()
-            .map(|index| {
-                let path = self.path_for(index);
-                let bytes = self.with_retry("store/read", || self.fs.read(&path))?;
-                let record = decode(&bytes)?;
-                if record.owner != self.owner || record.index != index {
-                    return Err(Error::Corrupt("record does not match its file name"));
-                }
-                Ok(record)
-            })
-            .collect()
-    }
-
-    /// Moves one checkpoint file out of the restorable set.
-    fn quarantine(&self, index: CheckpointIndex) -> Result<()> {
-        let from = self.path_for(index);
-        let to = self
-            .dir
-            .join(format!("ckpt_{}.bin.quarantined", index.value()));
-        self.with_retry("store/rename", || self.fs.rename(&from, &to))?;
-        self.with_retry("store/fsync_dir", || self.fs.fsync_dir(&self.dir))?;
-        Ok(())
-    }
-
-    /// Rebuilds an in-memory [`CheckpointStore`] from disk — the first step
-    /// of a process restart — and reports what it found. Lenient:
-    /// checkpoint files that fail validation (torn, bit-flipped,
-    /// mislabeled) are renamed to `*.quarantined` and the store is rebuilt
-    /// from the remaining intact records; alien files are skipped and
-    /// counted.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors; [`Error::Corrupt`] if checkpoint files exist but **all**
-    /// fail validation (there is no intact state to restore from), or if
-    /// the incarnation log is unreadable (see
-    /// [`incarnation_floor`](Self::incarnation_floor)).
+    /// I/O errors; [`Error::Corrupt`] if the log is damaged and **no**
+    /// checkpoint record validates (there is no intact state to restore
+    /// from), or if incarnation records were damaged and **none**
+    /// validates — resuming at an unknown incarnation is never safe.
     pub fn rebuild_reported(&self) -> Result<(CheckpointStore, RestartReport)> {
-        let scan = self.scan()?;
-        let had_files = !scan.checkpoints.is_empty();
-        let mut report = RestartReport {
-            skipped_alien: scan.alien,
-            ..RestartReport::default()
-        };
+        self.log.borrow_mut().known = false;
+        let bytes = self.read_log()?;
+        let mut replay = log::replay(&bytes, self.owner);
         let mut store = CheckpointStore::new(self.owner);
-        for index in scan.checkpoints {
-            let path = self.path_for(index);
-            let Some(bytes) = self.read_opt(&path)? else {
-                continue; // listed then vanished: a racing cleanup
-            };
-            match decode(&bytes) {
-                Ok(record) if record.owner == self.owner && record.index == index => {
-                    store.insert_with_size(index, record.dv, record.state_size);
-                    report.loaded += 1;
-                }
-                _ => {
-                    self.quarantine(index)?;
-                    report.quarantined += 1;
-                }
+        // A record the checksum vouches for can still name a lineage the
+        // packed vector cannot hold; it is as unusable as a damaged one.
+        replay.live.retain(|&index, frame| match frame.dv() {
+            Ok(dv) => {
+                store.insert_with_size(index, dv, frame.state_size);
+                true
             }
+            Err(_) => {
+                replay.damaged += 1;
+                false
+            }
+        });
+        if replay.damaged > 0 && store.is_empty() {
+            return Err(Error::Corrupt("no checkpoint record of the log validates"));
         }
-        if had_files && report.loaded == 0 {
-            return Err(Error::Corrupt("every checkpoint file failed validation"));
+        if replay.floor_damaged && replay.floor.is_none() {
+            return Err(Error::Corrupt("no incarnation record of the log validates"));
         }
-        store.raise_incarnation_floor(self.incarnation_floor()?);
-        report.transient_retries = self.retries.get();
+        let floor = replay.floor.unwrap_or(Incarnation::ZERO);
+        store.raise_incarnation_floor(floor);
+        self.log.borrow_mut().adopt(&replay, floor, bytes.len());
+        let report = RestartReport {
+            loaded: store.len(),
+            quarantined: replay.damaged,
+            log_bytes: bytes.len(),
+            transient_retries: self.retries.get(),
+        };
         Ok((store, report))
     }
 
-    /// Rebuilds an in-memory [`CheckpointStore`] from disk, discarding the
-    /// [`RestartReport`].
+    /// Rebuilds an in-memory [`CheckpointStore`] from the log, discarding
+    /// the [`RestartReport`].
     ///
     /// # Errors
     ///
@@ -520,30 +393,44 @@ impl DurableStore {
         self.rebuild_reported().map(|(store, _)| store)
     }
 
-    /// Synchronizes disk with an in-memory store: persists checkpoints the
-    /// disk lacks, removes checkpoints the store no longer holds. Called
-    /// after each middleware event (the reports say when something
-    /// changed).
+    /// Synchronizes the log with an in-memory store — the commit. Appends,
+    /// in one buffer, a raised incarnation floor, the checkpoints the log
+    /// lacks, then collects for those the store no longer holds; nothing
+    /// at all when nothing changed. Called after each middleware event.
     ///
     /// Returns `(persisted, removed)` counts.
     ///
     /// # Errors
     ///
-    /// I/O errors along either path.
+    /// I/O errors along the write path.
     pub fn sync(&self, store: &CheckpointStore) -> Result<(usize, usize)> {
-        self.persist_incarnation_floor(store.incarnation_floor())?;
-        let on_disk: BTreeSet<CheckpointIndex> = self.indices()?.into_iter().collect();
-        let in_memory: BTreeSet<CheckpointIndex> = store.indices().collect();
-        let mut persisted = 0;
-        for &index in in_memory.difference(&on_disk) {
-            let dv = store.dv(index).expect("index from the store");
-            self.persist(index, dv, 0)?;
-            persisted += 1;
+        let mut guard = self.log()?;
+        let st = &mut *guard;
+        st.buf.clear();
+        if store.incarnation_floor() > st.floor {
+            st.floor = store.incarnation_floor();
+            log::encode_floor(st.floor, &mut st.buf);
         }
-        let mut removed = 0;
-        for &index in on_disk.difference(&in_memory) {
-            self.remove(index)?;
-            removed += 1;
+        let mut persisted = 0;
+        for (index, dv) in store.iter() {
+            if let Entry::Vacant(slot) = st.live.entry(index) {
+                let at = st.buf.len();
+                encode_into(self.owner, index, dv, 0, &mut st.buf);
+                slot.insert(st.buf.len() - at);
+                persisted += 1;
+            }
+        }
+        let before = st.live.len();
+        st.live.retain(|&index, _| {
+            let keep = store.contains(index);
+            if !keep {
+                log::encode_collect(self.owner, index, &mut st.buf);
+            }
+            keep
+        });
+        let removed = before - st.live.len();
+        if !st.buf.is_empty() {
+            self.commit(st)?;
         }
         Ok((persisted, removed))
     }
@@ -553,7 +440,9 @@ impl DurableStore {
 mod tests {
     use super::*;
     use crate::backend::{FaultFs, FaultKind, FaultPlan};
+    use rdt_base::DependencyVector;
     use std::fs;
+    use std::rc::Rc;
 
     fn scratch(tag: &str) -> PathBuf {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -566,205 +455,433 @@ mod tests {
         dir
     }
 
-    fn dv(raw: Vec<usize>) -> DependencyVector {
-        DependencyVector::from_raw(raw)
-    }
+    const OWNER: ProcessId = ProcessId::new(0);
 
     fn idx(i: usize) -> CheckpointIndex {
         CheckpointIndex::new(i)
     }
 
+    /// A two-process store holding `indices`, checkpoint γ stored with
+    /// vector `[γ, 2γ]`.
+    fn store_of(indices: &[usize]) -> CheckpointStore {
+        let mut store = CheckpointStore::new(OWNER);
+        for &i in indices {
+            store.insert(idx(i), DependencyVector::from_raw(vec![i, 2 * i]));
+        }
+        store
+    }
+
+    fn contents(store: &CheckpointStore) -> Vec<(CheckpointIndex, DependencyVector)> {
+        store.iter().map(|(i, dv)| (i, dv.clone())).collect()
+    }
+
+    /// Bytes of one two-entry checkpoint record.
+    const RECORD: usize = 38 + 2 * 12;
+
+    /// `StdFs`, counting calls per operation.
+    #[derive(Debug, Default)]
+    struct Counts {
+        read: Cell<u32>,
+        write: Cell<u32>,
+        append: Cell<u32>,
+        fsync: Cell<u32>,
+        fsync_dir: Cell<u32>,
+        rename: Cell<u32>,
+        remove: Cell<u32>,
+        list: Cell<u32>,
+    }
+
+    impl Counts {
+        /// `[read, write, append, fsync, fsync_dir, rename, remove, list]`
+        /// since the last call.
+        fn take(&self) -> [u32; 8] {
+            [
+                &self.read,
+                &self.write,
+                &self.append,
+                &self.fsync,
+                &self.fsync_dir,
+                &self.rename,
+                &self.remove,
+                &self.list,
+            ]
+            .map(|c| c.replace(0))
+        }
+    }
+
+    #[derive(Debug)]
+    struct CountingFs(Rc<Counts>);
+
+    fn tick(c: &Cell<u32>) {
+        c.set(c.get() + 1);
+    }
+
+    impl StorageBackend for CountingFs {
+        fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            StdFs.create_dir_all(dir)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            tick(&self.0.read);
+            StdFs.read(path)
+        }
+        fn write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            tick(&self.0.write);
+            StdFs.write(path, bytes)
+        }
+        fn fsync(&self, path: &Path) -> io::Result<()> {
+            tick(&self.0.fsync);
+            StdFs.fsync(path)
+        }
+        fn fsync_dir(&self, dir: &Path) -> io::Result<()> {
+            tick(&self.0.fsync_dir);
+            StdFs.fsync_dir(dir)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            tick(&self.0.rename);
+            StdFs.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            tick(&self.0.remove);
+            StdFs.remove(path)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+            tick(&self.0.list);
+            StdFs.list(dir)
+        }
+        fn append(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+            tick(&self.0.append);
+            StdFs.append(path, bytes)
+        }
+    }
+
     #[test]
-    fn persist_survives_reopen() {
-        let dir = scratch("reopen");
-        let owner = ProcessId::new(1);
-        {
-            let store = DurableStore::open(&dir, owner).unwrap();
-            store.persist(idx(0), &dv(vec![0, 0]), 10).unwrap();
-            store.persist(idx(1), &dv(vec![2, 1]), 20).unwrap();
-        } // "crash"
-        let store = DurableStore::open(&dir, owner).unwrap();
-        let records = store.load().unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[1].dv, dv(vec![2, 1]));
-        assert_eq!(records[1].state_size, 20);
+    fn a_commit_is_one_append_and_one_flush_and_a_restart_is_one_read() {
+        const APPEND: [u32; 8] = [0, 0, 1, 1, 0, 0, 0, 0];
+        const COMPACT: [u32; 8] = [1, 1, 0, 1, 1, 1, 0, 0];
+        let dir = scratch("counts");
+        let counts = Rc::new(Counts::default());
+        let open = || {
+            DurableStore::open_with(&dir, OWNER, Box::new(CountingFs(Rc::clone(&counts)))).unwrap()
+        };
+        let durable = open();
+        // The first commit creates the file: a first look at the (absent)
+        // log, then the atomic-replace discipline, no read-back.
+        durable.sync(&store_of(&[0])).unwrap();
+        assert_eq!(counts.take(), [1, 1, 0, 1, 1, 1, 0, 0]);
+        // Growth, then steady state: every commit that changes something
+        // is an append and a flush — or, when dead bytes would outweigh
+        // live ones, a read and an atomic replace. Never a list or remove.
+        let mut compactions = 0;
+        for i in 1..40usize {
+            let held: Vec<usize> = (i.saturating_sub(3)..=i).collect();
+            durable.sync(&store_of(&held)).unwrap();
+            let seen = counts.take();
+            assert!(seen == APPEND || seen == COMPACT, "commit {i}: {seen:?}");
+            compactions += usize::from(seen == COMPACT);
+            durable.sync(&store_of(&held)).unwrap();
+            assert_eq!(counts.take(), [0; 8], "nothing changed, nothing done");
+        }
+        assert!((5..20).contains(&compactions), "{compactions} compactions");
+        // An incarnation bump is the same one and one.
+        durable
+            .persist_incarnation_floor(Incarnation::new(1))
+            .unwrap();
+        assert_eq!(counts.take(), APPEND);
+        // A restart — new handle, rebuild — is one read and no write.
+        let (store, report) = open().rebuild_reported().unwrap();
+        assert_eq!(counts.take(), [1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(contents(&store), contents(&store_of(&[36, 37, 38, 39])));
+        assert_eq!(store.incarnation_floor(), Incarnation::new(1));
+        assert_eq!(report.loaded, 4);
+        assert_eq!(report.quarantined, 0);
+        assert_eq!(
+            report.log_bytes as u64,
+            fs::metadata(durable.log_path()).unwrap().len()
+        );
         fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
-    fn rebuild_produces_an_equivalent_checkpoint_store() {
-        let dir = scratch("rebuild");
-        let owner = ProcessId::new(0);
-        let durable = DurableStore::open(&dir, owner).unwrap();
-        durable.persist(idx(3), &dv(vec![3, 5]), 7).unwrap();
-        durable.persist(idx(1), &dv(vec![1, 0]), 9).unwrap();
-        let store = durable.rebuild().unwrap();
-        assert_eq!(store.indices().collect::<Vec<_>>(), vec![idx(1), idx(3)]);
-        assert_eq!(store.dv(idx(3)).unwrap(), &dv(vec![3, 5]));
-        assert_eq!(store.bytes(), 16);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn remove_is_idempotent() {
-        let dir = scratch("remove");
-        let durable = DurableStore::open(&dir, ProcessId::new(0)).unwrap();
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
-        durable.remove(idx(0)).unwrap();
-        durable.remove(idx(0)).unwrap(); // second time: no error
-        assert!(durable.indices().unwrap().is_empty());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_file_fails_the_load() {
-        let dir = scratch("corrupt");
-        let durable = DurableStore::open(&dir, ProcessId::new(0)).unwrap();
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
-        fs::write(dir.join("ckpt_0.bin"), b"garbage").unwrap();
-        assert!(durable.load().is_err());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn mislabeled_record_is_rejected() {
-        let dir = scratch("mislabel");
-        let durable = DurableStore::open(&dir, ProcessId::new(0)).unwrap();
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
-        // A valid record, but under the wrong file name.
-        fs::rename(dir.join("ckpt_0.bin"), dir.join("ckpt_5.bin")).unwrap();
-        assert!(matches!(durable.load(), Err(Error::Corrupt(_))));
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn alien_files_are_skipped_and_counted() {
-        let dir = scratch("alien");
-        let durable = DurableStore::open(&dir, ProcessId::new(0)).unwrap();
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
-        fs::write(dir.join("notes.txt"), b"hello").unwrap();
-        // A stray file must not brick the restart.
-        assert_eq!(durable.indices().unwrap(), vec![idx(0)]);
-        let (store, report) = durable.rebuild_reported().unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(report.skipped_alien, 1);
-        assert_eq!(report.loaded, 1);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn leftover_temp_files_are_ignored() {
-        let dir = scratch("tmp");
-        let durable = DurableStore::open(&dir, ProcessId::new(0)).unwrap();
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
-        // Simulate a crash between write and rename.
-        fs::write(dir.join(".ckpt_1.tmp"), b"half-written").unwrap();
-        assert_eq!(durable.indices().unwrap(), vec![idx(0)]);
+    fn the_log_never_exceeds_twice_its_live_set_plus_one_commit() {
+        let dir = scratch("bound");
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        let mut before = 0;
+        for i in 0..200usize {
+            // The retained set breathes between 1 and 6 checkpoints.
+            let keep = 1 + (i * 7) % 6;
+            let held: Vec<usize> = (i.saturating_sub(keep - 1)..=i).collect();
+            durable.sync(&store_of(&held)).unwrap();
+            let log = fs::metadata(durable.log_path()).unwrap().len() as usize;
+            let commit = log.saturating_sub(before);
+            assert!(
+                log <= 2 * held.len() * RECORD + commit,
+                "event {i}: {log} bytes for {} live records",
+                held.len()
+            );
+            before = log;
+        }
         fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn sync_mirrors_an_in_memory_store() {
         let dir = scratch("sync");
-        let owner = ProcessId::new(0);
-        let durable = DurableStore::open(&dir, owner).unwrap();
-        let mut store = CheckpointStore::new(owner);
-        store.insert(idx(0), dv(vec![0, 0]));
-        store.insert(idx(1), dv(vec![1, 2]));
-        assert_eq!(durable.sync(&store).unwrap(), (2, 0));
-        store.remove(idx(0)).unwrap();
-        store.insert(idx(2), dv(vec![2, 2]));
-        assert_eq!(durable.sync(&store).unwrap(), (1, 1));
-        let rebuilt = durable.rebuild().unwrap();
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        assert_eq!(durable.sync(&store_of(&[0, 1])).unwrap(), (2, 0));
+        assert_eq!(durable.sync(&store_of(&[1, 2])).unwrap(), (1, 1));
+        assert_eq!(durable.indices().unwrap(), vec![idx(1), idx(2)]);
         assert_eq!(
-            rebuilt.indices().collect::<Vec<_>>(),
-            store.indices().collect::<Vec<_>>()
+            contents(&durable.rebuild().unwrap()),
+            contents(&store_of(&[1, 2]))
         );
         fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
+    fn persist_survives_reopen() {
+        let dir = scratch("reopen");
+        {
+            let durable = DurableStore::open(&dir, OWNER).unwrap();
+            durable.sync(&store_of(&[0])).unwrap();
+            durable.sync(&store_of(&[0, 1])).unwrap();
+        } // "crash"
+        let reopened = DurableStore::open(&dir, OWNER).unwrap();
+        assert_eq!(reopened.indices().unwrap(), vec![idx(0), idx(1)]);
+        // And the handle goes on appending where the dead one stopped.
+        assert_eq!(reopened.sync(&store_of(&[1, 2])).unwrap(), (1, 1));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn rebuild_produces_an_equivalent_checkpoint_store() {
+        let dir = scratch("rebuild");
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        let mut store = store_of(&[1, 3]);
+        store.raise_incarnation_floor(Incarnation::new(2));
+        durable.sync(&store).unwrap();
+        let (rebuilt, report) = durable.rebuild_reported().unwrap();
+        assert_eq!(contents(&rebuilt), contents(&store));
+        assert_eq!(rebuilt.incarnation_floor(), Incarnation::new(2));
+        assert_eq!(report.loaded, 2);
+        assert_eq!(report.log_bytes, FLOOR_BYTES + 2 * RECORD);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn remove_is_idempotent() {
+        let dir = scratch("remove");
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        durable.sync(&store_of(&[0, 1, 2])).unwrap();
+        assert_eq!(durable.sync(&store_of(&[2])).unwrap(), (0, 2));
+        assert_eq!(durable.sync(&store_of(&[2])).unwrap(), (0, 0));
+        // A collect of what is not live (one replayed twice, say) is
+        // nothing.
+        let mut again = Vec::new();
+        log::encode_collect(OWNER, idx(0), &mut again);
+        StdFs.append(&durable.log_path(), &again).unwrap();
+        let (store, report) = durable.rebuild_reported().unwrap();
+        assert_eq!(contents(&store), contents(&store_of(&[2])));
+        assert_eq!(report.quarantined, 0);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn leftover_temp_files_are_ignored() {
+        // A restart reads the one file the store owns and never lists: a
+        // compaction's orphaned temp file, an old quarantine image and a
+        // stray note cannot matter.
+        let dir = scratch("tmp");
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        durable.sync(&store_of(&[0])).unwrap();
+        fs::write(dir.join(".store.log.tmp"), b"half-written").unwrap();
+        fs::write(dir.join("store.log.quarantined"), b"old damage").unwrap();
+        fs::write(dir.join("notes.txt"), b"hello").unwrap();
+        let (store, report) = durable.rebuild_reported().unwrap();
+        assert_eq!(contents(&store), contents(&store_of(&[0])));
+        assert_eq!((report.loaded, report.quarantined), (1, 0));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_rollback_that_reuses_an_index_restores_the_newer_record() {
+        let dir = scratch("reuse");
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        durable.sync(&store_of(&[0, 1, 2])).unwrap();
+        durable.sync(&store_of(&[0])).unwrap(); // rolled back to s^0
+        let mut again = store_of(&[0]);
+        again.insert(idx(1), DependencyVector::from_raw(vec![9, 9]));
+        durable.sync(&again).unwrap();
+        let rebuilt = DurableStore::open(&dir, OWNER).unwrap().rebuild().unwrap();
+        assert_eq!(contents(&rebuilt), contents(&again));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// Three appended commits: `[0]`, `[0, 1]`, `[0, 1, 2]`; returns the
+    /// log's bytes (the first record sits behind nothing, each later one
+    /// at a multiple of [`RECORD`]).
+    fn three_records(dir: &Path) -> (DurableStore, Vec<u8>) {
+        let durable = DurableStore::open(dir, OWNER).unwrap();
+        for held in [&[0][..], &[0, 1], &[0, 1, 2]] {
+            durable.sync(&store_of(held)).unwrap();
+        }
+        let bytes = fs::read(durable.log_path()).unwrap();
+        assert_eq!(bytes.len(), 3 * RECORD);
+        (durable, bytes)
+    }
+
+    #[test]
     fn corrupt_checkpoint_is_quarantined_and_the_rest_restored() {
         let dir = scratch("quarantine");
-        let durable = DurableStore::open(&dir, ProcessId::new(0)).unwrap();
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
-        durable.persist(idx(1), &dv(vec![1]), 0).unwrap();
-        durable.persist(idx(2), &dv(vec![2]), 0).unwrap();
-        // Tear the newest checkpoint to a prefix.
-        let bytes = fs::read(dir.join("ckpt_2.bin")).unwrap();
-        fs::write(dir.join("ckpt_2.bin"), &bytes[..bytes.len() / 2]).unwrap();
+        let (durable, mut bytes) = three_records(&dir);
+        bytes[RECORD + 30] ^= 0x10; // inside the record of checkpoint 1
+        fs::write(durable.log_path(), &bytes).unwrap();
         let (store, report) = durable.rebuild_reported().unwrap();
-        assert_eq!(store.indices().collect::<Vec<_>>(), vec![idx(0), idx(1)]);
-        assert_eq!(report.loaded, 2);
+        assert_eq!(store.indices().collect::<Vec<_>>(), vec![idx(0), idx(2)]);
+        assert_eq!((report.loaded, report.quarantined), (2, 1));
+        // The restart wrote nothing; the next commit rewrites the log and
+        // keeps the damaged image aside, once.
+        assert_eq!(fs::read(durable.log_path()).unwrap(), bytes);
+        assert!(!dir.join("store.log.quarantined").exists());
+        assert_eq!(durable.sync(&store_of(&[0, 1, 2])).unwrap(), (1, 0));
+        assert_eq!(fs::read(dir.join("store.log.quarantined")).unwrap(), bytes);
+        let (store, report) = durable.rebuild_reported().unwrap();
+        assert_eq!(contents(&store), contents(&store_of(&[0, 1, 2])));
+        assert_eq!((report.loaded, report.quarantined), (3, 0));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_torn_tail_is_dropped_and_the_acknowledged_prefix_restored() {
+        let dir = scratch("torn-tail");
+        let (durable, bytes) = three_records(&dir);
+        for cut in 2 * RECORD + 1..3 * RECORD {
+            fs::write(durable.log_path(), &bytes[..cut]).unwrap();
+            let (store, report) = durable.rebuild_reported().unwrap();
+            assert_eq!(contents(&store), contents(&store_of(&[0, 1])), "cut {cut}");
+            assert_eq!(report.quarantined, 1);
+        }
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn a_collect_never_removes_the_last_live_checkpoint() {
+        // The crash image of a bit flipped in an append of [checkpoint 1,
+        // collect 0]: the checkpoint is lost, the collect behind it
+        // validates — and must not leave the process without an anchor.
+        let dir = scratch("anchor");
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        durable.sync(&store_of(&[0])).unwrap();
+        let mut tail = Vec::new();
+        encode_into(
+            OWNER,
+            idx(1),
+            store_of(&[1]).dv(idx(1)).unwrap(),
+            0,
+            &mut tail,
+        );
+        tail[RECORD / 2] ^= 1;
+        log::encode_collect(OWNER, idx(0), &mut tail);
+        StdFs.append(&durable.log_path(), &tail).unwrap();
+        let (store, report) = durable.rebuild_reported().unwrap();
+        assert_eq!(contents(&store), contents(&store_of(&[0])));
         assert_eq!(report.quarantined, 1);
-        assert!(dir.join("ckpt_2.bin.quarantined").exists());
-        assert!(!dir.join("ckpt_2.bin").exists());
-        // The quarantined file stays out of later scans.
-        assert_eq!(durable.indices().unwrap(), vec![idx(0), idx(1)]);
         fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn rebuild_refuses_when_nothing_intact_remains() {
         let dir = scratch("all-bad");
-        let durable = DurableStore::open(&dir, ProcessId::new(0)).unwrap();
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
-        fs::write(dir.join("ckpt_0.bin"), b"garbage").unwrap();
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        durable.sync(&store_of(&[0])).unwrap();
+        fs::write(durable.log_path(), b"garbage").unwrap();
         assert!(matches!(
             durable.rebuild_reported(),
-            Err(Error::Corrupt("every checkpoint file failed validation"))
+            Err(Error::Corrupt("no checkpoint record of the log validates"))
         ));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_file_fails_the_load() {
+        // Every way into a handle's first look at a log with nothing
+        // intact is the same hard error.
+        let dir = scratch("corrupt");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("store.log"), b"RDTCRDTCRDTC").unwrap();
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        assert!(matches!(durable.indices(), Err(Error::Corrupt(_))));
+        assert!(matches!(
+            durable.incarnation_floor(),
+            Err(Error::Corrupt(_))
+        ));
+        assert!(matches!(
+            durable.sync(&store_of(&[0])),
+            Err(Error::Corrupt(_))
+        ));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn mislabeled_record_is_rejected() {
+        // A valid record, but another owner's: as unusable as a damaged one.
+        let dir = scratch("mislabel");
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        durable.sync(&store_of(&[0])).unwrap();
+        let mut theirs = Vec::new();
+        let dv = DependencyVector::from_raw(vec![5, 5]);
+        encode_into(ProcessId::new(1), idx(5), &dv, 0, &mut theirs);
+        log::encode_collect(ProcessId::new(1), idx(0), &mut theirs);
+        StdFs.append(&durable.log_path(), &theirs).unwrap();
+        let (store, report) = durable.rebuild_reported().unwrap();
+        assert_eq!(contents(&store), contents(&store_of(&[0])));
+        assert_eq!(report.quarantined, 1);
         fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn incarnation_floor_survives_a_torn_slot() {
         let dir = scratch("torn-slot");
-        let owner = ProcessId::new(0);
-        let durable = DurableStore::open(&dir, owner).unwrap();
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        durable.sync(&store_of(&[0])).unwrap();
         durable
             .persist_incarnation_floor(Incarnation::new(3))
             .unwrap();
-        // Tear slot B to a prefix — the crash image of a torn write.
-        let bytes = fs::read(dir.join("incarnation_b.bin")).unwrap();
-        fs::write(dir.join("incarnation_b.bin"), &bytes[..7]).unwrap();
-        let reopened = DurableStore::open(&dir, owner).unwrap();
-        assert_eq!(reopened.incarnation_floor().unwrap(), Incarnation::new(3));
+        durable.sync(&store_of(&[0, 1])).unwrap();
+        let bytes = fs::read(durable.log_path()).unwrap();
+        for copy in 0..2 {
+            let mut damaged = bytes.clone();
+            damaged[RECORD + 16 * copy + 5] ^= 0x01;
+            fs::write(durable.log_path(), &damaged).unwrap();
+            let reopened = DurableStore::open(&dir, OWNER).unwrap();
+            assert_eq!(reopened.incarnation_floor().unwrap(), Incarnation::new(3));
+            assert_eq!(reopened.rebuild_reported().unwrap().1.quarantined, 1);
+        }
         fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
     fn incarnation_floor_hard_fails_when_no_slot_decodes() {
         let dir = scratch("both-torn");
-        let owner = ProcessId::new(0);
-        let durable = DurableStore::open(&dir, owner).unwrap();
+        let durable = DurableStore::open(&dir, OWNER).unwrap();
+        durable.sync(&store_of(&[0])).unwrap();
         durable
             .persist_incarnation_floor(Incarnation::new(2))
             .unwrap();
-        fs::write(dir.join("incarnation_a.bin"), b"junk").unwrap();
-        fs::write(dir.join("incarnation_b.bin"), b"junk").unwrap();
-        let reopened = DurableStore::open(&dir, owner).unwrap();
+        durable.sync(&store_of(&[0, 1])).unwrap();
+        let mut bytes = fs::read(durable.log_path()).unwrap();
+        bytes[RECORD + 5] ^= 0x01;
+        bytes[RECORD + 16 + 5] ^= 0x01;
+        fs::write(durable.log_path(), &bytes).unwrap();
+        let reopened = DurableStore::open(&dir, OWNER).unwrap();
         assert!(matches!(
             reopened.incarnation_floor(),
-            Err(Error::Corrupt("no incarnation-log slot decodes"))
+            Err(Error::Corrupt("no incarnation record of the log validates"))
         ));
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_single_file_incarnation_log_still_decodes() {
-        let dir = scratch("legacy");
-        let owner = ProcessId::new(0);
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join("incarnation.bin"), 4u32.to_le_bytes()).unwrap();
-        let durable = DurableStore::open(&dir, owner).unwrap();
-        assert_eq!(durable.incarnation_floor().unwrap(), Incarnation::new(4));
-        // A new write moves the log to the slotted format, monotone.
-        durable
-            .persist_incarnation_floor(Incarnation::new(5))
-            .unwrap();
-        let reopened = DurableStore::open(&dir, owner).unwrap();
-        assert_eq!(reopened.incarnation_floor().unwrap(), Incarnation::new(5));
+        // The same bytes as a torn *tail* are an append that was never
+        // acknowledged: the floor it would have raised was never used.
+        fs::write(durable.log_path(), &bytes[..RECORD + 7]).unwrap();
+        let reopened = DurableStore::open(&dir, OWNER).unwrap();
+        assert_eq!(reopened.incarnation_floor().unwrap(), Incarnation::ZERO);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -773,11 +890,10 @@ mod tests {
         let dir = scratch("transient");
         let plan = FaultPlan::none()
             .with_fault(2, FaultKind::TransientEio)
-            .with_fault(5, FaultKind::TransientEnospc);
-        let durable =
-            DurableStore::open_with(&dir, ProcessId::new(0), Box::new(FaultFs::new(plan))).unwrap();
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
-        durable.persist(idx(1), &dv(vec![1]), 0).unwrap();
+            .with_fault(7, FaultKind::TransientEnospc);
+        let durable = DurableStore::open_with(&dir, OWNER, Box::new(FaultFs::new(plan))).unwrap();
+        durable.sync(&store_of(&[0])).unwrap();
+        durable.sync(&store_of(&[0, 1])).unwrap();
         assert_eq!(durable.transient_retries(), 2);
         assert_eq!(durable.indices().unwrap(), vec![idx(0), idx(1)]);
         fs::remove_dir_all(dir).unwrap();
@@ -787,24 +903,26 @@ mod tests {
     fn profiling_records_store_phases_and_retry_counter() {
         let dir = scratch("profiled");
         let plan = FaultPlan::none().with_fault(3, FaultKind::TransientEio);
-        let durable =
-            DurableStore::open_with(&dir, ProcessId::new(0), Box::new(FaultFs::new(plan))).unwrap();
+        let durable = DurableStore::open_with(&dir, OWNER, Box::new(FaultFs::new(plan))).unwrap();
         durable.set_profiling(true);
-        durable.persist(idx(0), &dv(vec![0]), 0).unwrap();
+        durable.sync(&store_of(&[0])).unwrap(); // creates the log
+        durable.sync(&store_of(&[0, 1])).unwrap(); // appends to it
         let report = durable.profile().expect("profiling is on");
-        for phase in [
-            "store/write",
-            "store/fsync",
-            "store/rename",
-            "store/fsync_dir",
+        for (phase, count) in [
+            ("store/read", 1),
+            ("store/write", 1),
+            ("store/rename", 1),
+            ("store/fsync_dir", 1),
+            ("store/append", 1),
+            ("store/fsync", 2),
         ] {
-            assert_eq!(report.phase(phase).map(|p| p.count), Some(1), "{phase}");
+            assert_eq!(report.phase(phase).map(|p| p.count), Some(count), "{phase}");
         }
         assert_eq!(report.counters.get("store/transient_retries"), Some(&1));
-        // take_profile drains but keeps profiling on.
-        assert!(durable.take_profile().is_some());
+        // Turning profiling on again starts from nothing.
+        durable.set_profiling(true);
         let report = durable.profile().expect("still on");
-        assert!(report.phase("store/write").is_none());
+        assert!(report.phase("store/append").is_none());
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -813,13 +931,18 @@ mod tests {
         let dir = scratch("inj-crash");
         let durable = DurableStore::open_with(
             &dir,
-            ProcessId::new(0),
-            Box::new(FaultFs::new(FaultPlan::crash_after(3))),
+            OWNER,
+            Box::new(FaultFs::new(FaultPlan::crash_after(7))),
         )
         .unwrap();
-        // open consumed 1 op; the persist (4 ops) trips the crash point.
-        let err = durable.persist(idx(0), &dv(vec![0]), 0).unwrap_err();
+        // open consumed 1 op, the first commit 5; the second trips the
+        // crash point between its append and its flush.
+        durable.sync(&store_of(&[0])).unwrap();
+        let err = durable.sync(&store_of(&[0, 1])).unwrap_err();
         assert!(matches!(err, Error::Io(_)), "crash errors are permanent");
+        // The append did land; a restart sees it.
+        let rebuilt = DurableStore::open(&dir, OWNER).unwrap().rebuild().unwrap();
+        assert_eq!(contents(&rebuilt), contents(&store_of(&[0, 1])));
         let _ = fs::remove_dir_all(dir);
     }
 }

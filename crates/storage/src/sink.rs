@@ -31,11 +31,6 @@ impl DiskSink {
     pub fn disk(&self) -> &DurableStore {
         &self.disk
     }
-
-    /// Unwraps the durable store.
-    pub fn into_disk(self) -> DurableStore {
-        self.disk
-    }
 }
 
 impl Storage for DiskSink {

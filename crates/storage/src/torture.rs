@@ -11,32 +11,34 @@
 //!    durable.
 //! 2. For **every backend operation** `K` (optionally sampled), the same
 //!    script re-runs against a plan that stops the backend dead after `K`
-//!    operations. Every process then restarts from the surviving files
+//!    operations. Every process then restarts from the surviving logs
 //!    alone, a full recovery session runs (all processes faulty), and the
 //!    online recovery line is compared against the offline
 //!    [`rdt_ccp`] oracle replaying the reference-trace prefix that the
 //!    surviving disk state actually witnesses.
-//! 3. Separately, seeded **fault plans** (torn writes, bit flips, lost
-//!    renames, transient `EIO`/`ENOSPC`, with or without a crash point)
-//!    exercise graceful degradation: the restart must quarantine what is
-//!    corrupt, restore from the intact remainder, recover, and keep
-//!    executing.
+//! 3. Separately, seeded **fault plans** (torn and bit-flipped appends and
+//!    compaction writes, lost renames, transient `EIO`/`ENOSPC`, with or
+//!    without a crash point) exercise graceful degradation: the restart
+//!    must skip what is corrupt, restore from the intact remainder,
+//!    recover, and keep executing. A plan that opens with a torn write or
+//!    a bit flip keys it on an operation the reference run saw append, so
+//!    the faults the log is there to survive are never vacuous.
 //!
-//! The oracle cut is chosen adaptively. One event's mirror sync persists
-//! its (at most one) new checkpoint *before* any removals, so a crash
-//! image is either exactly the state after the previous event — the new
-//! checkpoint is not durable — or the state after the partial event plus
-//! only Theorem-1-obsolete leftovers, which a newest-first Lemma-1 scan
-//! never restores. Whether the partial event's checkpoint survived on
-//! disk therefore decides which trace prefix the oracle replays; the
-//! online line must match it exactly.
+//! The oracle cut is chosen adaptively. One event's mirror sync is one
+//! append (its at most one new checkpoint *before* any collects) or one
+//! rename of a compacted log, so a crash image is either exactly the
+//! state after the previous event — the new checkpoint is not durable —
+//! or the state after the partial event. Whether the partial event's
+//! checkpoint survived on disk therefore decides which trace prefix the
+//! oracle replays; the online line must match it exactly.
 
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use rdt_base::{Payload, ProcessId, TraceEvent};
+use rdt_base::{CheckpointIndex, Payload, ProcessId, TraceEvent};
 use rdt_ccp::CcpBuilder;
 use rdt_core::GcKind;
+use rdt_env::{DetRng, Rng as _};
 use rdt_protocols::{Middleware, Piggyback, ProtocolKind};
 use rdt_recovery::{FaultySet, RecoveryManager};
 use rdt_workloads::{Script, ScriptOp};
@@ -64,9 +66,6 @@ pub struct TortureOptions {
     pub max_crash_points: usize,
     /// Number of seeded corruption fault plans to run. `0` disables them.
     pub fault_plans: usize,
-    /// Scratch directory; a unique subdirectory is used per run. Defaults
-    /// to the system temp dir.
-    pub root: Option<PathBuf>,
 }
 
 impl Default for TortureOptions {
@@ -79,25 +78,8 @@ impl Default for TortureOptions {
             gc: GcKind::RdtLgc,
             max_crash_points: 200,
             fault_plans: 16,
-            root: None,
         }
     }
-}
-
-/// The aggregated [`RestartReport`](crate::RestartReport) of one probe's
-/// all-process restart, tagged with the crash point that produced it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrashPointRestart {
-    /// The backend operation count the crash plan fired after.
-    pub crash_point: u64,
-    /// Checkpoint records restored intact, summed over processes.
-    pub loaded: usize,
-    /// Checkpoint files quarantined during this restart.
-    pub quarantined: usize,
-    /// Unrecognized files skipped during this restart.
-    pub skipped_alien: usize,
-    /// Transient I/O errors absorbed by the restart's retry paths.
-    pub transient_retries: u64,
 }
 
 /// What a torture session found.
@@ -109,12 +91,15 @@ pub struct TortureReport {
     pub crash_points_tested: usize,
     /// Corruption fault plans actually exercised.
     pub fault_plans_tested: usize,
-    /// Checkpoint files quarantined across all restarts.
+    /// Damaged log stretches skipped across all restarts.
     pub quarantined: usize,
+    /// Torn or bit-flipped **appends** among the faults the plans injected.
+    pub append_faults: u64,
     /// Transient errors absorbed by the retry path across all runs.
     pub transient_retries: u64,
-    /// Per-crash-point restart counters, in probe order.
-    pub restarts: Vec<CrashPointRestart>,
+    /// Per crash point (the operation count its plan fired after), the
+    /// restart's counters summed over processes, in probe order.
+    pub restarts: Vec<(u64, RestartReport)>,
     /// Human-readable descriptions of every failed check. Empty means the
     /// storage layer survived everything thrown at it.
     pub failures: Vec<String>,
@@ -127,41 +112,21 @@ impl TortureReport {
     }
 }
 
-/// A splitmix64-style generator: deterministic, seedable, no external deps.
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Self(seed.wrapping_mul(2).wrapping_add(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 11
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
-
 /// Generates the scripted workload: ~30% basic checkpoints, ~45% sends,
 /// ~25% deliveries of the oldest pending send (falling back to a
 /// checkpoint when nothing is in flight).
 fn generate_script(n: usize, events: usize, seed: u64) -> Script {
-    let mut rng = Lcg::new(seed);
+    let mut rng = DetRng::seeded(seed);
+    let mut below = |bound: u64| rng.between(0, bound - 1);
     let mut script = Script::new();
     let mut pending: Vec<usize> = Vec::new();
     for _ in 0..events {
-        let roll = rng.below(100);
+        let roll = below(100);
         if roll < 30 {
-            script.checkpoint(ProcessId::new(rng.below(n as u64) as usize));
+            script.checkpoint(ProcessId::new(below(n as u64) as usize));
         } else if roll < 75 || pending.is_empty() {
-            let from = rng.below(n as u64) as usize;
-            let to = (from + 1 + rng.below(n as u64 - 1) as usize) % n;
+            let from = below(n as u64) as usize;
+            let to = (from + 1 + below(n as u64 - 1) as usize) % n;
             pending.push(script.send(ProcessId::new(from), ProcessId::new(to)));
         } else {
             script.deliver(pending.remove(0));
@@ -196,6 +161,8 @@ struct Reference {
     sends: Vec<SendSpan>,
     create_ops: u64,
     total_ops: u64,
+    /// The operations that were a commit's append.
+    append_ops: Vec<u64>,
 }
 
 /// Trace entries one event appended, plus the checkpoint it made durable
@@ -305,13 +272,9 @@ fn reference_run(root: &Path, opts: &TortureOptions, script: &Script) -> Result<
     let mut sends = Vec::with_capacity(script.send_count());
     let mut inflight = Vec::with_capacity(script.send_count());
     for (j, &op) in script.ops().iter().enumerate() {
-        match op {
-            ScriptOp::Send { .. } => {}
-            ScriptOp::Deliver { send_ordinal } => {
-                let span: &mut SendSpan = &mut sends[send_ordinal];
-                span.delivered_at = Some(j);
-            }
-            ScriptOp::Checkpoint(_) => {}
+        if let ScriptOp::Deliver { send_ordinal } = op {
+            let span: &mut SendSpan = &mut sends[send_ordinal];
+            span.delivered_at = Some(j);
         }
         let (events, inserted) = world.step(op, &mut inflight)?;
         if let ScriptOp::Send { .. } = op {
@@ -336,17 +299,26 @@ fn reference_run(root: &Path, opts: &TortureOptions, script: &Script) -> Result<
         });
     }
     let total_ops = world.backend.ops_executed();
+    // A fault-free commit of exactly two operations is an append and its
+    // flush (none is nothing changed, five or more a compaction).
+    let starts = std::iter::once(create_ops).chain(meta.iter().map(|m: &EventMeta| m.ops_after));
+    let append_ops = starts
+        .zip(&meta)
+        .filter(|(start, m)| m.ops_after - start == 2)
+        .map(|(start, _)| start)
+        .collect();
     Ok(Reference {
         trace,
         meta,
         sends,
         create_ops,
         total_ops,
+        append_ops,
     })
 }
 
 /// Replays the script until the backend crashes (or the script ends).
-/// The middleware state is then discarded — only the files survive.
+/// The middleware state is then discarded — only the logs survive.
 fn run_until_crash(
     root: &Path,
     opts: &TortureOptions,
@@ -366,22 +338,18 @@ fn run_until_crash(
     Ok((world.backend, retries))
 }
 
-/// Restarts every process from its surviving files. Returns the rebuilt
-/// (crashed) middlewares, their stores' disk handles, and the
-/// [`RestartReport`] counters summed over all processes.
-fn restart_all(
-    root: &Path,
-    opts: &TortureOptions,
-) -> Result<(Vec<Middleware>, Vec<DurableStore>, RestartReport)> {
+/// Restarts every process from its surviving log. Returns the rebuilt
+/// (crashed) middlewares and the [`RestartReport`] counters summed over
+/// all processes.
+fn restart_all(root: &Path, opts: &TortureOptions) -> Result<(Vec<Middleware>, RestartReport)> {
     let mut mws = Vec::with_capacity(opts.n);
-    let mut disks = Vec::with_capacity(opts.n);
     let mut total = RestartReport::default();
     for i in 0..opts.n {
         let disk = DurableStore::open(root.join(format!("p{i}")), ProcessId::new(i))?;
         let (store, report) = disk.rebuild_reported()?;
         total.loaded += report.loaded;
         total.quarantined += report.quarantined;
-        total.skipped_alien += report.skipped_alien;
+        total.log_bytes += report.log_bytes;
         total.transient_retries += report.transient_retries;
         if store.is_empty() {
             // `Middleware::from_store` treats an empty store as a caller
@@ -398,9 +366,8 @@ fn restart_all(
             opts.gc,
             store,
         ));
-        disks.push(disk);
     }
-    Ok((mws, disks, total))
+    Ok((mws, total))
 }
 
 /// The offline oracle line for the reference-trace prefix of `cut`
@@ -441,20 +408,14 @@ fn probe_crash_point(
             .push(format!("crash point {k}: the plan never fired"));
         return Ok(());
     }
-    let (mut mws, disks, restart) = restart_all(root, opts)?;
+    let (mut mws, restart) = restart_all(root, opts)?;
     report.quarantined += restart.quarantined;
-    report.restarts.push(CrashPointRestart {
-        crash_point: k,
-        loaded: restart.loaded,
-        quarantined: restart.quarantined,
-        skipped_alien: restart.skipped_alien,
-        transient_retries: restart.transient_retries,
-    });
+    report.restarts.push((k, restart));
     if restart.quarantined != 0 {
-        // A pure stop-after-K crash tears nothing; the atomic-write
-        // discipline must leave only intact or invisible files.
+        // A pure stop-after-K crash tears nothing: an append lands whole
+        // or not at all, a compaction leaves at most an invisible temp.
         report.failures.push(format!(
-            "crash point {k}: {} files quarantined by a clean stop",
+            "crash point {k}: {} log stretches quarantined by a clean stop",
             restart.quarantined
         ));
     }
@@ -464,10 +425,7 @@ fn probe_crash_point(
     let mut cut = reference.meta.iter().filter(|m| m.ops_after <= k).count();
     if cut < reference.meta.len() {
         if let Some((p, idx)) = reference.meta[cut].inserted {
-            let on_disk = disks[p].indices()?.iter().any(|i| i.value() == idx);
-            if on_disk {
-                cut += 1;
-            }
+            cut += usize::from(mws[p].store().contains(CheckpointIndex::new(idx)));
         }
     }
 
@@ -503,7 +461,8 @@ fn probe_fault_plan(
     plan_no: usize,
     report: &mut TortureReport,
 ) -> Result<()> {
-    let mut rng = Lcg::new(opts.seed ^ (0x9e37_79b9 + plan_no as u64));
+    let mut rng = DetRng::seeded(opts.seed ^ (0x9e37_79b9 + plan_no as u64));
+    let mut below = |bound: u64| rng.between(0, bound.max(1) - 1);
     let span = reference.total_ops - reference.create_ops;
     let mut plan = FaultPlan::none();
     let kinds = [
@@ -514,23 +473,35 @@ fn probe_fault_plan(
         FaultKind::TransientEnospc,
     ];
     let mut used = BTreeSet::new();
-    for f in 0..(2 + rng.below(3)) {
+    // The append an opening torn write or bit flip is keyed on. Nothing
+    // may fire ahead of it: a retry would shift it off the append, a
+    // crash would pre-empt it.
+    let mut keyed = None;
+    for f in 0..(2 + below(3)) {
+        let kind = kinds[(plan_no + f as usize) % kinds.len()];
         // Transient faults shift later op indices by one retry each, so
         // spread fault sites out to keep plans from stacking on one op.
-        let op = reference.create_ops + rng.below(span);
-        if used.iter().any(|&u: &u64| u.abs_diff(op) < 8) {
+        let mut op = reference.create_ops + below(span);
+        let appends = &reference.append_ops;
+        let tears = matches!(kind, FaultKind::TornWrite | FaultKind::BitFlip);
+        if f == 0 && tears && !appends.is_empty() {
+            op = appends[below(appends.len() as u64) as usize];
+            keyed = Some(op);
+        }
+        if keyed.is_some_and(|k| op < k) || used.iter().any(|&u: &u64| u.abs_diff(op) < 8) {
             continue;
         }
         used.insert(op);
-        plan = plan.with_fault(op, kinds[(plan_no + f as usize) % kinds.len()]);
+        plan = plan.with_fault(op, kind);
     }
-    if rng.below(2) == 0 {
-        plan.stop_after = Some(reference.create_ops + rng.below(span));
+    if keyed.is_none() && below(2) == 0 {
+        plan.stop_after = Some(reference.create_ops + below(span));
     }
 
-    let (_backend, retries) = run_until_crash(root, opts, script, plan)?;
+    let (backend, retries) = run_until_crash(root, opts, script, plan)?;
     report.transient_retries += retries;
-    let (mut mws, _disks, restart) = match restart_all(root, opts) {
+    report.append_faults += backend.append_faults_injected();
+    let (mut mws, restart) = match restart_all(root, opts) {
         Ok(v) => v,
         Err(e) => {
             report
@@ -568,11 +539,8 @@ fn probe_fault_plan(
 /// non-injected failures). Contract violations are *not* errors — they
 /// are collected in [`TortureReport::failures`].
 pub fn run_torture(opts: &TortureOptions) -> Result<TortureReport> {
-    let root = opts
-        .root
-        .clone()
-        .unwrap_or_else(std::env::temp_dir)
-        .join(format!("rdt-torture-{}-{}", std::process::id(), opts.seed));
+    let root =
+        std::env::temp_dir().join(format!("rdt-torture-{}-{}", std::process::id(), opts.seed));
     let _ = std::fs::remove_dir_all(&root);
     let script = generate_script(opts.n, opts.events, opts.seed);
     let mut report = TortureReport::default();
@@ -637,7 +605,7 @@ mod tests {
         // Every probe reports its restart counters, and every restart
         // recovered at least the n initial checkpoints.
         assert_eq!(report.restarts.len(), report.crash_points_tested);
-        assert!(report.restarts.iter().all(|r| r.loaded >= opts.n));
+        assert!(report.restarts.iter().all(|(_, r)| r.loaded >= opts.n));
     }
 
     #[test]
@@ -653,5 +621,9 @@ mod tests {
         let report = run_torture(&opts).expect("harness runs");
         assert_eq!(report.fault_plans_tested, 8);
         assert!(report.passed(), "failures: {:#?}", report.failures);
+        // Plans 0, 1, 5 and 6 open with a torn write or a bit flip keyed
+        // on an append: the log's own crash images are among the faults.
+        assert_eq!(report.append_faults, 4);
+        assert!(report.quarantined > 0);
     }
 }

@@ -1,7 +1,8 @@
-//! End-to-end durability: a process's stable storage is mirrored to disk,
-//! the process "dies" (its in-memory state is dropped), restarts from the
-//! surviving files, and a recovery session brings the system back to a
-//! consistent cut — after which execution continues and every bound holds.
+//! End-to-end durability: a process's stable storage is mirrored to its
+//! record log, the process "dies" (its in-memory state is dropped),
+//! restarts from the surviving log, and a recovery session brings the
+//! system back to a consistent cut — after which execution continues and
+//! every bound holds.
 
 use std::fs;
 use std::path::PathBuf;
@@ -93,17 +94,19 @@ impl DurableWorld {
         report
     }
 
-    /// On-disk path of process `i`'s newest stored checkpoint.
-    fn newest_ckpt_path(&self, i: usize) -> PathBuf {
-        let newest = self.disks[i]
-            .indices()
-            .expect("dir listable")
-            .into_iter()
-            .max()
-            .expect("at least one checkpoint on disk");
-        self.root
-            .join(format!("p{i}"))
-            .join(format!("ckpt_{}.bin", newest.value()))
+    /// Rewrites the record of process `i`'s newest stored checkpoint in
+    /// its log: `mutilate` gets the record's bytes and returns what is to
+    /// stand in their place. Returns the log as it then is.
+    fn mutilate_newest_record(&self, i: usize, mutilate: impl Fn(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        let path = self.disks[i].log_path();
+        let mut bytes = fs::read(&path).unwrap();
+        let replay = rdt_checkpointing::storage::log::replay(&bytes, ProcessId::new(i));
+        let (_, newest) = replay.live.last_key_value().expect("a checkpoint is live");
+        let at = newest.bytes.as_ptr() as usize - bytes.as_ptr() as usize;
+        let stand_in = mutilate(newest.bytes);
+        bytes.splice(at..at + newest.bytes.len(), stand_in);
+        fs::write(&path, &bytes).unwrap();
+        bytes
     }
 
     fn recover(&mut self, faulty: &[usize]) {
@@ -305,24 +308,24 @@ fn world_with_depth(tag: &str) -> DurableWorld {
 #[test]
 fn torn_write_is_quarantined_and_the_older_checkpoint_restored() {
     let mut w = world_with_depth("torn");
-    // Tear p1's newest checkpoint to a prefix — the on-disk image of a
-    // crash mid-write that somehow survived the atomic-replace discipline
-    // (e.g. media corruption after the fact).
-    let victim = w.newest_ckpt_path(1);
-    let bytes = fs::read(&victim).unwrap();
-    fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
-
+    // Tear p1's newest checkpoint record to a prefix — the image of media
+    // corruption after the fact (a torn *append* only ever tears the tail,
+    // and was never acknowledged).
     let intact_before = w.disks[1].indices().unwrap().len();
-    let report = w.crash_and_restart_reported(1);
-    assert_eq!(report.quarantined, 1, "exactly the torn file is set aside");
-    assert_eq!(report.loaded, intact_before - 1);
-    assert!(
-        victim.with_extension("bin.quarantined").exists(),
-        "the torn file is preserved for forensics, not deleted"
-    );
+    let damaged = w.mutilate_newest_record(1, |record| record[..record.len() / 2].to_vec());
 
-    // The system still reaches a consistent cut and keeps executing.
+    let report = w.crash_and_restart_reported(1);
+    assert_eq!(report.quarantined, 1, "exactly the torn record is skipped");
+    assert_eq!(report.loaded, intact_before - 1);
+    assert_eq!(report.log_bytes, damaged.len());
+
+    // The system still reaches a consistent cut and keeps executing; the
+    // first commit after the restart rewrote the log and kept the damaged
+    // image for forensics.
     w.recover(&[1]);
+    let aside = w.disks[1].dir().join("store.log.quarantined");
+    assert_eq!(fs::read(aside).unwrap(), damaged);
+    assert_eq!(w.disks[1].rebuild_reported().unwrap().1.quarantined, 0);
     w.message(1, 2);
     w.checkpoint(2);
     for mw in &w.mws {
@@ -334,11 +337,11 @@ fn torn_write_is_quarantined_and_the_older_checkpoint_restored() {
 #[test]
 fn bit_flip_is_detected_by_the_checksum_and_quarantined() {
     let mut w = world_with_depth("bitflip");
-    let victim = w.newest_ckpt_path(0);
-    let mut bytes = fs::read(&victim).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x40;
-    fs::write(&victim, &bytes).unwrap();
+    w.mutilate_newest_record(0, |record| {
+        let mut flipped = record.to_vec();
+        flipped[record.len() / 2] ^= 0x40;
+        flipped
+    });
 
     let report = w.crash_and_restart_reported(0);
     assert_eq!(report.quarantined, 1, "one silently corrupted record");
@@ -356,18 +359,16 @@ fn corruption_on_every_process_at_once_still_recovers() {
     // All three processes lose their newest checkpoint to different
     // faults in the same incident.
     for i in 0..3 {
-        let victim = w.newest_ckpt_path(i);
-        let bytes = fs::read(&victim).unwrap();
-        match i {
-            0 => fs::write(&victim, &bytes[..bytes.len() / 3]).unwrap(),
+        w.mutilate_newest_record(i, |record| match i {
+            0 => record[..record.len() / 3].to_vec(),
             1 => {
-                let mut b = bytes.clone();
+                let mut b = record.to_vec();
                 let last = b.len() - 1;
                 b[last] ^= 0x01;
-                fs::write(&victim, &b).unwrap();
+                b
             }
-            _ => fs::write(&victim, b"").unwrap(),
-        }
+            _ => vec![0; record.len()],
+        });
     }
     let mut quarantined = 0;
     for i in 0..3 {
@@ -388,8 +389,8 @@ fn lost_rename_never_loses_the_recovery_anchor() {
     // A lost rename is the crash image of dying between rename and the
     // parent-directory fsync — `FaultFs` models exactly that: the rename
     // reports success and the backend is dead from the next operation
-    // on. Sweep the fault across every backend operation of a persist
-    // window; keyed to a non-rename operation it simply does not fire.
+    // on. Sweep the fault across every backend operation of a compacting
+    // commit; keyed to a non-rename operation it simply does not fire.
     let owner = ProcessId::new(0);
     let run = |dir: &PathBuf, plan: FaultPlan| -> (FaultFs, Result<(), String>) {
         let backend = FaultFs::new(plan);
@@ -406,7 +407,9 @@ fn lost_rename_never_loses_the_recovery_anchor() {
     };
 
     // Reference run: find the operation window of the second sync, the
-    // one that persists checkpoint 1 and removes the now-lone checkpoint 0.
+    // one that persists checkpoint 1 and collects checkpoint 0 — more dead
+    // bytes than live ones, so it compacts: read, write, fsync, rename,
+    // directory fsync.
     let refdir = scratch("lost-rename-ref");
     let probe = FaultFs::new(FaultPlan::none());
     let window = {
@@ -418,6 +421,7 @@ fn lost_rename_never_loses_the_recovery_anchor() {
         disk.sync(mw.store()).unwrap();
         start..probe.ops_executed()
     };
+    assert_eq!(window.end - window.start, 5, "the commit compacts");
     fs::remove_dir_all(&refdir).ok();
 
     for k in window {
@@ -426,8 +430,8 @@ fn lost_rename_never_loses_the_recovery_anchor() {
         let (backend, outcome) = run(&dir, plan);
         // The fault fires only when op k is a rename; the crash then
         // surfaces on the operation after it (one always follows — a
-        // rename is never the sync's last operation, `atomic_write`
-        // always chases it with the directory fsync).
+        // rename is never the commit's last operation, the directory
+        // fsync always chases it).
         assert_eq!(
             outcome.is_err(),
             backend.has_crashed(),
@@ -438,16 +442,187 @@ fn lost_rename_never_loses_the_recovery_anchor() {
         // Restart from the surviving files with the real filesystem.
         let disk = DurableStore::open(&dir, owner).unwrap();
         let (rebuilt, report) = disk.rebuild_reported().unwrap();
-        assert!(
-            !rebuilt.is_empty(),
-            "op {k}: either the old or the new checkpoint survives — \
-             removals only run after the replacement's rename is durable"
+        let survived: Vec<usize> = rebuilt.indices().map(|c| c.value()).collect();
+        let expected = if backend.has_crashed() { [0] } else { [1] };
+        assert_eq!(
+            survived, expected,
+            "op {k}: a lost rename keeps the old log whole, a kept one is the new log"
         );
         assert_eq!(
             report.quarantined, 0,
             "op {k}: a lost rename corrupts nothing"
         );
         fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn an_old_layout_directory_opens_as_an_empty_store() {
+    // One file per checkpoint and slotted incarnation files: the layout
+    // before the log. Nothing deployed produces it; a restart reads the
+    // one file it owns, so these are strays — an empty store, no panic,
+    // and the first commit lands beside them.
+    let dir = scratch("old-layout");
+    fs::create_dir_all(&dir).unwrap();
+    for name in [
+        "ckpt_0.bin",
+        "ckpt_7.bin",
+        "incarnation_a.bin",
+        "incarnation.bin",
+    ] {
+        fs::write(dir.join(name), b"RDTC\x03\x00 whatever these held").unwrap();
+    }
+    let owner = ProcessId::new(0);
+    let disk = DurableStore::open(&dir, owner).unwrap();
+    let (store, report) = disk.rebuild_reported().unwrap();
+    assert!(store.is_empty());
+    assert_eq!(report, RestartReport::default());
+    let mw = Middleware::new(owner, 2, ProtocolKind::Fdas, GcKind::RdtLgc);
+    assert_eq!(disk.sync(mw.store()).unwrap(), (1, 0));
+    assert_eq!(disk.rebuild().unwrap().len(), 1);
+    fs::remove_dir_all(dir).unwrap();
+}
+
+mod log_model_props {
+    use std::fs;
+
+    use proptest::prelude::*;
+    use rdt_checkpointing::base::Incarnation;
+    use rdt_checkpointing::prelude::*;
+
+    const N: usize = 3;
+    /// Bytes of a checkpoint record at this width, and of a raised floor.
+    const RECORD: usize = 38 + 12 * N;
+    const FLOOR: usize = 32;
+
+    fn contents(store: &CheckpointStore) -> Vec<(CheckpointIndex, DependencyVector)> {
+        store.iter().map(|(i, dv)| (i, dv.clone())).collect()
+    }
+
+    fn live_bytes(store: &CheckpointStore) -> usize {
+        let floor = store.incarnation_floor() > Incarnation::ZERO;
+        store.len() * RECORD + if floor { FLOOR } else { 0 }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random insert / collect / incarnation-bump / reopen sequences
+        /// against an in-memory model, with crashes: a commit torn at an
+        /// **arbitrary byte** of its append (or, for a compacting commit,
+        /// a rename that did or did not reach the directory). After every
+        /// reopen the log says what the model said at the last
+        /// acknowledged commit, or at the one in flight, or — a prefix of
+        /// the in-flight append — its checkpoints without (all of) its
+        /// collects; the floor is never below an acknowledged value; the
+        /// anchor is never lost; and after every commit the log is at most
+        /// twice its live bytes plus that commit.
+        #[test]
+        fn the_log_is_the_model_at_the_last_or_the_in_flight_commit(
+            ops in prop::collection::vec(
+                (0u8..7, 0usize..64, 0u8..3, any::<prop::sample::Index>()),
+                1..60,
+            ),
+        ) {
+            let dir = super::scratch("log-model");
+            let owner = ProcessId::new(0);
+            let mut disk = DurableStore::open(&dir, owner).expect("scratch dir");
+            let path = disk.log_path();
+            let mut model = CheckpointStore::new(owner);
+            model.insert(CheckpointIndex::ZERO, DependencyVector::new(N));
+            disk.sync(&model).expect("first commit");
+            // A torn tail stays in the file until the next commit rewrites it.
+            let mut torn = 0;
+
+            for (kind, a, crash, cut) in ops {
+                let acked = model.clone();
+                match kind {
+                    // Take a checkpoint; every other time collect the oldest
+                    // in the same commit, as RDT-LGC does.
+                    0..=3 => {
+                        let next = model.last().expect("never empty").value() + 1;
+                        model.insert(
+                            CheckpointIndex::new(next),
+                            DependencyVector::from_raw(vec![next, a, a * a]),
+                        );
+                        if kind % 2 == 1 && model.len() > 2 {
+                            let oldest = model.indices().next().expect("non-empty");
+                            model.remove(oldest).expect("stored");
+                        }
+                    }
+                    // Collect any one but the newest (a receive that brought news).
+                    4 if model.len() > 1 => {
+                        let doomed = model.indices().nth(a % (model.len() - 1)).expect("in range");
+                        model.remove(doomed).expect("stored");
+                    }
+                    // Roll back: drop the newest checkpoints, open an incarnation.
+                    5 => {
+                        let keep = model.indices().nth(a % model.len()).expect("in range");
+                        model.truncate_after(keep);
+                        let next = Incarnation::new(model.incarnation_floor().value() + 1);
+                        model.raise_incarnation_floor(next);
+                    }
+                    // Reopen: a clean restart reads exactly the model.
+                    6 => {
+                        disk = DurableStore::open(&dir, owner).expect("directory survives");
+                        let (rebuilt, report) = disk.rebuild_reported().expect("intact log");
+                        prop_assert_eq!(report.quarantined, torn);
+                        prop_assert_eq!(contents(&rebuilt), contents(&model));
+                        prop_assert_eq!(rebuilt.incarnation_floor(), model.incarnation_floor());
+                        continue;
+                    }
+                    _ => {}
+                }
+                if model == acked {
+                    continue;
+                }
+                let before = fs::read(&path).expect("log exists");
+                disk.sync(&model).expect("commit");
+                let after = fs::read(&path).expect("log exists");
+                torn = 0;
+                let commit = after.len().saturating_sub(before.len());
+                prop_assert!(
+                    after.len() <= 2 * live_bytes(&model) + commit,
+                    "{} bytes of log for {} live", after.len(), live_bytes(&model)
+                );
+                if crash != 0 {
+                    continue;
+                }
+
+                // The crash: the commit was in flight, not acknowledged.
+                let appended = after.len() > before.len() && after.starts_with(&before);
+                let image = if appended {
+                    &after[..before.len() + cut.index(commit + 1)]
+                } else if cut.index(2) == 0 {
+                    &before[..] // the rename never reached the directory
+                } else {
+                    &after[..]
+                };
+                fs::write(&path, image).expect("crash image");
+                disk = DurableStore::open(&dir, owner).expect("directory survives");
+                let (rebuilt, report) = disk.rebuild_reported().expect("a prefix replays");
+                prop_assert!(report.quarantined <= 1, "at most the torn tail");
+                torn = report.quarantined;
+                prop_assert!(!rebuilt.is_empty(), "the anchor is never lost");
+                prop_assert!(rebuilt.incarnation_floor() >= acked.incarnation_floor());
+                prop_assert!(rebuilt.incarnation_floor() <= model.incarnation_floor());
+                let collected_any = acked.indices().any(|i| !rebuilt.contains(i));
+                for (index, dv) in rebuilt.iter() {
+                    let source = if model.contains(index) { &model } else { &acked };
+                    prop_assert_eq!(source.dv(index).ok(), Some(dv), "never a record not written");
+                }
+                for (index, _) in model.iter() {
+                    let settled = acked.contains(index) || collected_any;
+                    prop_assert!(
+                        !settled || rebuilt.contains(index),
+                        "{:?} lost: checkpoints are appended ahead of collects", index
+                    );
+                }
+                // The process restarts from what the disk says.
+                model = rebuilt;
+            }
+            fs::remove_dir_all(dir).ok();
+        }
     }
 }
 
@@ -518,6 +693,14 @@ mod disk_sink_props {
                 prop_assert_eq!(
                     durable.sink().disk().indices().expect("readable"),
                     durable.store().indices().collect::<Vec<_>>()
+                );
+                // What the handle remembers is what a restart would read.
+                let (on_disk, _) = DurableStore::open(&dir, p0)
+                    .and_then(|fresh| fresh.rebuild_reported())
+                    .expect("readable");
+                prop_assert_eq!(
+                    on_disk.iter().collect::<Vec<_>>(),
+                    durable.store().iter().collect::<Vec<_>>()
                 );
                 let Some(&(kind, a)) = ops.get(step) else { break };
                 match kind {
