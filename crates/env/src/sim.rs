@@ -49,6 +49,15 @@ impl<T> SimEnv<T> {
         seq
     }
 
+    /// Draws `count` consecutive sequence numbers at once and returns the
+    /// first: the stamps of a run of lane events that are produced later,
+    /// block by block, yet keyed as if all had been stamped now.
+    pub fn reserve_seqs(&mut self, count: u64) -> u64 {
+        let first = self.seq;
+        self.seq += count;
+        first
+    }
+
     /// Enqueues `item` at tick `at`, stamping it with the next sequence
     /// number (total order over equal ticks is push order).
     pub fn schedule(&mut self, at: u64, item: T) {
@@ -147,6 +156,18 @@ mod tests {
         // Spent lane, drained queue: the environment still takes events.
         env.schedule(env.now(), "after");
         assert_eq!(env.pop_merged(&mut lane, |op| op), Some((20, 5, "after")));
+    }
+
+    #[test]
+    fn a_reserved_block_is_the_stamps_next_seq_would_have_drawn() {
+        let mut env: SimEnv<&str> = SimEnv::new(7);
+        env.schedule(3, "before");
+        assert_eq!(env.reserve_seqs(5), 1);
+        assert_eq!(env.reserve_seqs(0), 6);
+        assert_eq!(env.next_seq(), 6);
+        env.schedule(3, "after");
+        assert_eq!(env.pop(), Some((3, 0, "before")));
+        assert_eq!(env.pop(), Some((3, 7, "after")));
     }
 
     #[test]

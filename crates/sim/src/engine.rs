@@ -5,7 +5,7 @@ use rdt_core::GcKind;
 use rdt_env::{Lane, Rng as _, SimEnv};
 use rdt_protocols::{Middleware, Piggyback, ProtocolKind};
 use rdt_recovery::{FaultySet, RecoveryManager, RecoveryMode, RecoverySessionReport};
-use rdt_workloads::{AppOp, WorkloadSpec};
+use rdt_workloads::{AppOp, OpStream, WorkloadSpec};
 
 use crate::config::{ChannelConfig, SimConfig};
 use crate::metrics::{MetricOp, Metrics};
@@ -182,7 +182,6 @@ impl SimulationBuilder {
 
     /// The single-threaded engine, shard dispatch already resolved.
     pub(crate) fn run_sequential(self) -> Result<SimulationReport> {
-        let ops = self.spec.generate();
         let mut sim = Simulation::new(
             self.spec.n,
             self.protocol,
@@ -191,7 +190,7 @@ impl SimulationBuilder {
             self.recovery_mode,
             self.spec.seed,
         );
-        sim.schedule_ops(&ops);
+        sim.stream_ops(&self.spec);
         sim.run_to_completion()?;
         Ok(sim.into_report())
     }
@@ -212,6 +211,21 @@ pub(crate) enum EventKind<C> {
     ControlRound,
 }
 
+/// How many ops one refill moves from the workload's generator into the
+/// lane: 40 KB of lane, large enough that a refill's fixed cost vanishes
+/// per op, small beside the system the ops drive.
+const BLOCK: usize = 1024;
+
+/// A workload still producing ([`Schedule::stream`]): its generator and
+/// the reserved key of the op it produces next — one `ticks_per_op` and one
+/// stamp after the op before.
+#[derive(Debug)]
+struct Feed {
+    ops: OpStream,
+    at: u64,
+    seq: u64,
+}
+
 /// The run's schedule — queue, virtual clock and rng in a
 /// [`SimEnv`](rdt_env::SimEnv), the op stream in an ordered lane beside it
 /// — and every decision a run draws from it: a send's loss and delay, a
@@ -221,13 +235,22 @@ pub(crate) enum EventKind<C> {
 ///
 /// The queue holds only what the run creates as it executes (deliveries,
 /// control rounds); [`pop`](Self::pop) merges it with the lane by key. The
-/// lane is typed [`AppOp`], so a crash session's `env.cancel` cannot even
-/// visit an op still to come — only what is in flight.
+/// lane is typed [`AppOp`], so a crash session's [`cancel`](Self::cancel)
+/// cannot even visit an op still to come — only what is in flight.
+///
+/// A run's own workload never sits in the lane whole:
+/// [`stream`](Self::stream) fixes every op's key up front and `pop` refills
+/// the lane [`BLOCK`] ops at a time from the generator when it finds it
+/// empty. The environment is private because of that — a caller popping it
+/// directly would read an empty lane as a spent one and run past the ops
+/// still to be produced.
 #[derive(Debug)]
 pub(crate) struct Schedule<C> {
-    pub(crate) env: SimEnv<EventKind<C>>,
-    /// The application ops not yet run, in `(at, seq)` order.
+    env: SimEnv<EventKind<C>>,
+    /// The application ops produced and not yet run, in `(at, seq)` order.
     lane: Lane<AppOp>,
+    /// The workload behind the lane, while it has ops left to produce.
+    feed: Option<Feed>,
     config: SimConfig,
     /// Time of the last scheduled application op; control rounds stop
     /// rescheduling past it so the event queue drains.
@@ -245,16 +268,68 @@ impl<C> Schedule<C> {
         Self {
             env,
             lane: Lane::new(),
+            feed: None,
             config,
             horizon: 0,
+        }
+    }
+
+    /// Current virtual time: the tick of the event popped last.
+    pub(crate) fn now(&self) -> u64 {
+        self.env.now()
+    }
+
+    /// Schedules `spec`'s operation stream without producing it: reserves
+    /// the stamps and sets the horizon exactly as [`ops`](Self::ops) would
+    /// for the generated slice, so every key and every later draw is the
+    /// same, and leaves the ops to [`pop`](Self::pop)'s refills.
+    ///
+    /// # Panics
+    ///
+    /// Panics if ops are already waiting: a stream feeds an empty lane.
+    pub(crate) fn stream(&mut self, spec: &WorkloadSpec) {
+        assert!(
+            self.lane.is_empty() && self.feed.is_none(),
+            "a stream feeds an empty lane"
+        );
+        let steps = spec.steps as u64;
+        let Some(last) = steps.checked_sub(1) else {
+            return;
+        };
+        let at = self.env.now();
+        self.horizon = self.horizon.max(at + last * self.config.ticks_per_op);
+        self.feed = Some(Feed {
+            ops: spec.ops(),
+            at,
+            seq: self.env.reserve_seqs(steps),
+        });
+    }
+
+    /// Moves the stream's next `max` ops into the lane under their
+    /// reserved keys.
+    fn refill(&mut self, max: usize) {
+        let Some(Feed { ops, at, seq }) = &mut self.feed else {
+            return;
+        };
+        let (lane, step) = (&mut self.lane, self.config.ticks_per_op);
+        lane.reserve(max.min(ops.remaining()));
+        ops.fill(max, |op| {
+            lane.push_back((*at, *seq, op));
+            // Wrapping: the key past the last op is computed, never used.
+            (*at, *seq) = (at.wrapping_add(step), *seq + 1);
+        });
+        if ops.remaining() == 0 {
+            self.feed = None;
         }
     }
 
     /// Schedules an operation stream ([`Simulation::schedule_ops`]): op `k`
     /// at `now + k * ticks_per_op`, stamped from the environment's sequence
     /// counter exactly as if it were queued. A later call's ops merge into
-    /// the unconsumed lane by `(at, seq)`.
+    /// the unconsumed lane by `(at, seq)` — after whatever a
+    /// [`stream`](Self::stream) has yet to produce has joined it.
     pub(crate) fn ops(&mut self, ops: &[AppOp]) {
+        self.refill(usize::MAX);
         let (start, step) = (self.env.now(), self.config.ticks_per_op);
         let merge = !self.lane.is_empty();
         self.lane.reserve(ops.len());
@@ -271,9 +346,24 @@ impl<C> Schedule<C> {
     }
 
     /// The next event of lane and queue merged by `(at, seq)`, advancing
-    /// the clock to it.
+    /// the clock to it. The only reader of the lane, hence the one place
+    /// that refills it.
     pub(crate) fn pop(&mut self) -> Option<(u64, u64, EventKind<C>)> {
+        if self.lane.is_empty() {
+            self.refill(BLOCK);
+        }
         self.env.pop_merged(&mut self.lane, EventKind::App)
+    }
+
+    /// A crash session's cancel, passed through to the queue: events
+    /// failing `keep` go to `dropped` with their tick, in `(at, seq)` order.
+    /// Generic, so each caller's closures are compiled into its own walk.
+    pub(crate) fn cancel(
+        &mut self,
+        keep: impl FnMut(&EventKind<C>) -> bool,
+        dropped: impl FnMut(u64, EventKind<C>),
+    ) {
+        self.env.cancel(keep, dropped);
     }
 
     /// The channel's verdict on a message sent now: the loss draw, then —
@@ -404,16 +494,28 @@ impl Simulation {
     /// after a run — merges its ops into the ones still waiting the same
     /// way; on equal ticks the earlier call's op runs first.
     pub fn schedule_ops(&mut self, ops: &[AppOp]) {
+        self.reserve_recordings(ops.len());
+        self.sched.ops(ops);
+    }
+
+    /// [`schedule_ops`](Self::schedule_ops) of the slice `spec` generates —
+    /// the same keys, the same run — without the slice: the lane takes the
+    /// ops from the generator a block at a time as the run consumes them.
+    pub(crate) fn stream_ops(&mut self, spec: &WorkloadSpec) {
+        self.reserve_recordings(spec.steps);
+        self.sched.stream(spec);
+    }
+
+    fn reserve_recordings(&mut self, ops: usize) {
         if let Some(trace) = &mut self.out.trace {
             // Sends dominate: send + deliver + occasional forced
             // checkpoint/collect per op. 3x covers every observed mix.
-            trace.reserve(ops.len() * 3 + 16);
+            trace.reserve(ops * 3 + 16);
         }
         if let Some(occupancy) = &mut self.out.occupancy {
             // One sample per handled event: app op + delivery.
-            occupancy.reserve(ops.len() * 2 + 16);
+            occupancy.reserve(ops * 2 + 16);
         }
-        self.sched.ops(ops);
     }
 
     /// Runs until the op lane and the event queue drain.
@@ -427,7 +529,7 @@ impl Simulation {
         // runs from the previous event's end, so it includes its own pop.
         let mut t = wall;
         while let Some((_at, _seq, kind)) = self.sched.pop() {
-            let now = self.sched.env.now();
+            let now = self.sched.now();
             // A crash op runs a whole recovery session; everything else
             // but a control round is ordinary queue drain.
             let phase = match kind {
@@ -490,7 +592,7 @@ impl Simulation {
         // holds nothing but those and the next control round — the ops
         // still to come wait in the lane — so this costs O(in flight).
         let out = &mut self.out;
-        self.sched.env.cancel(
+        self.sched.cancel(
             |kind| !matches!(kind, EventKind::Deliver { .. }),
             |_, kind| {
                 if let EventKind::Deliver { to, id, .. } = kind {
@@ -514,7 +616,7 @@ impl Simulation {
         step::assemble_report(
             self.core.finals(),
             self.out.metrics,
-            self.sched.env.now(),
+            self.sched.now(),
             self.out.trace,
             self.out.occupancy,
             self.recovery_sessions,
@@ -562,7 +664,7 @@ mod tests {
         assert_eq!(sched.env.pending(), 0, "ops take no queue slot");
 
         let mut popped: Vec<_> = (0..30).map_while(|_| step(&mut sched)).collect();
-        let now = sched.env.now();
+        let now = sched.now();
         assert!(
             now > 0 && sched.env.pending() > 0,
             "mid-run, sends in flight"
@@ -581,6 +683,88 @@ mod tests {
         ops.sort_unstable_by_key(|&(seq, _)| seq);
         let ops: Vec<AppOp> = ops.into_iter().map(|(_, op)| op).collect();
         assert_eq!(ops, streams.concat());
+    }
+
+    /// Every pattern, with and without crashes, at lengths around the
+    /// refill block: draining a streamed schedule pops the keys, ops and
+    /// deliveries that draining `ops(&generate())` pops, the lane never
+    /// holds more than one block, and the last control round falls on the
+    /// same tick (the horizon is the same).
+    #[test]
+    fn a_streamed_schedule_pops_what_the_generated_slice_pops() {
+        use rdt_workloads::Pattern;
+        let config = SimConfig {
+            control_every: Some(35),
+            ..SimConfig::fault_heavy()
+        };
+        let patterns = [
+            Pattern::UniformRandom,
+            Pattern::Ring,
+            Pattern::ClientServer { servers: 2 },
+            Pattern::Bursty { burst: 4 },
+            Pattern::TokenRing,
+            Pattern::Star,
+            Pattern::Pipeline,
+        ];
+        for pattern in patterns {
+            for crash_prob in [0.0, 0.01] {
+                for steps in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+                    let spec = WorkloadSpec::uniform_random(5, steps)
+                        .with_pattern(pattern)
+                        .with_seed(steps as u64 + 3)
+                        .with_crash_prob(crash_prob);
+                    let mut sliced: Schedule<()> = Schedule::new(spec.seed, config);
+                    sliced.ops(&spec.generate());
+                    let mut streamed: Schedule<()> = Schedule::new(spec.seed, config);
+                    streamed.stream(&spec);
+                    assert!(streamed.lane.is_empty(), "nothing produced up front");
+                    loop {
+                        let (want, got) = (step(&mut sliced), step(&mut streamed));
+                        assert_eq!(got, want, "{pattern}, crash {crash_prob}, {steps} steps");
+                        assert!(streamed.lane.len() <= BLOCK);
+                        if got.is_none() {
+                            break;
+                        }
+                    }
+                    assert_eq!(streamed.now(), sliced.now());
+                    assert!(streamed.feed.is_none(), "a spent stream is dropped");
+                }
+            }
+        }
+    }
+
+    /// `schedule_ops` in mid-stream: what the stream has yet to produce
+    /// joins the lane first, then the slice merges into it — the run that
+    /// two slices scheduled at the same two moments give.
+    #[test]
+    fn a_slice_scheduled_in_mid_stream_merges_as_into_a_slice() {
+        let spec = WorkloadSpec::uniform_random(4, 2 * BLOCK + 100)
+            .with_seed(11)
+            .with_crash_prob(0.01);
+        let (first, second) = (spec.generate(), stream(12, BLOCK / 2));
+        let mut sliced: Schedule<()> = Schedule::new(9, SimConfig::default());
+        sliced.ops(&first);
+        let mut streamed: Schedule<()> = Schedule::new(9, SimConfig::default());
+        streamed.stream(&spec);
+
+        // Stop inside the second block, sends in flight.
+        for _ in 0..BLOCK + BLOCK / 2 {
+            assert_eq!(step(&mut streamed), step(&mut sliced));
+        }
+        assert!(streamed.feed.is_some() && streamed.env.pending() > 0);
+        sliced.ops(&second);
+        streamed.ops(&second);
+        assert!(
+            streamed.feed.is_none(),
+            "the rest of the stream was drained"
+        );
+        assert_eq!(streamed.lane, sliced.lane);
+        let rest: Vec<_> = std::iter::from_fn(|| step(&mut streamed)).collect();
+        assert!(rest.len() > first.len() - BLOCK);
+        assert_eq!(
+            rest,
+            std::iter::from_fn(|| step(&mut sliced)).collect::<Vec<_>>()
+        );
     }
 
     /// A crash session's cancel visits what is in flight — deliveries and
@@ -612,7 +796,7 @@ mod tests {
                 EventKind::App(AppOp::Crash(p)) => {
                     sched.faulty(p, 4);
                     let (mut visited, mut dropped) = (0, 0);
-                    sched.env.cancel(
+                    sched.cancel(
                         |kind| {
                             visited += 1;
                             assert!(!matches!(kind, EventKind::App(_)), "a queued op");

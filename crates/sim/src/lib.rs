@@ -15,10 +15,25 @@
 //!   loss and reordering, crash/recover failures with a centralized
 //!   recovery manager, and optional coordinator control rounds for the
 //!   coordinated baseline collectors. The application op stream, whose
-//!   order is final before the run starts, waits in an ordered lane
-//!   beside the queue; the queue holds only the deliveries and control
-//!   rounds the run creates, so a crash cancels what is in flight at a
-//!   cost independent of the ops still to come.
+//!   order is final before the run starts, reaches the run through an
+//!   ordered lane beside the queue; the queue holds only the deliveries
+//!   and control rounds the run creates, so a crash cancels what is in
+//!   flight at a cost independent of the ops still to come.
+//!
+//!   **Memory model.** [`SimulationBuilder::run`] never holds its
+//!   workload: it fixes every op's `(tick, sequence)` key up front — a
+//!   block of sequence numbers reserved in `SimEnv`, so keys, rng draws
+//!   and output are those of a run handed the whole generated slice — and
+//!   the lane then takes a fixed block of ops at a time from the
+//!   workload's resumable generator
+//!   ([`WorkloadSpec::ops`](rdt_workloads::WorkloadSpec::ops)) whenever
+//!   the run finds it empty. The sequential engine's memory is therefore
+//!   the system's — O(n²) for n processes keeping ≤ n + 1 checkpoints of
+//!   n entries each, plus what is in flight — and independent of the
+//!   run's length (recordings, when asked for, grow with it). A caller
+//!   that holds a slice still schedules it with
+//!   [`Simulation::schedule_ops`], which keeps the slice's length in the
+//!   lane.
 //! * The **sharded parallel engine** — reached through the same builder
 //!   via [`SimulationBuilder::shards`]: processes partitioned across
 //!   worker shards, each draining its planned events (an ordered lane,
@@ -26,7 +41,9 @@
 //!   deliveries inside conservative lookahead windows derived from the
 //!   channel's `min_delay`, with cross-shard deliveries exchanged at
 //!   window barriers. Output is byte-identical to the sequential engine for a
-//!   fixed seed, at any shard count.
+//!   fixed seed, at any shard count. Its planning pass streams the
+//!   workload the same way, but the plan it produces (every op's place
+//!   and outcome, per shard) is still O(steps).
 //!
 //! Beside the engines:
 //!

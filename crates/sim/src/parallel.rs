@@ -8,8 +8,9 @@
 //! the configuration and the seed: every rng draw happens at a
 //! deterministic point of the event stream, none depends on middleware
 //! state. A **planning pass** therefore drains the sequential engine's own
-//! [`Schedule`] — same seed, same draws, same lane-and-queue merge —
-//! without doing any middleware work. The pass resolves, ahead of time:
+//! [`Schedule`] — same seed, same draws, same lane-and-queue merge, the
+//! workload streamed into the lane a block at a time — without doing any
+//! middleware work. The pass resolves, ahead of time:
 //!
 //! - every event's global `(tick, sequence)` key, including the key each
 //!   delivery will carry — so cross-shard deliveries are inserted at the
@@ -38,6 +39,15 @@
 //! `step.rs` — and every order-sensitive observable (trace, occupancy,
 //! metric mutations) is logged under its global event key and replayed in
 //! key order at the end — see [`crate::worker`].
+//!
+//! # What a run still costs per op
+//!
+//! The planning pass holds no op stream (no generated slice, no
+//! full-length lane), but its product does: `RunPlan::locals` keeps every
+//! checkpoint and send with its key and resolved outcome, per shard, for
+//! the workers to drain, and the keyed logs grow with the events handled.
+//! That O(steps) is the sharded engine's remaining per-run memory; the
+//! sequential engine has none.
 
 use std::collections::BTreeSet;
 use std::ops::Bound::{Excluded, Included};
@@ -105,7 +115,7 @@ struct RunPlan {
 }
 
 /// Runs the planning pass.
-fn build_plan(builder: &SimulationBuilder, ops: &[AppOp], shards: usize) -> RunPlan {
+fn build_plan(builder: &SimulationBuilder, shards: usize) -> RunPlan {
     let n = builder.spec.n;
     let config = &builder.config;
     let shard_of: Vec<u32> = (0..n)
@@ -113,7 +123,7 @@ fn build_plan(builder: &SimulationBuilder, ops: &[AppOp], shards: usize) -> RunP
         .collect();
 
     let mut sched: Schedule<SendRef> = Schedule::new(builder.spec.seed, *config);
-    sched.ops(ops);
+    sched.stream(&builder.spec);
 
     let mut locals: Vec<Vec<(u64, u64, PlannedLocal)>> = vec![Vec::new(); shards];
     let mut globals: Vec<(u64, u64, GlobalPlan)> = Vec::new();
@@ -147,7 +157,7 @@ fn build_plan(builder: &SimulationBuilder, ops: &[AppOp], shards: usize) -> RunP
             EventKind::App(AppOp::Crash(p)) => {
                 let faulty = sched.faulty(p, n);
                 let mut drops = Vec::new();
-                sched.env.cancel(
+                sched.cancel(
                     |kind| !matches!(kind, EventKind::Deliver { .. }),
                     |_, kind| {
                         if let EventKind::Deliver { carry, to, id } = kind {
@@ -164,7 +174,7 @@ fn build_plan(builder: &SimulationBuilder, ops: &[AppOp], shards: usize) -> RunP
             }
         }
     }
-    let ticks = sched.env.now();
+    let ticks = sched.now();
 
     // Barrier schedule. Every global event needs a cut (all shards
     // stopped at its key); every surviving cross-shard delivery needs
@@ -213,9 +223,8 @@ pub(crate) fn run_sharded(builder: SimulationBuilder, shards: usize) -> Result<S
     let mut prof = rdt_obs::Profiler::new(profiling);
     let wall = prof.start();
 
-    let ops = builder.spec.generate();
     let t_plan = prof.start();
-    let mut plan = build_plan(&builder, &ops, shards);
+    let mut plan = build_plan(&builder, shards);
     prof.stop("shard/plan", t_plan);
 
     let shard_of = std::mem::take(&mut plan.shard_of);

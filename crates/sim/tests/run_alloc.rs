@@ -1,0 +1,94 @@
+//! A run's memory is the system's, not the run's: `SimulationBuilder::run()`
+//! takes its ops from the generator a block at a time, so how long the
+//! execution is does not show in what the sequential engine holds. Counted,
+//! not timed: a `#[global_allocator]` that tracks the peak of live bytes.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Mutex;
+
+use rdt_sim::SimulationBuilder;
+use rdt_workloads::WorkloadSpec;
+
+/// Bytes allocated and not yet freed, by every thread (the sharded engine
+/// runs workers), and the highest value that has had since the last reset.
+/// Statistics only — nothing is published through them, hence `Relaxed`.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct PeakLive;
+
+fn grew(by: usize) {
+    let live = LIVE.fetch_add(by, Relaxed) + by;
+    PEAK.fetch_max(live, Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one the caller already upholds; the only thing added is
+// arithmetic on two atomics, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for PeakLive {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: see the impl-level comment.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: see the impl-level comment.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        grew(new_size);
+        // SAFETY: see the impl-level comment.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: PeakLive = PeakLive;
+
+/// The counters are the process's: one measurement at a time.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// Peak of live bytes, above what was live on entry, while a run of `steps`
+/// ops at n = 16 (the `sim-dense` shape) is made and its report dropped.
+fn peak_of_a_run(steps: usize, shards: usize) -> usize {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = WorkloadSpec::uniform_random(16, steps).with_seed(1);
+    let before = LIVE.load(Relaxed);
+    PEAK.store(before, Relaxed);
+    let report = SimulationBuilder::new(spec).shards(shards).run();
+    let report = report.expect("the run completes");
+    assert_eq!(report.metrics.sequential_fallbacks, 0);
+    assert!(report.metrics.total_delivered() as usize > steps / 2);
+    drop(report);
+    PEAK.load(Relaxed) - before
+}
+
+/// Ten times the ops, the same memory: no `Vec<AppOp>`, no full-length
+/// lane (which at 24 + 40 bytes per op would put 11.5 MB between the two).
+#[test]
+fn the_sequential_engine_holds_the_system_not_the_run() {
+    let (short, long) = (peak_of_a_run(20_000, 1), peak_of_a_run(200_000, 1));
+    assert!(
+        long.abs_diff(short) <= 64 << 10,
+        "20 000 ops peak at {short} bytes, 200 000 at {long}"
+    );
+    // The counter does count: n = 16 costs more than nothing, and far
+    // less than the ops of the short run alone would.
+    assert!((16 << 10..20_000 * 24).contains(&short), "{short} bytes");
+}
+
+/// The sharded engine is still O(steps) — the plan keeps every op's place
+/// and outcome per shard, the run its keyed logs: 246 bytes per op at the
+/// peak, which falls at the end of the run. What must not come back is the
+/// op stream beside them: the planning pass's schedule streams like the
+/// sequential engine's, and the generated slice that used to live to the
+/// end of the run (24 bytes per op: 270 at the peak) is never made.
+#[test]
+fn the_sharded_engine_does_not_hold_the_ops_beside_its_plan() {
+    let (short, long) = (peak_of_a_run(20_000, 2), peak_of_a_run(200_000, 2));
+    let per_op = (long - short) as f64 / 180_000.0;
+    assert!(per_op < 256.0, "{per_op:.1} bytes per op at the peak");
+}

@@ -26,4 +26,4 @@ mod ops;
 mod spec;
 
 pub use ops::{AppOp, Script, ScriptOp};
-pub use spec::{Pattern, WorkloadSpec};
+pub use spec::{OpStream, Pattern, WorkloadSpec};

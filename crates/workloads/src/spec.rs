@@ -150,28 +150,86 @@ impl WorkloadSpec {
 
     /// Generates the operation stream. Deterministic in the spec.
     pub fn generate(&self) -> Vec<AppOp> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut state = PatternState::new(self.pattern, self.n);
         let mut ops = Vec::with_capacity(self.steps);
-        for _ in 0..self.steps {
+        self.ops().fill(self.steps, |op| ops.push(op));
+        ops
+    }
+
+    /// The operation stream of [`generate`](Self::generate), produced on
+    /// demand: a consumer that handles ops as they come never holds more
+    /// than the block it asked for.
+    ///
+    /// ```
+    /// use rdt_workloads::WorkloadSpec;
+    /// let spec = WorkloadSpec::uniform_random(4, 100).with_seed(7);
+    /// let (mut stream, mut ops) = (spec.ops(), Vec::new());
+    /// while stream.fill(32, |op| ops.push(op)) > 0 {}
+    /// assert_eq!(ops, spec.generate());
+    /// ```
+    pub fn ops(&self) -> OpStream {
+        OpStream {
+            rng: StdRng::seed_from_u64(self.seed),
+            state: PatternState::new(self.pattern, self.n),
+            n: self.n,
+            checkpoint_below: self.checkpoint_prob,
+            crash_below: self.checkpoint_prob + self.crash_prob,
+            remaining: self.steps,
+        }
+    }
+}
+
+/// A [`WorkloadSpec`]'s operation stream in the making
+/// ([`WorkloadSpec::ops`]): the generator's rng and pattern state between
+/// two blocks.
+#[derive(Debug)]
+pub struct OpStream {
+    rng: StdRng,
+    state: PatternState,
+    n: usize,
+    /// A roll below this is a checkpoint, …
+    checkpoint_below: f64,
+    /// … else one below this a crash, else a send.
+    crash_below: f64,
+    remaining: usize,
+}
+
+impl OpStream {
+    /// Ops still to come.
+    pub fn remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// Hands the next `max` ops (fewer at the end of the stream) to `sink`
+    /// in stream order; returns how many.
+    ///
+    /// A block at a time rather than an `Iterator`: the rng and the pattern
+    /// state live in locals across the loop, which is what keeps
+    /// [`WorkloadSpec::generate`] and a consumer's refill at the speed of a
+    /// plain loop (`generate` as `collect` over a per-op `next` measured ×2).
+    #[inline]
+    pub fn fill(&mut self, max: usize, mut sink: impl FnMut(AppOp)) -> usize {
+        let count = max.min(self.remaining);
+        let (mut rng, mut state) = (self.rng.clone(), self.state);
+        let (n, checkpoint_below, crash_below) = (self.n, self.checkpoint_below, self.crash_below);
+        for _ in 0..count {
             let roll: f64 = rng.gen();
-            if roll < self.checkpoint_prob {
-                let p = ProcessId::new(rng.gen_range(0..self.n));
-                ops.push(AppOp::Checkpoint(p));
-            } else if roll < self.checkpoint_prob + self.crash_prob {
-                let p = ProcessId::new(rng.gen_range(0..self.n));
-                ops.push(AppOp::Crash(p));
+            sink(if roll < checkpoint_below {
+                AppOp::Checkpoint(ProcessId::new(rng.gen_range(0..n)))
+            } else if roll < crash_below {
+                AppOp::Crash(ProcessId::new(rng.gen_range(0..n)))
             } else {
                 let (from, to) = state.next_pair(&mut rng);
-                ops.push(AppOp::Send { from, to });
-            }
+                AppOp::Send { from, to }
+            });
         }
-        ops
+        (self.rng, self.state) = (rng, state);
+        self.remaining -= count;
+        count
     }
 }
 
 /// Mutable pattern state across a generation run.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 enum PatternState {
     UniformRandom {
         n: usize,
@@ -219,6 +277,7 @@ impl PatternState {
         }
     }
 
+    #[inline]
     fn next_pair(&mut self, rng: &mut StdRng) -> (ProcessId, ProcessId) {
         let (a, b) = match self {
             PatternState::UniformRandom { n } => {
@@ -281,10 +340,45 @@ impl PatternState {
 mod tests {
     use super::*;
 
+    const PATTERNS: [Pattern; 7] = [
+        Pattern::UniformRandom,
+        Pattern::Ring,
+        Pattern::ClientServer { servers: 2 },
+        Pattern::Bursty { burst: 4 },
+        Pattern::TokenRing,
+        Pattern::Star,
+        Pattern::Pipeline,
+    ];
+
     #[test]
     fn generation_is_deterministic() {
         let spec = WorkloadSpec::uniform_random(3, 200).with_seed(99);
         assert_eq!(spec.generate(), spec.generate());
+    }
+
+    /// The generator resumes: asked a block at a time, across every
+    /// pattern's carried state (a burst in progress, the token's holder), it
+    /// produces the stream it produces when asked for everything at once.
+    #[test]
+    fn a_stream_filled_in_blocks_is_the_generated_stream() {
+        const BLOCK: usize = 64;
+        for pattern in PATTERNS {
+            for crash_prob in [0.0, 0.01] {
+                for steps in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+                    let spec = WorkloadSpec::uniform_random(5, steps)
+                        .with_pattern(pattern)
+                        .with_seed(steps as u64)
+                        .with_crash_prob(crash_prob);
+                    let (mut stream, mut ops) = (spec.ops(), Vec::new());
+                    while stream.remaining() > 0 {
+                        let due = stream.remaining().min(BLOCK);
+                        assert_eq!(stream.fill(BLOCK, |op| ops.push(op)), due);
+                    }
+                    assert_eq!(stream.fill(BLOCK, |_| panic!("a spent stream")), 0);
+                    assert_eq!(ops, spec.generate(), "{pattern}, {steps} steps");
+                }
+            }
+        }
     }
 
     #[test]
@@ -296,15 +390,7 @@ mod tests {
 
     #[test]
     fn sends_never_self_address() {
-        for pattern in [
-            Pattern::UniformRandom,
-            Pattern::Ring,
-            Pattern::ClientServer { servers: 2 },
-            Pattern::Bursty { burst: 4 },
-            Pattern::TokenRing,
-            Pattern::Star,
-            Pattern::Pipeline,
-        ] {
+        for pattern in PATTERNS {
             let spec = WorkloadSpec::uniform_random(5, 300)
                 .with_pattern(pattern)
                 .with_seed(3);
