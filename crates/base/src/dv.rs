@@ -382,6 +382,67 @@ impl DependencyVector {
             })
     }
 
+    /// [`would_learn_from`](Self::would_learn_from) over the entries `at`
+    /// only. The same answer whenever `other` is known to bring no news
+    /// elsewhere — which only the checkpointing middleware's change log
+    /// can know; everyone else wants the full scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range for either vector.
+    pub fn would_learn_at(&self, other: &DependencyVector, at: &[u32]) -> bool {
+        let (mine, theirs) = (self.entries.as_slice(), other.entries.as_slice());
+        at.iter().fold(false, |acc, &i| {
+            acc | (theirs[i as usize].packed() > mine[i as usize].packed())
+        })
+    }
+
+    /// [`merge_from_into`](Self::merge_from_into) over the entries `at`
+    /// only (`updated` cleared first; repeated indices are harmless). The
+    /// same result under the same condition as
+    /// [`would_learn_at`](Self::would_learn_at).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range for either vector.
+    pub fn merge_at_into(&mut self, other: &DependencyVector, at: &[u32], updated: &mut UpdateSet) {
+        updated.clear();
+        let (mine, theirs) = (self.entries.as_mut_slice(), other.entries.as_slice());
+        for &i in at {
+            let i = i as usize;
+            if theirs[i].packed() > mine[i].packed() {
+                mine[i] = theirs[i];
+                updated.insert(ProcessId::new(i));
+            }
+        }
+    }
+
+    /// Makes `self` equal to `source`, given that the two differ at most
+    /// at the entries `at`: the O(changes) copy into a buffer that held an
+    /// earlier value of `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is out of range for either vector.
+    pub fn patch_from(&mut self, source: &DependencyVector, at: &[u32]) {
+        let (mine, theirs) = (self.entries.as_mut_slice(), source.entries.as_slice());
+        for &i in at {
+            mine[i as usize] = theirs[i as usize];
+        }
+    }
+
+    /// Makes `self` equal to `source` in place — `clone_from` without the
+    /// representation match, for a buffer of unknown content.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vectors have different lengths.
+    pub fn copy_from(&mut self, source: &DependencyVector) {
+        self.entries
+            .as_mut_slice()
+            .copy_from_slice(source.entries.as_slice());
+    }
+
     /// Equation 2 of the paper: does checkpoint `c_a^α` causally precede the
     /// state (volatile or checkpointed) whose dependency vector is `self`?
     ///
@@ -547,6 +608,39 @@ mod tests {
         let lower = DependencyVector::from_raw(vec![2, 3, 5]);
         assert!(a.would_learn_from(&higher));
         assert!(!a.would_learn_from(&lower));
+    }
+
+    #[test]
+    fn restricted_kernels_agree_with_the_full_ones_where_the_news_is() {
+        // 40 entries, so the spill words of the update set are in play;
+        // `theirs` brings news at 3 and 37 only.
+        let raw = |news: usize| (0..40).map(move |i| if i == 3 || i == 37 { news } else { 5 });
+        let mine = DependencyVector::from_raw(raw(5).collect());
+        let theirs = DependencyVector::from_raw(raw(9).collect());
+        assert!(mine.would_learn_at(&theirs, &[37]));
+        assert!(!mine.would_learn_at(&theirs, &[0, 36, 38]));
+        assert!(!mine.would_learn_at(&theirs, &[]));
+        let (mut full, mut at) = (mine.clone(), mine.clone());
+        let (mut full_set, mut at_set) = (UpdateSet::new(), UpdateSet::new());
+        at_set.insert(p(1)); // cleared first, like the full merge's
+        full.merge_from_into(&theirs, &mut full_set);
+        at.merge_at_into(&theirs, &[37, 3, 37, 20], &mut at_set);
+        assert_eq!(at, full);
+        assert_eq!(at_set, full_set);
+        assert_eq!(at_set.to_vec(), vec![p(3), p(37)]);
+    }
+
+    #[test]
+    fn patch_and_copy_make_a_buffer_equal_to_its_source() {
+        let source = DependencyVector::from_raw((0..40).collect());
+        let mut stale = source.clone();
+        stale.begin_next_interval(p(7));
+        stale.begin_next_interval(p(39));
+        stale.patch_from(&source, &[39, 7]);
+        assert_eq!(stale, source);
+        let mut unrelated = DependencyVector::new(40);
+        unrelated.copy_from(&source);
+        assert_eq!(unrelated, source);
     }
 
     #[test]

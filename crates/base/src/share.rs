@@ -24,7 +24,7 @@
 //! # Stamps
 //!
 //! Every handle also carries a *stamp*: a `u64` minted when a vector is
-//! interned (or an existing `Rc` / `Arc` is wrapped), unique within the OS
+//! interned (or an existing `Arc` is wrapped), unique within the OS
 //! process and never handed out twice. What it promises is one-directional:
 //! **same stamp ⇒ same immutable content**. `clone` copies it, and
 //! [`SharedDv::to_sync`] / [`SyncDv::to_local`] keep it, since the copy they
@@ -36,6 +36,18 @@
 //! ([`SharedDv::try_unwrap`]). Stamps are process-local: they take no part in
 //! equality, hashing or formatting, and they are never put on the wire — a
 //! decoded frame is interned afresh.
+//!
+//! A [`SharedDv`] may also name a *predecessor*: the stamp of an earlier
+//! snapshot, with a list of entries ([`SharedDv::succeeding`]). The promise
+//! is again one-directional, and exactly this: **same predecessor stamp ⇒
+//! the two contents differ at most at these entries** — so a receiver
+//! whose last full merge was the predecessor has already merged everything
+//! else of the successor ([`SharedDv::changes_since`]). No predecessor, or
+//! another one, says nothing. The link lives beside the vector behind the
+//! handle and shares the stamp's standing: outside equality, hashing,
+//! formatting, serde and the wire, kept by `clone`, and — being a promise
+//! about one sender's consecutive snapshots on one thread — dropped by the
+//! copies [`SharedDv::to_sync`] and [`SyncDv::to_local`] make.
 
 use std::cell::Cell;
 use std::fmt;
@@ -75,26 +87,70 @@ fn mint_stamp() -> u64 {
     })
 }
 
+/// What a [`SharedDv`] handle points at: the vector, and beside it the
+/// link to the snapshot its sender interned before — see
+/// [`SharedDv::changes_since`]. One allocation, so a handle stays two
+/// words however much rides along.
+#[derive(Serialize, Deserialize)]
+struct Interned {
+    dv: DependencyVector,
+    /// Stamp of the predecessor snapshot, if one was named, and where this
+    /// vector may differ from that one's. Boxed: most snapshots have none,
+    /// and every one is allocated.
+    #[serde(skip)]
+    link: Option<Box<(u64, Vec<u32>)>>,
+}
+
 /// A thread-local (non-atomic, `!Send`) shared dependency-vector snapshot —
 /// the piggyback payload of the single-threaded hot path.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct SharedDv {
-    dv: Rc<DependencyVector>,
+    dv: Rc<Interned>,
     #[serde(skip, default = "mint_stamp")]
     stamp: u64,
 }
 
 impl SharedDv {
     /// Interns an owned vector under a fresh stamp.
+    #[inline]
     pub fn new(dv: DependencyVector) -> Self {
-        Rc::new(dv).into()
+        Self::intern(dv, None, mint_stamp())
+    }
+
+    #[inline]
+    fn intern(dv: DependencyVector, link: Option<Box<(u64, Vec<u32>)>>, stamp: u64) -> Self {
+        let dv = Rc::new(Interned { dv, link });
+        Self { dv, stamp }
+    }
+
+    fn vector(&self) -> &DependencyVector {
+        &self.dv.dv
+    }
+
+    /// Interns `dv` under a fresh stamp as the successor of the snapshot
+    /// stamped `pred`, from which it differs at most at the entries
+    /// `changed` — the caller's promise, which
+    /// [`changes_since`](Self::changes_since) passes on.
+    pub fn succeeding(dv: DependencyVector, pred: u64, changed: Vec<u32>) -> Self {
+        Self::intern(dv, Some(Box::new((pred, changed))), mint_stamp())
+    }
+
+    /// The entries at which this snapshot may differ from the one stamped
+    /// `stamp`, if that is its predecessor: everywhere else the two are
+    /// equal. `None` says nothing — another sender, a gap, a snapshot
+    /// interned without a link or copied across flavours.
+    pub fn changes_since(&self, stamp: u64) -> Option<&[u32]> {
+        match self.dv.link.as_deref() {
+            Some((pred, changed)) if *pred == stamp => Some(changed),
+            _ => None,
+        }
     }
 
     /// Deep-copies into the [`Arc`]-backed flavour for a cross-thread
     /// handoff. Same content, so the same stamp.
     pub fn to_sync(&self) -> SyncDv {
         SyncDv {
-            dv: Arc::new(self.dv.as_ref().clone()),
+            dv: Arc::new(self.vector().clone()),
             stamp: self.stamp,
         }
     }
@@ -103,7 +159,9 @@ impl SharedDv {
     /// every clone has been dropped — and returns the handle otherwise.
     pub fn try_unwrap(self) -> Result<DependencyVector, Self> {
         let stamp = self.stamp;
-        Rc::try_unwrap(self.dv).map_err(|dv| Self { dv, stamp })
+        Rc::try_unwrap(self.dv)
+            .map(|interned| interned.dv)
+            .map_err(|dv| Self { dv, stamp })
     }
 }
 
@@ -122,13 +180,14 @@ impl SyncDv {
         Arc::new(dv).into()
     }
 
+    fn vector(&self) -> &DependencyVector {
+        &self.dv
+    }
+
     /// Deep-copies into the thread-local flavour. Same content, so the
     /// same stamp.
     pub fn to_local(&self) -> SharedDv {
-        SharedDv {
-            dv: Rc::new(self.dv.as_ref().clone()),
-            stamp: self.stamp,
-        }
+        SharedDv::intern(self.vector().clone(), None, self.stamp)
     }
 }
 
@@ -149,13 +208,13 @@ macro_rules! snapshot_impls {
             type Target = DependencyVector;
 
             fn deref(&self) -> &DependencyVector {
-                &self.dv
+                self.vector()
             }
         }
 
         impl AsRef<DependencyVector> for $ty {
             fn as_ref(&self) -> &DependencyVector {
-                &self.dv
+                self.vector()
             }
         }
 
@@ -169,7 +228,7 @@ macro_rules! snapshot_impls {
         /// or stamp.
         impl PartialEq for $ty {
             fn eq(&self, other: &Self) -> bool {
-                self.dv == other.dv
+                self.vector() == other.vector()
             }
         }
 
@@ -177,19 +236,19 @@ macro_rules! snapshot_impls {
 
         impl std::hash::Hash for $ty {
             fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-                self.dv.hash(state);
+                self.vector().hash(state);
             }
         }
 
         impl fmt::Debug for $ty {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                fmt::Debug::fmt(&*self.dv, f)
+                fmt::Debug::fmt(self.vector(), f)
             }
         }
 
         impl fmt::Display for $ty {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                fmt::Display::fmt(&*self.dv, f)
+                fmt::Display::fmt(self.vector(), f)
             }
         }
     };
@@ -197,16 +256,6 @@ macro_rules! snapshot_impls {
 
 snapshot_impls!(SharedDv);
 snapshot_impls!(SyncDv);
-
-/// Wraps the `Rc` under a fresh stamp: its other holders are unknown here.
-impl From<Rc<DependencyVector>> for SharedDv {
-    fn from(dv: Rc<DependencyVector>) -> Self {
-        Self {
-            dv,
-            stamp: mint_stamp(),
-        }
-    }
-}
 
 /// Wraps the `Arc` under a fresh stamp: its other holders are unknown here.
 impl From<Arc<DependencyVector>> for SyncDv {
@@ -256,11 +305,27 @@ mod tests {
         let b = SharedDv::new(DependencyVector::from_raw(vec![4, 1]));
         assert_eq!(a, b);
         assert_ne!(a.stamp(), b.stamp());
-        let rc = Rc::new(DependencyVector::from_raw(vec![4, 1]));
-        assert_ne!(
-            SharedDv::from(rc.clone()).stamp(),
-            SharedDv::from(rc).stamp()
-        );
+        let arc = Arc::new(DependencyVector::from_raw(vec![4, 1]));
+        assert_ne!(SyncDv::from(arc.clone()).stamp(), SyncDv::from(arc).stamp());
+    }
+
+    #[test]
+    fn a_link_answers_for_its_predecessor_only_and_is_no_part_of_the_value() {
+        let first = SharedDv::new(DependencyVector::from_raw(vec![4, 1, 0]));
+        let dv = DependencyVector::from_raw(vec![4, 2, 0]);
+        let next = SharedDv::succeeding(dv.clone(), first.stamp(), vec![1]);
+        assert_eq!(next.changes_since(first.stamp()), Some(&[1u32][..]));
+        assert_eq!(next.clone().changes_since(first.stamp()), Some(&[1u32][..]));
+        assert_eq!(next.changes_since(next.stamp()), None);
+        assert_eq!(first.changes_since(first.stamp()), None, "interned bare");
+        assert_eq!(first.changes_since(0), None, "0 is no stamp");
+        // Equal to the same vector interned bare; a copy across flavours
+        // keeps stamp and content and drops the link.
+        assert_eq!(next, SharedDv::new(dv.clone()));
+        let hopped = next.to_sync().to_local();
+        assert_eq!((hopped.stamp(), &*hopped), (next.stamp(), &dv));
+        assert_eq!(hopped.changes_since(first.stamp()), None);
+        assert_eq!(next.try_unwrap().expect("sole handle"), dv);
     }
 
     #[test]

@@ -4,13 +4,30 @@
 //! with integer handles, which keeps the reference-counting explicit and
 //! `unsafe`-free.
 
+use std::num::NonZeroU32;
+
 use serde::{Deserialize, Serialize};
 
 use rdt_base::CheckpointIndex;
 
 /// Handle to a [`Ccb`] inside a [`CcbArena`] — the paper's `↑CCB` pointer.
+///
+/// The slot number plus one, in 32 non-zero bits: RDT-LGC's `UC` vector is
+/// `n` of `Option<CcbRef>` per process, so at most `n + 1` live handles
+/// should not cost 16 bytes an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct CcbRef(usize);
+pub struct CcbRef(NonZeroU32);
+
+impl CcbRef {
+    fn of_slot(slot: usize) -> Self {
+        let handle = u32::try_from(slot + 1).ok().and_then(NonZeroU32::new);
+        Self(handle.expect("more than u32::MAX live CCBs"))
+    }
+
+    fn slot(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
 
 /// A checkpoint control block: an uncollected stable checkpoint's index plus
 /// a reference counter of how many `UC` entries deny its elimination.
@@ -26,7 +43,7 @@ pub struct Ccb {
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CcbArena {
     slots: Vec<Option<Ccb>>,
-    free: Vec<usize>,
+    free: Vec<CcbRef>,
 }
 
 impl CcbArena {
@@ -40,13 +57,13 @@ impl CcbArena {
     pub fn alloc(&mut self, index: CheckpointIndex) -> CcbRef {
         let ccb = Ccb { index, rc: 1 };
         match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some(ccb);
-                CcbRef(slot)
+            Some(r) => {
+                self.slots[r.slot()] = Some(ccb);
+                r
             }
             None => {
                 self.slots.push(Some(ccb));
-                CcbRef(self.slots.len() - 1)
+                CcbRef::of_slot(self.slots.len() - 1)
             }
         }
     }
@@ -57,7 +74,7 @@ impl CcbArena {
     ///
     /// Panics if the handle is dangling.
     pub fn inc(&mut self, r: CcbRef) {
-        self.slots[r.0].as_mut().expect("live CCB").rc += 1;
+        self.slots[r.slot()].as_mut().expect("live CCB").rc += 1;
     }
 
     /// Decrements the reference counter (procedure `release`, lines 2–5);
@@ -68,12 +85,12 @@ impl CcbArena {
     ///
     /// Panics if the handle is dangling.
     pub fn dec(&mut self, r: CcbRef) -> Option<CheckpointIndex> {
-        let ccb = self.slots[r.0].as_mut().expect("live CCB");
+        let ccb = self.slots[r.slot()].as_mut().expect("live CCB");
         ccb.rc -= 1;
         if ccb.rc == 0 {
             let index = ccb.index;
-            self.slots[r.0] = None;
-            self.free.push(r.0);
+            self.slots[r.slot()] = None;
+            self.free.push(r);
             Some(index)
         } else {
             None
@@ -86,7 +103,7 @@ impl CcbArena {
     ///
     /// Panics if the handle is dangling.
     pub fn index_of(&self, r: CcbRef) -> CheckpointIndex {
-        self.slots[r.0].as_ref().expect("live CCB").index
+        self.slots[r.slot()].as_ref().expect("live CCB").index
     }
 
     /// The current reference count of a live CCB.
@@ -95,7 +112,7 @@ impl CcbArena {
     ///
     /// Panics if the handle is dangling.
     pub fn rc_of(&self, r: CcbRef) -> u32 {
-        self.slots[r.0].as_ref().expect("live CCB").rc
+        self.slots[r.slot()].as_ref().expect("live CCB").rc
     }
 
     /// Number of live CCBs — the number of retained checkpoints.
@@ -121,6 +138,11 @@ mod tests {
 
     fn idx(i: usize) -> CheckpointIndex {
         CheckpointIndex::new(i)
+    }
+
+    #[test]
+    fn an_optional_handle_is_four_bytes() {
+        assert_eq!(std::mem::size_of::<Option<CcbRef>>(), 4);
     }
 
     #[test]

@@ -39,7 +39,25 @@ pub struct CheckpointStore {
     bytes: usize,
     peak_bytes: usize,
     total_bytes_stored: usize,
+    /// Vectors of eliminated [tagged](Self::insert_tagged) checkpoints,
+    /// until [`drain_retired`](Self::drain_retired) hands them back.
+    #[serde(skip)]
+    retired: Aside<Vec<(DependencyVector, u64)>>,
 }
+
+/// Bookkeeping of the running process that rides in a store without being
+/// part of its value: any two compare equal, and none is serialised or
+/// reaches the storage codec.
+#[derive(Debug, Clone, Default)]
+struct Aside<T>(T);
+
+impl<T> PartialEq for Aside<T> {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl<T> Eq for Aside<T> {}
 
 /// One stable checkpoint at rest: its dependency vector (stored for
 /// recovery, Section 4.2) and the application-state size it occupies.
@@ -53,6 +71,9 @@ pub struct CheckpointStore {
 struct StoredCheckpoint {
     dv: DependencyVector,
     bytes: usize,
+    /// See [`CheckpointStore::insert_tagged`].
+    #[serde(skip)]
+    tag: Aside<Option<u64>>,
 }
 
 impl CheckpointStore {
@@ -68,6 +89,7 @@ impl CheckpointStore {
             bytes: 0,
             peak_bytes: 0,
             total_bytes_stored: 0,
+            retired: Aside::default(),
         }
     }
 
@@ -109,7 +131,28 @@ impl CheckpointStore {
     ///
     /// Panics if `index` is already present.
     pub fn insert_with_size(&mut self, index: CheckpointIndex, dv: DependencyVector, bytes: usize) {
-        let stored = StoredCheckpoint { dv, bytes };
+        self.insert_tagged(index, dv, bytes, None);
+    }
+
+    /// [`insert_with_size`](Self::insert_with_size) for an owner that
+    /// wants the vector's buffer back: when a checkpoint stored with
+    /// `Some(tag)` — a number that means something to the owner only — is
+    /// [removed](Self::remove), its vector is not freed but queued with
+    /// the tag for [`drain_retired`](Self::drain_retired). The tag is no
+    /// part of the store's value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is already present.
+    pub fn insert_tagged(
+        &mut self,
+        index: CheckpointIndex,
+        dv: DependencyVector,
+        bytes: usize,
+        tag: Option<u64>,
+    ) {
+        let tag = Aside(tag);
+        let stored = StoredCheckpoint { dv, bytes, tag };
         match self.entries.back() {
             // The always-taken path: checkpoint indices grow monotonically.
             Some(&(last, _)) if index > last => self.entries.push_back((index, stored)),
@@ -142,6 +185,9 @@ impl CheckpointStore {
                 let (_, stored) = self.entries.remove(at).expect("position is in bounds");
                 self.total_collected += 1;
                 self.bytes -= stored.bytes;
+                if let Some(tag) = stored.tag.0 {
+                    self.retired.0.push((stored.dv, tag));
+                }
                 Ok(())
             }
             Err(_) => Err(Error::CheckpointNotInStorage {
@@ -149,6 +195,12 @@ impl CheckpointStore {
                 index,
             }),
         }
+    }
+
+    /// The vectors of the tagged checkpoints removed since the last call,
+    /// each with its tag, oldest removal first.
+    pub fn drain_retired(&mut self) -> impl Iterator<Item = (DependencyVector, u64)> + '_ {
+        self.retired.0.drain(..)
     }
 
     /// The dependency vector stored with `index`.
@@ -305,6 +357,31 @@ mod tests {
         assert_eq!(s.bytes(), 50);
         assert_eq!(s.peak_bytes(), 150);
         assert_eq!(s.total_bytes_stored(), 150);
+    }
+
+    #[test]
+    fn a_tagged_vector_comes_back_and_a_tag_is_no_part_of_the_value() {
+        let mut tagged = CheckpointStore::new(ProcessId::new(0));
+        let mut plain = tagged.clone();
+        let dv = |own| DependencyVector::from_raw(vec![own, 3]);
+        for i in 0..3 {
+            tagged.insert_tagged(idx(i), dv(i), 8, Some(40 + i as u64));
+            plain.insert_with_size(idx(i), dv(i), 8);
+        }
+        assert_eq!(tagged, plain);
+        for store in [&mut tagged, &mut plain] {
+            store.remove(idx(1)).unwrap();
+            store.remove(idx(0)).unwrap();
+        }
+        assert_eq!(tagged, plain, "vectors waiting to be drained included");
+        let back: Vec<_> = tagged.drain_retired().collect();
+        assert_eq!(back, vec![(dv(1), 41), (dv(0), 40)]);
+        assert_eq!(tagged.drain_retired().count(), 0);
+        assert_eq!(
+            plain.drain_retired().count(),
+            0,
+            "untagged vectors are freed"
+        );
     }
 
     #[test]

@@ -23,6 +23,48 @@
 //! * **Checkpoint** (`take_checkpoint_into`) ends the interval, so the
 //!   interned snapshot, still equal to `dv`, is moved into the store
 //!   instead of a copy whenever no undelivered message shares it.
+//!
+//! ## The change log
+//!
+//! In a wide system (`n > LOG_CAP`) the work not yet done is a few entries
+//! of a vector of thousands, and finding them by scanning is the cost. So
+//! from its first interned snapshot on, such a middleware keeps a *change
+//! log*: the indices of the entries of `dv` it mutated, in order, in a
+//! ring of `LOG_CAP`. There are two mutators and both append — a merge,
+//! the entries of the [`UpdateSet`] it returned; a checkpoint, the owner's
+//! entry — and two readers:
+//!
+//! * **Send.** A snapshot interned under the log names its predecessor —
+//!   the snapshot this process interned before it — and carries the
+//!   entries logged in between ([`SharedDv::succeeding`]), unless the log
+//!   no longer holds them all. **Receive.** If the remembered stamp *is*
+//!   that predecessor, everything of the new snapshot outside those
+//!   entries was merged already, and the news test and the merge run over
+//!   them alone — a full merge in the memo's sense, so the remembered
+//!   stamp advances. Any other receive — another sender in between, a
+//!   snapshot missed, a log that wrapped, a rollback on either side, a
+//!   [`SyncDv`], a decoded vector — is the full scan.
+//! * **Checkpoint** tags the vector it stores with the log position at
+//!   which it equalled `dv`, and when the collector eliminates that
+//!   checkpoint the store hands the buffer back with its tag; a snapshot
+//!   no message carries when it is invalidated is kept the same way. The
+//!   next **copy** of `dv` — an intern, a checkpoint with no snapshot to
+//!   adopt — takes the newest of the (at most `KEPT`) kept buffers and
+//!   writes the entries logged since its tag into it, instead of
+//!   allocating and copying n words; a tag the log no longer reaches is a
+//!   plain in-place copy.
+//! * **Rollback** replaces `dv` wholesale: still the one event that
+//!   forgets — the remembered stamp, the predecessor, and every position
+//!   a tag could name.
+//!
+//! One condition governs the writer and both readers: `n > LOG_CAP` says
+//! whether a middleware will ever log (or look for a link), and
+//! `changes.is_some()` — true from its first intern on — whether it does
+//! yet. A middleware that never interns (`LiveNode` sends with
+//! [`send_with`](Middleware::send_with)) or whose vectors are short never
+//! has a log, and pays one branch per mutation. In debug builds every
+//! patched copy is compared with `dv` and every merged piggyback is
+//! checked to be dominated by it.
 
 use serde::{Deserialize, Serialize};
 
@@ -73,6 +115,133 @@ pub struct RollbackReport {
     pub restored: CheckpointIndex,
     /// Checkpoints eliminated (rolled-back ones plus GC).
     pub eliminated: Vec<CheckpointIndex>,
+}
+
+/// Entries the change log holds, and the system size above which a
+/// middleware keeps one: a log as long as the vector saves nothing over
+/// reading the vector.
+const LOG_CAP: usize = 64;
+
+/// Vector buffers kept per process for the next copy of `dv`.
+const KEPT: usize = 2;
+
+/// Which entries of `dv` changed, in order, since a position — and what
+/// that lets the middleware skip. See "What an event costs" in the
+/// [module docs](self).
+///
+/// A *position* counts the entries ever appended; entry `k` sits at
+/// `ring[k % LOG_CAP]`, so the log answers for the last `LOG_CAP` of them
+/// and, after a rollback, only for those past `floor`.
+#[derive(Debug)]
+struct ChangeLog {
+    ring: [u32; LOG_CAP],
+    pos: u64,
+    /// Positions below this one are forgotten: `dv` was replaced there.
+    floor: u64,
+    /// Stamp of the last snapshot interned, and the position it was
+    /// interned at; `None` once the log has forgotten that far back.
+    interned: Option<(u64, u64)>,
+    /// Buffers that left use, each with the position at which it equalled
+    /// `dv`.
+    kept: [Option<(DependencyVector, u64)>; KEPT],
+    /// Copies of `dv` made by patching a kept buffer.
+    #[cfg(test)]
+    patched_copies: u64,
+}
+
+impl ChangeLog {
+    fn new() -> Self {
+        Self {
+            ring: [0; LOG_CAP],
+            pos: 0,
+            floor: 0,
+            interned: None,
+            kept: [const { None }; KEPT],
+            #[cfg(test)]
+            patched_copies: 0,
+        }
+    }
+
+    fn push(&mut self, entry: ProcessId) {
+        self.ring[self.pos as usize % LOG_CAP] = entry.index() as u32;
+        self.pos += 1;
+    }
+
+    /// Appends the entries a merge updated.
+    fn push_all(&mut self, updated: &UpdateSet) {
+        updated.iter().for_each(|j| self.push(j));
+    }
+
+    /// The entries appended after position `from`, oldest first, as the
+    /// ring's two runs; `None` if the log no longer reaches back that far.
+    fn since(&self, from: u64) -> Option<[&[u32]; 2]> {
+        let count = (self.pos - from) as usize;
+        if from < self.floor || count > LOG_CAP {
+            return None;
+        }
+        let start = from as usize % LOG_CAP;
+        let wrapped = (start + count).saturating_sub(LOG_CAP);
+        Some([
+            &self.ring[start..start + count - wrapped],
+            &self.ring[..wrapped],
+        ])
+    }
+
+    /// Forgets everything: `dv` has been replaced. The new value gets a
+    /// position of its own — a buffer tagged with the current one equals
+    /// the *old* value — and no slice reaches back across it.
+    fn forget(&mut self) {
+        self.pos += 1;
+        self.floor = self.pos;
+        self.interned = None;
+    }
+
+    /// Keeps `buffer`, which equalled `dv` at position `tag`, unless the
+    /// slots are full of newer ones.
+    fn keep(&mut self, buffer: DependencyVector, tag: u64) {
+        let oldest = self
+            .kept
+            .iter_mut()
+            .min_by_key(|slot| slot.as_ref().map(|k| k.1));
+        let oldest = oldest.expect("KEPT > 0");
+        if oldest.as_ref().is_none_or(|k| k.1 < tag) {
+            *oldest = Some((buffer, tag));
+        }
+    }
+
+    /// Takes leave of the interned snapshot, `dv` having changed: if no
+    /// message carries it any more it is a buffer worth keeping — it
+    /// equalled `dv` from its interning to that change.
+    fn retire(&mut self, snapshot: SharedDv) {
+        if let (Ok(buffer), Some((_, at))) = (snapshot.try_unwrap(), self.interned) {
+            self.keep(buffer, at);
+        }
+    }
+
+    /// A vector equal to `dv`: the kept buffer closest to it, brought up
+    /// to date by the entries logged since its tag when the log reaches
+    /// back that far and in full otherwise; with no buffer kept, a clone.
+    fn copy_of(&mut self, dv: &DependencyVector) -> DependencyVector {
+        let newest = self
+            .kept
+            .iter_mut()
+            .max_by_key(|slot| slot.as_ref().map(|k| k.1));
+        let Some((mut buffer, tag)) = newest.and_then(Option::take) else {
+            return dv.clone();
+        };
+        match self.since(tag) {
+            Some(runs) => {
+                runs.iter().for_each(|at| buffer.patch_from(dv, at));
+                #[cfg(test)]
+                {
+                    self.patched_copies += 1;
+                }
+            }
+            None => buffer.copy_from(dv),
+        }
+        debug_assert_eq!(&buffer, dv, "a change of dv went unlogged");
+        buffer
+    }
 }
 
 /// The per-process checkpointing middleware: owns the dependency vector,
@@ -167,6 +336,12 @@ pub struct Middleware<S: Storage = Volatile> {
     /// Receives that found their piggyback's stamp in `merged`.
     #[cfg(test)]
     memo_hits: u64,
+    /// The change log, from the first snapshot interned in a system wide
+    /// enough (`n > LOG_CAP`) on; `None` costs every mutation one branch.
+    changes: Option<Box<ChangeLog>>,
+    /// Receives that merged over their snapshot's changed entries only.
+    #[cfg(test)]
+    restricted_merges: u64,
     /// The durability sink state changes are offered to. [`Volatile`] by
     /// default: calls vanish at compile time.
     sink: S,
@@ -264,6 +439,9 @@ impl<S: Storage> Middleware<S> {
             merged: None,
             #[cfg(test)]
             memo_hits: 0,
+            changes: None,
+            #[cfg(test)]
+            restricted_merges: 0,
             sink,
             sink_err: None,
         };
@@ -313,6 +491,9 @@ impl<S: Storage> Middleware<S> {
             merged: None,
             #[cfg(test)]
             memo_hits: 0,
+            changes: None,
+            #[cfg(test)]
+            restricted_merges: 0,
             sink,
             sink_err: None,
         }
@@ -461,19 +642,39 @@ impl<S: Storage> Middleware<S> {
             Some(Ok(snapshot)) => snapshot,
             // For inline vectors (n <= 16) a pure memcpy into the store's
             // entry — no allocation, no refcount.
-            _ => self.dv.clone(),
+            _ => match &mut self.changes {
+                Some(log) => log.copy_of(&self.dv),
+                None => self.dv.clone(),
+            },
         };
-        self.store.insert_with_size(index, stored, self.state_size);
+        let tag = self.changes.as_ref().map(|log| log.pos);
+        self.store
+            .insert_tagged(index, stored, self.state_size, tag);
         self.gc
             .after_checkpoint_into(&mut self.store, index, &self.dv, eliminated);
+        self.keep_retired();
         self.protocol.note_checkpoint(forced);
         if !forced {
             self.basic_count += 1;
         }
         self.dv.begin_next_interval(self.owner);
+        if let Some(log) = &mut self.changes {
+            log.push(self.owner);
+        }
         self.invalidate_snapshots();
         self.commit_sink();
         index
+    }
+
+    /// Takes the vectors of the checkpoints the collector has just
+    /// eliminated into the kept buffers. Nothing is tagged, so nothing is
+    /// retired, while there is no log.
+    fn keep_retired(&mut self) {
+        if let Some(log) = &mut self.changes {
+            self.store
+                .drain_retired()
+                .for_each(|(buffer, tag)| log.keep(buffer, tag));
+        }
     }
 
     /// Takes a basic (application-initiated) checkpoint.
@@ -556,11 +757,34 @@ impl<S: Storage> Middleware<S> {
         match &self.dv_snapshot {
             Some(snapshot) => snapshot.clone(),
             None => {
-                let snapshot = SharedDv::new(self.dv.clone());
+                let snapshot = match self.n > LOG_CAP {
+                    true => self.intern_logged(),
+                    false => SharedDv::new(self.dv.clone()),
+                };
                 self.dv_snapshot = Some(snapshot.clone());
                 snapshot
             }
         }
+    }
+
+    /// Interns a copy of `dv` in a system wide enough for a change log,
+    /// starting the log if this is the first. The snapshot names the one
+    /// interned before it and the entries logged in between, if the log
+    /// still holds them all.
+    fn intern_logged(&mut self) -> SharedDv {
+        let log = self
+            .changes
+            .get_or_insert_with(|| Box::new(ChangeLog::new()));
+        let copy = log.copy_of(&self.dv);
+        let link = log
+            .interned
+            .and_then(|(pred, at)| Some((pred, log.since(at)?.concat())));
+        let snapshot = match link {
+            Some((pred, changed)) => SharedDv::succeeding(copy, pred, changed),
+            None => SharedDv::new(copy),
+        };
+        log.interned = Some((snapshot.stamp(), log.pos));
+        snapshot
     }
 
     /// The [`std::sync::Arc`]-backed snapshot for cross-thread piggybacks,
@@ -579,8 +803,12 @@ impl<S: Storage> Middleware<S> {
 
     /// Drops both interned snapshots after a local mutation of `dv`; the
     /// next send re-interns lazily (copy-on-write).
+    /// Under the change log the thread-local one may be kept as a buffer.
     fn invalidate_snapshots(&mut self) {
-        self.dv_snapshot = None;
+        match (&mut self.changes, self.dv_snapshot.take()) {
+            (Some(log), Some(snapshot)) => log.retire(snapshot),
+            _dropped => {}
+        }
         self.sync_snapshot = None;
     }
 
@@ -658,7 +886,18 @@ impl<S: Storage> Middleware<S> {
         m: &Piggyback,
         report: &mut ReceiveReport,
     ) -> Result<()> {
-        self.receive_parts_into(&m.dv, Some(m.dv.stamp()), m.index, report)
+        let stamp = Some(m.dv.stamp());
+        // Asked only where it can matter, and not of the snapshot merged
+        // last: a memo hit never touches the snapshot's memory.
+        let changed = match self.merged {
+            Some(merged) if self.n > LOG_CAP && stamp != self.merged => m.dv.changes_since(merged),
+            _ => None,
+        };
+        // Two copies of the inlined core, each with its scan folded in.
+        match changed {
+            Some(at) => self.receive_parts_into(&m.dv, stamp, Some(at), m.index, report),
+            None => self.receive_parts_into(&m.dv, stamp, None, m.index, report),
+        }
     }
 
     /// [`receive_piggyback_into`](Self::receive_piggyback_into) for a
@@ -676,7 +915,7 @@ impl<S: Storage> Middleware<S> {
         their_index: u64,
         report: &mut ReceiveReport,
     ) -> Result<()> {
-        self.receive_parts_into(their_dv, None, their_index, report)
+        self.receive_parts_into(their_dv, None, None, their_index, report)
     }
 
     /// [`receive_piggyback_into`](Self::receive_piggyback_into) for the
@@ -690,7 +929,7 @@ impl<S: Storage> Middleware<S> {
         m: &SyncPiggyback,
         report: &mut ReceiveReport,
     ) -> Result<()> {
-        self.receive_parts_into(&m.dv, Some(m.dv.stamp()), m.index, report)
+        self.receive_parts_into(&m.dv, Some(m.dv.stamp()), None, m.index, report)
     }
 
     /// The receive handler over the piggyback's components — the shared
@@ -706,11 +945,18 @@ impl<S: Storage> Middleware<S> {
     /// update set stays empty. Everything that does not depend on the
     /// vector's content runs as for any other receive. A vector without a
     /// stamp is never known and leaves the memo alone.
+    ///
+    /// `their_changes`, when given, are the entries outside which the
+    /// piggyback equals the snapshot merged last
+    /// ([`SharedDv::changes_since`] of the remembered stamp): by the same
+    /// argument both scans come back empty *there*, and run over these
+    /// entries only.
     #[inline(always)]
     fn receive_parts_into(
         &mut self,
         their_dv: &DependencyVector,
         their_stamp: Option<u64>,
+        their_changes: Option<&[u32]>,
         their_index: u64,
         report: &mut ReceiveReport,
     ) -> Result<()> {
@@ -720,18 +966,30 @@ impl<S: Storage> Middleware<S> {
         #[cfg(test)]
         {
             self.memo_hits += u64::from(known);
+            self.restricted_merges += u64::from(!known && their_changes.is_some());
         }
         if self
             .protocol
-            .must_force_with(their_index, || !known && self.dv.would_learn_from(their_dv))
+            .must_force_with(their_index, || match their_changes {
+                _ if known => false,
+                Some(at) => self.dv.would_learn_at(their_dv, at),
+                None => self.dv.would_learn_from(their_dv),
+            })
         {
             report.forced = Some(self.take_checkpoint_into(true, &mut report.eliminated));
         }
         if !known {
-            self.dv.merge_from_into(their_dv, &mut report.updated);
+            match their_changes {
+                Some(at) => self.dv.merge_at_into(their_dv, at, &mut report.updated),
+                None => self.dv.merge_from_into(their_dv, &mut report.updated),
+            }
+            debug_assert!(their_dv.dominated_by(&self.dv), "news outside the slice");
             self.merged = their_stamp.or(self.merged);
         }
         if !report.updated.is_empty() {
+            if let Some(log) = &mut self.changes {
+                log.push_all(&report.updated);
+            }
             self.invalidate_snapshots();
             let before = report.eliminated.len();
             self.gc.after_receive_into(
@@ -740,6 +998,7 @@ impl<S: Storage> Middleware<S> {
                 &self.dv,
                 &mut report.eliminated,
             );
+            self.keep_retired();
             if report.eliminated.len() > before {
                 self.commit_sink();
             }
@@ -795,10 +1054,15 @@ impl<S: Storage> Middleware<S> {
         self.store.raise_incarnation_floor(self.incarnation);
         dv.resume_incarnation(self.owner, self.incarnation);
         self.dv = dv;
-        // The restored vector may lie below what was merged before.
+        // The restored vector may lie below what was merged before, and
+        // differs from the old one anywhere: the one event that forgets.
         self.merged = None;
         self.invalidate_snapshots();
+        if let Some(log) = &mut self.changes {
+            log.forget();
+        }
         let eliminated = self.gc.after_rollback(&mut self.store, ri, li, &self.dv);
+        self.keep_retired();
         self.protocol.note_checkpoint(true); // clears `sent`; not counted
         self.crashed = false;
         self.commit_sink();
@@ -813,6 +1077,7 @@ impl<S: Storage> Middleware<S> {
     pub fn recovery_info(&mut self, li: &LastIntervals) -> Vec<CheckpointIndex> {
         let eliminated = self.gc.on_recovery_info(&mut self.store, li, &self.dv);
         if !eliminated.is_empty() {
+            self.keep_retired();
             self.commit_sink();
         }
         eliminated
@@ -823,6 +1088,7 @@ impl<S: Storage> Middleware<S> {
     pub fn control(&mut self, info: &ControlInfo) -> Vec<CheckpointIndex> {
         let eliminated = self.gc.on_control(&mut self.store, info, &self.dv);
         if !eliminated.is_empty() {
+            self.keep_retired();
             self.commit_sink();
         }
         eliminated
@@ -833,6 +1099,7 @@ impl<S: Storage> Middleware<S> {
     pub fn tick(&mut self, now: u64) -> Vec<CheckpointIndex> {
         let eliminated = self.gc.on_tick(&mut self.store, now, &self.dv);
         if !eliminated.is_empty() {
+            self.keep_retired();
             self.commit_sink();
         }
         eliminated
@@ -1212,6 +1479,121 @@ mod tests {
         assert_eq!(entries(a.store().dv(stored).unwrap()), snapshot, "adopted");
         // Either way the next interval interns afresh.
         assert_eq!(*a.piggyback().dv, *a.dv());
+    }
+
+    /// A system just wide enough for a change log, `a` sending to `b`:
+    /// every receive below is `b` receiving `a`'s current snapshot.
+    const WIDE: usize = LOG_CAP + 2;
+
+    fn wide(i: usize) -> Middleware {
+        Middleware::new(p(i), WIDE, ProtocolKind::Fdas, GcKind::RdtLgc)
+    }
+
+    fn patched(mw: &Middleware) -> u64 {
+        mw.changes.as_ref().map_or(0, |log| log.patched_copies)
+    }
+
+    #[test]
+    fn a_successor_snapshot_is_merged_over_its_changed_entries_only() {
+        let (mut a, mut b, mut c) = (wide(0), wide(1), wide(2));
+        // The first snapshot has no predecessor: a full scan.
+        b.receive_piggyback(&a.piggyback()).unwrap();
+        assert_eq!(b.restricted_merges, 0);
+        // News from c and a checkpoint of its own: two entries logged.
+        c.basic_checkpoint().unwrap();
+        a.receive_piggyback(&c.piggyback()).unwrap();
+        a.basic_checkpoint().unwrap();
+        let next = a.piggyback();
+        let merged = b.merged_stamp().expect("a's first snapshot");
+        assert_eq!(next.dv.changes_since(merged), Some(&[2u32, 0][..]));
+        let r = b.receive_piggyback(&next).unwrap();
+        assert_eq!(b.restricted_merges, 1);
+        assert_eq!(r.updated.to_vec(), vec![p(0), p(2)]);
+        assert_eq!(b.merged_stamp(), Some(next.dv.stamp()), "a full merge");
+        // The same snapshot again is the memo's, not the log's.
+        b.receive_piggyback(&next).unwrap();
+        assert_eq!((b.memo_hits, b.restricted_merges), (1, 1));
+        // A short vector never logs.
+        let (mut x, mut y) = pair(ProtocolKind::Fdas);
+        for _ in 0..3 {
+            x.basic_checkpoint().unwrap();
+            y.receive_piggyback(&x.piggyback()).unwrap();
+        }
+        assert!(x.changes.is_none() && y.restricted_merges == 0);
+    }
+
+    #[test]
+    fn a_foreign_predecessor_is_a_full_scan() {
+        let (mut a, mut b, mut c) = (wide(0), wide(1), wide(2));
+        b.receive_piggyback(&a.piggyback()).unwrap();
+        a.basic_checkpoint().unwrap();
+        // c's snapshot in between: b no longer remembers a's first.
+        b.receive_piggyback(&c.piggyback()).unwrap();
+        let r = b.receive_piggyback(&a.piggyback()).unwrap();
+        assert_eq!(r.updated.to_vec(), vec![p(0)]);
+        // A snapshot b never saw: its successor names a stranger.
+        a.basic_checkpoint().unwrap();
+        let _missed = a.piggyback();
+        a.basic_checkpoint().unwrap();
+        let r = b.receive_piggyback(&a.piggyback()).unwrap();
+        assert_eq!(r.updated.to_vec(), vec![p(0)]);
+        assert_eq!(b.restricted_merges, 0);
+    }
+
+    #[test]
+    fn a_trimmed_log_links_nothing_and_patches_nothing() {
+        let (mut a, mut b, mut c) = (wide(0), wide(1), wide(2));
+        b.receive_piggyback(&a.piggyback()).unwrap();
+        // More changes than the ring holds since that snapshot — which,
+        // delivered, is the one buffer a keeps, at the first of them.
+        for _ in 0..=LOG_CAP {
+            c.basic_checkpoint().unwrap();
+            a.receive_piggyback(&c.piggyback()).unwrap();
+        }
+        let far = a.piggyback();
+        assert_eq!(patched(&a), 0, "copied in full into the kept buffer");
+        assert_eq!(*far.dv, *a.dv());
+        assert_eq!(far.dv.changes_since(b.merged_stamp().unwrap()), None);
+        let r = b.receive_piggyback(&far).unwrap();
+        assert_eq!((r.updated.to_vec(), b.restricted_merges), (vec![p(2)], 0));
+        // Within reach again: linked, and patched.
+        drop(far);
+        c.basic_checkpoint().unwrap();
+        a.receive_piggyback(&c.piggyback()).unwrap();
+        let near = a.piggyback();
+        assert_eq!(patched(&a), 1);
+        assert_eq!(*near.dv, *a.dv());
+        b.receive_piggyback(&near).unwrap();
+        assert_eq!(b.restricted_merges, 1);
+    }
+
+    #[test]
+    fn a_rollback_on_either_side_is_a_full_scan() {
+        let (mut a, mut b) = (wide(0), wide(1));
+        b.receive_piggyback(&a.piggyback()).unwrap();
+        a.basic_checkpoint().unwrap();
+        // The sender's: its vector was replaced, the predecessor is void.
+        a.crash();
+        a.rollback(a.last_stable(), None).unwrap();
+        let reborn = a.piggyback();
+        assert_eq!(*reborn.dv, *a.dv());
+        assert_eq!(reborn.dv.changes_since(b.merged_stamp().unwrap()), None);
+        b.receive_piggyback(&reborn).unwrap();
+        // The receiver's: it may be below what it merged.
+        a.basic_checkpoint().unwrap();
+        b.crash();
+        b.rollback(idx(0), None).unwrap();
+        assert_eq!(b.dv().entry(p(0)).value(), 0, "below what it merged");
+        let linked = a.piggyback();
+        assert!(linked.dv.changes_since(reborn.dv.stamp()).is_some());
+        let r = b.receive_piggyback(&linked).unwrap();
+        assert_eq!(r.updated.to_vec(), vec![p(0)]);
+        assert_eq!(b.dv().lineage(p(0)), a.dv().lineage(p(0)));
+        assert_eq!(b.restricted_merges, 0);
+        // And from there on the log helps again.
+        a.basic_checkpoint().unwrap();
+        b.receive_piggyback(&a.piggyback()).unwrap();
+        assert_eq!(b.restricted_merges, 1);
     }
 
     /// Test sink observing the commit/WAL call pattern, optionally failing.

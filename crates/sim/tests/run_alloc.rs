@@ -1,24 +1,29 @@
 //! A run's memory is the system's, not the run's: `SimulationBuilder::run()`
 //! takes its ops from the generator a block at a time, so how long the
 //! execution is does not show in what the sequential engine holds. Counted,
-//! not timed: a `#[global_allocator]` that tracks the peak of live bytes.
+//! not timed: a `#[global_allocator]` that tracks the peak of live bytes
+//! and the vector-sized requests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Mutex;
 
 use rdt_sim::SimulationBuilder;
-use rdt_workloads::WorkloadSpec;
+use rdt_workloads::{Pattern, WorkloadSpec};
 
 /// Bytes allocated and not yet freed, by every thread (the sharded engine
 /// runs workers), and the highest value that has had since the last reset.
 /// Statistics only — nothing is published through them, hence `Relaxed`.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Calls that asked for 8 KB or more — a dependency vector at n = 1024 —
+/// ever.
+static VECTOR_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 struct PeakLive;
 
 fn grew(by: usize) {
+    VECTOR_CALLS.fetch_add(usize::from(by >= 8 << 10), Relaxed);
     let live = LIVE.fetch_add(by, Relaxed) + by;
     PEAK.fetch_max(live, Relaxed);
 }
@@ -51,19 +56,30 @@ static ALLOCATOR: PeakLive = PeakLive;
 /// The counters are the process's: one measurement at a time.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// Peak of live bytes, above what was live on entry, while a run of `steps`
-/// ops at n = 16 (the `sim-dense` shape) is made and its report dropped.
-fn peak_of_a_run(steps: usize, shards: usize) -> usize {
+/// Peak of live bytes, above what was live on entry, and the calls that
+/// asked for a vector's worth of memory, while a run of `spec` is made and
+/// its report dropped.
+fn cost_of_a_run(spec: WorkloadSpec, shards: usize) -> (usize, usize) {
     let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    let spec = WorkloadSpec::uniform_random(16, steps).with_seed(1);
-    let before = LIVE.load(Relaxed);
+    let steps = spec.steps;
+    let (before, calls) = (LIVE.load(Relaxed), VECTOR_CALLS.load(Relaxed));
     PEAK.store(before, Relaxed);
     let report = SimulationBuilder::new(spec).shards(shards).run();
     let report = report.expect("the run completes");
     assert_eq!(report.metrics.sequential_fallbacks, 0);
     assert!(report.metrics.total_delivered() as usize > steps / 2);
     drop(report);
-    PEAK.load(Relaxed) - before
+    (
+        PEAK.load(Relaxed) - before,
+        VECTOR_CALLS.load(Relaxed) - calls,
+    )
+}
+
+/// [`cost_of_a_run`]'s peak for `steps` ops at n = 16 (the `sim-dense`
+/// shape).
+fn peak_of_a_run(steps: usize, shards: usize) -> usize {
+    let spec = WorkloadSpec::uniform_random(16, steps).with_seed(1);
+    cost_of_a_run(spec, shards).0
 }
 
 /// Ten times the ops, the same memory: no `Vec<AppOp>`, no full-length
@@ -91,4 +107,25 @@ fn the_sharded_engine_does_not_hold_the_ops_beside_its_plan() {
     let (short, long) = (peak_of_a_run(20_000, 2), peak_of_a_run(200_000, 2));
     let per_op = (long - short) as f64 / 180_000.0;
     assert!(per_op < 256.0, "{per_op:.1} bytes per op at the peak");
+}
+
+/// The `sim-wide` shape, n = 1024 on a ring, where every vector is 8 KB
+/// and the change log is on. A process holds its store, its collector's
+/// 4 KB `UC` vector, its log and at most two kept buffers: 47 KB at the
+/// peak (53 KB with a 16 KB `UC` and no buffers kept). And the steady state
+/// takes its copies of `dv` out of those buffers: one op in ten asks the
+/// allocator for a vector — a snapshot freed by the last message that
+/// carried it is gone — where an intern or a checkpoint copy every time
+/// is 0.43 of them.
+#[test]
+fn a_wide_run_stays_within_its_budget_per_process_and_per_op() {
+    let ring = |steps| {
+        let spec = WorkloadSpec::uniform_random(1024, steps).with_pattern(Pattern::Ring);
+        cost_of_a_run(spec.with_seed(1), 1)
+    };
+    let ((_, short), (peak, long)) = (ring(50_000), ring(100_000));
+    let per_process = peak / 1024;
+    assert!(per_process < 50 << 10, "{per_process} bytes per process");
+    let per_op = (long - short) as f64 / 50_000.0;
+    assert!(per_op < 0.2, "{per_op:.2} vector allocations per op");
 }
