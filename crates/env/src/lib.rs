@@ -13,9 +13,10 @@
 //!
 //! Two bundles implement them:
 //!
-//! * [`SimEnv`] — deterministic virtual clock over the bucket calendar
-//!   queue plus a seeded generator; a run's pre-planned events merge in
-//!   from an ordered [`Lane`] beside it. Fixed-seed runs are replay-golden:
+//! * [`SimEnv`] — deterministic virtual clock over a binary-heap event
+//!   queue of what is in flight, plus a seeded generator; a run's
+//!   pre-planned events merge in from an ordered [`Lane`] beside it.
+//!   Fixed-seed runs are replay-golden:
 //!   the discrete-event engine draws through this bundle in exactly the
 //!   order it always did, so goldens stay byte-identical.
 //! * [`RealEnv`] — a monotonic OS clock, an entropy-seeded generator and
@@ -24,8 +25,8 @@
 //!   (`DiskSink`), since durability depends on crates above this one.
 //!
 //! The [`wire`] module carries piggybacked dependency vectors between real
-//! processes in a checksummed frame; [`queue`] holds the calendar queue
-//! the simulated environment schedules through.
+//! processes in a checksummed frame; [`queue`] holds the event queue the
+//! simulated environment schedules through.
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +40,7 @@ pub mod transport;
 pub mod wire;
 
 pub use clock::{Clock, MonotonicClock, VirtualClock};
-pub use queue::{BucketQueue, Lane};
+pub use queue::{EventQueue, Lane};
 pub use rng::{DetRng, Rng};
 pub use shard::ShardEnv;
 pub use sim::SimEnv;

@@ -1,18 +1,18 @@
-//! Per-shard slice of the simulated environment: a virtual clock over a
-//! bucket queue, **without** a generator.
+//! Per-shard slice of the simulated environment: a virtual clock over an
+//! event queue, **without** a generator.
 //!
 //! The sharded engine pre-plans every random draw in a sequential planning
 //! pass (so draw order cannot depend on shard interleaving), which leaves
 //! a shard worker with exactly two needs: hold its processes' events in
 //! `(at, seq)` order, and advance a local clock as it consumes them. The
 //! planned events arrive already key-ordered and stay in a [`Lane`] beside
-//! the queue; only deliveries are queued. Cross-shard deliveries arrive
-//! between windows via
-//! [`insert`](BucketQueue::insert) — out of global sequence order, which
-//! is why this bundle is not just a `SimEnv` with the rng ignored.
+//! the queue; only deliveries are queued, local ones as they are sent and
+//! cross-shard ones between windows, out of global sequence order. Every
+//! key is the planning pass's, so this bundle has neither an rng nor a
+//! sequence counter — which is why it is not a `SimEnv`.
 
 use crate::clock::{Clock, VirtualClock};
-use crate::queue::{BucketQueue, Lane};
+use crate::queue::{EventQueue, Lane};
 
 /// Event queue + clock for one shard of a partitioned simulation.
 ///
@@ -22,7 +22,7 @@ use crate::queue::{BucketQueue, Lane};
 #[derive(Debug, Default)]
 pub struct ShardEnv<T> {
     clock: VirtualClock,
-    queue: BucketQueue<T>,
+    queue: EventQueue<T>,
 }
 
 impl<T> ShardEnv<T> {
@@ -30,7 +30,7 @@ impl<T> ShardEnv<T> {
     pub fn new() -> Self {
         Self {
             clock: VirtualClock::new(),
-            queue: BucketQueue::new(),
+            queue: EventQueue::new(),
         }
     }
 
@@ -49,13 +49,14 @@ impl<T> ShardEnv<T> {
         self.queue.is_empty()
     }
 
-    /// Enqueues `item` under its pre-assigned global key.
+    /// Enqueues `item` under its pre-assigned global key, in any `seq`
+    /// order.
     pub fn insert(&mut self, at: u64, seq: u64, item: T) {
-        self.queue.insert(at, seq, item);
+        self.queue.push(at, seq, item);
     }
 
     /// Pops the earliest event strictly below `bound` of the queue and
-    /// `lane` merged by key ([`BucketQueue::pop_merged`]) and advances the
+    /// `lane` merged by key ([`EventQueue::pop_merged`]) and advances the
     /// clock to it; `None` once the window is drained.
     pub fn pop_merged<L>(
         &mut self,

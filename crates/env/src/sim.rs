@@ -1,4 +1,4 @@
-//! The simulated environment: virtual clock + calendar queue + seeded rng.
+//! The simulated environment: virtual clock + event queue + seeded rng.
 //!
 //! `SimEnv` is exactly the scheduling core the discrete-event engine used
 //! to carry inline — the same `(at, seq)` order, the same `seq` counter
@@ -10,7 +10,7 @@
 //! replay goldens in `rdt-sim` pin.
 
 use crate::clock::{Clock, VirtualClock};
-use crate::queue::{BucketQueue, Lane};
+use crate::queue::{EventQueue, Lane};
 use crate::rng::DetRng;
 
 /// Deterministic simulated runtime: schedule events, pop them in
@@ -19,7 +19,7 @@ use crate::rng::DetRng;
 pub struct SimEnv<T> {
     clock: VirtualClock,
     seq: u64,
-    queue: BucketQueue<T>,
+    queue: EventQueue<T>,
     rng: DetRng,
 }
 
@@ -31,7 +31,7 @@ impl<T> SimEnv<T> {
         Self {
             clock: VirtualClock::new(),
             seq: 0,
-            queue: BucketQueue::new(),
+            queue: EventQueue::new(),
             rng: DetRng::seeded(seed),
         }
     }
@@ -74,17 +74,13 @@ impl<T> SimEnv<T> {
     }
 
     /// Dequeues the earliest event of the queue and `lane` merged by
-    /// `(at, seq)` ([`BucketQueue::pop_merged`]), advancing the clock to
-    /// its tick. With the lane spent this is [`pop`](Self::pop), which —
-    /// unlike a bounded drain — leaves an empty queue ready for new events.
+    /// `(at, seq)` ([`EventQueue::pop_merged`]), advancing the clock to
+    /// its tick.
     pub fn pop_merged<L>(
         &mut self,
         lane: &mut Lane<L>,
         wrap: impl FnOnce(L) -> T,
     ) -> Option<(u64, u64, T)> {
-        if lane.is_empty() {
-            return self.pop();
-        }
         let event = self.queue.pop_merged(lane, (u64::MAX, u64::MAX), wrap)?;
         self.clock.advance_to(event.0);
         Some(event)

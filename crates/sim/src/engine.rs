@@ -587,7 +587,7 @@ impl Simulation {
         step::open_session(&faulty, &mut self.out);
         self.core.crash(&faulty);
         // All in-transit messages are lost (the recovered CCP excludes
-        // them, Section 2.2): an in-place retain over the bucket queue,
+        // them, Section 2.2): an in-place retain over the event queue,
         // dropping deliveries in deterministic (at, seq) order. The queue
         // holds nothing but those and the next control round — the ops
         // still to come wait in the lane — so this costs O(in flight).

@@ -9,8 +9,8 @@
 //! its observables go*.
 //!
 //! * [`SimulationBuilder`] / [`Simulation`] — a deterministic, seeded
-//!   **discrete-event simulator** over `SimEnv` (virtual clock +
-//!   bucket-queue transport) implementing the paper's system model
+//!   **discrete-event simulator** over `SimEnv` (virtual clock + a heap
+//!   of the events in flight) implementing the paper's system model
 //!   (Section 2): asynchronous processes, channels with variable delay,
 //!   loss and reordering, crash/recover failures with a centralized
 //!   recovery manager, and optional coordinator control rounds for the
@@ -37,7 +37,7 @@
 //! * The **sharded parallel engine** — reached through the same builder
 //!   via [`SimulationBuilder::shards`]: processes partitioned across
 //!   worker shards, each draining its planned events (an ordered lane,
-//!   as the plan hands them over) merged with its own bucket queue of
+//!   as the plan hands them over) merged with its own event queue of
 //!   deliveries inside conservative lookahead windows derived from the
 //!   channel's `min_delay`, with cross-shard deliveries exchanged at
 //!   window barriers. Output is byte-identical to the sequential engine for a

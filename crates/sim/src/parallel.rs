@@ -31,7 +31,7 @@
 //!
 //! Between cuts, each worker shard drains its slice of the plan — already
 //! in key order, so it is handed over as the worker's ordered lane, nothing
-//! re-queued — merged with its own bucket queue of deliveries, with no
+//! re-queued — merged with its own event queue of deliveries, with no
 //! synchronization whatsoever; at a cut, workers exchange outboxes over
 //! bounded channels (an all-to-all with one batch per directed pair) and
 //! the coordinator runs any global event. Per-process state transitions

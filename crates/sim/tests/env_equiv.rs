@@ -1,5 +1,5 @@
 //! Environment-equivalence properties: moving the engine onto the
-//! `rdt-env` runtime abstraction (`SimEnv`: virtual clock, bucket queue
+//! `rdt-env` runtime abstraction (`SimEnv`: virtual clock, event queue
 //! and deterministic rng behind the `Clock`/`Transport`/`Rng` traits)
 //! must be invisible to every observable of a simulation.
 //!
