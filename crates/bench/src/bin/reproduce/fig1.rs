@@ -6,7 +6,7 @@ use rdt_bench::header;
 use rdt_ccp::figures::figure1;
 use rdt_ccp::GeneralCheckpoint;
 
-fn main() {
+pub fn run() {
     header("fig1", "Figure 1 — example CCP and path classification", "");
     let fig = figure1();
     let [m1, m2, m3, m4, m5] = fig.messages;

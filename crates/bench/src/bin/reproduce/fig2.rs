@@ -9,7 +9,7 @@ use rdt_protocols::ProtocolKind;
 use rdt_sim::run_script;
 use rdt_workloads::figures::figure2_script;
 
-fn main() {
+pub fn run() {
     header(
         "fig2",
         "Figure 2 — useless checkpoints and the domino effect",

@@ -4,7 +4,7 @@
 use rdt_bench::header;
 use rdt_ccp::figures::figure3;
 
-fn main() {
+pub fn run() {
     header(
         "fig3",
         "Figure 3 — recovery-line determination, F = {p2, p3}",

@@ -10,7 +10,7 @@ use rdt_protocols::ProtocolKind;
 use rdt_sim::run_script;
 use rdt_workloads::figures::figure5_worst_case;
 
-fn main() {
+pub fn run() {
     header(
         "fig5",
         "Figure 5 — worst-case retention for RDT-LGC",

@@ -7,7 +7,7 @@ use rdt_protocols::ProtocolKind;
 use rdt_sim::SimulationBuilder;
 use rdt_workloads::{Pattern, WorkloadSpec};
 
-fn main() {
+pub fn run() {
     let steps = 4_000;
     header(
         "table_forced (S4)",

@@ -11,7 +11,7 @@ use rdt_protocols::ProtocolKind;
 use rdt_sim::SimulationBuilder;
 use rdt_workloads::{Pattern, WorkloadSpec};
 
-fn main() {
+pub fn run() {
     header(
         "table_optimality (S2)",
         "Theorem 4 (safety) and Theorem 5 (optimality) vs the exhaustive oracle",

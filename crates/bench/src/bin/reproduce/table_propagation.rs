@@ -17,7 +17,7 @@ use rdt_protocols::ProtocolKind;
 use rdt_sim::SimulationBuilder;
 use rdt_workloads::WorkloadSpec;
 
-fn main() {
+pub fn run() {
     let n = 6;
     let steps = 1_500;
     let seeds = 5u64;

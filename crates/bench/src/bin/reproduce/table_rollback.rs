@@ -9,7 +9,7 @@ use rdt_recovery::RecoveryMode;
 use rdt_sim::SimulationBuilder;
 use rdt_workloads::WorkloadSpec;
 
-fn main() {
+pub fn run() {
     header(
         "table_rollback (S3)",
         "recovery sessions: LI (Theorem 1) vs DV (Theorem 2) garbage collection",

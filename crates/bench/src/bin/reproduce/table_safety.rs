@@ -15,7 +15,7 @@ use rdt_protocols::ProtocolKind;
 use rdt_sim::{ChannelConfig, SimConfig, SimulationBuilder};
 use rdt_workloads::WorkloadSpec;
 
-fn main() {
+pub fn run() {
     let n = 4;
     let steps = 400;
     let seeds = 6u64;
@@ -91,8 +91,18 @@ fn main() {
                 violations,
                 avg_stored / seeds as f64,
             );
-            if gc == GcKind::RdtLgc {
-                assert_eq!(violations, 0, "Theorem 4: RDT-LGC is safe");
+            match gc {
+                GcKind::RdtLgc => assert_eq!(violations, 0, "Theorem 4: RDT-LGC is safe"),
+                // The audit is not vacuous: blind to causality, a short
+                // horizon destroys needed checkpoints on every channel, and
+                // a long one is safe.
+                GcKind::TimeBased { horizon: 60 } => {
+                    assert!(violations > 0, "{gc} on {label} must be caught")
+                }
+                GcKind::TimeBased { horizon: 2_000 } => {
+                    assert_eq!(violations, 0, "{gc} on {label} is safe")
+                }
+                _ => {}
             }
         }
     }

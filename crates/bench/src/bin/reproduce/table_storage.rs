@@ -24,7 +24,7 @@ struct Measured {
     collected: f64,
 }
 
-fn main() {
+pub fn run() {
     let steps = 4_000;
     let seeds = 3u64;
     header(

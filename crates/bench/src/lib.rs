@@ -1,11 +1,11 @@
-//! Shared helpers for the figure-regeneration binaries and criterion
-//! benches of the `rdt-checkpointing` workspace.
+//! Shared helpers for the `reproduce` and `sweep` binaries of the
+//! `rdt-checkpointing` workspace.
 //!
-//! Each binary regenerates one figure or (synthetic) table of the paper —
-//! see DESIGN.md §3 for the experiment index and EXPERIMENTS.md for the
-//! recorded paper-vs-measured outcomes:
+//! `reproduce` regenerates every figure and (synthetic) table of the
+//! paper, one module each, in this order, asserting each one's headline;
+//! its output is committed as `RESULTS.md`:
 //!
-//! | target | artifact |
+//! | module | artifact |
 //! |--------|----------|
 //! | `fig1` | Figure 1 — zigzag/causal path classification, RDT |
 //! | `fig2` | Figure 2 — useless checkpoints and the domino effect |

@@ -45,9 +45,9 @@ impl Ccp {
     /// process, checkpoint nodes in program order, message edges between
     /// send and receive positions, obsolete stable checkpoints greyed out.
     ///
-    /// Useful to visualize the paper's figures:
-    /// `cargo run -p rdt-bench --bin fig1 | …` or pipe the output of this
-    /// method through `dot -Tsvg`.
+    /// Useful to visualize the paper's figures ([`crate::figures`], whose
+    /// ASCII rendering `cargo run -p rdt-bench --bin reproduce` prints):
+    /// pipe the output of this method through `dot -Tsvg`.
     pub fn render_dot(&self) -> String {
         let mut out =
             String::from("digraph ccp {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");

@@ -48,8 +48,9 @@
 //! Beside the engines:
 //!
 //! * [`run_script`] — exact, delivery-placed execution of
-//!   [`Script`](rdt_workloads::Script)s, used to reproduce the paper's
-//!   worked figures (4 and 5).
+//!   [`Script`](rdt_workloads::Script)s through the same step core, used
+//!   to reproduce the paper's worked figures (2, 4 and 5);
+//!   [`run_script_with`] shows the state after every op.
 //! * [`LiveNode`] — the wire-frame driver around one middleware that the
 //!   `rdt serve` multi-process runtime runs over real sockets (and
 //!   `examples/threaded_runtime.rs` over OS threads), validating that the
@@ -81,7 +82,7 @@ pub use config::{ChannelConfig, Partitioning, ShardConfig, SimConfig, ZeroLookah
 pub use engine::{Simulation, SimulationBuilder, SimulationReport};
 pub use live::{DeliverOutcome, LiveNode};
 pub use metrics::{Metrics, ProcessMetrics};
-pub use script::{run_script, ScriptRun};
+pub use script::{run_script, run_script_with, ScriptRun};
 
 // Re-exported so report consumers can name the profile types without
 // depending on `rdt-obs` directly.

@@ -1,9 +1,16 @@
-//! Deterministic execution of [`Script`]s through real middleware stacks.
+//! Deterministic execution of [`Script`]s through the engines' step core.
+//!
+//! A script is a schedule whose deliveries sit where the script puts them:
+//! each [`ScriptOp`] is one [`StepCore`] event, so a figure replays the
+//! same checkpoint / send / receive handlers the simulators run.
 
-use rdt_base::{Payload, ProcessId, Result, TraceEvent};
+use rdt_base::{MessageId, ProcessId, Result, TraceEvent};
 use rdt_core::GcKind;
 use rdt_protocols::{Middleware, Piggyback, ProtocolKind};
 use rdt_workloads::{Script, ScriptOp};
+
+use crate::metrics::MetricOp;
+use crate::step::{Sink, StepCore};
 
 /// Outcome of running a script.
 #[derive(Debug)]
@@ -11,7 +18,7 @@ pub struct ScriptRun {
     /// The middleware instances after the run, in process-id order.
     pub processes: Vec<Middleware>,
     /// The event trace (checkpoints including forced ones, sends,
-    /// deliveries), replayable into an offline CCP.
+    /// deliveries, collects), replayable into an offline CCP.
     pub trace: Vec<TraceEvent>,
     /// Every checkpoint eliminated during the run, as
     /// `(process, checkpoint index)` pairs in elimination order.
@@ -32,6 +39,18 @@ impl ScriptRun {
     pub fn peak(&self, p: ProcessId) -> usize {
         self.processes[p.index()].store().peak()
     }
+}
+
+/// A script keeps its trace and nothing else: it has no clock and no
+/// metrics.
+impl Sink for Vec<TraceEvent> {
+    fn trace(&mut self, event: TraceEvent) {
+        self.push(event);
+    }
+
+    fn metric(&mut self, _op: MetricOp) {}
+
+    fn occupancy(&mut self, _at: u64, _p: ProcessId, _retained: usize) {}
 }
 
 /// Runs `script` over `n` fresh processes with the given protocol and
@@ -67,58 +86,68 @@ pub fn run_script(
     protocol: ProtocolKind,
     gc: GcKind,
 ) -> Result<ScriptRun> {
-    let mut processes: Vec<Middleware> = (0..n)
-        .map(|i| Middleware::new(ProcessId::new(i), n, protocol, gc))
-        .collect();
+    run_script_with(n, script, protocol, gc, |_, _| {})
+}
+
+/// [`run_script`], calling `each` after every op with the op and every
+/// process's middleware.
+///
+/// # Errors
+///
+/// As [`run_script`].
+///
+/// # Panics
+///
+/// As [`run_script`].
+pub fn run_script_with(
+    n: usize,
+    script: &Script,
+    protocol: ProtocolKind,
+    gc: GcKind,
+    mut each: impl FnMut(&ScriptOp, &[Middleware]),
+) -> Result<ScriptRun> {
+    // Scripts have no clock: every event runs at tick 0, where no
+    // collector's timer fires.
+    const NOW: u64 = 0;
+    let mut core = StepCore::new(ProcessId::all(n), n, protocol, gc, 0);
     let mut trace = Vec::new();
-    let mut eliminated = Vec::new();
     // Per send ordinal: (id, destination, piggyback), consumed on delivery.
-    let mut sends: Vec<Option<(rdt_base::MessageId, ProcessId, Piggyback)>> = Vec::new();
+    let mut sends: Vec<Option<(MessageId, ProcessId, Piggyback)>> = Vec::new();
 
     for op in script.ops() {
         match *op {
-            ScriptOp::Checkpoint(p) => {
-                let report = processes[p.index()].basic_checkpoint()?;
-                trace.push(TraceEvent::Checkpoint {
-                    process: p,
-                    forced: false,
-                });
-                eliminated.extend(report.eliminated.iter().map(|i| (p, i.value())));
-            }
+            ScriptOp::Checkpoint(p) => core.checkpoint(p, NOW, &mut trace)?,
             ScriptOp::Send { from, to } => {
-                let pb = processes[from.index()].piggyback();
-                let msg = processes[from.index()].send(to, Payload::empty());
-                trace.push(TraceEvent::Send {
-                    id: msg.meta.id,
-                    to,
-                });
-                sends.push(Some((msg.meta.id, to, pb)));
+                let (id, pb) = core
+                    .send(from, to, NOW, &mut trace, |mw| mw.piggyback())
+                    .expect("scripts never crash a process");
+                sends.push(Some((id, to, pb)));
             }
             ScriptOp::Deliver { send_ordinal } => {
                 let (id, to, pb) = sends[send_ordinal]
                     .take()
                     .expect("script delivers each send at most once");
-                let report = processes[to.index()].receive_piggyback(&pb)?;
-                if report.forced.is_some() {
-                    trace.push(TraceEvent::Checkpoint {
-                        process: to,
-                        forced: true,
-                    });
-                }
-                trace.push(TraceEvent::Deliver { id });
-                eliminated.extend(report.eliminated.iter().map(|i| (to, i.value())));
+                core.deliver(to, id, &pb, NOW, &mut trace)?;
             }
         }
+        each(op, core.processes());
     }
 
     // Undelivered sends are in-transit: mark them dropped so offline replay
     // excludes them from the dependency relation explicitly.
-    for slot in sends.into_iter().flatten() {
-        trace.push(TraceEvent::Drop { id: slot.0 });
+    for (id, ..) in sends.into_iter().flatten() {
+        trace.push(TraceEvent::Drop { id });
     }
 
+    let eliminated = trace
+        .iter()
+        .filter_map(|ev| match *ev {
+            TraceEvent::Collect { process, index } => Some((process, index.value())),
+            _ => None,
+        })
+        .collect();
     Ok(ScriptRun {
-        processes,
+        processes: core.into_processes(),
         trace,
         eliminated,
     })
@@ -127,7 +156,9 @@ pub fn run_script(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdt_workloads::figures::{figure4_expectations, figure4_script, figure5_worst_case};
+    use rdt_workloads::figures::{
+        figure2_script, figure4_expectations, figure4_script, figure5_worst_case,
+    };
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -174,6 +205,38 @@ mod tests {
         }
     }
 
+    /// Every protocol on every figure script: the trace holds every
+    /// checkpoint the middlewares stored — forced ones after a send (CAS,
+    /// CASBR) included — and every collect it holds is safe.
+    #[test]
+    fn traces_replay_every_checkpoint_and_audit_clean() {
+        let scripts = [
+            (2, figure2_script()),
+            (3, figure4_script()),
+            (4, figure5_worst_case(4)),
+        ];
+        for protocol in ProtocolKind::ALL {
+            for (n, script) in &scripts {
+                let run = run_script(*n, script, protocol, GcKind::RdtLgc).unwrap();
+                let ccp = rdt_ccp::CcpBuilder::from_trace(*n, &run.trace)
+                    .expect("crash-free trace")
+                    .build();
+                for mw in &run.processes {
+                    assert_eq!(
+                        ccp.last_stable(mw.owner()),
+                        mw.last_stable(),
+                        "{protocol}, n = {n}, {}",
+                        mw.owner()
+                    );
+                }
+                let violations = rdt_ccp::collection_safety_violations(*n, &run.trace).unwrap();
+                assert!(violations.is_empty(), "{protocol}, n = {n}: {violations:?}");
+            }
+        }
+    }
+
+    /// Figure 4's trace is RD-trackable and holds the paper's collects, so
+    /// the audit above is not vacuous.
     #[test]
     fn trace_replays_into_an_rdt_ccp() {
         let run = run_script(3, &figure4_script(), ProtocolKind::Fdas, GcKind::RdtLgc).unwrap();
@@ -181,6 +244,14 @@ mod tests {
             .expect("crash-free trace")
             .build();
         assert!(ccp.is_rdt());
+        // s_2^2, s_3^1 and s_3^2 in the paper's one-based process names.
+        for (proc_, idx) in [(1, 2), (2, 1), (2, 2)] {
+            let collect = TraceEvent::Collect {
+                process: p(proc_),
+                index: rdt_base::CheckpointIndex::new(idx),
+            };
+            assert!(run.trace.contains(&collect), "{collect:?}");
+        }
     }
 
     #[test]

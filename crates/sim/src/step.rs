@@ -120,6 +120,11 @@ impl StepCore {
         &self.mws
     }
 
+    /// The owned middlewares, by value.
+    pub(crate) fn into_processes(self) -> Vec<Middleware> {
+        self.mws
+    }
+
     fn slot(&self, p: ProcessId) -> usize {
         self.slot[p.index()] as usize
     }
