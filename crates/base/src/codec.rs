@@ -149,23 +149,46 @@ pub fn write_entries(dv: &DependencyVector, out: &mut [u8]) {
 ///
 /// [`Error::SystemSizeMismatch`] unless `bytes` holds exactly `dv.len()`
 /// entries; [`Error::IncarnationOverflow`] / [`Error::IntervalOverflow`]
-/// for a component beyond its packed field, `dv` then partly overwritten.
+/// for the first component beyond its packed field, in the order
+/// [`DvEntry::try_new`] checks them, `dv` then overwritten with
+/// unspecified entries.
 pub fn read_entries(bytes: &[u8], dv: &mut DependencyVector) -> Result<()> {
     if bytes.len() != dv.len() * ENTRY_BYTES {
         let (expected, actual) = (dv.len(), bytes.len() / ENTRY_BYTES);
         return Err(Error::SystemSizeMismatch { expected, actual });
     }
+    // One pass without a branch per entry: pack every entry and OR
+    // together the bits that do not fit; only when some did, find the
+    // first culprit for its typed error.
+    let mut spill = 0;
     for (entry, raw) in dv
         .as_mut_slice()
         .iter_mut()
         .zip(bytes.chunks_exact(ENTRY_BYTES))
     {
-        let incarnation = le_word(&raw[..4]) as u32;
-        // An interval beyond `usize` saturates, which `try_new` rejects.
-        let interval = usize::try_from(le_word(&raw[4..])).unwrap_or(usize::MAX);
-        *entry = DvEntry::try_new(Incarnation::new(incarnation), IntervalIndex::new(interval))?;
+        let (incarnation, interval) = wide_entry(raw);
+        spill |= (incarnation >> DvEntry::INCARNATION_BITS) | (interval >> DvEntry::INTERVAL_BITS);
+        *entry = DvEntry::from_packed((incarnation << DvEntry::INTERVAL_BITS) | interval);
+    }
+    if spill != 0 {
+        for raw in bytes.chunks_exact(ENTRY_BYTES) {
+            let (incarnation, interval) = wide_entry(raw);
+            // An interval beyond `usize` saturates, which `try_new` rejects.
+            let interval = usize::try_from(interval).unwrap_or(usize::MAX);
+            DvEntry::try_new(
+                Incarnation::new(incarnation as u32),
+                IntervalIndex::new(interval),
+            )?;
+        }
     }
     Ok(())
+}
+
+/// The incarnation and interval of one wide entry, each widened to `u64`.
+#[inline(always)]
+fn wide_entry(raw: &[u8]) -> (u64, u64) {
+    let (incarnation, interval) = raw.split_at(4);
+    (le_word(incarnation), le_word(interval))
 }
 
 #[cfg(test)]
@@ -263,5 +286,33 @@ mod tests {
             read_entries(&bytes, &mut back),
             Err(Error::IntervalOverflow { .. })
         ));
+        bytes[4 + 6] = 0;
+
+        // The first bad entry is reported, after valid ones: the last
+        // entry's interval (2⁴⁸) alone, then the middle entry's
+        // incarnation (2³² − 1) ahead of it.
+        let last = 2 * ENTRY_BYTES;
+        bytes[last + 4 + 6] = 1;
+        assert_eq!(
+            read_entries(&bytes, &mut back),
+            Err(Error::IntervalOverflow { interval: 1 << 48 })
+        );
+        bytes[ENTRY_BYTES..ENTRY_BYTES + 4].fill(0xff);
+        assert_eq!(
+            read_entries(&bytes, &mut back),
+            Err(Error::IncarnationOverflow {
+                incarnation: u32::MAX
+            })
+        );
+        // One entry overflowing both fields reports its incarnation, the
+        // order `DvEntry::try_new` checks in.
+        bytes[ENTRY_BYTES..ENTRY_BYTES + 4].copy_from_slice(&(1u32 << 16).to_le_bytes());
+        bytes[ENTRY_BYTES + 4..last].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert_eq!(
+            read_entries(&bytes, &mut back),
+            Err(Error::IncarnationOverflow {
+                incarnation: 1 << 16
+            })
+        );
     }
 }

@@ -6,14 +6,40 @@
 //! returns `Ok(None)` when nothing arrived. Two implementations:
 //!
 //! * [`UdsTransport`] — one Unix-domain datagram socket per process in a
-//!   shared directory; this is what `rdt serve` workers use across real
-//!   OS process boundaries, and what the kill-9 chaos harness tears
+//!   shared directory, which it receives on, and a connected socket per
+//!   peer, which it sends on; this is what `rdt serve` workers use across
+//!   real OS process boundaries, and what the kill-9 chaos harness tears
 //!   through.
 //! * [`ChannelTransport`] — an in-process mpsc mesh for tests that want
 //!   real transport semantics without touching the filesystem.
+//!
+//! # Connected per-peer sockets
+//!
+//! A `sendto` by path makes the kernel resolve `dir/p<rank>.sock` one
+//! component at a time on every frame. [`UdsTransport`] resolves it once
+//! per peer: an unbound datagram socket is `connect`ed to the peer's path,
+//! and a frame is one `send` on it. The send sockets live in a
+//! direct-mapped table of 64 slots, keyed by the peer's rank among the
+//! *other* processes (its rank, less one above the transport's own) mod 64:
+//!
+//! * a system of up to 65 processes never shares a slot;
+//! * in a larger one, a send to a rank whose slot holds another peer
+//!   re-`connect`s the slot — one path walk, what every send cost before;
+//! * a worker holds at most 65 sockets (64 slots and the bound one), so
+//!   even the largest system a frame can carry (5 457 processes) stays far
+//!   from the descriptor limit.
+//!
+//! The failure semantics are those of a send by path. A peer that is not
+//! bound (not started yet, or killed) fails the `connect` and the frame is
+//! dropped; the slot is then connected to no one, and the next send to it
+//! `connect`s again. A socket is connected to the peer's *socket*, not its
+//! path, so a send to a peer that was killed answers `ECONNREFUSED`: the
+//! transport `connect`s again and resends **once**, and a peer bound again
+//! on the same path gets that very frame. A send still blocks while the
+//! receiver's queue is full.
 
 use std::io;
-use std::os::unix::net::{SocketAddr, UnixDatagram};
+use std::os::unix::net::UnixDatagram;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
@@ -58,17 +84,41 @@ pub fn socket_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("p{rank}.sock"))
 }
 
+/// Slots in [`UdsTransport`]'s table of connected send sockets.
+const SLOTS: usize = 64;
+
+/// Whether a `connect` or `send` failed because the peer is not bound
+/// (not started yet, or killed): a lossy channel drops the frame and moves
+/// on.
+fn unbound_peer(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::NotFound | io::ErrorKind::ConnectionRefused | io::ErrorKind::WouldBlock
+    )
+}
+
+/// One slot of the send table.
+#[derive(Debug)]
+struct Slot {
+    socket: UnixDatagram,
+    /// The rank `socket` is connected to; `None` after a failed `connect`,
+    /// when a `send` on it would fail with `ENOTCONN` or reach the slot's
+    /// previous peer.
+    peer: Option<usize>,
+}
+
 /// One `UnixDatagram` per process, named `p<rank>.sock` in a shared
-/// directory. Datagram sockets preserve frame boundaries, so no extra
-/// length-prefixing is needed on the wire.
+/// directory, that only receives; frames go out through connected per-peer
+/// sockets (see the [module docs](self)). Datagram sockets preserve frame
+/// boundaries, so no extra length-prefixing is needed on the wire.
 #[derive(Debug)]
 pub struct UdsTransport {
     dir: PathBuf,
+    rank: usize,
     socket: UnixDatagram,
-    /// `peers[rank]`: the address of `dir/p<rank>.sock`, built on the first
-    /// send to that rank. An address is a path, not a binding, so it also
-    /// reaches a peer that was killed and bound the same path again.
-    peers: Vec<Option<SocketAddr>>,
+    /// The send table, [`SLOTS`] long; a slot's socket is made by the
+    /// first send that needs it.
+    slots: Vec<Option<Slot>>,
 }
 
 impl UdsTransport {
@@ -85,9 +135,34 @@ impl UdsTransport {
         socket.set_read_timeout(Some(timeout))?;
         Ok(Self {
             dir: dir.to_path_buf(),
+            rank,
             socket,
-            peers: Vec::new(),
+            slots: (0..SLOTS).map(|_| None).collect(),
         })
+    }
+
+    /// The send socket for `rank`, its slot `connect`ed to
+    /// `dir/p<rank>.sock` first unless already connected there and
+    /// `reconnect` is false; `None` if the peer is not bound.
+    fn socket_to(&mut self, rank: usize, reconnect: bool) -> io::Result<Option<&UnixDatagram>> {
+        // Numbered among the other processes, so that 65 share no slot.
+        let slot = &mut self.slots[(rank - usize::from(rank > self.rank)) % SLOTS];
+        if reconnect || !matches!(slot, Some(s) if s.peer == Some(rank)) {
+            let s = match slot {
+                Some(s) => s,
+                None => slot.insert(Slot {
+                    socket: UnixDatagram::unbound()?,
+                    peer: None,
+                }),
+            };
+            s.peer = None;
+            match s.socket.connect(socket_path(&self.dir, rank)) {
+                Ok(()) => s.peer = Some(rank),
+                Err(e) if unbound_peer(&e) => return Ok(None),
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(slot.as_ref().map(|s| &s.socket))
     }
 }
 
@@ -95,27 +170,20 @@ impl Transport for UdsTransport {
     fn send(&mut self, to: ProcessId, frame: &[u8]) -> io::Result<()> {
         check_frame_len(frame)?;
         let rank = to.index();
-        if self.peers.len() <= rank {
-            self.peers.resize(rank + 1, None);
-        }
-        let addr = match &mut self.peers[rank] {
-            Some(addr) => addr,
-            slot => slot.insert(SocketAddr::from_pathname(socket_path(&self.dir, rank))?),
+        let Some(socket) = self.socket_to(rank, false)? else {
+            return Ok(());
         };
-        match self.socket.send_to_addr(frame, addr) {
+        let mut sent = socket.send(frame);
+        // Killed since the `connect`, and perhaps bound again: resend once.
+        if matches!(&sent, Err(e) if e.kind() == io::ErrorKind::ConnectionRefused) {
+            sent = match self.socket_to(rank, true)? {
+                Some(socket) => socket.send(frame),
+                None => return Ok(()),
+            };
+        }
+        match sent {
             Ok(_) => Ok(()),
-            // The peer is not bound (not started yet, or killed): a lossy
-            // channel drops the frame and moves on.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::NotFound
-                        | io::ErrorKind::ConnectionRefused
-                        | io::ErrorKind::WouldBlock
-                ) =>
-            {
-                Ok(())
-            }
+            Err(e) if unbound_peer(&e) => Ok(()),
             Err(e) => Err(e),
         }
     }
@@ -210,7 +278,7 @@ mod tests {
         let got = b.recv(&mut buf).unwrap().expect("frame arrives");
         assert_eq!(&buf[..got], b"ping");
         // Sending to an unbound rank is a silent drop, the first time and
-        // through the remembered address.
+        // again through the slot its failed `connect` left unconnected.
         a.send(ProcessId::new(2), b"void").unwrap();
         a.send(ProcessId::new(2), b"void").unwrap();
         // And an idle socket times out cleanly.
@@ -235,6 +303,104 @@ mod tests {
         a.send(ProcessId::new(1), b"again").unwrap();
         let got = b.recv(&mut buf).unwrap().expect("frame arrives");
         assert_eq!(&buf[..got], b"again");
+        // Killed and restarted with nothing sent in between: the slot is
+        // still connected to the dead socket, and the very next frame
+        // reaches the new one (the resend after `ECONNREFUSED`).
+        drop(b);
+        let mut b = UdsTransport::bind(&dir, 1, timeout).unwrap();
+        a.send(ProcessId::new(1), b"next").unwrap();
+        let got = b.recv(&mut buf).unwrap().expect("frame arrives");
+        assert_eq!(&buf[..got], b"next");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Receives one frame on `t` and checks it.
+    fn expect_frame(t: &mut UdsTransport, want: &[u8]) {
+        let mut buf = [0u8; 32];
+        let got = t.recv(&mut buf).unwrap().expect("frame arrives");
+        assert_eq!(&buf[..got], want);
+    }
+
+    #[test]
+    fn survivors_keep_sending_while_a_peer_is_down() {
+        let dir = std::env::temp_dir().join(format!("rdt-env-subset-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let timeout = Duration::from_millis(20);
+        let bind = |rank| UdsTransport::bind(&dir, rank, timeout).unwrap();
+        let p = ProcessId::new;
+        let (mut t0, mut t1, mut t2) = (bind(0), bind(1), bind(2));
+        // Everyone connected to everyone.
+        for (from, to) in [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)] {
+            let t = [&mut t0, &mut t1, &mut t2];
+            t[from].send(p(to), b"hello").unwrap();
+            expect_frame(t[to], b"hello");
+        }
+        // Rank 1 is killed; the survivors keep sending to it and to each
+        // other, and no send of theirs fails.
+        drop(t1);
+        for round in 0..3 {
+            let frame = format!("up {round}");
+            t0.send(p(1), b"lost").unwrap();
+            t0.send(p(2), frame.as_bytes()).unwrap();
+            expect_frame(&mut t2, frame.as_bytes());
+            t2.send(p(1), b"lost").unwrap();
+            t2.send(p(0), frame.as_bytes()).unwrap();
+            expect_frame(&mut t0, frame.as_bytes());
+        }
+        // Restarted: the first frame from each survivor arrives, and
+        // nothing sent while it was down does.
+        let mut t1 = bind(1);
+        t0.send(p(1), b"from 0").unwrap();
+        expect_frame(&mut t1, b"from 0");
+        t2.send(p(1), b"from 2").unwrap();
+        expect_frame(&mut t1, b"from 2");
+        let mut buf = [0u8; 32];
+        assert!(t1.recv(&mut buf).unwrap().is_none());
+        t1.send(p(0), b"back").unwrap();
+        expect_frame(&mut t0, b"back");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ranks_that_share_a_slot_are_all_reached() {
+        let dir = std::env::temp_dir().join(format!("rdt-env-slots-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let timeout = Duration::from_millis(20);
+        let peers = 2 * SLOTS + 3;
+        let mut t: Vec<UdsTransport> = (0..=peers)
+            .map(|rank| UdsTransport::bind(&dir, rank, timeout).unwrap())
+            .collect();
+        let (sender, receivers) = t.split_first_mut().unwrap();
+        let mut send = |to: usize, frame: &[u8]| sender.send(ProcessId::new(to), frame).unwrap();
+        // Round robin: every send after the first 64 evicts another peer.
+        for round in 0..2 {
+            for to in 1..=peers {
+                let frame = format!("{round}:{to}");
+                send(to, frame.as_bytes());
+                expect_frame(&mut receivers[to - 1], frame.as_bytes());
+            }
+        }
+        // Ping-pong between two ranks of one slot.
+        for r in [1, 5, SLOTS] {
+            for k in 0..4 {
+                let to = if k % 2 == 0 { r } else { r + SLOTS };
+                let frame = format!("{k}:{to}");
+                send(to, frame.as_bytes());
+                expect_frame(&mut receivers[to - 1], frame.as_bytes());
+            }
+        }
+        // A rank never bound is a silent drop and leaves its slot free for
+        // the bound rank that shares it.
+        let never = 8 + 4 * SLOTS;
+        send(never, b"void");
+        send(8, b"after");
+        expect_frame(&mut receivers[7], b"after");
+        send(never, b"void");
+        send(never, b"void");
+        send(8, b"again");
+        expect_frame(&mut receivers[7], b"again");
+        let mut buf = [0u8; 32];
+        assert!(receivers[7].recv(&mut buf).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -171,7 +171,7 @@ impl<'a> WireFrame<'a> {
     ///
     /// As [`codec::read_entries`]: `dv` has another length than
     /// [`n`](Self::n), or an entry overflows the packed word — `dv` is then
-    /// partly overwritten.
+    /// overwritten with unspecified entries.
     pub fn unpack_into(&self, dv: &mut DependencyVector) -> rdt_base::Result<()> {
         codec::read_entries(&self.bytes[HEADER..self.bytes.len() - TRAILER], dv)
     }

@@ -66,6 +66,9 @@ use crate::worker::{
     run_worker, Cmd, KeyedSink, LogKey, PlannedLocal, RemoteMsg, Reply, WorkerSetup,
 };
 
+/// Commands a worker's queue holds before the coordinator waits for it.
+const CMD_QUEUE: usize = 1024;
+
 /// What a delivery carries through the planning pass: `(shard, position)`
 /// of the planned send in `RunPlan::locals`, whose outcome it resolves.
 type SendRef = (usize, usize);
@@ -244,7 +247,11 @@ pub(crate) fn run_sharded(builder: SimulationBuilder, shards: usize) -> Result<S
         }
     }
 
-    // Control plane: one command and one reply channel per worker.
+    // Control plane: one command and one reply channel per worker. The
+    // command queue is bounded so that how far the coordinator runs ahead
+    // (one `Advance` per cut) is not memory that depends on thread timing.
+    // No deadlock: each command goes to every worker before the next, so
+    // every cut a worker has been sent, its peers have been sent too.
     let mut cmd_txs = Vec::with_capacity(shards);
     let mut reply_rxs = Vec::with_capacity(shards);
     let setups: Vec<WorkerSetup> = std::mem::take(&mut plan.locals)
@@ -252,7 +259,7 @@ pub(crate) fn run_sharded(builder: SimulationBuilder, shards: usize) -> Result<S
         .zip(out_rows.into_iter().zip(in_rows))
         .enumerate()
         .map(|(shard, (events, (out_txs, in_rxs)))| {
-            let (cmd_tx, cmd_rx) = unbounded();
+            let (cmd_tx, cmd_rx) = bounded(CMD_QUEUE);
             let (reply_tx, reply_rx) = unbounded();
             cmd_txs.push(cmd_tx);
             reply_rxs.push(reply_rx);

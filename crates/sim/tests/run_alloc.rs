@@ -97,7 +97,7 @@ fn the_sequential_engine_holds_the_system_not_the_run() {
 }
 
 /// The sharded engine is still O(steps) — the plan keeps every op's place
-/// and outcome per shard, the run its keyed logs: 246 bytes per op at the
+/// and outcome per shard, the run its keyed logs: 226 bytes per op at the
 /// peak, which falls at the end of the run. What must not come back is the
 /// op stream beside them: the planning pass's schedule streams like the
 /// sequential engine's, and the generated slice that used to live to the
