@@ -331,12 +331,22 @@ impl DependencyVector {
     /// (one bit per entry, held in a register and OR-ed into the
     /// [`UpdateSet`] once per 64-entry chunk) instead of per-entry
     /// `insert` calls, which would force the set's memory state through the
-    /// loop. The store behind the compare stays guarded on purpose:
-    /// per-event news is sparse (typically one entry), the branch predicts
-    /// as not-taken, and measuring fully-branchless variants
-    /// (unconditional `max` + mask, fused or two-pass) showed them 20–60%
-    /// *slower* on this workload — the per-entry mask/`max` arithmetic
-    /// costs more than the rarely-taken branch it replaces.
+    /// loop.
+    ///
+    /// Which kernel runs depends on the vector's length alone (figures from
+    /// the `benchmark/` package on a 2-vCPU shared Xeon):
+    ///
+    /// * **Up to 64 entries** (one [`UpdateSet`] word) the mask is built
+    ///   branch-free (`mask |= (t > m) << bit`) and only its set bits are
+    ///   copied. A small system's news is dense and irregular, so a guarded
+    ///   store mispredicts: this kernel takes the stand-alone merge of
+    ///   `sim-crashy`'s vectors (n = 32) from about 120 to 65 ns, and of
+    ///   `sim-dense`'s (n = 16) from about 70 to 40 ns.
+    /// * **Longer vectors** keep the store guarded: their per-event news is
+    ///   sparse (typically one entry), the branch predicts as not-taken, and
+    ///   the branch-free kernel at n = 256 (`live-uds`) cost ×0.95
+    ///   end to end — its per-entry shift-and-or costs more there than the
+    ///   rarely-taken branch it replaces.
     ///
     /// # Panics
     ///
@@ -350,6 +360,23 @@ impl DependencyVector {
         updated.clear();
         let mine = self.entries.as_mut_slice();
         let theirs = other.entries.as_slice();
+        if mine.len() <= 64 {
+            let mask = mine
+                .iter()
+                .zip(theirs)
+                .enumerate()
+                .fold(0u64, |mask, (bit, (m, t))| {
+                    mask | (u64::from(t.packed() > m.packed()) << bit)
+                });
+            let mut news = mask;
+            while news != 0 {
+                let i = news.trailing_zeros() as usize;
+                mine[i] = theirs[i];
+                news &= news - 1;
+            }
+            updated.or_word(0, mask);
+            return;
+        }
         for (word, (mc, tc)) in mine.chunks_mut(64).zip(theirs.chunks(64)).enumerate() {
             let mut mask = 0u64;
             for (bit, (m, t)) in mc.iter_mut().zip(tc).enumerate() {
@@ -367,8 +394,9 @@ impl DependencyVector {
     /// checkpoint is required before processing a receive.
     ///
     /// Unlike [`merge_from_into`](Self::merge_from_into) (whose store is
-    /// deliberately branch-guarded), this read-only predicate is fully
-    /// branch-free: the packed-word comparisons are OR-folded instead of
+    /// branch-guarded above 64 entries), this read-only predicate is fully
+    /// branch-free at every length: the packed-word comparisons are
+    /// OR-folded instead of
     /// short-circuited, so the loop has no data-dependent branches to
     /// mispredict.
     pub fn would_learn_from(&self, other: &DependencyVector) -> bool {

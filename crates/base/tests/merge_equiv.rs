@@ -2,8 +2,10 @@
 //! implementation: `DependencyVector::merge_from` must report exactly the
 //! same updated set, and produce the same final vector, as the obvious
 //! `Vec<ProcessId>`-collecting merge it replaced — across system sizes
-//! that exercise the inline representation (n ≤ 16), the heap spill, and
-//! the `UpdateSet` high-bit spill (n > 128).
+//! that exercise the inline representation (n ≤ 16), the heap spill, the
+//! switch from the one-word branch-free kernel (n ≤ 64) to the guarded
+//! store (n = 65), and the `UpdateSet` high-bit spill (n > 128); and with
+//! pairs whose every entry is news.
 
 use proptest::prelude::*;
 
@@ -27,6 +29,22 @@ fn vec_pair(n: usize) -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
     (
         prop::collection::vec(0usize..64, n),
         prop::collection::vec(0usize..64, n),
+    )
+}
+
+/// A [`vec_pair`] at one of `sizes`; one draw in four puts every entry of
+/// the second vector ahead of the first's, so every entry is news.
+fn pair_at(sizes: Vec<usize>) -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
+    let longest = *sizes.iter().max().expect("a size");
+    (prop::sample::select(sizes), vec_pair(longest), 0u8..4).prop_map(
+        |(n, (mut a, mut b), draw)| {
+            a.truncate(n);
+            b.truncate(n);
+            if draw == 0 {
+                b.iter_mut().zip(&a).for_each(|(t, m)| *t += m + 1);
+            }
+            (a, b)
+        },
     )
 }
 
@@ -96,6 +114,29 @@ fn lineage_pair(n: usize) -> impl Strategy<Value = LineagePair> {
     )
 }
 
+/// A [`lineage_pair`] at one of `sizes`; one draw in four puts every entry
+/// of the second vector ahead of the first's, half of them by a newer
+/// incarnation at a lower interval.
+fn lineage_at(sizes: Vec<usize>) -> impl Strategy<Value = LineagePair> {
+    let longest = *sizes.iter().max().expect("a size");
+    (prop::sample::select(sizes), lineage_pair(longest), 0u8..4).prop_map(
+        |(n, (mut a, mut b), draw)| {
+            a.truncate(n);
+            b.truncate(n);
+            if draw == 0 {
+                for (i, (t, m)) in b.iter_mut().zip(&a).enumerate() {
+                    *t = if i % 2 == 0 {
+                        (m.0, m.1 + 1 + t.1)
+                    } else {
+                        (m.0 + 1, t.1 % (m.1 + 1))
+                    };
+                }
+            }
+            (a, b)
+        },
+    )
+}
+
 fn check_packed_against_unpacked(a: Vec<(u32, usize)>, b: Vec<(u32, usize)>) {
     let mut reference = a.clone();
     let expected_updates = unpacked::merge(&mut reference, &b);
@@ -150,46 +191,49 @@ proptest! {
 
     /// Inline representation (n ≤ 16).
     #[test]
-    fn bitset_merge_matches_reference_inline(pair in vec_pair(7)) {
+    fn bitset_merge_matches_reference_inline(pair in pair_at(vec![7])) {
         check_equivalence(pair.0, pair.1);
     }
 
-    /// Heap representation, single bitset word (16 < n ≤ 128).
+    /// Heap representation, single bitset word (16 < n ≤ 128), either
+    /// side of the one-word kernel's limit: n = 64 branch-free, n = 65
+    /// guarded.
     #[test]
-    fn bitset_merge_matches_reference_heap(pair in vec_pair(40)) {
+    fn bitset_merge_matches_reference_heap(pair in pair_at(vec![40, 64, 65])) {
         check_equivalence(pair.0, pair.1);
     }
 
     /// Spilled bitset (n > 128).
     #[test]
-    fn bitset_merge_matches_reference_spill(pair in vec_pair(150)) {
+    fn bitset_merge_matches_reference_spill(pair in pair_at(vec![150])) {
         check_equivalence(pair.0, pair.1);
     }
 
     /// Packed kernels vs the unpacked model, inline representation — with
     /// cross-incarnation entries, where lexicographic ≠ interval order.
     #[test]
-    fn packed_kernels_match_unpacked_model_inline(pair in lineage_pair(5)) {
+    fn packed_kernels_match_unpacked_model_inline(pair in lineage_at(vec![5])) {
         check_packed_against_unpacked(pair.0, pair.1);
     }
 
     /// Packed kernels vs the unpacked model at the inline/heap boundary.
     #[test]
-    fn packed_kernels_match_unpacked_model_at_cap(pair in lineage_pair(16)) {
+    fn packed_kernels_match_unpacked_model_at_cap(pair in lineage_at(vec![16])) {
         check_packed_against_unpacked(pair.0, pair.1);
     }
 
-    /// Packed kernels vs the unpacked model, heap representation, spanning
-    /// a full update-report word boundary (n > 64).
+    /// Packed kernels vs the unpacked model, heap representation, at the
+    /// one-word kernel's limit (n = 64) and across a full update-report
+    /// word boundary (n > 64).
     #[test]
-    fn packed_kernels_match_unpacked_model_heap(pair in lineage_pair(70)) {
+    fn packed_kernels_match_unpacked_model_heap(pair in lineage_at(vec![64, 65, 70])) {
         check_packed_against_unpacked(pair.0, pair.1);
     }
 
     /// Packed kernels vs the unpacked model with a spilled update report
     /// (n > 128).
     #[test]
-    fn packed_kernels_match_unpacked_model_spill(pair in lineage_pair(140)) {
+    fn packed_kernels_match_unpacked_model_spill(pair in lineage_at(vec![140])) {
         check_packed_against_unpacked(pair.0, pair.1);
     }
 }

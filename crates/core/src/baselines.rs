@@ -156,21 +156,17 @@ impl WangGlobalGc {
         self.rounds
     }
 
+    /// Eliminates every stored checkpoint no process pins, oldest first,
+    /// appending it to `eliminated`.
     fn eliminate_unpinned(
         store: &mut CheckpointStore,
         li: &LastIntervals,
         dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex> {
-        let indices: Vec<CheckpointIndex> = store.indices().collect();
-        let pins = theorem1_pins(store, li, dv);
-        let mut eliminated = Vec::new();
-        for (k, fs) in pins.iter().enumerate() {
-            if fs.is_empty() {
-                store.remove(indices[k]).expect("stored");
-                eliminated.push(indices[k]);
-            }
-        }
-        eliminated
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        let mut pinned = vec![false; store.len()];
+        theorem1_pins(store, li.as_slice(), dv, |_, k| pinned[k] = true);
+        store.retain_positions(|k| pinned[k], eliminated);
     }
 }
 
@@ -206,7 +202,7 @@ impl GarbageCollector for WangGlobalGc {
     ) -> Vec<CheckpointIndex> {
         let mut eliminated = store.truncate_after(ri);
         if let Some(li) = li {
-            eliminated.extend(Self::eliminate_unpinned(store, li, dv));
+            Self::eliminate_unpinned(store, li, dv, &mut eliminated);
         }
         eliminated
     }
@@ -221,7 +217,9 @@ impl GarbageCollector for WangGlobalGc {
             return Vec::new();
         };
         self.rounds += 1;
-        Self::eliminate_unpinned(store, li, dv)
+        let mut eliminated = Vec::new();
+        Self::eliminate_unpinned(store, li, dv, &mut eliminated);
+        eliminated
     }
 }
 

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rdt_base::{CheckpointIndex, DependencyVector, ProcessId, UpdateSet};
+use rdt_base::{CheckpointIndex, DependencyVector, DvEntry, ProcessId, UpdateSet};
 
 use crate::ccb::{CcbArena, CcbRef};
 use crate::store::CheckpointStore;
@@ -49,6 +49,10 @@ pub struct RdtLgc {
     owner: ProcessId,
     uc: Vec<Option<CcbRef>>,
     arena: CcbArena,
+    /// A rollback's working buffer: the CCB of each stored position, once
+    /// pinned.
+    #[serde(skip)]
+    pin_at: Vec<Option<CcbRef>>,
 }
 
 impl RdtLgc {
@@ -65,6 +69,7 @@ impl RdtLgc {
             owner,
             uc: vec![None; n],
             arena: CcbArena::new(),
+            pin_at: Vec::new(),
         }
     }
 
@@ -119,42 +124,38 @@ impl RdtLgc {
         v
     }
 
-    /// Rebuilds `UC`/CCBs after a rollback (Algorithm 3 lines 7–17).
+    /// Rebuilds `UC`/CCBs after a rollback (Algorithm 3 lines 7–17),
+    /// appending what it eliminates to `eliminated`.
     ///
     /// For each process `f`, finds the latest stored checkpoint `γ` with
     /// `DV(s^γ)[f] < LI[f]` whose successor (next stored checkpoint, or the
     /// volatile state `dv`) satisfies `DV(c^{γ+1})[f] ≥ LI[f]`, and pins it.
-    /// Everything unpinned is eliminated.
+    /// Everything unpinned is eliminated, oldest first.
     fn rebuild_after_rollback(
         &mut self,
         store: &mut CheckpointStore,
-        li: &LastIntervals,
+        li: &[DvEntry],
         dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex> {
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
         self.arena.clear();
-        self.uc = vec![None; self.uc.len()];
-
-        let indices: Vec<CheckpointIndex> = store.indices().collect();
-        // pins[k] = processes whose UC entry must reference indices[k].
-        let pins = crate::theorem1::theorem1_pins(store, li, dv);
-
-        let mut eliminated = Vec::new();
-        for (k, fs) in pins.iter().enumerate() {
-            let index = indices[k];
-            if fs.is_empty() {
-                store.remove(index).expect("stored");
-                eliminated.push(index);
-            } else {
-                let r = self.arena.alloc(index); // rc = 1 covers fs[0]
-                for _ in 1..fs.len() {
+        self.uc.fill(None);
+        self.pin_at.clear();
+        // A store under RDT-LGC holds at most n + 1 checkpoints: the buffer
+        // is allocated once, at the owner's first rollback.
+        self.pin_at.reserve(self.uc.len() + 1);
+        self.pin_at.resize(store.len(), None);
+        crate::theorem1::theorem1_pins(store, li, dv, |f, k| {
+            let r = match self.pin_at[k] {
+                Some(r) => {
                     self.arena.inc(r);
+                    r
                 }
-                for f in fs {
-                    self.uc[f.index()] = Some(r);
-                }
-            }
-        }
-        eliminated
+                None => *self.pin_at[k].insert(self.arena.alloc(store.index_at(k))),
+            };
+            self.uc[f.index()] = Some(r);
+        });
+        store.retain_positions(|k| self.pin_at[k].is_some(), eliminated);
     }
 }
 
@@ -219,11 +220,8 @@ impl GarbageCollector for RdtLgc {
         dv: &DependencyVector,
     ) -> Vec<CheckpointIndex> {
         let mut eliminated = store.truncate_after(ri);
-        let li = match li {
-            Some(li) => li.clone(),
-            None => LastIntervals::from_dv(dv),
-        };
-        eliminated.extend(self.rebuild_after_rollback(store, &li, dv));
+        let li = li.map_or(dv.as_slice(), LastIntervals::as_slice);
+        self.rebuild_after_rollback(store, li, dv, &mut eliminated);
         eliminated
     }
 

@@ -182,12 +182,7 @@ impl CheckpointStore {
     pub fn remove(&mut self, index: CheckpointIndex) -> Result<()> {
         match self.position(index) {
             Ok(at) => {
-                let (_, stored) = self.entries.remove(at).expect("position is in bounds");
-                self.total_collected += 1;
-                self.bytes -= stored.bytes;
-                if let Some(tag) = stored.tag.0 {
-                    self.retired.0.push((stored.dv, tag));
-                }
+                self.remove_at(at);
                 Ok(())
             }
             Err(_) => Err(Error::CheckpointNotInStorage {
@@ -195,6 +190,35 @@ impl CheckpointStore {
                 index,
             }),
         }
+    }
+
+    /// Eliminates every checkpoint whose position (`0` is the oldest
+    /// stored) `keep` rejects, oldest first, appending its index to
+    /// `eliminated`: [`remove`](Self::remove) without a search per
+    /// checkpoint, for a caller that decided by position.
+    pub fn retain_positions(
+        &mut self,
+        mut keep: impl FnMut(usize) -> bool,
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        let mut removed = 0;
+        for k in 0..self.entries.len() {
+            if !keep(k) {
+                // Ascending, so a removal shifts only positions passed.
+                eliminated.push(self.remove_at(k - removed));
+                removed += 1;
+            }
+        }
+    }
+
+    fn remove_at(&mut self, position: usize) -> CheckpointIndex {
+        let (index, stored) = self.entries.remove(position).expect("position in bounds");
+        self.total_collected += 1;
+        self.bytes -= stored.bytes;
+        if let Some(tag) = stored.tag.0 {
+            self.retired.0.push((stored.dv, tag));
+        }
+        index
     }
 
     /// The vectors of the tagged checkpoints removed since the last call,
@@ -216,6 +240,23 @@ impl CheckpointStore {
                 process: self.owner,
                 index,
             })
+    }
+
+    /// The index of the checkpoint at `position` (`0` is the oldest).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position >= self.len()`.
+    pub fn index_at(&self, position: usize) -> CheckpointIndex {
+        self.entries[position].0
+    }
+
+    /// The number of stored checkpoints, oldest first, whose vectors
+    /// satisfy `pred` — the position of the first that does not, given
+    /// that `pred` holds on a prefix of the store and fails on the rest.
+    /// A binary search over positions.
+    pub fn partition_point(&self, mut pred: impl FnMut(&DependencyVector) -> bool) -> usize {
+        self.entries.partition_point(|(_, stored)| pred(&stored.dv))
     }
 
     /// Whether `index` is currently stored.
@@ -279,13 +320,15 @@ impl CheckpointStore {
     }
 
     /// Removes every checkpoint with index strictly greater than `ri`
-    /// (rollback discards them, Algorithm 3 line 4). Returns them.
+    /// (rollback discards them, Algorithm 3 line 4). Returns them, in a
+    /// vector with room for every checkpoint stored before the call, so a
+    /// collector can append what else it eliminates without reallocating.
     pub fn truncate_after(&mut self, ri: CheckpointIndex) -> Vec<CheckpointIndex> {
         let cut = match self.position(ri) {
             Ok(at) => at + 1,
             Err(at) => at,
         };
-        let mut doomed = Vec::with_capacity(self.entries.len() - cut);
+        let mut doomed = Vec::with_capacity(self.entries.len());
         for (index, stored) in self.entries.drain(cut..) {
             self.total_collected += 1;
             self.bytes -= stored.bytes;
@@ -382,6 +425,22 @@ mod tests {
             0,
             "untagged vectors are freed"
         );
+    }
+
+    #[test]
+    fn retain_positions_eliminates_oldest_first_and_accounts_for_each() {
+        let mut s = CheckpointStore::new(ProcessId::new(0));
+        for i in 0..5 {
+            s.insert_tagged(idx(i), DependencyVector::new(2), 10, Some(i as u64));
+        }
+        let mut gone = vec![idx(9)];
+        s.retain_positions(|k| k == 1 || k == 4, &mut gone);
+        assert_eq!(gone, vec![idx(9), idx(0), idx(2), idx(3)], "appended");
+        assert_eq!(s.indices().collect::<Vec<_>>(), vec![idx(1), idx(4)]);
+        assert_eq!(s.index_at(1), idx(4));
+        assert_eq!((s.bytes(), s.total_collected()), (20, 3));
+        let tags: Vec<u64> = s.drain_retired().map(|(_, tag)| tag).collect();
+        assert_eq!(tags, vec![0, 2, 3]);
     }
 
     #[test]

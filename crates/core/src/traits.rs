@@ -73,6 +73,11 @@ impl LastIntervals {
         self.0[j.index()]
     }
 
+    /// The incarnation-qualified entries, in process order.
+    pub fn as_slice(&self) -> &[DvEntry] {
+        &self.0
+    }
+
     /// Number of processes.
     pub fn len(&self) -> usize {
         self.0.len()

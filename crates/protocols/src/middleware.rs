@@ -18,8 +18,16 @@
 //!   CASBR, MRS, BCS) and the BCS index run as ever. A stamp and not a
 //!   handle: keeping the snapshot alive would hold its memory and stop
 //!   the sender from reusing it.
+//! * **Merge** runs one of two kernels, chosen by the vector's length:
+//!   up to 64 entries (one [`UpdateSet`] word) a branch-free compare mask
+//!   whose set bits alone are copied, beyond it a guarded store
+//!   ([`DependencyVector::merge_from_into`]).
 //! * **Rollback** is the one event after which `dv` may be *below* what
 //!   was merged, so it — and nothing else — forgets the remembered stamp.
+//!   The restored vector is copied into `dv` in place, and Algorithm 3's
+//!   rebuild finds each process's pin by one binary search over the
+//!   stored positions, through buffers the collector keeps: a session
+//!   allocates no more for a fuller store.
 //! * **Checkpoint** (`take_checkpoint_into`) ends the interval, so the
 //!   interned snapshot, still equal to `dv`, is moved into the store
 //!   instead of a copy whenever no undelivered message shares it.
@@ -1047,13 +1055,12 @@ impl<S: Storage> Middleware<S> {
         self.sink
             .wal_incarnation(next)
             .map_err(|e| Error::Storage(e.to_string()))?;
-        let mut dv = self.store.dv(ri).expect("checked").clone();
         self.incarnation = next;
         // Mirror the log in the in-memory store's incarnation floor: a
         // later restart from the store alone must not reuse it either.
         self.store.raise_incarnation_floor(self.incarnation);
-        dv.resume_incarnation(self.owner, self.incarnation);
-        self.dv = dv;
+        self.dv.copy_from(self.store.dv(ri).expect("checked"));
+        self.dv.resume_incarnation(self.owner, self.incarnation);
         // The restored vector may lie below what was merged before, and
         // differs from the old one anywhere: the one event that forgets.
         self.merged = None;

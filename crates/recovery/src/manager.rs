@@ -57,10 +57,7 @@ impl<S: Storage> LineSource for Middleware<S> {
     }
 
     fn stored_rev(&self) -> impl Iterator<Item = (CheckpointIndex, &DependencyVector)> {
-        self.store()
-            .indices()
-            .rev()
-            .map(|idx| (idx, self.store().dv(idx).expect("stored")))
+        self.store().iter().rev()
     }
 
     fn oldest_stored(&self) -> Option<CheckpointIndex> {
@@ -355,21 +352,11 @@ impl RecoveryManager {
         faulty: &FaultySet,
     ) -> Result<rdt_ccp::LineExplanation, RecoveryError> {
         use rdt_ccp::{AmnestiedEntry, ComponentProvenance, LineExplanation, PinCause};
-        let n = processes.len();
-        for (k, mw) in processes.iter().enumerate() {
-            assert_eq!(mw.owner().index(), k, "middlewares must be in id order");
-        }
-        for f in faulty {
-            assert!(f.index() < n, "faulty process out of range");
-        }
-        let last_stable: Vec<CheckpointIndex> =
-            processes.iter().map(|mw| mw.last_stable()).collect();
-        let live_inc: Vec<Incarnation> = processes.iter().map(|mw| mw.incarnation()).collect();
-
-        let mut components = Vec::with_capacity(n);
+        let session = Blockers::of(processes, faulty);
+        let mut components = Vec::with_capacity(processes.len());
         for mw in processes {
             let i = mw.owner();
-            let is_faulty = faulty.contains(&i);
+            let is_faulty = session.is_faulty(i);
             let ceiling = if is_faulty {
                 mw.last_stable()
             } else {
@@ -377,83 +364,37 @@ impl RecoveryManager {
             };
             let mut amnestied: Vec<AmnestiedEntry> = Vec::new();
             let mut last_pin: Option<PinCause> = None;
-
-            // Evaluates one candidate exactly like line_with_degradation's
-            // blocked test, returning the pin when blocked and recording
-            // amnestied dead-incarnation entries either way.
-            let eval = |idx: CheckpointIndex,
-                        dv: &DependencyVector,
-                        amnestied: &mut Vec<AmnestiedEntry>|
-             -> Option<PinCause> {
-                let mut pin = None;
-                for &f in faulty {
-                    // A checkpoint never precedes itself (see the guard in
-                    // line_with_degradation); volatile candidates sit above
-                    // last_stable, so the guard never fires for them.
-                    if f == i && idx == last_stable[f.index()] {
-                        continue;
-                    }
-                    let alpha = last_stable[f.index()];
-                    let live = live_inc[f.index()];
-                    let entry = dv.lineage(f);
-                    if dv.dominates_live_checkpoint(f, alpha, live) {
-                        if pin.is_none() {
-                            pin = Some(PinCause {
-                                blocker: f,
-                                rejected: idx,
-                                incarnation: entry.incarnation().value(),
-                                interval: entry.interval().value(),
-                                last_stable: alpha,
-                            });
-                        }
-                    } else if alpha.value() < entry.interval().value()
-                        && entry.incarnation() < live
+            let chosen = session.choose(mw, |idx, dv, blocker| {
+                // Dead-incarnation knowledge past a faulty process's last
+                // stable checkpoint: it would block, were it live.
+                for b in &session.list {
+                    let entry = dv.lineage(b.f);
+                    if b.last_stable.value() < entry.interval().value()
+                        && entry.incarnation() < b.live
                     {
                         amnestied.push(AmnestiedEntry {
                             at: idx,
-                            faulty: f,
+                            faulty: b.f,
                             incarnation: entry.incarnation().value(),
                             interval: entry.interval().value(),
-                            live_incarnation: live.value(),
+                            live_incarnation: b.live.value(),
                         });
                     }
                 }
-                pin
-            };
-
-            let mut chosen = None;
-            if !is_faulty {
-                match eval(ceiling, mw.dv(), &mut amnestied) {
-                    None => chosen = Some(ceiling),
-                    Some(pin) => last_pin = Some(pin),
+                if let Some(b) = blocker {
+                    let entry = dv.lineage(b.f);
+                    last_pin = Some(PinCause {
+                        blocker: b.f,
+                        rejected: idx,
+                        incarnation: entry.incarnation().value(),
+                        interval: entry.interval().value(),
+                        last_stable: b.last_stable,
+                    });
                 }
-            }
-            if chosen.is_none() {
-                for (idx, dv) in mw.stored_rev() {
-                    if is_faulty && idx > ceiling {
-                        continue;
-                    }
-                    match eval(idx, dv, &mut amnestied) {
-                        None => {
-                            chosen = Some(idx);
-                            break;
-                        }
-                        Some(pin) => last_pin = Some(pin),
-                    }
-                }
-            }
+            });
             let chosen = match chosen {
                 Some(c) => c,
-                None => {
-                    if !mw.gc_kind().needs_time_assumptions() {
-                        return Err(RecoveryError::LineExhausted {
-                            process: i,
-                            gc: mw.gc_kind(),
-                        });
-                    }
-                    mw.oldest_stored()
-                        .expect("stable storage retains at least one checkpoint")
-                }
+                None => exhausted(mw)?,
             };
             components.push(ComponentProvenance {
                 process: i,
@@ -474,74 +415,18 @@ impl RecoveryManager {
         processes: &[V],
         faulty: &FaultySet,
     ) -> Result<(Vec<CheckpointIndex>, Vec<ProcessId>), RecoveryError> {
-        let n = processes.len();
-        for (k, mw) in processes.iter().enumerate() {
-            assert_eq!(mw.owner().index(), k, "middlewares must be in id order");
-        }
-        for f in faulty {
-            assert!(f.index() < n, "faulty process out of range");
-        }
-        let last_stable: Vec<CheckpointIndex> =
-            processes.iter().map(|mw| mw.last_stable()).collect();
-        let live_inc: Vec<Incarnation> = processes.iter().map(|mw| mw.incarnation()).collect();
-
-        let mut line = Vec::with_capacity(n);
+        let session = Blockers::of(processes, faulty);
+        let mut line = Vec::with_capacity(processes.len());
         let mut degraded = Vec::new();
-        'processes: for mw in processes {
-            let i = mw.owner();
-            // Volatile candidate first for non-faulty processes.
-            if !faulty.contains(&i) {
-                let blocked = faulty.iter().any(|&f| {
-                    mw.dv().dominates_live_checkpoint(
-                        f,
-                        last_stable[f.index()],
-                        live_inc[f.index()],
-                    )
-                });
-                if !blocked {
-                    line.push(mw.last_stable().next());
-                    continue;
+        for mw in processes {
+            let component = match session.choose(mw, |_, _, _| {}) {
+                Some(c) => c,
+                None => {
+                    degraded.push(mw.owner());
+                    exhausted(mw)?
                 }
-            }
-            // Stored checkpoints, newest first.
-            for (idx, dv) in mw.stored_rev() {
-                let blocked = faulty.iter().any(|&f| {
-                    // s_f^last → s_i^idx, except a checkpoint never precedes
-                    // itself. The guard holds across incarnations: the
-                    // stored copy of the last stable checkpoint may have
-                    // been written in an earlier incarnation than the one
-                    // now executing (repeated rollbacks onto the same
-                    // index), and it still must not count as its own
-                    // blocker.
-                    !(f == i && idx == last_stable[f.index()])
-                        && dv.dominates_live_checkpoint(
-                            f,
-                            last_stable[f.index()],
-                            live_inc[f.index()],
-                        )
-                });
-                if !blocked {
-                    line.push(idx);
-                    continue 'processes;
-                }
-            }
-            // With incarnation-numbered intervals Lemma 1 is total over the
-            // checkpoints a *safe* collector retains. Only the time-based
-            // baseline — whose delay assumption can break — may land here;
-            // it degrades to the oldest survivor: the closest available
-            // approximation of the true line, and exactly the data-loss
-            // scenario the paper's safety comparison quantifies.
-            if !mw.gc_kind().needs_time_assumptions() {
-                return Err(RecoveryError::LineExhausted {
-                    process: i,
-                    gc: mw.gc_kind(),
-                });
-            }
-            degraded.push(i);
-            line.push(
-                mw.oldest_stored()
-                    .expect("stable storage retains at least one checkpoint"),
-            );
+            };
+            line.push(component);
         }
         Ok((line, degraded))
     }
@@ -676,39 +561,36 @@ impl RecoveryManager {
         faulty: &FaultySet,
     ) -> Result<RecoverySessionReport, RecoveryError> {
         let plan = self.plan(processes, faulty)?;
-
-        let mut rolled_back = Vec::new();
-        let mut eliminated = Vec::new();
+        let mut applied = Vec::with_capacity(processes.len());
         for mw in processes.iter_mut() {
-            let p = Middleware::owner(mw);
-            let applied = self.apply_to(mw, &plan)?;
-            if let Some(component) = applied.rolled_back {
-                rolled_back.push((p, component));
-            }
-            eliminated.extend(
-                applied
-                    .eliminated
-                    .into_iter()
-                    .map(|idx| CheckpointId::new(p, idx)),
-            );
+            applied.push((Middleware::owner(mw), self.apply_to(mw, &plan)?));
         }
-
-        Ok(self.report(faulty, plan, rolled_back, eliminated, |p| {
+        Ok(self.report(faulty, plan, applied, |p| {
             Middleware::incarnation(&processes[p.index()])
         }))
     }
 
-    /// Assembles the session report from a plan plus the merged apply
-    /// outcomes — shared by [`recover`](Self::recover) and the sharded
-    /// engine's coordinator (whose apply outcomes arrive from workers).
+    /// Assembles the session report from a plan plus every process's apply
+    /// outcome, ascending by process — shared by [`recover`](Self::recover)
+    /// and the simulation engines (whose outcomes may arrive from shard
+    /// workers).
     pub fn report(
         &self,
         faulty: &FaultySet,
         plan: RecoveryPlan,
-        rolled_back: Vec<(ProcessId, CheckpointIndex)>,
-        eliminated: Vec<CheckpointId>,
+        applied: Vec<(ProcessId, AppliedRecovery)>,
         incarnation_of: impl Fn(ProcessId) -> Incarnation,
     ) -> RecoverySessionReport {
+        let rolled_back = applied
+            .iter()
+            .filter_map(|(p, outcome)| outcome.rolled_back.map(|to| (*p, to)))
+            .collect();
+        let total = applied.iter().map(|(_, o)| o.eliminated.len()).sum();
+        let mut eliminated = Vec::with_capacity(total);
+        for (p, outcome) in applied {
+            let ids = outcome.eliminated.into_iter();
+            eliminated.extend(ids.map(|idx| CheckpointId::new(p, idx)));
+        }
         let n = plan.line.len();
         RecoverySessionReport {
             faulty: faulty.iter().copied().collect(),
@@ -723,6 +605,115 @@ impl RecoveryManager {
             incarnations: (0..n).map(|k| incarnation_of(ProcessId::new(k))).collect(),
         }
     }
+}
+
+/// A faulty process as Lemma 1 reads it.
+#[derive(Debug, Clone, Copy)]
+struct Blocker {
+    f: ProcessId,
+    /// `s_f^last`, its last stable checkpoint.
+    last_stable: CheckpointIndex,
+    /// Its live incarnation.
+    live: Incarnation,
+}
+
+impl Blocker {
+    /// Lemma 1's blocked test: does `s_f^last` causally precede candidate
+    /// `idx` of process `i`, whose vector is `dv`, in `f`'s live
+    /// incarnation ([`DependencyVector::dominates_live_checkpoint`])?
+    ///
+    /// A checkpoint never precedes itself. The guard holds across
+    /// incarnations: the stored copy of the last stable checkpoint may have
+    /// been written in an earlier incarnation than the one now executing
+    /// (repeated rollbacks onto the same index), and it still must not
+    /// count as its own blocker. A volatile candidate sits above
+    /// `last_stable`, so the guard never fires for it.
+    fn blocks(&self, i: ProcessId, idx: CheckpointIndex, dv: &DependencyVector) -> bool {
+        !(self.f == i && idx == self.last_stable)
+            && dv.dominates_live_checkpoint(self.f, self.last_stable, self.live)
+    }
+}
+
+/// One session's faulty set, read once: each faulty process's
+/// [`Blocker`], ascending, and a membership mask over all processes.
+struct Blockers {
+    list: Vec<Blocker>,
+    faulty: Vec<bool>,
+}
+
+impl Blockers {
+    /// # Panics
+    ///
+    /// Panics if `faulty` references processes outside `processes`, or if
+    /// process ids do not match positions.
+    fn of<V: LineSource>(processes: &[V], faulty: &FaultySet) -> Self {
+        for (k, mw) in processes.iter().enumerate() {
+            assert_eq!(mw.owner().index(), k, "middlewares must be in id order");
+        }
+        let mut mask = vec![false; processes.len()];
+        let list = faulty
+            .iter()
+            .map(|&f| {
+                let mw = processes
+                    .get(f.index())
+                    .expect("faulty process out of range");
+                mask[f.index()] = true;
+                Blocker {
+                    f,
+                    last_stable: mw.last_stable(),
+                    live: mw.incarnation(),
+                }
+            })
+            .collect();
+        Self { list, faulty: mask }
+    }
+
+    fn is_faulty(&self, p: ProcessId) -> bool {
+        self.faulty[p.index()]
+    }
+
+    /// Lemma 1 for one process: its newest candidate — the volatile state
+    /// unless it is faulty, then its stored checkpoints newest first — that
+    /// no faulty process blocks, or `None` if every one is blocked.
+    /// `tested` sees each candidate examined, with the first faulty
+    /// process that blocks it.
+    fn choose<V: LineSource>(
+        &self,
+        mw: &V,
+        mut tested: impl FnMut(CheckpointIndex, &DependencyVector, Option<&Blocker>),
+    ) -> Option<CheckpointIndex> {
+        let i = mw.owner();
+        let volatile = (!self.is_faulty(i)).then(|| (mw.last_stable().next(), mw.dv()));
+        volatile
+            .into_iter()
+            .chain(mw.stored_rev())
+            .find(|&(idx, dv)| {
+                let blocker = self.list.iter().find(|b| b.blocks(i, idx, dv));
+                tested(idx, dv, blocker);
+                blocker.is_none()
+            })
+            .map(|(idx, _)| idx)
+    }
+}
+
+/// The component of a process whose every candidate is blocked.
+///
+/// With incarnation-numbered intervals Lemma 1 is total over the
+/// checkpoints a *safe* collector retains, so this is an error. Only the
+/// time-based baseline — whose delay assumption can break — may land here;
+/// it degrades to the oldest survivor: the closest available approximation
+/// of the true line, and exactly the data-loss scenario the paper's safety
+/// comparison quantifies.
+fn exhausted<V: LineSource>(mw: &V) -> Result<CheckpointIndex, RecoveryError> {
+    if !mw.gc_kind().needs_time_assumptions() {
+        return Err(RecoveryError::LineExhausted {
+            process: mw.owner(),
+            gc: mw.gc_kind(),
+        });
+    }
+    Ok(mw
+        .oldest_stored()
+        .expect("stable storage retains at least one checkpoint"))
 }
 
 /// The decisions of one recovery session, separated from their

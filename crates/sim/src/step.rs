@@ -20,8 +20,8 @@
 //! byte for byte without a second copy of any handler to keep in step.
 
 use rdt_base::{
-    CheckpointId, CheckpointIndex, DependencyVector, Incarnation, MessageId, Payload, ProcessId,
-    Result, TraceEvent,
+    CheckpointIndex, DependencyVector, Incarnation, MessageId, Payload, ProcessId, Result,
+    TraceEvent,
 };
 use rdt_core::{ControlInfo, GcKind, LastIntervals};
 use rdt_protocols::{
@@ -396,21 +396,10 @@ pub(crate) fn close_session<S: Sink>(
     applied: Vec<(ProcessId, AppliedRecovery)>,
     sink: &mut S,
 ) -> RecoverySessionReport {
-    let mut rolled_back = Vec::new();
-    let mut eliminated = Vec::new();
-    for (p, outcome) in applied {
-        if let Some(component) = outcome.rolled_back {
-            rolled_back.push((p, component));
-        }
-        let ids = outcome.eliminated.into_iter();
-        eliminated.extend(ids.map(|idx| CheckpointId::new(p, idx)));
-    }
     // Every rollback opened exactly the incarnation the plan promised
     // (`apply_to` asserts it), so the plan is the post-session truth.
     let incarnations: Vec<Incarnation> = plan.components.iter().map(|c| c.1).collect();
-    let report = manager.report(faulty, plan, rolled_back, eliminated, |p| {
-        incarnations[p.index()]
-    });
+    let report = manager.report(faulty, plan, applied, |p| incarnations[p.index()]);
     sink.metric(MetricOp::Session {
         rolled_back: report.rolled_back.len() as u64,
         degraded: report.degraded.len() as u64,

@@ -1,15 +1,18 @@
-//! The frame path allocates nothing in the steady state: with
-//! observability off, `send_frame` → `encode` → `deliver_frame` at
-//! n = 256 runs out of the buffers the two nodes own. Counted, not timed:
-//! a `#[global_allocator]` that counts the calling thread's allocations.
+//! What the per-message and the per-crash paths allocate. The frame path
+//! allocates nothing in the steady state: with observability off,
+//! `send_frame` → `encode` → `deliver_frame` at n = 256 runs out of the
+//! buffers the two nodes own. A recovery session allocates per process,
+//! never per stored checkpoint. Counted, not timed: a `#[global_allocator]`
+//! that counts the calling thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use rdt_base::ProcessId;
+use rdt_base::{Payload, ProcessId};
 use rdt_core::GcKind;
 use rdt_env::WireFrame;
-use rdt_protocols::ProtocolKind;
+use rdt_protocols::{Middleware, ProtocolKind};
+use rdt_recovery::{FaultySet, RecoveryManager};
 use rdt_sim::LiveNode;
 
 thread_local! {
@@ -101,4 +104,58 @@ fn steady_state_round_trips_do_not_allocate() {
     assert_eq!(WireFrame::decode(&hostile), None);
     assert_eq!(nodes[1].deliver_frame(&hostile).unwrap(), None);
     assert_eq!(allocations() - before, 0, "rejecting a lying n allocated");
+}
+
+/// A coordinated session over n = 32 RDT-LGC middlewares whose stores were
+/// filled for `depth` rounds: the allocations `RecoveryManager::recover`
+/// made, and the checkpoints the crashed processes' stores held when it
+/// began.
+///
+/// Processes 0–3 each hear from a distinct peer among 4–31 every round,
+/// just after that peer checkpointed, and then checkpoint themselves, so
+/// each round leaves one more of their checkpoints pinned. Then all four
+/// crash together. They never talked to each other, so each rolls back to
+/// its own last checkpoint, and no other process has heard of them. Each
+/// rollback runs Algorithm 3's rebuild over a store of about `depth`
+/// checkpoints, and every other process gets `LI`.
+fn session_allocations(depth: usize) -> (u64, usize) {
+    const N: usize = 32;
+    let p = ProcessId::new;
+    let mut mws: Vec<Middleware> = (0..N)
+        .map(|i| Middleware::new(p(i), N, ProtocolKind::Fdas, GcKind::RdtLgc))
+        .collect();
+    for round in 0..depth {
+        for i in 0..4 {
+            let peer = 4 + (i + round) % (N - 4);
+            mws[peer].basic_checkpoint().unwrap();
+            let m = mws[peer].send(p(i), Payload::empty());
+            mws[i].receive(&m).unwrap();
+            mws[i].basic_checkpoint().unwrap();
+        }
+    }
+    let faulty: FaultySet = (0..4).map(p).collect();
+    for f in &faulty {
+        mws[f.index()].crash();
+    }
+    let stored = mws[..4].iter().map(|mw| mw.store().len()).sum();
+    let before = allocations();
+    let report = RecoveryManager::new().recover(&mut mws, &faulty).unwrap();
+    let allocated = allocations() - before;
+    assert_eq!(report.rolled_back.len(), 4, "{report:?}");
+    (allocated, stored)
+}
+
+#[test]
+fn a_recovery_session_allocates_per_process_not_per_checkpoint() {
+    let (few, few_stored) = session_allocations(2);
+    let (many, many_stored) = session_allocations(12);
+    assert_eq!(
+        (few_stored, many_stored),
+        (4 * 3, 4 * 13),
+        "every round leaves one more checkpoint pinned"
+    );
+    assert_eq!(
+        few, many,
+        "{few_stored} stored checkpoints cost {few} allocations, {many_stored} cost {many}"
+    );
 }
