@@ -10,13 +10,16 @@
 //! **A commit is one append and one flush.** [`DurableStore::sync`]
 //! remembers what the log holds and appends exactly the difference — new
 //! checkpoints *first*, then collects — so a torn append leaves a valid
-//! prefix: persist before remove, never without an anchor. **A restart is
-//! one read** that writes nothing ([`DurableStore::rebuild_reported`]).
-//! **Compaction is what the paper's bound buys**: RDT-LGC retains at most
-//! n + 1 checkpoints, so the commit that would leave more dead bytes than
-//! live ones writes the live set instead (temp file, fsync, rename,
-//! directory fsync) and the log never exceeds twice its live set plus one
-//! commit. The full contract is in `CRASH_CONSISTENCY.md`.
+//! prefix: persist before remove, never without an anchor. **Opening
+//! touches nothing, and a restart is one read** that writes nothing
+//! ([`DurableStore::rebuild_reported`]): a missing directory is an empty
+//! log, and the commit that creates the log creates the directory and
+//! fsyncs its parent first. **Compaction is what the paper's bound
+//! buys**: RDT-LGC retains at most n + 1 checkpoints, so the commit that
+//! would leave more dead bytes than live ones writes the live set instead
+//! (temp file, fsync, rename, directory fsync) and the log never exceeds
+//! twice its live set plus one commit. The full contract is in
+//! `CRASH_CONSISTENCY.md`.
 //!
 //! Every filesystem call goes through a [`StorageBackend`], so the fault
 //! injector in [`backend`](crate::backend) can crash, tear, or corrupt any
@@ -110,49 +113,47 @@ pub struct DurableStore {
 }
 
 impl DurableStore {
-    /// Opens (creating if needed) the store directory for `owner`, on the
-    /// real filesystem.
+    /// Opens the store directory for `owner`, on the real filesystem.
+    /// Touches nothing: the directory need not exist until the first
+    /// commit creates it.
     ///
     /// # Errors
     ///
-    /// I/O errors creating the directory.
+    /// None today; an unusable `dir` surfaces at the first read or commit.
     pub fn open(dir: impl Into<PathBuf>, owner: ProcessId) -> Result<Self> {
         Self::open_with(dir, owner, Box::new(StdFs))
     }
 
     /// Opens the store directory through an explicit backend — the entry
-    /// point for fault injection.
+    /// point for fault injection. Makes no backend call.
     ///
     /// # Errors
     ///
-    /// I/O errors creating the directory.
+    /// As for [`open`](Self::open).
     pub fn open_with(
         dir: impl Into<PathBuf>,
         owner: ProcessId,
         fs: Box<dyn StorageBackend>,
     ) -> Result<Self> {
-        let dir = dir.into();
-        let store = Self {
+        Ok(Self {
             owner,
-            dir,
+            dir: dir.into(),
             fs,
             log: RefCell::default(),
             retries: Cell::new(0),
             prof: RefCell::new(rdt_obs::Profiler::new(rdt_obs::profile::env_enabled())),
-        };
-        store.with_retry("store/create_dir", || store.fs.create_dir_all(&store.dir))?;
-        Ok(store)
+        })
     }
 
     /// Enables (or disables) per-operation latency profiling: every
     /// backend call records into a `store/*` phase (`store/append`,
     /// `store/fsync`, `store/read`, and for compactions `store/write`,
-    /// `store/rename`, `store/fsync_dir`; `store/create_dir`), and
-    /// absorbed transient retries count under the
-    /// `store/transient_retries` counter. Replaces any previously
-    /// accumulated timings. Latencies include time spent inside the
-    /// bounded retry loop, backoff sleeps included — a retried fsync *is*
-    /// that slow from the caller's seat.
+    /// `store/rename`, `store/fsync_dir`; the commit that creates the log
+    /// also `store/create_dir`), and absorbed transient retries count
+    /// under the `store/transient_retries` counter. Replaces any
+    /// previously accumulated timings. Latencies include time spent inside
+    /// the bounded retry loop, backoff sleeps included — a retried fsync
+    /// *is* that slow from the caller's seat.
     pub fn set_profiling(&self, on: bool) {
         *self.prof.borrow_mut() = rdt_obs::Profiler::new(on);
     }
@@ -225,7 +226,7 @@ impl DurableStore {
         out
     }
 
-    /// Reads the whole log; a missing file is an empty log.
+    /// Reads the whole log; a missing file or directory is an empty log.
     fn read_log(&self) -> Result<Vec<u8>> {
         let path = self.log_path();
         match self.with_retry("store/read", || self.fs.read(&path)) {
@@ -249,6 +250,17 @@ impl DurableStore {
         Ok(())
     }
 
+    /// Creates the store directory and fsyncs its parent, so that a power
+    /// loss cannot drop the directory entry of a log whose commits were
+    /// acknowledged. Ancestors `create_dir_all` had to make above the
+    /// parent get no fsync of their own.
+    fn create_dir(&self) -> Result<()> {
+        self.with_retry("store/create_dir", || self.fs.create_dir_all(&self.dir))?;
+        let parent = self.dir.parent().filter(|p| !p.as_os_str().is_empty());
+        let parent = parent.unwrap_or(Path::new("."));
+        self.with_retry("store/fsync_dir", || self.fs.fsync_dir(parent))
+    }
+
     /// What the store remembers of its log, replaying the file first if
     /// it remembers nothing.
     fn log(&self) -> Result<RefMut<'_, LogState>> {
@@ -262,9 +274,10 @@ impl DurableStore {
     /// already say what the log holds once they are. One append and one
     /// flush — unless the log would outgrow [`COMPACT_AT`] times its live
     /// bytes, is damaged, or does not exist yet (a new file's directory
-    /// entry needs the atomic-replace discipline anyway): then the file is
-    /// read back, replayed together with the new records, and replaced by
-    /// what is live at the end. A failure leaves the file unknown.
+    /// entry needs the atomic-replace discipline anyway, and its directory
+    /// is created first): then the file is read back, replayed together
+    /// with the new records, and replaced by what is live at the end. A
+    /// failure leaves the file unknown.
     fn commit(&self, st: &mut LogState) -> Result<()> {
         st.known = false;
         let floor_bytes = usize::from(st.floor > Incarnation::ZERO) * FLOOR_BYTES;
@@ -278,6 +291,7 @@ impl DurableStore {
             let mut image = if st.bytes > 0 {
                 self.read_log()?
             } else {
+                self.create_dir()?;
                 Vec::new()
             };
             let on_disk = image.len();
@@ -440,7 +454,10 @@ impl DurableStore {
 mod tests {
     use super::*;
     use crate::backend::{FaultFs, FaultKind, FaultPlan};
+    use crate::sink::DiskSink;
     use rdt_base::DependencyVector;
+    use rdt_core::GcKind;
+    use rdt_protocols::{Middleware, ProtocolKind};
     use std::fs;
     use std::rc::Rc;
 
@@ -489,12 +506,13 @@ mod tests {
         rename: Cell<u32>,
         remove: Cell<u32>,
         list: Cell<u32>,
+        create_dir: Cell<u32>,
     }
 
     impl Counts {
-        /// `[read, write, append, fsync, fsync_dir, rename, remove, list]`
-        /// since the last call.
-        fn take(&self) -> [u32; 8] {
+        /// `[read, write, append, fsync, fsync_dir, rename, remove, list,
+        /// create_dir]` since the last call.
+        fn take(&self) -> [u32; 9] {
             [
                 &self.read,
                 &self.write,
@@ -504,6 +522,7 @@ mod tests {
                 &self.rename,
                 &self.remove,
                 &self.list,
+                &self.create_dir,
             ]
             .map(|c| c.replace(0))
         }
@@ -518,6 +537,7 @@ mod tests {
 
     impl StorageBackend for CountingFs {
         fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+            tick(&self.0.create_dir);
             StdFs.create_dir_all(dir)
         }
         fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
@@ -556,21 +576,25 @@ mod tests {
 
     #[test]
     fn a_commit_is_one_append_and_one_flush_and_a_restart_is_one_read() {
-        const APPEND: [u32; 8] = [0, 0, 1, 1, 0, 0, 0, 0];
-        const COMPACT: [u32; 8] = [1, 1, 0, 1, 1, 1, 0, 0];
+        const APPEND: [u32; 9] = [0, 0, 1, 1, 0, 0, 0, 0, 0];
+        const COMPACT: [u32; 9] = [1, 1, 0, 1, 1, 1, 0, 0, 0];
         let dir = scratch("counts");
         let counts = Rc::new(Counts::default());
         let open = || {
             DurableStore::open_with(&dir, OWNER, Box::new(CountingFs(Rc::clone(&counts)))).unwrap()
         };
+        // Opening touches nothing, not even the directory it names.
         let durable = open();
+        assert_eq!(counts.take(), [0; 9]);
         // The first commit creates the file: a first look at the (absent)
-        // log, then the atomic-replace discipline, no read-back.
+        // log, the directory and its parent's fsync, then the
+        // atomic-replace discipline, no read-back.
         durable.sync(&store_of(&[0])).unwrap();
-        assert_eq!(counts.take(), [1, 1, 0, 1, 1, 1, 0, 0]);
+        assert_eq!(counts.take(), [1, 1, 0, 1, 2, 1, 0, 0, 1]);
         // Growth, then steady state: every commit that changes something
         // is an append and a flush — or, when dead bytes would outweigh
-        // live ones, a read and an atomic replace. Never a list or remove.
+        // live ones, a read and an atomic replace. Never a list, a remove
+        // or another directory creation.
         let mut compactions = 0;
         for i in 1..40usize {
             let held: Vec<usize> = (i.saturating_sub(3)..=i).collect();
@@ -579,7 +603,7 @@ mod tests {
             assert!(seen == APPEND || seen == COMPACT, "commit {i}: {seen:?}");
             compactions += usize::from(seen == COMPACT);
             durable.sync(&store_of(&held)).unwrap();
-            assert_eq!(counts.take(), [0; 8], "nothing changed, nothing done");
+            assert_eq!(counts.take(), [0; 9], "nothing changed, nothing done");
         }
         assert!((5..20).contains(&compactions), "{compactions} compactions");
         // An incarnation bump is the same one and one.
@@ -587,9 +611,9 @@ mod tests {
             .persist_incarnation_floor(Incarnation::new(1))
             .unwrap();
         assert_eq!(counts.take(), APPEND);
-        // A restart — new handle, rebuild — is one read and no write.
+        // A restart — new handle, rebuild — is one read and nothing else.
         let (store, report) = open().rebuild_reported().unwrap();
-        assert_eq!(counts.take(), [1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(counts.take(), [1, 0, 0, 0, 0, 0, 0, 0, 0]);
         assert_eq!(contents(&store), contents(&store_of(&[36, 37, 38, 39])));
         assert_eq!(store.incarnation_floor(), Incarnation::new(1));
         assert_eq!(report.loaded, 4);
@@ -905,14 +929,18 @@ mod tests {
         let plan = FaultPlan::none().with_fault(3, FaultKind::TransientEio);
         let durable = DurableStore::open_with(&dir, OWNER, Box::new(FaultFs::new(plan))).unwrap();
         durable.set_profiling(true);
+        // The first commit is read, create_dir, the parent's fsync, write,
+        // fsync, rename, fsync_dir; op 3, its write, fails once and is
+        // retried. The second is one append and one flush.
         durable.sync(&store_of(&[0])).unwrap(); // creates the log
         durable.sync(&store_of(&[0, 1])).unwrap(); // appends to it
         let report = durable.profile().expect("profiling is on");
         for (phase, count) in [
             ("store/read", 1),
+            ("store/create_dir", 1),
             ("store/write", 1),
             ("store/rename", 1),
-            ("store/fsync_dir", 1),
+            ("store/fsync_dir", 2),
             ("store/append", 1),
             ("store/fsync", 2),
         ] {
@@ -932,11 +960,12 @@ mod tests {
         let durable = DurableStore::open_with(
             &dir,
             OWNER,
-            Box::new(FaultFs::new(FaultPlan::crash_after(7))),
+            Box::new(FaultFs::new(FaultPlan::crash_after(8))),
         )
         .unwrap();
-        // open consumed 1 op, the first commit 5; the second trips the
-        // crash point between its append and its flush.
+        // open consumed no op, the first commit 7 (read, create_dir, the
+        // parent's fsync, write, fsync, rename, fsync_dir); the second
+        // trips the crash point between its append and its flush.
         durable.sync(&store_of(&[0])).unwrap();
         let err = durable.sync(&store_of(&[0, 1])).unwrap_err();
         assert!(matches!(err, Error::Io(_)), "crash errors are permanent");
@@ -944,5 +973,124 @@ mod tests {
         let rebuilt = DurableStore::open(&dir, OWNER).unwrap().rebuild().unwrap();
         assert_eq!(contents(&rebuilt), contents(&store_of(&[0, 1])));
         let _ = fs::remove_dir_all(dir);
+    }
+
+    /// A process of a two-process system whose initial checkpoint is
+    /// committed to `disk`; returns it and the commit's error, if any.
+    fn initial_commit(disk: DurableStore) -> (Middleware<DiskSink>, Option<String>) {
+        let sink = DiskSink::over(disk);
+        let mut mw = Middleware::with_storage(OWNER, 2, ProtocolKind::Fdas, GcKind::RdtLgc, sink);
+        let err = mw.take_sink_error();
+        (mw, err)
+    }
+
+    #[test]
+    fn a_crash_in_a_store_s_first_commit_leaves_nothing_or_the_initial_checkpoint() {
+        // The first commit's ops: read (of an absent log), create_dir, the
+        // parent's fsync, write, fsync, rename, fsync_dir. The torture
+        // harness cannot crash among them: its probes start once every
+        // store exists.
+        let run = |dir: &Path, plan| {
+            let fs = FaultFs::new(plan);
+            let disk = DurableStore::open_with(dir, OWNER, Box::new(fs.clone())).unwrap();
+            let (mw, err) = initial_commit(disk);
+            (fs, err, mw.store().clone())
+        };
+        let ops = {
+            let dir = scratch("first-commit-ref");
+            let (fs, err, _) = run(&dir, FaultPlan::none());
+            assert_eq!(err, None);
+            fs::remove_dir_all(dir).unwrap();
+            fs.ops_executed()
+        };
+        assert_eq!(ops, 7);
+        for k in 0..=ops {
+            let dir = scratch(&format!("first-commit-{k}"));
+            let (fs, err, initial) = run(&dir, FaultPlan::crash_after(k));
+            assert_eq!(fs.has_crashed(), k < ops, "crash after {k} ops");
+            assert_eq!(err.is_none(), k == ops, "crash after {k} ops: {err:?}");
+            let (rebuilt, report) = DurableStore::open(&dir, OWNER)
+                .unwrap()
+                .rebuild_reported()
+                .unwrap_or_else(|e| panic!("crash after {k} ops: {e}"));
+            assert_eq!(report.quarantined, 0, "crash after {k} ops");
+            // Nothing was acknowledged before the rename (op 5) made the
+            // log; from then on it is exactly the initial checkpoint.
+            let expected = if k > 5 {
+                contents(&initial)
+            } else {
+                Vec::new()
+            };
+            assert_eq!(contents(&rebuilt), expected, "crash after {k} ops");
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_hostile_path_fails_the_first_commit_not_the_open() {
+        let base = scratch("hostile");
+        fs::create_dir_all(&base).unwrap();
+        let counts = Rc::new(Counts::default());
+        let open = |dir: &Path| {
+            counts.take();
+            let fs = Box::new(CountingFs(Rc::clone(&counts)));
+            let disk = DurableStore::open_with(dir, OWNER, fs).unwrap();
+            assert_eq!(
+                counts.take(),
+                [0; 9],
+                "{}: open touches nothing",
+                dir.display()
+            );
+            disk
+        };
+        // The first commit's error is typed, and through a middleware it
+        // is the same error as a buffered sink error, not a panic.
+        let refused = |dir: &Path| {
+            assert!(matches!(open(dir).sync(&store_of(&[0])), Err(Error::Io(_))));
+            let (_, err) = initial_commit(open(dir));
+            let err = err.expect("the first commit fails");
+            assert!(err.starts_with("stable-storage i/o failed"), "{err}");
+        };
+
+        // Beneath a regular file: the read already fails.
+        let file = base.join("file");
+        fs::write(&file, b"not a directory").unwrap();
+        let beneath = file.join("p0");
+        assert!(matches!(
+            open(&beneath).rebuild_reported(),
+            Err(Error::Io(_))
+        ));
+        refused(&beneath);
+
+        // A missing parent: an empty store, and the first commit makes both.
+        let orphan = base.join("missing").join("p0");
+        let (store, report) = open(&orphan).rebuild_reported().unwrap();
+        assert!(store.is_empty());
+        assert_eq!(report, RestartReport::default());
+        let (mw, err) = initial_commit(open(&orphan));
+        assert_eq!(err, None);
+        let rebuilt = open(&orphan).rebuild().unwrap();
+        assert_eq!(contents(&rebuilt), contents(mw.store()));
+
+        // A read-only parent: an empty store, and the first commit cannot
+        // make the directory — unless permission bits do not bind this
+        // process (it runs as root), which a probe finds out.
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt as _;
+            let ro = base.join("read-only");
+            fs::create_dir(&ro).unwrap();
+            fs::set_permissions(&ro, fs::Permissions::from_mode(0o555)).unwrap();
+            let dir = ro.join("p0");
+            assert!(open(&dir).rebuild().unwrap().is_empty());
+            if fs::create_dir(ro.join("probe")).is_err() {
+                refused(&dir);
+                assert!(!dir.exists());
+            } else {
+                assert_eq!(initial_commit(open(&dir)).1, None);
+            }
+            fs::set_permissions(&ro, fs::Permissions::from_mode(0o755)).unwrap();
+        }
+        fs::remove_dir_all(base).unwrap();
     }
 }
