@@ -63,6 +63,6 @@ pub use dv::DependencyVector;
 pub use error::{Error, Result};
 pub use ids::{CheckpointId, CheckpointIndex, DvEntry, Incarnation, IntervalIndex, ProcessId};
 pub use message::{Message, MessageId, MessageMeta, Payload};
-pub use share::{SharedDv, SyncDv};
+pub use share::SharedDv;
 pub use trace::TraceEvent;
 pub use update_set::UpdateSet;

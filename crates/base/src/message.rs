@@ -51,10 +51,9 @@ pub struct MessageMeta {
     pub dst: ProcessId,
     /// The sender's dependency vector at send time (`m.DV`), shared with
     /// the sender's interned snapshot: constructing a message does not
-    /// deep-copy the vector. [`SharedDv`] is the thread-local (non-atomic)
-    /// flavour — messages live on the thread that minted them; a runtime
-    /// that ships piggybacks across threads uses [`crate::SyncDv`] at the
-    /// boundary instead.
+    /// deep-copy the vector. [`SharedDv`] is thread-local (non-atomic):
+    /// messages live on the thread that minted them, and a runtime that
+    /// moves one to another thread ships a copy of the plain vector.
     pub dv: SharedDv,
 }
 

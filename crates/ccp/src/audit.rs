@@ -54,7 +54,7 @@ pub fn collection_safety_violations(n: usize, trace: &[TraceEvent]) -> Result<Ve
         match *ev {
             TraceEvent::Collect { process, index } => {
                 let s = CheckpointId::new(process, index);
-                if !b.snapshot().is_obsolete(s) {
+                if !b.ccp().is_obsolete(s) {
                     violations.push(s);
                 }
             }

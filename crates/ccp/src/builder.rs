@@ -1,6 +1,6 @@
 //! Incremental construction of checkpoint-and-communication patterns.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use rdt_base::{
     CheckpointIndex, DependencyVector, Error, Incarnation, MessageId, ProcessId, Result, TraceEvent,
@@ -36,14 +36,13 @@ use crate::model::{Ccp, LocalEvent, MessageRecord};
 /// ```
 #[derive(Debug, Clone)]
 pub struct CcpBuilder {
-    n: usize,
-    events: Vec<Vec<LocalEvent>>,
-    messages: BTreeMap<MessageId, MessageRecord>,
-    dropped: Vec<MessageId>,
-    dvs: Vec<DependencyVector>,
-    checkpoint_dvs: Vec<Vec<DependencyVector>>,
+    /// The pattern of the cut built so far; its volatile vectors are the
+    /// processes' current ones.
+    ccp: Ccp,
+    /// Messages the network lost.
+    dropped: BTreeSet<MessageId>,
+    /// Per-process sequence number of the next send.
     next_seq: Vec<u64>,
-    incarnations: Vec<Incarnation>,
 }
 
 impl CcpBuilder {
@@ -56,14 +55,16 @@ impl CcpBuilder {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "a system needs at least one process");
         let mut b = Self {
-            n,
-            events: vec![Vec::new(); n],
-            messages: BTreeMap::new(),
-            dropped: Vec::new(),
-            dvs: (0..n).map(|_| DependencyVector::new(n)).collect(),
-            checkpoint_dvs: vec![Vec::new(); n],
+            ccp: Ccp {
+                n,
+                events: vec![Vec::new(); n],
+                messages: BTreeMap::new(),
+                checkpoint_dvs: vec![Vec::new(); n],
+                volatile_dvs: (0..n).map(|_| DependencyVector::new(n)).collect(),
+                incarnations: vec![Incarnation::ZERO; n],
+            },
+            dropped: BTreeSet::new(),
             next_seq: vec![0; n],
-            incarnations: vec![Incarnation::ZERO; n],
         };
         for p in ProcessId::all(n) {
             b.checkpoint(p); // s_i^0
@@ -73,12 +74,12 @@ impl CcpBuilder {
 
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.n
+        self.ccp.n
     }
 
     /// The current (volatile) dependency vector of `p`.
     pub fn current_dv(&self, p: ProcessId) -> &DependencyVector {
-        &self.dvs[p.index()]
+        &self.ccp.volatile_dvs[p.index()]
     }
 
     /// `p` stores its next stable checkpoint; returns its index.
@@ -87,12 +88,12 @@ impl CcpBuilder {
     ///
     /// Panics if `p` is out of range.
     pub fn checkpoint(&mut self, p: ProcessId) -> CheckpointIndex {
-        let i = p.index();
-        let index = CheckpointIndex::new(self.checkpoint_dvs[i].len());
-        debug_assert_eq!(self.dvs[i].entry(p).value(), index.value());
-        self.checkpoint_dvs[i].push(self.dvs[i].clone());
-        self.events[i].push(LocalEvent::Checkpoint(index));
-        self.dvs[i].begin_next_interval(p);
+        let (i, ccp) = (p.index(), &mut self.ccp);
+        let index = CheckpointIndex::new(ccp.checkpoint_dvs[i].len());
+        debug_assert_eq!(ccp.volatile_dvs[i].entry(p).value(), index.value());
+        ccp.checkpoint_dvs[i].push(ccp.volatile_dvs[i].clone());
+        ccp.events[i].push(LocalEvent::Checkpoint(index));
+        ccp.volatile_dvs[i].begin_next_interval(p);
         index
     }
 
@@ -104,20 +105,21 @@ impl CcpBuilder {
     ///
     /// Panics if either process is out of range.
     pub fn send(&mut self, from: ProcessId, to: ProcessId) -> MessageId {
-        assert!(to.index() < self.n, "destination out of range");
-        let id = MessageId::new(from, self.next_seq[from.index()]);
-        self.next_seq[from.index()] += 1;
+        let (i, ccp) = (from.index(), &mut self.ccp);
+        assert!(to.index() < ccp.n, "destination out of range");
+        let id = MessageId::new(from, self.next_seq[i]);
+        self.next_seq[i] += 1;
         let record = MessageRecord {
             id,
             dst: to,
-            send_interval: self.dvs[from.index()].entry(from),
-            send_pos: self.events[from.index()].len(),
-            send_dv: self.dvs[from.index()].clone(),
+            send_interval: ccp.volatile_dvs[i].entry(from),
+            send_pos: ccp.events[i].len(),
+            send_dv: ccp.volatile_dvs[i].clone(),
             recv_interval: None,
             recv_pos: None,
         };
-        self.events[from.index()].push(LocalEvent::Send(id));
-        self.messages.insert(id, record);
+        ccp.events[i].push(LocalEvent::Send(id));
+        ccp.messages.insert(id, record);
         id
     }
 
@@ -141,19 +143,17 @@ impl CcpBuilder {
         if self.dropped.contains(&id) {
             return Err(Error::DuplicateDelivery(id));
         }
-        let record = self
-            .messages
-            .get_mut(&id)
-            .ok_or(Error::UnknownMessage(id))?;
+        let ccp = &mut self.ccp;
+        let record = ccp.messages.get_mut(&id).ok_or(Error::UnknownMessage(id))?;
         if record.delivered() {
             return Err(Error::DuplicateDelivery(id));
         }
-        let dst = record.dst;
-        record.recv_interval = Some(self.dvs[dst.index()].entry(dst));
-        record.recv_pos = Some(self.events[dst.index()].len());
-        let send_dv = record.send_dv.clone();
-        self.events[dst.index()].push(LocalEvent::Receive(id));
-        self.dvs[dst.index()].merge_from(&send_dv);
+        let dst = record.dst.index();
+        let dv = &mut ccp.volatile_dvs[dst];
+        record.recv_interval = Some(dv.entry(record.dst));
+        record.recv_pos = Some(ccp.events[dst].len());
+        ccp.events[dst].push(LocalEvent::Receive(id));
+        dv.merge_from(&record.send_dv);
         Ok(())
     }
 
@@ -164,11 +164,14 @@ impl CcpBuilder {
     ///
     /// Same conditions as [`try_deliver`](Self::try_deliver).
     pub fn drop_message(&mut self, id: MessageId) -> Result<()> {
-        let record = self.messages.get(&id).ok_or(Error::UnknownMessage(id))?;
-        if record.delivered() || self.dropped.contains(&id) {
+        let record = self
+            .ccp
+            .messages
+            .get(&id)
+            .ok_or(Error::UnknownMessage(id))?;
+        if record.delivered() || !self.dropped.insert(id) {
             return Err(Error::DuplicateDelivery(id));
         }
-        self.dropped.push(id);
         Ok(())
     }
 
@@ -206,31 +209,24 @@ impl CcpBuilder {
     ///
     /// [`Error::UnknownCheckpoint`] if `p` has no stable checkpoint `to`.
     pub fn try_restore(&mut self, p: ProcessId, to: CheckpointIndex) -> Result<()> {
-        let i = p.index();
-        if i >= self.n || to.value() >= self.checkpoint_dvs[i].len() {
+        let (i, ccp) = (p.index(), &mut self.ccp);
+        if i >= ccp.n || to.value() >= ccp.checkpoint_dvs[i].len() {
             return Err(Error::UnknownCheckpoint {
                 process: p,
                 index: to,
             });
         }
-        self.checkpoint_dvs[i].truncate(to.value() + 1);
-        let mut dv = self.checkpoint_dvs[i][to.value()].clone();
-        self.incarnations[i] = self.incarnations[i].next();
-        dv.resume_incarnation(p, self.incarnations[i]);
-        self.dvs[i] = dv;
+        ccp.checkpoint_dvs[i].truncate(to.value() + 1);
+        let mut dv = ccp.checkpoint_dvs[i][to.value()].clone();
+        ccp.incarnations[i] = ccp.incarnations[i].next();
+        dv.resume_incarnation(p, ccp.incarnations[i]);
+        ccp.volatile_dvs[i] = dv;
         Ok(())
     }
 
     /// Finishes construction.
     pub fn build(self) -> Ccp {
-        Ccp {
-            n: self.n,
-            events: self.events,
-            messages: self.messages,
-            checkpoint_dvs: self.checkpoint_dvs,
-            volatile_dvs: self.dvs,
-            incarnations: self.incarnations,
-        }
+        self.ccp
     }
 
     /// Replays a trace produced by a workload generator or simulator into a
@@ -286,9 +282,10 @@ impl CcpBuilder {
         Ok(())
     }
 
-    /// The CCP of the cut built so far, without consuming the builder.
-    pub fn snapshot(&self) -> Ccp {
-        self.clone().build()
+    /// The CCP of the cut built so far, borrowed: what
+    /// [`build`](Self::build) would return now.
+    pub fn ccp(&self) -> &Ccp {
+        &self.ccp
     }
 }
 
@@ -395,7 +392,7 @@ mod tests {
             to: CheckpointIndex::new(1),
         })
         .unwrap();
-        let ccp = b.snapshot();
+        let ccp = b.ccp();
         assert_eq!(ccp.last_stable(p(0)), CheckpointIndex::new(1));
         assert_eq!(ccp.incarnation(p(0)), Incarnation::new(1));
         // The volatile vector resumes at interval 2 of incarnation 1.

@@ -20,7 +20,6 @@
 //! fails the merge.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::Write as _;
 
 use rdt_obs::json::{self, JsonValue};
 
@@ -129,10 +128,7 @@ pub fn causal(m: &clap::ArgMatches) -> Result<(), String> {
     }
     match m.get_one::<String>("out") {
         Some(path) => std::fs::write(path, &doc).map_err(|e| format!("{path}: {e}"))?,
-        None => {
-            let mut stdout = std::io::stdout().lock();
-            stdout.write_all(doc.as_bytes()).map_err(|e| e.to_string())?;
-        }
+        None => print!("{doc}"),
     }
     eprintln!(
         "causal: {} events from {} processes merged ({} synthetic sends)",

@@ -556,17 +556,11 @@ pub fn audit(opts: &RunOpts) -> Result<(), String> {
     }
 }
 
-/// `rdt line` — recovery lines for every single-process failure of a
-/// crash-free run, via the offline oracle.
+/// `rdt line` — recovery lines for every single-process failure at the
+/// end of a run, via the offline oracle. A crashy run is judged on the
+/// history its recovery sessions left live, with dead incarnations
+/// amnestied (Lemma 1).
 pub fn line(opts: &RunOpts) -> Result<(), String> {
-    if opts.spec.crash_prob > 0.0 {
-        return Err(
-            "line needs a crash-free workload: the per-failure line report \
-             describes a single execution epoch (crashy runs report their \
-             actual recovery sessions in `simulate`)"
-                .into(),
-        );
-    }
     let report = run(opts, true)?;
     let trace = report.trace.expect("trace recording requested");
     let ccp = CcpBuilder::from_trace(opts.spec.n, &trace)
@@ -623,13 +617,6 @@ pub fn line(opts: &RunOpts) -> Result<(), String> {
 /// hard error, so CI can gate on the exit code alone.
 pub fn explain(opts: &RunOpts, faulty_arg: Option<&str>) -> Result<(), String> {
     use rdt_ccp::{FaultySet, LineExplanation};
-    if opts.spec.crash_prob > 0.0 {
-        return Err(
-            "explain needs a crash-free workload: provenance describes a \
-             single execution epoch"
-                .into(),
-        );
-    }
     let report = run(opts, true)?;
     let trace = report.trace.expect("trace recording requested");
     let ccp = CcpBuilder::from_trace(opts.spec.n, &trace)

@@ -9,6 +9,24 @@
 
 #![forbid(unsafe_code)]
 
+// Every print of this binary goes through `print_out`: these two shadow
+// std's macros for every module declared below, so that std's panic when
+// stdout is gone (`rdt line | head -1`) becomes a quiet exit.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        print!("\n")
+    };
+    ($($arg:tt)*) => {
+        print!("{}\n", format_args!($($arg)*))
+    };
+}
+
 mod causal;
 mod commands;
 mod json;
@@ -157,6 +175,22 @@ fn torture_args(cmd: Command) -> Command {
                 .help("write sweep and restart counters as a Prometheus textfile")
                 .value_name("path"),
         )
+}
+
+/// Writes to stdout. A reader that closed the pipe ends the process
+/// without a message and with status 141, the status a shell reports for
+/// a process killed by `SIGPIPE`: the command's verdict (an audit's
+/// violations, a failed cross-check) went unread, so it is not reported
+/// as success. Any other failure panics, as std's `print!` does.
+fn print_out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    /// 128 + `SIGPIPE` (13).
+    const CLOSED_STDOUT: i32 = 141;
+    match std::io::stdout().lock().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(CLOSED_STDOUT),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
 }
 
 fn main() {

@@ -1,9 +1,11 @@
 //! End-to-end smoke tests for the observability subcommands: `rdt
-//! explain` provenance against the oracle, and the serve → flight dump →
-//! `rdt causal` merge pipeline.
+//! explain` provenance against the oracle, crash-free and crashy, the
+//! serve → flight dump → `rdt causal` merge pipeline, and `rdt trace`
+//! into a reader that stops early.
 
+use std::io::BufRead;
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn rdt() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rdt"))
@@ -40,13 +42,52 @@ fn explain_cross_checks_against_the_oracle() {
 }
 
 #[test]
-fn explain_rejects_crashy_workloads() {
+fn explain_cross_checks_crashy_workloads() {
     let output = rdt()
-        .args(["explain", "-n", "3", "-s", "100", "--crash-prob", "0.1"])
+        .args([
+            "explain", "-n", "5", "-s", "600", "-S", "7", "-x", "0.02", "--json",
+        ])
         .output()
         .expect("spawning rdt");
-    assert!(!output.status.success());
-    assert!(String::from_utf8_lossy(&output.stderr).contains("crash-free"));
+    let stdout = stdout_of(&output);
+    assert!(
+        output.status.success(),
+        "crashy explain failed: {stdout}\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    // The run's recovery sessions reached the line: some pin is knowledge
+    // of a later incarnation.
+    let later_incarnation = stdout
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("\"incarnation\": "))
+        .any(|v| v.trim_end_matches(',') != "0");
+    assert!(later_incarnation, "no pin past incarnation 0 in {stdout}");
+}
+
+#[test]
+fn a_reader_that_stops_early_ends_the_command_quietly() {
+    // Far more than a pipe holds, so the writer is still writing when the
+    // reader goes.
+    let mut child = rdt()
+        .args(["trace", "-n", "4", "-s", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning rdt");
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().expect("piped"))
+        .read_line(&mut first)
+        .expect("reading the first line");
+    assert!(first.starts_with("{\"type\":\"run\""), "{first}");
+    let output = child.wait_with_output().expect("waiting for rdt");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(output.status.code(), Some(101), "{stderr}");
+    assert_eq!(
+        output.status.code(),
+        Some(141),
+        "the shell's SIGPIPE status"
+    );
 }
 
 #[test]

@@ -38,4 +38,4 @@ mod middleware;
 mod protocol;
 
 pub use middleware::{CheckpointReport, Middleware, ReceiveReport, RollbackReport};
-pub use protocol::{Piggyback, ProtocolKind, ProtocolState, SyncPiggyback};
+pub use protocol::{Piggyback, ProtocolKind, ProtocolState};

@@ -51,7 +51,7 @@
 //!   them alone — a full merge in the memo's sense, so the remembered
 //!   stamp advances. Any other receive — another sender in between, a
 //!   snapshot missed, a log that wrapped, a rollback on either side, a
-//!   [`SyncDv`], a decoded vector — is the full scan.
+//!   bare vector — is the full scan.
 //! * **Checkpoint** tags the vector it stores with the log position at
 //!   which it equalled `dv`, and when the collector eliminates that
 //!   checkpoint the store hands the buffer back with its tag; a snapshot
@@ -78,12 +78,12 @@ use serde::{Deserialize, Serialize};
 
 use rdt_base::{
     CheckpointIndex, DependencyVector, Error, Incarnation, Message, MessageId, MessageMeta,
-    Payload, ProcessId, Result, SharedDv, SyncDv, UpdateSet,
+    Payload, ProcessId, Result, SharedDv, UpdateSet,
 };
 use rdt_core::{CheckpointStore, ControlInfo, GarbageCollector, GcKind, LastIntervals};
 use rdt_env::{Storage, Volatile};
 
-use crate::protocol::{Piggyback, ProtocolKind, ProtocolState, SyncPiggyback};
+use crate::protocol::{Piggyback, ProtocolKind, ProtocolState};
 
 /// What happened while processing one receive.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -270,15 +270,15 @@ impl ChangeLog {
 ///
 /// A middleware instance is deliberately **`!Send`**: its interned
 /// piggyback snapshot is a thread-local [`SharedDv`] (non-atomic refcount),
-/// so the per-send cost on the single-threaded hot path is one plain
-/// counter increment — never an atomic RMW. Multi-threaded runtimes keep
-/// each process's middleware on its own thread and exchange the explicitly
-/// `Send` flavour instead: [`piggyback_sync`](Self::piggyback_sync) mints
-/// an [`Arc`](std::sync::Arc)-backed [`SyncPiggyback`] (with its own
-/// interned snapshot, so a burst of sends still shares one allocation) and
-/// [`receive_sync_piggyback_into`](Self::receive_sync_piggyback_into)
-/// consumes one. The Send-safety story is a type choice at the runtime
-/// boundary, not a tax on every message.
+/// so the per-send cost is one plain counter increment — never an atomic
+/// RMW. Multi-threaded and multi-process runtimes keep each process's
+/// middleware on its own thread, and a vector that crosses a thread or a
+/// process boundary crosses it as plain data: the sharded simulator ships
+/// a copy of the piggyback's vector and index to the peer shard, a live
+/// node encodes them into a frame ([`send_with`](Self::send_with)). Either
+/// way the receiver merges it through
+/// [`receive_vector_into`](Self::receive_vector_into), the one entry point
+/// for a vector without a stamp.
 ///
 /// # Durability
 ///
@@ -333,11 +333,6 @@ pub struct Middleware<S: Storage = Volatile> {
     /// it is `Some` it equals `dv`. The refcount is non-atomic — this field
     /// is what makes `Middleware` `!Send`.
     dv_snapshot: Option<SharedDv>,
-    /// [`Arc`](std::sync::Arc)-backed counterpart of `dv_snapshot`, interned
-    /// lazily for runtimes that ship piggybacks across threads
-    /// ([`piggyback_sync`](Self::piggyback_sync)); invalidated together
-    /// with it. `None` forever on the single-threaded hot path.
-    sync_snapshot: Option<SyncDv>,
     /// Stamp of the last piggybacked snapshot merged in full; see
     /// [`merged_stamp`](Self::merged_stamp).
     merged: Option<u64>,
@@ -358,11 +353,12 @@ pub struct Middleware<S: Storage = Volatile> {
     sink_err: Option<String>,
 }
 
-/// Compile-time pin of the threading contract: the `Rc`-flavoured
-/// middleware must stay `!Send` (its interned [`SharedDv`] snapshot has a
-/// non-atomic refcount). If a refactor ever made `Middleware` `Send`,
-/// the `Invalid` impl below would apply too and this item lookup would
-/// become ambiguous — a compile error, not a latent data race.
+/// Compile-time pin of the threading contract: the middleware must stay
+/// `!Send` (its interned [`SharedDv`] snapshot has a non-atomic refcount,
+/// and the stamp it remembers is unique only on its own thread). If a
+/// refactor ever made `Middleware` `Send`, the `Invalid` impl below would
+/// apply too and this item lookup would become ambiguous — a compile
+/// error, not a latent data race.
 const _: fn() = || {
     trait AmbiguousIfSend<A> {
         fn guard() {}
@@ -443,7 +439,6 @@ impl<S: Storage> Middleware<S> {
             state_size: 0,
             incarnation: Incarnation::ZERO,
             dv_snapshot: None,
-            sync_snapshot: None,
             merged: None,
             #[cfg(test)]
             memo_hits: 0,
@@ -495,7 +490,6 @@ impl<S: Storage> Middleware<S> {
             state_size: 0,
             incarnation,
             dv_snapshot: None,
-            sync_snapshot: None,
             merged: None,
             #[cfg(test)]
             memo_hits: 0,
@@ -795,29 +789,14 @@ impl<S: Storage> Middleware<S> {
         snapshot
     }
 
-    /// The [`std::sync::Arc`]-backed snapshot for cross-thread piggybacks,
-    /// interned separately from the thread-local one and invalidated by the
-    /// same mutations.
-    fn sync_dv(&mut self) -> SyncDv {
-        match &self.sync_snapshot {
-            Some(snapshot) => snapshot.clone(),
-            None => {
-                let snapshot = SyncDv::new(self.dv.clone());
-                self.sync_snapshot = Some(snapshot.clone());
-                snapshot
-            }
-        }
-    }
-
-    /// Drops both interned snapshots after a local mutation of `dv`; the
-    /// next send re-interns lazily (copy-on-write).
-    /// Under the change log the thread-local one may be kept as a buffer.
+    /// Drops the interned snapshot after a local mutation of `dv`; the
+    /// next send re-interns lazily (copy-on-write). Under the change log
+    /// it may be kept as a buffer.
     fn invalidate_snapshots(&mut self) {
         match (&mut self.changes, self.dv_snapshot.take()) {
             (Some(log), Some(snapshot)) => log.retire(snapshot),
             _dropped => {}
         }
-        self.sync_snapshot = None;
     }
 
     /// The full piggyback for the last send (dependency vector plus BCS
@@ -827,21 +806,13 @@ impl<S: Storage> Middleware<S> {
         Piggyback::new(self.shared_dv(), self.protocol.index())
     }
 
-    /// The `Send` flavour of [`piggyback`](Self::piggyback), for runtimes
-    /// that ship control information between threads: the vector is shared
-    /// through an atomically refcounted [`SyncDv`] snapshot (interned, so a
-    /// burst of sends within one interval still shares one allocation).
-    pub fn piggyback_sync(&mut self) -> SyncPiggyback {
-        SyncPiggyback::new(self.sync_dv(), self.protocol.index())
-    }
-
     /// A send whose piggyback the caller serialises on the spot: performs
     /// the send-side protocol duties ([`send`](Self::send)'s `sent` flag,
     /// sequence bump, and the CAS/CASBR post-send forced checkpoint) and
     /// hands `encode` the vector and the BCS index as of the send event —
     /// borrowed, so a frame that never leaves the thread as a snapshot
-    /// mints no [`SharedDv`] / [`SyncDv`]. Returns what `encode` made and
-    /// the report of the forced checkpoint, if any.
+    /// mints no [`SharedDv`]. Returns what `encode` made and the report of
+    /// the forced checkpoint, if any.
     ///
     /// # Panics
     ///
@@ -909,10 +880,11 @@ impl<S: Storage> Middleware<S> {
     }
 
     /// [`receive_piggyback_into`](Self::receive_piggyback_into) for a
-    /// vector that is not a snapshot — one a live runtime decoded from a
-    /// frame into its own scratch vector. Having no stamp it neither
-    /// consults nor replaces the remembered one: merging more only grows
-    /// `dv`, so what was merged before stays merged.
+    /// vector that is not a snapshot — every vector that crossed a thread
+    /// or a process boundary: one a live runtime decoded from a frame, the
+    /// copy a sharded simulation shipped from another shard. Having no
+    /// stamp it neither consults nor replaces the remembered one: merging
+    /// more only grows `dv`, so what was merged before stays merged.
     ///
     /// # Errors
     ///
@@ -926,23 +898,9 @@ impl<S: Storage> Middleware<S> {
         self.receive_parts_into(their_dv, None, None, their_index, report)
     }
 
-    /// [`receive_piggyback_into`](Self::receive_piggyback_into) for the
-    /// `Send` piggyback flavour a threaded runtime delivers.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ProcessCrashed`] while crashed.
-    pub fn receive_sync_piggyback_into(
-        &mut self,
-        m: &SyncPiggyback,
-        report: &mut ReceiveReport,
-    ) -> Result<()> {
-        self.receive_parts_into(&m.dv, Some(m.dv.stamp()), None, m.index, report)
-    }
-
     /// The receive handler over the piggyback's components — the shared
-    /// core behind every flavour, inlined into each so the snapshot paths
-    /// see their stamp as the plain `u64` it is.
+    /// core behind both entry points, inlined into each so the snapshot
+    /// path sees its stamp as the plain `u64` it is.
     ///
     /// A piggyback whose stamp is [`merged_stamp`](Self::merged_stamp) is
     /// the snapshot merged last (same stamp, same content), and between
@@ -1398,40 +1356,33 @@ mod tests {
             assert_eq!(r.updated.is_empty(), i > 0);
         }
         assert_eq!(a.memo_hits, 2);
-        // The copies made for and after a thread hop are that snapshot too.
-        let hop = SyncPiggyback::new(burst[0].dv.to_sync(), 0);
-        let mut report = ReceiveReport::default();
-        a.receive_sync_piggyback_into(&hop, &mut report).unwrap();
-        a.receive_piggyback(&Piggyback::new(hop.dv.to_local(), 0))
-            .unwrap();
-        assert_eq!(a.memo_hits, 4);
         // Each way b's vector can change re-interns: a checkpoint, ...
         b.basic_checkpoint().unwrap();
         a.receive_piggyback(&b.piggyback()).unwrap();
-        assert_eq!(a.memo_hits, 4);
+        assert_eq!(a.memo_hits, 2);
         // ... a merge that learned something, ...
         c.basic_checkpoint().unwrap();
         b.receive_piggyback(&c.piggyback()).unwrap();
         a.receive_piggyback(&b.piggyback()).unwrap();
-        assert_eq!(a.memo_hits, 4);
+        assert_eq!(a.memo_hits, 2);
         // ... a rollback.
         b.crash();
         b.rollback(idx(1), None).unwrap();
         let r = a.receive_piggyback(&b.piggyback()).unwrap();
-        assert_eq!(a.memo_hits, 4);
+        assert_eq!(a.memo_hits, 2);
         assert_eq!(r.updated.to_vec(), vec![p(1)], "b's new incarnation");
         // A receive that taught b nothing leaves its snapshot alone: a hit.
         let stale = Piggyback::new(DependencyVector::new(3), 0);
         assert!(b.receive_piggyback(&stale).unwrap().updated.is_empty());
         a.receive_piggyback(&b.piggyback()).unwrap();
-        assert_eq!(a.memo_hits, 5);
+        assert_eq!(a.memo_hits, 3);
         // The memo is the *last* snapshot merged, not every one ever seen.
         a.receive_piggyback(&burst[0]).unwrap();
-        assert_eq!(a.memo_hits, 5);
+        assert_eq!(a.memo_hits, 3);
         // An equal vector interned separately is not recognised.
         let copy = Piggyback::new((*burst[0].dv).clone(), 0);
         assert!(a.receive_piggyback(&copy).unwrap().updated.is_empty());
-        assert_eq!(a.memo_hits, 5);
+        assert_eq!(a.memo_hits, 3);
     }
 
     #[test]

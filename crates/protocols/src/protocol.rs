@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use rdt_base::{DependencyVector, SharedDv, SyncDv};
+use rdt_base::{DependencyVector, SharedDv};
 
 /// Which communication-induced checkpointing protocol a process runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -111,9 +111,10 @@ impl fmt::Display for ProtocolKind {
 /// the sender's snapshot cache: constructing, cloning and queueing
 /// piggybacks is pointer-cheap with no atomic refcount traffic, and a burst
 /// of sends from an unchanged interval shares one allocation (the
-/// middleware copies on local mutation). Runtimes that move piggybacks
-/// between threads use [`SyncPiggyback`] instead — same shape, atomic
-/// ([`SyncDv`]) refcount, `Send`.
+/// middleware copies on local mutation). A piggyback never leaves its
+/// thread: a runtime that moves a message to another thread or process
+/// ships the vector and the index as plain data, and the receiver hands
+/// them to [`Middleware::receive_vector_into`](crate::Middleware::receive_vector_into).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Piggyback {
     /// The sender's dependency vector at send time (`m.DV`).
@@ -126,29 +127,6 @@ impl Piggyback {
     /// Creates a piggyback from an owned vector (wrapped) or an interned
     /// [`SharedDv`] (shared without copying).
     pub fn new(dv: impl Into<SharedDv>, index: u64) -> Self {
-        Self {
-            dv: dv.into(),
-            index,
-        }
-    }
-}
-
-/// The `Send` flavour of [`Piggyback`], backed by an atomically
-/// reference-counted [`SyncDv`]: what a multi-threaded runtime (e.g.
-/// `rdt_sim`'s sharded engine) ships between worker threads. The
-/// single-threaded hot path never pays this refcount.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SyncPiggyback {
-    /// The sender's dependency vector at send time (`m.DV`).
-    pub dv: SyncDv,
-    /// The sender's BCS checkpoint index (ignored by other protocols).
-    pub index: u64,
-}
-
-impl SyncPiggyback {
-    /// Creates a piggyback from an owned vector (wrapped) or an interned
-    /// [`SyncDv`] (shared without copying).
-    pub fn new(dv: impl Into<SyncDv>, index: u64) -> Self {
         Self {
             dv: dv.into(),
             index,
@@ -201,19 +179,7 @@ impl ProtocolState {
     /// Whether a forced checkpoint must be stored *before* processing a
     /// message whose piggyback is `m`, given the local vector `dv`.
     pub fn must_force(&self, dv: &DependencyVector, m: &Piggyback) -> bool {
-        self.must_force_parts(dv, &m.dv, m.index)
-    }
-
-    /// [`must_force`](Self::must_force) over the piggyback's components —
-    /// the shared rule behind both piggyback flavours ([`Piggyback`],
-    /// [`SyncPiggyback`]).
-    pub fn must_force_parts(
-        &self,
-        dv: &DependencyVector,
-        their_dv: &DependencyVector,
-        their_index: u64,
-    ) -> bool {
-        self.must_force_with(their_index, || dv.would_learn_from(their_dv))
+        self.must_force_with(m.index, || dv.would_learn_from(&m.dv))
     }
 
     /// The rule itself, with the O(n) question — would the piggybacked
@@ -261,7 +227,8 @@ impl ProtocolState {
     }
 
     /// [`note_receive`](Self::note_receive) over the piggybacked index
-    /// alone — the shared core behind both piggyback flavours.
+    /// alone: the middleware's receive path, whose vector may arrive as a
+    /// bare one.
     pub fn note_receive_index(&mut self, their_index: u64) {
         if self.kind == ProtocolKind::Bcs && their_index > self.index {
             self.index = their_index;

@@ -8,8 +8,8 @@
 //! an event runs and *what happens to the message afterwards* — the
 //! sequential [`Simulation`](crate::Simulation) by drawing from the run's
 //! `Schedule`, a shard worker by reading the plan drawn from it — and
-//! which piggyback flavour a send mints (`Rc` for a same-thread delivery,
-//! `Arc` for one that crosses shards).
+//! where a send's piggyback goes: into a queue on the same thread, or, as
+//! a copy of its vector and index, to the shard that owns the receiver.
 //!
 //! **The one invariant both callers rely on:** every observable — trace
 //! event, metric mutation, occupancy sample — leaves through the [`Sink`],
@@ -24,9 +24,7 @@ use rdt_base::{
     TraceEvent,
 };
 use rdt_core::{ControlInfo, GcKind, LastIntervals};
-use rdt_protocols::{
-    CheckpointReport, Middleware, Piggyback, ProtocolKind, ReceiveReport, SyncPiggyback,
-};
+use rdt_protocols::{CheckpointReport, Middleware, Piggyback, ProtocolKind, ReceiveReport};
 use rdt_recovery::{
     AppliedRecovery, FaultySet, LineSource, ProcessView, RecoveryError, RecoveryManager,
     RecoveryPlan, RecoverySessionReport,
@@ -43,8 +41,8 @@ pub(crate) trait Sink {
     fn occupancy(&mut self, at: u64, p: ProcessId, retained: usize);
 }
 
-/// A piggyback in flight: the `Rc` flavour as it is in the sequential
-/// engine's queue, a [`Flight`] in a shard worker's.
+/// A piggyback in flight: a [`Piggyback`] as the sequential engine's queue
+/// holds it, a [`Flight`] in a shard worker's.
 pub(crate) trait Carried {
     fn receive_into(&self, mw: &mut Middleware, report: &mut ReceiveReport) -> Result<()>;
 }
@@ -55,20 +53,23 @@ impl Carried for Piggyback {
     }
 }
 
-/// The piggyback of a message a shard worker will deliver, in the flavour
-/// its route needs.
+/// The piggyback of a message a shard worker will deliver, as its route
+/// carries it.
 pub(crate) enum Flight {
-    /// Same shard: `Rc`-shared, like the sequential engine's queue.
+    /// Same shard: the sender's snapshot, like the sequential engine's
+    /// queue holds it.
     Local(Piggyback),
-    /// Across a barrier exchange: the `Arc`-backed flavour.
-    Remote(SyncPiggyback),
+    /// Across a barrier exchange: a copy of the vector and the BCS index,
+    /// merged as a bare vector like a decoded frame. Boxed, so an event in
+    /// a worker's queue stays the size of a local one.
+    Remote(Box<(DependencyVector, u64)>),
 }
 
 impl Carried for Flight {
     fn receive_into(&self, mw: &mut Middleware, report: &mut ReceiveReport) -> Result<()> {
         match self {
             Flight::Local(pb) => mw.receive_piggyback_into(pb, report),
-            Flight::Remote(pb) => mw.receive_sync_piggyback_into(pb, report),
+            Flight::Remote(remote) => mw.receive_vector_into(&remote.0, remote.1, report),
         }
     }
 }
@@ -171,8 +172,8 @@ impl StepCore {
     /// A send from `from` to `to`; `None` while `from` is crashed. `mint`
     /// takes whatever piggyback the caller will deliver — before the send,
     /// because a post-send forced checkpoint (CAS, CASBR) opens the next
-    /// interval. Minting only fills a private snapshot cache, so which
-    /// flavour is minted, or none, has no effect on protocol state. The
+    /// interval. Minting only fills a private snapshot cache, so whether a
+    /// piggyback is minted has no effect on protocol state. The
     /// message's fate (lost, queued, shipped to a peer shard) is the
     /// caller's scheduling decision.
     pub(crate) fn send<P, S: Sink>(

@@ -17,10 +17,9 @@ use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
 
-use rdt_base::{MessageId, ProcessId, TraceEvent};
+use rdt_base::{DependencyVector, MessageId, ProcessId, TraceEvent};
 use rdt_core::ControlInfo;
 use rdt_env::{Lane, ShardEnv};
-use rdt_protocols::SyncPiggyback;
 use rdt_recovery::{FaultySet, ProcessView, RecoveryManager, RecoveryPlan};
 
 use crate::engine::SimulationBuilder;
@@ -142,8 +141,9 @@ enum LocalEvent {
     },
 }
 
-/// One cross-shard message in a barrier exchange batch.
-pub(crate) type RemoteMsg = (u64, u64, ProcessId, MessageId, SyncPiggyback);
+/// One cross-shard message in a barrier exchange batch: the delivery's
+/// key, receiver and id, and what [`Flight::Remote`] carries.
+pub(crate) type RemoteMsg = (u64, u64, ProcessId, MessageId, Box<(DependencyVector, u64)>);
 
 /// Coordinator-to-worker commands, processed strictly in order.
 pub(crate) enum Cmd {
@@ -381,32 +381,24 @@ impl Worker<'_> {
                 cancelled,
                 delivery,
             }) => {
-                let to_shard = self.shard_of[to.index()] as usize;
-                let local = to_shard == self.shard;
                 let (id, pb) = core
                     .send(from, to, at, sink, |mw| {
-                        if lost || cancelled {
-                            None
-                        } else if local {
-                            Some(Flight::Local(mw.piggyback()))
-                        } else {
-                            Some(Flight::Remote(mw.piggyback_sync()))
-                        }
+                        (!lost && !cancelled).then(|| mw.piggyback())
                     })
                     .expect(ALIVE);
                 if lost {
                     step::lose(to, id, sink);
                 }
+                let Some(pb) = pb else { return };
                 let (d_at, d_seq) = delivery;
-                match pb {
-                    None => {}
-                    Some(Flight::Remote(pb)) => {
-                        self.outboxes[to_shard].push((d_at, d_seq, to, id, pb));
-                    }
-                    Some(pb) => {
-                        self.env
-                            .insert(d_at, d_seq, LocalEvent::Deliver { to, id, pb });
-                    }
+                let to_shard = self.shard_of[to.index()] as usize;
+                if to_shard == self.shard {
+                    let pb = Flight::Local(pb);
+                    self.env
+                        .insert(d_at, d_seq, LocalEvent::Deliver { to, id, pb });
+                } else {
+                    let remote = Box::new(((*pb.dv).clone(), pb.index));
+                    self.outboxes[to_shard].push((d_at, d_seq, to, id, remote));
                 }
             }
             LocalEvent::Deliver { to, id, pb } => {

@@ -107,6 +107,44 @@ fn zero_lookahead_falls_back_loudly_to_the_sequential_engine() {
     assert!(warning.contains("2 shards"), "{warning}");
 }
 
+/// One run of a drawn configuration at `shards` (1: the sequential
+/// engine), dumped.
+fn dump_at(s: &Scenario, min_delay: u64, shards: usize, partitioning: Partitioning) -> String {
+    let spec = WorkloadSpec::uniform_random(s.n, s.steps)
+        .with_pattern(s.pattern)
+        .with_seed(s.seed)
+        .with_checkpoint_prob(0.25)
+        .with_crash_prob(s.crash);
+    let report = SimulationBuilder::new(spec)
+        .protocol(s.protocol)
+        .garbage_collector(s.gc)
+        .config(SimConfig {
+            channel: ChannelConfig {
+                min_delay,
+                max_delay: 20,
+                loss_rate: s.loss,
+            },
+            control_every: s.control_every,
+            correlated_crash_prob: s.correlated,
+            record_trace: true,
+            record_occupancy: true,
+            state_size: 512,
+            shard: ShardConfig {
+                shards,
+                partitioning,
+            },
+            ..SimConfig::default()
+        })
+        .recovery_mode(s.mode)
+        .run()
+        .expect("simulation runs");
+    canonical_dump(&report)
+}
+
+const PATTERNS: [Pattern; 3] = [Pattern::UniformRandom, Pattern::Ring, Pattern::TokenRing];
+
+const PARTITIONINGS: [Partitioning; 2] = [Partitioning::Contiguous, Partitioning::Strided];
+
 proptest! {
     // 32 cases: under the shim's per-test seed, fewer never pair
     // `SimpleCoordinated` with control rounds at more than one shard, and
@@ -114,16 +152,16 @@ proptest! {
     // views → recovery line).
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Arbitrary seeds, topologies, collectors, crash/loss mixes, shard
-    /// counts and partitionings: sharded ≡ sequential, byte for byte.
-    /// `min_delay` ranges down to 0 so the fallback path is exercised
-    /// within the same property.
+    /// Arbitrary seeds, topologies, protocols, collectors, crash/loss
+    /// mixes, shard counts and partitionings: sharded ≡ sequential, byte
+    /// for byte. `min_delay` ranges down to 0 so the fallback path is
+    /// exercised within the same property.
     #[test]
     fn arbitrary_configs_shard_byte_identically(
         n in 2usize..7,
         steps in 50usize..300,
         seed in 0u64..u64::MAX,
-        proto in 0usize..4,
+        proto in 0usize..8,
         gc in 0usize..5,
         pattern in 0usize..3,
         crash in 0.0f64..0.03,
@@ -139,12 +177,7 @@ proptest! {
             n,
             steps,
             seed,
-            protocol: [
-                ProtocolKind::Fdas,
-                ProtocolKind::Cas,
-                ProtocolKind::Fdi,
-                ProtocolKind::Mrs,
-            ][proto],
+            protocol: ProtocolKind::ALL[proto],
             gc: [
                 GcKind::RdtLgc,
                 GcKind::None,
@@ -152,7 +185,7 @@ proptest! {
                 GcKind::TimeBased { horizon: 100 },
                 GcKind::SimpleCoordinated,
             ][gc],
-            pattern: [Pattern::UniformRandom, Pattern::Ring, Pattern::TokenRing][pattern],
+            pattern: PATTERNS[pattern],
             crash,
             correlated: 0.2,
             loss,
@@ -163,42 +196,49 @@ proptest! {
                 RecoveryMode::Coordinated
             },
         };
-        let spec = WorkloadSpec::uniform_random(scenario.n, scenario.steps)
-            .with_pattern(scenario.pattern)
-            .with_seed(scenario.seed)
-            .with_checkpoint_prob(0.25)
-            .with_crash_prob(scenario.crash);
-        let build = |shards: usize| {
-            SimulationBuilder::new(spec.clone())
-                .protocol(scenario.protocol)
-                .garbage_collector(scenario.gc)
-                .config(SimConfig {
-                    channel: ChannelConfig {
-                        min_delay,
-                        max_delay: 20,
-                        loss_rate: scenario.loss,
-                    },
-                    control_every: scenario.control_every,
-                    correlated_crash_prob: scenario.correlated,
-                    record_trace: true,
-                    record_occupancy: true,
-                    state_size: 512,
-                    shard: ShardConfig {
-                        shards,
-                        partitioning: if strided == 1 {
-                            Partitioning::Strided
-                        } else {
-                            Partitioning::Contiguous
-                        },
-                    },
-                    ..SimConfig::default()
-                })
-                .recovery_mode(scenario.mode)
-                .run()
-                .expect("simulation runs")
-        };
-        let sequential = canonical_dump(&build(1));
-        let sharded = canonical_dump(&build(shards));
+        let partitioning = PARTITIONINGS[strided];
+        let sequential = dump_at(&scenario, min_delay, 1, partitioning);
+        let sharded = dump_at(&scenario, min_delay, shards, partitioning);
         prop_assert_eq!(sharded, sequential, "sharded run diverged from sequential");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Wide systems (n > 64), every protocol: each process keeps a change
+    /// log, so the bare vectors another shard ships meet receivers that
+    /// merge their neighbours' linked snapshots over the changed entries
+    /// only — and BCS reads the piggybacked index that rides with them.
+    #[test]
+    fn wide_systems_shard_byte_identically_under_every_protocol(
+        n in 65usize..=80,
+        steps in 200usize..400,
+        seed in 0u64..u64::MAX,
+        pattern in 0usize..3,
+        crash in 0.0f64..0.02,
+        shards in 2usize..=4,
+        strided in 0usize..2,
+    ) {
+        for protocol in ProtocolKind::ALL {
+            let scenario = Scenario {
+                name: "wide",
+                n,
+                steps,
+                seed,
+                protocol,
+                gc: GcKind::RdtLgc,
+                pattern: PATTERNS[pattern],
+                crash,
+                correlated: 0.2,
+                loss: 0.05,
+                control_every: None,
+                mode: RecoveryMode::Coordinated,
+            };
+            let partitioning = PARTITIONINGS[strided];
+            let sequential = dump_at(&scenario, 1, 1, partitioning);
+            let sharded = dump_at(&scenario, 1, shards, partitioning);
+            prop_assert_eq!(sharded, sequential, "{} diverged from sequential", protocol);
+        }
     }
 }
