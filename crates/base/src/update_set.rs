@@ -96,6 +96,7 @@ impl UpdateSet {
     /// dependency-vector merge reports a whole 64-entry chunk at once,
     /// straight from its compare mask. Allocates only when a non-zero mask
     /// lands beyond process 128.
+    #[inline]
     pub fn or_word(&mut self, word: usize, bits: u64) {
         match word {
             0 => self.lo |= bits as u128,
@@ -111,6 +112,17 @@ impl UpdateSet {
                 self.hi[spill] |= bits;
             }
         }
+    }
+
+    /// The set's non-zero 64-bit words, ascending: `(word, bits)` where bit
+    /// `b` of `bits` stands for process `word * 64 + b` — what
+    /// [`or_word`](Self::or_word) takes, handed back. Up to 64 processes
+    /// that is at most one word; a set of news about a few processes of a
+    /// wide system is a few words, however wide.
+    pub fn words(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let lo = [self.lo as u64, (self.lo >> 64) as u64];
+        let all = lo.into_iter().chain(self.hi.iter().copied()).enumerate();
+        all.filter(|&(_, bits)| bits != 0)
     }
 
     /// Whether `p` is in the set.
@@ -310,6 +322,39 @@ mod tests {
         set.or_word(5, 0);
         assert!(set.is_empty());
         assert_eq!(set.hi.capacity(), 0);
+    }
+
+    #[test]
+    fn words_are_the_non_zero_words_of_inserted_members() {
+        // Members on both sides of each word boundary: 64, 128 (the end of
+        // the inline u128) and 192 (the first spill word's end).
+        let members = [0usize, 5, 63, 64, 65, 127, 128, 129, 191, 192, 193, 320];
+        for take in 0..=members.len() {
+            let set: UpdateSet = members[..take].iter().map(|&i| p(i)).collect();
+            let mut expected: Vec<(usize, u64)> = Vec::new();
+            for &i in &members[..take] {
+                match expected.last_mut() {
+                    Some((word, bits)) if *word == i / 64 => *bits |= 1 << (i % 64),
+                    _ => expected.push((i / 64, 1 << (i % 64))),
+                }
+            }
+            assert_eq!(set.words().collect::<Vec<_>>(), expected, "{take}");
+            let mut rebuilt = UpdateSet::new();
+            set.words()
+                .for_each(|(word, bits)| rebuilt.or_word(word, bits));
+            assert_eq!(rebuilt, set);
+        }
+    }
+
+    #[test]
+    fn words_skip_zero_words_inline_and_spilled() {
+        let mut set: UpdateSet = [p(70), p(200), p(400)].into_iter().collect();
+        assert_eq!(
+            set.words().collect::<Vec<_>>(),
+            vec![(1, 1 << 6), (3, 1 << 8), (6, 1 << 16)]
+        );
+        set.clear();
+        assert_eq!(set.words().count(), 0, "cleared spill words are zero");
     }
 
     #[test]

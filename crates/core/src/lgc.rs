@@ -1,25 +1,60 @@
 //! RDT-LGC — the paper's optimal asynchronous garbage collector
 //! (Algorithms 1–3).
+//!
+//! # Algorithm 1's state as pin bitmaps
+//!
+//! The paper keeps one *checkpoint control block* (CCB) per retained stable
+//! checkpoint — its index `IND` and a reference counter `RC` — and the
+//! vector `UC` (*Uncollected Checkpoints*), whose entry `f` points at the
+//! CCB of the checkpoint retained because of `p_f`, or is `∗`. Here the
+//! collector keeps its retained checkpoints oldest first, in the store's
+//! order, each with a **pin bitmap** of `⌈n/64⌉` words, all in one flat
+//! vector. Bit `f` of a checkpoint's bitmap is set iff `UC[f]` references
+//! it. So:
+//!
+//! * a CCB is a retained checkpoint with its bitmap, and `IND` its index;
+//! * `RC` is the bitmap's count of set bits, and `RC = 0` an empty bitmap;
+//! * `UC[f]` is the checkpoint whose bitmap has bit `f` (`∗` if none has);
+//!   [`RdtLgc::uc_view`] derives the vector;
+//! * `release(j)` clears bit `j`, and the checkpoint whose bitmap it empties
+//!   is eliminated;
+//! * `link(j, i)` sets bit `j` in the bitmap holding bit `i`, which is the
+//!   newest one: `UC[i]` references the last stable checkpoint;
+//! * `newCCB(i, ind)` appends checkpoint `ind` with only bit `i` set.
+//!
+//! **Cost.** A receive runs `release(j); link(j, i)` for every `j` in the
+//! merge's update set at once: the set is ORed into the newest bitmap and
+//! AND-NOTed out of every older one, visiting only the set's non-zero
+//! words, newest first, until every pin it moves is found. That is at most
+//! O(r · w) word operations, where r ≤ n + 1 is the number of retained
+//! checkpoints and w the update set's non-zero words (one up to 64
+//! processes), against the O(|news|) pointer-chasing steps of a CCB arena.
+//! A recovery session's stale-pin release is the same AND-NOT with a mask
+//! built in one pass.
+//!
+//! **Order.** When one event empties several bitmaps, their checkpoints are
+//! eliminated in the order the paper's ascending per-`j` loop frees them:
+//! by the highest process whose pin that event removed from each.
 
 use serde::{Deserialize, Serialize};
 
 use rdt_base::{CheckpointIndex, DependencyVector, DvEntry, ProcessId, UpdateSet};
 
-use crate::ccb::{CcbArena, CcbRef};
 use crate::store::CheckpointStore;
 use crate::traits::{GarbageCollector, GcKind, LastIntervals};
 
 /// The RDT-LGC garbage collector of one process.
 ///
 /// Maintains the paper's `UC` vector (*Uncollected Checkpoints*: entry `f`
-/// references the CCB of the checkpoint retained because of `p_f`) and a
-/// [`CcbArena`] of reference-counted checkpoint control blocks.
+/// references the checkpoint retained because of `p_f`) and its
+/// reference-counted checkpoint control blocks, as one pin bitmap per
+/// retained checkpoint (see the [module docs](self)).
 ///
 /// Invariant (Theorem 3, Equation 4): whenever
-/// `s_f^last → c_i^{γ+1} ∧ s_f^last ↛ s_i^γ`, entry `UC[f]` references the
-/// CCB of `s_i^γ`. A checkpoint is eliminated exactly when no entry
-/// references its CCB (Theorem 4: only obsolete checkpoints are collected;
-/// Theorem 5: every causally identifiable obsolete checkpoint is).
+/// `s_f^last → c_i^{γ+1} ∧ s_f^last ↛ s_i^γ`, entry `UC[f]` references
+/// `s_i^γ`. A checkpoint is eliminated exactly when no entry references it
+/// (Theorem 4: only obsolete checkpoints are collected; Theorem 5: every
+/// causally identifiable obsolete checkpoint is).
 ///
 /// # Example
 ///
@@ -47,12 +82,28 @@ use crate::traits::{GarbageCollector, GcKind, LastIntervals};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RdtLgc {
     owner: ProcessId,
-    uc: Vec<Option<CcbRef>>,
-    arena: CcbArena,
-    /// A rollback's working buffer: the CCB of each stored position, once
-    /// pinned.
-    #[serde(skip)]
-    pin_at: Vec<Option<CcbRef>>,
+    n: usize,
+    /// Words per pin bitmap: `⌈n/64⌉`.
+    words: usize,
+    /// The retained checkpoints, oldest first.
+    held: Vec<Held>,
+    /// The pin bitmap of `held[k]` is `pins[k * words..(k + 1) * words]`.
+    pins: Vec<u64>,
+}
+
+/// A retained checkpoint: the paper's CCB, whose `RC` is its bitmap's count.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+struct Held {
+    index: CheckpointIndex,
+    /// The highest process whose pin the latest release removed: where the
+    /// paper's ascending per-`j` loop frees the checkpoint if that release
+    /// left it unpinned.
+    released_by: usize,
+}
+
+/// The word of a pin bitmap holding process `f`'s bit, and the bit.
+fn bit(f: ProcessId) -> (usize, u64) {
+    (f.index() / 64, 1 << (f.index() % 64))
 }
 
 impl RdtLgc {
@@ -67,9 +118,10 @@ impl RdtLgc {
         assert!(owner.index() < n, "owner out of range");
         Self {
             owner,
-            uc: vec![None; n],
-            arena: CcbArena::new(),
-            pin_at: Vec::new(),
+            n,
+            words: n.div_ceil(64),
+            held: Vec::new(),
+            pins: Vec::new(),
         }
     }
 
@@ -80,52 +132,104 @@ impl RdtLgc {
 
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.uc.len()
+        self.n
     }
 
-    /// Procedure `release(j)`: drop `UC[j]`'s reference; if the CCB dies,
-    /// eliminate the checkpoint from `store` and report it.
-    fn release(&mut self, j: ProcessId, store: &mut CheckpointStore) -> Option<CheckpointIndex> {
-        let r = self.uc[j.index()].take()?;
-        let freed = self.arena.dec(r)?;
-        store
-            .remove(freed)
-            .expect("CCB-tracked checkpoint must be stored");
-        Some(freed)
+    /// The pin bitmap of the `k`-th oldest retained checkpoint.
+    fn bitmap(&self, k: usize) -> &[u64] {
+        &self.pins[k * self.words..][..self.words]
     }
 
-    /// Procedure `link(j, i)`: make `UC[j]` share `UC[i]`'s CCB.
-    fn link_to_own(&mut self, j: ProcessId) {
-        let own = self.uc[self.owner.index()]
-            .expect("UC[i] always references the last stable checkpoint");
-        self.arena.inc(own);
-        self.uc[j.index()] = Some(own);
+    /// Procedure `release(j)` for every `j` in `set` at once, followed by
+    /// `link(j, i)` if `link`: clears their pins from every retained
+    /// checkpoint but the newest, which gains them, or from every one.
+    /// A process pins one checkpoint at most, so the search of a word stops,
+    /// newest first, once every pin it looks for is found. Returns how many
+    /// checkpoints it left unpinned, and the position of the last.
+    fn release(&mut self, set: &UpdateSet, link: bool) -> (usize, usize) {
+        let (words, upto) = (self.words, self.held.len() - usize::from(link));
+        let mut unpinned = (0, 0);
+        for (word, bits) in set.words() {
+            let mut left = bits;
+            if link {
+                let newest = &mut self.pins[upto * words + word];
+                left &= !*newest;
+                *newest |= bits;
+            }
+            for k in (0..upto).rev() {
+                if left == 0 {
+                    break;
+                }
+                let hit = self.pins[k * words + word] & left;
+                if hit != 0 {
+                    self.pins[k * words + word] ^= hit;
+                    left ^= hit;
+                    self.held[k].released_by = word * 64 + 63 - hit.leading_zeros() as usize;
+                    if self.bitmap(k).iter().all(|&b| b == 0) {
+                        unpinned = (unpinned.0 + 1, k);
+                    }
+                }
+            }
+        }
+        unpinned
     }
 
-    /// Procedure `newCCB(i, ind)`.
-    fn new_own_ccb(&mut self, index: CheckpointIndex) {
-        self.uc[self.owner.index()] = Some(self.arena.alloc(index));
+    /// Eliminates the retained checkpoints a release left unpinned, in the
+    /// order the paper's ascending per-`j` release loop frees them.
+    fn eliminate_unpinned(
+        &mut self,
+        (unpinned, last): (usize, usize),
+        store: &mut CheckpointStore,
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        if unpinned == 1 {
+            return self.eliminate(last, store, eliminated);
+        }
+        for _ in 0..unpinned {
+            let k = (0..self.held.len())
+                .filter(|&k| self.bitmap(k).iter().all(|&b| b == 0))
+                .min_by_key(|&k| self.held[k].released_by)
+                .expect("as many unpinned checkpoints as the release left");
+            self.eliminate(k, store, eliminated);
+        }
+    }
+
+    /// Eliminates the `k`-th oldest retained checkpoint. The retained
+    /// checkpoints are the newest stored, so its place in the store follows.
+    fn eliminate(
+        &mut self,
+        k: usize,
+        store: &mut CheckpointStore,
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        let at = store.len() - self.held.len() + k;
+        let gone = self.held.remove(k).index;
+        self.pins
+            .copy_within((k + 1) * self.words.., k * self.words);
+        self.pins.truncate(self.held.len() * self.words);
+        eliminated.push(store.remove_at(at));
+        debug_assert_eq!(eliminated.last(), Some(&gone), "retained = newest stored");
     }
 
     /// The checkpoint index each `UC` entry currently pins (`None` = the
     /// paper's `∗`), in process order — matches the tuples printed under
     /// each event in Figure 4.
     pub fn uc_view(&self) -> Vec<Option<CheckpointIndex>> {
-        self.uc
-            .iter()
-            .map(|slot| slot.map(|r| self.arena.index_of(r)))
-            .collect()
+        let pinned_by = |f| {
+            let (word, bit) = bit(f);
+            let k = (0..self.held.len()).find(|&k| self.bitmap(k)[word] & bit != 0)?;
+            Some(self.held[k].index)
+        };
+        ProcessId::all(self.n).map(pinned_by).collect()
     }
 
-    /// Indices of the checkpoints currently retained (live CCBs), ascending.
+    /// Indices of the checkpoints currently retained, ascending.
     pub fn retained(&self) -> Vec<CheckpointIndex> {
-        let mut v: Vec<CheckpointIndex> = self.arena.iter_live().map(|(i, _)| i).collect();
-        v.sort_unstable();
-        v
+        self.held.iter().map(|held| held.index).collect()
     }
 
-    /// Rebuilds `UC`/CCBs after a rollback (Algorithm 3 lines 7–17),
-    /// appending what it eliminates to `eliminated`.
+    /// Rebuilds `UC` and the pin bitmaps after a rollback (Algorithm 3
+    /// lines 7–17), appending what it eliminates to `eliminated`.
     ///
     /// For each process `f`, finds the latest stored checkpoint `γ` with
     /// `DV(s^γ)[f] < LI[f]` whose successor (next stored checkpoint, or the
@@ -138,24 +242,32 @@ impl RdtLgc {
         dv: &DependencyVector,
         eliminated: &mut Vec<CheckpointIndex>,
     ) {
-        self.arena.clear();
-        self.uc.fill(None);
-        self.pin_at.clear();
-        // A store under RDT-LGC holds at most n + 1 checkpoints: the buffer
-        // is allocated once, at the owner's first rollback.
-        self.pin_at.reserve(self.uc.len() + 1);
-        self.pin_at.resize(store.len(), None);
+        let words = self.words;
+        self.held.clear();
+        self.held.extend(store.indices().map(|index| Held {
+            index,
+            released_by: 0,
+        }));
+        self.pins.clear();
+        self.pins.resize(store.len() * words, 0);
         crate::theorem1::theorem1_pins(store, li, dv, |f, k| {
-            let r = match self.pin_at[k] {
-                Some(r) => {
-                    self.arena.inc(r);
-                    r
-                }
-                None => *self.pin_at[k].insert(self.arena.alloc(store.index_at(k))),
-            };
-            self.uc[f.index()] = Some(r);
+            let (word, bit) = bit(f);
+            self.pins[k * words + word] |= bit;
         });
-        store.retain_positions(|k| self.pin_at[k].is_some(), eliminated);
+        let mut kept = 0;
+        let keep = |k: usize| {
+            let pinned = self.bitmap(k).iter().any(|&b| b != 0);
+            if pinned {
+                self.held[kept] = self.held[k];
+                self.pins
+                    .copy_within(k * words..(k + 1) * words, kept * words);
+                kept += 1;
+            }
+            pinned
+        };
+        store.retain_positions(keep, eliminated);
+        self.held.truncate(kept);
+        self.pins.truncate(kept * words);
     }
 }
 
@@ -164,8 +276,8 @@ impl GarbageCollector for RdtLgc {
         GcKind::RdtLgc
     }
 
-    /// "On taking checkpoint" (Algorithm 2): release the previous own CCB
-    /// and create a new one for the just-stored checkpoint.
+    /// "On taking checkpoint" (Algorithm 2): release the owner's pin on the
+    /// previous checkpoint and retain the just-stored one under it.
     fn after_checkpoint_into(
         &mut self,
         store: &mut CheckpointStore,
@@ -173,14 +285,29 @@ impl GarbageCollector for RdtLgc {
         _dv: &DependencyVector,
         eliminated: &mut Vec<CheckpointIndex>,
     ) {
-        debug_assert!(store.contains(index), "checkpoint stored before GC runs");
-        eliminated.extend(self.release(self.owner, store));
-        self.new_own_ccb(index);
+        debug_assert_eq!(store.last(), Some(index), "stored first, as the newest");
+        // newCCB(i, ind): the new checkpoint, pinned by the owner alone.
+        let (word, bit) = bit(self.owner);
+        let released_by = self.owner.index();
+        self.held.push(Held { index, released_by });
+        self.pins.resize(self.pins.len() + self.words, 0);
+        let at = self.pins.len() - self.words + word;
+        self.pins[at] = bit;
+        // release(i): the owner's pin leaves the previous last stable one.
+        if let Some(previous) = self.held.len().checked_sub(2) {
+            let at = previous * self.words + word;
+            debug_assert!(self.pins[at] & bit != 0, "UC[i] is the last stable");
+            self.pins[at] ^= bit;
+            if self.bitmap(previous).iter().all(|&b| b == 0) {
+                self.eliminate(previous, store, eliminated);
+            }
+        }
     }
 
     /// "On receiving m" (Algorithm 2): each process that contributed new
     /// causal information now denies the collection of our last stable
-    /// checkpoint — release its old pin and link it to ours.
+    /// checkpoint — its pin leaves whichever older checkpoint held it and
+    /// joins the newest one's.
     fn after_receive_into(
         &mut self,
         store: &mut CheckpointStore,
@@ -188,25 +315,16 @@ impl GarbageCollector for RdtLgc {
         _dv: &DependencyVector,
         eliminated: &mut Vec<CheckpointIndex>,
     ) {
-        let own = self.uc[self.owner.index()];
-        for j in updated.iter() {
-            debug_assert_ne!(
-                j, self.owner,
-                "a process cannot receive new causal information about itself"
-            );
-            // release(j) followed by link(j, i) is a net no-op when UC[j]
-            // already references the own CCB (the common case in
-            // news-heavy streams between checkpoints): the dec can never
-            // free it — UC[i] holds a reference — and the re-link restores
-            // the exact pre-release state.
-            if self.uc[j.index()] == own {
-                continue;
-            }
-            if let Some(freed) = self.release(j, store) {
-                eliminated.push(freed);
-            }
-            self.link_to_own(j);
+        debug_assert!(
+            !updated.contains(self.owner),
+            "a process cannot receive new causal information about itself"
+        );
+        // Nothing retained yet: nothing pinned, nothing to link to.
+        if self.held.is_empty() {
+            return;
         }
+        let unpinned = self.release(updated, true);
+        self.eliminate_unpinned(unpinned, store, eliminated);
     }
 
     /// Algorithm 3 (a process rolling back to `ri`): discard later
@@ -239,22 +357,19 @@ impl GarbageCollector for RdtLgc {
         li: &LastIntervals,
         dv: &DependencyVector,
     ) -> Vec<CheckpointIndex> {
-        let mut eliminated = Vec::new();
-        for f in ProcessId::all(self.uc.len()) {
-            if f == self.owner {
-                continue;
-            }
-            if dv.lineage(f) < li.lineage(f) {
-                if let Some(freed) = self.release(f, store) {
-                    eliminated.push(freed);
-                }
-            }
+        let mut stale = UpdateSet::new();
+        for (f, (known, last)) in dv.as_slice().iter().zip(li.as_slice()).enumerate() {
+            let is_stale = known < last && f != self.owner.index();
+            stale.or_word(f / 64, u64::from(is_stale) << (f % 64));
         }
+        let mut eliminated = Vec::new();
+        let unpinned = self.release(&stale, false);
+        self.eliminate_unpinned(unpinned, store, &mut eliminated);
         eliminated
     }
 
     fn pinned(&self) -> usize {
-        self.arena.live()
+        self.held.len()
     }
 
     fn uc_snapshot(&self) -> Option<Vec<Option<CheckpointIndex>>> {
@@ -463,6 +578,129 @@ mod tests {
         let gone = a.gc.on_recovery_info(&mut a.store, &li, &a.dv.clone());
         assert_eq!(gone, vec![idx(0)]);
         assert_eq!(a.store.len(), 1);
+    }
+
+    #[test]
+    fn recovery_info_releases_a_dead_incarnation_pin_however_high_its_interval() {
+        let mut a = Proc::new(0, 2);
+        // a heard of p1's interval 5 in p1's first incarnation.
+        a.receive(&DependencyVector::from_lineages(vec![(0, 0), (0, 5)]));
+        a.checkpoint(); // s^0 pinned by p1
+                        // p1 rolled back to s_1^2 in incarnation 1: LI[1] = (1, 3), below
+                        // 5 as a raw interval, above (0, 5) as an incarnation-qualified one.
+        let li = LastIntervals::from_dv(&DependencyVector::from_lineages(vec![(0, 2), (1, 3)]));
+        let gone = a.gc.on_recovery_info(&mut a.store, &li, &a.dv.clone());
+        assert_eq!(gone, vec![idx(0)]);
+        assert_eq!(a.gc.uc_view(), vec![Some(idx(1)), None]);
+    }
+
+    /// A sender's vector that is news about exactly the processes `of`
+    /// (entry `at` each) to a receiver that knows less of them.
+    fn news(n: usize, of: &[usize], at: usize) -> DependencyVector {
+        let mut raw = vec![0; n];
+        of.iter().for_each(|&f| raw[f] = at);
+        DependencyVector::from_raw(raw)
+    }
+
+    /// `a` of four processes holding s^0 pinned by p1 and p3, s^1 by p2,
+    /// s^2 by itself.
+    fn three_retained() -> Proc {
+        let mut a = Proc::new(0, 4);
+        a.receive(&news(4, &[1, 3], 1));
+        a.checkpoint();
+        a.receive(&news(4, &[2], 1));
+        a.checkpoint();
+        assert_eq!(
+            a.gc.uc_view(),
+            vec![Some(idx(2)), Some(idx(0)), Some(idx(1)), Some(idx(0))]
+        );
+        a
+    }
+
+    #[test]
+    fn a_receive_emptying_two_checkpoints_frees_them_as_the_per_j_loop_does() {
+        let mut a = three_retained();
+        // release(1) leaves s^0 pinned by p3; release(2) frees s^1;
+        // release(3) frees s^0 — newest first here, not oldest first.
+        let gone = a.receive(&news(4, &[1, 2, 3], 2));
+        assert_eq!(gone, vec![idx(1), idx(0)]);
+        assert_eq!(a.gc.uc_view(), vec![Some(idx(2)); 4]);
+        assert_eq!(a.store.indices().collect::<Vec<_>>(), vec![idx(2)]);
+    }
+
+    #[test]
+    fn a_recovery_info_emptying_two_checkpoints_frees_them_as_the_per_f_loop_does() {
+        let mut a = three_retained();
+        // DV = [3, 1, 1, 1]: LI = [3, 2, 2, 2] makes p1, p2 and p3 stale.
+        let li = LastIntervals::from_last_stable(&[idx(2), idx(1), idx(1), idx(1)]);
+        let gone = a.gc.on_recovery_info(&mut a.store, &li, &a.dv.clone());
+        assert_eq!(gone, vec![idx(1), idx(0)]);
+        assert_eq!(a.gc.uc_view(), vec![Some(idx(2)), None, None, None]);
+        assert_eq!(a.gc.retained(), vec![idx(2)]);
+    }
+
+    #[test]
+    fn a_checkpoint_frees_a_predecessor_only_the_owner_pinned() {
+        let mut a = Proc::new(0, 3);
+        a.receive(&news(3, &[1], 1)); // s^0 pinned by p0 and p1
+        a.checkpoint(); // s^1 pinned by p0 alone
+        assert_eq!(a.gc.retained(), vec![idx(0), idx(1)]);
+        let gone = a.checkpoint();
+        assert_eq!(gone, vec![idx(1)], "s^0 stays, pinned by p1");
+        assert_eq!(a.gc.uc_view(), vec![Some(idx(2)), Some(idx(0)), None]);
+    }
+
+    #[test]
+    fn a_wide_release_frees_by_the_highest_member_across_words() {
+        // s^0 pinned by p1 and p129 (words 0 and 2), s^1 by p65 (word 1).
+        let n = 130;
+        let mut a = Proc::new(0, n);
+        a.receive(&news(n, &[1, 129], 1));
+        a.checkpoint();
+        a.receive(&news(n, &[65], 1));
+        a.checkpoint();
+        let gone = a.receive(&news(n, &[1, 65, 129], 2));
+        assert_eq!(gone, vec![idx(1), idx(0)], "freed at j = 65, then j = 129");
+        assert_eq!(a.gc.retained(), vec![idx(2)]);
+    }
+
+    #[test]
+    fn a_new_checkpoint_is_pinned_by_its_owner_alone() {
+        let a = Proc::new(1, 3);
+        assert_eq!(a.gc.uc_view(), vec![None, Some(idx(0)), None]);
+        assert_eq!(a.gc.pinned(), 1);
+    }
+
+    #[test]
+    fn the_release_that_empties_a_bitmap_eliminates_its_checkpoint() {
+        let mut a = Proc::new(0, 2);
+        a.receive(&news(2, &[1], 1));
+        a.checkpoint(); // s^0 pinned by p1 alone
+        let gone = a.receive(&news(2, &[1], 2));
+        assert_eq!(gone, vec![idx(0)]);
+        assert!(!a.store.contains(idx(0)));
+        assert_eq!(a.gc.retained(), vec![idx(1)]);
+    }
+
+    #[test]
+    fn a_checkpoint_pinned_twice_survives_one_release() {
+        let mut a = Proc::new(0, 3);
+        a.receive(&news(3, &[1, 2], 1));
+        a.checkpoint(); // s^0 pinned by p1 and p2
+        assert!(a.receive(&news(3, &[1], 2)).is_empty());
+        assert_eq!(
+            a.gc.uc_view(),
+            vec![Some(idx(1)), Some(idx(1)), Some(idx(0))]
+        );
+        assert_eq!(a.receive(&news(3, &[2], 2)), vec![idx(0)]);
+    }
+
+    #[test]
+    fn retained_lists_every_pinned_checkpoint_oldest_first() {
+        let a = three_retained();
+        assert_eq!(a.gc.retained(), vec![idx(0), idx(1), idx(2)]);
+        assert_eq!(a.gc.pinned(), 3);
+        assert_eq!(a.gc.retained(), a.store.indices().collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! # What this crate provides
 //!
 //! * [`RdtLgc`] — the paper's contribution: Algorithm 1's data structures
-//!   (reference-counted *checkpoint control blocks* and the `UC` vector),
+//!   (the `UC` vector and its reference-counted *checkpoint control
+//!   blocks*, kept as one pin bitmap per retained checkpoint),
 //!   Algorithm 2's normal-execution collection, and Algorithm 3's
 //!   recovery-session rebuild (both the coordinated `LI` variant and the
 //!   uncoordinated `DV` variant).
@@ -34,14 +35,12 @@
 #![warn(missing_docs)]
 
 mod baselines;
-mod ccb;
 mod lgc;
 mod store;
 mod theorem1;
 mod traits;
 
 pub use baselines::{NoGc, SimpleCoordinatedGc, TimeBasedGc, WangGlobalGc};
-pub use ccb::{Ccb, CcbArena, CcbRef};
 pub use lgc::RdtLgc;
 pub use store::CheckpointStore;
 pub use traits::{ControlInfo, GarbageCollector, GcKind, LastIntervals};

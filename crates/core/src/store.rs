@@ -211,7 +211,14 @@ impl CheckpointStore {
         }
     }
 
-    fn remove_at(&mut self, position: usize) -> CheckpointIndex {
+    /// Eliminates the checkpoint at `position` (`0` is the oldest stored)
+    /// and returns its index: [`remove`](Self::remove) for a caller that
+    /// knows where the checkpoint is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position >= self.len()`.
+    pub fn remove_at(&mut self, position: usize) -> CheckpointIndex {
         let (index, stored) = self.entries.remove(position).expect("position in bounds");
         self.total_collected += 1;
         self.bytes -= stored.bytes;

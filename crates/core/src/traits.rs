@@ -214,7 +214,8 @@ pub trait GarbageCollector: fmt::Debug + Send {
 
     /// Called right after checkpoint `index` (with vector `dv`) was written
     /// to `store` ("On taking checkpoint", Algorithm 2). The store already
-    /// contains the new checkpoint — the paper's transient `n + 1` occupancy.
+    /// contains the new checkpoint, as its newest — the paper's transient
+    /// `n + 1` occupancy.
     ///
     /// Eliminated checkpoints are **appended** to `eliminated`, a
     /// caller-owned scratch buffer reused across events — the hot path
@@ -322,7 +323,8 @@ pub trait GarbageCollector: fmt::Debug + Send {
     }
 
     /// Number of checkpoints currently pinned by this collector's own
-    /// bookkeeping (for RDT-LGC, live CCBs). Purely informational.
+    /// bookkeeping (for RDT-LGC, its retained checkpoints: the live CCBs).
+    /// Purely informational.
     fn pinned(&self) -> usize {
         0
     }

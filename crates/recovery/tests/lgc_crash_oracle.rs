@@ -1,0 +1,279 @@
+//! RDT-LGC against the paper's theorems through crashes and recovery
+//! sessions.
+//!
+//! A generated run drives one [`Middleware`] per process under RDT-LGC and
+//! an RDT protocol: basic checkpoints, sends, deliveries in any order,
+//! message losses, and crashes of any subset of the processes, each
+//! followed by a coordinated [`RecoveryManager`] session (the world stops:
+//! every message in transit is lost). Every step is mirrored into a
+//! [`CcpBuilder`], whose `restore` truncates a rolled-back process's live
+//! history and opens its next incarnation, as the middleware does. After
+//! every operation, and after every whole session, on the live history:
+//!
+//! * **Theorem 4** (safety) — every checkpoint eliminated so far, and still
+//!   part of the live history, is obsolete (Theorem 1);
+//! * **Theorem 5** (optimality) — no retained checkpoint is causally
+//!   identifiable as obsolete (Theorem 2);
+//! * **Section 4.5** — at most `n` checkpoints stored per process, `n + 1`
+//!   at the peak;
+//! * the mirror is faithful — each process's store is its live history less
+//!   what was eliminated, and its dependency vector is the mirror's.
+//!
+//! Checkpoints a rollback discards leave the live history with it, and a
+//! later checkpoint may reuse their index: they are dropped from the
+//! eliminated set at the rollback.
+
+use std::collections::BTreeSet;
+
+use proptest::prelude::*;
+use rdt_base::{CheckpointId, CheckpointIndex, Message, MessageId, Payload, ProcessId};
+use rdt_ccp::CcpBuilder;
+use rdt_core::GcKind;
+use rdt_protocols::{Middleware, ProtocolKind};
+use rdt_recovery::{FaultySet, RecoveryManager};
+
+/// The running system and its offline mirror.
+struct System {
+    mws: Vec<Middleware>,
+    mirror: CcpBuilder,
+    in_flight: Vec<(MessageId, Message)>,
+    /// Eliminated checkpoints still in the live history.
+    eliminated: BTreeSet<CheckpointId>,
+    sessions: usize,
+}
+
+impl System {
+    fn new(n: usize, protocol: ProtocolKind) -> Self {
+        Self {
+            mws: (0..n)
+                .map(|i| Middleware::new(ProcessId::new(i), n, protocol, GcKind::RdtLgc))
+                .collect(),
+            mirror: CcpBuilder::new(n),
+            in_flight: Vec::new(),
+            eliminated: BTreeSet::new(),
+            sessions: 0,
+        }
+    }
+
+    fn collected(&mut self, p: ProcessId, gone: &[CheckpointIndex]) {
+        for &index in gone {
+            assert!(
+                self.eliminated.insert(CheckpointId::new(p, index)),
+                "{p} eliminated s^{index} twice"
+            );
+        }
+    }
+
+    /// Mirrors a checkpoint the middleware stored.
+    fn mirror_checkpoint(&mut self, p: ProcessId, stored: CheckpointIndex) {
+        assert_eq!(self.mirror.checkpoint(p), stored, "mirror out of step");
+    }
+
+    fn checkpoint(&mut self, p: ProcessId) {
+        let report = self.mws[p.index()].basic_checkpoint().expect("alive");
+        self.mirror_checkpoint(p, report.stored);
+        self.collected(p, &report.eliminated);
+    }
+
+    fn send(&mut self, from: ProcessId, to: ProcessId) {
+        let (msg, forced) = self.mws[from.index()].send_reported(to, Payload::empty());
+        let id = self.mirror.send(from, to);
+        // CAS / CASBR: the post-send forced checkpoint follows the send.
+        if let Some(report) = forced {
+            self.mirror_checkpoint(from, report.stored);
+            self.collected(from, &report.eliminated);
+        }
+        self.in_flight.push((id, msg));
+    }
+
+    fn deliver(&mut self, k: usize) {
+        let (id, msg) = self.in_flight.remove(k % self.in_flight.len());
+        let dst = msg.meta.dst;
+        let report = self.mws[dst.index()].receive(&msg).expect("alive");
+        // A forced checkpoint is stored before the message is processed.
+        if let Some(stored) = report.forced {
+            self.mirror_checkpoint(dst, stored);
+        }
+        self.mirror.deliver(id);
+        self.collected(dst, &report.eliminated);
+    }
+
+    fn drop_message(&mut self, k: usize) {
+        let (id, _) = self.in_flight.remove(k % self.in_flight.len());
+        self.mirror.drop_message(id).expect("in transit");
+    }
+
+    /// Crashes `faulty` and runs a coordinated recovery session.
+    fn crash(&mut self, faulty: &FaultySet) {
+        for &p in faulty {
+            self.mws[p.index()].crash();
+        }
+        for (id, _) in std::mem::take(&mut self.in_flight) {
+            self.mirror.drop_message(id).expect("in transit");
+        }
+        let report = RecoveryManager::new()
+            .recover(&mut self.mws, faulty)
+            .unwrap_or_else(|e| panic!("session for {faulty:?}: {e}"));
+        for c in &report.eliminated {
+            self.collected(c.process, &[c.index]);
+        }
+        for &(p, ri) in &report.rolled_back {
+            self.mirror.restore(p, ri);
+            self.eliminated.retain(|c| c.process != p || c.index <= ri);
+        }
+        self.sessions += 1;
+    }
+
+    /// The theorems on the live history, after `what`.
+    fn check(&self, what: &str) {
+        let ccp = self.mirror.ccp();
+        let n = self.mws.len();
+        for c in &self.eliminated {
+            prop_assert!(
+                ccp.is_obsolete(*c),
+                "Theorem 4: {} eliminated but not obsolete, after {}",
+                c,
+                what
+            );
+        }
+        for mw in &self.mws {
+            let p = mw.owner();
+            let store = mw.store();
+            prop_assert_eq!(mw.dv(), ccp.volatile_dv(p), "{} after {}", p, what);
+            let live: Vec<CheckpointIndex> = (0..=ccp.last_stable(p).value())
+                .map(CheckpointIndex::new)
+                .filter(|&i| !self.eliminated.contains(&CheckpointId::new(p, i)))
+                .collect();
+            prop_assert_eq!(
+                store.indices().collect::<Vec<_>>(),
+                live,
+                "{} after {}",
+                p,
+                what
+            );
+            for index in store.indices() {
+                let c = CheckpointId::new(p, index);
+                prop_assert!(
+                    !ccp.is_causally_identifiable_obsolete(c),
+                    "Theorem 5: {} retained although causally identifiable as obsolete, after {}",
+                    c,
+                    what
+                );
+            }
+            prop_assert!(
+                store.len() <= n,
+                "{} stores {} after {}",
+                p,
+                store.len(),
+                what
+            );
+            prop_assert!(store.peak() <= n + 1, "{} peaked at {}", p, store.peak());
+        }
+        let retained: BTreeSet<CheckpointId> = self
+            .mws
+            .iter()
+            .flat_map(|mw| {
+                mw.store()
+                    .indices()
+                    .map(|i| CheckpointId::new(mw.owner(), i))
+            })
+            .collect();
+        let identifiable = ccp.causally_identifiable_obsolete_set();
+        prop_assert!(retained.is_disjoint(&identifiable), "after {}", what);
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Checkpoint(usize),
+    Send(usize, usize),
+    Deliver(usize),
+    Drop(usize),
+    /// Crash the processes whose bits are set (at least one).
+    Crash(u32),
+}
+
+/// Weights 3 : 5 : 5 : 1 : 1 for checkpoint, send, deliver, drop, crash.
+fn op() -> impl Strategy<Value = Op> {
+    (0u8..15, 0usize..64, 0usize..64, 1u32..u32::MAX).prop_map(|(kind, a, b, mask)| match kind {
+        0..=2 => Op::Checkpoint(a),
+        3..=7 => Op::Send(a, b),
+        8..=12 => Op::Deliver(b),
+        13 => Op::Drop(b),
+        _ => Op::Crash(mask),
+    })
+}
+
+fn run(n: usize, protocol: ProtocolKind, ops: &[Op]) -> System {
+    let mut sys = System::new(n, protocol);
+    sys.check("the initial checkpoints");
+    for (step, &op) in ops.iter().enumerate() {
+        match op {
+            Op::Checkpoint(a) => sys.checkpoint(ProcessId::new(a % n)),
+            Op::Send(a, b) => {
+                let from = a % n;
+                sys.send(
+                    ProcessId::new(from),
+                    ProcessId::new((from + 1 + b % (n - 1)) % n),
+                );
+            }
+            Op::Deliver(k) if !sys.in_flight.is_empty() => sys.deliver(k),
+            Op::Drop(k) if !sys.in_flight.is_empty() => sys.drop_message(k),
+            Op::Deliver(_) | Op::Drop(_) => continue,
+            Op::Crash(mask) => {
+                let mut faulty: FaultySet = (0..n)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(ProcessId::new)
+                    .collect();
+                if faulty.is_empty() {
+                    faulty.insert(ProcessId::new(mask as usize % n));
+                }
+                sys.crash(&faulty);
+            }
+        }
+        sys.check(&format!("step {step} ({op:?})"));
+    }
+    sys
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Theorems 4 and 5 and the space bound after every operation and every
+    /// recovery session, for every RDT protocol.
+    #[test]
+    fn rdt_lgc_is_safe_and_optimal_through_crashes(
+        n in 2usize..6,
+        protocol in prop::sample::select(ProtocolKind::RDT.to_vec()),
+        ops in prop::collection::vec(op(), 0..80),
+    ) {
+        run(n, protocol, &ops);
+    }
+}
+
+/// The generator reaches what the property is about: sessions that roll
+/// back and collect, and runs that go on after them.
+#[test]
+fn sessions_roll_back_and_collect() {
+    let (p0, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+    let mut sys = System::new(3, ProtocolKind::Fdas);
+    sys.checkpoint(p1);
+    sys.send(p1, p0);
+    sys.deliver(0);
+    sys.checkpoint(p0);
+    sys.send(p0, p2);
+    sys.deliver(0);
+    sys.checkpoint(p1);
+    sys.send(p1, p2);
+    sys.check("the prefix");
+    sys.crash(&[p1].into_iter().collect());
+    sys.check("the session");
+    assert_eq!(sys.sessions, 1);
+    assert_eq!(sys.mws[1].incarnation().value(), 1);
+    assert!(!sys.eliminated.is_empty());
+    sys.checkpoint(p1);
+    sys.send(p1, p0);
+    sys.deliver(0);
+    sys.checkpoint(p0);
+    sys.check("the run after the session");
+}
