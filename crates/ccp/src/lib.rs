@@ -53,7 +53,7 @@ mod provenance;
 mod recovery_line;
 mod render;
 
-pub use audit::collection_safety_violations;
+pub use audit::{collection_safety_violations, collection_safety_violations_through_sessions};
 pub use builder::CcpBuilder;
 pub use consistency::GlobalCheckpoint;
 pub use model::{Ccp, GeneralCheckpoint, LocalEvent, MessageRecord};

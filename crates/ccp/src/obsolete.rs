@@ -31,6 +31,28 @@ impl Ccp {
             .any(|f| self.last_stable_precedes(f, next) && !self.last_stable_precedes(f, g))
     }
 
+    /// [`is_obsolete`](Self::is_obsolete) on a pattern with replayed
+    /// rollbacks: Theorem 1 over the live history, with `s_f^last → c`
+    /// tested incarnation-aware
+    /// ([`last_stable_precedes_live`](Self::last_stable_precedes_live)), so
+    /// knowledge of a dead incarnation of `f` pins nothing, as Lemma 1
+    /// amnesties it. Identical to `is_obsolete` on crash-free patterns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not a stable checkpoint of this CCP.
+    pub fn is_obsolete_live(&self, s: CheckpointId) -> bool {
+        let g = GeneralCheckpoint::from(s);
+        assert!(
+            self.exists(g) && !self.is_volatile(g),
+            "{s} is not a stable checkpoint of this CCP"
+        );
+        let next = GeneralCheckpoint::new(s.process, s.index.next());
+        !self.processes().any(|f| {
+            self.last_stable_precedes_live(f, next) && !self.last_stable_precedes_live(f, g)
+        })
+    }
+
     /// **Theorem 2** — the causal-knowledge-only sufficient condition:
     /// `s_i^γ` is (identifiably) obsolete if there is no `p_f` with
     /// `last_k_i(f) ≥ 0 ∧ s_f^lastk_i → c_i^{γ+1} ∧ s_f^lastk_i ↛ s_i^γ`,

@@ -2,8 +2,8 @@
 //! subcommands.
 
 use rdt_analysis::{worst_single_failure, CcpStats, OccupancyTimeline};
-use rdt_base::{ProcessId, TraceEvent};
-use rdt_ccp::{collection_safety_violations, CcpBuilder};
+use rdt_base::{CheckpointId, ProcessId, TraceEvent};
+use rdt_ccp::{collection_safety_violations_through_sessions, CcpBuilder};
 use rdt_sim::{Metrics, SimulationBuilder, SimulationReport};
 
 use crate::json::Json;
@@ -502,6 +502,7 @@ pub fn analyze(opts: &RunOpts, dot: Option<&str>) -> Result<(), String> {
 struct AuditSummary {
     collector: String,
     collected: usize,
+    sessions: usize,
     violations: Vec<String>,
 }
 
@@ -510,6 +511,7 @@ impl AuditSummary {
         Json::obj()
             .field("collector", Json::Str(self.collector.clone()))
             .field("collected", Json::UInt(self.collected as u64))
+            .field("sessions", Json::UInt(self.sessions as u64))
             .field(
                 "violations",
                 Json::Arr(self.violations.iter().cloned().map(Json::Str).collect()),
@@ -518,19 +520,24 @@ impl AuditSummary {
     }
 }
 
-/// `rdt audit` — run crash-free and check every garbage-collection event
-/// against the Theorem-1 oracle at its own cut.
+/// `rdt audit` — run and check every garbage-collection event against the
+/// Theorem-1 oracle at its own cut. A crashy run is judged on the history
+/// its recovery sessions left live, each session's own eliminations
+/// (rollback and `recovery_info`) included.
 pub fn audit(opts: &RunOpts) -> Result<(), String> {
-    if opts.spec.crash_prob > 0.0 {
-        return Err("audit needs a crash-free workload (crash traces cannot replay)".into());
-    }
     let report = run(opts, true)?;
-    let trace = report.trace.expect("trace recording requested");
-    let violations = collection_safety_violations(opts.spec.n, &trace)
+    let trace = report.trace.as_ref().expect("trace recording requested");
+    let sessions: Vec<&[CheckpointId]> = report
+        .recovery_sessions
+        .iter()
+        .map(|s| s.eliminated.as_slice())
+        .collect();
+    let violations = collection_safety_violations_through_sessions(opts.spec.n, trace, &sessions)
         .map_err(|e| format!("trace replay failed: {e}"))?;
     let summary = AuditSummary {
         collector: opts.gc.to_string(),
         collected: report.metrics.total_collected(),
+        sessions: sessions.len(),
         violations: violations.iter().map(|c| c.to_string()).collect(),
     };
     if opts.json {
@@ -542,6 +549,12 @@ pub fn audit(opts: &RunOpts) -> Result<(), String> {
             summary.collected,
             summary.violations.len()
         );
+        if summary.sessions > 0 {
+            println!(
+                "through {} recovery sessions, their own eliminations included",
+                summary.sessions
+            );
+        }
         for v in &summary.violations {
             println!("  VIOLATION: {v} was not obsolete when eliminated");
         }

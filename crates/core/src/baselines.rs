@@ -43,15 +43,16 @@ impl GarbageCollector for NoGc {
     ) {
     }
 
-    fn after_rollback(
+    fn after_rollback_into(
         &mut self,
         store: &mut CheckpointStore,
         ri: CheckpointIndex,
         _li: Option<&LastIntervals>,
         _dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex> {
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
         // Rolled-back states are gone regardless of GC policy.
-        store.truncate_after(ri)
+        store.truncate_after_into(ri, eliminated);
     }
 }
 
@@ -104,14 +105,15 @@ impl GarbageCollector for SimpleCoordinatedGc {
     ) {
     }
 
-    fn after_rollback(
+    fn after_rollback_into(
         &mut self,
         store: &mut CheckpointStore,
         ri: CheckpointIndex,
         _li: Option<&LastIntervals>,
         _dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex> {
-        store.truncate_after(ri)
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        store.truncate_after_into(ri, eliminated);
     }
 
     fn on_control(
@@ -164,9 +166,11 @@ impl WangGlobalGc {
         dv: &DependencyVector,
         eliminated: &mut Vec<CheckpointIndex>,
     ) {
-        let mut pinned = vec![false; store.len()];
-        theorem1_pins(store, li.as_slice(), dv, |_, k| pinned[k] = true);
-        store.retain_positions(|k| pinned[k], eliminated);
+        let words = li.len().div_ceil(64);
+        let mut pins = vec![0; store.len() * words];
+        theorem1_pins(store, li.as_slice(), dv, &mut pins);
+        let pinned = |k: usize| pins[k * words..][..words].iter().any(|&w| w != 0);
+        store.retain_positions(pinned, eliminated);
     }
 }
 
@@ -193,18 +197,18 @@ impl GarbageCollector for WangGlobalGc {
     ) {
     }
 
-    fn after_rollback(
+    fn after_rollback_into(
         &mut self,
         store: &mut CheckpointStore,
         ri: CheckpointIndex,
         li: Option<&LastIntervals>,
         dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex> {
-        let mut eliminated = store.truncate_after(ri);
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        store.truncate_after_into(ri, eliminated);
         if let Some(li) = li {
-            Self::eliminate_unpinned(store, li, dv, &mut eliminated);
+            Self::eliminate_unpinned(store, li, dv, eliminated);
         }
-        eliminated
     }
 
     fn on_control(
@@ -310,18 +314,19 @@ impl GarbageCollector for TimeBasedGc {
     ) {
     }
 
-    fn after_rollback(
+    fn after_rollback_into(
         &mut self,
         store: &mut CheckpointStore,
         ri: CheckpointIndex,
         _li: Option<&LastIntervals>,
         _dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex> {
-        let doomed = store.truncate_after(ri);
-        for d in &doomed {
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        let from = eliminated.len();
+        store.truncate_after_into(ri, eliminated);
+        for d in &eliminated[from..] {
             self.stored_at.remove(d);
         }
-        doomed
     }
 
     fn on_tick(

@@ -29,8 +29,17 @@
 //! O(r · w) word operations, where r ≤ n + 1 is the number of retained
 //! checkpoints and w the update set's non-zero words (one up to 64
 //! processes), against the O(|news|) pointer-chasing steps of a CCB arena.
-//! A recovery session's stale-pin release is the same AND-NOT with a mask
-//! built in one pass.
+//!
+//! A rollback (Algorithm 3) cuts the store from its newest end, one compare
+//! per checkpoint discarded, and rebuilds every bitmap at once: for each
+//! stored checkpoint, newest first, one branch-free compare of its vector
+//! against `LI` gives the mask of the processes it does not know, and
+//! `pins_k = below_k & !below_{k+1}` is its bitmap (see `theorem1_pins`).
+//! That is at most s · n compares over contiguous entries (s ≤ n + 1
+//! stored), cut short once a word's mask is full, and nothing is searched.
+//! `recovery_info(LI)` builds its stale mask (`DV[f] < LI[f]`, the owner
+//! excluded) with the same compare and releases it with the receive's
+//! AND-NOT. Both append what they eliminate to the caller's buffer.
 //!
 //! **Order.** When one event empties several bitmaps, their checkpoints are
 //! eliminated in the order the paper's ascending per-`j` loop frees them:
@@ -231,10 +240,11 @@ impl RdtLgc {
     /// Rebuilds `UC` and the pin bitmaps after a rollback (Algorithm 3
     /// lines 7–17), appending what it eliminates to `eliminated`.
     ///
-    /// For each process `f`, finds the latest stored checkpoint `γ` with
+    /// For each process `f`, the latest stored checkpoint `γ` with
     /// `DV(s^γ)[f] < LI[f]` whose successor (next stored checkpoint, or the
-    /// volatile state `dv`) satisfies `DV(c^{γ+1})[f] ≥ LI[f]`, and pins it.
-    /// Everything unpinned is eliminated, oldest first.
+    /// volatile state `dv`) satisfies `DV(c^{γ+1})[f] ≥ LI[f]` is pinned:
+    /// [`theorem1_pins`](crate::theorem1::theorem1_pins) writes the bitmaps
+    /// directly. Everything unpinned is eliminated, oldest first.
     fn rebuild_after_rollback(
         &mut self,
         store: &mut CheckpointStore,
@@ -250,10 +260,7 @@ impl RdtLgc {
         }));
         self.pins.clear();
         self.pins.resize(store.len() * words, 0);
-        crate::theorem1::theorem1_pins(store, li, dv, |f, k| {
-            let (word, bit) = bit(f);
-            self.pins[k * words + word] |= bit;
-        });
+        crate::theorem1::theorem1_pins(store, li, dv, &mut self.pins);
         let mut kept = 0;
         let keep = |k: usize| {
             let pinned = self.bitmap(k).iter().any(|&b| b != 0);
@@ -330,17 +337,17 @@ impl GarbageCollector for RdtLgc {
     /// Algorithm 3 (a process rolling back to `ri`): discard later
     /// checkpoints, then rebuild `UC` from `li` (or from `dv` when no global
     /// information is available — the uncoordinated variant).
-    fn after_rollback(
+    fn after_rollback_into(
         &mut self,
         store: &mut CheckpointStore,
         ri: CheckpointIndex,
         li: Option<&LastIntervals>,
         dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex> {
-        let mut eliminated = store.truncate_after(ri);
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        store.truncate_after_into(ri, eliminated);
         let li = li.map_or(dv.as_slice(), LastIntervals::as_slice);
-        self.rebuild_after_rollback(store, li, dv, &mut eliminated);
-        eliminated
+        self.rebuild_after_rollback(store, li, dv, eliminated);
     }
 
     /// Non-rolling-back process during a synchronized recovery: release any
@@ -351,21 +358,29 @@ impl GarbageCollector for RdtLgc {
     /// incarnation, so *any* pre-rollback knowledge of `f` — however high
     /// its raw interval — reads as "does not know `f`'s new last checkpoint"
     /// and the stale pin is released.
-    fn on_recovery_info(
+    fn on_recovery_info_into(
         &mut self,
         store: &mut CheckpointStore,
         li: &LastIntervals,
         dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex> {
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        let (own_word, own_bit) = bit(self.owner);
         let mut stale = UpdateSet::new();
-        for (f, (known, last)) in dv.as_slice().iter().zip(li.as_slice()).enumerate() {
-            let is_stale = known < last && f != self.owner.index();
-            stale.or_word(f / 64, u64::from(is_stale) << (f % 64));
+        let known = dv.as_slice().chunks(64);
+        for (word, (known, last)) in known.zip(li.as_slice().chunks(64)).enumerate() {
+            let mask = crate::theorem1::below(known, last);
+            stale.or_word(
+                word,
+                if word == own_word {
+                    mask & !own_bit
+                } else {
+                    mask
+                },
+            );
         }
-        let mut eliminated = Vec::new();
         let unpinned = self.release(&stale, false);
-        self.eliminate_unpinned(unpinned, store, &mut eliminated);
-        eliminated
+        self.eliminate_unpinned(unpinned, store, eliminated);
     }
 
     fn pinned(&self) -> usize {

@@ -195,7 +195,9 @@ impl CheckpointStore {
     /// Eliminates every checkpoint whose position (`0` is the oldest
     /// stored) `keep` rejects, oldest first, appending its index to
     /// `eliminated`: [`remove`](Self::remove) without a search per
-    /// checkpoint, for a caller that decided by position.
+    /// checkpoint, for a caller that decided by position. The first
+    /// elimination makes room in `eliminated` for every position left, so
+    /// it grows at most once.
     pub fn retain_positions(
         &mut self,
         mut keep: impl FnMut(usize) -> bool,
@@ -204,6 +206,9 @@ impl CheckpointStore {
         let mut removed = 0;
         for k in 0..self.entries.len() {
             if !keep(k) {
+                if removed == 0 {
+                    eliminated.reserve(self.entries.len() - k);
+                }
                 // Ascending, so a removal shifts only positions passed.
                 eliminated.push(self.remove_at(k - removed));
                 removed += 1;
@@ -258,14 +263,6 @@ impl CheckpointStore {
         self.entries[position].0
     }
 
-    /// The number of stored checkpoints, oldest first, whose vectors
-    /// satisfy `pred` — the position of the first that does not, given
-    /// that `pred` holds on a prefix of the store and fails on the rest.
-    /// A binary search over positions.
-    pub fn partition_point(&self, mut pred: impl FnMut(&DependencyVector) -> bool) -> usize {
-        self.entries.partition_point(|(_, stored)| pred(&stored.dv))
-    }
-
     /// Whether `index` is currently stored.
     pub fn contains(&self, index: CheckpointIndex) -> bool {
         self.position(index).is_ok()
@@ -287,7 +284,10 @@ impl CheckpointStore {
     }
 
     /// `(index, dv)` pairs in ascending index order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (CheckpointIndex, &DependencyVector)> {
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (CheckpointIndex, &DependencyVector)> + ExactSizeIterator
+    {
         self.entries.iter().map(|(i, s)| (*i, &s.dv))
     }
 
@@ -327,21 +327,35 @@ impl CheckpointStore {
     }
 
     /// Removes every checkpoint with index strictly greater than `ri`
-    /// (rollback discards them, Algorithm 3 line 4). Returns them, in a
-    /// vector with room for every checkpoint stored before the call, so a
-    /// collector can append what else it eliminates without reallocating.
+    /// (rollback discards them, Algorithm 3 line 4) and returns them:
+    /// [`truncate_after_into`](Self::truncate_after_into) into a new vector.
     pub fn truncate_after(&mut self, ri: CheckpointIndex) -> Vec<CheckpointIndex> {
-        let cut = match self.position(ri) {
-            Ok(at) => at + 1,
-            Err(at) => at,
-        };
-        let mut doomed = Vec::with_capacity(self.entries.len());
+        let mut doomed = Vec::new();
+        self.truncate_after_into(ri, &mut doomed);
+        doomed
+    }
+
+    /// Removes every checkpoint with index strictly greater than `ri`,
+    /// appending them to `eliminated`, oldest first. The cut is found from
+    /// the newest end, so it costs one compare per checkpoint removed, plus
+    /// one. If it removes any, `eliminated` gets room for every checkpoint
+    /// stored before the call, so a collector can append what else it
+    /// eliminates without growing it again.
+    pub fn truncate_after_into(
+        &mut self,
+        ri: CheckpointIndex,
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        let later = self.entries.iter().rev().take_while(|&&(i, _)| i > ri);
+        let cut = self.entries.len() - later.count();
+        if cut < self.entries.len() {
+            eliminated.reserve(self.entries.len());
+        }
         for (index, stored) in self.entries.drain(cut..) {
             self.total_collected += 1;
             self.bytes -= stored.bytes;
-            doomed.push(index);
+            eliminated.push(index);
         }
-        doomed
     }
 }
 

@@ -272,28 +272,59 @@ pub trait GarbageCollector: fmt::Debug + Send {
     /// restored checkpoint `ri`; `li` is the distributed last-interval vector
     /// (`None` for the uncoordinated variant, which falls back to `dv`).
     /// `dv` is the post-rollback dependency vector (restored and bumped).
+    /// Eliminations are **appended** to the caller-owned `eliminated`
+    /// buffer, the discarded checkpoints first.
     ///
     /// Implementations must discard checkpoints with index `> ri` and may
     /// eliminate whatever the available information proves obsolete.
+    fn after_rollback_into(
+        &mut self,
+        store: &mut CheckpointStore,
+        ri: CheckpointIndex,
+        li: Option<&LastIntervals>,
+        dv: &DependencyVector,
+        eliminated: &mut Vec<CheckpointIndex>,
+    );
+
+    /// Allocating convenience wrapper over
+    /// [`after_rollback_into`](Self::after_rollback_into).
     fn after_rollback(
         &mut self,
         store: &mut CheckpointStore,
         ri: CheckpointIndex,
         li: Option<&LastIntervals>,
         dv: &DependencyVector,
-    ) -> Vec<CheckpointIndex>;
+    ) -> Vec<CheckpointIndex> {
+        let mut eliminated = Vec::new();
+        self.after_rollback_into(store, ri, li, dv, &mut eliminated);
+        eliminated
+    }
 
     /// Recovery session, non-rolling-back process with global information:
     /// the paper's note that such a process "can just release any entry
-    /// `UC[f]` such that `DV[f] < LI[f]`".
+    /// `UC[f]` such that `DV[f] < LI[f]`". Eliminations are appended to
+    /// `eliminated`.
+    fn on_recovery_info_into(
+        &mut self,
+        store: &mut CheckpointStore,
+        li: &LastIntervals,
+        dv: &DependencyVector,
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        let _ = (store, li, dv, eliminated);
+    }
+
+    /// Allocating convenience wrapper over
+    /// [`on_recovery_info_into`](Self::on_recovery_info_into).
     fn on_recovery_info(
         &mut self,
         store: &mut CheckpointStore,
         li: &LastIntervals,
         dv: &DependencyVector,
     ) -> Vec<CheckpointIndex> {
-        let _ = (store, li, dv);
-        Vec::new()
+        let mut eliminated = Vec::new();
+        self.on_recovery_info_into(store, li, dv, &mut eliminated);
+        eliminated
     }
 
     /// Clock tick for time-based collectors: `now` is the current local

@@ -996,12 +996,34 @@ impl<S: Storage> Middleware<S> {
         ri: CheckpointIndex,
         li: Option<&LastIntervals>,
     ) -> Result<RollbackReport> {
-        if !self.store.contains(ri) {
+        let mut eliminated = Vec::new();
+        self.rollback_into(ri, li, &mut eliminated)?;
+        Ok(RollbackReport {
+            restored: ri,
+            eliminated,
+        })
+    }
+
+    /// [`rollback`](Self::rollback) appending the checkpoints it eliminates
+    /// to a caller-owned buffer: the allocation-free variant a recovery
+    /// session's apply loop uses.
+    ///
+    /// # Errors
+    ///
+    /// As for [`rollback`](Self::rollback); `eliminated` is then untouched.
+    pub fn rollback_into(
+        &mut self,
+        ri: CheckpointIndex,
+        li: Option<&LastIntervals>,
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) -> Result<()> {
+        // One search: the restored vector is read where it was found.
+        let Ok(restored) = self.store.dv(ri) else {
             return Err(Error::InvalidRollbackTarget {
                 process: self.owner,
                 index: ri,
             });
-        }
+        };
         // Every rollback opens a fresh incarnation: the re-executed
         // intervals reuse indices, and the incarnation component is what
         // keeps knowledge of the abandoned attempt distinguishable from
@@ -1014,11 +1036,11 @@ impl<S: Storage> Middleware<S> {
             .wal_incarnation(next)
             .map_err(|e| Error::Storage(e.to_string()))?;
         self.incarnation = next;
+        self.dv.copy_from(restored);
+        self.dv.resume_incarnation(self.owner, self.incarnation);
         // Mirror the log in the in-memory store's incarnation floor: a
         // later restart from the store alone must not reuse it either.
         self.store.raise_incarnation_floor(self.incarnation);
-        self.dv.copy_from(self.store.dv(ri).expect("checked"));
-        self.dv.resume_incarnation(self.owner, self.incarnation);
         // The restored vector may lie below what was merged before, and
         // differs from the old one anywhere: the one event that forgets.
         self.merged = None;
@@ -1026,26 +1048,37 @@ impl<S: Storage> Middleware<S> {
         if let Some(log) = &mut self.changes {
             log.forget();
         }
-        let eliminated = self.gc.after_rollback(&mut self.store, ri, li, &self.dv);
+        self.gc
+            .after_rollback_into(&mut self.store, ri, li, &self.dv, eliminated);
         self.keep_retired();
         self.protocol.note_checkpoint(true); // clears `sent`; not counted
         self.crashed = false;
         self.commit_sink();
-        Ok(RollbackReport {
-            restored: ri,
-            eliminated,
-        })
+        Ok(())
     }
 
     /// Recovery participation for a process that does **not** roll back:
     /// releases pins invalidated by the new last-interval vector.
     pub fn recovery_info(&mut self, li: &LastIntervals) -> Vec<CheckpointIndex> {
-        let eliminated = self.gc.on_recovery_info(&mut self.store, li, &self.dv);
-        if !eliminated.is_empty() {
+        let mut eliminated = Vec::new();
+        self.recovery_info_into(li, &mut eliminated);
+        eliminated
+    }
+
+    /// [`recovery_info`](Self::recovery_info) appending the checkpoints it
+    /// eliminates to a caller-owned buffer.
+    pub fn recovery_info_into(
+        &mut self,
+        li: &LastIntervals,
+        eliminated: &mut Vec<CheckpointIndex>,
+    ) {
+        let before = eliminated.len();
+        self.gc
+            .on_recovery_info_into(&mut self.store, li, &self.dv, eliminated);
+        if eliminated.len() > before {
             self.keep_retired();
             self.commit_sink();
         }
-        eliminated
     }
 
     /// Delivers coordinator control information to the garbage collector

@@ -49,6 +49,6 @@ mod manager;
 pub mod wang;
 
 pub use manager::{
-    AppliedRecovery, FaultySet, LineSource, ProcessView, RecoveryError, RecoveryManager,
-    RecoveryMode, RecoveryPlan, RecoverySessionReport,
+    FaultySet, LineSource, ProcessView, RecoveryError, RecoveryManager, RecoveryMode, RecoveryPlan,
+    RecoverySessionReport, SessionOutcomes,
 };

@@ -5,7 +5,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use rdt_base::{CheckpointId, CheckpointIndex, DependencyVector, Incarnation, ProcessId};
+use rdt_base::{CheckpointId, CheckpointIndex, DependencyVector, DvEntry, Incarnation, ProcessId};
 use rdt_core::{GcKind, LastIntervals};
 use rdt_env::Storage;
 use rdt_protocols::Middleware;
@@ -305,6 +305,14 @@ impl RecoveryManager {
     /// Returns one component per process; `last_stable + 1` denotes the
     /// volatile state.
     ///
+    /// **Cost.** The faulty set is read once, into one range of packed
+    /// entries per faulty process (its live incarnation past its last stable
+    /// checkpoint) and a membership bitmap. A candidate is tested against
+    /// every range at once: the hits are counted without a branch per
+    /// faulty process and without stopping at the first, and the candidate
+    /// is blocked iff any is left after the self guard. Each process's
+    /// candidates are tried newest first, as Lemma 1 reads them.
+    ///
     /// # Errors
     ///
     /// [`RecoveryError::LineExhausted`] if every stored checkpoint of some
@@ -353,6 +361,7 @@ impl RecoveryManager {
     ) -> Result<rdt_ccp::LineExplanation, RecoveryError> {
         use rdt_ccp::{AmnestiedEntry, ComponentProvenance, LineExplanation, PinCause};
         let session = Blockers::of(processes, faulty);
+        let list = Blocker::list(processes, faulty);
         let mut components = Vec::with_capacity(processes.len());
         for mw in processes {
             let i = mw.owner();
@@ -364,10 +373,10 @@ impl RecoveryManager {
             };
             let mut amnestied: Vec<AmnestiedEntry> = Vec::new();
             let mut last_pin: Option<PinCause> = None;
-            let chosen = session.choose(mw, |idx, dv, blocker| {
+            let chosen = session.candidates(mw).find(|&(idx, dv)| {
                 // Dead-incarnation knowledge past a faulty process's last
                 // stable checkpoint: it would block, were it live.
-                for b in &session.list {
+                for b in &list {
                     let entry = dv.lineage(b.f);
                     if b.last_stable.value() < entry.interval().value()
                         && entry.incarnation() < b.live
@@ -381,6 +390,13 @@ impl RecoveryManager {
                         });
                     }
                 }
+                // The first faulty process that blocks the candidate.
+                let blocker = list.iter().find(|b| b.blocks(i, idx, dv));
+                debug_assert_eq!(
+                    blocker.is_some(),
+                    session.blocked(mw, idx, dv),
+                    "the per-blocker scan and the word-parallel test agree"
+                );
                 if let Some(b) = blocker {
                     let entry = dv.lineage(b.f);
                     last_pin = Some(PinCause {
@@ -391,9 +407,10 @@ impl RecoveryManager {
                         last_stable: b.last_stable,
                     });
                 }
+                blocker.is_none()
             });
             let chosen = match chosen {
-                Some(c) => c,
+                Some((c, _)) => c,
                 None => exhausted(mw)?,
             };
             components.push(ComponentProvenance {
@@ -419,7 +436,7 @@ impl RecoveryManager {
         let mut line = Vec::with_capacity(processes.len());
         let mut degraded = Vec::new();
         for mw in processes {
-            let component = match session.choose(mw, |_, _, _| {}) {
+            let component = match session.choose(mw) {
                 Some(c) => c,
                 None => {
                     degraded.push(mw.owner());
@@ -482,12 +499,13 @@ impl RecoveryManager {
 
     /// Applies one process's share of a planned session: the Algorithm-3
     /// rollback if its line component is below its volatile state, the
-    /// `LI`-driven stale-pin release otherwise (coordinated mode).
+    /// `LI`-driven stale-pin release otherwise (coordinated mode). What it
+    /// rolls back and eliminates is appended to `outcomes`.
     ///
     /// # Errors
     ///
     /// [`RecoveryError::Storage`] if the rollback's durability sink failed;
-    /// the process is left crashed and unmutated.
+    /// the process is left crashed and unmutated, and `outcomes` untouched.
     ///
     /// # Panics
     ///
@@ -498,17 +516,19 @@ impl RecoveryManager {
         &self,
         mw: &mut Middleware<S>,
         plan: &RecoveryPlan,
-    ) -> Result<AppliedRecovery, RecoveryError> {
+        outcomes: &mut SessionOutcomes,
+    ) -> Result<(), RecoveryError> {
         let p = Middleware::owner(mw);
         let component = plan.line[p.index()];
         let li_opt = match self.mode {
             RecoveryMode::Coordinated => Some(&plan.li),
             RecoveryMode::Uncoordinated => None,
         };
-        let volatile = Middleware::last_stable(mw).next();
-        if component < volatile {
-            let report = match mw.rollback(component, li_opt) {
-                Ok(report) => report,
+        let scratch = &mut outcomes.scratch;
+        scratch.clear();
+        if component < Middleware::last_stable(mw).next() {
+            match mw.rollback_into(component, li_opt, scratch) {
+                Ok(()) => {}
                 // A sink refusing the incarnation WAL leaves the
                 // process crashed and unmutated; surface it as a
                 // retryable session failure.
@@ -520,27 +540,19 @@ impl RecoveryManager {
                 Err(e) => {
                     panic!("recovery-line component is stored (Theorem 4 safety): {e}")
                 }
-            };
+            }
             debug_assert_eq!(
                 Middleware::incarnation(mw),
                 plan.components[p.index()].1,
                 "rollback must open the incarnation LI promised"
             );
-            Ok(AppliedRecovery {
-                rolled_back: Some(component),
-                eliminated: report.eliminated,
-            })
+            outcomes.rolled_back.push((p, component));
         } else if let Some(li) = li_opt {
-            Ok(AppliedRecovery {
-                rolled_back: None,
-                eliminated: mw.recovery_info(li),
-            })
-        } else {
-            Ok(AppliedRecovery {
-                rolled_back: None,
-                eliminated: Vec::new(),
-            })
+            mw.recovery_info_into(li, scratch);
         }
+        let ids = scratch.iter().map(|&index| CheckpointId::new(p, index));
+        outcomes.eliminated.extend(ids);
+        Ok(())
     }
 
     /// Runs a full recovery session: computes the line, rolls back every
@@ -561,53 +573,81 @@ impl RecoveryManager {
         faulty: &FaultySet,
     ) -> Result<RecoverySessionReport, RecoveryError> {
         let plan = self.plan(processes, faulty)?;
-        let mut applied = Vec::with_capacity(processes.len());
+        // Room for everything the session can eliminate: what is stored.
+        let stored = processes.iter().map(|mw| mw.store().len());
+        let (most, all) = stored.fold((0, 0), |(most, all), len| (most.max(len), all + len));
+        let mut outcomes = SessionOutcomes {
+            rolled_back: Vec::with_capacity(processes.len()),
+            eliminated: Vec::with_capacity(all),
+            scratch: Vec::with_capacity(most),
+        };
         for mw in processes.iter_mut() {
-            applied.push((Middleware::owner(mw), self.apply_to(mw, &plan)?));
+            self.apply_to(mw, &plan, &mut outcomes)?;
         }
-        Ok(self.report(faulty, plan, applied, |p| {
+        Ok(self.report(faulty, plan, &mut outcomes, |p| {
             Middleware::incarnation(&processes[p.index()])
         }))
     }
 
     /// Assembles the session report from a plan plus every process's apply
-    /// outcome, ascending by process — shared by [`recover`](Self::recover)
-    /// and the simulation engines (whose outcomes may arrive from shard
-    /// workers).
+    /// outcome, ascending by process, and clears `outcomes` for the next
+    /// session — shared by [`recover`](Self::recover) and the simulation
+    /// engines (whose outcomes may arrive from shard workers). The report's
+    /// vectors are allocated to size; the plan's move in.
     pub fn report(
         &self,
         faulty: &FaultySet,
         plan: RecoveryPlan,
-        applied: Vec<(ProcessId, AppliedRecovery)>,
+        outcomes: &mut SessionOutcomes,
         incarnation_of: impl Fn(ProcessId) -> Incarnation,
     ) -> RecoverySessionReport {
-        let rolled_back = applied
-            .iter()
-            .filter_map(|(p, outcome)| outcome.rolled_back.map(|to| (*p, to)))
-            .collect();
-        let total = applied.iter().map(|(_, o)| o.eliminated.len()).sum();
-        let mut eliminated = Vec::with_capacity(total);
-        for (p, outcome) in applied {
-            let ids = outcome.eliminated.into_iter();
-            eliminated.extend(ids.map(|idx| CheckpointId::new(p, idx)));
-        }
         let n = plan.line.len();
-        RecoverySessionReport {
+        let report = RecoverySessionReport {
             faulty: faulty.iter().copied().collect(),
             line: plan.line,
-            rolled_back,
-            eliminated,
+            rolled_back: outcomes.rolled_back.as_slice().to_vec(),
+            eliminated: outcomes.eliminated.as_slice().to_vec(),
             li: match self.mode {
                 RecoveryMode::Coordinated => Some(plan.li),
                 RecoveryMode::Uncoordinated => None,
             },
             degraded: plan.degraded,
             incarnations: (0..n).map(|k| incarnation_of(ProcessId::new(k))).collect(),
-        }
+        };
+        outcomes.rolled_back.clear();
+        outcomes.eliminated.clear();
+        report
     }
 }
 
-/// A faulty process as Lemma 1 reads it.
+/// What a recovery session's apply loop gathers, process by process,
+/// ascending: who rolled back, to which checkpoint, and what every process
+/// eliminated. The buffers outlive the session: an engine keeps one and
+/// [`RecoveryManager::report`] copies them out to size, so a session's
+/// apply loop allocates nothing once they have grown.
+#[derive(Debug, Default)]
+pub struct SessionOutcomes {
+    rolled_back: Vec<(ProcessId, CheckpointIndex)>,
+    eliminated: Vec<CheckpointId>,
+    /// One process's eliminations, reused from process to process.
+    scratch: Vec<CheckpointIndex>,
+}
+
+impl SessionOutcomes {
+    /// Appends `other`'s outcomes — gathered over other processes, such as
+    /// a shard worker's — keeping the ascending process order; each
+    /// process's eliminations keep theirs.
+    pub fn absorb(&mut self, other: &SessionOutcomes) {
+        self.rolled_back.extend_from_slice(&other.rolled_back);
+        self.rolled_back.sort_unstable_by_key(|&(p, _)| p);
+        self.eliminated.extend_from_slice(&other.eliminated);
+        self.eliminated.sort_by_key(|c| c.process);
+    }
+}
+
+/// A faulty process as Lemma 1 reads it, one blocker at a time: what
+/// [`RecoveryManager::explain`] names. The line itself tests a candidate
+/// against every faulty process at once ([`Blockers::blocked`]).
 #[derive(Debug, Clone, Copy)]
 struct Blocker {
     f: ProcessId,
@@ -618,6 +658,19 @@ struct Blocker {
 }
 
 impl Blocker {
+    /// Every faulty process's blocker, ascending.
+    fn list<V: LineSource>(processes: &[V], faulty: &FaultySet) -> Vec<Self> {
+        let blocker = |&f: &ProcessId| {
+            let mw = &processes[f.index()];
+            Blocker {
+                f,
+                last_stable: mw.last_stable(),
+                live: mw.incarnation(),
+            }
+        };
+        faulty.iter().map(blocker).collect()
+    }
+
     /// Lemma 1's blocked test: does `s_f^last` causally precede candidate
     /// `idx` of process `i`, whose vector is `dv`, in `f`'s live
     /// incarnation ([`DependencyVector::dominates_live_checkpoint`])?
@@ -634,11 +687,37 @@ impl Blocker {
     }
 }
 
-/// One session's faulty set, read once: each faulty process's
-/// [`Blocker`], ascending, and a membership mask over all processes.
+/// One session's faulty set, read once into a membership bitmap and, per
+/// faulty process, the range of packed entries it blocks.
+///
+/// Faulty `f` blocks a candidate whose entry for `f` lies in its live
+/// incarnation past its last stable checkpoint: `(live, last_stable + 1) ≤
+/// DV[f] < (live + 1, 0)` in the packed order of [`DvEntry`], which is the
+/// lexicographic one. A range is kept as its low end and its width, so the
+/// test is one wrapping subtraction and one compare (`DV[f] − lo < width`).
+/// A candidate is blocked iff some faulty entry falls in its range: the
+/// hits are counted over every faulty process, without a branch per
+/// process and without stopping at the first blocker.
 struct Blockers {
-    list: Vec<Blocker>,
-    faulty: Vec<bool>,
+    /// Bit `f` set iff `f` is faulty: `⌈n/64⌉` words.
+    faulty: Vec<u64>,
+    /// Every faulty process's range, ascending by process.
+    ranges: Vec<Range>,
+}
+
+/// The packed entries `[lo, lo + width)` of a faulty process `f` that
+/// Lemma 1 reads as `s_f^last → c`.
+#[derive(Debug, Clone, Copy)]
+struct Range {
+    f: usize,
+    lo: u64,
+    width: u64,
+}
+
+impl Range {
+    fn holds(self, entries: &[DvEntry]) -> bool {
+        entries[self.f].packed().wrapping_sub(self.lo) < self.width
+    }
 }
 
 impl Blockers {
@@ -650,48 +729,67 @@ impl Blockers {
         for (k, mw) in processes.iter().enumerate() {
             assert_eq!(mw.owner().index(), k, "middlewares must be in id order");
         }
-        let mut mask = vec![false; processes.len()];
-        let list = faulty
-            .iter()
-            .map(|&f| {
-                let mw = processes
-                    .get(f.index())
-                    .expect("faulty process out of range");
-                mask[f.index()] = true;
-                Blocker {
-                    f,
-                    last_stable: mw.last_stable(),
-                    live: mw.incarnation(),
-                }
-            })
-            .collect();
-        Self { list, faulty: mask }
+        let mut members = vec![0; processes.len().div_ceil(64)];
+        let range = |&f: &ProcessId| {
+            let mw = processes
+                .get(f.index())
+                .expect("faulty process out of range");
+            members[f.index() / 64] |= 1 << (f.index() % 64);
+            let live = u64::from(mw.incarnation().value()) << DvEntry::INTERVAL_BITS;
+            // Wrapping: the newest incarnation's range ends at 2^64.
+            let lo = live.wrapping_add(mw.last_stable().value() as u64 + 1);
+            let end = live.wrapping_add(1 << DvEntry::INTERVAL_BITS);
+            Range {
+                f: f.index(),
+                lo,
+                width: end.wrapping_sub(lo),
+            }
+        };
+        let ranges = faulty.iter().map(range).collect();
+        Self {
+            faulty: members,
+            ranges,
+        }
     }
 
     fn is_faulty(&self, p: ProcessId) -> bool {
-        self.faulty[p.index()]
+        self.faulty[p.index() / 64] >> (p.index() % 64) & 1 == 1
     }
 
-    /// Lemma 1 for one process: its newest candidate — the volatile state
-    /// unless it is faulty, then its stored checkpoints newest first — that
-    /// no faulty process blocks, or `None` if every one is blocked.
-    /// `tested` sees each candidate examined, with the first faulty
-    /// process that blocks it.
-    fn choose<V: LineSource>(
-        &self,
-        mw: &V,
-        mut tested: impl FnMut(CheckpointIndex, &DependencyVector, Option<&Blocker>),
-    ) -> Option<CheckpointIndex> {
+    /// Whether some faulty process blocks candidate `idx` of `mw`, whose
+    /// vector is `dv`: [`Blocker::blocks`] over every faulty process at
+    /// once. The self guard discounts a faulty process's own hit on its
+    /// stored last stable checkpoint.
+    fn blocked<V: LineSource>(&self, mw: &V, idx: CheckpointIndex, dv: &DependencyVector) -> bool {
+        let entries = dv.as_slice();
+        let hits: usize = self
+            .ranges
+            .iter()
+            .map(|r| usize::from(r.holds(entries)))
+            .sum();
         let i = mw.owner();
-        let volatile = (!self.is_faulty(i)).then(|| (mw.last_stable().next(), mw.dv()));
-        volatile
-            .into_iter()
-            .chain(mw.stored_rev())
-            .find(|&(idx, dv)| {
-                let blocker = self.list.iter().find(|b| b.blocks(i, idx, dv));
-                tested(idx, dv, blocker);
-                blocker.is_none()
-            })
+        let guarded = self.is_faulty(i) && idx == mw.last_stable() && {
+            let own = self.ranges.binary_search_by_key(&i.index(), |r| r.f);
+            self.ranges[own.expect("a faulty process has a range")].holds(entries)
+        };
+        hits > usize::from(guarded)
+    }
+
+    /// A process's Lemma-1 candidates, newest first: its volatile state
+    /// unless it is faulty, then its stored checkpoints.
+    fn candidates<'a, V: LineSource>(
+        &self,
+        mw: &'a V,
+    ) -> impl Iterator<Item = (CheckpointIndex, &'a DependencyVector)> {
+        let volatile = (!self.is_faulty(mw.owner())).then(|| (mw.last_stable().next(), mw.dv()));
+        volatile.into_iter().chain(mw.stored_rev())
+    }
+
+    /// Lemma 1 for one process: its newest candidate that no faulty
+    /// process blocks, or `None` if every one is blocked.
+    fn choose<V: LineSource>(&self, mw: &V) -> Option<CheckpointIndex> {
+        self.candidates(mw)
+            .find(|&(idx, dv)| !self.blocked(mw, idx, dv))
             .map(|(idx, _)| idx)
     }
 }
@@ -730,15 +828,6 @@ pub struct RecoveryPlan {
     pub components: Vec<(CheckpointIndex, Incarnation)>,
     /// The last-interval vector over the post-recovery CCP.
     pub li: LastIntervals,
-}
-
-/// One process's share of an applied recovery session.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AppliedRecovery {
-    /// `Some(component)` if the process rolled back to `component`.
-    pub rolled_back: Option<CheckpointIndex>,
-    /// Checkpoints this process eliminated during the session.
-    pub eliminated: Vec<CheckpointIndex>,
 }
 
 #[cfg(test)]
@@ -953,6 +1042,84 @@ mod tests {
         assert_eq!(from_views.components, from_live.components);
         assert_eq!(from_views.degraded, from_live.degraded);
         assert_eq!(from_views.li, from_live.li);
+    }
+
+    /// A faulty process `p1` (incarnation 2, last stable `s^3`) beside a
+    /// healthy `p0`, as views whose vectors the test spells out.
+    fn guarded_pair(own: (u32, usize), other: (u32, usize)) -> Vec<ProcessView> {
+        let view = |i: usize, last: usize, lineages: Vec<(u32, usize)>| ProcessView {
+            owner: p(i),
+            dv: DependencyVector::from_lineages(lineages.clone()),
+            last_stable: idx(last),
+            incarnation: Incarnation::new(2),
+            gc_kind: GcKind::RdtLgc,
+            stored: vec![(idx(last), DependencyVector::from_lineages(lineages))],
+        };
+        vec![
+            view(0, 1, vec![(2, 2), other]),
+            view(1, 3, vec![other, own]),
+        ]
+    }
+
+    /// Both Lemma-1 tests over every candidate of every process.
+    fn both_tests(views: &[ProcessView], faulty: &FaultySet) -> Vec<(bool, bool)> {
+        let session = Blockers::of(views, faulty);
+        let list = Blocker::list(views, faulty);
+        let mut verdicts = Vec::new();
+        for v in views {
+            for (at, dv) in session.candidates(v) {
+                let one_by_one = list.iter().any(|b| b.blocks(v.owner, at, dv));
+                verdicts.push((session.blocked(v, at, dv), one_by_one));
+            }
+        }
+        verdicts
+    }
+
+    #[test]
+    fn the_word_parallel_test_keeps_the_self_guard() {
+        // p1's stored s^3 carries an entry of its own live incarnation past
+        // s^3: it would block, were it not p1's own last stable checkpoint.
+        let views = guarded_pair((2, 4), (0, 0));
+        let faulty: FaultySet = [p(1)].into_iter().collect();
+        let verdicts = both_tests(&views, &faulty);
+        assert_eq!(
+            verdicts,
+            vec![(false, false); 3],
+            "p0: volatile, s^1; p1: s^3"
+        );
+        // Another faulty process's hit still blocks under the guard.
+        let faulty: FaultySet = [p(0), p(1)].into_iter().collect();
+        let views = guarded_pair((2, 4), (2, 3));
+        let verdicts = both_tests(&views, &faulty);
+        assert!(
+            verdicts.iter().all(|&(fast, slow)| fast == slow),
+            "{verdicts:?}"
+        );
+        assert_eq!(
+            verdicts.last(),
+            Some(&(true, true)),
+            "p0's entry blocks p1's s^3"
+        );
+    }
+
+    #[test]
+    fn the_word_parallel_test_amnesties_a_dead_incarnation_above_last_stable() {
+        // p0 knows p1's interval 9 of incarnation 1, dead: p1 lives in
+        // incarnation 2 from s^3 on. Interval 4 of incarnation 2 blocks.
+        let faulty: FaultySet = [p(1)].into_iter().collect();
+        for (other, blocked) in [((1, 9), false), ((2, 4), true), ((2, 3), false)] {
+            let views = guarded_pair((2, 3), other);
+            let verdicts = both_tests(&views, &faulty);
+            assert_eq!(
+                verdicts[0],
+                (blocked, blocked),
+                "p0 knowing {other:?} of p1"
+            );
+            assert!(
+                verdicts.iter().all(|&(fast, slow)| fast == slow),
+                "{verdicts:?}"
+            );
+        }
     }
 
     #[test]

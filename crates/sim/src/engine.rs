@@ -602,8 +602,9 @@ impl Simulation {
         );
 
         let plan = self.manager.plan(self.core.processes(), &faulty)?;
-        let applied = self.core.apply_recovery(&self.manager, &plan)?;
-        let report = step::close_session(&self.manager, &faulty, plan, applied, &mut self.out);
+        self.core.apply_recovery(&self.manager, &plan)?;
+        let outcomes = self.core.outcomes();
+        let report = step::close_session(&self.manager, &faulty, plan, outcomes, &mut self.out);
         for q in ProcessId::all(report.line.len()) {
             self.core.sample(q, now, &mut self.out);
         }

@@ -56,7 +56,9 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use rdt_base::{MessageId, ProcessId, Result};
-use rdt_recovery::{FaultySet, ProcessView, RecoveryError, RecoveryManager, RecoverySessionReport};
+use rdt_recovery::{
+    FaultySet, ProcessView, RecoveryError, RecoveryManager, RecoverySessionReport, SessionOutcomes,
+};
 use rdt_workloads::AppOp;
 
 use crate::engine::{EventKind, Schedule, SimulationBuilder, SimulationReport};
@@ -304,6 +306,8 @@ struct Coordinator<'a> {
     reply_rxs: &'a [Receiver<Reply>],
     sink: KeyedSink,
     recovery_sessions: Vec<RecoverySessionReport>,
+    /// The workers' apply outcomes of the session being closed, merged.
+    outcomes: SessionOutcomes,
 }
 
 impl Coordinator<'_> {
@@ -402,11 +406,11 @@ impl Coordinator<'_> {
             seq,
             plan: plan.clone(),
         });
-        let mut applied = Vec::with_capacity(views.len());
         let mut errors = Vec::new();
+        let mut outcomes = std::mem::take(&mut self.outcomes);
         for reply in self.replies() {
             match reply {
-                Reply::Applied(Ok(list)) => applied.extend(list),
+                Reply::Applied(Ok(shard)) => outcomes.absorb(&shard),
                 Reply::Applied(Err(e)) => errors.push(e),
                 _ => panic!("worker sent a non-apply reply to a recovery"),
             }
@@ -420,9 +424,10 @@ impl Coordinator<'_> {
         if let Some(e) = errors.into_iter().min_by_key(proc_of) {
             return Err(e.into());
         }
-        applied.sort_unstable_by_key(|&(p, _)| p);
         let plan = Arc::unwrap_or_clone(plan);
-        let report = step::close_session(&self.manager, &faulty, plan, applied, &mut self.sink);
+        let report =
+            step::close_session(&self.manager, &faulty, plan, &mut outcomes, &mut self.sink);
+        self.outcomes = outcomes;
         self.recovery_sessions.push(report);
         Ok(())
     }
@@ -470,6 +475,7 @@ fn coordinate(
         reply_rxs,
         sink: KeyedSink::new(config.record_trace, config.record_occupancy),
         recovery_sessions: Vec::new(),
+        outcomes: SessionOutcomes::default(),
     };
     let mut globals = plan.globals.into_iter().peekable();
 

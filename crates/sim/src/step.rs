@@ -26,8 +26,8 @@ use rdt_base::{
 use rdt_core::{ControlInfo, GcKind, LastIntervals};
 use rdt_protocols::{CheckpointReport, Middleware, Piggyback, ProtocolKind, ReceiveReport};
 use rdt_recovery::{
-    AppliedRecovery, FaultySet, LineSource, ProcessView, RecoveryError, RecoveryManager,
-    RecoveryPlan, RecoverySessionReport,
+    FaultySet, LineSource, ProcessView, RecoveryError, RecoveryManager, RecoveryPlan,
+    RecoverySessionReport, SessionOutcomes,
 };
 
 use crate::engine::SimulationReport;
@@ -85,6 +85,9 @@ pub(crate) struct StepCore {
     slot: Vec<u32>,
     receive: ReceiveReport,
     checkpoint: CheckpointReport,
+    /// What the owned processes rolled back and eliminated in the session
+    /// being applied; its buffers are reused from session to session.
+    outcomes: SessionOutcomes,
 }
 
 impl StepCore {
@@ -113,6 +116,7 @@ impl StepCore {
             slot,
             receive: ReceiveReport::default(),
             checkpoint: CheckpointReport::default(),
+            outcomes: SessionOutcomes::default(),
         }
     }
 
@@ -248,8 +252,8 @@ impl StepCore {
 
     /// Crashes the owned members of `faulty`.
     pub(crate) fn crash(&mut self, faulty: &FaultySet) {
-        for mw in &mut self.mws {
-            if faulty.contains(&mw.owner()) {
+        for f in faulty {
+            if let Some(mw) = self.mws.get_mut(self.slot[f.index()] as usize) {
                 mw.crash();
             }
         }
@@ -262,20 +266,23 @@ impl StepCore {
     }
 
     /// Applies a planned recovery session to every owned process,
-    /// ascending, stopping at the first failure.
+    /// ascending, gathering what they roll back and eliminate into
+    /// [`outcomes`](Self::outcomes); stops at the first failure.
     pub(crate) fn apply_recovery(
         &mut self,
         manager: &RecoveryManager,
         plan: &RecoveryPlan,
-    ) -> AppliedBatch {
-        self.mws
-            .iter_mut()
-            .map(|mw| {
-                let applied = manager.apply_to(mw, plan)?;
-                debug_assert_retained_bound(mw);
-                Ok((mw.owner(), applied))
-            })
-            .collect()
+    ) -> std::result::Result<(), RecoveryError> {
+        for mw in &mut self.mws {
+            manager.apply_to(mw, plan, &mut self.outcomes)?;
+            debug_assert_retained_bound(mw);
+        }
+        Ok(())
+    }
+
+    /// The outcomes [`apply_recovery`](Self::apply_recovery) gathered.
+    pub(crate) fn outcomes(&mut self) -> &mut SessionOutcomes {
+        &mut self.outcomes
     }
 
     /// Takes every owned process's final state off its middleware; the
@@ -315,11 +322,6 @@ pub(crate) fn debug_assert_retained_bound<S: rdt_env::Storage>(mw: &Middleware<S
         store.peak(),
     );
 }
-
-/// Per-process outcomes of an applied recovery session, or the first
-/// error hit.
-pub(crate) type AppliedBatch =
-    std::result::Result<Vec<(ProcessId, AppliedRecovery)>, RecoveryError>;
 
 fn trace_checkpoint<S: Sink>(process: ProcessId, forced: bool, sink: &mut S) {
     sink.trace(TraceEvent::Checkpoint { process, forced });
@@ -387,20 +389,20 @@ pub(crate) fn open_session<S: Sink>(faulty: &FaultySet, sink: &mut S) {
     }
 }
 
-/// Closes a recovery session's bookkeeping: folds the per-process apply
-/// outcomes (ascending by process) into the session report and emits the
-/// session metric and the restore traces.
+/// Closes a recovery session's bookkeeping: folds the apply outcomes
+/// (ascending by process) into the session report and emits the session
+/// metric and the restore traces.
 pub(crate) fn close_session<S: Sink>(
     manager: &RecoveryManager,
     faulty: &FaultySet,
-    plan: RecoveryPlan,
-    applied: Vec<(ProcessId, AppliedRecovery)>,
+    mut plan: RecoveryPlan,
+    outcomes: &mut SessionOutcomes,
     sink: &mut S,
 ) -> RecoverySessionReport {
     // Every rollback opened exactly the incarnation the plan promised
     // (`apply_to` asserts it), so the plan is the post-session truth.
-    let incarnations: Vec<Incarnation> = plan.components.iter().map(|c| c.1).collect();
-    let report = manager.report(faulty, plan, applied, |p| incarnations[p.index()]);
+    let components = std::mem::take(&mut plan.components);
+    let report = manager.report(faulty, plan, outcomes, |p| components[p.index()].1);
     sink.metric(MetricOp::Session {
         rolled_back: report.rolled_back.len() as u64,
         degraded: report.degraded.len() as u64,

@@ -20,11 +20,13 @@ use crossbeam::channel::{Receiver, Sender};
 use rdt_base::{DependencyVector, MessageId, ProcessId, TraceEvent};
 use rdt_core::ControlInfo;
 use rdt_env::{Lane, ShardEnv};
-use rdt_recovery::{FaultySet, ProcessView, RecoveryManager, RecoveryPlan};
+use rdt_recovery::{
+    FaultySet, ProcessView, RecoveryError, RecoveryManager, RecoveryPlan, SessionOutcomes,
+};
 
 use crate::engine::SimulationBuilder;
 use crate::metrics::MetricOp;
-use crate::step::{self, AppliedBatch, FinalProcess, Flight, Last, Sink, StepCore};
+use crate::step::{self, FinalProcess, Flight, Last, Sink, StepCore};
 
 /// Global ordering key of one logged observable: the owning event's
 /// `(at, seq)` plus an intra-event sub-key.
@@ -177,7 +179,7 @@ pub(crate) enum Cmd {
 pub(crate) enum Reply {
     Lasts(Vec<Last>),
     Views(Vec<ProcessView>),
-    Applied(AppliedBatch),
+    Applied(Result<SessionOutcomes, RecoveryError>),
     Done(Box<FinishData>),
 }
 
@@ -277,6 +279,7 @@ pub(crate) fn run_worker(setup: WorkerSetup<'_>) {
             Cmd::ApplyRecovery { at, seq, plan } => {
                 let t = w.prof.start();
                 let applied = w.core.apply_recovery(&manager, &plan);
+                let applied = applied.map(|()| std::mem::take(w.core.outcomes()));
                 if applied.is_ok() {
                     for i in 0..w.core.processes().len() {
                         let p = w.core.processes()[i].owner();

@@ -1,9 +1,11 @@
 //! What the per-message and the per-crash paths allocate. The frame path
 //! allocates nothing in the steady state: with observability off,
 //! `send_frame` → `encode` → `deliver_frame` at n = 256 runs out of the
-//! buffers the two nodes own. A recovery session allocates per process,
-//! never per stored checkpoint. Counted, not timed: a `#[global_allocator]`
-//! that counts the calling thread's allocations.
+//! buffers the two nodes own. A recovery session allocates a fixed number
+//! of times, neither per stored checkpoint nor per process: its apply loop
+//! appends every process's outcome to one set of buffers (12 allocations
+//! in the session below, at either store depth). Counted, not timed: a
+//! `#[global_allocator]` that counts the calling thread's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

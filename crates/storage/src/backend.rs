@@ -39,6 +39,19 @@ pub trait StorageBackend: fmt::Debug {
     /// Underlying I/O errors.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
 
+    /// [`create_dir_all`](Self::create_dir_all), returning how many
+    /// directories it made, `dir` itself counted: the entry of each lives
+    /// in its parent, which must be fsynced before the new directories
+    /// can be relied on. The default cannot tell and answers 1 (`dir`
+    /// alone); [`StdFs`] counts.
+    ///
+    /// # Errors
+    ///
+    /// Underlying I/O errors.
+    fn create_dirs(&self, dir: &Path) -> io::Result<usize> {
+        self.create_dir_all(dir).map(|()| 1)
+    }
+
     /// Reads the whole file at `path`.
     ///
     /// # Errors
@@ -110,6 +123,15 @@ pub struct StdFs;
 impl StorageBackend for StdFs {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         fs::create_dir_all(dir)
+    }
+
+    fn create_dirs(&self, dir: &Path) -> io::Result<usize> {
+        let missing = dir
+            .ancestors()
+            .take_while(|at| !at.as_os_str().is_empty() && fs::metadata(at).is_err())
+            .count();
+        fs::create_dir_all(dir)?;
+        Ok(missing)
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
@@ -370,6 +392,11 @@ impl StorageBackend for FaultFs {
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
         self.admit(OpKind::Other)?;
         self.inner.create_dir_all(dir)
+    }
+
+    fn create_dirs(&self, dir: &Path) -> io::Result<usize> {
+        self.admit(OpKind::Other)?;
+        self.inner.create_dirs(dir)
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {

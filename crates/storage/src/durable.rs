@@ -250,15 +250,28 @@ impl DurableStore {
         Ok(())
     }
 
-    /// Creates the store directory and fsyncs its parent, so that a power
-    /// loss cannot drop the directory entry of a log whose commits were
-    /// acknowledged. Ancestors `create_dir_all` had to make above the
-    /// parent get no fsync of their own.
+    /// Creates the store directory and every missing ancestor, then
+    /// fsyncs the parent of each directory it made — the store's parent,
+    /// and up from there to the first ancestor that already existed — so
+    /// that a power loss cannot drop the directory entry of a log whose
+    /// commits were acknowledged. The parent is fsynced even if the
+    /// directory existed; a backend that cannot count what it made
+    /// ([`StorageBackend::create_dirs`]) gets that one fsync only.
     fn create_dir(&self) -> Result<()> {
-        self.with_retry("store/create_dir", || self.fs.create_dir_all(&self.dir))?;
-        let parent = self.dir.parent().filter(|p| !p.as_os_str().is_empty());
-        let parent = parent.unwrap_or(Path::new("."));
-        self.with_retry("store/fsync_dir", || self.fs.fsync_dir(parent))
+        let made = std::cell::Cell::new(0);
+        self.with_retry("store/create_dir", || {
+            // A retried attempt may find what a failed one made.
+            made.set(made.get().max(self.fs.create_dirs(&self.dir)?));
+            Ok(())
+        })?;
+        let mut at = self.dir.as_path();
+        for _ in 0..made.get().max(1) {
+            let parent = at.parent().filter(|p| !p.as_os_str().is_empty());
+            let parent = parent.unwrap_or(Path::new("."));
+            self.with_retry("store/fsync_dir", || self.fs.fsync_dir(parent))?;
+            at = parent;
+        }
+        Ok(())
     }
 
     /// What the store remembers of its log, replaying the file first if
@@ -539,6 +552,10 @@ mod tests {
         fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
             tick(&self.0.create_dir);
             StdFs.create_dir_all(dir)
+        }
+        fn create_dirs(&self, dir: &Path) -> io::Result<usize> {
+            tick(&self.0.create_dir);
+            StdFs.create_dirs(dir)
         }
         fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
             tick(&self.0.read);
@@ -1023,6 +1040,57 @@ mod tests {
             };
             assert_eq!(contents(&rebuilt), expected, "crash after {k} ops");
             let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_first_commit_under_a_missing_grandparent_fsyncs_every_parent_it_made() {
+        // The store's parent is missing too: create_dir makes both, and
+        // the parent of each — the store's parent, then the grandparent
+        // that existed — is fsynced before the log is written. Then a
+        // crash after each of the 8 ops leaves nothing or the initial
+        // checkpoint, as with a parent that exists.
+        let store_dir = |tag: &str| scratch(tag).join("p0");
+        let counts = Rc::new(Counts::default());
+        let dir = store_dir("grandparent-count");
+        let disk = DurableStore::open_with(&dir, OWNER, Box::new(CountingFs(Rc::clone(&counts))));
+        disk.unwrap().sync(&store_of(&[0])).unwrap();
+        assert_eq!(
+            counts.take(),
+            [1, 1, 0, 1, 3, 1, 0, 0, 1],
+            "three fsync_dir"
+        );
+        fs::remove_dir_all(dir.parent().unwrap()).unwrap();
+
+        let run = |dir: &Path, plan| {
+            let fs = FaultFs::new(plan);
+            let disk = DurableStore::open_with(dir, OWNER, Box::new(fs.clone())).unwrap();
+            let (mw, err) = initial_commit(disk);
+            (fs, err, mw.store().clone())
+        };
+        let dir = store_dir("grandparent-ref");
+        let (fs, err, _) = run(&dir, FaultPlan::none());
+        assert_eq!((err, fs.ops_executed()), (None, 8));
+        fs::remove_dir_all(dir.parent().unwrap()).unwrap();
+        for k in 0..=8 {
+            let dir = store_dir(&format!("grandparent-{k}"));
+            let (fs, err, initial) = run(&dir, FaultPlan::crash_after(k));
+            assert_eq!(fs.has_crashed(), k < 8, "crash after {k} ops");
+            assert_eq!(err.is_none(), k == 8, "crash after {k} ops: {err:?}");
+            let (rebuilt, report) = DurableStore::open(&dir, OWNER)
+                .unwrap()
+                .rebuild_reported()
+                .unwrap_or_else(|e| panic!("crash after {k} ops: {e}"));
+            assert_eq!(report.quarantined, 0, "crash after {k} ops");
+            // The rename is op 7 now: read, create_dir, two fsync_dir, write,
+            // fsync, rename.
+            let expected = if k > 6 {
+                contents(&initial)
+            } else {
+                Vec::new()
+            };
+            assert_eq!(contents(&rebuilt), expected, "crash after {k} ops");
+            let _ = fs::remove_dir_all(dir.parent().unwrap());
         }
     }
 

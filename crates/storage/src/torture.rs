@@ -179,6 +179,10 @@ struct World {
 
 impl World {
     fn create(root: &Path, opts: &TortureOptions, plan: FaultPlan) -> Result<Self> {
+        // The run's own directory exists before any store does, so every
+        // run's first commits make (and fsync for) the same directories,
+        // and its ops line up with the reference run's.
+        std::fs::create_dir_all(root)?;
         let backend = FaultFs::new(plan);
         let mws: Vec<Middleware> = (0..opts.n)
             .map(|i| Middleware::new(ProcessId::new(i), opts.n, opts.protocol, opts.gc))

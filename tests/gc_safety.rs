@@ -133,3 +133,54 @@ fn time_based_gc_does_bound_storage_where_no_gc_diverges() {
     let none = run(GcKind::None);
     assert!(timed < none, "time-based {timed} not below no-gc {none}");
 }
+
+/// Runs a crashy `fault_heavy` workload (lossy channels, correlated
+/// crashes) and audits every elimination through its recovery sessions,
+/// each session's own eliminations included.
+fn violations_through_crashes(spec: &WorkloadSpec, gc: GcKind) -> (Vec<CheckpointId>, usize) {
+    let report = SimulationBuilder::new(spec.clone())
+        .protocol(ProtocolKind::Fdas)
+        .garbage_collector(gc)
+        .config(SimConfig::fault_heavy())
+        .record_trace()
+        .run()
+        .expect("simulation runs");
+    let sessions: Vec<&[CheckpointId]> = report
+        .recovery_sessions
+        .iter()
+        .map(|s| s.eliminated.as_slice())
+        .collect();
+    let trace = report.trace.as_ref().expect("trace recording was enabled");
+    let v = rdt_ccp::collection_safety_violations_through_sessions(spec.n, trace, &sessions)
+        .expect("crashy trace replays");
+    (v, sessions.len())
+}
+
+fn crashy_spec(seed: u64) -> WorkloadSpec {
+    WorkloadSpec::uniform_random(8, 4000)
+        .with_seed(seed)
+        .with_crash_prob(0.01)
+}
+
+#[test]
+fn rdt_lgc_never_violates_safety_through_crashes() {
+    let mut sessions = 0;
+    for seed in 0..4 {
+        let (v, k) = violations_through_crashes(&crashy_spec(seed), GcKind::RdtLgc);
+        assert!(v.is_empty(), "seed {seed}: RDT-LGC dropped {v:?}");
+        sessions += k;
+    }
+    assert!(sessions >= 100, "{sessions} sessions audited");
+}
+
+#[test]
+fn time_based_gc_is_flagged_through_crashes() {
+    let total: usize = (0..4)
+        .map(|seed| {
+            violations_through_crashes(&crashy_spec(seed), GcKind::TimeBased { horizon: 60 })
+                .0
+                .len()
+        })
+        .sum();
+    assert!(total > 0, "expected safety violations across seeds");
+}
