@@ -81,10 +81,10 @@ fn cli() -> Command {
         ))
         .subcommand(
             Command::new("causal")
-                .about("merge per-worker observability dumps into one happened-before-ordered trace")
+                .about("merge per-process event logs into one happened-before-ordered trace")
                 .arg(
                     clap::Arg::new("inputs")
-                        .help("per-worker JSONL dumps (flight-recorder or RDT_LOG_JSONL output)")
+                        .help("per-process JSONL event logs (rdt serve's flight_p*.jsonl or RDT_LOG_JSONL output)")
                         .value_name("file")
                         .action(clap::ArgAction::Append),
                 )

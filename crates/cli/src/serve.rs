@@ -12,27 +12,34 @@
 //! [`LiveNode`] — the same delivery path as the threaded example — over a
 //! [`RealEnv`] bundle: monotonic clock, seeded generator, UDS transport.
 //!
-//! # The trace log and its write ordering
+//! # The event log and its write ordering
 //!
-//! Every worker appends a per-process event log (`trace_p<rank>.log`)
-//! that the chaos harness later merges into a global [`TraceEvent`]
-//! sequence for the offline oracle. The per-op discipline is **apply →
-//! log → transmit**:
+//! Every worker's history is its one event log (`flight_p<rank>.jsonl`,
+//! the `rdt_obs::flight` log): the [`LiveNode`] logs each operation —
+//! basic checkpoint, send (with its post-send forced checkpoint), receive,
+//! apply (with its forced checkpoint) and the collects that followed —
+//! and the chaos harness merges the logs through the one merger
+//! ([`rdt_cli::merge`]) into a global [`TraceEvent`] sequence for the
+//! offline oracle. The worker writes nothing of its own. The per-op
+//! discipline is **apply → log → transmit**:
 //!
 //! 1. the middleware operation runs (which commits durable state through
 //!    the sink),
-//! 2. the event line(s) are written to the log,
-//! 3. only then is a sent frame put on the wire.
+//! 2. the node writes its event line(s), each with one `write` the page
+//!    cache keeps through a kill,
+//! 3. only then — and only if every write succeeded — is a sent frame put
+//!    on the wire.
 //!
 //! A SIGKILL therefore leaves at most one in-doubt *tail* op per worker,
 //! and each case reconciles from what survives: an applied-but-unlogged
 //! checkpoint is visible on disk (the harness appends a synthetic
 //! `Checkpoint` event); an applied-but-unlogged send was never
 //! transmitted, so no peer saw it; an applied-but-unlogged deliver merged
-//! only volatile state, which the crash discards. Because a send is
-//! logged (and page-cache durable — the OS survives the kill) before the
-//! frame leaves, every `Deliver` in any log can find its `Send` in the
-//! sender's log, and the merge is total.
+//! only volatile state, which the crash discards. Because a send is logged
+//! before the frame leaves, every apply in any log finds its send in the
+//! sender's log, and the merge is total. The merged trace carries the
+//! collects too, so the harness audits every live elimination against
+//! Theorem 4 (`collection_safety_violations`) beside the recovery line.
 //!
 //! # Chaos cycle
 //!
@@ -45,7 +52,6 @@
 //! every worker with `--resume` (rollback to the recovered line, more
 //! traffic, clean exit) to prove the system keeps executing.
 
-use std::collections::{BTreeMap, VecDeque};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command as OsCommand};
@@ -53,8 +59,9 @@ use std::time::{Duration, Instant};
 
 use clap::ArgMatches;
 
-use rdt_base::{MessageId, ProcessId, TraceEvent};
+use rdt_base::{CheckpointId, ProcessId, TraceEvent};
 use rdt_ccp::CcpBuilder;
+use rdt_cli::merge::Logs;
 use rdt_core::GcKind;
 use rdt_env::transport::MAX_FRAME;
 use rdt_env::{RealEnv, Rng as _, Transport as _, UdsTransport, WireFrame};
@@ -108,10 +115,6 @@ fn parse_config(
     })
 }
 
-fn trace_path(dir: &Path, rank: usize) -> PathBuf {
-    dir.join(format!("trace_p{rank}.log"))
-}
-
 fn summary_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("summary_p{rank}.txt"))
 }
@@ -124,9 +127,9 @@ fn prom_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("metrics_p{rank}.prom"))
 }
 
-/// The worker's flight-recorder dump. A resumed worker writes to a
-/// separate file so a chaos cycle preserves the kill-point dumps for
-/// post-mortem harvesting (`rdt causal --dir`).
+/// The worker's event log. A resumed worker is a new process whose sends
+/// number from 0 again, so it writes a separate file, and a chaos cycle
+/// keeps the kill-point logs for the oracle and `rdt causal --dir`.
 fn flight_path(dir: &Path, rank: usize, resume: bool) -> PathBuf {
     if resume {
         dir.join(format!("flight_resume_p{rank}.jsonl"))
@@ -145,15 +148,29 @@ struct WorkerStats {
     delivered: u64,
     basic: u64,
     forced: u64,
-    eliminated: u64,
+    /// The store's eliminations before this worker's first operation.
+    collected_before: usize,
     restart: Option<rdt_storage::RestartReport>,
 }
 
-/// Drains every frame currently deliverable, logging each event.
+impl WorkerStats {
+    /// Checkpoints this worker's operations eliminated: by checkpoints,
+    /// forcing sends and deliveries alike.
+    fn eliminated(&self, node: &LiveNode<DiskSink>) -> u64 {
+        (node.middleware().store().total_collected() - self.collected_before) as u64
+    }
+}
+
+/// The event log's first failed write since the last call, as the
+/// worker's failure: a log that missed a line is no longer its history.
+fn logged() -> Result<(), String> {
+    rdt_obs::flight::take_error().map_or(Ok(()), |e| Err(format!("event log write failed: {e}")))
+}
+
+/// Drains every frame currently deliverable.
 fn pump(
     transport: &mut UdsTransport,
     node: &mut LiveNode<DiskSink>,
-    log: &mut std::fs::File,
     buf: &mut [u8],
     stats: &mut WorkerStats,
     prof: &mut rdt_obs::Profiler,
@@ -167,20 +184,10 @@ fn pump(
                 let outcome = node
                     .deliver_frame(&buf[..len])
                     .map_err(|e| format!("deliver failed: {e}"))?;
+                logged()?;
                 let Some(out) = outcome else { continue };
-                // Forced-on-receive precedes the Deliver in trace order
-                // (the checkpoint is stored before the merge), and both
-                // lines go down in one write for per-op tail atomicity.
-                let mut lines = String::new();
-                if let Some(f) = out.forced {
-                    lines.push_str(&format!("C {}\n", f.value()));
-                    stats.forced += 1;
-                }
-                lines.push_str(&format!("D {} {}\n", out.sender.index(), out.seq));
-                log.write_all(lines.as_bytes())
-                    .map_err(|e| format!("trace log write failed: {e}"))?;
+                stats.forced += u64::from(out.forced.is_some());
                 stats.delivered += 1;
-                stats.eliminated += out.eliminated as u64;
             }
             Ok(None) => return Ok(()),
             Err(e) => return Err(format!("recv failed: {e}")),
@@ -214,7 +221,7 @@ fn write_prom(
     report.add("frames_delivered", stats.delivered);
     report.add("checkpoints_basic", stats.basic);
     report.add("checkpoints_forced", stats.forced);
-    report.add("checkpoints_eliminated", stats.eliminated);
+    report.add("checkpoints_eliminated", stats.eliminated(node));
     if let Some(restart) = &stats.restart {
         report.add("restart_loaded", restart.loaded as u64);
         report.add("restart_quarantined", restart.quarantined as u64);
@@ -236,10 +243,9 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
     let resume = m.get_flag("resume");
     let me = ProcessId::new(rank);
 
-    // Always-on flight recorder: the bounded ring costs nothing until
-    // frames move, periodic flushes survive a SIGKILL, and the panic hook
-    // dumps on any worker failure.
+    // The event log: every operation of the node, as it happens.
     rdt_obs::flight::install(flight_path(&cfg.dir, rank, resume), 0);
+    logged()?;
 
     let transport = UdsTransport::bind(&cfg.dir, rank, Duration::from_millis(1))
         .map_err(|e| format!("bind failed: {e}"))?;
@@ -283,18 +289,13 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
         return Err(format!("initial commit failed: {e}"));
     }
 
-    let mut log = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(trace_path(&cfg.dir, rank))
-        .map_err(|e| format!("trace log open failed: {e}"))?;
-
     let mut env = RealEnv::new(
         cfg.seed ^ (rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         transport,
     );
     let mut buf = vec![0u8; MAX_FRAME];
     let mut stats = WorkerStats {
+        collected_before: node.middleware().store().total_collected(),
         restart: restart_report,
         ..WorkerStats::default()
     };
@@ -315,18 +316,15 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
         pump(
             &mut env.transport,
             &mut node,
-            &mut log,
             &mut buf,
             &mut stats,
             &mut prof,
         )?;
         let roll = env.rng.between(0, 99);
         if roll < 35 {
-            let idx = node
-                .checkpoint()
+            node.checkpoint()
                 .map_err(|e| format!("checkpoint failed: {e}"))?;
-            log.write_all(format!("C {}\n", idx.value()).as_bytes())
-                .map_err(|e| format!("trace log write failed: {e}"))?;
+            logged()?;
             stats.basic += 1;
         } else {
             let peer = {
@@ -335,15 +333,10 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
             };
             let (frame, forced) = node.send_frame(peer);
             let bytes = frame.encode();
-            let mut lines = format!("S {} {}\n", frame.seq, peer.index());
-            if let Some(idx) = forced {
-                lines.push_str(&format!("C {}\n", idx.value()));
-                stats.forced += 1;
-            }
-            log.write_all(lines.as_bytes())
-                .map_err(|e| format!("trace log write failed: {e}"))?;
+            stats.forced += u64::from(forced.is_some());
             // Transmit strictly after the send is in the log: a peer can
             // only deliver a message whose Send the oracle will find.
+            logged()?;
             let t = prof.start();
             let sent = env.transport.send(peer, bytes);
             prof.stop("live/send", t);
@@ -362,7 +355,6 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
         pump(
             &mut env.transport,
             &mut node,
-            &mut log,
             &mut buf,
             &mut stats,
             &mut prof,
@@ -373,13 +365,17 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
         return Err(format!("durable commit failed: {e}"));
     }
     write_prom(&cfg.dir, rank, &node, &prof, &stats)?;
-    rdt_obs::flight::flush();
     let retained = node.middleware().store().len();
     std::fs::write(
         summary_path(&cfg.dir, rank),
         format!(
             "sent={} delivered={} basic={} forced={} eliminated={} retained={}\n",
-            stats.sent, stats.delivered, stats.basic, stats.forced, stats.eliminated, retained
+            stats.sent,
+            stats.delivered,
+            stats.basic,
+            stats.forced,
+            stats.eliminated(&node),
+            retained
         ),
     )
     .map_err(|e| format!("summary write failed: {e}"))?;
@@ -387,147 +383,61 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Parent side: log merge and the recovery-line check
+// Parent side: the recovery-line check and the GC audit
 // ---------------------------------------------------------------------------
 
-/// One parsed line of a worker's trace log.
-#[derive(Debug, Clone, Copy)]
-enum LogEvent {
-    Checkpoint,
-    Send { seq: u64, to: usize },
-    Deliver { sender: usize, seq: u64 },
+/// What the merged kill-point (or final) logs say against the processes
+/// rebuilt from disk.
+#[derive(Debug)]
+struct Verdict {
+    /// The recovery line the online session chose.
+    online: Vec<usize>,
+    /// The offline `rdt-ccp` oracle's line over the merged trace.
+    offline: Vec<usize>,
+    /// Logged collects of a checkpoint that was not obsolete (Theorem 4).
+    gc_violations: Vec<CheckpointId>,
 }
 
-fn parse_log_line(line: &str) -> Option<LogEvent> {
-    let mut parts = line.split_whitespace();
-    let ev = match parts.next()? {
-        "C" => {
-            let _idx: usize = parts.next()?.parse().ok()?;
-            LogEvent::Checkpoint
-        }
-        "S" => LogEvent::Send {
-            seq: parts.next()?.parse().ok()?,
-            to: parts.next()?.parse().ok()?,
-        },
-        "D" => LogEvent::Deliver {
-            sender: parts.next()?.parse().ok()?,
-            seq: parts.next()?.parse().ok()?,
-        },
-        _ => return None,
-    };
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(ev)
-}
-
-/// Reads one worker's log leniently: a torn final line (the SIGKILL tail)
-/// is dropped; garbage anywhere else is an error.
-fn read_log(dir: &Path, rank: usize) -> Result<VecDeque<LogEvent>, String> {
-    let raw = match std::fs::read_to_string(trace_path(dir, rank)) {
-        Ok(s) => s,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(format!("reading trace of p{rank}: {e}")),
-    };
-    let mut events = VecDeque::new();
-    let lines: Vec<&str> = raw.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_log_line(line) {
-            Some(ev) => events.push_back(ev),
-            None if i + 1 == lines.len() && !raw.ends_with('\n') => {} // torn tail
-            None => return Err(format!("corrupt trace line in p{rank}: {line:?}")),
-        }
-    }
-    Ok(events)
-}
-
-/// Merges the per-process logs into one oracle-replayable trace:
-/// checkpoints and sends merge eagerly in local order, a deliver waits
-/// until its send has merged, and checkpoints the disk knows but the log
-/// missed (the applied-but-unlogged kill tail) are appended synthetically.
-/// Undelivered sends become `Drop` events.
-fn merged_trace(dir: &Path, cfg: &ServeConfig) -> Result<Vec<TraceEvent>, String> {
-    let mut queues: Vec<VecDeque<LogEvent>> = (0..cfg.n)
-        .map(|i| read_log(dir, i))
-        .collect::<Result<_, _>>()?;
-
-    // Disk reconciliation: the sink commits before the log is written, so
-    // the disk may be exactly one checkpoint ahead of the log — never
-    // behind. Structural checkpoint indices are sequential, so the gap
-    // closes with synthetic Checkpoint events at the queue tail.
-    for (i, queue) in queues.iter_mut().enumerate() {
-        let disk = DurableStore::open(store_dir(dir, i), ProcessId::new(i))
-            .map_err(|e| format!("opening store of p{i}: {e}"))?;
-        let disk_max = disk
-            .indices()
-            .map_err(|e| format!("listing store of p{i}: {e}"))?
-            .last()
-            .map_or(0, |c| c.value());
-        let log_max = queue
-            .iter()
-            .filter(|e| matches!(e, LogEvent::Checkpoint))
-            .count();
-        for _ in log_max..disk_max {
-            queue.push_back(LogEvent::Checkpoint);
-        }
-    }
-
-    let mut trace = Vec::new();
-    let mut sent: BTreeMap<(usize, u64), bool> = BTreeMap::new();
-    loop {
-        let mut progress = false;
-        for (i, queue) in queues.iter_mut().enumerate() {
-            while let Some(&ev) = queue.front() {
-                match ev {
-                    LogEvent::Checkpoint => trace.push(TraceEvent::Checkpoint {
-                        process: ProcessId::new(i),
-                        forced: false,
-                    }),
-                    LogEvent::Send { seq, to } => {
-                        trace.push(TraceEvent::Send {
-                            id: MessageId::new(ProcessId::new(i), seq),
-                            to: ProcessId::new(to),
-                        });
-                        sent.insert((i, seq), false);
-                    }
-                    LogEvent::Deliver { sender, seq } => {
-                        let Some(delivered) = sent.get_mut(&(sender, seq)) else {
-                            break; // the send has not merged yet: wait
-                        };
-                        *delivered = true;
-                        trace.push(TraceEvent::Deliver {
-                            id: MessageId::new(ProcessId::new(sender), seq),
-                        });
-                    }
-                }
-                queue.pop_front();
-                progress = true;
+/// Appends the checkpoints each process's store holds beyond what the
+/// trace shows (`newest[i]`: the newest index on p_i's disk): the sink
+/// commits before the node logs, so a kill can leave the disk exactly one
+/// checkpoint ahead of the log — never behind. Structural checkpoint
+/// indices are sequential, so the gap closes at the process's tail.
+fn reconcile(trace: &mut Vec<TraceEvent>, newest: &[usize]) {
+    let mut logged = vec![0; newest.len()];
+    for event in trace.iter() {
+        if let TraceEvent::Checkpoint { process, .. } = event {
+            if let Some(count) = logged.get_mut(process.index()) {
+                *count += 1;
             }
         }
-        if queues.iter().all(VecDeque::is_empty) {
-            break;
-        }
-        if !progress {
-            return Err("unmergeable trace logs: a deliver references an unlogged send".into());
-        }
     }
-    for ((sender, seq), delivered) in sent {
-        if !delivered {
-            trace.push(TraceEvent::Drop {
-                id: MessageId::new(ProcessId::new(sender), seq),
-            });
-        }
+    for (i, (&newest, &logged)) in newest.iter().zip(&logged).enumerate() {
+        trace.extend((logged..newest).map(|_| TraceEvent::Checkpoint {
+            process: ProcessId::new(i),
+            forced: false,
+        }));
     }
-    Ok(trace)
 }
 
-/// Rebuilds every process from disk, runs a full recovery session (all
-/// faulty), and returns `(online line, offline oracle line)`.
-fn check_lines(dir: &Path, cfg: &ServeConfig) -> Result<(Vec<usize>, Vec<usize>), String> {
-    let trace = merged_trace(dir, cfg)?;
+/// Merges the workers' logs, audits every logged collect, rebuilds every
+/// process from disk, and runs a full recovery session (all faulty)
+/// against the oracle's line.
+fn check_lines(dir: &Path, cfg: &ServeConfig) -> Result<Verdict, String> {
+    let logs: Vec<PathBuf> = (0..cfg.n).map(|i| flight_path(dir, i, false)).collect();
+    let mut trace = Logs::read(&logs)?.merge()?.oracle_trace();
+    let mut newest = Vec::with_capacity(cfg.n);
+    for i in 0..cfg.n {
+        let disk = DurableStore::open(store_dir(dir, i), ProcessId::new(i))
+            .map_err(|e| format!("opening store of p{i}: {e}"))?;
+        let indices = disk
+            .indices()
+            .map_err(|e| format!("listing store of p{i}: {e}"))?;
+        newest.push(indices.last().map_or(0, |c| c.value()));
+    }
+    reconcile(&mut trace, &newest);
+    let gc_violations = rdt_ccp::collection_safety_violations(cfg.n, &trace)
+        .map_err(|e| format!("GC audit failed: {e}"))?;
     let faulty: FaultySet = ProcessId::all(cfg.n).collect();
     let offline = CcpBuilder::from_trace(cfg.n, &trace)
         .map_err(|e| format!("oracle replay failed: {e}"))?
@@ -559,7 +469,11 @@ fn check_lines(dir: &Path, cfg: &ServeConfig) -> Result<(Vec<usize>, Vec<usize>)
         .recover(&mut mws, &faulty)
         .map_err(|e| format!("online recovery failed: {e}"))?;
     let online: Vec<usize> = session.line.iter().map(|c| c.value()).collect();
-    Ok((online, offline))
+    Ok(Verdict {
+        online,
+        offline,
+        gc_violations,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -608,17 +522,15 @@ fn join_workers(children: Vec<Child>) -> Result<(), String> {
     failure.map_or(Ok(()), Err)
 }
 
-/// Polls until every worker's trace log shows real traffic (so a SIGKILL
-/// lands mid-flight, not before startup) and every flight recorder has
-/// flushed at least once (so the kill leaves a harvestable dump).
-/// Fails fast if a worker dies.
+/// Polls until every worker's event log shows real traffic (so a SIGKILL
+/// lands mid-flight, not before startup). Fails fast if a worker dies.
 fn wait_for_traffic(cfg: &ServeConfig, children: &mut [Child]) -> Result<(), String> {
     let deadline = Instant::now() + Duration::from_secs(20);
     loop {
-        let all_busy = (0..cfg.n)
-            .all(|i| std::fs::metadata(trace_path(&cfg.dir, i)).is_ok_and(|m| m.len() >= 200))
-            && (0..cfg.n)
-                .all(|i| std::fs::metadata(flight_path(&cfg.dir, i, false)).is_ok_and(|m| m.len() > 0));
+        let all_busy = (0..cfg.n).all(|i| {
+            std::fs::metadata(flight_path(&cfg.dir, i, false))
+                .is_ok_and(|m| m.len() >= TRAFFIC_BYTES)
+        });
         if all_busy {
             return Ok(());
         }
@@ -633,6 +545,9 @@ fn wait_for_traffic(cfg: &ServeConfig, children: &mut [Child]) -> Result<(), Str
         std::thread::sleep(Duration::from_millis(20));
     }
 }
+
+/// Event-log bytes that show real traffic: some fifty events.
+const TRAFFIC_BYTES: u64 = 8 << 10;
 
 fn kill_workers(children: &mut [Child]) -> Result<(), String> {
     for (rank, child) in children.iter_mut().enumerate() {
@@ -764,7 +679,11 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
     if !user_dir {
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
-    let (online, offline) = outcome?;
+    let Verdict {
+        online,
+        offline,
+        gc_violations,
+    } = outcome?;
     if let Some(path) = m.get_one::<String>("metrics-out") {
         std::fs::write(path, metrics?).map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
@@ -778,6 +697,7 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
             .field("online_line", Json::uints(online.iter().copied()))
             .field("oracle_line", Json::uints(offline.iter().copied()))
             .field("lines_agree", Json::Bool(agree))
+            .field("gc_violations", Json::UInt(gc_violations.len() as u64))
             .field("sent", Json::UInt(summary.sent))
             .field("delivered", Json::UInt(summary.delivered))
             .field("basic_checkpoints", Json::UInt(summary.basic))
@@ -807,20 +727,27 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
         }
         println!("online recovery line {online:?}");
         println!("oracle recovery line {offline:?}");
+        println!(
+            "Theorem 4 audit of the logged collects: {} violations",
+            gc_violations.len()
+        );
     }
-    if agree {
-        Ok(())
-    } else {
-        Err(format!(
+    if !agree {
+        return Err(format!(
             "online recovery line {online:?} disagrees with the offline oracle {offline:?}"
-        ))
+        ));
     }
+    if !gc_violations.is_empty() {
+        return Err(format!(
+            "collected checkpoints that were not obsolete: {gc_violations:?}"
+        ));
+    }
+    Ok(())
 }
 
-/// Runs the workers (one chaos cycle when asked) and returns the
-/// `(online, offline)` recovery lines of the kill point (chaos) or the
-/// final state (clean run).
-fn run_serve(cfg: &ServeConfig, chaos: bool) -> Result<(Vec<usize>, Vec<usize>), String> {
+/// Runs the workers (one chaos cycle when asked) and returns the verdict
+/// on the kill point (chaos) or the final state (clean run).
+fn run_serve(cfg: &ServeConfig, chaos: bool) -> Result<Verdict, String> {
     if chaos {
         // Endless workload; the kill decides the cut.
         let mut children = spawn_workers(cfg, 0, false)?;
@@ -913,4 +840,40 @@ pub fn worker_args(cmd: clap::Command) -> clap::Command {
                 .help("restart from the surviving durable store instead of a fresh system")
                 .action(clap::ArgAction::SetTrue),
         )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::causal::tests::{checkpoint, merge, send};
+
+    #[test]
+    fn a_checkpoint_the_disk_holds_beyond_the_log_closes_the_process_tail() {
+        // p0 logged s^1 and a send, and its disk holds s^2 too: a kill cut
+        // the op short between the commit and the log. p1's disk holds
+        // what its log says.
+        let logs = [
+            ("p0", vec![checkpoint(0, 1), send(0, 1, 0, 0, 2, false)]),
+            ("p1", vec![checkpoint(1, 1)]),
+        ];
+        let logged = merge(&logs).unwrap().oracle_trace();
+        let mut trace = logged.clone();
+        reconcile(&mut trace, &[2, 1]);
+        let p0 = ProcessId::new(0);
+        assert_eq!(trace[..logged.len()], logged[..]);
+        assert_eq!(
+            trace[logged.len()..],
+            [TraceEvent::Checkpoint {
+                process: p0,
+                forced: false
+            }]
+        );
+        // The oracle's all-faulty line now ends at the checkpoint on disk.
+        let faulty: FaultySet = ProcessId::all(2).collect();
+        let line = CcpBuilder::from_trace(2, &trace)
+            .unwrap()
+            .build()
+            .recovery_line(&faulty);
+        assert_eq!(line.to_raw(), [2, 1]);
+    }
 }

@@ -1,6 +1,6 @@
 //! End-to-end smoke tests for the observability subcommands: `rdt
 //! explain` provenance against the oracle, crash-free and crashy, the
-//! serve → flight dump → `rdt causal` merge pipeline, and `rdt trace`
+//! serve → event log → `rdt causal` merge pipeline, and `rdt trace`
 //! into a reader that stops early.
 
 use std::io::BufRead;
@@ -108,7 +108,7 @@ fn serve_flight_dumps_merge_into_a_causal_trace() {
     for rank in 0..3 {
         assert!(
             dir.join(format!("flight_p{rank}.jsonl")).exists(),
-            "worker {rank} left no flight dump"
+            "worker {rank} left no event log"
         );
     }
     assert!(

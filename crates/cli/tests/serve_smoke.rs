@@ -11,10 +11,25 @@ fn stdout_of(output: &std::process::Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
+/// The `key=value` fields of one worker's summary file.
+fn summary(dir: &std::path::Path, rank: usize) -> std::collections::BTreeMap<String, u64> {
+    let raw = std::fs::read_to_string(dir.join(format!("summary_p{rank}.txt"))).unwrap();
+    raw.split_whitespace()
+        .map(|field| {
+            let (key, value) = field.split_once('=').unwrap();
+            (key.to_string(), value.parse().unwrap())
+        })
+        .collect()
+}
+
 #[test]
 fn clean_run_agrees_with_the_oracle() {
+    let dir = std::env::temp_dir().join(format!("rdt_serve_smoke_clean_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let output = rdt()
         .args(["serve", "-n", "3", "--ops", "60", "-S", "42", "--json"])
+        .arg("--dir")
+        .arg(&dir)
         .output()
         .expect("spawning rdt");
     let stdout = stdout_of(&output);
@@ -28,6 +43,25 @@ fn clean_run_agrees_with_the_oracle() {
         "no agreement in {stdout}"
     );
     assert!(stdout.contains("\"chaos\": false"));
+    assert!(stdout.contains("\"gc_violations\": 0"), "{stdout}");
+    // Every checkpoint a worker stored — its initial one, basic and forced
+    // — is retained or was eliminated by one of its operations, and the
+    // summed eliminations are what the run reports as collected.
+    let mut collected = 0;
+    for rank in 0..3 {
+        let s = summary(&dir, rank);
+        assert_eq!(
+            s["eliminated"],
+            1 + s["basic"] + s["forced"] - s["retained"],
+            "p{rank}: {s:?}"
+        );
+        collected += s["eliminated"];
+    }
+    assert!(
+        stdout.contains(&format!("\"collected\": {collected},")),
+        "{stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -47,6 +81,7 @@ fn chaos_cycle_survives_kill9_and_matches_the_oracle() {
         stdout.contains("\"lines_agree\": true"),
         "no agreement in {stdout}"
     );
+    assert!(stdout.contains("\"gc_violations\": 0"), "{stdout}");
 }
 
 #[test]

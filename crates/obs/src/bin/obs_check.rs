@@ -1,6 +1,6 @@
 //! `obs_check`: schema validator for the files this stack emits — `rdt
-//! trace` span files, `RDT_LOG_JSONL` structured-log files, flight-recorder
-//! dumps, merged causal traces, and `.prom` metric textfiles.
+//! trace` span files, `RDT_LOG_JSONL` structured-log files, per-process
+//! event logs, merged causal traces, and `.prom` metric textfiles.
 //!
 //! Validation logic lives in [`rdt_obs::check`]; this binary only handles
 //! file I/O and exit codes. Files ending in `.prom` are validated as

@@ -1,6 +1,7 @@
 //! Schema validation for everything this stack writes to disk: `rdt trace`
-//! span files, `RDT_LOG_JSONL` structured-log files, flight-recorder dumps,
-//! merged causal traces, and `.prom` metric textfiles.
+//! span files, `RDT_LOG_JSONL` structured-log files, per-process event
+//! logs (`rdt_obs::flight`), merged causal traces, and `.prom` metric
+//! textfiles.
 //!
 //! The `obs_check` binary is a thin wrapper over this module; the logic
 //! lives in the library so tests (including the JSONL round-trip proptests)
@@ -15,7 +16,7 @@ use crate::profile::ProfileReport;
 ///   `event` (i/kind + kind-specific fields), `span`, `counter`, and
 ///   `causal` (one merged happened-before-ordered trace entry);
 /// - **log lines** carry the sink envelope `level`/`target`/`event`/`msg`
-///   (flight-recorder dumps are log lines too).
+///   (the per-process event logs are log lines too).
 ///
 /// # Errors
 ///

@@ -1,153 +1,93 @@
-//! Always-on bounded flight recorder: the last N events, flushed to disk
-//! on panic and periodically, so post-mortem traces survive `kill -9`.
+//! The process event log: every recorded event, one JSONL line each,
+//! appended to a file the moment it happens.
 //!
-//! The recorder is process-wide and off until [`install`]ed (serve workers
+//! The log is process-wide and off until [`install`]ed (serve workers
 //! install one per rank). Recording bypasses the level filter — call sites
-//! hand fully-built [`Event`]s to [`record`] unconditionally — so the dump
-//! always holds the most recent history even when the sink threshold is
-//! `warn`. The ring is bounded: once full, the oldest line is evicted.
+//! hand fully-built [`Event`]s to [`record`] unconditionally — so the log
+//! holds the whole history even when the sink threshold is `warn`.
 //!
-//! Durability model: SIGKILL cannot be caught, so in addition to the panic
-//! hook the ring is rewritten to disk every [`FLUSH_EVERY`] records via an
-//! atomic tmp-file-and-rename, leaving at most the last `FLUSH_EVERY - 1`
-//! events unrecorded after a hard kill and never a torn file.
+//! Durability model: each line is rendered, then handed to the kernel in
+//! one `write_all` on an unbuffered file. Nothing waits in the process, so
+//! a SIGKILL loses no line the process finished writing — the page cache
+//! keeps it — and can tear at most the one it was writing, which a reader
+//! drops as the log's torn tail. A failed write is kept (the first one)
+//! for the owner to [`take_error`]: a log that silently missed a line
+//! would no longer be the process's history.
 
-use std::collections::VecDeque;
+use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::event::Event;
 
-/// Records between automatic disk flushes.
-pub const FLUSH_EVERY: usize = 64;
-
-/// Default ring capacity (events retained).
-pub const DEFAULT_CAPACITY: usize = 4096;
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Recorder {
-    path: PathBuf,
-    capacity: usize,
-    ring: VecDeque<String>,
-    since_flush: usize,
-}
-
-impl Recorder {
-    fn push(&mut self, line: String) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(line);
-        self.since_flush += 1;
-        if self.since_flush >= FLUSH_EVERY {
-            self.flush();
-        }
-    }
-
-    /// Rewrites the whole ring atomically (tmp file + rename), so a kill
-    /// mid-flush leaves the previous complete dump in place. I/O errors are
-    /// swallowed: the recorder must never take the process down.
-    fn flush(&mut self) {
-        self.since_flush = 0;
-        let tmp = self.path.with_extension("tmp");
-        let mut body = String::new();
-        for line in &self.ring {
-            body.push_str(line);
-            body.push('\n');
-        }
-        let ok = std::fs::File::create(&tmp)
-            .and_then(|mut f| {
-                f.write_all(body.as_bytes())?;
-                f.sync_all()
-            })
-            .and_then(|()| std::fs::rename(&tmp, &self.path));
-        let _ = ok;
-    }
+    log: Option<(PathBuf, File)>,
+    error: Option<std::io::Error>,
 }
 
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-fn cell() -> &'static Mutex<Option<Recorder>> {
-    static CELL: OnceLock<Mutex<Option<Recorder>>> = OnceLock::new();
-    CELL.get_or_init(|| Mutex::new(None))
+fn recorder() -> MutexGuard<'static, Recorder> {
+    static CELL: OnceLock<Mutex<Recorder>> = OnceLock::new();
+    CELL.get_or_init(Mutex::default)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
 }
 
-fn with_recorder(f: impl FnOnce(&mut Recorder)) {
-    if let Some(rec) = cell().lock().unwrap_or_else(|e| e.into_inner()).as_mut() {
-        f(rec);
-    }
-}
-
-/// Installs the process-wide flight recorder writing to `path`, keeping at
-/// most `capacity` events (0 means [`DEFAULT_CAPACITY`]). Replaces any
-/// previously installed recorder (flushing it first). Also registers a
-/// panic hook, once, that flushes the ring before unwinding continues.
-pub fn install(path: impl AsRef<Path>, capacity: usize) {
-    let capacity = if capacity == 0 {
-        DEFAULT_CAPACITY
-    } else {
-        capacity
+/// Installs the process-wide event log at `path`, created or truncated.
+/// Replaces any previously installed log. `_capacity` is unused: the log
+/// keeps every event. If the file cannot be opened, nothing is installed
+/// and the error waits in [`take_error`].
+pub fn install(path: impl AsRef<Path>, _capacity: usize) {
+    let path = path.as_ref().to_path_buf();
+    let mut rec = recorder();
+    rec.log = match File::create(&path) {
+        Ok(file) => Some((path, file)),
+        Err(e) => {
+            rec.error.get_or_insert(e);
+            None
+        }
     };
-    let mut guard = cell().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(old) = guard.as_mut() {
-        old.flush();
-    }
-    *guard = Some(Recorder {
-        path: path.as_ref().to_path_buf(),
-        capacity,
-        ring: VecDeque::with_capacity(capacity),
-        since_flush: 0,
-    });
-    drop(guard);
-    INSTALLED.store(true, Ordering::Release);
-
-    static HOOK: OnceLock<()> = OnceLock::new();
-    HOOK.get_or_init(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            with_recorder(Recorder::flush);
-            previous(info);
-        }));
-    });
+    INSTALLED.store(rec.log.is_some(), Ordering::Release);
 }
 
-/// Whether a recorder is installed (one relaxed atomic load — the fast
-/// path for call sites that build an [`Event`] only to record it).
+/// Whether a log is installed (one atomic load — the fast path for call
+/// sites that build an [`Event`] only to record it).
 #[inline]
 pub fn enabled() -> bool {
     INSTALLED.load(Ordering::Acquire)
 }
 
-/// Records one event into the ring (no-op when not installed). Bypasses
-/// the sink level filter by design.
+/// Appends one event as one line (no-op when not installed). Bypasses the
+/// sink level filter by design.
 pub fn record(event: &Event) {
     if !enabled() {
         return;
     }
-    let line = event.to_json().to_string();
-    with_recorder(|rec| rec.push(line));
-}
-
-/// Forces the ring to disk now (no-op when not installed). Serve workers
-/// call this on clean shutdown so the dump covers the whole run tail.
-pub fn flush() {
-    if enabled() {
-        with_recorder(Recorder::flush);
+    let mut line = event.to_json().to_string();
+    line.push('\n');
+    let mut rec = recorder();
+    let Recorder { log, error } = &mut *rec;
+    if let Some((_, file)) = log {
+        if let Err(e) = file.write_all(line.as_bytes()) {
+            error.get_or_insert(e);
+        }
     }
 }
 
-/// Removes the recorder after a final flush, returning its dump path.
-/// Mainly for tests; production workers stay installed until exit.
+/// Removes and returns the first open or write error since the last call.
+pub fn take_error() -> Option<std::io::Error> {
+    recorder().error.take()
+}
+
+/// Removes the log, returning its path. Every line is already in the file.
 pub fn uninstall() -> Option<PathBuf> {
-    let mut guard = cell().lock().unwrap_or_else(|e| e.into_inner());
-    let rec = guard.take();
+    let mut rec = recorder();
     INSTALLED.store(false, Ordering::Release);
-    rec.map(|mut rec| {
-        rec.flush();
-        rec.path
-    })
+    rec.log.take().map(|(path, _)| path)
 }
 
 #[cfg(test)]
@@ -169,44 +109,57 @@ mod tests {
         std::env::temp_dir().join(format!("rdt_flight_{}_{name}.jsonl", std::process::id()))
     }
 
-    // The recorder is process-global, so the scenarios run as one test to
+    // The log is process-global, so the scenarios run as one test to
     // avoid cross-test interference under the parallel test runner.
     #[test]
-    fn ring_bounds_flushes_and_survives_reinstall() {
+    fn every_event_is_on_disk_when_record_returns() {
         // Below-threshold events are still recorded (bypass the filter).
         crate::set_level(Some(Level::Error));
 
-        let path = temp_path("ring");
+        let path = temp_path("log");
+        std::fs::write(&path, "left over\n").unwrap();
         install(&path, 8);
         assert!(enabled());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "", "truncated");
         for i in 0..100 {
             record(&sample(i));
+            // No flush: the line is in the file as soon as record returns.
+            let body = std::fs::read_to_string(&path).unwrap();
+            assert_eq!(body.lines().count() as u64, i + 1);
+            let last = crate::json::parse(body.lines().last().unwrap()).unwrap();
+            assert_eq!(last.get("i").unwrap().as_u64(), Some(i));
         }
-        // 100 records with FLUSH_EVERY=64: one automatic flush happened, so
-        // a dump exists on disk even without an explicit flush.
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(!body.is_empty());
+        assert!(take_error().is_none());
 
-        flush();
-        let body = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = body.lines().collect();
-        assert_eq!(lines.len(), 8, "ring keeps only the last 8 events");
-        let first = crate::json::parse(lines[0]).unwrap();
-        assert_eq!(first.get("i").unwrap().as_u64(), Some(92));
-        let last = crate::json::parse(lines[7]).unwrap();
-        assert_eq!(last.get("i").unwrap().as_u64(), Some(99));
-
-        // Reinstall flushes the old ring and starts a fresh one.
-        let path2 = temp_path("ring2");
+        // Reinstalling starts a fresh log; the old one keeps its lines.
+        let path2 = temp_path("log2");
         install(&path2, 0);
         record(&sample(7));
-        flush();
-        let body2 = std::fs::read_to_string(&path2).unwrap();
-        assert_eq!(body2.lines().count(), 1);
+        assert_eq!(std::fs::read_to_string(&path2).unwrap().lines().count(), 1);
+        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 100);
 
         assert_eq!(uninstall(), Some(path2.clone()));
         assert!(!enabled());
         record(&sample(1)); // no-op, must not panic
+        assert_eq!(std::fs::read_to_string(&path2).unwrap().lines().count(), 1);
+
+        // A log that cannot be opened installs nothing and reports once.
+        install(temp_path("missing").join("log.jsonl"), 0);
+        assert!(!enabled());
+        assert!(take_error().is_some());
+        assert!(take_error().is_none());
+
+        // A failed write is kept until taken; the first one wins.
+        #[cfg(target_os = "linux")]
+        {
+            install("/dev/full", 0);
+            record(&sample(1));
+            record(&sample(2));
+            let e = take_error().expect("a write to a full device fails");
+            assert_eq!(e.raw_os_error(), Some(28), "ENOSPC: {e}");
+            assert!(take_error().is_none());
+            uninstall();
+        }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&path2);
     }

@@ -20,8 +20,9 @@
 //!   `obs_check` binary (backed by the [`check`] module) validating JSONL
 //!   streams and `.prom` textfiles in CI.
 //!
-//! Plus a crash-surviving [`flight`] recorder: a bounded ring of the most
-//! recent events, periodically flushed to disk and harvested post-mortem.
+//! Plus the per-process [`flight`] event log: every recorded event, one
+//! JSONL line each, in the file the moment it happens, so a kill-9 leaves
+//! the whole history behind.
 //! See `crates/obs/OBSERVABILITY.md` for the operator-facing knobs.
 
 #![forbid(unsafe_code)]

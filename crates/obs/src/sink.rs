@@ -173,7 +173,7 @@ pub fn set_sink(sink: Arc<dyn Sink>) -> Arc<dyn Sink> {
 
 /// Dispatches a pre-built [`Event`] through the level filter to the sink.
 /// For call sites that construct events directly (e.g. to also hand them
-/// to the flight recorder, which bypasses the filter); builder-based call
+/// to the event log, which bypasses the filter); builder-based call
 /// sites go through [`EventBuilder::emit`](crate::EventBuilder::emit).
 pub fn emit(event: &Event) {
     if enabled(event.level) {

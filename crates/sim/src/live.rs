@@ -17,15 +17,21 @@
 //! middleware merges by reference. With observability off the steady state
 //! allocates nothing (`tests/live_alloc.rs` counts).
 //!
-//! Every frame movement also emits a causal span event (`frame_send` /
-//! `frame_recv` / `frame_apply`, target `rdt_sim::live`): sends are
-//! stamped with the node's causal parent — the identity of the last frame
-//! it applied — which travels on the wire in the [`WireFrame`] trace
-//! context, and `rdt causal` later stitches the per-process dumps into one
-//! happened-before order. The events flow into the process flight recorder
-//! unconditionally (when one is installed) and through the normal sink at
-//! `debug`; when neither is active the fields are never materialized, so
-//! the hot path stays cheap and the deterministic engine is untouched.
+//! Every operation also logs what it did (target `rdt_sim::live`), after
+//! applying it and before the caller transmits anything: `checkpoint` for
+//! a basic checkpoint; `frame_send` (with `forced` for the CAS/CASBR
+//! post-send checkpoint), `frame_recv` and `frame_apply` (with `forced`
+//! for the checkpoint stored before the merge) for frames; and
+//! `gc_collect` after every operation that eliminated checkpoints. That is
+//! the whole history the offline oracle replays, in the shape the
+//! simulator's trace has. Sends are stamped with the node's causal parent
+//! — the identity of the last frame it applied — which travels on the wire
+//! in the [`WireFrame`] trace context, and `rdt causal` later stitches the
+//! per-process logs into one happened-before order. The events flow into
+//! the process event log unconditionally (when one is installed) and
+//! through the normal sink at `debug`; when neither is active the fields
+//! are never materialized, so the hot path stays cheap and the
+//! deterministic engine is untouched.
 
 use rdt_base::{CheckpointIndex, DependencyVector, ProcessId, Result};
 use rdt_core::GcKind;
@@ -42,11 +48,43 @@ fn obs_active() -> bool {
     rdt_obs::flight::enabled() || rdt_obs::sink::enabled(Level::Debug)
 }
 
-/// Hands one pre-built event to the flight recorder (unfiltered) and the
-/// process sink (level-filtered).
-fn obs_record(event: &Event) {
-    rdt_obs::flight::record(event);
-    rdt_obs::sink::emit(event);
+/// Hands one event to the process event log (unfiltered) and the process
+/// sink (level-filtered).
+fn obs_record(level: Level, name: &'static str, fields: Vec<(&'static str, Value)>) {
+    let event = Event {
+        level,
+        target: OBS_TARGET,
+        name,
+        message: String::new(),
+        fields,
+    };
+    rdt_obs::flight::record(&event);
+    rdt_obs::sink::emit(&event);
+}
+
+/// Logs the checkpoints an operation of `mw` eliminated, if any, with the
+/// peer entries that still pin the survivors (the uc view): the typed
+/// live-GC provenance, and the `Collect`s the offline audit judges.
+fn log_collects<S: Storage>(mw: &Middleware<S>, eliminated: &[CheckpointIndex]) {
+    if eliminated.is_empty() || !(rdt_obs::flight::enabled() || rdt_obs::sink::enabled(Level::Info))
+    {
+        return;
+    }
+    let collected: Vec<String> = eliminated.iter().map(|c| c.value().to_string()).collect();
+    let mut fields = vec![
+        ("process", Value::U64(mw.owner().index() as u64)),
+        ("eliminated", Value::U64(eliminated.len() as u64)),
+        ("collected", Value::Str(collected.join(","))),
+    ];
+    if let Some(uc) = mw.uc_snapshot() {
+        let pins: Vec<String> = uc
+            .iter()
+            .enumerate()
+            .filter_map(|(q, c)| c.map(|c| format!("{q}:{}", c.value())))
+            .collect();
+        fields.push(("pins", Value::Str(pins.join(","))));
+    }
+    obs_record(Level::Info, "gc_collect", fields);
 }
 
 /// What a delivered frame did to the local middleware.
@@ -150,9 +188,20 @@ impl<S: Storage> LiveNode<S> {
     ///
     /// As [`Middleware::basic_checkpoint`].
     pub fn checkpoint(&mut self) -> Result<CheckpointIndex> {
-        let stored = self.mw.basic_checkpoint()?.stored;
+        let report = self.mw.basic_checkpoint()?;
         crate::step::debug_assert_retained_bound(&self.mw);
-        Ok(stored)
+        if obs_active() {
+            obs_record(
+                Level::Debug,
+                "checkpoint",
+                vec![
+                    ("process", Value::U64(self.mw.owner().index() as u64)),
+                    ("index", Value::U64(report.stored.value() as u64)),
+                ],
+            );
+        }
+        log_collects(&self.mw, &report.eliminated);
+        Ok(report.stored)
     }
 
     /// Performs a send's protocol duties and encodes the piggyback as a
@@ -168,32 +217,33 @@ impl<S: Storage> LiveNode<S> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let (owner, parent, out) = (self.mw.owner(), self.last_applied, &mut self.out);
+        // The sender's own entry as the frame carries it: a post-send
+        // forced checkpoint moves it on.
+        let own = self.mw.dv().lineage(owner);
         let (frame, forced) = self
             .mw
             .send_with(move |dv, index| WireFrame::write(out, owner, seq, index, parent, dv));
         self.prof.stop("live/encode", t);
         if obs_active() {
-            let own = self.mw.dv().lineage(owner);
             let mut fields = vec![
                 ("process", Value::U64(owner.index() as u64)),
                 ("to", Value::U64(to.index() as u64)),
                 ("seq", Value::U64(seq)),
                 ("inc", Value::U64(u64::from(own.incarnation().value()))),
                 ("interval", Value::U64(own.interval().value() as u64)),
+                ("forced", Value::Bool(forced.is_some())),
             ];
             if let Some((po, ps)) = frame.parent {
                 fields.push(("parent_process", Value::U64(u64::from(po))));
                 fields.push(("parent_seq", Value::U64(ps)));
             }
-            obs_record(&Event {
-                level: Level::Debug,
-                target: OBS_TARGET,
-                name: "frame_send",
-                message: String::new(),
-                fields,
-            });
+            obs_record(Level::Debug, "frame_send", fields);
         }
-        (frame, forced.map(|report| report.stored))
+        let forced = forced.map(|report| {
+            log_collects(&self.mw, &report.eliminated);
+            report.stored
+        });
+        (frame, forced)
     }
 
     /// Decodes and delivers one received frame. Returns `Ok(None)` for
@@ -231,13 +281,7 @@ impl<S: Storage> LiveNode<S> {
                 fields.push(("parent_process", Value::U64(u64::from(po))));
                 fields.push(("parent_seq", Value::U64(ps)));
             }
-            obs_record(&Event {
-                level: Level::Debug,
-                target: OBS_TARGET,
-                name: "frame_recv",
-                message: String::new(),
-                fields,
-            });
+            obs_record(Level::Debug, "frame_recv", fields);
         }
         self.mw
             .receive_vector_into(&self.incoming, frame.index, &mut self.scratch)?;
@@ -249,12 +293,10 @@ impl<S: Storage> LiveNode<S> {
             // dominate (≥, lexicographic on incarnation then interval)
             // what the frame carried; `rdt causal` checks exactly that.
             let learned = self.mw.dv().lineage(frame.sender);
-            obs_record(&Event {
-                level: Level::Debug,
-                target: OBS_TARGET,
-                name: "frame_apply",
-                message: String::new(),
-                fields: vec![
+            obs_record(
+                Level::Debug,
+                "frame_apply",
+                vec![
                     ("process", Value::U64(self.mw.owner().index() as u64)),
                     ("from", Value::U64(frame.sender.index() as u64)),
                     ("seq", Value::U64(frame.seq)),
@@ -263,43 +305,9 @@ impl<S: Storage> LiveNode<S> {
                     ("forced", Value::Bool(self.scratch.forced.is_some())),
                     ("eliminated", Value::U64(eliminated as u64)),
                 ],
-            });
+            );
         }
-        if eliminated > 0 && (active || rdt_obs::sink::enabled(Level::Info)) {
-            // Typed live-GC provenance: which checkpoints went, and which
-            // peer entries still pin the survivors (the uc view).
-            let mut fields = vec![
-                ("process", Value::U64(self.mw.owner().index() as u64)),
-                ("from", Value::U64(frame.sender.index() as u64)),
-                ("eliminated", Value::U64(eliminated as u64)),
-                (
-                    "collected",
-                    Value::Str(
-                        self.scratch
-                            .eliminated
-                            .iter()
-                            .map(|c| c.value().to_string())
-                            .collect::<Vec<_>>()
-                            .join(","),
-                    ),
-                ),
-            ];
-            if let Some(uc) = self.mw.uc_snapshot() {
-                let pins: Vec<String> = uc
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(q, c)| c.map(|c| format!("{q}:{}", c.value())))
-                    .collect();
-                fields.push(("pins", Value::Str(pins.join(","))));
-            }
-            obs_record(&Event {
-                level: Level::Info,
-                target: OBS_TARGET,
-                name: "gc_collect",
-                message: String::new(),
-                fields,
-            });
-        }
+        log_collects(&self.mw, &self.scratch.eliminated);
         Ok(Some(DeliverOutcome {
             sender: frame.sender,
             seq: frame.seq,
