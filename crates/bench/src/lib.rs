@@ -1,5 +1,6 @@
-//! Shared helpers for the `reproduce` and `sweep` binaries of the
-//! `rdt-checkpointing` workspace.
+//! The `reproduce` binary's helpers and the deterministic parallel runs
+//! ([`derive_seed`], [`par_map`]) that `rdt simulate --runs` and `rdt
+//! audit --runs` fan out through.
 //!
 //! `reproduce` regenerates every figure and (synthetic) table of the
 //! paper, one module each, in this order, asserting each one's headline;

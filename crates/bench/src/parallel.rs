@@ -1,5 +1,5 @@
-//! Parallel sweep driver: fans independent simulation runs out across
-//! cores with deterministic per-run seeds.
+//! Parallel runs: fans independent simulation runs out across cores with
+//! deterministic per-run seeds (`reproduce`'s sweeps, `rdt --runs`).
 //!
 //! Every run of a sweep is an independent seeded simulation, so the grid
 //! `cells × seeds` parallelizes embarrassingly. Seeds are derived with

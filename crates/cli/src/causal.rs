@@ -84,25 +84,22 @@ fn causal_lines(merged: &Merged) -> Vec<String> {
             } else {
                 r.kind.as_str()
             };
-            let mut obj = vec![
-                ("type".to_string(), JsonValue::Str("causal".into())),
-                ("pos".to_string(), JsonValue::UInt(pos as u64)),
-                ("kind".to_string(), JsonValue::Str(kind.into())),
-                ("process".to_string(), JsonValue::UInt(r.process)),
-                ("peer".to_string(), JsonValue::UInt(r.peer)),
-                ("seq".to_string(), JsonValue::UInt(r.seq)),
-            ];
+            let mut obj = JsonValue::obj()
+                .field("type", "causal")
+                .field("pos", pos)
+                .field("kind", kind)
+                .field("process", r.process)
+                .field("peer", r.peer)
+                .field("seq", r.seq);
             if r.kind != Kind::Recv {
-                obj.push(("inc".to_string(), JsonValue::UInt(r.inc)));
-                obj.push(("interval".to_string(), JsonValue::UInt(r.interval)));
+                obj = obj.field("inc", r.inc).field("interval", r.interval);
             }
             if r.kind == Kind::Apply {
-                obj.push(("forced".to_string(), JsonValue::Bool(r.forced)));
-                obj.push(("eliminated".to_string(), JsonValue::UInt(r.eliminated)));
+                obj = obj
+                    .field("forced", r.forced)
+                    .field("eliminated", r.eliminated);
             }
-            let mut out = String::new();
-            JsonValue::Obj(obj).render(&mut out);
-            out
+            obj.build().to_string()
         })
         .collect()
 }

@@ -3,26 +3,29 @@
 
 use rdt_analysis::{worst_single_failure, CcpStats, OccupancyTimeline};
 use rdt_base::{CheckpointId, ProcessId, TraceEvent};
+use rdt_bench::{derive_seed, par_map};
 use rdt_ccp::{collection_safety_violations_through_sessions, CcpBuilder};
+use rdt_obs::json::JsonValue;
 use rdt_sim::{Metrics, SimulationBuilder, SimulationReport};
 
-use crate::json::Json;
 use crate::opts::RunOpts;
 
 /// Runs the simulator once with the given options.
 fn run(opts: &RunOpts, record_trace: bool) -> Result<SimulationReport, String> {
-    run_with(opts, record_trace, false)
+    run_with(opts, opts.spec.seed, record_trace, false)
 }
 
 fn run_with(
     opts: &RunOpts,
+    seed: u64,
     record_trace: bool,
     record_occupancy: bool,
 ) -> Result<SimulationReport, String> {
-    let mut builder = SimulationBuilder::new(opts.spec.clone())
+    let mut builder = SimulationBuilder::new(opts.spec.clone().with_seed(seed))
         .protocol(opts.protocol)
         .garbage_collector(opts.gc)
-        .config(opts.config);
+        .config(opts.config)
+        .recovery_mode(opts.recovery);
     if record_trace {
         builder = builder.record_trace();
     }
@@ -32,38 +35,57 @@ fn run_with(
     builder.run().map_err(|e| format!("simulation failed: {e}"))
 }
 
+/// Calls `run` once per `--runs` seed and returns the results in run
+/// order: one run uses the seed itself, run `k` of several uses
+/// `derive_seed(seed, k)`, and several are fanned out across cores. The
+/// results do not depend on the number of cores.
+fn per_seed<R: Send>(
+    opts: &RunOpts,
+    run: impl Fn(u64) -> Result<R, String> + Sync,
+) -> Result<Vec<R>, String> {
+    if opts.runs == 1 {
+        return run(opts.spec.seed).map(|r| vec![r]);
+    }
+    let seeds = (0..opts.runs)
+        .map(|k| derive_seed(opts.spec.seed, k))
+        .collect();
+    par_map(seeds, run).into_iter().collect()
+}
+
+/// A CLI float: rounded to three decimals.
+fn float3(v: f64) -> JsonValue {
+    JsonValue::Num(format!("{v:.3}").parse().unwrap_or(v))
+}
+
 /// The full [`Metrics`] struct as JSON — every field, not the curated
-/// `simulate` summary. Shared by `--metrics-out` and the bench sweep.
-fn metrics_json(m: &Metrics) -> Json {
-    Json::obj()
-        .field("ticks", Json::UInt(m.ticks))
-        .field("control_rounds", Json::UInt(m.control_rounds))
-        .field("recovery_sessions", Json::UInt(m.recovery_sessions))
-        .field("total_rolled_back", Json::UInt(m.total_rolled_back))
-        .field("degraded_lines", Json::UInt(m.degraded_lines))
-        .field("sequential_fallbacks", Json::UInt(m.sequential_fallbacks))
-        .field(
-            "peak_global_retained",
-            Json::UInt(m.peak_global_retained as u64),
-        )
+/// `simulate` summary.
+fn metrics_json(m: &Metrics) -> JsonValue {
+    JsonValue::obj()
+        .field("ticks", m.ticks)
+        .field("control_rounds", m.control_rounds)
+        .field("recovery_sessions", m.recovery_sessions)
+        .field("total_rolled_back", m.total_rolled_back)
+        .field("degraded_lines", m.degraded_lines)
+        .field("sequential_fallbacks", m.sequential_fallbacks)
+        .field("peak_global_retained", m.peak_global_retained)
         .field(
             "per_process",
-            Json::Arr(
+            JsonValue::Arr(
                 m.per_process
                     .iter()
                     .map(|p| {
-                        Json::obj()
-                            .field("retained", Json::UInt(p.retained as u64))
-                            .field("peak_retained", Json::UInt(p.peak_retained as u64))
-                            .field("total_stored", Json::UInt(p.total_stored as u64))
-                            .field("total_collected", Json::UInt(p.total_collected as u64))
-                            .field("basic", Json::UInt(p.basic))
-                            .field("forced", Json::UInt(p.forced))
-                            .field("sent", Json::UInt(p.sent))
-                            .field("delivered", Json::UInt(p.delivered))
-                            .field("lost", Json::UInt(p.lost))
-                            .field("retained_sum", Json::UInt(p.retained_sum))
-                            .field("samples", Json::UInt(p.samples))
+                        JsonValue::obj()
+                            .field("retained", p.retained)
+                            .field("peak_retained", p.peak_retained)
+                            .field("total_stored", p.total_stored)
+                            .field("total_collected", p.total_collected)
+                            .field("basic", p.basic)
+                            .field("forced", p.forced)
+                            .field("sent", p.sent)
+                            .field("delivered", p.delivered)
+                            .field("lost", p.lost)
+                            .field("retained_sum", p.retained_sum)
+                            .field("samples", p.samples)
                             .build()
                     })
                     .collect(),
@@ -72,18 +94,30 @@ fn metrics_json(m: &Metrics) -> Json {
         .build()
 }
 
-/// Writes the full metrics + profile document for `--metrics-out`.
-fn write_metrics_out(path: &std::path::Path, report: &SimulationReport) -> Result<(), String> {
-    let doc = Json::obj()
+/// The `--metrics-out` document of one run: its full metrics, and its
+/// phase profile when recorded.
+fn metrics_doc(report: &SimulationReport) -> JsonValue {
+    JsonValue::obj()
         .field("metrics", metrics_json(&report.metrics))
         .maybe(
             "profile",
-            report
-                .profile
-                .as_ref()
-                .map(|p| Json::Raw(p.to_json().to_string())),
+            report.profile.as_ref().map(rdt_obs::ProfileReport::to_json),
         )
-        .build();
+        .build()
+}
+
+/// One run's document, or several runs' as one array.
+fn per_run_doc(mut docs: Vec<JsonValue>) -> JsonValue {
+    if docs.len() == 1 {
+        docs.remove(0)
+    } else {
+        JsonValue::Arr(docs)
+    }
+}
+
+/// Writes `--metrics-out`: the document of each run.
+fn write_metrics_out(path: &std::path::Path, reports: &[SimulationReport]) -> Result<(), String> {
+    let doc = per_run_doc(reports.iter().map(metrics_doc).collect());
     std::fs::write(path, doc.pretty() + "\n")
         .map_err(|e| format!("writing {}: {e}", path.display()))
 }
@@ -111,39 +145,68 @@ struct SimulateSummary {
 }
 
 impl SimulateSummary {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("n", Json::UInt(self.n as u64))
-            .field("steps", Json::UInt(self.steps as u64))
-            .field("protocol", Json::Str(self.protocol.clone()))
-            .field("gc", Json::Str(self.gc.clone()))
-            .field("ticks", Json::UInt(self.ticks))
-            .field("delivered", Json::UInt(self.delivered))
-            .field("lost", Json::UInt(self.lost))
-            .field("basic_checkpoints", Json::UInt(self.basic_checkpoints))
-            .field("forced_checkpoints", Json::UInt(self.forced_checkpoints))
-            .field("collected", Json::UInt(self.collected as u64))
-            .field("recovery_sessions", Json::UInt(self.recovery_sessions))
-            .field("rolled_back", Json::UInt(self.rolled_back))
-            .field("max_retained", Json::UInt(self.max_retained as u64))
-            .field(
-                "peak_global_retained",
-                Json::UInt(self.peak_global_retained as u64),
-            )
-            .field("avg_retained", Json::Float(self.avg_retained))
-            .field(
-                "per_process_retained",
-                Json::uints(self.per_process_retained.iter().copied()),
-            )
+    fn new(opts: &RunOpts, report: &SimulationReport) -> Self {
+        let m = &report.metrics;
+        let occupancy = report.occupancy.as_ref().map(|samples| {
+            let tl = OccupancyTimeline::from_raw(opts.spec.n, samples.iter().copied());
+            let (at, peak) = tl.global_peak();
+            OccupancySummary {
+                global_peak: peak,
+                global_peak_at: at,
+                time_averaged_global: tl.time_averaged_global(),
+                final_global: tl.final_global(),
+                per_process_peak: ProcessId::all(opts.spec.n)
+                    .map(|p| tl.process_peak(p))
+                    .collect(),
+            }
+        });
+        SimulateSummary {
+            n: opts.spec.n,
+            steps: opts.spec.steps,
+            protocol: opts.protocol.to_string(),
+            gc: opts.gc.to_string(),
+            ticks: m.ticks,
+            delivered: m.total_delivered(),
+            lost: m.per_process.iter().map(|p| p.lost).sum(),
+            basic_checkpoints: m.total_basic(),
+            forced_checkpoints: m.total_forced(),
+            collected: m.total_collected(),
+            recovery_sessions: m.recovery_sessions,
+            rolled_back: m.total_rolled_back,
+            max_retained: m.max_retained_per_process(),
+            peak_global_retained: m.peak_global_retained,
+            avg_retained: m.avg_retained(),
+            per_process_retained: m.per_process.iter().map(|p| p.retained).collect(),
+            occupancy,
+            profile: report.profile.clone(),
+        }
+    }
+
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj()
+            .field("n", self.n)
+            .field("steps", self.steps)
+            .field("protocol", self.protocol.clone())
+            .field("gc", self.gc.clone())
+            .field("ticks", self.ticks)
+            .field("delivered", self.delivered)
+            .field("lost", self.lost)
+            .field("basic_checkpoints", self.basic_checkpoints)
+            .field("forced_checkpoints", self.forced_checkpoints)
+            .field("collected", self.collected)
+            .field("recovery_sessions", self.recovery_sessions)
+            .field("rolled_back", self.rolled_back)
+            .field("max_retained", self.max_retained)
+            .field("peak_global_retained", self.peak_global_retained)
+            .field("avg_retained", float3(self.avg_retained))
+            .field("per_process_retained", self.per_process_retained.clone())
             .maybe(
                 "occupancy",
                 self.occupancy.as_ref().map(OccupancySummary::to_json),
             )
             .maybe(
                 "profile",
-                self.profile
-                    .as_ref()
-                    .map(|p| Json::Raw(p.to_json().to_string())),
+                self.profile.as_ref().map(rdt_obs::ProfileReport::to_json),
             )
             .build()
     }
@@ -159,67 +222,79 @@ struct OccupancySummary {
 }
 
 impl OccupancySummary {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("global_peak", Json::UInt(self.global_peak as u64))
-            .field("global_peak_at", Json::UInt(self.global_peak_at))
-            .field(
-                "time_averaged_global",
-                Json::Float(self.time_averaged_global),
-            )
-            .field("final_global", Json::UInt(self.final_global as u64))
-            .field(
-                "per_process_peak",
-                Json::uints(self.per_process_peak.iter().copied()),
-            )
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj()
+            .field("global_peak", self.global_peak)
+            .field("global_peak_at", self.global_peak_at)
+            .field("time_averaged_global", float3(self.time_averaged_global))
+            .field("final_global", self.final_global)
+            .field("per_process_peak", self.per_process_peak.clone())
             .build()
     }
 }
 
-/// `rdt simulate` — run a workload and report the storage metrics.
+/// `rdt simulate` — run a workload and report the storage metrics; with
+/// `--runs K`, K runs and their aggregate.
 pub fn simulate(opts: &RunOpts, occupancy: bool) -> Result<(), String> {
-    let report = run_with(opts, false, occupancy)?;
+    let reports = per_seed(opts, |seed| run_with(opts, seed, false, occupancy))?;
     if let Some(path) = &opts.metrics_out {
-        write_metrics_out(path, &report)?;
+        write_metrics_out(path, &reports)?;
     }
-    let m = &report.metrics;
-    let occupancy = report.occupancy.as_ref().map(|samples| {
-        let tl = OccupancyTimeline::from_raw(opts.spec.n, samples.iter().copied());
-        let (at, peak) = tl.global_peak();
-        OccupancySummary {
-            global_peak: peak,
-            global_peak_at: at,
-            time_averaged_global: tl.time_averaged_global(),
-            final_global: tl.final_global(),
-            per_process_peak: ProcessId::all(opts.spec.n)
-                .map(|p| tl.process_peak(p))
-                .collect(),
-        }
-    });
-    let summary = SimulateSummary {
-        n: opts.spec.n,
-        steps: opts.spec.steps,
-        protocol: opts.protocol.to_string(),
-        gc: opts.gc.to_string(),
-        ticks: m.ticks,
-        delivered: m.total_delivered(),
-        lost: m.per_process.iter().map(|p| p.lost).sum(),
-        basic_checkpoints: m.total_basic(),
-        forced_checkpoints: m.total_forced(),
-        collected: m.total_collected(),
-        recovery_sessions: m.recovery_sessions,
-        rolled_back: m.total_rolled_back,
-        max_retained: m.max_retained_per_process(),
-        peak_global_retained: m.peak_global_retained,
-        avg_retained: m.avg_retained(),
-        per_process_retained: m.per_process.iter().map(|p| p.retained).collect(),
-        occupancy,
-        profile: report.profile.clone(),
-    };
     if opts.json {
-        println!("{}", summary.to_json().pretty());
+        let docs = reports
+            .iter()
+            .map(|r| SimulateSummary::new(opts, r).to_json())
+            .collect();
+        println!("{}", per_run_doc(docs).pretty());
         return Ok(());
     }
+    match reports.as_slice() {
+        [report] => print_run(&SimulateSummary::new(opts, report), report),
+        several => print_aggregate(opts.spec.n, several),
+    }
+    Ok(())
+}
+
+/// The aggregate of several runs: per-run means and the worst retention.
+fn print_aggregate(n: usize, reports: &[SimulationReport]) {
+    let mean = |f: &dyn Fn(&Metrics) -> f64| {
+        reports.iter().map(|r| f(&r.metrics)).sum::<f64>() / reports.len() as f64
+    };
+    println!(
+        "aggregate over {} parallel runs (deterministic derived seeds):",
+        reports.len()
+    );
+    println!(
+        "checkpoints: {:.1} basic + {:.1} forced, {:.1} collected (per-run mean)",
+        mean(&|m| m.total_basic() as f64),
+        mean(&|m| m.total_forced() as f64),
+        mean(&|m| m.total_collected() as f64),
+    );
+    println!(
+        "retention: avg {:.2} per process, worst max {} (bound n+1 = {})",
+        mean(&Metrics::avg_retained),
+        reports
+            .iter()
+            .map(|r| r.metrics.max_retained_per_process())
+            .max()
+            .unwrap_or(0),
+        n + 1
+    );
+    println!(
+        "recovery sessions: {} total across runs ({} degraded lines)",
+        reports
+            .iter()
+            .map(|r| r.recovery_sessions.len())
+            .sum::<usize>(),
+        reports
+            .iter()
+            .map(|r| r.metrics.degraded_lines)
+            .sum::<u64>()
+    );
+}
+
+/// One run's summary, with its final incarnations and retained sets.
+fn print_run(summary: &SimulateSummary, report: &SimulationReport) {
     println!(
         "simulated {} ops on {} processes over {} ticks",
         summary.steps, summary.n, summary.ticks
@@ -247,6 +322,16 @@ pub fn simulate(opts: &RunOpts, occupancy: bool) -> Result<(), String> {
         "final per-process occupancy: {:?}",
         summary.per_process_retained
     );
+    println!("degraded recovery lines: {}", report.metrics.degraded_lines);
+    println!(
+        "final incarnations: {:?}",
+        report
+            .final_incarnations
+            .iter()
+            .map(|v| v.value())
+            .collect::<Vec<_>>()
+    );
+    println!("final retained checkpoints: {:?}", report.final_retained);
     if let Some(occ) = &summary.occupancy {
         println!(
             "timeline: global peak {} at tick {}, time-averaged {:.2}, final {}",
@@ -270,7 +355,6 @@ pub fn simulate(opts: &RunOpts, occupancy: bool) -> Result<(), String> {
             println!("  {name:<24} {value:>9}");
         }
     }
-    Ok(())
 }
 
 /// `rdt trace` — replay a run and emit its global event sequence as JSONL
@@ -280,81 +364,79 @@ pub fn simulate(opts: &RunOpts, occupancy: bool) -> Result<(), String> {
 pub fn trace(opts: &RunOpts, out: Option<&str>) -> Result<(), String> {
     let report = run(opts, true)?;
     if let Some(path) = &opts.metrics_out {
-        write_metrics_out(path, &report)?;
+        write_metrics_out(path, std::slice::from_ref(&report))?;
     }
     let trace = report.trace.as_ref().expect("trace recording requested");
     let mut lines = String::new();
     lines.push_str(
-        &Json::obj()
-            .field("type", Json::Str("run".into()))
-            .field("n", Json::UInt(opts.spec.n as u64))
-            .field("steps", Json::UInt(opts.spec.steps as u64))
-            .field("seed", Json::UInt(opts.spec.seed))
-            .field("shards", Json::UInt(opts.config.shard.shards as u64))
-            .field("protocol", Json::Str(opts.protocol.to_string()))
-            .field("gc", Json::Str(opts.gc.to_string()))
+        &JsonValue::obj()
+            .field("type", "run")
+            .field("n", opts.spec.n)
+            .field("steps", opts.spec.steps)
+            .field("seed", opts.spec.seed)
+            .field("shards", opts.config.shard.shards)
+            .field("protocol", opts.protocol.to_string())
+            .field("gc", opts.gc.to_string())
             .build()
-            .compact(),
+            .to_string(),
     );
     lines.push('\n');
     for (i, event) in trace.iter().enumerate() {
-        let base = Json::obj()
-            .field("type", Json::Str("event".into()))
-            .field("i", Json::UInt(i as u64));
+        let base = JsonValue::obj().field("type", "event").field("i", i);
         let doc = match event {
             TraceEvent::Checkpoint { process, forced } => base
-                .field("kind", Json::Str("ckpt".into()))
-                .field("process", Json::UInt(process.index() as u64))
-                .field("forced", Json::Bool(*forced)),
+                .field("kind", "ckpt")
+                .field("process", process.index())
+                .field("forced", *forced),
             TraceEvent::Send { id, to } => base
-                .field("kind", Json::Str("send".into()))
-                .field("from", Json::UInt(id.sender.index() as u64))
-                .field("seq", Json::UInt(id.seq))
-                .field("to", Json::UInt(to.index() as u64)),
+                .field("kind", "send")
+                .field("from", id.sender.index())
+                .field("seq", id.seq)
+                .field("to", to.index()),
             TraceEvent::Deliver { id } => base
-                .field("kind", Json::Str("deliver".into()))
-                .field("from", Json::UInt(id.sender.index() as u64))
-                .field("seq", Json::UInt(id.seq)),
+                .field("kind", "deliver")
+                .field("from", id.sender.index())
+                .field("seq", id.seq),
             TraceEvent::Drop { id } => base
-                .field("kind", Json::Str("drop".into()))
-                .field("from", Json::UInt(id.sender.index() as u64))
-                .field("seq", Json::UInt(id.seq)),
+                .field("kind", "drop")
+                .field("from", id.sender.index())
+                .field("seq", id.seq),
             TraceEvent::Collect { process, index } => base
-                .field("kind", Json::Str("collect".into()))
-                .field("process", Json::UInt(process.index() as u64))
-                .field("index", Json::UInt(index.value() as u64)),
+                .field("kind", "collect")
+                .field("process", process.index())
+                .field("index", index.value()),
             TraceEvent::Crash { process } => base
-                .field("kind", Json::Str("crash".into()))
-                .field("process", Json::UInt(process.index() as u64)),
+                .field("kind", "crash")
+                .field("process", process.index()),
             TraceEvent::Restore { process, to } => base
-                .field("kind", Json::Str("restore".into()))
-                .field("process", Json::UInt(process.index() as u64))
-                .field("to", Json::UInt(to.value() as u64)),
+                .field("kind", "restore")
+                .field("process", process.index())
+                .field("to", to.value()),
         };
-        lines.push_str(&doc.build().compact());
+        lines.push_str(&doc.build().to_string());
         lines.push('\n');
     }
     if let Some(profile) = &report.profile {
         for (phase, stats) in &profile.phases {
             lines.push_str(
-                &Json::obj()
-                    .field("type", Json::Str("span".into()))
-                    .field("phase", Json::Str(phase.clone()))
-                    .field("count", Json::UInt(stats.count))
-                    .field("total_ns", Json::UInt(stats.total_ns))
+                &JsonValue::obj()
+                    .field("type", "span")
+                    .field("phase", phase.clone())
+                    .field("count", stats.count)
+                    .field("total_ns", stats.total_ns)
                     .build()
-                    .compact(),
+                    .to_string(),
             );
             lines.push('\n');
         }
         for (name, value) in &profile.counters {
             lines.push_str(
-                &Json::obj()
-                    .field("type", Json::Str("counter".into()))
-                    .field("name", Json::Str(name.clone()))
-                    .field("value", Json::UInt(*value))
+                &JsonValue::obj()
+                    .field("type", "counter")
+                    .field("name", name.clone())
+                    .field("value", *value)
                     .build()
-                    .compact(),
+                    .to_string(),
             );
             lines.push('\n');
         }
@@ -386,35 +468,26 @@ struct AnalyzeSummary {
 }
 
 impl AnalyzeSummary {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("rdt", Json::Bool(self.rdt))
-            .field(
-                "stable_checkpoints",
-                Json::UInt(self.stable_checkpoints as u64),
-            )
-            .field("delivered", Json::UInt(self.delivered as u64))
-            .field("causal_density", Json::Float(self.causal_density))
-            .field("zigzag_density", Json::Float(self.zigzag_density))
-            .field("doubling_ratio", Json::Float(self.doubling_ratio))
-            .field("useless", Json::UInt(self.useless as u64))
-            .field("obsolete", Json::UInt(self.obsolete as u64))
+    fn to_json(&self) -> JsonValue {
+        JsonValue::obj()
+            .field("rdt", self.rdt)
+            .field("stable_checkpoints", self.stable_checkpoints)
+            .field("delivered", self.delivered)
+            .field("causal_density", float3(self.causal_density))
+            .field("zigzag_density", float3(self.zigzag_density))
+            .field("doubling_ratio", float3(self.doubling_ratio))
+            .field("useless", self.useless)
+            .field("obsolete", self.obsolete)
             .field(
                 "causally_identifiable_obsolete",
-                Json::UInt(self.causally_identifiable_obsolete as u64),
+                self.causally_identifiable_obsolete,
             )
-            .field("optimality_gap", Json::UInt(self.optimality_gap as u64))
-            .maybe(
-                "worst_failure_process",
-                self.worst_failure_process.clone().map(Json::Str),
-            )
-            .maybe(
-                "worst_failure_rolled_back",
-                self.worst_failure_rolled_back.map(|v| Json::UInt(v as u64)),
-            )
+            .field("optimality_gap", self.optimality_gap)
+            .maybe("worst_failure_process", self.worst_failure_process.clone())
+            .maybe("worst_failure_rolled_back", self.worst_failure_rolled_back)
             .maybe(
                 "worst_failure_reaches_initial",
-                self.worst_failure_reaches_initial.map(Json::Bool),
+                self.worst_failure_reaches_initial,
             )
             .build()
     }
@@ -498,57 +571,73 @@ pub fn analyze(opts: &RunOpts, dot: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct AuditSummary {
-    collector: String,
     collected: usize,
     sessions: usize,
     violations: Vec<String>,
 }
 
-impl AuditSummary {
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .field("collector", Json::Str(self.collector.clone()))
-            .field("collected", Json::UInt(self.collected as u64))
-            .field("sessions", Json::UInt(self.sessions as u64))
-            .field(
-                "violations",
-                Json::Arr(self.violations.iter().cloned().map(Json::Str).collect()),
-            )
-            .build()
-    }
-}
-
 /// `rdt audit` — run and check every garbage-collection event against the
 /// Theorem-1 oracle at its own cut. A crashy run is judged on the history
 /// its recovery sessions left live, each session's own eliminations
-/// (rollback and `recovery_info`) included.
+/// (rollback and `recovery_info`) included. With `--runs K` every run is
+/// audited and the counts are summed.
 pub fn audit(opts: &RunOpts) -> Result<(), String> {
-    let report = run(opts, true)?;
-    let trace = report.trace.as_ref().expect("trace recording requested");
-    let sessions: Vec<&[CheckpointId]> = report
-        .recovery_sessions
-        .iter()
-        .map(|s| s.eliminated.as_slice())
-        .collect();
-    let violations = collection_safety_violations_through_sessions(opts.spec.n, trace, &sessions)
-        .map_err(|e| format!("trace replay failed: {e}"))?;
-    let summary = AuditSummary {
-        collector: opts.gc.to_string(),
-        collected: report.metrics.total_collected(),
-        sessions: sessions.len(),
-        violations: violations.iter().map(|c| c.to_string()).collect(),
-    };
+    let runs = per_seed(opts, |seed| {
+        let report = run_with(opts, seed, true, false)?;
+        let trace = report.trace.as_ref().expect("trace recording requested");
+        let sessions: Vec<&[CheckpointId]> = report
+            .recovery_sessions
+            .iter()
+            .map(|s| s.eliminated.as_slice())
+            .collect();
+        let violations =
+            collection_safety_violations_through_sessions(opts.spec.n, trace, &sessions)
+                .map_err(|e| format!("trace replay failed: {e}"))?;
+        Ok(AuditSummary {
+            collected: report.metrics.total_collected(),
+            sessions: sessions.len(),
+            violations: violations.iter().map(|c| c.to_string()).collect(),
+        })
+    })?;
+    let several = runs.len() > 1;
+    let mut summary = AuditSummary::default();
+    for (k, run) in runs.into_iter().enumerate() {
+        summary.collected += run.collected;
+        summary.sessions += run.sessions;
+        summary
+            .violations
+            .extend(run.violations.into_iter().map(|v| {
+                if several {
+                    format!("run {k}: {v}")
+                } else {
+                    v
+                }
+            }));
+    }
+    let collector = opts.gc.to_string();
     if opts.json {
-        println!("{}", summary.to_json().pretty());
+        let doc = JsonValue::obj()
+            .field("collector", collector)
+            .maybe("runs", several.then_some(opts.runs))
+            .field("collected", summary.collected)
+            .field("sessions", summary.sessions)
+            .field("violations", summary.violations.clone())
+            .build();
+        println!("{}", doc.pretty());
     } else {
         println!(
-            "{}: {} checkpoints collected, {} safety violations",
-            summary.collector,
+            "{collector}: {} checkpoints collected, {} safety violations",
             summary.collected,
             summary.violations.len()
         );
+        if several {
+            println!(
+                "summed over {} runs (deterministic derived seeds)",
+                opts.runs
+            );
+        }
         if summary.sessions > 0 {
             println!(
                 "through {} recovery sessions, their own eliminations included",
@@ -562,10 +651,10 @@ pub fn audit(opts: &RunOpts) -> Result<(), String> {
             println!("every elimination was provably obsolete (Theorem 1) at its cut");
         }
     }
-    if violations.is_empty() {
+    if summary.violations.is_empty() {
         Ok(())
     } else {
-        Err(format!("{} safety violations", violations.len()))
+        Err(format!("{} safety violations", summary.violations.len()))
     }
 }
 
@@ -599,14 +688,14 @@ pub fn line(opts: &RunOpts) -> Result<(), String> {
         })
         .collect();
     if opts.json {
-        let doc = Json::Arr(
+        let doc = JsonValue::Arr(
             lines
                 .iter()
                 .map(|l| {
-                    Json::obj()
-                        .field("faulty", Json::Str(l.faulty.clone()))
-                        .field("line", Json::uints(l.line.iter().copied()))
-                        .field("rolled_back", Json::UInt(l.rolled_back as u64))
+                    JsonValue::obj()
+                        .field("faulty", l.faulty.clone())
+                        .field("line", l.line.clone())
+                        .field("rolled_back", l.rolled_back)
                         .build()
                 })
                 .collect(),
@@ -669,77 +758,54 @@ pub fn explain(opts: &RunOpts, faulty_arg: Option<&str>) -> Result<(), String> {
         }
     }
     if opts.json {
-        println!("{}", Json::Arr(docs).pretty());
+        println!("{}", JsonValue::Arr(docs).pretty());
     }
     return Ok(());
 
-    fn explanation_json(faulty: &FaultySet, exp: &LineExplanation) -> Json {
-        Json::obj()
-            .field("faulty", Json::uints(faulty.iter().map(|f| f.index())))
-            .field("line", Json::uints(exp.line().to_raw()))
+    fn explanation_json(faulty: &FaultySet, exp: &LineExplanation) -> JsonValue {
+        JsonValue::obj()
+            .field(
+                "faulty",
+                faulty.iter().map(|f| f.index()).collect::<Vec<_>>(),
+            )
+            .field("line", exp.line().to_raw())
             .field(
                 "components",
-                Json::Arr(
+                JsonValue::Arr(
                     exp.components
                         .iter()
                         .map(|c| {
-                            Json::obj()
-                                .field("process", Json::UInt(c.process.index() as u64))
-                                .field("chosen", Json::UInt(c.chosen.value() as u64))
-                                .field("ceiling", Json::UInt(c.ceiling.value() as u64))
-                                .field("volatile_kept", Json::Bool(c.volatile_kept))
+                            JsonValue::obj()
+                                .field("process", c.process.index())
+                                .field("chosen", c.chosen.value())
+                                .field("ceiling", c.ceiling.value())
+                                .field("volatile_kept", c.volatile_kept)
                                 .maybe(
                                     "pinned_by",
                                     c.pinned_by.as_ref().map(|p| {
-                                        Json::obj()
-                                            .field(
-                                                "process",
-                                                Json::UInt(p.blocker.index() as u64),
-                                            )
-                                            .field(
-                                                "incarnation",
-                                                Json::UInt(u64::from(p.incarnation)),
-                                            )
-                                            .field("interval", Json::UInt(p.interval as u64))
-                                            .field(
-                                                "rejected",
-                                                Json::UInt(p.rejected.value() as u64),
-                                            )
-                                            .field(
-                                                "last_stable",
-                                                Json::UInt(p.last_stable.value() as u64),
-                                            )
+                                        JsonValue::obj()
+                                            .field("process", p.blocker.index())
+                                            .field("incarnation", u64::from(p.incarnation))
+                                            .field("interval", p.interval)
+                                            .field("rejected", p.rejected.value())
+                                            .field("last_stable", p.last_stable.value())
                                             .build()
                                     }),
                                 )
                                 .field(
                                     "amnestied",
-                                    Json::Arr(
+                                    JsonValue::Arr(
                                         c.amnestied
                                             .iter()
                                             .map(|a| {
-                                                Json::obj()
-                                                    .field(
-                                                        "at",
-                                                        Json::UInt(a.at.value() as u64),
-                                                    )
-                                                    .field(
-                                                        "process",
-                                                        Json::UInt(a.faulty.index() as u64),
-                                                    )
-                                                    .field(
-                                                        "incarnation",
-                                                        Json::UInt(u64::from(a.incarnation)),
-                                                    )
-                                                    .field(
-                                                        "interval",
-                                                        Json::UInt(a.interval as u64),
-                                                    )
+                                                JsonValue::obj()
+                                                    .field("at", a.at.value())
+                                                    .field("process", a.faulty.index())
+                                                    .field("incarnation", u64::from(a.incarnation))
+                                                    .field("interval", a.interval)
                                                     .field(
                                                         "live_incarnation",
-                                                        Json::UInt(u64::from(
-                                                            a.live_incarnation,
-                                                        )),
+                                                        u64::from(a.live_incarnation),
                                                     )
                                                     .build()
                                             })
@@ -824,48 +890,33 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
     };
     let report = run_torture(&opts).map_err(|e| format!("torture harness failed: {e}"))?;
     if m.get_flag("json") {
-        let doc = Json::obj()
-            .field("total_ops", Json::UInt(report.total_ops))
-            .field(
-                "crash_points_tested",
-                Json::UInt(report.crash_points_tested as u64),
-            )
-            .field(
-                "fault_plans_tested",
-                Json::UInt(report.fault_plans_tested as u64),
-            )
-            .field("quarantined", Json::UInt(report.quarantined as u64))
-            .field("append_faults", Json::UInt(report.append_faults))
-            .field("transient_retries", Json::UInt(report.transient_retries))
+        let doc = JsonValue::obj()
+            .field("total_ops", report.total_ops)
+            .field("crash_points_tested", report.crash_points_tested)
+            .field("fault_plans_tested", report.fault_plans_tested)
+            .field("quarantined", report.quarantined)
+            .field("append_faults", report.append_faults)
+            .field("transient_retries", report.transient_retries)
             .field(
                 "restarts",
-                Json::Arr(
+                JsonValue::Arr(
                     report
                         .restarts
                         .iter()
                         .map(|(crash_point, r)| {
-                            Json::obj()
-                                .field("crash_point", Json::UInt(*crash_point))
-                                .field("loaded", Json::UInt(r.loaded as u64))
-                                .field("quarantined", Json::UInt(r.quarantined as u64))
-                                .field("log_bytes", Json::UInt(r.log_bytes as u64))
-                                .field("transient_retries", Json::UInt(r.transient_retries))
+                            JsonValue::obj()
+                                .field("crash_point", *crash_point)
+                                .field("loaded", r.loaded)
+                                .field("quarantined", r.quarantined)
+                                .field("log_bytes", r.log_bytes)
+                                .field("transient_retries", r.transient_retries)
                                 .build()
                         })
                         .collect(),
                 ),
             )
-            .field(
-                "failures",
-                Json::Arr(
-                    report
-                        .failures
-                        .iter()
-                        .map(|f| Json::Str(f.clone()))
-                        .collect(),
-                ),
-            )
-            .field("passed", Json::Bool(report.passed()))
+            .field("failures", report.failures.clone())
+            .field("passed", report.passed())
             .build();
         println!("{}", doc.pretty());
     } else {
@@ -891,8 +942,14 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
     if let Some(path) = m.get_one::<String>("metrics-out") {
         let mut metrics = rdt_obs::ProfileReport::new();
         metrics.add("torture_ops", report.total_ops);
-        metrics.add("torture_crash_points_tested", report.crash_points_tested as u64);
-        metrics.add("torture_fault_plans_tested", report.fault_plans_tested as u64);
+        metrics.add(
+            "torture_crash_points_tested",
+            report.crash_points_tested as u64,
+        );
+        metrics.add(
+            "torture_fault_plans_tested",
+            report.fault_plans_tested as u64,
+        );
         metrics.add("torture_failures", report.failures.len() as u64);
         metrics.add("torture_append_faults", report.append_faults);
         metrics.add("restart_quarantined", report.quarantined as u64);

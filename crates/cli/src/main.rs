@@ -2,6 +2,7 @@
 //!
 //! ```sh
 //! rdt simulate -n 8 -s 2000 --protocol fdas --gc rdt-lgc
+//! rdt simulate -n 8 -s 5000 -x 0.005 --correlated 0.3 --runs 32
 //! rdt analyze  -n 4 --pattern ring
 //! rdt audit    --gc time:60 -D 400
 //! rdt line     -n 4 -s 300
@@ -29,20 +30,19 @@ macro_rules! println {
 
 mod causal;
 mod commands;
-mod json;
 mod opts;
 mod serve;
 
 use clap::Command;
 
-use crate::opts::{run_opts, with_common_args};
+use crate::opts::{run_opts, with_common_args, with_runs_arg};
 
 fn cli() -> Command {
     Command::new("rdt")
         .about("Simulate, analyze and audit RDT checkpointing with asynchronous garbage collection (ICDCS 2005)")
         .subcommand_required(true)
         .arg_required_else_help(true)
-        .subcommand(with_common_args(
+        .subcommand(with_runs_arg(with_common_args(
             Command::new("simulate")
                 .about("run a workload and report storage metrics")
                 .arg(
@@ -51,7 +51,7 @@ fn cli() -> Command {
                         .help("also report the storage-occupancy timeline (peak / averages)")
                         .action(clap::ArgAction::SetTrue),
                 ),
-        ))
+        )))
         .subcommand(with_common_args(
             Command::new("analyze")
                 .about("replay a crash-free run into a CCP: RDT, densities, propagation")
@@ -62,10 +62,10 @@ fn cli() -> Command {
                         .value_name("what"),
                 ),
         ))
-        .subcommand(with_common_args(
+        .subcommand(with_runs_arg(with_common_args(
             Command::new("audit")
                 .about("check every garbage-collection event against the Theorem-1 oracle"),
-        ))
+        )))
         .subcommand(with_common_args(
             Command::new("line").about("recovery lines for every single-process failure"),
         ))
@@ -236,11 +236,49 @@ mod tests {
     fn subcommands_share_common_args() {
         for sub in ["simulate", "analyze", "audit", "line", "explain", "trace"] {
             let m = cli()
-                .try_get_matches_from(["rdt", sub, "-n", "3", "--json"])
+                .try_get_matches_from([
+                    "rdt",
+                    sub,
+                    "-n",
+                    "3",
+                    "--json",
+                    "--correlated",
+                    "0.3",
+                    "--recovery",
+                    "uncoordinated",
+                ])
                 .expect("parses");
             let (_, subm) = m.subcommand().unwrap();
-            assert!(run_opts(subm).is_ok());
+            let opts = run_opts(subm).unwrap();
+            assert_eq!(opts.config.correlated_crash_prob, 0.3);
+            assert_eq!(opts.recovery, rdt_recovery::RecoveryMode::Uncoordinated);
+            for bad in [
+                ["--correlated", "1.5"],
+                ["--correlated", "-0.1"],
+                ["--correlated", "x"],
+                ["--recovery", "optimistic"],
+            ] {
+                let m = cli()
+                    .try_get_matches_from(["rdt", sub, bad[0], bad[1]])
+                    .expect("parses");
+                let (_, subm) = m.subcommand().unwrap();
+                assert!(run_opts(subm).is_err(), "{sub} {bad:?}");
+            }
         }
+    }
+
+    #[test]
+    fn simulate_and_audit_take_runs() {
+        for sub in ["simulate", "audit"] {
+            let m = cli()
+                .try_get_matches_from(["rdt", sub, "--runs", "8"])
+                .expect("parses");
+            let (_, subm) = m.subcommand().unwrap();
+            assert_eq!(run_opts(subm).unwrap().runs, 8);
+        }
+        assert!(cli()
+            .try_get_matches_from(["rdt", "line", "--runs", "8"])
+            .is_err());
     }
 
     #[test]

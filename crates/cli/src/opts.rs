@@ -5,6 +5,7 @@ use clap::{Arg, ArgMatches, Command};
 
 use rdt_core::GcKind;
 use rdt_protocols::ProtocolKind;
+use rdt_recovery::RecoveryMode;
 use rdt_sim::{ChannelConfig, ShardConfig, SimConfig};
 use rdt_workloads::{Pattern, WorkloadSpec};
 
@@ -61,7 +62,9 @@ pub fn parse_protocol(s: &str) -> Result<ProtocolKind, String> {
 }
 
 /// Parses a `--gc` value: `rdt-lgc`, `none`, `simple`, `wang`,
-/// `time:<horizon>`.
+/// `time:<horizon>`, or any [`GcKind`]'s display name (`time-based(<h>)`
+/// among them, which is how `rdt serve` hands the collector to its
+/// workers).
 ///
 /// # Errors
 ///
@@ -73,7 +76,12 @@ pub fn parse_gc(s: &str) -> Result<GcKind, String> {
         "simple" | "simple-coordinated" => Ok(GcKind::SimpleCoordinated),
         "wang" | "wang-global" => Ok(GcKind::WangGlobal),
         other => {
-            if let Some(h) = other.strip_prefix("time:") {
+            let horizon = other.strip_prefix("time:").or_else(|| {
+                other
+                    .strip_prefix("time-based(")
+                    .and_then(|h| h.strip_suffix(')'))
+            });
+            if let Some(h) = horizon {
                 let horizon = h
                     .parse::<u64>()
                     .map_err(|e| format!("bad time horizon: {e}"))?;
@@ -83,6 +91,21 @@ pub fn parse_gc(s: &str) -> Result<GcKind, String> {
                 "unknown collector '{other}' (one of: rdt-lgc, none, simple, wang, time:<horizon>)"
             ))
         }
+    }
+}
+
+/// Parses a `--recovery` value: `coordinated` or `uncoordinated`.
+///
+/// # Errors
+///
+/// A message naming the two modes.
+pub fn parse_recovery(s: &str) -> Result<RecoveryMode, String> {
+    match s {
+        "coordinated" => Ok(RecoveryMode::Coordinated),
+        "uncoordinated" => Ok(RecoveryMode::Uncoordinated),
+        other => Err(format!(
+            "unknown recovery mode '{other}' (coordinated or uncoordinated)"
+        )),
     }
 }
 
@@ -137,6 +160,20 @@ pub fn with_common_args(cmd: Command) -> Command {
         "message loss probability",
         "0.0",
     ))
+    .arg(
+        Arg::new("correlated")
+            .long("correlated")
+            .help("probability that each other process crashes along with a crashing one")
+            .default_value("0.0")
+            .value_name("p"),
+    )
+    .arg(
+        Arg::new("recovery")
+            .long("recovery")
+            .help("recovery sessions: coordinated (LI distributed) or uncoordinated (DV in its place)")
+            .default_value("coordinated")
+            .value_name("mode"),
+    )
     .arg(arg_with_default(
         "min-delay",
         'd',
@@ -181,6 +218,18 @@ pub fn with_common_args(cmd: Command) -> Command {
     )
 }
 
+/// Adds `--runs`: K runs on seeds derived from `--seed`, fanned out across
+/// cores.
+pub fn with_runs_arg(cmd: Command) -> Command {
+    cmd.arg(
+        Arg::new("runs")
+            .long("runs")
+            .help("runs on seeds derived from --seed, in parallel (1 = the seed itself)")
+            .default_value("1")
+            .value_name("K"),
+    )
+}
+
 fn arg_with_default(
     name: &'static str,
     short: char,
@@ -206,6 +255,10 @@ pub struct RunOpts {
     pub gc: GcKind,
     /// Simulator settings.
     pub config: SimConfig,
+    /// How recovery sessions pick their line.
+    pub recovery: RecoveryMode,
+    /// Runs on derived seeds (`--runs`; 1 where the subcommand has none).
+    pub runs: u64,
     /// JSON output requested.
     pub json: bool,
     /// Where to write the full metrics + profile document, if anywhere.
@@ -241,9 +294,22 @@ pub fn run_opts(m: &ArgMatches) -> Result<RunOpts, String> {
     if !(0.0..=1.0).contains(&loss) {
         return Err("-l: loss must be in [0,1]".into());
     }
+    let correlated: f64 = get("correlated")
+        .parse()
+        .map_err(|e| format!("--correlated: {e}"))?;
+    if !(0.0..=1.0).contains(&correlated) {
+        return Err("--correlated: probability must be in [0,1]".into());
+    }
     let shards: usize = get("shards").parse().map_err(|e| format!("-j: {e}"))?;
     if shards == 0 {
         return Err("-j: at least one shard required".into());
+    }
+    let runs: u64 = match m.get_one::<String>("runs") {
+        Some(k) => k.parse().map_err(|e| format!("--runs: {e}"))?,
+        None => 1,
+    };
+    if runs == 0 {
+        return Err("--runs: at least one run required".into());
     }
 
     let spec = WorkloadSpec::uniform_random(n, steps)
@@ -264,6 +330,7 @@ pub fn run_opts(m: &ArgMatches) -> Result<RunOpts, String> {
                     .map_err(|e| format!("--control-every: {e}"))
             })
             .transpose()?,
+        correlated_crash_prob: correlated,
         shard: ShardConfig {
             shards,
             ..ShardConfig::default()
@@ -276,6 +343,8 @@ pub fn run_opts(m: &ArgMatches) -> Result<RunOpts, String> {
         protocol: parse_protocol(&get("protocol"))?,
         gc: parse_gc(&get("gc"))?,
         config,
+        recovery: parse_recovery(&get("recovery"))?,
+        runs,
         json: m.get_flag("json"),
         metrics_out: m.get_one::<String>("metrics-out").map(Into::into),
     })
@@ -324,7 +393,16 @@ mod tests {
             GcKind::TimeBased { horizon: 300 }
         );
         assert!(parse_gc("time:x").is_err());
+        assert!(parse_gc("time-based(5").is_err());
         assert!(parse_gc("hourly").is_err());
+    }
+
+    #[test]
+    fn collectors_parse_by_display_name() {
+        let horizons = [0, 1, u64::MAX].map(|horizon| GcKind::TimeBased { horizon });
+        for kind in GcKind::ALL.into_iter().chain(horizons) {
+            assert_eq!(parse_gc(&kind.to_string()), Ok(kind));
+        }
     }
 
     #[test]
@@ -361,6 +439,15 @@ mod tests {
             opts.metrics_out.as_deref(),
             Some(std::path::Path::new("m.json"))
         );
+
+        assert_eq!(opts.config.correlated_crash_prob, 0.0);
+        assert_eq!(opts.recovery, RecoveryMode::Coordinated);
+        assert_eq!(opts.runs, 1);
+
+        let runs = with_runs_arg(cmd.clone());
+        let opts = run_opts(&runs.clone().get_matches_from(["t", "--runs", "8"])).unwrap();
+        assert_eq!(opts.runs, 8);
+        assert!(run_opts(&runs.get_matches_from(["t", "--runs", "0"])).is_err());
 
         let m = cmd.clone().get_matches_from(["t", "-n", "1"]);
         assert!(run_opts(&m).is_err());

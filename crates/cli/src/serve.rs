@@ -65,12 +65,13 @@ use rdt_cli::merge::Logs;
 use rdt_core::GcKind;
 use rdt_env::transport::MAX_FRAME;
 use rdt_env::{RealEnv, Rng as _, Transport as _, UdsTransport, WireFrame};
+use rdt_obs::json::JsonValue;
+use rdt_obs::ProfileReport;
 use rdt_protocols::{Middleware, ProtocolKind};
 use rdt_recovery::{FaultySet, RecoveryManager};
 use rdt_sim::LiveNode;
 use rdt_storage::{DiskSink, DurableStore};
 
-use crate::json::Json;
 use crate::opts::{parse_gc, parse_protocol};
 
 /// Everything both the parent and a worker need to agree on.
@@ -113,10 +114,6 @@ fn parse_config(
             .map(PathBuf::from)
             .unwrap_or_else(default_dir),
     })
-}
-
-fn summary_path(dir: &Path, rank: usize) -> PathBuf {
-    dir.join(format!("summary_p{rank}.txt"))
 }
 
 fn store_dir(dir: &Path, rank: usize) -> PathBuf {
@@ -198,7 +195,8 @@ fn pump(
 /// Writes one worker's Prometheus-style textfile dump
 /// (`metrics_p<rank>.prom`): phase latencies — frame encode/decode,
 /// socket send/recv, `store/*` I/O — when `RDT_PROFILE` is on, plus the
-/// always-present traffic counters. The closest a socket-driven worker
+/// always-present traffic and checkpoint counters, which are all the
+/// parent reads of a worker's run. The closest a socket-driven worker
 /// gets to a `/metrics` endpoint without a server thread.
 fn write_prom(
     dir: &Path,
@@ -207,7 +205,7 @@ fn write_prom(
     prof: &rdt_obs::Profiler,
     stats: &WorkerStats,
 ) -> Result<(), String> {
-    let mut report = rdt_obs::ProfileReport::new();
+    let mut report = ProfileReport::new();
     if let Some(p) = prof.report() {
         report.merge(p);
     }
@@ -222,6 +220,10 @@ fn write_prom(
     report.add("checkpoints_basic", stats.basic);
     report.add("checkpoints_forced", stats.forced);
     report.add("checkpoints_eliminated", stats.eliminated(node));
+    report.add(
+        "checkpoints_retained",
+        node.middleware().store().len() as u64,
+    );
     if let Some(restart) = &stats.restart {
         report.add("restart_loaded", restart.loaded as u64);
         report.add("restart_quarantined", restart.quarantined as u64);
@@ -320,6 +322,10 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
             &mut stats,
             &mut prof,
         )?;
+        // The collector's clock is the step count: a time-based collector
+        // discards what is older than its horizon in steps.
+        node.tick(step as u64);
+        logged()?;
         let roll = env.rng.between(0, 99);
         if roll < 35 {
             node.checkpoint()
@@ -364,22 +370,7 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
     if let Some(e) = node.middleware_mut().take_sink_error() {
         return Err(format!("durable commit failed: {e}"));
     }
-    write_prom(&cfg.dir, rank, &node, &prof, &stats)?;
-    let retained = node.middleware().store().len();
-    std::fs::write(
-        summary_path(&cfg.dir, rank),
-        format!(
-            "sent={} delivered={} basic={} forced={} eliminated={} retained={}\n",
-            stats.sent,
-            stats.delivered,
-            stats.basic,
-            stats.forced,
-            stats.eliminated(&node),
-            retained
-        ),
-    )
-    .map_err(|e| format!("summary write failed: {e}"))?;
-    Ok(())
+    write_prom(&cfg.dir, rank, &node, &prof, &stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -565,8 +556,8 @@ fn kill_workers(children: &mut [Child]) -> Result<(), String> {
 /// [`rdt_obs::ProfileReport`] and folds them into one snapshot: per-worker
 /// series keep a `/p<rank>` suffix, and un-suffixed series carry the
 /// cluster-wide totals.
-fn merge_prom(dir: &Path, n: usize) -> Result<rdt_obs::ProfileReport, String> {
-    let mut merged = rdt_obs::ProfileReport::new();
+fn merge_prom(dir: &Path, n: usize) -> Result<ProfileReport, String> {
+    let mut merged = ProfileReport::new();
     for i in 0..n {
         let path = prom_path(dir, i);
         let text = match std::fs::read_to_string(&path) {
@@ -574,7 +565,7 @@ fn merge_prom(dir: &Path, n: usize) -> Result<rdt_obs::ProfileReport, String> {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
             Err(e) => return Err(format!("{}: {e}", path.display())),
         };
-        let parsed = rdt_obs::ProfileReport::from_prometheus(&text)
+        let parsed = ProfileReport::from_prometheus(&text)
             .map_err(|e| format!("{}: {e}", path.display()))?;
         merged.merge_suffixed(&parsed, &format!("p{i}"));
     }
@@ -617,7 +608,9 @@ fn spawn_metrics_listener(
     Ok(local)
 }
 
-#[derive(Debug, Default)]
+/// The run's traffic and checkpoint totals, read off the merged `.prom`
+/// dumps: cluster-wide counters, and the largest per-rank retention.
+#[derive(Debug)]
 struct ServeSummary {
     sent: u64,
     delivered: u64,
@@ -627,31 +620,21 @@ struct ServeSummary {
     max_retained: u64,
 }
 
-fn read_summaries(dir: &Path, n: usize) -> ServeSummary {
-    let mut out = ServeSummary::default();
-    for i in 0..n {
-        let Ok(raw) = std::fs::read_to_string(summary_path(dir, i)) else {
-            continue;
-        };
-        for field in raw.split_whitespace() {
-            let Some((key, value)) = field.split_once('=') else {
-                continue;
-            };
-            let Ok(v) = value.parse::<u64>() else {
-                continue;
-            };
-            match key {
-                "sent" => out.sent += v,
-                "delivered" => out.delivered += v,
-                "basic" => out.basic += v,
-                "forced" => out.forced += v,
-                "eliminated" => out.eliminated += v,
-                "retained" => out.max_retained = out.max_retained.max(v),
-                _ => {}
-            }
+impl ServeSummary {
+    fn from_metrics(merged: &ProfileReport, n: usize) -> Self {
+        let count = |name: &str| merged.counters.get(name).copied().unwrap_or(0);
+        ServeSummary {
+            sent: count("frames_sent"),
+            delivered: count("frames_delivered"),
+            basic: count("checkpoints_basic"),
+            forced: count("checkpoints_forced"),
+            eliminated: count("checkpoints_eliminated"),
+            max_retained: (0..n)
+                .map(|i| count(&format!("checkpoints_retained/p{i}")))
+                .max()
+                .unwrap_or(0),
         }
     }
-    out
 }
 
 /// The `serve` subcommand.
@@ -670,12 +653,12 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
 
     let outcome = run_serve(&cfg, chaos);
     // Final aggregation: fold every worker's textfile dump into one
-    // scrape-able snapshot, kept in the run dir and optionally exported.
-    let metrics = merge_prom(&cfg.dir, cfg.n).map(|r| r.to_prometheus());
-    if let Ok(text) = &metrics {
-        let _ = std::fs::write(cfg.dir.join("metrics_merged.prom"), text);
+    // scrape-able snapshot, kept in the run dir and optionally exported;
+    // the run's summary is read off it.
+    let metrics = merge_prom(&cfg.dir, cfg.n);
+    if let Ok(merged) = &metrics {
+        let _ = std::fs::write(cfg.dir.join("metrics_merged.prom"), merged.to_prometheus());
     }
-    let summary = read_summaries(&cfg.dir, cfg.n);
     if !user_dir {
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
@@ -684,26 +667,29 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
         offline,
         gc_violations,
     } = outcome?;
+    let metrics = metrics?;
     if let Some(path) = m.get_one::<String>("metrics-out") {
-        std::fs::write(path, metrics?).map_err(|e| format!("--metrics-out {path}: {e}"))?;
+        std::fs::write(path, metrics.to_prometheus())
+            .map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
+    let summary = ServeSummary::from_metrics(&metrics, cfg.n);
     let agree = online == offline;
 
     if json {
-        let doc = Json::obj()
-            .field("processes", Json::UInt(cfg.n as u64))
-            .field("transport", Json::Str("unix-datagram".into()))
-            .field("chaos", Json::Bool(chaos))
-            .field("online_line", Json::uints(online.iter().copied()))
-            .field("oracle_line", Json::uints(offline.iter().copied()))
-            .field("lines_agree", Json::Bool(agree))
-            .field("gc_violations", Json::UInt(gc_violations.len() as u64))
-            .field("sent", Json::UInt(summary.sent))
-            .field("delivered", Json::UInt(summary.delivered))
-            .field("basic_checkpoints", Json::UInt(summary.basic))
-            .field("forced_checkpoints", Json::UInt(summary.forced))
-            .field("collected", Json::UInt(summary.eliminated))
-            .field("max_retained", Json::UInt(summary.max_retained))
+        let doc = JsonValue::obj()
+            .field("processes", cfg.n)
+            .field("transport", "unix-datagram")
+            .field("chaos", chaos)
+            .field("online_line", online.clone())
+            .field("oracle_line", offline.clone())
+            .field("lines_agree", agree)
+            .field("gc_violations", gc_violations.len())
+            .field("sent", summary.sent)
+            .field("delivered", summary.delivered)
+            .field("basic_checkpoints", summary.basic)
+            .field("forced_checkpoints", summary.forced)
+            .field("collected", summary.eliminated)
+            .field("max_retained", summary.max_retained)
             .build();
         println!("{}", doc.pretty());
     } else {

@@ -11,14 +11,16 @@ fn stdout_of(output: &std::process::Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
-/// The `key=value` fields of one worker's summary file.
-fn summary(dir: &std::path::Path, rank: usize) -> std::collections::BTreeMap<String, u64> {
-    let raw = std::fs::read_to_string(dir.join(format!("summary_p{rank}.txt"))).unwrap();
-    raw.split_whitespace()
-        .map(|field| {
-            let (key, value) = field.split_once('=').unwrap();
-            (key.to_string(), value.parse().unwrap())
-        })
+/// One worker's series of the run's merged metrics snapshot
+/// (`metrics_merged.prom`), by counter name.
+fn per_rank(dir: &std::path::Path, rank: usize) -> std::collections::BTreeMap<String, u64> {
+    let text = std::fs::read_to_string(dir.join("metrics_merged.prom")).unwrap();
+    let merged = rdt_obs::ProfileReport::from_prometheus(&text).unwrap();
+    let suffix = format!("/p{rank}");
+    merged
+        .counters
+        .iter()
+        .filter_map(|(name, &v)| Some((name.strip_suffix(&suffix)?.to_string(), v)))
         .collect()
 }
 
@@ -49,19 +51,42 @@ fn clean_run_agrees_with_the_oracle() {
     // summed eliminations are what the run reports as collected.
     let mut collected = 0;
     for rank in 0..3 {
-        let s = summary(&dir, rank);
+        let s = per_rank(&dir, rank);
         assert_eq!(
-            s["eliminated"],
-            1 + s["basic"] + s["forced"] - s["retained"],
+            s["checkpoints_eliminated"],
+            1 + s["checkpoints_basic"] + s["checkpoints_forced"] - s["checkpoints_retained"],
             "p{rank}: {s:?}"
         );
-        collected += s["eliminated"];
+        collected += s["checkpoints_eliminated"];
     }
     assert!(
         stdout.contains(&format!("\"collected\": {collected},")),
         "{stdout}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_time_based_collector_fails_the_audit_live() {
+    // A three-step horizon discards checkpoints a peer still depends on
+    // (20 of 20 runs flagged 6 to 18 collects); the audit runs on the
+    // merged logs before the online recovery session, so the count is
+    // reported and fails the run.
+    let output = rdt()
+        .args([
+            "serve", "-n", "3", "--ops", "60", "-S", "42", "--gc", "time:3", "--json",
+        ])
+        .output()
+        .expect("spawning rdt");
+    let stdout = stdout_of(&output);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "{stdout}");
+    assert!(!stderr.contains("unknown collector"), "{stderr}");
+    let doc = rdt_obs::json::parse(&stdout)
+        .unwrap_or_else(|e| panic!("no report ({e}) in {stdout}\n{stderr}"));
+    let violations = doc.get("gc_violations").and_then(|v| v.as_u64());
+    assert!(violations > Some(0), "{stdout}");
+    assert!(stderr.contains("not obsolete"), "{stderr}");
 }
 
 #[test]

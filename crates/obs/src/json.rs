@@ -1,6 +1,8 @@
-//! Minimal owned JSON values: rendering for the exposition paths (JSONL
-//! sink, [`ProfileReport::to_json`](crate::ProfileReport::to_json)) and a
-//! strict parser for the `obs_check` schema validator.
+//! Minimal owned JSON values, the workspace's one JSON writer: compact
+//! rendering for the exposition paths (JSONL sink,
+//! [`ProfileReport::to_json`](crate::ProfileReport::to_json), `rdt trace`),
+//! the indented layout of the `rdt` documents (`--json`, `--metrics-out`)
+//! and a strict parser for the `obs_check` schema validator.
 //!
 //! The workspace's `serde` is an offline marker-trait shim, so structured
 //! output is emitted by hand. This module keeps that emission in one place
@@ -9,9 +11,8 @@
 
 use std::fmt::Write as _;
 
-/// An owned JSON value with dynamic (heap) object keys — unlike the CLI's
-/// static-key summary builder, phase names and event fields are runtime
-/// strings.
+/// An owned JSON value with dynamic (heap) object keys: phase names and
+/// event fields are runtime strings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.
@@ -108,6 +109,120 @@ impl JsonValue {
         let mut out = String::new();
         self.render(&mut out);
         out
+    }
+
+    /// An object builder that keeps field order.
+    pub fn obj() -> ObjBuilder {
+        ObjBuilder(Vec::new())
+    }
+
+    /// Renders over several lines: two-space indent, `"key": value`, and
+    /// `[]` / `{}` for empty containers, with no trailing newline. A float
+    /// keeps a fraction or an exponent (`2.0`, not `2`), so it parses back
+    /// as the float it was.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.render_pretty(&mut out, 0);
+        out
+    }
+
+    fn render_pretty(&self, out: &mut String, depth: usize) {
+        let indent = |out: &mut String, depth: usize| {
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
+        };
+        match self {
+            JsonValue::Num(v) if v.is_finite() => {
+                let _ = write!(out, "{v:?}");
+            }
+            JsonValue::Arr(items) if !items.is_empty() => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i > 0 { ",\n" } else { "\n" });
+                    indent(out, depth + 1);
+                    item.render_pretty(out, depth + 1);
+                }
+                out.push('\n');
+                indent(out, depth);
+                out.push(']');
+            }
+            JsonValue::Obj(fields) if !fields.is_empty() => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    out.push_str(if i > 0 { ",\n" } else { "\n" });
+                    indent(out, depth + 1);
+                    escape_into(k, out);
+                    out.push_str(": ");
+                    v.render_pretty(out, depth + 1);
+                }
+                out.push('\n');
+                indent(out, depth);
+                out.push('}');
+            }
+            scalar_or_empty => scalar_or_empty.render(out),
+        }
+    }
+}
+
+impl From<u64> for JsonValue {
+    fn from(v: u64) -> Self {
+        JsonValue::UInt(v)
+    }
+}
+
+impl From<usize> for JsonValue {
+    fn from(v: usize) -> Self {
+        JsonValue::UInt(v as u64)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(b: bool) -> Self {
+        JsonValue::Bool(b)
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(s: String) -> Self {
+        JsonValue::Str(s)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(s: &str) -> Self {
+        JsonValue::Str(s.to_string())
+    }
+}
+
+impl<T: Into<JsonValue>> From<Vec<T>> for JsonValue {
+    fn from(items: Vec<T>) -> Self {
+        JsonValue::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Builder returned by [`JsonValue::obj`].
+#[derive(Debug, Default)]
+pub struct ObjBuilder(Vec<(String, JsonValue)>);
+
+impl ObjBuilder {
+    /// Appends a field.
+    pub fn field(mut self, key: &str, value: impl Into<JsonValue>) -> Self {
+        self.0.push((key.to_string(), value.into()));
+        self
+    }
+
+    /// Appends a field only when `value` is `Some`.
+    pub fn maybe(self, key: &str, value: Option<impl Into<JsonValue>>) -> Self {
+        match value {
+            Some(value) => self.field(key, value),
+            None => self,
+        }
+    }
+
+    /// Finishes the object.
+    pub fn build(self) -> JsonValue {
+        JsonValue::Obj(self.0)
     }
 }
 
@@ -356,6 +471,48 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn nested_pretty_output() {
+        let doc = JsonValue::obj()
+            .field("n", 4u64)
+            .field("name", "a\"b")
+            .field("xs", vec![1u64, 2])
+            .field("ratio", JsonValue::Num(2.0))
+            .maybe("absent", None::<u64>)
+            .maybe("present", Some(true))
+            .build();
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"n\": 4,\n  \"name\": \"a\\\"b\",\n  \"xs\": [\n    1,\n    2\n  ],\n  \
+             \"ratio\": 2.0,\n  \"present\": true\n}"
+        );
+        assert_eq!(parse(&doc.pretty()).unwrap(), doc);
+    }
+
+    #[test]
+    fn empty_containers_render_compact() {
+        assert_eq!(JsonValue::Arr(vec![]).pretty(), "[]");
+        assert_eq!(JsonValue::Obj(vec![]).pretty(), "{}");
+        let doc = JsonValue::obj()
+            .field("xs", JsonValue::Arr(vec![]))
+            .field("o", JsonValue::Obj(vec![]))
+            .build();
+        assert_eq!(doc.pretty(), "{\n  \"xs\": [],\n  \"o\": {}\n}");
+    }
+
+    #[test]
+    fn compact_renders_one_line() {
+        let doc = JsonValue::obj()
+            .field("a", 1u64)
+            .field("xs", vec![2u64, 3])
+            .field("nested", JsonValue::obj().field("k", 0u64).build())
+            .build();
+        assert_eq!(
+            doc.to_string(),
+            "{\"a\":1,\"xs\":[2,3],\"nested\":{\"k\":0}}"
+        );
     }
 
     #[test]

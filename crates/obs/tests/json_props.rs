@@ -25,27 +25,32 @@ fn string_strategy() -> impl Strategy<Value = String> {
     })
 }
 
-fn render_event(message: String, field: Value) -> String {
-    let event = Event {
+fn event_json(message: String, field: Value) -> JsonValue {
+    Event {
         level: Level::Info,
         target: "props::json",
         name: "roundtrip",
         message,
         fields: vec![("payload", field)],
-    };
-    let mut line = String::new();
-    event.to_json().render(&mut line);
-    line
+    }
+    .to_json()
+}
+
+fn render_event(message: String, field: Value) -> String {
+    event_json(message, field).to_string()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Any string survives the JSONL writer byte-for-byte, the emitted
-    /// line is one line, and the validator accepts it.
+    /// line is one line, and the validator accepts it; the indented
+    /// layout parses back to the same value.
     #[test]
     fn strings_roundtrip_through_the_jsonl_writer(s in string_strategy(), msg in string_strategy()) {
-        let line = render_event(msg.clone(), Value::Str(s.clone()));
+        let value = event_json(msg.clone(), Value::Str(s.clone()));
+        prop_assert_eq!(json::parse(&value.pretty()), Ok(value.clone()));
+        let line = value.to_string();
         prop_assert!(!line.contains('\n'), "embedded newline leaked: {line:?}");
         if let Err(e) = rdt_obs::check::check_jsonl_line(&line) {
             panic!("validator rejected {line:?}: {e}");
@@ -66,6 +71,14 @@ proptest! {
             panic!("validator rejected {line:?}: {e}");
         }
         let parsed = json::parse(&line).unwrap_or_else(|e| panic!("reparse of {line:?}: {e}"));
+        // The indented layout keeps a finite float a float, exactly.
+        let value = event_json(String::new(), Value::F64(f));
+        let pretty = json::parse(&value.pretty()).unwrap();
+        if f.is_finite() {
+            prop_assert_eq!(pretty, value);
+        } else {
+            prop_assert_eq!(pretty.get("payload"), Some(&JsonValue::Null));
+        }
         match parsed.get("payload") {
             Some(JsonValue::Null) => prop_assert!(!f.is_finite()),
             Some(JsonValue::Num(_) | JsonValue::UInt(_) | JsonValue::Int(_)) => {

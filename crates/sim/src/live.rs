@@ -22,7 +22,8 @@
 //! a basic checkpoint; `frame_send` (with `forced` for the CAS/CASBR
 //! post-send checkpoint), `frame_recv` and `frame_apply` (with `forced`
 //! for the checkpoint stored before the merge) for frames; and
-//! `gc_collect` after every operation that eliminated checkpoints. That is
+//! `gc_collect` after every operation (a clock [`tick`](LiveNode::tick)
+//! included) that eliminated checkpoints. That is
 //! the whole history the offline oracle replays, in the shape the
 //! simulator's trace has. Sends are stamped with the node's causal parent
 //! — the identity of the last frame it applied — which travels on the wire
@@ -202,6 +203,15 @@ impl<S: Storage> LiveNode<S> {
         }
         log_collects(&self.mw, &report.eliminated);
         Ok(report.stored)
+    }
+
+    /// Advances the collector's clock to `now` ([`Middleware::tick`]: the
+    /// time-based baseline collects here, every other collector ignores
+    /// it) and logs what it eliminated. Returns the eliminated indices.
+    pub fn tick(&mut self, now: u64) -> Vec<CheckpointIndex> {
+        let eliminated = self.mw.tick(now);
+        log_collects(&self.mw, &eliminated);
+        eliminated
     }
 
     /// Performs a send's protocol duties and encodes the piggyback as a

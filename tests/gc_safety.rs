@@ -137,11 +137,16 @@ fn time_based_gc_does_bound_storage_where_no_gc_diverges() {
 /// Runs a crashy `fault_heavy` workload (lossy channels, correlated
 /// crashes) and audits every elimination through its recovery sessions,
 /// each session's own eliminations included.
-fn violations_through_crashes(spec: &WorkloadSpec, gc: GcKind) -> (Vec<CheckpointId>, usize) {
+fn violations_through_crashes(
+    spec: &WorkloadSpec,
+    gc: GcKind,
+    mode: RecoveryMode,
+) -> (Vec<CheckpointId>, usize) {
     let report = SimulationBuilder::new(spec.clone())
         .protocol(ProtocolKind::Fdas)
         .garbage_collector(gc)
         .config(SimConfig::fault_heavy())
+        .recovery_mode(mode)
         .record_trace()
         .run()
         .expect("simulation runs");
@@ -164,22 +169,30 @@ fn crashy_spec(seed: u64) -> WorkloadSpec {
 
 #[test]
 fn rdt_lgc_never_violates_safety_through_crashes() {
-    let mut sessions = 0;
-    for seed in 0..4 {
-        let (v, k) = violations_through_crashes(&crashy_spec(seed), GcKind::RdtLgc);
-        assert!(v.is_empty(), "seed {seed}: RDT-LGC dropped {v:?}");
-        sessions += k;
+    // Coordinated sessions collect by Theorem 1 (LI), uncoordinated ones by
+    // Theorem 2 (DV in place of LI).
+    for mode in [RecoveryMode::Coordinated, RecoveryMode::Uncoordinated] {
+        let mut sessions = 0;
+        for seed in 0..4 {
+            let (v, k) = violations_through_crashes(&crashy_spec(seed), GcKind::RdtLgc, mode);
+            assert!(v.is_empty(), "{mode} seed {seed}: RDT-LGC dropped {v:?}");
+            sessions += k;
+        }
+        assert!(sessions >= 100, "{mode}: {sessions} sessions audited");
     }
-    assert!(sessions >= 100, "{sessions} sessions audited");
 }
 
 #[test]
 fn time_based_gc_is_flagged_through_crashes() {
     let total: usize = (0..4)
         .map(|seed| {
-            violations_through_crashes(&crashy_spec(seed), GcKind::TimeBased { horizon: 60 })
-                .0
-                .len()
+            violations_through_crashes(
+                &crashy_spec(seed),
+                GcKind::TimeBased { horizon: 60 },
+                RecoveryMode::Coordinated,
+            )
+            .0
+            .len()
         })
         .sum();
     assert!(total > 0, "expected safety violations across seeds");
