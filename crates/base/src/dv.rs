@@ -459,6 +459,54 @@ impl DependencyVector {
         }
     }
 
+    /// The entries of the processes in `at`, ascending, packed into a
+    /// vector of `at.len()` entries — a value list, not a vector of the
+    /// system, stored inline for up to 16 entries like any short vector.
+    /// [`overwrite`](Self::overwrite) puts them back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is empty or a member of it is out of range.
+    #[inline]
+    pub fn gather(&self, at: &UpdateSet) -> DependencyVector {
+        let mine = self.entries.as_slice();
+        let (len, mut k) = (at.len(), 0);
+        assert!(len > 0, "a system needs at least one process");
+        let entries = if len <= INLINE_CAP {
+            let mut buf = [DvEntry::ZERO; INLINE_CAP];
+            at.for_each_index(|f| {
+                buf[k] = mine[f];
+                k += 1;
+            });
+            Entries::Inline {
+                len: len as u8,
+                buf,
+            }
+        } else {
+            let mut heap = Vec::with_capacity(len);
+            at.for_each_index(|f| heap.push(mine[f]));
+            Entries::Heap(heap)
+        };
+        DependencyVector { entries }
+    }
+
+    /// Overwrites the entries of the processes in `at`, ascending, with
+    /// `values` in that order: the inverse of reading them out with
+    /// [`lineage`](Self::lineage) or [`gather`](Self::gather). Applying
+    /// what changed since an earlier value brings a copy of that value up
+    /// to date.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a member of `at` is out of range, or `values` is shorter
+    /// than `at`.
+    #[inline]
+    pub fn overwrite(&mut self, at: &UpdateSet, values: &[DvEntry]) {
+        let mine = self.entries.as_mut_slice();
+        let mut values = values.iter();
+        at.for_each_index(|f| mine[f] = *values.next().expect("a value per member"));
+    }
+
     /// Makes `self` equal to `source` in place — `clone_from` without the
     /// representation match, for a buffer of unknown content.
     ///
@@ -548,6 +596,37 @@ impl DependencyVector {
     }
 }
 
+/// A vector of the collected entries, in order.
+///
+/// # Panics
+///
+/// Panics if there are none: a vector covers at least one process.
+impl FromIterator<DvEntry> for DependencyVector {
+    fn from_iter<I: IntoIterator<Item = DvEntry>>(entries: I) -> Self {
+        let mut entries = entries.into_iter();
+        let mut buf = [DvEntry::ZERO; INLINE_CAP];
+        let len = buf
+            .iter_mut()
+            .zip(&mut entries)
+            .map(|(slot, e)| *slot = e)
+            .count();
+        assert!(len > 0, "a system needs at least one process");
+        let entries = match entries.next() {
+            None => Entries::Inline {
+                len: len as u8,
+                buf,
+            },
+            Some(more) => {
+                let mut heap = buf.to_vec();
+                heap.push(more);
+                heap.extend(entries);
+                Entries::Heap(heap)
+            }
+        };
+        Self { entries }
+    }
+}
+
 /// Equality is defined over the entry slice, independent of representation.
 impl PartialEq for DependencyVector {
     fn eq(&self, other: &Self) -> bool {
@@ -590,6 +669,24 @@ mod tests {
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    #[test]
+    fn gather_overwrite_and_collect_round_trip_inline_and_on_the_heap() {
+        let dv = DependencyVector::from_raw((0..200).map(|g| g * 3).collect());
+        for members in [vec![0usize, 5], (0..40).map(|f| f * 5).collect()] {
+            let at: UpdateSet = members.iter().map(|&f| p(f)).collect();
+            let values = dv.gather(&at);
+            assert_eq!(values.len(), members.len());
+            let collected: DependencyVector = members.iter().map(|&f| dv.lineage(p(f))).collect();
+            assert_eq!(values, collected);
+            let mut zero = DependencyVector::new(200);
+            zero.overwrite(&at, values.as_slice());
+            for f in 0..200 {
+                let want = if members.contains(&f) { 3 * f } else { 0 };
+                assert_eq!(zero.entry(p(f)).value(), want, "{f}");
+            }
+        }
     }
 
     #[test]

@@ -125,6 +125,21 @@ impl UpdateSet {
         all.filter(|&(_, bits)| bits != 0)
     }
 
+    /// Calls `visit` with every member's index, ascending: [`iter`](Self::iter)
+    /// as a plain loop over the words, for the kernels that copy entries
+    /// in and out of a vector.
+    #[inline]
+    pub(crate) fn for_each_index(&self, mut visit: impl FnMut(usize)) {
+        let lo = [self.lo as u64, (self.lo >> 64) as u64];
+        for (word, &bits) in lo.iter().chain(&self.hi).enumerate() {
+            let mut rest = bits;
+            while rest != 0 {
+                visit(word * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+    }
+
     /// Whether `p` is in the set.
     pub fn contains(&self, p: ProcessId) -> bool {
         let i = p.index();

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeSet;
 
-use rdt_base::{CheckpointId, ProcessId};
+use rdt_base::{CheckpointId, DvEntry, ProcessId};
 
 use crate::model::{Ccp, GeneralCheckpoint};
 use crate::recovery_line::FaultySet;
@@ -67,23 +67,81 @@ impl Ccp {
     ///
     /// Panics if `s` is not a stable checkpoint of this CCP.
     pub fn is_causally_identifiable_obsolete(&self, s: CheckpointId) -> bool {
+        self.witnesses(s).is_empty()
+    }
+
+    /// **Theorem 2's witnesses** of stable checkpoint `s_i^γ`:
+    /// `W(s_i^γ) = {f : s_f^lastk_i(f) → c_i^{γ+1} ∧ s_f^lastk_i(f) ↛ s_i^γ}`,
+    /// where `lastk_i(f)` is the last checkpoint of `p_f` that `p_i`'s
+    /// volatile state causally knows (Equation 3); a process `p_i` knows
+    /// no checkpoint of is no witness. These are the processes that keep
+    /// `s` from being causally identifiable as obsolete — the set is empty
+    /// iff [`is_causally_identifiable_obsolete`](Self::is_causally_identifiable_obsolete)
+    /// — and, by Theorem 3, exactly those whose `UC_i` entry RDT-LGC points
+    /// at `s`: the answer to "why is this checkpoint still retained?".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not a stable checkpoint of this CCP.
+    pub fn witnesses(&self, s: CheckpointId) -> BTreeSet<ProcessId> {
+        let (dv_next, dv_s) = self.around(s);
+        let known = self.volatile_dv(s.process);
+        let witness = |&f: &ProcessId| match known.last_known(f) {
+            None => false, // last_k_i(f) = −1
+            Some(lastk) => {
+                dv_next.dominates_checkpoint(f, lastk) && !dv_s.dominates_checkpoint(f, lastk)
+            }
+        };
+        self.processes().filter(witness).collect()
+    }
+
+    /// [`witnesses`](Self::witnesses) on a pattern with replayed
+    /// rollbacks: judged on the live history, with every comparison
+    /// incarnation-qualified ([`DvEntry`]'s lexicographic order), so that
+    /// `s_f^lastk_i(f) → c` reads `DV(c)[f] ≥ DV(v_i)[f]`. Knowledge of `p_f`
+    /// that is no newer than `released[f]` witnesses nothing.
+    ///
+    /// `released` is what a coordinated recovery session (Section 4.3)
+    /// took back from `p_i`: `released[f]` is `p_i`'s entry for `p_f` right
+    /// after the latest session, if the session's last-interval vector
+    /// showed it stale (below `LI[f]`: an earlier checkpoint of `p_f` than
+    /// its last, or one of a dead incarnation), and zero otherwise. What
+    /// `p_i` knew of a dead incarnation at a session is therefore amnestied
+    /// there, as Lemma 1 amnesties it; knowledge that reaches `p_i` after
+    /// the session, of whatever incarnation, witnesses as any news does —
+    /// `p_i` cannot tell it is stale. All zero on a crash-free pattern, on
+    /// which this equals `witnesses`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not a stable checkpoint of this CCP, or `released`
+    /// has fewer entries than the CCP has processes.
+    pub fn witnesses_live(&self, s: CheckpointId, released: &[DvEntry]) -> BTreeSet<ProcessId> {
+        let (dv_next, dv_s) = self.around(s);
+        let known = self.volatile_dv(s.process);
+        let witness = |&f: &ProcessId| {
+            let knows = known.lineage(f);
+            knows.last_known_checkpoint().is_some()
+                && knows > released[f.index()]
+                && dv_s.lineage(f) < knows
+                && knows <= dv_next.lineage(f)
+        };
+        self.processes().filter(witness).collect()
+    }
+
+    /// The vectors of stable checkpoint `s` and of its successor `c^{γ+1}`.
+    fn around(
+        &self,
+        s: CheckpointId,
+    ) -> (&rdt_base::DependencyVector, &rdt_base::DependencyVector) {
         let g = GeneralCheckpoint::from(s);
         assert!(
             self.exists(g) && !self.is_volatile(g),
             "{s} is not a stable checkpoint of this CCP"
         );
-        let i = s.process;
-        let next = GeneralCheckpoint::new(i, s.index.next());
+        let next = GeneralCheckpoint::new(s.process, s.index.next());
         let dv_next = self.dv(next).expect("γ+1 exists for stable γ");
-        let dv_s = self.dv(g).expect("stable checkpoint exists");
-        !self.processes().any(|f| {
-            match self.volatile_dv(i).last_known(f) {
-                None => false, // last_k_i(f) = −1
-                Some(lastk) => {
-                    dv_next.dominates_checkpoint(f, lastk) && !dv_s.dominates_checkpoint(f, lastk)
-                }
-            }
-        })
+        (dv_next, self.dv(g).expect("stable checkpoint exists"))
     }
 
     /// All obsolete stable checkpoints of the CCP (Theorem 1).

@@ -293,6 +293,59 @@ fn print_aggregate(n: usize, reports: &[SimulationReport]) {
     );
 }
 
+/// Systems of up to this many processes print a per-process line value by
+/// value; wider ones summarise it (see [`per_process`]).
+const LISTED: usize = 32;
+
+/// Processes a summarised per-process line names.
+const NAMED: usize = 8;
+
+/// Prints `label: values`, one value per process in process order, or, for
+/// more than [`LISTED`] processes, the values' min / median / max, their
+/// most common value and the processes off it (the first [`NAMED`] by
+/// name): a line that does not grow with the system.
+fn per_process<T: Ord + std::fmt::Debug>(label: &str, values: &[T]) {
+    if values.len() <= LISTED {
+        println!("{label}: {values:?}");
+        return;
+    }
+    let mut sorted: Vec<&T> = values.iter().collect();
+    sorted.sort();
+    let (mut mode, mut count, mut run) = (sorted[0], 0, 0);
+    for (k, value) in sorted.iter().enumerate() {
+        run = if k > 0 && sorted[k - 1] == *value {
+            run + 1
+        } else {
+            1
+        };
+        if run > count {
+            (mode, count) = (value, run);
+        }
+    }
+    let off: Vec<String> = values
+        .iter()
+        .enumerate()
+        .filter(|&(_, value)| value != mode)
+        .map(|(p, value)| format!("{} {value:?}", ProcessId::new(p)))
+        .collect();
+    let (n, named) = (values.len(), off.len().min(NAMED));
+    let more = match off.len() - named {
+        0 => String::new(),
+        rest => format!(" and {rest} more"),
+    };
+    println!(
+        "{label}: min {:?}, median {:?}, max {:?}; {mode:?} on {count} of {n}; off it: {}{more}",
+        sorted[0],
+        sorted[n / 2],
+        sorted[n - 1],
+        if off.is_empty() {
+            "none".to_string()
+        } else {
+            off[..named].join(", ")
+        },
+    );
+}
+
 /// One run's summary, with its final incarnations and retained sets.
 fn print_run(summary: &SimulateSummary, report: &SimulationReport) {
     println!(
@@ -318,26 +371,21 @@ fn print_run(summary: &SimulateSummary, report: &SimulationReport) {
         "retention: max {} on one process (peak global {}), time-averaged {:.2}",
         summary.max_retained, summary.peak_global_retained, summary.avg_retained
     );
-    println!(
-        "final per-process occupancy: {:?}",
-        summary.per_process_retained
-    );
+    per_process("final per-process occupancy", &summary.per_process_retained);
     println!("degraded recovery lines: {}", report.metrics.degraded_lines);
-    println!(
-        "final incarnations: {:?}",
-        report
-            .final_incarnations
-            .iter()
-            .map(|v| v.value())
-            .collect::<Vec<_>>()
-    );
-    println!("final retained checkpoints: {:?}", report.final_retained);
+    let incarnations: Vec<_> = report
+        .final_incarnations
+        .iter()
+        .map(|v| v.value())
+        .collect();
+    per_process("final incarnations", &incarnations);
+    per_process("final retained checkpoints", &report.final_retained);
     if let Some(occ) = &summary.occupancy {
         println!(
             "timeline: global peak {} at tick {}, time-averaged {:.2}, final {}",
             occ.global_peak, occ.global_peak_at, occ.time_averaged_global, occ.final_global
         );
-        println!("per-process peaks: {:?}", occ.per_process_peak);
+        per_process("per-process peaks", &occ.per_process_peak);
     }
     if let Some(profile) = &summary.profile {
         println!("phases (by total time):");

@@ -112,3 +112,33 @@ fn audit_sums_every_run_through_correlated_uncoordinated_sessions() {
     assert_eq!(field(&all, "sessions"), sessions);
     assert!(sessions > 0, "no recovery session audited");
 }
+
+/// Above 32 processes a per-process line is its range, its most common
+/// value and a few processes off it, so a run's text does not grow with
+/// the system: at n = 1024 the parent's three lines alone were 20 KB.
+#[test]
+fn a_wide_simulation_prints_a_summary_that_does_not_grow_with_n() {
+    let args = [
+        "simulate",
+        "-n",
+        "1024",
+        "-p",
+        "ring",
+        "-s",
+        "5000",
+        "-S",
+        "7",
+        "--occupancy",
+    ];
+    let text = String::from_utf8(rdt(&args).stdout).unwrap();
+    assert!(text.len() < 2 << 10, "{} bytes:\n{text}", text.len());
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("final incarnations: "))
+        .expect("the incarnations line");
+    assert_eq!(
+        line,
+        "final incarnations: min 0, median 0, max 0; 0 on 1024 of 1024; off it: none"
+    );
+    assert!(text.contains("final retained checkpoints: min ["), "{text}");
+}

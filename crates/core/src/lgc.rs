@@ -32,11 +32,13 @@
 //!
 //! A rollback (Algorithm 3) cuts the store from its newest end, one compare
 //! per checkpoint discarded, and rebuilds every bitmap at once: for each
-//! stored checkpoint, newest first, one branch-free compare of its vector
-//! against `LI` gives the mask of the processes it does not know, and
-//! `pins_k = below_k & !below_{k+1}` is its bitmap (see `theorem1_pins`).
-//! That is at most s · n compares over contiguous entries (s ≤ n + 1
-//! stored), cut short once a word's mask is full, and nothing is searched.
+//! stored checkpoint, oldest first, the mask of the processes it does not
+//! know (`DV[f] < LI[f]`) is its predecessor's with the entries that
+//! changed there compared afresh, the oldest's one branch-free compare of
+//! its vector against `LI`, and `pins_k = below_k & !below_{k+1}` is its
+//! bitmap (see `theorem1_pins`). That is n compares per full vector, one
+//! per changed entry and s · ⌈n/64⌉ word operations (s ≤ n + 1 stored),
+//! and nothing is searched.
 //! `recovery_info(LI)` builds its stale mask (`DV[f] < LI[f]`, the owner
 //! excluded) with the same compare and releases it with the receive's
 //! AND-NOT. Both append what they eliminate to the caller's buffer.
@@ -528,7 +530,8 @@ mod tests {
         b.dv = DependencyVector::new(n);
         b.dv.begin_next_interval(p(1));
         let li = LastIntervals::from_last_stable(&[idx(2), idx(0)]);
-        let mut dv = a.store.dv(idx(2)).unwrap().clone();
+        let mut dv = DependencyVector::new(1);
+        a.store.dv(idx(2), &mut dv).unwrap();
         dv.begin_next_interval(p(0));
         let gone = a.gc.after_rollback(&mut a.store, idx(2), Some(&li), &dv);
         a.dv = dv;
@@ -547,7 +550,8 @@ mod tests {
         a.checkpoint();
         // Roll a back to s^1… which was collected; roll to s^2, the last.
         let ri = idx(2);
-        let mut dv = a.store.dv(ri).unwrap().clone();
+        let mut dv = DependencyVector::new(1);
+        a.store.dv(ri, &mut dv).unwrap();
         dv.begin_next_interval(p(0));
         let gone = a.gc.after_rollback(&mut a.store, ri, None, &dv);
         assert!(gone.is_empty());
@@ -564,7 +568,8 @@ mod tests {
         a.checkpoint(); // s^1
         a.checkpoint(); // s^2; store = {0, 1?…}
                         // store now {0, 2}: s^1 was collected (only UC[0] referenced it).
-        let mut dv = a.store.dv(idx(0)).unwrap().clone();
+        let mut dv = DependencyVector::new(1);
+        a.store.dv(idx(0), &mut dv).unwrap();
         dv.begin_next_interval(p(0));
         let li = LastIntervals::from_last_stable(&[idx(0), idx(0)]);
         let gone = a.gc.after_rollback(&mut a.store, idx(0), Some(&li), &dv);

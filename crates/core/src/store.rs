@@ -1,15 +1,53 @@
 //! Per-process stable-storage model for checkpoints.
+//!
+//! # What an entry keeps
+//!
+//! Section 4.2 stores "the current dependency vector" with every stable
+//! checkpoint, and RDT-LGC may retain up to `n` of them, so a store of full
+//! vectors holds O(n²) entries per process — mostly copies of one another:
+//! between two consecutive checkpoints of a wide system few entries change.
+//! So an entry keeps the entries of its vector that changed since its
+//! stored predecessor: an [`UpdateSet`] of processes and their values,
+//! ascending. The oldest entry has no predecessor, and everything changed
+//! since nothing: it is the vector in full. A *full* entry is that case —
+//! every process changed — and there is no other format.
+//!
+//! An entry is full unless its owner says what changed
+//! ([`insert_changed`](CheckpointStore::insert_changed)) since a
+//! predecessor that is still the newest stored. The checkpointing
+//! middleware knows it only through its change log (above 64 processes),
+//! and only while the log reaches back to the last checkpoint, so every
+//! entry of a system of up to 64 processes is full, as is the first after
+//! a rollback and every entry of a store rebuilt from disk.
+//!
+//! * **Collecting the oldest** applies its successor's changes to its
+//!   vector in place; the successor is the full one from then on.
+//! * **Collecting a later one** folds its changes into its successor's:
+//!   the entries the successor lacks take the collected one's values.
+//! * **Reading** a vector ([`dv`](CheckpointStore::dv)) copies the nearest
+//!   full vector at or before it into the caller's buffer and applies the
+//!   changes after it, in order. One entry of it
+//!   ([`lineage`](CheckpointStore::lineage)) is looked up backwards
+//!   through the changes, and a full entry stops the search.
+//! * **Truncating** drops the newest entries; nothing depends on them.
+//!
+//! Equality is semantic: two stores are equal when they hold the same
+//! checkpoints with the same vectors and sizes, whatever they keep.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use rdt_base::{CheckpointIndex, DependencyVector, Error, Incarnation, ProcessId, Result};
+use rdt_base::{
+    CheckpointIndex, DependencyVector, DvEntry, Error, Incarnation, ProcessId, Result, UpdateSet,
+};
 
 /// The stable checkpoints a process currently holds, with the dependency
 /// vector stored alongside each one (Section 4.2: "when a stable checkpoint
 /// is taken, the current dependency vector is stored with it for recovery
-/// purposes").
+/// purposes"), kept as the entries that changed since the predecessor (see
+/// the [module docs](self)).
 ///
 /// The store also tracks its **peak occupancy**, which is how the paper's
 /// space bounds are measured: RDT-LGC retains at most `n` checkpoints per
@@ -24,10 +62,11 @@ use rdt_base::{CheckpointIndex, DependencyVector, Error, Incarnation, ProcessId,
 /// front side — O(1) for the dominant pattern. For the n-bounded occupancy
 /// RDT-LGC guarantees, this beats a `BTreeMap` on every hot operation, and
 /// the unbounded `NoGc` baseline only ever appends.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CheckpointStore {
     owner: ProcessId,
-    entries: VecDeque<(CheckpointIndex, StoredCheckpoint)>,
+    /// Oldest first; the oldest is always full.
+    entries: VecDeque<(CheckpointIndex, Stored)>,
     /// Highest incarnation the owner has ever opened — the Strom/Yemini
     /// incarnation log. Rollbacks raise it *in stable storage* so a process
     /// restarting from disk can never reuse an incarnation number its dead
@@ -39,41 +78,104 @@ pub struct CheckpointStore {
     bytes: usize,
     peak_bytes: usize,
     total_bytes_stored: usize,
-    /// Vectors of eliminated [tagged](Self::insert_tagged) checkpoints,
-    /// until [`drain_retired`](Self::drain_retired) hands them back.
+    /// The vectors of the entries that keep only their changes, oldest
+    /// first, once [`iter`](Self::iter) has made them; nothing else reads
+    /// them, and every change of the store drops them.
     #[serde(skip)]
-    retired: Aside<Vec<(DependencyVector, u64)>>,
+    read: OnceLock<Vec<DependencyVector>>,
 }
 
-/// Bookkeeping of the running process that rides in a store without being
-/// part of its value: any two compare equal, and none is serialised or
-/// reaches the storage codec.
-#[derive(Debug, Clone, Default)]
-struct Aside<T>(T);
+/// One stable checkpoint at rest: what it keeps of its dependency vector
+/// and the application-state size it occupies.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Stored {
+    kept: Kept,
+    bytes: usize,
+}
 
-impl<T> PartialEq for Aside<T> {
-    fn eq(&self, _: &Self) -> bool {
-        true
+/// What an entry keeps of its vector.
+///
+/// A full vector lives inline in the entry: for systems of up to 16
+/// processes (inline vectors) the whole store cycle — insert, collect,
+/// remove — runs without touching the allocator.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) enum Kept {
+    /// Every entry: the vector itself.
+    Full(DependencyVector),
+    /// The entries that changed since the stored predecessor.
+    Changed {
+        /// Whose entries changed; never empty.
+        at: UpdateSet,
+        /// Their values, ascending by process: `at.len()` entries, inline
+        /// up to 16 ([`DependencyVector::gather`]).
+        values: DependencyVector,
+    },
+}
+
+impl Kept {
+    /// The entry of `f`, if this keeps it.
+    fn lineage(&self, f: ProcessId) -> Option<DvEntry> {
+        match self {
+            Kept::Full(dv) => Some(dv.lineage(f)),
+            Kept::Changed { at, values } => at.contains(f).then(|| values.as_slice()[rank(at, f)]),
+        }
     }
 }
 
-impl<T> Eq for Aside<T> {}
+/// The processes in the runs `changed` (repeats allowed), if any.
+fn changed_set(changed: &[&[u32]]) -> Option<UpdateSet> {
+    let mut top = None;
+    for run in changed {
+        for &f in *run {
+            top = top.max(Some(f));
+        }
+    }
+    let mut at = UpdateSet::new();
+    // The highest first: the set's spill grows once.
+    at.insert(ProcessId::new(top? as usize));
+    for run in changed {
+        for &f in *run {
+            at.insert(ProcessId::new(f as usize));
+        }
+    }
+    Some(at)
+}
 
-/// One stable checkpoint at rest: its dependency vector (stored for
-/// recovery, Section 4.2) and the application-state size it occupies.
-///
-/// The vector lives inline in the entry: with the sorted-vector layout an
-/// insert is a single append-move and a removal a short memmove, so for
-/// systems of up to 16 processes (inline vectors) the whole store cycle —
-/// insert, collect, remove — runs without touching the allocator or an
-/// atomic refcount.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct StoredCheckpoint {
-    dv: DependencyVector,
-    bytes: usize,
-    /// See [`CheckpointStore::insert_tagged`].
-    #[serde(skip)]
-    tag: Aside<Option<u64>>,
+/// How many members of `at` precede its member `f`.
+fn rank(at: &UpdateSet, f: ProcessId) -> usize {
+    let (word, bit) = (f.index() / 64, f.index() % 64);
+    at.words()
+        .take_while(|&(w, _)| w <= word)
+        .map(|(w, bits)| match w == word {
+            true => (bits & ((1 << bit) - 1)).count_ones() as usize,
+            false => bits.count_ones() as usize,
+        })
+        .sum()
+}
+
+/// The changes of `older` folded into those of its successor `newer`: the
+/// entries `newer` lacks take `older`'s values.
+fn fold(
+    (older, older_values): (&UpdateSet, &DependencyVector),
+    (newer, newer_values): (&UpdateSet, &DependencyVector),
+) -> (UpdateSet, DependencyVector) {
+    let mut at = newer.clone();
+    older
+        .words()
+        .for_each(|(word, bits)| at.or_word(word, bits));
+    let (mut old, mut new) = (
+        older_values.as_slice().iter(),
+        newer_values.as_slice().iter(),
+    );
+    let values = at.iter().map(|f| {
+        let was = older.contains(f).then(|| old.next());
+        match newer.contains(f) {
+            true => *new.next().expect("a value per member"),
+            false => *was.flatten().expect("a value per member"),
+        }
+    });
+    let values = values.collect();
+    (at, values)
 }
 
 impl CheckpointStore {
@@ -89,7 +191,7 @@ impl CheckpointStore {
             bytes: 0,
             peak_bytes: 0,
             total_bytes_stored: 0,
-            retired: Aside::default(),
+            read: OnceLock::new(),
         }
     }
 
@@ -124,44 +226,74 @@ impl CheckpointStore {
         self.insert_with_size(index, dv, 0);
     }
 
-    /// Stores checkpoint `index` with its dependency vector and the size of
-    /// the application state snapshot, in bytes.
+    /// Stores checkpoint `index` with its dependency vector, in full, and
+    /// the size of the application state snapshot, in bytes.
     ///
     /// # Panics
     ///
     /// Panics if `index` is already present.
     pub fn insert_with_size(&mut self, index: CheckpointIndex, dv: DependencyVector, bytes: usize) {
-        self.insert_tagged(index, dv, bytes, None);
-    }
-
-    /// [`insert_with_size`](Self::insert_with_size) for an owner that
-    /// wants the vector's buffer back: when a checkpoint stored with
-    /// `Some(tag)` — a number that means something to the owner only — is
-    /// [removed](Self::remove), its vector is not freed but queued with
-    /// the tag for [`drain_retired`](Self::drain_retired). The tag is no
-    /// part of the store's value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is already present.
-    pub fn insert_tagged(
-        &mut self,
-        index: CheckpointIndex,
-        dv: DependencyVector,
-        bytes: usize,
-        tag: Option<u64>,
-    ) {
-        let tag = Aside(tag);
-        let stored = StoredCheckpoint { dv, bytes, tag };
+        self.read.take();
+        let stored = Stored {
+            kept: Kept::Full(dv),
+            bytes,
+        };
         match self.entries.back() {
             // The always-taken path: checkpoint indices grow monotonically.
             Some(&(last, _)) if index > last => self.entries.push_back((index, stored)),
             None => self.entries.push_back((index, stored)),
             Some(_) => match self.position(index) {
                 Ok(_) => panic!("checkpoint {index} stored twice"),
-                Err(at) => self.entries.insert(at, (index, stored)),
+                Err(at) => {
+                    // The successor's changes were against what is now the
+                    // new checkpoint's predecessor: it keeps its whole.
+                    let mut whole = DependencyVector::new(1);
+                    self.dv_at(at, &mut whole);
+                    self.entries[at].1.kept = Kept::Full(whole);
+                    self.entries.insert(at, (index, stored));
+                }
             },
         }
+        debug_assert!(matches!(self.entries[0].1.kept, Kept::Full(_)));
+        self.stored(bytes);
+    }
+
+    /// Stores checkpoint `index` with vector `dv`, given that `dv` differs
+    /// from the vector of stored checkpoint `predecessor` at most at the
+    /// entries in the runs `changed` (repeats allowed): if `predecessor`
+    /// is the newest stored and `index` comes after it, only those entries
+    /// are kept; otherwise `dv` is copied in full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is already present, or a change is out of range.
+    pub fn insert_changed(
+        &mut self,
+        index: CheckpointIndex,
+        dv: &DependencyVector,
+        predecessor: CheckpointIndex,
+        changed: &[&[u32]],
+        bytes: usize,
+    ) {
+        let at = match self.last() {
+            Some(last) if last == predecessor && index > last => changed_set(changed),
+            _ => None,
+        };
+        let Some(at) = at else {
+            return self.insert_with_size(index, dv.clone(), bytes);
+        };
+        self.read.take();
+        let values = dv.gather(&at);
+        let stored = Stored {
+            kept: Kept::Changed { at, values },
+            bytes,
+        };
+        self.entries.push_back((index, stored));
+        self.stored(bytes);
+    }
+
+    /// Accounts for a checkpoint of `bytes` just stored.
+    fn stored(&mut self, bytes: usize) {
         self.total_stored += 1;
         self.peak = self.peak.max(self.entries.len());
         self.bytes += bytes;
@@ -174,22 +306,22 @@ impl CheckpointStore {
         self.entries.binary_search_by_key(&index, |&(i, _)| i)
     }
 
+    fn absent(&self, index: CheckpointIndex) -> Error {
+        Error::CheckpointNotInStorage {
+            process: self.owner,
+            index,
+        }
+    }
+
     /// Eliminates checkpoint `index`.
     ///
     /// # Errors
     ///
     /// [`Error::CheckpointNotInStorage`] if absent.
     pub fn remove(&mut self, index: CheckpointIndex) -> Result<()> {
-        match self.position(index) {
-            Ok(at) => {
-                self.remove_at(at);
-                Ok(())
-            }
-            Err(_) => Err(Error::CheckpointNotInStorage {
-                process: self.owner,
-                index,
-            }),
-        }
+        let at = self.position(index).map_err(|_| self.absent(index))?;
+        self.remove_at(at);
+        Ok(())
     }
 
     /// Eliminates every checkpoint whose position (`0` is the oldest
@@ -218,40 +350,120 @@ impl CheckpointStore {
 
     /// Eliminates the checkpoint at `position` (`0` is the oldest stored)
     /// and returns its index: [`remove`](Self::remove) for a caller that
-    /// knows where the checkpoint is.
+    /// knows where the checkpoint is. Its successor takes over what it
+    /// kept (see the [module docs](self)).
     ///
     /// # Panics
     ///
     /// Panics if `position >= self.len()`.
+    #[inline]
     pub fn remove_at(&mut self, position: usize) -> CheckpointIndex {
-        let (index, stored) = self.entries.remove(position).expect("position in bounds");
+        self.read.take();
         self.total_collected += 1;
-        self.bytes -= stored.bytes;
-        if let Some(tag) = stored.tag.0 {
-            self.retired.0.push((stored.dv, tag));
+        let mut pair = self.entries.range_mut(position..);
+        let (gone, next) = (pair.next().expect("position in bounds"), pair.next());
+        let index = gone.0;
+        self.bytes -= gone.1.bytes;
+        let mut merged = false;
+        if let Some((next_index, next)) = next {
+            if let Kept::Changed { at, values } = &mut next.kept {
+                match &mut gone.1.kept {
+                    // The oldest: its vector, brought up to date in place,
+                    // is its successor's, which leaves in its stead.
+                    Kept::Full(dv) => {
+                        dv.overwrite(at, values.as_slice());
+                        (gone.0, gone.1.bytes) = (*next_index, next.bytes);
+                        merged = true;
+                    }
+                    Kept::Changed {
+                        at: older,
+                        values: older_values,
+                    } => (*at, *values) = fold((older, older_values), (at, values)),
+                }
+            }
         }
+        self.entries.remove(position + usize::from(merged));
         index
     }
 
-    /// The vectors of the tagged checkpoints removed since the last call,
-    /// each with its tag, oldest removal first.
-    pub fn drain_retired(&mut self) -> impl Iterator<Item = (DependencyVector, u64)> + '_ {
-        self.retired.0.drain(..)
-    }
-
-    /// The dependency vector stored with `index`.
+    /// Writes the dependency vector stored with `index` into `into`, which
+    /// takes the vector's length if it had another.
     ///
     /// # Errors
     ///
-    /// [`Error::CheckpointNotInStorage`] if absent.
-    pub fn dv(&self, index: CheckpointIndex) -> Result<&DependencyVector> {
-        self.position(index)
-            .ok()
-            .map(|at| &self.entries[at].1.dv)
-            .ok_or(Error::CheckpointNotInStorage {
-                process: self.owner,
-                index,
-            })
+    /// [`Error::CheckpointNotInStorage`] if absent; `into` is then
+    /// untouched.
+    pub fn dv(&self, index: CheckpointIndex, into: &mut DependencyVector) -> Result<()> {
+        let at = self.position(index).map_err(|_| self.absent(index))?;
+        self.dv_at(at, into);
+        Ok(())
+    }
+
+    /// [`dv`](Self::dv) of the checkpoint at `position`.
+    fn dv_at(&self, position: usize, into: &mut DependencyVector) {
+        let full = |k: usize| match &self.entries[k].1.kept {
+            Kept::Full(dv) => Some((k, dv)),
+            Kept::Changed { .. } => None,
+        };
+        let (base, full) = (0..=position)
+            .rev()
+            .find_map(full)
+            .expect("the oldest entry is full");
+        match into.len() == full.len() {
+            true => into.copy_from(full),
+            false => *into = full.clone(),
+        }
+        for (_, stored) in self.entries.range(base + 1..=position) {
+            if let Kept::Changed { at, values } = &stored.kept {
+                into.overwrite(at, values.as_slice());
+            }
+        }
+    }
+
+    /// The entry for `f` of the vector stored at `position` (`0` is the
+    /// oldest): looked up backwards through the changes, as far as the
+    /// nearest entry that keeps it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position >= self.len()` or `f` is out of range.
+    pub fn lineage(&self, position: usize, f: ProcessId) -> DvEntry {
+        (0..=position)
+            .rev()
+            .find_map(|k| self.entries[k].1.kept.lineage(f))
+            .expect("the oldest entry is full")
+    }
+
+    /// The vector of the checkpoint at `position`, if its entry keeps it
+    /// in full: [`lineage`](Self::lineage) without the search.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position >= self.len()`.
+    pub fn full_at(&self, position: usize) -> Option<&DependencyVector> {
+        match &self.entries[position].1.kept {
+            Kept::Full(dv) => Some(dv),
+            Kept::Changed { .. } => None,
+        }
+    }
+
+    /// The processes whose entries the checkpoint at `position` keeps
+    /// because they changed since its stored predecessor; `None` if it
+    /// keeps its vector in full.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `position >= self.len()`.
+    pub fn changed_at(&self, position: usize) -> Option<&UpdateSet> {
+        match &self.entries[position].1.kept {
+            Kept::Full(_) => None,
+            Kept::Changed { at, .. } => Some(at),
+        }
+    }
+
+    /// What the checkpoints keep, oldest first.
+    pub(crate) fn kept(&self) -> impl Iterator<Item = &Kept> {
+        self.entries.iter().map(|(_, stored)| &stored.kept)
     }
 
     /// The index of the checkpoint at `position` (`0` is the oldest).
@@ -283,12 +495,41 @@ impl CheckpointStore {
         self.entries.iter().map(|&(i, _)| i)
     }
 
-    /// `(index, dv)` pairs in ascending index order.
+    /// `(index, dv)` pairs in ascending index order. A full entry is read
+    /// as it is; the vectors of the entries that keep only their changes
+    /// are made on the first call after the store last changed, and kept
+    /// until it changes again. For tools and tests; the middleware, the
+    /// collectors and the recovery manager read through [`dv`](Self::dv)
+    /// and [`lineage`](Self::lineage) and never call this.
     pub fn iter(
         &self,
     ) -> impl DoubleEndedIterator<Item = (CheckpointIndex, &DependencyVector)> + ExactSizeIterator
     {
-        self.entries.iter().map(|(i, s)| (*i, &s.dv))
+        let made = self.read.get_or_init(|| {
+            let (mut full, mut whole) = (None, None);
+            let mut made = Vec::new();
+            for (_, stored) in &self.entries {
+                match &stored.kept {
+                    Kept::Full(dv) => (full, whole) = (Some(dv), None),
+                    Kept::Changed { at, values } => {
+                        let whole = whole.get_or_insert_with(|| {
+                            DependencyVector::clone(full.expect("the oldest entry is full"))
+                        });
+                        whole.overwrite(at, values.as_slice());
+                        made.push(whole.clone());
+                    }
+                }
+            }
+            made
+        });
+        let mut made = made.iter();
+        let vectors: Vec<&DependencyVector> = (self.entries.iter())
+            .map(|(_, stored)| match &stored.kept {
+                Kept::Full(dv) => dv,
+                Kept::Changed { .. } => made.next().expect("made above"),
+            })
+            .collect();
+        self.entries.iter().map(|&(i, _)| i).zip(vectors)
     }
 
     /// The most recent stored checkpoint, if any.
@@ -351,6 +592,7 @@ impl CheckpointStore {
         if cut < self.entries.len() {
             eliminated.reserve(self.entries.len());
         }
+        self.read.take();
         for (index, stored) in self.entries.drain(cut..) {
             self.total_collected += 1;
             self.bytes -= stored.bytes;
@@ -359,9 +601,44 @@ impl CheckpointStore {
     }
 }
 
+/// Semantic: the same checkpoints with the same vectors and sizes, and the
+/// same history, whatever each entry keeps.
+impl PartialEq for CheckpointStore {
+    fn eq(&self, other: &Self) -> bool {
+        let counters = |s: &Self| {
+            (
+                s.owner,
+                s.incarnation_floor,
+                s.peak,
+                s.total_stored,
+                s.total_collected,
+                s.bytes,
+                s.peak_bytes,
+                s.total_bytes_stored,
+            )
+        };
+        let sizes = |s: &Self| -> Vec<_> { s.entries.iter().map(|(i, e)| (*i, e.bytes)).collect() };
+        if counters(self) != counters(other) || sizes(self) != sizes(other) {
+            return false;
+        }
+        let (mut mine, mut theirs) = (DependencyVector::new(1), DependencyVector::new(1));
+        (0..self.len()).all(|k| {
+            self.dv_at(k, &mut mine);
+            other.dv_at(k, &mut theirs);
+            mine == theirs
+        })
+    }
+}
+
+impl Eq for CheckpointStore {}
+
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rdt_base::IntervalIndex;
+
     use super::*;
+    use crate::theorem1::tests::{brute_force, pins_of};
 
     fn idx(i: usize) -> CheckpointIndex {
         CheckpointIndex::new(i)
@@ -373,6 +650,13 @@ mod tests {
             s.insert(idx(i), DependencyVector::new(2));
         }
         s
+    }
+
+    /// The vector stored with `index`, read into a fresh buffer.
+    fn read(s: &CheckpointStore, index: usize) -> DependencyVector {
+        let mut dv = DependencyVector::new(1);
+        s.dv(idx(index), &mut dv).expect("stored");
+        dv
     }
 
     #[test]
@@ -423,36 +707,80 @@ mod tests {
         assert_eq!(s.total_bytes_stored(), 150);
     }
 
-    #[test]
-    fn a_tagged_vector_comes_back_and_a_tag_is_no_part_of_the_value() {
-        let mut tagged = CheckpointStore::new(ProcessId::new(0));
-        let mut plain = tagged.clone();
-        let dv = |own| DependencyVector::from_raw(vec![own, 3]);
-        for i in 0..3 {
-            tagged.insert_tagged(idx(i), dv(i), 8, Some(40 + i as u64));
-            plain.insert_with_size(idx(i), dv(i), 8);
+    /// Three checkpoints of a 130-process system, each learning entries
+    /// across word boundaries: stored in full, and as changes.
+    fn wide_pair() -> (CheckpointStore, CheckpointStore, Vec<DependencyVector>) {
+        let owner = ProcessId::new(0);
+        let (mut full, mut changed) = (CheckpointStore::new(owner), CheckpointStore::new(owner));
+        let mut dv = DependencyVector::new(130);
+        let mut vectors = Vec::new();
+        for (i, learned) in [vec![], vec![1u32, 64, 129], vec![63, 64, 128]]
+            .into_iter()
+            .enumerate()
+        {
+            let mut news = DependencyVector::new(130);
+            for &f in &learned {
+                let f = ProcessId::new(f as usize);
+                for _ in 0..=i {
+                    news.begin_next_interval(f);
+                }
+            }
+            dv.merge_from(&news);
+            full.insert_with_size(idx(i), dv.clone(), 8);
+            let changes: Vec<u32> = learned.into_iter().chain([0, 0]).collect();
+            match i.checked_sub(1) {
+                Some(before) => changed.insert_changed(idx(i), &dv, idx(before), &[&changes], 8),
+                None => changed.insert_with_size(idx(i), dv.clone(), 8),
+            }
+            vectors.push(dv.clone());
+            dv.begin_next_interval(owner);
         }
-        assert_eq!(tagged, plain);
-        for store in [&mut tagged, &mut plain] {
+        (full, changed, vectors)
+    }
+
+    #[test]
+    fn a_store_of_changes_equals_the_same_store_in_full() {
+        let (mut full, mut changed, vectors) = wide_pair();
+        assert_eq!(changed.changed_at(0), None, "the oldest is full");
+        let at = |f: &[usize]| f.iter().map(|&f| ProcessId::new(f)).collect::<UpdateSet>();
+        assert_eq!(changed.changed_at(1), Some(&at(&[0, 1, 64, 129])));
+        assert_eq!(changed.changed_at(2), Some(&at(&[0, 63, 64, 128])));
+        assert_eq!(full, changed);
+        for (k, dv) in vectors.iter().enumerate() {
+            assert_eq!(&read(&changed, k), dv);
+            for f in ProcessId::all(130) {
+                assert_eq!(changed.lineage(k, f), dv.lineage(f), "{k} {f}");
+            }
+        }
+        // The middle one folds into its successor; the oldest then hands
+        // its vector over.
+        for store in [&mut full, &mut changed] {
             store.remove(idx(1)).unwrap();
+        }
+        assert_eq!(changed.changed_at(1), Some(&at(&[0, 1, 63, 64, 128, 129])));
+        assert_eq!(full, changed);
+        for store in [&mut full, &mut changed] {
             store.remove(idx(0)).unwrap();
         }
-        assert_eq!(tagged, plain, "vectors waiting to be drained included");
-        let back: Vec<_> = tagged.drain_retired().collect();
-        assert_eq!(back, vec![(dv(1), 41), (dv(0), 40)]);
-        assert_eq!(tagged.drain_retired().count(), 0);
-        assert_eq!(
-            plain.drain_retired().count(),
-            0,
-            "untagged vectors are freed"
-        );
+        assert_eq!(changed.changed_at(0), None);
+        assert_eq!(read(&changed, 2), vectors[2]);
+        assert_eq!(full, changed);
+    }
+
+    #[test]
+    fn changes_against_a_checkpoint_no_longer_newest_are_stored_in_full() {
+        let (_, mut changed, vectors) = wide_pair();
+        changed.truncate_after(idx(1));
+        changed.insert_changed(idx(3), &vectors[2], idx(2), &[&[0]], 0);
+        assert_eq!(changed.changed_at(2), None);
+        assert_eq!(read(&changed, 3), vectors[2]);
     }
 
     #[test]
     fn retain_positions_eliminates_oldest_first_and_accounts_for_each() {
         let mut s = CheckpointStore::new(ProcessId::new(0));
         for i in 0..5 {
-            s.insert_tagged(idx(i), DependencyVector::new(2), 10, Some(i as u64));
+            s.insert_with_size(idx(i), DependencyVector::new(2), 10);
         }
         let mut gone = vec![idx(9)];
         s.retain_positions(|k| k == 1 || k == 4, &mut gone);
@@ -460,8 +788,6 @@ mod tests {
         assert_eq!(s.indices().collect::<Vec<_>>(), vec![idx(1), idx(4)]);
         assert_eq!(s.index_at(1), idx(4));
         assert_eq!((s.bytes(), s.total_collected()), (20, 3));
-        let tags: Vec<u64> = s.drain_retired().map(|(_, tag)| tag).collect();
-        assert_eq!(tags, vec![0, 2, 3]);
     }
 
     #[test]
@@ -491,6 +817,7 @@ mod tests {
         assert!(s.truncate_after(idx(1)).is_empty());
         assert_eq!(s.len(), 2);
     }
+
     #[test]
     fn incarnation_floor_is_monotone_and_survives_truncation() {
         let mut store = CheckpointStore::new(ProcessId::new(0));
@@ -501,5 +828,206 @@ mod tests {
         store.insert(CheckpointIndex::new(0), DependencyVector::new(2));
         store.truncate_after(CheckpointIndex::new(0));
         assert_eq!(store.incarnation_floor(), Incarnation::new(3));
+    }
+
+    /// SplitMix64: a history spelled out from one drawn seed.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A store driven by one seed beside a plain list of its checkpoints
+    /// and their vectors, and the owner's volatile vector, which only
+    /// grows between rollbacks.
+    struct Model {
+        store: CheckpointStore,
+        model: Vec<(CheckpointIndex, DependencyVector)>,
+        dv: DependencyVector,
+        next: usize,
+        state: u64,
+    }
+
+    impl Model {
+        fn new(n: usize, seed: u64) -> Self {
+            let mut this = Self {
+                store: CheckpointStore::new(ProcessId::new(0)),
+                model: Vec::new(),
+                dv: DependencyVector::new(n),
+                next: 0,
+                state: seed,
+            };
+            this.checkpoint(false);
+            this
+        }
+
+        fn draw(&mut self, below: usize) -> usize {
+            (next(&mut self.state) % below as u64) as usize
+        }
+
+        /// Merges news about a few processes, across word boundaries.
+        fn learn(&mut self) {
+            let n = self.dv.len();
+            let mut news = self.dv.clone();
+            for _ in 0..1 + self.draw(4) {
+                let f = ProcessId::new(match self.draw(3) {
+                    0 => self.draw(n),
+                    _ => [n - 1, 63.min(n - 1), 64.min(n - 1)][self.draw(3)],
+                });
+                match self.draw(8) {
+                    0 => {
+                        news.resume_incarnation(f, news.incarnation_of(f).next());
+                    }
+                    _ => {
+                        news.begin_next_interval(f);
+                    }
+                }
+            }
+            self.dv.merge_from(&news);
+        }
+
+        /// Stores the volatile vector as the next checkpoint, as changes
+        /// (against the newest stored, or a stale predecessor) or in full.
+        fn checkpoint(&mut self, as_changes: bool) {
+            let index = idx(self.next);
+            self.next += 1 + self.draw(2);
+            let bytes = self.draw(100);
+            match (as_changes, self.model.last()) {
+                (true, Some(&(newest, _))) => {
+                    let mut changed = self.changed_since(newest);
+                    let stale = self.draw(self.model.len());
+                    let predecessor = match self.draw(5) {
+                        0 => self.model[stale].0,
+                        _ => newest,
+                    };
+                    // Unchanged entries and repeats are allowed, in two runs.
+                    changed.extend([0, changed.first().copied().unwrap_or(0)]);
+                    let (first, second) = changed.split_at(self.draw(changed.len() + 1));
+                    self.store
+                        .insert_changed(index, &self.dv, predecessor, &[first, second], bytes)
+                }
+                _ => self.store.insert_with_size(index, self.dv.clone(), bytes),
+            }
+            self.model.push((index, self.dv.clone()));
+            self.dv.begin_next_interval(ProcessId::new(0));
+        }
+
+        fn changed_since(&self, newest: CheckpointIndex) -> Vec<u32> {
+            let at = self.model.iter().position(|&(i, _)| i == newest).unwrap();
+            let old = &self.model[at].1;
+            let differs = |f: &ProcessId| old.lineage(*f) != self.dv.lineage(*f);
+            let all = ProcessId::all(self.dv.len());
+            all.filter(differs).map(|f| f.index() as u32).collect()
+        }
+
+        /// A rollback: the later checkpoints go, the restored vector is
+        /// read back into the volatile one, which opens an incarnation.
+        fn rollback(&mut self) {
+            let at = self.draw(self.model.len());
+            let ri = self.model[at].0;
+            self.store.truncate_after(ri);
+            self.model.truncate(at + 1);
+            self.store.dv(ri, &mut self.dv).expect("stored");
+            let owner = ProcessId::new(0);
+            let live = self
+                .dv
+                .incarnation_of(owner)
+                .max(Incarnation::new(self.next as u32));
+            self.dv.resume_incarnation(owner, live.next());
+        }
+
+        fn step(&mut self) {
+            let len = self.model.len();
+            match self.draw(9) {
+                0 | 1 => self.learn(),
+                2 => self.checkpoint(false),
+                3 | 4 => self.checkpoint(true),
+                5 if len > 1 => {
+                    let at = self.draw(len);
+                    assert_eq!(self.store.remove_at(at), self.model.remove(at).0);
+                }
+                6 if len > 1 => {
+                    let keep: Vec<bool> = (0..len).map(|_| self.draw(3) > 0).collect();
+                    let mut gone = Vec::new();
+                    let keep = |k: usize| keep[k] || k == len - 1;
+                    self.store.retain_positions(keep, &mut gone);
+                    let mut k = 0;
+                    self.model.retain(|_| (keep(k), k += 1).0);
+                    assert_eq!(self.store.len(), self.model.len());
+                }
+                7 => self.rollback(),
+                _ => {
+                    // Reading through `iter` keeps what it made.
+                    let read: Vec<_> = self.store.iter().map(|(i, v)| (i, v.clone())).collect();
+                    assert_eq!(read, self.model);
+                }
+            }
+        }
+
+        fn check(&mut self) {
+            let n = self.dv.len();
+            let indices: Vec<_> = self.model.iter().map(|&(i, _)| i).collect();
+            prop_assert_eq!(self.store.indices().collect::<Vec<_>>(), indices);
+            prop_assert!(self.store.changed_at(0).is_none(), "the oldest is full");
+            let mut buffer = DependencyVector::new(1 + self.draw(n));
+            for (k, (index, dv)) in self.model.iter().enumerate() {
+                self.store.dv(*index, &mut buffer).expect("stored");
+                prop_assert_eq!(&buffer, dv, "{}", index);
+                for f in ProcessId::all(n) {
+                    prop_assert_eq!(self.store.lineage(k, f), dv.lineage(f));
+                }
+            }
+            // Theorem 1 over an LI near the vectors, dead incarnations too.
+            let li: Vec<DvEntry> = (0..n)
+                .map(|f| {
+                    let e = self.dv.lineage(ProcessId::new(f));
+                    let back = self.draw(4);
+                    match self.draw(6) {
+                        0 => DvEntry::new(e.incarnation().next(), IntervalIndex::new(back)),
+                        _ => DvEntry::new(
+                            e.incarnation(),
+                            IntervalIndex::new(e.interval().value().saturating_sub(back)),
+                        ),
+                    }
+                })
+                .collect();
+            let model = self.model_store();
+            prop_assert_eq!(
+                pins_of(&self.store, &li, &self.dv),
+                brute_force(&model, &li, &self.dv)
+            );
+        }
+
+        /// The model as a store of full vectors.
+        fn model_store(&self) -> CheckpointStore {
+            let mut store = CheckpointStore::new(ProcessId::new(0));
+            for (index, dv) in &self.model {
+                store.insert(*index, dv.clone());
+            }
+            store
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every operation on a store of changes, against a list of whole
+        /// vectors: the vectors read back, entry by entry and whole, and
+        /// the Theorem-1 pins.
+        #[test]
+        fn a_store_of_changes_reads_as_its_model(
+            n in prop::sample::select(vec![3usize, 64, 65, 130]),
+            steps in 0usize..60,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut m = Model::new(n, seed);
+            m.check();
+            for _ in 0..steps {
+                m.step();
+                m.check();
+            }
+        }
     }
 }

@@ -2,13 +2,13 @@
 
 use rdt_base::{DependencyVector, DvEntry};
 
-use crate::store::CheckpointStore;
+use crate::store::{CheckpointStore, Kept};
 
 /// Writes the Theorem-1 pins of every stored checkpoint into `pins`: the
 /// pin bitmap of store position `k` (`0` is the oldest stored) is
 /// `pins[k * words..(k + 1) * words]`, bit `f` set iff process `f` pins
 /// it, given the last-interval vector `li`, one entry per process. `pins`
-/// must hold `store.len() * words` zeroed words, `words = ⌈n/64⌉`.
+/// must hold `store.len() * words` words, `words = ⌈n/64⌉`.
 ///
 /// The pinned checkpoint for `f` is the latest stored `γ` with
 /// `DV(s^γ)[f] < LI[f]` whose successor — the next stored checkpoint, or
@@ -27,19 +27,22 @@ use crate::store::CheckpointStore;
 /// checkpoints, the checkpoint `f` pins is the `k` with
 /// `f ∈ below_k ∖ below_{k+1}` (`below_s`, past the newest, is the
 /// volatile state's), and `pins_k = below_k & !below_{k+1}`, one word at a
-/// time. Each `below_k` word is a branch-free compare over 64 contiguous
-/// entries. The walk goes newest first and leaves a word once its mask is
-/// full, since every older checkpoint's pins in that word are empty.
+/// time. The walk goes oldest first, the way the store keeps its vectors:
+/// `below_0` is a branch-free compare of the oldest (full) vector against
+/// `LI`, 64 entries a word, and `below_{k+1}` is `below_k` with the bits of
+/// the entries that changed at `k + 1` replaced by their compares:
+/// `(below_k & !changed_{k+1}) | below(changes_{k+1})`. A pin can only sit
+/// where news arrived next.
 ///
-/// **Cost.** At most `s · n` branch-free compares over contiguous entries,
-/// where `s ≤ n + 1` is the number stored under RDT-LGC, cut short per
-/// full word. That is more work on paper than the `O(n log s)` of one
-/// partition point per process, which the paper's complexity claim for
-/// Algorithm 3 counts, but those are dependent, mispredicted probes. At
+/// **Cost.** `n` compares for each full entry (the oldest, at least), one
+/// per changed entry, and `s · ⌈n/64⌉` word operations, where `s ≤ n + 1`
+/// is the number stored under RDT-LGC — against the `O(n log s)` of one
+/// partition point per process that the paper's complexity claim for
+/// Algorithm 3 counts, which are dependent, mispredicted probes. At
 /// n = 32 (the benchmark's `sim-crashy`, traced, on a 2-vCPU Xeon) a
-/// whole recovery session's median fell from 9.8 to 5.9 µs when this
-/// replaced them, together with the branch-free Lemma-1 test and the
-/// session's shared buffers.
+/// whole recovery session's median fell from 9.8 to 5.9 µs when
+/// compares over whole vectors replaced them, together with the
+/// branch-free Lemma-1 test and the session's shared buffers.
 pub(crate) fn theorem1_pins(
     store: &CheckpointStore,
     li: &[DvEntry],
@@ -48,18 +51,49 @@ pub(crate) fn theorem1_pins(
 ) {
     let words = li.len().div_ceil(64);
     debug_assert_eq!(pins.len(), store.len() * words, "one bitmap per stored");
-    for (word, li) in li.chunks(64).enumerate() {
-        let full = u64::MAX >> (64 - li.len());
-        let at = word * 64..word * 64 + li.len();
-        let mut newer = below(&dv.as_slice()[at.clone()], li);
-        for (k, (_, stored)) in store.iter().enumerate().rev() {
-            let mask = below(&stored.as_slice()[at.clone()], li);
-            pins[k * words + word] = mask & !newer;
-            if mask == full {
-                break;
+    // below_k, oldest first.
+    for (k, kept) in store.kept().enumerate() {
+        let (older, row) = pins.split_at_mut(k * words);
+        let row = &mut row[..words];
+        match kept {
+            Kept::Full(stored) => below_all(stored, li, row),
+            Kept::Changed { at, values } => {
+                row.copy_from_slice(&older[(k - 1) * words..]);
+                let mut values = values.as_slice().iter();
+                for (word, bits) in at.words() {
+                    let (mut rest, mut fresh) = (bits, 0);
+                    while rest != 0 {
+                        let bit = rest.trailing_zeros() as usize;
+                        let value = values.next().expect("a value per member");
+                        fresh |= u64::from(*value < li[word * 64 + bit]) << bit;
+                        rest &= rest - 1;
+                    }
+                    row[word] = row[word] & !bits | fresh;
+                }
             }
-            newer = mask;
         }
+    }
+    // pins_k = below_k & !below_{k+1}; below_{k+1} is still whole when
+    // position k is reached.
+    let Some(newest) = store.len().checked_sub(1) else {
+        return;
+    };
+    for k in 0..newest {
+        for word in 0..words {
+            pins[k * words + word] &= !pins[(k + 1) * words + word];
+        }
+    }
+    let newest = &mut pins[newest * words..];
+    for (word, (entries, li)) in dv.as_slice().chunks(64).zip(li.chunks(64)).enumerate() {
+        newest[word] &= !below(entries, li);
+    }
+}
+
+/// `below` of every word of `dv` into `row`.
+fn below_all(dv: &DependencyVector, li: &[DvEntry], row: &mut [u64]) {
+    let words = dv.as_slice().chunks(64).zip(li.chunks(64));
+    for (mask, (entries, li)) in row.iter_mut().zip(words) {
+        *mask = below(entries, li);
     }
 }
 
@@ -74,7 +108,7 @@ pub(crate) fn below(entries: &[DvEntry], li: &[DvEntry]) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use proptest::prelude::*;
     use rdt_base::{CheckpointIndex, Incarnation, IntervalIndex, ProcessId};
 
@@ -86,7 +120,7 @@ mod tests {
     }
 
     /// The pins per stored position, each position's processes ascending.
-    fn pins_of(
+    pub(crate) fn pins_of(
         store: &CheckpointStore,
         li: &[DvEntry],
         dv: &DependencyVector,
@@ -106,7 +140,7 @@ mod tests {
     /// Theorem 1 by definition: `f` pins the latest stored `γ` with
     /// `DV(s^γ)[f] < LI[f]` whose successor — the next stored vector, or
     /// `dv` — reaches `LI[f]`. Every position is tested; nothing is searched.
-    fn brute_force(
+    pub(crate) fn brute_force(
         store: &CheckpointStore,
         li: &[DvEntry],
         dv: &DependencyVector,

@@ -242,11 +242,10 @@ impl Run {
         for (proc_, &(component, rolls)) in self.procs.iter_mut().zip(&plan) {
             let p = proc_.store.owner();
             let gone = if rolls {
-                let Ok(restored) = proc_.store.dv(component) else {
+                if proc_.store.dv(component, &mut proc_.dv).is_err() {
                     return false;
-                };
+                }
                 proc_.incarnation = proc_.incarnation.next();
-                proc_.dv = restored.clone();
                 proc_.dv.resume_incarnation(p, proc_.incarnation);
                 restores.push(TraceEvent::Restore {
                     process: p,

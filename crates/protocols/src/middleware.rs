@@ -24,13 +24,14 @@
 //!   ([`DependencyVector::merge_from_into`]).
 //! * **Rollback** is the one event after which `dv` may be *below* what
 //!   was merged, so it — and nothing else — forgets the remembered stamp.
-//!   The restored vector is copied into `dv` in place, and Algorithm 3's
-//!   rebuild finds each process's pin by one binary search over the
-//!   stored positions, through buffers the collector keeps: a session
-//!   allocates no more for a fuller store.
-//! * **Checkpoint** (`take_checkpoint_into`) ends the interval, so the
-//!   interned snapshot, still equal to `dv`, is moved into the store
-//!   instead of a copy whenever no undelivered message shares it.
+//!   The restored vector is read into `dv` in place — the nearest full
+//!   vector copied, the stored changes after it applied — and Algorithm
+//!   3's rebuild writes every pin bitmap with word operations, through
+//!   buffers the collector keeps: a session allocates no more for a fuller
+//!   store.
+//! * **Checkpoint** (`take_checkpoint_into`) stores `dv` in full, unless
+//!   the change log knows which of its entries changed since the last
+//!   checkpoint: then only those.
 //!
 //! ## The change log
 //!
@@ -40,7 +41,7 @@
 //! log*: the indices of the entries of `dv` it mutated, in order, in a
 //! ring of `LOG_CAP`. There are two mutators and both append — a merge,
 //! the entries of the [`UpdateSet`] it returned; a checkpoint, the owner's
-//! entry — and two readers:
+//! entry — and three readers:
 //!
 //! * **Send.** A snapshot interned under the log names its predecessor —
 //!   the snapshot this process interned before it — and carries the
@@ -52,12 +53,15 @@
 //!   stamp advances. Any other receive — another sender in between, a
 //!   snapshot missed, a log that wrapped, a rollback on either side, a
 //!   bare vector — is the full scan.
-//! * **Checkpoint** tags the vector it stores with the log position at
-//!   which it equalled `dv`, and when the collector eliminates that
-//!   checkpoint the store hands the buffer back with its tag; a snapshot
-//!   no message carries when it is invalidated is kept the same way. The
-//!   next **copy** of `dv` — an intern, a checkpoint with no snapshot to
-//!   adopt — takes the newest of the (at most `KEPT`) kept buffers and
+//! * **Checkpoint** notes the log position at which the vector it stores
+//!   equalled `dv`. The next checkpoint stores only the entries logged
+//!   since ([`CheckpointStore::insert_changed`]) if the log still reaches
+//!   back that far and that checkpoint is still the newest stored, and
+//!   `dv` in full otherwise. So a store of changes takes a log; without
+//!   one every stored vector is full.
+//! * **Copy.** A snapshot no message carries when it is invalidated is
+//!   kept, with the log position at which it equalled `dv`. The next
+//!   intern takes the newest of the (at most `KEPT`) kept buffers and
 //!   writes the entries logged since its tag into it, instead of
 //!   allocating and copying n words; a tag the log no longer reaches is a
 //!   plain in-place copy.
@@ -65,7 +69,7 @@
 //!   forgets — the remembered stamp, the predecessor, and every position
 //!   a tag could name.
 //!
-//! One condition governs the writer and both readers: `n > LOG_CAP` says
+//! One condition governs the writers and every reader: `n > LOG_CAP` says
 //! whether a middleware will ever log (or look for a link), and
 //! `changes.is_some()` — true from its first intern on — whether it does
 //! yet. A middleware that never interns (`LiveNode` sends with
@@ -149,6 +153,9 @@ struct ChangeLog {
     /// Stamp of the last snapshot interned, and the position it was
     /// interned at; `None` once the log has forgotten that far back.
     interned: Option<(u64, u64)>,
+    /// The position at which `dv` equalled the vector of the last
+    /// checkpoint stored under the log, and that checkpoint.
+    checkpointed: Option<(u64, CheckpointIndex)>,
     /// Buffers that left use, each with the position at which it equalled
     /// `dv`.
     kept: [Option<(DependencyVector, u64)>; KEPT],
@@ -164,6 +171,7 @@ impl ChangeLog {
             pos: 0,
             floor: 0,
             interned: None,
+            checkpointed: None,
             kept: [const { None }; KEPT],
             #[cfg(test)]
             patched_copies: 0,
@@ -182,6 +190,7 @@ impl ChangeLog {
 
     /// The entries appended after position `from`, oldest first, as the
     /// ring's two runs; `None` if the log no longer reaches back that far.
+    /// A position a [`forget`](Self::forget) passed is out of reach.
     fn since(&self, from: u64) -> Option<[&[u32]; 2]> {
         let count = (self.pos - from) as usize;
         if from < self.floor || count > LOG_CAP {
@@ -467,7 +476,8 @@ impl<S: Storage> Middleware<S> {
         let last = store
             .last()
             .expect("stable storage retains at least one checkpoint");
-        let mut dv = store.dv(last).expect("last is stored").clone();
+        let mut dv = DependencyVector::new(n);
+        store.dv(last, &mut dv).expect("last is stored");
         // Resume at the highest incarnation the previous executions ever
         // opened: the store's incarnation log, not just the last stored
         // vector — rollbacks bump the incarnation without storing a
@@ -626,35 +636,36 @@ impl<S: Storage> Middleware<S> {
     /// a caller-owned scratch buffer; returns the stored index. The core
     /// every checkpoint path funnels through.
     ///
-    /// The vector that goes into the store is the interned piggyback
-    /// snapshot itself when there is one (it exists only while it equals
-    /// `dv`) and no message still carries it — every one was delivered or
-    /// lost; the interval ends here, so nothing will ask for that snapshot
-    /// again. Otherwise it is a copy of `dv`, which leaves a snapshot still
-    /// in flight as it was. Under FDAS a forced checkpoint always finds a
-    /// snapshot: the send that set `sent` interned it, and `dv` cannot have
-    /// changed since without forcing first.
+    /// Under the change log the store keeps only the entries logged since
+    /// the last checkpoint, if the log reaches back to it (the owner's own
+    /// entry, advanced when that checkpoint was stored, is among them);
+    /// the store itself checks that the last checkpoint is still its
+    /// newest. Otherwise `dv` is copied in full; for inline vectors
+    /// (n <= 16) a pure memcpy into the store's entry.
     fn take_checkpoint_into(
         &mut self,
         forced: bool,
         eliminated: &mut Vec<CheckpointIndex>,
     ) -> CheckpointIndex {
         let index = self.dv.entry(self.owner).as_checkpoint();
-        let stored = match self.dv_snapshot.take().map(SharedDv::try_unwrap) {
-            Some(Ok(snapshot)) => snapshot,
-            // For inline vectors (n <= 16) a pure memcpy into the store's
-            // entry — no allocation, no refcount.
-            _ => match &mut self.changes {
-                Some(log) => log.copy_of(&self.dv),
-                None => self.dv.clone(),
-            },
-        };
-        let tag = self.changes.as_ref().map(|log| log.pos);
-        self.store
-            .insert_tagged(index, stored, self.state_size, tag);
+        let since = self.changes.as_deref().and_then(|log| {
+            let (at, predecessor) = log.checkpointed?;
+            Some((predecessor, log.since(at)?))
+        });
+        match since {
+            Some((predecessor, runs)) => {
+                self.store
+                    .insert_changed(index, &self.dv, predecessor, &runs, self.state_size);
+            }
+            None => self
+                .store
+                .insert_with_size(index, self.dv.clone(), self.state_size),
+        }
+        if let Some(log) = &mut self.changes {
+            log.checkpointed = Some((log.pos, index));
+        }
         self.gc
             .after_checkpoint_into(&mut self.store, index, &self.dv, eliminated);
-        self.keep_retired();
         self.protocol.note_checkpoint(forced);
         if !forced {
             self.basic_count += 1;
@@ -666,17 +677,6 @@ impl<S: Storage> Middleware<S> {
         self.invalidate_snapshots();
         self.commit_sink();
         index
-    }
-
-    /// Takes the vectors of the checkpoints the collector has just
-    /// eliminated into the kept buffers. Nothing is tagged, so nothing is
-    /// retired, while there is no log.
-    fn keep_retired(&mut self) {
-        if let Some(log) = &mut self.changes {
-            self.store
-                .drain_retired()
-                .for_each(|(buffer, tag)| log.keep(buffer, tag));
-        }
     }
 
     /// Takes a basic (application-initiated) checkpoint.
@@ -964,7 +964,6 @@ impl<S: Storage> Middleware<S> {
                 &self.dv,
                 &mut report.eliminated,
             );
-            self.keep_retired();
             if report.eliminated.len() > before {
                 self.commit_sink();
             }
@@ -1017,13 +1016,12 @@ impl<S: Storage> Middleware<S> {
         li: Option<&LastIntervals>,
         eliminated: &mut Vec<CheckpointIndex>,
     ) -> Result<()> {
-        // One search: the restored vector is read where it was found.
-        let Ok(restored) = self.store.dv(ri) else {
+        if !self.store.contains(ri) {
             return Err(Error::InvalidRollbackTarget {
                 process: self.owner,
                 index: ri,
             });
-        };
+        }
         // Every rollback opens a fresh incarnation: the re-executed
         // intervals reuse indices, and the incarnation component is what
         // keeps knowledge of the abandoned attempt distinguishable from
@@ -1036,7 +1034,7 @@ impl<S: Storage> Middleware<S> {
             .wal_incarnation(next)
             .map_err(|e| Error::Storage(e.to_string()))?;
         self.incarnation = next;
-        self.dv.copy_from(restored);
+        self.store.dv(ri, &mut self.dv).expect("found above");
         self.dv.resume_incarnation(self.owner, self.incarnation);
         // Mirror the log in the in-memory store's incarnation floor: a
         // later restart from the store alone must not reuse it either.
@@ -1050,7 +1048,6 @@ impl<S: Storage> Middleware<S> {
         }
         self.gc
             .after_rollback_into(&mut self.store, ri, li, &self.dv, eliminated);
-        self.keep_retired();
         self.protocol.note_checkpoint(true); // clears `sent`; not counted
         self.crashed = false;
         self.commit_sink();
@@ -1076,7 +1073,6 @@ impl<S: Storage> Middleware<S> {
         self.gc
             .on_recovery_info_into(&mut self.store, li, &self.dv, eliminated);
         if eliminated.len() > before {
-            self.keep_retired();
             self.commit_sink();
         }
     }
@@ -1086,7 +1082,6 @@ impl<S: Storage> Middleware<S> {
     pub fn control(&mut self, info: &ControlInfo) -> Vec<CheckpointIndex> {
         let eliminated = self.gc.on_control(&mut self.store, info, &self.dv);
         if !eliminated.is_empty() {
-            self.keep_retired();
             self.commit_sink();
         }
         eliminated
@@ -1097,7 +1092,6 @@ impl<S: Storage> Middleware<S> {
     pub fn tick(&mut self, now: u64) -> Vec<CheckpointIndex> {
         let eliminated = self.gc.on_tick(&mut self.store, now, &self.dv);
         if !eliminated.is_empty() {
-            self.keep_retired();
             self.commit_sink();
         }
         eliminated
@@ -1439,39 +1433,6 @@ mod tests {
         assert_eq!(a.piggyback().index, first.index + 5);
     }
 
-    #[test]
-    fn checkpoint_copies_a_snapshot_in_flight_and_adopts_a_delivered_one() {
-        // n > 16, so a vector's entries are a heap buffer whose address
-        // tells a moved vector from a copied one.
-        let n = 32;
-        let mut a = Middleware::new(p(0), n, ProtocolKind::Fdas, GcKind::RdtLgc);
-        let mut b = Middleware::new(p(1), n, ProtocolKind::Fdas, GcKind::RdtLgc);
-        let entries = |dv: &DependencyVector| dv.as_slice().as_ptr();
-        // In flight: the checkpoint must leave the message's vector alone.
-        let in_flight = a.send(p(1), Payload::empty());
-        let carried = (*in_flight.meta.dv).clone();
-        let stored = a.basic_checkpoint().unwrap().stored;
-        assert_eq!(*in_flight.meta.dv, carried);
-        assert_eq!(a.store().dv(stored).unwrap(), &carried);
-        assert_ne!(
-            entries(a.store().dv(stored).unwrap()),
-            entries(&in_flight.meta.dv),
-            "copied"
-        );
-        // Delivered and dropped: the snapshot is the sender's alone again
-        // and goes into the store as it is.
-        let m = a.send(p(1), Payload::empty());
-        b.receive(&m).unwrap();
-        let snapshot = entries(&m.meta.dv);
-        drop(m);
-        let at_checkpoint = a.dv().clone();
-        let stored = a.basic_checkpoint().unwrap().stored;
-        assert_eq!(a.store().dv(stored).unwrap(), &at_checkpoint);
-        assert_eq!(entries(a.store().dv(stored).unwrap()), snapshot, "adopted");
-        // Either way the next interval interns afresh.
-        assert_eq!(*a.piggyback().dv, *a.dv());
-    }
-
     /// A system just wide enough for a change log, `a` sending to `b`:
     /// every receive below is `b` receiving `a`'s current snapshot.
     const WIDE: usize = LOG_CAP + 2;
@@ -1482,6 +1443,40 @@ mod tests {
 
     fn patched(mw: &Middleware) -> u64 {
         mw.changes.as_ref().map_or(0, |log| log.patched_copies)
+    }
+
+    #[test]
+    fn a_wide_checkpoint_stores_the_entries_logged_since_the_last_one() {
+        let (mut a, mut b, mut c) = (wide(0), wide(1), wide(2));
+        let stored = |mw: &Middleware, index| {
+            let mut dv = DependencyVector::new(1);
+            mw.store().dv(index, &mut dv).unwrap();
+            dv
+        };
+        // The log starts with the first snapshot, after s^0: the first
+        // checkpoint under it has nothing to be relative to.
+        a.piggyback();
+        let first = a.basic_checkpoint().unwrap().stored;
+        assert_eq!(a.store().changed_at(0), None);
+        // News from b and c pins s^1 for them, and the owner's entry moved.
+        b.basic_checkpoint().unwrap();
+        c.basic_checkpoint().unwrap();
+        a.receive_piggyback(&b.piggyback()).unwrap();
+        a.receive_piggyback(&c.piggyback()).unwrap();
+        let at_checkpoint = a.dv().clone();
+        let second = a.basic_checkpoint().unwrap().stored;
+        assert_eq!(a.store().indices().collect::<Vec<_>>(), vec![first, second]);
+        let logged: UpdateSet = [p(0), p(1), p(2)].into_iter().collect();
+        assert_eq!(a.store().changed_at(1), Some(&logged));
+        assert_eq!(stored(&a, second), at_checkpoint);
+        // A short vector never logs, so it stores every vector in full.
+        let (mut x, mut y) = pair(ProtocolKind::Fdas);
+        x.piggyback();
+        x.basic_checkpoint().unwrap();
+        y.basic_checkpoint().unwrap();
+        x.receive_piggyback(&y.piggyback()).unwrap();
+        x.basic_checkpoint().unwrap();
+        assert!((0..x.store().len()).all(|k| x.store().changed_at(k).is_none()));
     }
 
     #[test]

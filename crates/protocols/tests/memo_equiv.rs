@@ -1,8 +1,8 @@
-//! The receive memo and the adopted checkpoint snapshot are invisible: a
+//! The receive memo and the kept snapshot buffers are invisible: a
 //! middleware fed the senders' interned piggybacks (same-stamp bursts, so
-//! the memo hits and checkpoints adopt delivered snapshots) and one fed a
-//! deep copy of each (fresh stamp, so the memo never hits and the senders'
-//! snapshots are never shared) go through identical states.
+//! the memo hits and delivered snapshots are kept for the next copy) and
+//! one fed a deep copy of each (fresh stamp, so the memo never hits and
+//! the senders' snapshots are never shared) go through identical states.
 
 use proptest::prelude::*;
 use rdt_base::{Payload, ProcessId};

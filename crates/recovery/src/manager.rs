@@ -6,7 +6,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use rdt_base::{CheckpointId, CheckpointIndex, DependencyVector, DvEntry, Incarnation, ProcessId};
-use rdt_core::{GcKind, LastIntervals};
+use rdt_core::{CheckpointStore, GcKind, LastIntervals};
 use rdt_env::Storage;
 use rdt_protocols::Middleware;
 
@@ -29,10 +29,9 @@ pub trait LineSource {
     fn incarnation(&self) -> Incarnation;
     /// The collector in force (decides exhaustion vs. degradation).
     fn gc_kind(&self) -> GcKind;
-    /// Stored checkpoints with their vectors, newest first.
-    fn stored_rev(&self) -> impl Iterator<Item = (CheckpointIndex, &DependencyVector)>;
-    /// The oldest surviving stored checkpoint (degradation target).
-    fn oldest_stored(&self) -> Option<CheckpointIndex>;
+    /// The stable store: the candidates past the volatile state, and the
+    /// oldest survivor a degraded line falls back to.
+    fn store(&self) -> &CheckpointStore;
 }
 
 impl<S: Storage> LineSource for Middleware<S> {
@@ -56,12 +55,8 @@ impl<S: Storage> LineSource for Middleware<S> {
         Middleware::gc_kind(self)
     }
 
-    fn stored_rev(&self) -> impl Iterator<Item = (CheckpointIndex, &DependencyVector)> {
-        self.store().iter().rev()
-    }
-
-    fn oldest_stored(&self) -> Option<CheckpointIndex> {
-        self.store().indices().next()
+    fn store(&self) -> &CheckpointStore {
+        Middleware::store(self)
     }
 }
 
@@ -81,8 +76,9 @@ pub struct ProcessView {
     pub incarnation: Incarnation,
     /// Its collector.
     pub gc_kind: GcKind,
-    /// Its stored checkpoints with their vectors, **oldest first**.
-    pub stored: Vec<(CheckpointIndex, DependencyVector)>,
+    /// Its stable store: a copy of what each stored entry keeps, which for
+    /// a wide system is mostly changes, not vectors.
+    pub stored: CheckpointStore,
 }
 
 impl ProcessView {
@@ -94,11 +90,7 @@ impl ProcessView {
             last_stable: Middleware::last_stable(mw),
             incarnation: Middleware::incarnation(mw),
             gc_kind: Middleware::gc_kind(mw),
-            stored: mw
-                .store()
-                .iter()
-                .map(|(idx, dv)| (idx, dv.clone()))
-                .collect(),
+            stored: Middleware::store(mw).clone(),
         }
     }
 }
@@ -124,12 +116,8 @@ impl LineSource for ProcessView {
         self.gc_kind
     }
 
-    fn stored_rev(&self) -> impl Iterator<Item = (CheckpointIndex, &DependencyVector)> {
-        self.stored.iter().rev().map(|(idx, dv)| (*idx, dv))
-    }
-
-    fn oldest_stored(&self) -> Option<CheckpointIndex> {
-        self.stored.first().map(|&(idx, _)| idx)
+    fn store(&self) -> &CheckpointStore {
+        &self.stored
     }
 }
 
@@ -373,11 +361,11 @@ impl RecoveryManager {
             };
             let mut amnestied: Vec<AmnestiedEntry> = Vec::new();
             let mut last_pin: Option<PinCause> = None;
-            let chosen = session.candidates(mw).find(|&(idx, dv)| {
+            let chosen = session.candidates(mw).find(|&(idx, candidate)| {
                 // Dead-incarnation knowledge past a faulty process's last
                 // stable checkpoint: it would block, were it live.
                 for b in &list {
-                    let entry = dv.lineage(b.f);
+                    let entry = candidate.lineage(b.f);
                     if b.last_stable.value() < entry.interval().value()
                         && entry.incarnation() < b.live
                     {
@@ -391,14 +379,14 @@ impl RecoveryManager {
                     }
                 }
                 // The first faulty process that blocks the candidate.
-                let blocker = list.iter().find(|b| b.blocks(i, idx, dv));
+                let blocker = list.iter().find(|b| b.blocks(i, idx, candidate));
                 debug_assert_eq!(
                     blocker.is_some(),
-                    session.blocked(mw, idx, dv),
+                    session.blocked(mw, idx, candidate),
                     "the per-blocker scan and the word-parallel test agree"
                 );
                 if let Some(b) = blocker {
-                    let entry = dv.lineage(b.f);
+                    let entry = candidate.lineage(b.f);
                     last_pin = Some(PinCause {
                         blocker: b.f,
                         rejected: idx,
@@ -672,8 +660,9 @@ impl Blocker {
     }
 
     /// Lemma 1's blocked test: does `s_f^last` causally precede candidate
-    /// `idx` of process `i`, whose vector is `dv`, in `f`'s live
-    /// incarnation ([`DependencyVector::dominates_live_checkpoint`])?
+    /// `idx` of process `i` in `f`'s live incarnation
+    /// ([`DependencyVector::dominates_live_checkpoint`] of the candidate's
+    /// entry for `f`)?
     ///
     /// A checkpoint never precedes itself. The guard holds across
     /// incarnations: the stored copy of the last stable checkpoint may have
@@ -681,9 +670,31 @@ impl Blocker {
     /// (repeated rollbacks onto the same index), and it still must not
     /// count as its own blocker. A volatile candidate sits above
     /// `last_stable`, so the guard never fires for it.
-    fn blocks(&self, i: ProcessId, idx: CheckpointIndex, dv: &DependencyVector) -> bool {
+    fn blocks(&self, i: ProcessId, idx: CheckpointIndex, candidate: Candidate<'_>) -> bool {
+        let entry = candidate.lineage(self.f);
+        debug_assert!(entry.incarnation() <= self.live, "no news from the future");
         !(self.f == i && idx == self.last_stable)
-            && dv.dominates_live_checkpoint(self.f, self.last_stable, self.live)
+            && entry.incarnation() == self.live
+            && self.last_stable.value() < entry.interval().value()
+    }
+}
+
+/// A Lemma-1 candidate's dependency vector: the volatile one or a stored
+/// one kept in full, or a stored checkpoint's read one entry at a time
+/// through the changes its store keeps ([`CheckpointStore::lineage`]) — a
+/// candidate is never materialised.
+#[derive(Clone, Copy)]
+enum Candidate<'a> {
+    Whole(&'a DependencyVector),
+    Changed(&'a CheckpointStore, usize),
+}
+
+impl Candidate<'_> {
+    fn lineage(self, f: ProcessId) -> DvEntry {
+        match self {
+            Candidate::Whole(dv) => dv.lineage(f),
+            Candidate::Changed(store, position) => store.lineage(position, f),
+        }
     }
 }
 
@@ -715,8 +726,9 @@ struct Range {
 }
 
 impl Range {
-    fn holds(self, entries: &[DvEntry]) -> bool {
-        entries[self.f].packed().wrapping_sub(self.lo) < self.width
+    fn holds(self, candidate: Candidate<'_>) -> bool {
+        let entry = candidate.lineage(ProcessId::new(self.f));
+        entry.packed().wrapping_sub(self.lo) < self.width
     }
 }
 
@@ -756,21 +768,25 @@ impl Blockers {
         self.faulty[p.index() / 64] >> (p.index() % 64) & 1 == 1
     }
 
-    /// Whether some faulty process blocks candidate `idx` of `mw`, whose
-    /// vector is `dv`: [`Blocker::blocks`] over every faulty process at
-    /// once. The self guard discounts a faulty process's own hit on its
-    /// stored last stable checkpoint.
-    fn blocked<V: LineSource>(&self, mw: &V, idx: CheckpointIndex, dv: &DependencyVector) -> bool {
-        let entries = dv.as_slice();
+    /// Whether some faulty process blocks candidate `idx` of `mw`:
+    /// [`Blocker::blocks`] over every faulty process at once. The self
+    /// guard discounts a faulty process's own hit on its stored last stable
+    /// checkpoint.
+    fn blocked<V: LineSource>(
+        &self,
+        mw: &V,
+        idx: CheckpointIndex,
+        candidate: Candidate<'_>,
+    ) -> bool {
         let hits: usize = self
             .ranges
             .iter()
-            .map(|r| usize::from(r.holds(entries)))
+            .map(|r| usize::from(r.holds(candidate)))
             .sum();
         let i = mw.owner();
         let guarded = self.is_faulty(i) && idx == mw.last_stable() && {
             let own = self.ranges.binary_search_by_key(&i.index(), |r| r.f);
-            self.ranges[own.expect("a faulty process has a range")].holds(entries)
+            self.ranges[own.expect("a faulty process has a range")].holds(candidate)
         };
         hits > usize::from(guarded)
     }
@@ -780,16 +796,24 @@ impl Blockers {
     fn candidates<'a, V: LineSource>(
         &self,
         mw: &'a V,
-    ) -> impl Iterator<Item = (CheckpointIndex, &'a DependencyVector)> {
-        let volatile = (!self.is_faulty(mw.owner())).then(|| (mw.last_stable().next(), mw.dv()));
-        volatile.into_iter().chain(mw.stored_rev())
+    ) -> impl Iterator<Item = (CheckpointIndex, Candidate<'a>)> {
+        let volatile = (!self.is_faulty(mw.owner()))
+            .then(|| (mw.last_stable().next(), Candidate::Whole(mw.dv())));
+        let store = mw.store();
+        let stored = (0..store.len()).rev().map(move |k| {
+            let candidate = store
+                .full_at(k)
+                .map_or(Candidate::Changed(store, k), Candidate::Whole);
+            (store.index_at(k), candidate)
+        });
+        volatile.into_iter().chain(stored)
     }
 
     /// Lemma 1 for one process: its newest candidate that no faulty
     /// process blocks, or `None` if every one is blocked.
     fn choose<V: LineSource>(&self, mw: &V) -> Option<CheckpointIndex> {
         self.candidates(mw)
-            .find(|&(idx, dv)| !self.blocked(mw, idx, dv))
+            .find(|&(idx, candidate)| !self.blocked(mw, idx, candidate))
             .map(|(idx, _)| idx)
     }
 }
@@ -810,7 +834,9 @@ fn exhausted<V: LineSource>(mw: &V) -> Result<CheckpointIndex, RecoveryError> {
         });
     }
     Ok(mw
-        .oldest_stored()
+        .store()
+        .indices()
+        .next()
         .expect("stable storage retains at least one checkpoint"))
 }
 
@@ -956,11 +982,10 @@ mod tests {
                         assert!(pin.last_stable.value() < pin.interval);
                         // The rejected candidate is the volatile state or a
                         // stored checkpoint whose DV carries that entry.
-                        let dv = if pin.rejected == mw.last_stable().next() {
-                            mw.dv().clone()
-                        } else {
-                            mw.store().dv(pin.rejected).unwrap().clone()
-                        };
+                        let mut dv = mw.dv().clone();
+                        if pin.rejected != mw.last_stable().next() {
+                            mw.store().dv(pin.rejected, &mut dv).unwrap();
+                        }
                         assert_eq!(dv.lineage(pin.blocker).interval().value(), pin.interval);
                     }
                 }
@@ -1047,13 +1072,17 @@ mod tests {
     /// A faulty process `p1` (incarnation 2, last stable `s^3`) beside a
     /// healthy `p0`, as views whose vectors the test spells out.
     fn guarded_pair(own: (u32, usize), other: (u32, usize)) -> Vec<ProcessView> {
-        let view = |i: usize, last: usize, lineages: Vec<(u32, usize)>| ProcessView {
-            owner: p(i),
-            dv: DependencyVector::from_lineages(lineages.clone()),
-            last_stable: idx(last),
-            incarnation: Incarnation::new(2),
-            gc_kind: GcKind::RdtLgc,
-            stored: vec![(idx(last), DependencyVector::from_lineages(lineages))],
+        let view = |i: usize, last: usize, lineages: Vec<(u32, usize)>| {
+            let mut stored = CheckpointStore::new(p(i));
+            stored.insert(idx(last), DependencyVector::from_lineages(lineages.clone()));
+            ProcessView {
+                owner: p(i),
+                dv: DependencyVector::from_lineages(lineages),
+                last_stable: idx(last),
+                incarnation: Incarnation::new(2),
+                gc_kind: GcKind::RdtLgc,
+                stored,
+            }
         };
         vec![
             view(0, 1, vec![(2, 2), other]),

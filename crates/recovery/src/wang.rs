@@ -123,11 +123,10 @@ fn resolve_targets(
             continue; // duplicate
         }
         let mw = &processes[q.index()];
-        let dv = if gamma == mw.last_stable().next() {
-            mw.dv().clone()
-        } else {
-            mw.store().dv(gamma).ok()?.clone()
-        };
+        let mut dv = mw.dv().clone();
+        if gamma != mw.last_stable().next() {
+            mw.store().dv(gamma, &mut dv).ok()?;
+        }
         resolved.push((q, gamma, dv));
     }
     // Pairwise consistency: t → t' iff DV(t')[t.process] > t.index.

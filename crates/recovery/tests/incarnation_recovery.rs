@@ -133,7 +133,7 @@ fn self_precedence_guard_holds_across_incarnations() {
         // The stored copy keeps its original incarnation; only the live
         // execution advances.
         assert_eq!(
-            mws[0].store().dv(idx(1)).unwrap().lineage(f).incarnation(),
+            mws[0].store().lineage(0, f).incarnation(),
             Incarnation::ZERO
         );
     }

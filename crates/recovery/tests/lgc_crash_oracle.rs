@@ -16,8 +16,19 @@
 //!   identifiable as obsolete (Theorem 2);
 //! * **Section 4.5** — at most `n` checkpoints stored per process, `n + 1`
 //!   at the peak;
+//! * **Theorem 3** (both directions) — for every retained checkpoint `s`,
+//!   the processes whose `UC` entry points at `s` are exactly its live
+//!   witnesses `W(s)` ([`rdt_ccp::Ccp::witnesses_live`]), less what the
+//!   latest session's last-interval vector released;
 //! * the mirror is faithful — each process's store is its live history less
-//!   what was eliminated, and its dependency vector is the mirror's.
+//!   what was eliminated, every vector it reads back is the mirror's, and
+//!   its dependency vector is the mirror's.
+//!
+//! Besides systems of a few processes, whose stores keep every vector in
+//! full, a wide one (65 processes, the traffic among four of them across
+//! the first word boundary) has a change log, so its stores keep the
+//! entries that changed since the predecessor: folds, hand-overs and
+//! rollbacks read through them.
 //!
 //! Checkpoints a rollback discards leave the live history with it, and a
 //! later checkpoint may reuse their index: they are dropped from the
@@ -26,8 +37,11 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use rdt_base::{CheckpointId, CheckpointIndex, Message, MessageId, Payload, ProcessId};
-use rdt_ccp::CcpBuilder;
+use rdt_base::{
+    CheckpointId, CheckpointIndex, DependencyVector, DvEntry, Message, MessageId, Payload,
+    ProcessId,
+};
+use rdt_ccp::{CcpBuilder, GeneralCheckpoint};
 use rdt_core::GcKind;
 use rdt_protocols::{Middleware, ProtocolKind};
 use rdt_recovery::{FaultySet, RecoveryManager};
@@ -39,6 +53,9 @@ struct System {
     in_flight: Vec<(MessageId, Message)>,
     /// Eliminated checkpoints still in the live history.
     eliminated: BTreeSet<CheckpointId>,
+    /// Per process, what the latest session released: its entry for each
+    /// process the session's `LI` showed stale, zero for the others.
+    released: Vec<Vec<DvEntry>>,
     sessions: usize,
 }
 
@@ -51,6 +68,7 @@ impl System {
             mirror: CcpBuilder::new(n),
             in_flight: Vec::new(),
             eliminated: BTreeSet::new(),
+            released: vec![vec![DvEntry::ZERO; n]; n],
             sessions: 0,
         }
     }
@@ -121,6 +139,13 @@ impl System {
             self.mirror.restore(p, ri);
             self.eliminated.retain(|c| c.process != p || c.index <= ri);
         }
+        let li = report.li.expect("a coordinated session distributes LI");
+        for (mw, released) in self.mws.iter().zip(&mut self.released) {
+            let known = mw.dv().as_slice().iter().zip(li.as_slice());
+            let stale =
+                |(&e, &last): (&DvEntry, &DvEntry)| if e < last { e } else { DvEntry::ZERO };
+            *released = known.map(stale).collect();
+        }
         self.sessions += 1;
     }
 
@@ -136,10 +161,28 @@ impl System {
                 what
             );
         }
+        let mut stored = DependencyVector::new(n);
         for mw in &self.mws {
             let p = mw.owner();
             let store = mw.store();
             prop_assert_eq!(mw.dv(), ccp.volatile_dv(p), "{} after {}", p, what);
+            let uc = mw.uc_snapshot().expect("RDT-LGC keeps UC");
+            for index in store.indices() {
+                store.dv(index, &mut stored).expect("stored");
+                let mirrored = ccp.dv(GeneralCheckpoint::new(p, index)).expect("live");
+                prop_assert_eq!(&stored, mirrored, "{} s^{} after {}", p, index, what);
+                let c = CheckpointId::new(p, index);
+                let pinning: BTreeSet<ProcessId> = ProcessId::all(n)
+                    .filter(|f| uc[f.index()] == Some(index))
+                    .collect();
+                prop_assert_eq!(
+                    ccp.witnesses_live(c, &self.released[p.index()]),
+                    pinning,
+                    "Theorem 3: {}'s witnesses are not its pins, after {}",
+                    c,
+                    what
+                );
+            }
             let live: Vec<CheckpointIndex> = (0..=ccp.last_stable(p).value())
                 .map(CheckpointIndex::new)
                 .filter(|&i| !self.eliminated.contains(&CheckpointId::new(p, i)))
@@ -204,29 +247,28 @@ fn op() -> impl Strategy<Value = Op> {
     })
 }
 
-fn run(n: usize, protocol: ProtocolKind, ops: &[Op]) -> System {
+/// Runs `ops` over `n` processes of which those in `active` do all the
+/// work.
+fn run_among(n: usize, active: &[usize], protocol: ProtocolKind, ops: &[Op]) -> System {
+    let k = active.len();
+    let at = |a: usize| ProcessId::new(active[a % k]);
     let mut sys = System::new(n, protocol);
     sys.check("the initial checkpoints");
     for (step, &op) in ops.iter().enumerate() {
         match op {
-            Op::Checkpoint(a) => sys.checkpoint(ProcessId::new(a % n)),
+            Op::Checkpoint(a) => sys.checkpoint(at(a)),
             Op::Send(a, b) => {
-                let from = a % n;
-                sys.send(
-                    ProcessId::new(from),
-                    ProcessId::new((from + 1 + b % (n - 1)) % n),
-                );
+                let from = a % k;
+                sys.send(at(from), at(from + 1 + b % (k - 1)));
             }
             Op::Deliver(k) if !sys.in_flight.is_empty() => sys.deliver(k),
             Op::Drop(k) if !sys.in_flight.is_empty() => sys.drop_message(k),
             Op::Deliver(_) | Op::Drop(_) => continue,
             Op::Crash(mask) => {
-                let mut faulty: FaultySet = (0..n)
-                    .filter(|i| mask & (1 << i) != 0)
-                    .map(ProcessId::new)
-                    .collect();
+                let mut faulty: FaultySet =
+                    (0..k).filter(|i| mask & (1 << i) != 0).map(at).collect();
                 if faulty.is_empty() {
-                    faulty.insert(ProcessId::new(mask as usize % n));
+                    faulty.insert(at(mask as usize));
                 }
                 sys.crash(&faulty);
             }
@@ -234,6 +276,10 @@ fn run(n: usize, protocol: ProtocolKind, ops: &[Op]) -> System {
         sys.check(&format!("step {step} ({op:?})"));
     }
     sys
+}
+
+fn run(n: usize, protocol: ProtocolKind, ops: &[Op]) -> System {
+    run_among(n, &(0..n).collect::<Vec<_>>(), protocol, ops)
 }
 
 proptest! {
@@ -249,7 +295,22 @@ proptest! {
     ) {
         run(n, protocol, &ops);
     }
+
+    /// The same through stores of changes: 65 processes, the traffic
+    /// among four of them on both sides of the first word boundary.
+    #[test]
+    fn stores_of_changes_hold_the_mirrors_vectors_through_crashes(
+        protocol in prop::sample::select(ProtocolKind::RDT.to_vec()),
+        ops in prop::collection::vec(op(), 0..60),
+    ) {
+        run_among(WIDE, &ACTIVE, protocol, &ops);
+    }
 }
+
+/// A system wide enough for a change log, and the processes of it that
+/// take part.
+const WIDE: usize = 65;
+const ACTIVE: [usize; 4] = [0, 1, 63, 64];
 
 /// The generator reaches what the property is about: sessions that roll
 /// back and collect, and runs that go on after them.
@@ -276,4 +337,82 @@ fn sessions_roll_back_and_collect() {
     sys.deliver(0);
     sys.checkpoint(p0);
     sys.check("the run after the session");
+}
+
+/// Theorem 3 through a session, the case that fixes what `released`
+/// holds: knowledge of a dead incarnation that reaches a process *after*
+/// the session that amnestied it pins like any news. `p1` crashes and
+/// restores `s_1^2`, so its checkpoints up to there belong to a dead
+/// incarnation, and `p0` and `p2` knew of them: the session released
+/// both. Then `p2` tells `p0` of `s_1^1`, which is news to `p0`, and `p0`
+/// cannot tell it is stale: `UC_0[p1]` points at `p0`'s last checkpoint
+/// and `p1` is a witness of it, though Lemma 1 would amnesty the entry.
+#[test]
+fn dead_incarnation_news_after_a_session_pins_like_any_news() {
+    let (p0, p1, p2) = (ProcessId::new(0), ProcessId::new(1), ProcessId::new(2));
+    let mut sys = System::new(3, ProtocolKind::Fdas);
+    sys.send(p1, p0);
+    sys.deliver(0);
+    sys.checkpoint(p1);
+    sys.send(p1, p2);
+    sys.deliver(0);
+    sys.checkpoint(p1);
+    sys.check("the prefix");
+    sys.crash(&[p1].into_iter().collect());
+    sys.check("the session");
+    assert_eq!(sys.mws[1].incarnation().value(), 1);
+    assert!(sys.released[0][1] > DvEntry::ZERO && sys.released[2][1] > DvEntry::ZERO);
+    sys.send(p2, p0);
+    sys.deliver(0);
+    sys.check("the news");
+    let (knows, last) = (sys.mws[0].dv().lineage(p1), sys.mws[0].last_stable());
+    assert_eq!(
+        (knows.incarnation().value(), knows.interval().value()),
+        (0, 2)
+    );
+    assert!(!sys.mws[0].dv().dominates_live_checkpoint(
+        p1,
+        CheckpointIndex::new(1),
+        sys.mws[1].incarnation()
+    ));
+    assert_eq!(sys.mws[0].uc_snapshot().unwrap()[1], Some(last));
+    let c = CheckpointId::new(p0, last);
+    assert!(sys
+        .mirror
+        .ccp()
+        .witnesses_live(c, &sys.released[0])
+        .contains(&p1));
+}
+
+/// The wide generator reaches what it is for: a store that keeps changes,
+/// a fold of one, and a rollback onto one.
+#[test]
+fn a_wide_store_keeps_changes_and_rolls_back_onto_them() {
+    let [p0, p1, p63, p64] = ACTIVE.map(ProcessId::new);
+    let mut sys = System::new(WIDE, ProtocolKind::Fdas);
+    sys.send(p0, p64);
+    sys.deliver(0);
+    sys.checkpoint(p0);
+    sys.checkpoint(p63);
+    sys.send(p63, p0);
+    sys.deliver(0);
+    sys.checkpoint(p0);
+    sys.checkpoint(p1);
+    sys.send(p1, p0);
+    sys.deliver(0);
+    sys.checkpoint(p0);
+    sys.check("the prefix");
+    let store = sys.mws[0].store();
+    let kept: Vec<usize> = (0..store.len())
+        .map(|k| store.changed_at(k).map_or(WIDE, |at| at.len()))
+        .collect();
+    assert_eq!(
+        kept,
+        vec![WIDE, 2, 2],
+        "s^1 in full, then {{p0, p63}}, {{p0, p1}}"
+    );
+    sys.crash(&[p1].into_iter().collect());
+    sys.check("the session");
+    assert!(sys.mws[0].incarnation().value() == 1, "p0 was an orphan");
+    assert_eq!(sys.mws[0].last_stable(), CheckpointIndex::new(2));
 }

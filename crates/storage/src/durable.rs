@@ -39,7 +39,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use rdt_base::{CheckpointIndex, Incarnation, ProcessId};
+use rdt_base::{CheckpointIndex, DependencyVector, Incarnation, ProcessId};
 use rdt_core::CheckpointStore;
 
 use crate::backend::{is_transient, StdFs, StorageBackend};
@@ -70,7 +70,7 @@ pub struct RestartReport {
 
 /// What the store remembers of its log, so a commit appends only the
 /// difference and never reads.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct LogState {
     /// Whether the fields below describe the file (a replay filled them
     /// and no failed commit has left the file unknown since).
@@ -84,6 +84,22 @@ struct LogState {
     damaged: bool,
     /// The records of the commit being built; reused across commits.
     buf: Vec<u8>,
+    /// The vector of the checkpoint being written; reused likewise.
+    dv: DependencyVector,
+}
+
+impl Default for LogState {
+    fn default() -> Self {
+        Self {
+            known: false,
+            live: BTreeMap::new(),
+            floor: Incarnation::ZERO,
+            bytes: 0,
+            damaged: false,
+            buf: Vec::new(),
+            dv: DependencyVector::new(1),
+        }
+    }
 }
 
 impl LogState {
@@ -424,6 +440,8 @@ impl DurableStore {
     /// in one buffer, a raised incarnation floor, the checkpoints the log
     /// lacks, then collects for those the store no longer holds; nothing
     /// at all when nothing changed. Called after each middleware event.
+    /// Only the vectors of the checkpoints the log lacks are read out of
+    /// the store, each a full record on disk.
     ///
     /// Returns `(persisted, removed)` counts.
     ///
@@ -439,10 +457,11 @@ impl DurableStore {
             log::encode_floor(st.floor, &mut st.buf);
         }
         let mut persisted = 0;
-        for (index, dv) in store.iter() {
+        for index in store.indices() {
             if let Entry::Vacant(slot) = st.live.entry(index) {
+                store.dv(index, &mut st.dv).expect("stored");
                 let at = st.buf.len();
-                encode_into(self.owner, index, dv, 0, &mut st.buf);
+                encode_into(self.owner, index, &st.dv, 0, &mut st.buf);
                 slot.insert(st.buf.len() - at);
                 persisted += 1;
             }
@@ -816,7 +835,7 @@ mod tests {
         encode_into(
             OWNER,
             idx(1),
-            store_of(&[1]).dv(idx(1)).unwrap(),
+            &DependencyVector::from_raw(vec![1, 2]),
             0,
             &mut tail,
         );

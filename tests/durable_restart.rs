@@ -609,7 +609,9 @@ mod log_model_props {
                 let collected_any = acked.indices().any(|i| !rebuilt.contains(i));
                 for (index, dv) in rebuilt.iter() {
                     let source = if model.contains(index) { &model } else { &acked };
-                    prop_assert_eq!(source.dv(index).ok(), Some(dv), "never a record not written");
+                    let mut written = dv.clone();
+                    prop_assert!(source.dv(index, &mut written).is_ok(), "never a record not written");
+                    prop_assert_eq!(&written, dv, "never a record not written");
                 }
                 for (index, _) in model.iter() {
                     let settled = acked.contains(index) || collected_any;
