@@ -2,9 +2,10 @@
 //! subcommands.
 
 use rdt_analysis::{worst_single_failure, CcpStats, OccupancyTimeline};
-use rdt_base::{CheckpointId, ProcessId, TraceEvent};
+use rdt_base::{CheckpointId, CheckpointIndex, ProcessId, TraceEvent};
 use rdt_bench::{derive_seed, par_map};
 use rdt_ccp::{collection_safety_violations_through_sessions, CcpBuilder};
+use rdt_core::GcKind;
 use rdt_obs::json::JsonValue;
 use rdt_sim::{Metrics, SimulationBuilder, SimulationReport};
 
@@ -619,18 +620,44 @@ pub fn analyze(opts: &RunOpts, dot: Option<&str>) -> Result<(), String> {
     Ok(())
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct AuditSummary {
     collected: usize,
     sessions: usize,
     violations: Vec<String>,
+    /// Checkpoints retained at the end though no process witnesses them
+    /// (Theorem 5 fails for them at the final cut); `None` once a run
+    /// crashed, since judging through sessions is not done yet.
+    missed: Option<usize>,
+}
+
+/// The checkpoints a crash-free run still retains at its end that are
+/// causally identifiable as obsolete there: `Ccp::witnesses` is empty, so
+/// an optimal collector (Theorem 5) would have eliminated them.
+fn missed_at_the_end(
+    n: usize,
+    trace: &[TraceEvent],
+    retained: &[Vec<usize>],
+) -> Result<usize, String> {
+    let ccp = CcpBuilder::from_trace(n, trace)
+        .map_err(|e| format!("trace replay failed: {e}"))?
+        .build();
+    let stored = retained.iter().enumerate().flat_map(|(p, indices)| {
+        let p = ProcessId::new(p);
+        indices
+            .iter()
+            .map(move |&i| CheckpointId::new(p, CheckpointIndex::new(i)))
+    });
+    Ok(stored.filter(|&s| ccp.witnesses(s).is_empty()).count())
 }
 
 /// `rdt audit` — run and check every garbage-collection event against the
 /// Theorem-1 oracle at its own cut. A crashy run is judged on the history
 /// its recovery sessions left live, each session's own eliminations
-/// (rollback and `recovery_info`) included. With `--runs K` every run is
-/// audited and the counts are summed.
+/// (rollback and `recovery_info`) included. A crash-free run is also
+/// judged at its end for what it still retains: `missed` counts the
+/// checkpoints no process witnesses, which RDT-LGC must have collected.
+/// With `--runs K` every run is audited and the counts are summed.
 pub fn audit(opts: &RunOpts) -> Result<(), String> {
     let runs = per_seed(opts, |seed| {
         let report = run_with(opts, seed, true, false)?;
@@ -643,17 +670,33 @@ pub fn audit(opts: &RunOpts) -> Result<(), String> {
         let violations =
             collection_safety_violations_through_sessions(opts.spec.n, trace, &sessions)
                 .map_err(|e| format!("trace replay failed: {e}"))?;
+        let missed = if sessions.is_empty() {
+            Some(missed_at_the_end(
+                opts.spec.n,
+                trace,
+                &report.final_retained,
+            )?)
+        } else {
+            None
+        };
         Ok(AuditSummary {
             collected: report.metrics.total_collected(),
             sessions: sessions.len(),
             violations: violations.iter().map(|c| c.to_string()).collect(),
+            missed,
         })
     })?;
     let several = runs.len() > 1;
-    let mut summary = AuditSummary::default();
+    let mut summary = AuditSummary {
+        collected: 0,
+        sessions: 0,
+        violations: Vec::new(),
+        missed: Some(0),
+    };
     for (k, run) in runs.into_iter().enumerate() {
         summary.collected += run.collected;
         summary.sessions += run.sessions;
+        summary.missed = summary.missed.zip(run.missed).map(|(a, b)| a + b);
         summary
             .violations
             .extend(run.violations.into_iter().map(|v| {
@@ -672,6 +715,10 @@ pub fn audit(opts: &RunOpts) -> Result<(), String> {
             .field("collected", summary.collected)
             .field("sessions", summary.sessions)
             .field("violations", summary.violations.clone())
+            .field(
+                "missed",
+                summary.missed.map_or(JsonValue::Null, JsonValue::from),
+            )
             .build();
         println!("{}", doc.pretty());
     } else {
@@ -698,11 +745,21 @@ pub fn audit(opts: &RunOpts) -> Result<(), String> {
         if summary.violations.is_empty() {
             println!("every elimination was provably obsolete (Theorem 1) at its cut");
         }
+        match summary.missed {
+            Some(missed) => {
+                println!("{missed} checkpoints retained at the end with no witness (Theorem 5)")
+            }
+            None => println!("missed: not judged through recovery sessions"),
+        }
     }
-    if summary.violations.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("{} safety violations", summary.violations.len()))
+    if !summary.violations.is_empty() {
+        return Err(format!("{} safety violations", summary.violations.len()));
+    }
+    match summary.missed {
+        Some(missed) if missed > 0 && matches!(opts.gc, GcKind::RdtLgc) => Err(format!(
+            "RDT-LGC retained {missed} checkpoints no process witnesses"
+        )),
+        _ => Ok(()),
     }
 }
 

@@ -111,6 +111,32 @@ fn audit_sums_every_run_through_correlated_uncoordinated_sessions() {
     assert_eq!(field(&all, "collected"), collected);
     assert_eq!(field(&all, "sessions"), sessions);
     assert!(sessions > 0, "no recovery session audited");
+    assert_eq!(
+        all.get("missed"),
+        Some(&JsonValue::Null),
+        "not judged through sessions"
+    );
+}
+
+/// A crash-free audit judges what is retained at the end against Theorem
+/// 5: RDT-LGC leaves nothing that no process witnesses under any of the
+/// eight protocols, sharded too; without a collector every obsolete
+/// checkpoint stays, which `missed` counts and does not fail on.
+#[test]
+fn audit_counts_the_checkpoints_a_collector_missed() {
+    let missed = |extra: &[&str]| {
+        let mut args = vec!["audit", "-n", "8", "-s", "1500", "-S", "7", "--json"];
+        args.extend(extra);
+        let doc = json::parse(&String::from_utf8(rdt(&args).stdout).unwrap()).unwrap();
+        assert_eq!(doc.get("violations"), Some(&JsonValue::Arr(vec![])));
+        field(&doc, "missed")
+    };
+    for protocol in rdt_protocols::ProtocolKind::ALL {
+        assert_eq!(missed(&["-P", &protocol.to_string()]), 0, "{protocol}");
+    }
+    assert_eq!(missed(&["-p", "ring", "-j", "2"]), 0);
+    let none = missed(&["--gc", "none"]);
+    assert!(none > 0, "no-gc missed {none}");
 }
 
 /// Above 32 processes a per-process line is its range, its most common

@@ -5,10 +5,10 @@
 //! control rounds, about one event in flight at a time on `sim-dense`
 //! (0.8 sends per op × a 10.5-tick mean delay ÷ 10 ticks per op). The part
 //! of a run whose final `(at, seq)` order is known before it starts (the
-//! application op stream, a shard's planned events) stays out of it, in an
-//! ordered [`Lane`] that [`pop_merged`](EventQueue::pop_merged) merges with
-//! the queue by key — dslab's `ordered_events` beside the `BinaryHeap` of
-//! the events a run creates (SNIPPETS.md). A crash session's
+//! application op stream) stays out of it, in an ordered [`Lane`] that
+//! [`pop_merged`](EventQueue::pop_merged) merges with the queue by key —
+//! dslab's `ordered_events` beside the `BinaryHeap` of the events a run
+//! creates (SNIPPETS.md). A crash session's
 //! [`retain`](EventQueue::retain) therefore visits the handful of events in
 //! flight, never the ops still to come.
 //!
@@ -124,23 +124,27 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Dequeues the earliest event below `bound` of this queue and `lane`
-    /// merged by `(at, seq)`; a lane item becomes a `T` through `wrap`.
+    /// Dequeues the earliest event of this queue and `lane` merged by
+    /// `(at, seq)`; a lane item becomes a `T` through `wrap`.
     pub fn pop_merged<L>(
         &mut self,
         lane: &mut Lane<L>,
-        bound: (u64, u64),
         wrap: impl FnOnce(L) -> T,
     ) -> Option<(u64, u64, T)> {
-        let head = lane.front().map(|&(at, seq, _)| (at, seq));
-        let head = head.filter(|&head| head < bound);
-        if let Some(event) = self.pop_before(head.unwrap_or(bound)) {
+        let Some(&(at, seq, _)) = lane.front() else {
+            return self.pop();
+        };
+        if let Some(event) = self.pop_before((at, seq)) {
             return Some(event);
         }
-        head?;
         let (at, seq, item) = lane.pop_front()?;
         self.now = at;
         Some((at, seq, wrap(item)))
+    }
+
+    /// Drops every queued event: a crash loses every message in transit.
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 
     /// Keeps only the events for which `keep` returns `true`. Removed

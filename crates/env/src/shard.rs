@@ -1,24 +1,24 @@
 //! Per-shard slice of the simulated environment: a virtual clock over an
 //! event queue, **without** a generator.
 //!
-//! The sharded engine pre-plans every random draw in a sequential planning
-//! pass (so draw order cannot depend on shard interleaving), which leaves
-//! a shard worker with exactly two needs: hold its processes' events in
-//! `(at, seq)` order, and advance a local clock as it consumes them. The
-//! planned events arrive already key-ordered and stay in a [`Lane`] beside
-//! the queue; only deliveries are queued, local ones as they are sent and
+//! The sharded engine draws every random decision in one planner on the
+//! coordinator (so draw order cannot depend on shard interleaving), which
+//! leaves a shard worker with exactly two needs: hold its processes'
+//! deliveries in `(at, seq)` order, and advance a local clock as it
+//! consumes them. Planned events reach the worker already key-ordered and
+//! never enter the queue; deliveries do, local ones as they are sent and
 //! cross-shard ones between windows, out of global sequence order. Every
-//! key is the planning pass's, so this bundle has neither an rng nor a
-//! sequence counter — which is why it is not a `SimEnv`.
+//! key is the planner's, so this bundle has neither an rng nor a sequence
+//! counter — which is why it is not a `SimEnv`.
 
 use crate::clock::{Clock, VirtualClock};
-use crate::queue::{EventQueue, Lane};
+use crate::queue::EventQueue;
 
 /// Event queue + clock for one shard of a partitioned simulation.
 ///
-/// All events carry the *global* `(at, seq)` keys assigned by the planning
-/// pass; a worker drains the ones it owns, strictly below each lookahead
-/// bound, through [`pop_merged`](Self::pop_merged).
+/// All events carry the *global* `(at, seq)` keys assigned by the planner;
+/// a worker drains the ones below each bound it reaches (its next planned
+/// event, or a window's cut) through [`pop_before`](Self::pop_before).
 #[derive(Debug, Default)]
 pub struct ShardEnv<T> {
     clock: VirtualClock,
@@ -55,18 +55,18 @@ impl<T> ShardEnv<T> {
         self.queue.push(at, seq, item);
     }
 
-    /// Pops the earliest event strictly below `bound` of the queue and
-    /// `lane` merged by key ([`EventQueue::pop_merged`]) and advances the
-    /// clock to it; `None` once the window is drained.
-    pub fn pop_merged<L>(
-        &mut self,
-        lane: &mut Lane<L>,
-        bound: (u64, u64),
-        wrap: impl FnOnce(L) -> T,
-    ) -> Option<(u64, u64, T)> {
-        let (at, seq, item) = self.queue.pop_merged(lane, bound, wrap)?;
+    /// Pops the earliest queued event strictly below `bound`
+    /// ([`EventQueue::pop_before`]) and advances the clock to it; `None`
+    /// once nothing below the bound is left.
+    pub fn pop_before(&mut self, bound: (u64, u64)) -> Option<(u64, u64, T)> {
+        let (at, seq, item) = self.queue.pop_before(bound)?;
         self.clock.advance_to(at);
         Some((at, seq, item))
+    }
+
+    /// Drops every queued event, leaving the clock where it is.
+    pub fn clear(&mut self) {
+        self.queue.clear();
     }
 }
 
@@ -77,20 +77,29 @@ mod tests {
     #[test]
     fn clock_follows_popped_events_within_windows() {
         let mut env: ShardEnv<&str> = ShardEnv::new();
-        let mut lane = Lane::from([(5, 2, "planned"), (9, 1, "b")]);
-        env.insert(5, 3, "delivered");
+        env.insert(9, 1, "b");
+        env.insert(5, 3, "a");
         assert_eq!(env.now(), 0);
-        assert_eq!(env.len(), 1, "planned events take no queue slot");
-        let mut pop = |bound| env.pop_merged(&mut lane, bound, |ev| ev);
-        assert_eq!(pop((9, 1)), Some((5, 2, "planned")));
-        assert_eq!(pop((9, 1)), Some((5, 3, "delivered")));
-        assert_eq!(pop((9, 1)), None);
+        assert_eq!(env.pop_before((5, 3)), None, "the bound is exclusive");
+        assert_eq!(env.pop_before((9, 1)), Some((5, 3, "a")));
+        assert_eq!(env.pop_before((9, 1)), None);
         assert_eq!(env.now(), 5, "an empty window leaves the clock alone");
-        assert_eq!(
-            env.pop_merged(&mut lane, (u64::MAX, u64::MAX), |ev| ev),
-            Some((9, 1, "b"))
-        );
+        assert_eq!(env.pop_before((u64::MAX, u64::MAX)), Some((9, 1, "b")));
         assert_eq!(env.now(), 9);
-        assert!(env.is_empty() && lane.is_empty());
+        assert!(env.is_empty());
+    }
+
+    #[test]
+    fn clear_drops_what_is_queued_and_keeps_the_clock() {
+        let mut env: ShardEnv<u32> = ShardEnv::new();
+        env.insert(4, 0, 1);
+        assert_eq!(env.pop_before((5, 0)), Some((4, 0, 1)));
+        env.insert(7, 2, 2);
+        env.insert(6, 9, 3);
+        env.clear();
+        assert!(env.is_empty());
+        assert_eq!(env.now(), 4);
+        env.insert(6, 10, 4);
+        assert_eq!(env.pop_before((u64::MAX, 0)), Some((6, 10, 4)));
     }
 }

@@ -59,10 +59,12 @@ impl<T> SimEnv<T> {
     }
 
     /// Enqueues `item` at tick `at`, stamping it with the next sequence
-    /// number (total order over equal ticks is push order).
-    pub fn schedule(&mut self, at: u64, item: T) {
+    /// number (total order over equal ticks is push order), and returns
+    /// that number: `(at, seq)` is the key the event will pop under.
+    pub fn schedule(&mut self, at: u64, item: T) -> u64 {
         let seq = self.next_seq();
         self.queue.push(at, seq, item);
+        seq
     }
 
     /// Dequeues the earliest event, advancing the clock to its tick
@@ -81,7 +83,7 @@ impl<T> SimEnv<T> {
         lane: &mut Lane<L>,
         wrap: impl FnOnce(L) -> T,
     ) -> Option<(u64, u64, T)> {
-        let event = self.queue.pop_merged(lane, (u64::MAX, u64::MAX), wrap)?;
+        let event = self.queue.pop_merged(lane, wrap)?;
         self.clock.advance_to(event.0);
         Some(event)
     }
@@ -115,7 +117,7 @@ mod tests {
         let mut env: SimEnv<&str> = SimEnv::new(7);
         env.schedule(5, "b");
         env.schedule(2, "a");
-        env.schedule(5, "c");
+        assert_eq!(env.schedule(5, "c"), 2, "the stamp it pops under");
         assert_eq!(env.pending(), 3);
         assert_eq!(env.pop(), Some((2, 1, "a")));
         assert_eq!(env.now(), 2);

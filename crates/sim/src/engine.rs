@@ -199,7 +199,8 @@ impl SimulationBuilder {
 /// One scheduled event. `C` is what a delivery carries: here the sender's
 /// piggyback (`Rc`-shared with the sender's snapshot, so queueing one
 /// copies a pointer — no entries, no atomics); in the sharded engine's
-/// planning pass, which does no middleware work, the planned send's place.
+/// planner, which does no middleware work, the key of a send that crosses
+/// shards.
 #[derive(Debug)]
 pub(crate) enum EventKind<C> {
     App(AppOp),
@@ -213,8 +214,9 @@ pub(crate) enum EventKind<C> {
 
 /// How many ops one refill moves from the workload's generator into the
 /// lane: 40 KB of lane, large enough that a refill's fixed cost vanishes
-/// per op, small beside the system the ops drive.
-const BLOCK: usize = 1024;
+/// per op, small beside the system the ops drive. The sharded engine's
+/// planner cuts a window at least this often too.
+pub(crate) const BLOCK: usize = 1024;
 
 /// A workload still producing ([`Schedule::stream`]): its generator and
 /// the reserved key of the op it produces next — one `ticks_per_op` and one
@@ -230,7 +232,7 @@ struct Feed {
 /// [`SimEnv`](rdt_env::SimEnv), the op stream in an ordered lane beside it
 /// — and every decision a run draws from it: a send's loss and delay, a
 /// crash's correlated faulty set. The sequential engine and the sharded
-/// engine's planning pass both draw *here*, so the plan gets the sequential
+/// engine's planner both draw *here*, so the plan gets the sequential
 /// `(at, seq)` keys and rng stream by construction.
 ///
 /// The queue holds only what the run creates as it executes (deliveries,
@@ -368,16 +370,22 @@ impl<C> Schedule<C> {
 
     /// The channel's verdict on a message sent now: the loss draw, then —
     /// only if it survives — the delay draw and the delivery's place in
-    /// the queue. Returns whether the message was lost.
-    pub(crate) fn transmit(&mut self, to: ProcessId, id: MessageId, carry: C) -> bool {
+    /// the queue. Returns the `(at, seq)` key the delivery will pop under,
+    /// or `None` if the message was lost.
+    pub(crate) fn transmit(
+        &mut self,
+        to: ProcessId,
+        id: MessageId,
+        carry: C,
+    ) -> Option<(u64, u64)> {
         let channel = self.config.channel;
-        let lost = self.env.rng().chance(channel.loss_rate);
-        if !lost {
-            let delay = self.env.rng().between(channel.min_delay, channel.max_delay);
-            let at = self.env.now() + delay;
-            self.env.schedule(at, EventKind::Deliver { to, id, carry });
+        if self.env.rng().chance(channel.loss_rate) {
+            return None;
         }
-        lost
+        let delay = self.env.rng().between(channel.min_delay, channel.max_delay);
+        let at = self.env.now() + delay;
+        let seq = self.env.schedule(at, EventKind::Deliver { to, id, carry });
+        Some((at, seq))
     }
 
     /// The faulty set of a crash of `p` among `n` processes: `p` plus one
@@ -436,7 +444,7 @@ impl Sink for DirectSink {
 /// The discrete-event simulation state.
 ///
 /// *When* each event runs lives in the [`Schedule`] shared with the
-/// sharded engine's planning pass; what it *does* lives in the step core
+/// sharded engine's planner; what it *does* lives in the step core
 /// shared with the shard workers.
 #[derive(Debug)]
 pub struct Simulation {
@@ -544,7 +552,7 @@ impl Simulation {
                 EventKind::App(AppOp::Send { from, to }) => {
                     let mint = Middleware::piggyback;
                     if let Some((id, pb)) = self.core.send(from, to, now, &mut self.out, mint) {
-                        if self.sched.transmit(to, id, pb) {
+                        if self.sched.transmit(to, id, pb).is_none() {
                             step::lose(to, id, &mut self.out);
                         }
                     }
@@ -640,7 +648,7 @@ mod tests {
         spec.with_crash_prob(0.01).generate()
     }
 
-    /// Pops one event the way the planning pass does: a send goes through
+    /// Pops one event the way the planner does: a send goes through
     /// the channel. Returns its key and, for an op, the op.
     fn step(sched: &mut Schedule<()>) -> Option<((u64, u64), Option<AppOp>)> {
         let (at, seq, kind) = sched.pop()?;
@@ -784,8 +792,8 @@ mod tests {
         while let Some((_, seq, kind)) = sched.pop() {
             match kind {
                 EventKind::App(AppOp::Send { from, to }) => {
-                    let lost = sched.transmit(to, MessageId::new(from, seq), ());
-                    in_flight += usize::from(!lost);
+                    let delivery = sched.transmit(to, MessageId::new(from, seq), ());
+                    in_flight += usize::from(delivery.is_some());
                 }
                 EventKind::App(AppOp::Checkpoint(_)) => {}
                 EventKind::Deliver { .. } => in_flight -= 1,

@@ -36,14 +36,15 @@
 //!   lane.
 //! * The **sharded parallel engine** — reached through the same builder
 //!   via [`SimulationBuilder::shards`]: processes partitioned across
-//!   worker shards, each draining its planned events (an ordered lane,
-//!   as the plan hands them over) merged with its own event queue of
-//!   deliveries inside conservative lookahead windows derived from the
-//!   channel's `min_delay`, with cross-shard deliveries exchanged at
-//!   window barriers. Output is byte-identical to the sequential engine for a
-//!   fixed seed, at any shard count. Its planning pass streams the
-//!   workload the same way, but the plan it produces (every op's place
-//!   and outcome, per shard) is still O(steps).
+//!   worker shards, each running its planned events as the coordinator's
+//!   planner pops them from the sequential engine's own schedule, merged
+//!   with its own event queue of deliveries inside conservative lookahead
+//!   windows derived from the channel's `min_delay`, with cross-shard
+//!   deliveries exchanged at window barriers. Output is byte-identical to
+//!   the sequential engine for a fixed seed, at any shard count. The plan
+//!   is streamed and the metrics are folded in place, so with trace and
+//!   occupancy off this engine's memory does not grow with the run
+//!   either.
 //!
 //! Beside the engines:
 //!

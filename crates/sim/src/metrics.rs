@@ -146,9 +146,13 @@ impl PartialEq for Metrics {
 /// One metric mutation. `Sample` is the order-sensitive one: it moves the
 /// global retained total by the sampled process's change and raises
 /// `peak_global_retained` to the total *as of that sample*, so the peak
-/// depends on how the samples of different processes interleave — which is
-/// why the sharded engine logs ops under their global event key and replays
-/// them in key order instead of summing per shard.
+/// depends on how the samples of different processes interleave. Every
+/// other effect commutes: a counter is a sum, and a process's sample fields
+/// are written by the one thread that owns the process. The sharded engine
+/// therefore applies every op in place to a per-thread [`Metrics`] and adds
+/// the copies up at the end ([`Metrics::absorb`]); only each sample's
+/// non-zero change of the retained count crosses threads, under its global
+/// event key, to be folded in key order into the peak.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MetricOp {
     Sent(ProcessId),
@@ -167,8 +171,7 @@ pub(crate) enum MetricOp {
 }
 
 impl Metrics {
-    /// Applies one mutation: on the spot in the sequential engine, in
-    /// global key order when the sharded coordinator replays worker logs.
+    /// Applies one mutation, on the spot, on the thread that emitted it.
     pub(crate) fn apply(&mut self, op: MetricOp) {
         match op {
             MetricOp::Sent(p) => self.per_process[p.index()].sent += 1,
@@ -247,6 +250,59 @@ impl Metrics {
         self.per_process.iter().map(|m| m.delivered).sum()
     }
 
+    /// Adds `other`'s counters into these, row by row: the sharded
+    /// engine's per-thread copies, each written only where its thread
+    /// handled an event, make up the run's. A process's peak is the larger
+    /// of the two; `peak_global_retained` is left alone — it is no sum of
+    /// per-thread peaks, and the caller sets it from the fold of the
+    /// retained changes.
+    pub(crate) fn absorb(&mut self, other: &Metrics) {
+        for (m, o) in self.per_process.iter_mut().zip(&other.per_process) {
+            let ProcessMetrics {
+                retained,
+                peak_retained,
+                total_stored,
+                total_collected,
+                basic,
+                forced,
+                sent,
+                delivered,
+                lost,
+                retained_sum,
+                samples,
+            } = o;
+            m.retained += retained;
+            m.peak_retained = m.peak_retained.max(*peak_retained);
+            m.total_stored += total_stored;
+            m.total_collected += total_collected;
+            m.basic += basic;
+            m.forced += forced;
+            m.sent += sent;
+            m.delivered += delivered;
+            m.lost += lost;
+            m.retained_sum += retained_sum;
+            m.samples += samples;
+        }
+        let Metrics {
+            per_process: _,
+            peak_global_retained: _,
+            recovery_sessions,
+            total_rolled_back,
+            control_rounds,
+            ticks,
+            degraded_lines,
+            sequential_fallbacks,
+            retained_total,
+        } = other;
+        self.recovery_sessions += recovery_sessions;
+        self.total_rolled_back += total_rolled_back;
+        self.control_rounds += control_rounds;
+        self.ticks += ticks;
+        self.degraded_lines += degraded_lines;
+        self.sequential_fallbacks += sequential_fallbacks;
+        self.retained_total += retained_total;
+    }
+
     /// Sets `p`'s current retained count, moving the running total by the
     /// difference.
     pub(crate) fn set_retained(&mut self, p: ProcessId, retained: usize) -> &mut ProcessMetrics {
@@ -304,6 +360,41 @@ mod tests {
             prop_assert_eq!(&rebuilt, &m);
             prop_assert_eq!(format!("{rebuilt:?}"), format!("{m:?}"));
             prop_assert!(!format!("{m:#?}").contains("retained_total"));
+        }
+    }
+
+    proptest! {
+        /// Samples dealt out to per-thread copies by owner, counters to any
+        /// copy: absorbed, the copies equal the one `Metrics` every op was
+        /// applied to — the global peak aside, which no copy can know.
+        #[test]
+        fn absorbed_copies_equal_one_metrics(
+            n in 1usize..9,
+            threads in 1usize..4,
+            ops in prop::collection::vec((0usize..64, 0usize..6, 0usize..40, 0usize..4), 0..200),
+        ) {
+            let mut whole = Metrics::new(n);
+            let mut copies = vec![Metrics::new(n); threads];
+            for (p, kind, r, thread) in ops {
+                let p = ProcessId::new(p % n);
+                let (op, thread) = match kind {
+                    0 => (MetricOp::Sent(p), thread),
+                    1 => (MetricOp::Delivered(p), thread),
+                    2 => (MetricOp::Lost(p), thread),
+                    3 => (MetricOp::Sample { p, retained: r, peak: r + 1 }, p.index()),
+                    4 => (MetricOp::ControlRound, thread),
+                    _ => (MetricOp::Session { rolled_back: r as u64, degraded: 1 }, thread),
+                };
+                whole.apply(op);
+                copies[thread % threads].apply(op);
+            }
+            let mut sum = Metrics::new(n);
+            for copy in &copies {
+                sum.absorb(copy);
+            }
+            sum.peak_global_retained = whole.peak_global_retained;
+            prop_assert_eq!(&sum, &whole);
+            prop_assert_eq!(sum.retained_total, whole.retained_total);
         }
     }
 

@@ -7,50 +7,59 @@
 //! The sequential engine's behaviour is a pure function of the workload,
 //! the configuration and the seed: every rng draw happens at a
 //! deterministic point of the event stream, none depends on middleware
-//! state. A **planning pass** therefore drains the sequential engine's own
-//! [`Schedule`] — same seed, same draws, same lane-and-queue merge, the
-//! workload streamed into the lane a block at a time — without doing any
-//! middleware work. The pass resolves, ahead of time:
+//! state. The coordinator's **planner** therefore pops the sequential
+//! engine's own [`Schedule`] — same seed, same draws, same lane-and-queue
+//! merge, the workload streamed into the lane a block at a time — without
+//! doing any middleware work, and hands on each event as it pops:
 //!
-//! - every event's global `(tick, sequence)` key, including the key each
-//!   delivery will carry — so cross-shard deliveries are inserted at the
-//!   receiver with their *final* position, and per-process event order is
-//!   identical to the sequential run;
-//! - which sends are lost, and which in-flight deliveries a later crash
-//!   cancels (the sharded run never materializes those at all — a
-//!   *static* crash cut);
-//! - the global events (control rounds, recovery sessions) that need the
-//!   whole system stopped;
-//! - the **barrier schedule**: a cut before every global event, plus the
-//!   minimum set of cuts that guarantees every cross-shard delivery is
-//!   exchanged before the receiver's window reaches it. The distance
-//!   between a send and its earliest possible delivery is bounded below
-//!   by the channel's `min_delay` — the conservative lookahead that makes
-//!   the windows non-trivial (and why `min_delay == 0` falls back to the
-//!   sequential engine).
+//! - a checkpoint or send goes to the worker that owns its process, with
+//!   its global `(tick, sequence)` key and, for a send, the channel's
+//!   verdict: lost, or the key its delivery will pop under — so a
+//!   cross-shard delivery is inserted at the receiver with its *final*
+//!   position, and per-process event order is identical to the sequential
+//!   run;
+//! - a global event (control round, recovery session) needs the whole
+//!   system stopped, so it runs right behind a **cut** at its own key. A
+//!   crash cancels what is in flight where the sequential engine does, at
+//!   the crash: the planner's queue yields the dropped deliveries in
+//!   `(at, seq)` order for the coordinator to report, and every worker
+//!   empties its own delivery queue when the session crashes its
+//!   processes (dslab's `cancel_event`, SNIPPETS.md);
+//! - a surviving cross-shard delivery at key `d`, sent at `s`, needs some
+//!   cut in `(s, d]`, so that the barrier exchange carries it before the
+//!   receiver's window reaches it. Deliveries pop in key order, and every
+//!   cut below `d` is already decided when `d` pops, so the planner cuts
+//!   at `d` exactly when the last cut is `≤ s` — the minimal greedy
+//!   schedule, computed online. The distance between a send and its
+//!   earliest possible delivery is bounded below by the channel's
+//!   `min_delay` — the conservative lookahead that makes the windows
+//!   non-trivial (and why `min_delay == 0` falls back to the sequential
+//!   engine);
+//! - a window holding [`BLOCK`] planned events is cut before the next, so
+//!   that no window grows with the run.
 //!
-//! Between cuts, each worker shard drains its slice of the plan — already
-//! in key order, so it is handed over as the worker's ordered lane, nothing
-//! re-queued — merged with its own event queue of deliveries, with no
-//! synchronization whatsoever; at a cut, workers exchange outboxes over
-//! bounded channels (an all-to-all with one batch per directed pair) and
-//! the coordinator runs any global event. Per-process state transitions
-//! are the sequential engine's own — both drive the one step core in
-//! `step.rs` — and every order-sensitive observable (trace, occupancy,
-//! metric mutations) is logged under its global event key and replayed in
-//! key order at the end — see [`crate::worker`].
+//! At each cut the coordinator hands every worker the window's planned
+//! events of its processes. A worker runs them as they arrive, each after
+//! its queued deliveries below it — every cut below the event's key came
+//! before, so every cross-shard delivery below it has been exchanged —
+//! then its deliveries below the cut, and exchanges outboxes over bounded
+//! channels (an all-to-all with one batch per directed pair); the
+//! coordinator runs any global event. Per-process
+//! state transitions are the sequential engine's own — both drive the one
+//! step core in `step.rs` — and metrics are folded where they arise; see
+//! [`crate::worker`] for the one order-sensitive aggregate.
 //!
-//! # What a run still costs per op
+//! # What a run costs per op
 //!
-//! The planning pass holds no op stream (no generated slice, no
-//! full-length lane), but its product does: `RunPlan::locals` keeps every
-//! checkpoint and send with its key and resolved outcome, per shard, for
-//! the workers to drain, and the keyed logs grow with the events handled.
-//! That O(steps) is the sharded engine's remaining per-run memory; the
-//! sequential engine has none.
+//! Nothing, with trace and occupancy off: no plan is kept (the planner
+//! holds the schedule's in-flight deliveries, like the sequential engine),
+//! a window holds at most [`BLOCK`] planned events, and how far the
+//! coordinator runs ahead of a worker is bounded in events — at most
+//! [`CMD_QUEUE`] windows, 64 bytes an event: 512 KB a worker. The metric
+//! ops fold in place on the thread that
+//! emits them; only a window's retained-count changes travel. Trace and
+//! occupancy, when recorded, are the report's product and grow with it.
 
-use std::collections::BTreeSet;
-use std::ops::Bound::{Excluded, Included};
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -61,37 +70,25 @@ use rdt_recovery::{
 };
 use rdt_workloads::AppOp;
 
-use crate::engine::{EventKind, Schedule, SimulationBuilder, SimulationReport};
-use crate::metrics::{MetricOp, Metrics};
+use crate::engine::{EventKind, Schedule, SimulationBuilder, SimulationReport, BLOCK};
+use crate::metrics::MetricOp;
 use crate::step::{self, Last, Sink as _};
 use crate::worker::{
-    run_worker, Cmd, KeyedSink, LogKey, PlannedLocal, RemoteMsg, Reply, WorkerSetup,
+    run_worker, Cmd, Exchange, KeyedSink, LogKey, PlannedLocal, Reply, WorkerSetup,
 };
 
 /// Commands a worker's queue holds before the coordinator waits for it.
-const CMD_QUEUE: usize = 1024;
+/// A window holds at most [`BLOCK`] planned events, so the coordinator
+/// runs at most `CMD_QUEUE × BLOCK` = 8 192 planned events ahead of any
+/// worker.
+const CMD_QUEUE: usize = 8;
 
-/// What a delivery carries through the planning pass: `(shard, position)`
-/// of the planned send in `RunPlan::locals`, whose outcome it resolves.
-type SendRef = (usize, usize);
+/// What a delivery carries through the planner: its send's key, if the
+/// message crosses shards — the deliveries a cut must cover.
+type Crossing = Option<(u64, u64)>;
 
-/// The still-unresolved outcome (`cancelled`, `delivery`) of a planned send.
-fn outcome_mut(
-    locals: &mut [Vec<(u64, u64, PlannedLocal)>],
-    (shard, pos): SendRef,
-) -> (&mut bool, &mut (u64, u64)) {
-    match &mut locals[shard][pos].2 {
-        PlannedLocal::Send {
-            cancelled,
-            delivery,
-            ..
-        } => (cancelled, delivery),
-        PlannedLocal::Checkpoint(_) => unreachable!("deliveries resolve sends"),
-    }
-}
-
-/// A pre-planned global (all-shards) event.
-#[derive(Debug)]
+/// A global (all-shards) event, as the planner hands it on.
+#[derive(Debug, PartialEq)]
 enum GlobalPlan {
     Control,
     Crash {
@@ -104,118 +101,145 @@ enum GlobalPlan {
     },
 }
 
-/// The complete pre-computed run structure.
-struct RunPlan {
-    /// Process → shard map.
-    shard_of: Vec<u32>,
-    /// Per-shard local events (checkpoints and sends), each with its
-    /// global key.
-    locals: Vec<Vec<(u64, u64, PlannedLocal)>>,
-    /// Global events in key order.
-    globals: Vec<(u64, u64, GlobalPlan)>,
-    /// The barrier schedule (always ends with the drain-everything cut).
-    cuts: BTreeSet<(u64, u64)>,
-    /// Final simulated time (the planning env's clock after the drain).
-    ticks: u64,
+/// One step of the plan, in key order.
+#[derive(Debug)]
+enum Planned {
+    /// A checkpoint or send for the worker of `shard`.
+    Local {
+        shard: usize,
+        at: u64,
+        seq: u64,
+        event: PlannedLocal,
+    },
+    /// A barrier: every worker runs its events below the key, then
+    /// exchanges. The last one is `(u64::MAX, u64::MAX)`.
+    Cut((u64, u64)),
+    /// A global event, right behind the cut at its own key.
+    Global { at: u64, seq: u64, plan: GlobalPlan },
 }
 
-/// Runs the planning pass.
-fn build_plan(builder: &SimulationBuilder, shards: usize) -> RunPlan {
-    let n = builder.spec.n;
-    let config = &builder.config;
-    let shard_of: Vec<u32> = (0..n)
-        .map(|p| config.shard.partitioning.shard_of(p, n, shards) as u32)
-        .collect();
+/// The plan, streamed: an iterator over the sequential engine's schedule
+/// that yields each planned event as it pops, and the cuts between them.
+struct Planner<'a> {
+    sched: Schedule<Crossing>,
+    shard_of: &'a [u32],
+    /// Each middleware's per-sender message counter: incremented on every
+    /// executed send, exactly like `begin_send`. The coordinator reports a
+    /// crash-cancelled message's `Drop` without ever seeing the message.
+    send_seq: Vec<u64>,
+    /// The latest cut.
+    last_cut: (u64, u64),
+    /// Planned events since the latest cut.
+    since_cut: usize,
+    /// Planned events a window holds at most.
+    block: usize,
+    /// What a cut was put before.
+    held: Option<Planned>,
+    /// The final cut has been yielded.
+    done: bool,
+}
 
-    let mut sched: Schedule<SendRef> = Schedule::new(builder.spec.seed, *config);
-    sched.stream(&builder.spec);
-
-    let mut locals: Vec<Vec<(u64, u64, PlannedLocal)>> = vec![Vec::new(); shards];
-    let mut globals: Vec<(u64, u64, GlobalPlan)> = Vec::new();
-    // Each middleware's per-sender message counter: incremented on every
-    // executed send, exactly like `begin_send`. The coordinator emits a
-    // crash-cancelled message's `Drop` without ever seeing the message.
-    let mut send_seq = vec![0u64; n];
-
-    while let Some((at, seq, kind)) = sched.pop() {
-        match kind {
-            EventKind::App(AppOp::Checkpoint(p)) => {
-                locals[shard_of[p.index()] as usize].push((at, seq, PlannedLocal::Checkpoint(p)));
-            }
-            EventKind::App(AppOp::Send { from, to }) => {
-                let id = MessageId::new(from, send_seq[from.index()]);
-                send_seq[from.index()] += 1;
-                let shard = shard_of[from.index()] as usize;
-                let lost = sched.transmit(to, id, (shard, locals[shard].len()));
-                let planned = PlannedLocal::Send {
-                    from,
-                    to,
-                    lost,
-                    // Resolved later: the cancellation if a crash strikes
-                    // first, else the delivery's key when it pops.
-                    cancelled: false,
-                    delivery: (0, 0),
-                };
-                locals[shard].push((at, seq, planned));
-            }
-            EventKind::Deliver { carry, .. } => *outcome_mut(&mut locals, carry).1 = (at, seq),
-            EventKind::App(AppOp::Crash(p)) => {
-                let faulty = sched.faulty(p, n);
-                let mut drops = Vec::new();
-                sched.cancel(
-                    |kind| !matches!(kind, EventKind::Deliver { .. }),
-                    |_, kind| {
-                        if let EventKind::Deliver { carry, to, id } = kind {
-                            *outcome_mut(&mut locals, carry).0 = true;
-                            drops.push((to, id));
-                        }
-                    },
-                );
-                globals.push((at, seq, GlobalPlan::Crash { faulty, drops }));
-            }
-            EventKind::ControlRound => {
-                globals.push((at, seq, GlobalPlan::Control));
-                sched.next_control();
-            }
+impl<'a> Planner<'a> {
+    fn new(builder: &SimulationBuilder, shard_of: &'a [u32], block: usize) -> Self {
+        let mut sched = Schedule::new(builder.spec.seed, builder.config);
+        sched.stream(&builder.spec);
+        Self {
+            sched,
+            shard_of,
+            send_seq: vec![0; shard_of.len()],
+            last_cut: (0, 0),
+            since_cut: 0,
+            block,
+            held: None,
+            done: false,
         }
     }
-    let ticks = sched.now();
 
-    // Barrier schedule. Every global event needs a cut (all shards
-    // stopped at its key); every surviving cross-shard delivery needs
-    // *some* cut in (send, delivery] so the exchange at that cut carries
-    // it before the receiver's window reaches the delivery key. Greedy
-    // over deliveries in key order, reusing existing cuts, yields the
-    // minimal such schedule.
-    let mut cuts: BTreeSet<(u64, u64)> = globals.iter().map(|&(at, seq, _)| (at, seq)).collect();
-    let mut crossings: Vec<((u64, u64), (u64, u64))> = locals
-        .iter()
-        .flatten()
-        .filter_map(|&(at, seq, planned)| match planned {
-            PlannedLocal::Send {
-                from,
-                to,
-                lost: false,
-                cancelled: false,
-                delivery,
-            } if shard_of[from.index()] != shard_of[to.index()] => Some(((at, seq), delivery)),
-            _ => None,
-        })
-        .collect();
-    crossings.sort_unstable_by_key(|&(_, d)| d);
-    for (s, d) in crossings {
-        if cuts.range((Excluded(s), Included(d))).next().is_none() {
-            cuts.insert(d);
-        }
+    /// The simulated time of the last event popped: the run's final time
+    /// once the plan is spent.
+    fn ticks(&self) -> u64 {
+        self.sched.now()
     }
-    cuts.insert((u64::MAX, u64::MAX));
 
-    RunPlan {
-        shard_of,
-        locals,
-        globals,
-        cuts,
-        ticks,
+    fn cut(&mut self, key: (u64, u64)) -> Planned {
+        self.last_cut = key;
+        self.since_cut = 0;
+        Planned::Cut(key)
+    }
+
+    /// A cut at `key`, with `then` held back to follow it.
+    fn cut_before(&mut self, key: (u64, u64), then: Planned) -> Planned {
+        self.held = Some(then);
+        self.cut(key)
+    }
+
+    /// `event` of process `p` for its shard, behind a cut if the window
+    /// is full.
+    fn local(&mut self, at: u64, seq: u64, p: ProcessId, event: PlannedLocal) -> Planned {
+        let shard = self.shard_of[p.index()] as usize;
+        let local = Planned::Local {
+            shard,
+            at,
+            seq,
+            event,
+        };
+        if self.since_cut == self.block {
+            let cut = self.cut_before((at, seq), local);
+            self.since_cut = 1;
+            return cut;
+        }
+        self.since_cut += 1;
+        local
+    }
+}
+
+impl Iterator for Planner<'_> {
+    type Item = Planned;
+
+    fn next(&mut self) -> Option<Planned> {
+        if let Some(held) = self.held.take() {
+            return Some(held);
+        }
+        while let Some((at, seq, kind)) = self.sched.pop() {
+            match kind {
+                EventKind::App(AppOp::Checkpoint(p)) => {
+                    return Some(self.local(at, seq, p, PlannedLocal::Checkpoint(p)));
+                }
+                EventKind::App(AppOp::Send { from, to }) => {
+                    let id = MessageId::new(from, self.send_seq[from.index()]);
+                    self.send_seq[from.index()] += 1;
+                    let crosses = self.shard_of[from.index()] != self.shard_of[to.index()];
+                    let delivery = self.sched.transmit(to, id, crosses.then_some((at, seq)));
+                    let send = PlannedLocal::Send { from, to, delivery };
+                    return Some(self.local(at, seq, from, send));
+                }
+                // The exchange at a cut in (send, delivery] carries it.
+                EventKind::Deliver {
+                    carry: Some(send), ..
+                } if self.last_cut <= send => return Some(self.cut((at, seq))),
+                EventKind::Deliver { .. } => {}
+                EventKind::App(AppOp::Crash(p)) => {
+                    let faulty = self.sched.faulty(p, self.shard_of.len());
+                    let mut drops = Vec::new();
+                    self.sched.cancel(
+                        |kind| !matches!(kind, EventKind::Deliver { .. }),
+                        |_, kind| {
+                            if let EventKind::Deliver { to, id, .. } = kind {
+                                drops.push((to, id));
+                            }
+                        },
+                    );
+                    let plan = GlobalPlan::Crash { faulty, drops };
+                    return Some(self.cut_before((at, seq), Planned::Global { at, seq, plan }));
+                }
+                EventKind::ControlRound => {
+                    self.sched.next_control();
+                    let plan = GlobalPlan::Control;
+                    return Some(self.cut_before((at, seq), Planned::Global { at, seq, plan }));
+                }
+            }
+        }
+        (!std::mem::replace(&mut self.done, true)).then(|| self.cut((u64::MAX, u64::MAX)))
     }
 }
 
@@ -228,19 +252,19 @@ pub(crate) fn run_sharded(builder: SimulationBuilder, shards: usize) -> Result<S
     let mut prof = rdt_obs::Profiler::new(profiling);
     let wall = prof.start();
 
-    let t_plan = prof.start();
-    let mut plan = build_plan(&builder, shards);
-    prof.stop("shard/plan", t_plan);
-
-    let shard_of = std::mem::take(&mut plan.shard_of);
+    let n = builder.spec.n;
+    let partitioning = builder.config.shard.partitioning;
+    let shard_of: Vec<u32> = (0..n)
+        .map(|p| partitioning.shard_of(p, n, shards) as u32)
+        .collect();
 
     // Exchange plane: a bounded channel per directed shard pair. Capacity
     // 2 keeps a fast sender at most one barrier ahead; no deadlock, since
     // a worker whose send would block has a peer that is itself inside
     // (or entering) the same barrier's receive phase. The self-pair is
     // allocated but never used.
-    let mut out_rows: Vec<Vec<Sender<Vec<RemoteMsg>>>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut in_rows: Vec<Vec<Receiver<Vec<RemoteMsg>>>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut out_rows: Vec<Vec<Sender<Exchange>>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut in_rows: Vec<Vec<Receiver<Exchange>>> = (0..shards).map(|_| Vec::new()).collect();
     for out_row in &mut out_rows {
         for in_row in &mut in_rows {
             let (t, r) = bounded(2);
@@ -251,16 +275,18 @@ pub(crate) fn run_sharded(builder: SimulationBuilder, shards: usize) -> Result<S
 
     // Control plane: one command and one reply channel per worker. The
     // command queue is bounded so that how far the coordinator runs ahead
-    // (one `Advance` per cut) is not memory that depends on thread timing.
-    // No deadlock: each command goes to every worker before the next, so
-    // every cut a worker has been sent, its peers have been sent too.
+    // is not memory that depends on thread timing or on the run's length.
+    // No deadlock: nothing after a cut is sent before the cut has gone to
+    // every worker, so a worker waiting at a barrier waits only for peers
+    // whose queues hold that barrier's command or commands before it —
+    // none of which needs the coordinator to be reached.
     let mut cmd_txs = Vec::with_capacity(shards);
     let mut reply_rxs = Vec::with_capacity(shards);
-    let setups: Vec<WorkerSetup> = std::mem::take(&mut plan.locals)
+    let setups: Vec<WorkerSetup> = out_rows
         .into_iter()
-        .zip(out_rows.into_iter().zip(in_rows))
+        .zip(in_rows)
         .enumerate()
-        .map(|(shard, (events, (out_txs, in_rxs)))| {
+        .map(|(shard, (out_txs, in_rxs))| {
             let (cmd_tx, cmd_rx) = bounded(CMD_QUEUE);
             let (reply_tx, reply_rx) = unbounded();
             cmd_txs.push(cmd_tx);
@@ -268,7 +294,6 @@ pub(crate) fn run_sharded(builder: SimulationBuilder, shards: usize) -> Result<S
             WorkerSetup {
                 shard,
                 shard_of: &shard_of,
-                events,
                 builder: &builder,
                 profile: profiling,
                 cmd_rx,
@@ -288,7 +313,8 @@ pub(crate) fn run_sharded(builder: SimulationBuilder, shards: usize) -> Result<S
         for setup in setups {
             scope.spawn(move || run_worker(setup));
         }
-        let outcome = coordinate(&builder, plan, cmd_txs, &reply_rxs, &mut prof);
+        let planner = Planner::new(&builder, &shard_of, BLOCK);
+        let outcome = coordinate(&builder, planner, cmd_txs, &reply_rxs, &mut prof);
         // On error the command senders are already dropped, so every
         // worker sees a disconnect and exits before the scope joins.
         outcome
@@ -299,7 +325,8 @@ pub(crate) fn run_sharded(builder: SimulationBuilder, shards: usize) -> Result<S
 }
 
 /// The coordinator's handle on the workers, plus its own share of the
-/// keyed logs (what global events emit outside any one process).
+/// metrics and recordings (what global events emit outside any one
+/// process).
 struct Coordinator<'a> {
     manager: RecoveryManager,
     cmd_txs: Vec<Sender<Cmd>>,
@@ -311,9 +338,13 @@ struct Coordinator<'a> {
 }
 
 impl Coordinator<'_> {
+    fn send(&self, shard: usize, cmd: Cmd) {
+        self.cmd_txs[shard].send(cmd).expect("shard worker gone");
+    }
+
     fn broadcast(&self, mk: impl Fn() -> Cmd) {
-        for tx in &self.cmd_txs {
-            tx.send(mk()).expect("shard worker gone");
+        for shard in 0..self.cmd_txs.len() {
+            self.send(shard, mk());
         }
     }
 
@@ -379,12 +410,12 @@ impl Coordinator<'_> {
         Ok(())
     }
 
-    /// A recovery session: crash the faulty set on their owning workers,
-    /// gather views, plan here, apply on the workers, fold the outcomes
-    /// into the report. The crash-cancelled deliveries were never
-    /// materialized (static cut); only their observable side effects —
-    /// `Drop` traces and lost counts — are emitted here, in the sequential
-    /// engine's cancellation order.
+    /// A recovery session: crash the faulty set on their owning workers
+    /// (which drop every delivery in flight), gather views, plan here,
+    /// apply on the workers, fold the outcomes into the report. The
+    /// cancelled deliveries' observable side effects — `Drop` traces and
+    /// lost counts — are emitted here, in the sequential engine's
+    /// cancellation order.
     fn crash_session(
         &mut self,
         at: u64,
@@ -433,16 +464,17 @@ impl Coordinator<'_> {
     }
 }
 
-/// The coordinator's and every worker's log of one kind merged into global
-/// key order, stripped of the keys. Each log is already a run in key
-/// order — a [`KeyedSink`] is only ever handed ascending event keys, and
-/// counts the sub-key up within one — so this is a k-way merge, not a sort;
-/// with a run per shard, finding the least head by scanning them is cheaper
-/// than a heap.
-fn in_key_order<T>(runs: Vec<Vec<(LogKey, T)>>) -> impl Iterator<Item = T> {
+/// Key-ordered runs of keyed entries merged into global key order,
+/// stripped of the keys. Each run is already in key order — a
+/// [`KeyedSink`] is only ever handed ascending event keys, and counts the
+/// sub-key up within one — so this is a k-way merge, not a sort; with a
+/// run per shard, finding the least head by scanning them is cheaper than
+/// a heap.
+pub(crate) fn in_key_order<T>(runs: Vec<Vec<(LogKey, T)>>) -> impl Iterator<Item = T> {
     let entries: usize = runs.iter().map(Vec::len).sum();
     let mut runs: Vec<_> = runs
         .into_iter()
+        .filter(|run| !run.is_empty())
         .map(|run| {
             debug_assert!(run.is_sorted_by_key(|e| e.0), "a keyed log out of order");
             run.into_iter()
@@ -459,11 +491,12 @@ fn in_key_order<T>(runs: Vec<Vec<(LogKey, T)>>) -> impl Iterator<Item = T> {
     })
 }
 
-/// Drives the run: advances all shards cut by cut, executes global
-/// events between windows, then merges worker logs into the report.
+/// Drives the run: hands each worker its planned events window by
+/// window, executes global events between windows, then adds up the
+/// workers' metrics and merges their recordings into the report.
 fn coordinate(
     builder: &SimulationBuilder,
-    plan: RunPlan,
+    mut planner: Planner<'_>,
     cmd_txs: Vec<Sender<Cmd>>,
     reply_rxs: &[Receiver<Reply>],
     prof: &mut rdt_obs::Profiler,
@@ -473,30 +506,54 @@ fn coordinate(
         manager: RecoveryManager::with_mode(builder.recovery_mode),
         cmd_txs,
         reply_rxs,
-        sink: KeyedSink::new(config.record_trace, config.record_occupancy),
+        sink: KeyedSink::new(builder.spec.n, config.record_trace, config.record_occupancy),
         recovery_sessions: Vec::new(),
         outcomes: SessionOutcomes::default(),
     };
-    let mut globals = plan.globals.into_iter().peekable();
+    // Each shard's planned events since the last cut.
+    let mut windows: Vec<Vec<(u64, u64, PlannedLocal)>> =
+        (0..co.cmd_txs.len()).map(|_| Vec::new()).collect();
 
-    for &cut in &plan.cuts {
-        co.broadcast(|| Cmd::Advance { upto: cut });
-        // Every global event's key is a cut, so at most one fires here.
-        while let Some((at, seq, global)) = globals.next_if(|&(at, seq, _)| (at, seq) == cut) {
-            let t = prof.start();
-            match global {
-                GlobalPlan::Control => co.control_round(builder, at, seq)?,
-                GlobalPlan::Crash { faulty, drops } => co.crash_session(at, seq, faulty, drops)?,
+    // The phases chain: the planner's time is every interval that ends in
+    // a hand-over.
+    let mut t = prof.start();
+    for planned in planner.by_ref() {
+        match planned {
+            Planned::Local {
+                shard,
+                at,
+                seq,
+                event,
+            } => {
+                windows[shard].push((at, seq, event));
             }
-            prof.stop("shard/coordinate_global", t);
+            Planned::Cut(upto) => {
+                prof.lap("shard/plan", &mut t);
+                for (shard, window) in windows.iter_mut().enumerate() {
+                    let events = std::mem::take(window);
+                    co.send(shard, Cmd::Window { events, upto });
+                }
+                prof.lap("shard/dispatch", &mut t);
+            }
+            Planned::Global { at, seq, plan } => {
+                match plan {
+                    GlobalPlan::Control => co.control_round(builder, at, seq)?,
+                    GlobalPlan::Crash { faulty, drops } => {
+                        co.crash_session(at, seq, faulty, drops)?;
+                    }
+                }
+                prof.lap("shard/coordinate_global", &mut t);
+            }
         }
     }
 
     co.broadcast(|| Cmd::Finish);
-    // One run per log kind from the coordinator, then one from each worker.
+    // One run per recording from the coordinator, then one from each
+    // worker; the metrics add up.
     let own = std::mem::take(&mut co.sink.logs);
-    let (mut trace, mut occupancy, mut metric_ops) =
-        (vec![own.trace], vec![own.occupancy], vec![own.metrics]);
+    let (mut trace, mut occupancy) = (vec![own.trace], vec![own.occupancy]);
+    let mut metrics = std::mem::take(&mut co.sink.metrics);
+    let mut peak_global_retained = None;
     let mut finals = Vec::with_capacity(builder.spec.n);
     for (shard, reply) in co.replies().enumerate() {
         let Reply::Done(data) = reply else {
@@ -505,7 +562,8 @@ fn coordinate(
         let data = *data;
         trace.push(data.logs.trace);
         occupancy.push(data.logs.occupancy);
-        metric_ops.push(data.logs.metrics);
+        metrics.absorb(&data.metrics);
+        peak_global_retained = peak_global_retained.or(data.peak_global_retained);
         finals.extend(data.finals);
         // Namespace each worker's phases under its shard index: the
         // `reply_rxs` slice is in shard order, so `shard` is the sender.
@@ -513,20 +571,18 @@ fn coordinate(
             merged.merge_suffixed(worker, &shard.to_string());
         }
     }
+    metrics.peak_global_retained = peak_global_retained.expect("shard 0 folds the changes");
     finals.sort_unstable_by_key(|f| f.p);
 
-    // Replay the merged logs in global key order: this reproduces the
-    // sequential engine's trace, occupancy and metric mutation order —
-    // including the order-sensitive `peak_global_retained` — exactly.
+    // Merge the recordings into global key order: this reproduces the
+    // sequential engine's trace and occupancy exactly.
     let t_merge = prof.start();
-    let mut metrics = Metrics::new(finals.len());
-    in_key_order(metric_ops).for_each(|op| metrics.apply(op));
     // The profile is filled by `run_sharded` from the merged
     // coordinator+worker profilers after the scope joins.
     let report = step::assemble_report(
         finals,
         metrics,
-        plan.ticks,
+        planner.ticks(),
         config.record_trace.then(|| in_key_order(trace).collect()),
         config
             .record_occupancy
@@ -540,10 +596,14 @@ fn coordinate(
 
 #[cfg(test)]
 mod tests {
-    use rdt_workloads::WorkloadSpec;
+    use std::collections::BTreeSet;
+    use std::ops::Bound::{Excluded, Included};
+
+    use proptest::prelude::*;
+    use rdt_workloads::{Pattern, WorkloadSpec};
 
     use super::*;
-    use crate::{ChannelConfig, SimConfig};
+    use crate::{ChannelConfig, Partitioning, ShardConfig, SimConfig};
 
     #[test]
     fn runs_merge_into_key_order() {
@@ -585,5 +645,284 @@ mod tests {
         sequential.profile = None;
         sharded.profile = None;
         assert_eq!(format!("{sharded:?}"), format!("{sequential:?}"));
+    }
+
+    /// What `shard_equiv`'s long-run property leans on: on a ring of 16 at
+    /// a checkpoint probability of 0.995, crossings are rarer than one in
+    /// [`BLOCK`] events, so the windows are cut by count.
+    #[test]
+    fn a_sparse_ring_is_cut_by_count() {
+        let spec = WorkloadSpec::uniform_random(16, 3200)
+            .with_pattern(Pattern::Ring)
+            .with_seed(3)
+            .with_checkpoint_prob(0.995);
+        let builder = SimulationBuilder::new(spec);
+        let shard_of: Vec<u32> = (0..16).map(|p| p / 8).collect();
+        let plan: Vec<Planned> = Planner::new(&builder, &shard_of, BLOCK).collect();
+        let by_count = plan
+            .windows(2)
+            .filter(|pair| match pair {
+                [Planned::Cut(key), Planned::Local { at, seq, .. }] => *key == (*at, *seq),
+                _ => false,
+            })
+            .count();
+        assert!(by_count >= 2, "{by_count} windows cut by count");
+    }
+
+    /// A planned send as the batch reference resolves it: the delivery's
+    /// key is read when the delivery pops, a crash marks it cancelled.
+    #[derive(Debug, Clone, Copy)]
+    enum BatchLocal {
+        Checkpoint(ProcessId),
+        Send {
+            from: ProcessId,
+            to: ProcessId,
+            lost: bool,
+            cancelled: bool,
+            delivery: (u64, u64),
+        },
+    }
+
+    /// The still-unresolved outcome (`cancelled`, `delivery`) of the
+    /// planned send at `(shard, position)`.
+    fn outcome_mut(
+        locals: &mut [Vec<(u64, u64, BatchLocal)>],
+        (shard, pos): (usize, usize),
+    ) -> (&mut bool, &mut (u64, u64)) {
+        match &mut locals[shard][pos].2 {
+            BatchLocal::Send {
+                cancelled,
+                delivery,
+                ..
+            } => (cancelled, delivery),
+            BatchLocal::Checkpoint(_) => unreachable!("deliveries resolve sends"),
+        }
+    }
+
+    /// The whole-run plan the engine used to build before it ran.
+    struct BatchPlan {
+        locals: Vec<Vec<(u64, u64, BatchLocal)>>,
+        globals: Vec<(u64, u64, GlobalPlan)>,
+        cuts: BTreeSet<(u64, u64)>,
+    }
+
+    /// The batch planner the streaming one replaced, kept as its oracle: a
+    /// whole-run pass that back-patches every send's outcome, then the
+    /// greedy barrier schedule over the crossings sorted by delivery —
+    /// seeded with the global events' cuts and `forced`, the window cuts
+    /// only a streaming planner has.
+    fn batch_plan(
+        builder: &SimulationBuilder,
+        shard_of: &[u32],
+        forced: &BTreeSet<(u64, u64)>,
+    ) -> BatchPlan {
+        let n = builder.spec.n;
+        let shards = shard_of.iter().max().map_or(0, |&s| s as usize + 1);
+        let mut sched: Schedule<(usize, usize)> = Schedule::new(builder.spec.seed, builder.config);
+        sched.stream(&builder.spec);
+        let mut locals: Vec<Vec<(u64, u64, BatchLocal)>> = vec![Vec::new(); shards];
+        let mut globals = Vec::new();
+        let mut send_seq = vec![0u64; n];
+        while let Some((at, seq, kind)) = sched.pop() {
+            match kind {
+                EventKind::App(AppOp::Checkpoint(p)) => {
+                    let shard = shard_of[p.index()] as usize;
+                    locals[shard].push((at, seq, BatchLocal::Checkpoint(p)));
+                }
+                EventKind::App(AppOp::Send { from, to }) => {
+                    let id = MessageId::new(from, send_seq[from.index()]);
+                    send_seq[from.index()] += 1;
+                    let shard = shard_of[from.index()] as usize;
+                    let lost = sched
+                        .transmit(to, id, (shard, locals[shard].len()))
+                        .is_none();
+                    let planned = BatchLocal::Send {
+                        from,
+                        to,
+                        lost,
+                        cancelled: false,
+                        delivery: (0, 0),
+                    };
+                    locals[shard].push((at, seq, planned));
+                }
+                EventKind::Deliver { carry, .. } => *outcome_mut(&mut locals, carry).1 = (at, seq),
+                EventKind::App(AppOp::Crash(p)) => {
+                    let faulty = sched.faulty(p, n);
+                    let mut drops = Vec::new();
+                    let mut cancelled = Vec::new();
+                    sched.cancel(
+                        |kind| !matches!(kind, EventKind::Deliver { .. }),
+                        |_, kind| {
+                            if let EventKind::Deliver { carry, to, id } = kind {
+                                cancelled.push(carry);
+                                drops.push((to, id));
+                            }
+                        },
+                    );
+                    for carry in cancelled {
+                        *outcome_mut(&mut locals, carry).0 = true;
+                    }
+                    globals.push((at, seq, GlobalPlan::Crash { faulty, drops }));
+                }
+                EventKind::ControlRound => {
+                    globals.push((at, seq, GlobalPlan::Control));
+                    sched.next_control();
+                }
+            }
+        }
+        let mut cuts: BTreeSet<(u64, u64)> =
+            globals.iter().map(|&(at, seq, _)| (at, seq)).collect();
+        cuts.extend(forced);
+        let mut crossings: Vec<((u64, u64), (u64, u64))> = locals
+            .iter()
+            .flatten()
+            .filter_map(|&(at, seq, planned)| match planned {
+                BatchLocal::Send {
+                    from,
+                    to,
+                    lost: false,
+                    cancelled: false,
+                    delivery,
+                } if shard_of[from.index()] != shard_of[to.index()] => Some(((at, seq), delivery)),
+                _ => None,
+            })
+            .collect();
+        crossings.sort_unstable_by_key(|&(_, d)| d);
+        for (s, d) in crossings {
+            if cuts.range((Excluded(s), Included(d))).next().is_none() {
+                cuts.insert(d);
+            }
+        }
+        cuts.insert((u64::MAX, u64::MAX));
+        BatchPlan {
+            locals,
+            globals,
+            cuts,
+        }
+    }
+
+    const PATTERNS: [Pattern; 3] = [Pattern::UniformRandom, Pattern::Ring, Pattern::TokenRing];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The streaming planner against the batch one it replaced, over
+        /// runs several windows long, with loss, correlated crashes,
+        /// control rounds, either partitioning and 1 to 4 shards, at window
+        /// sizes down to one event: the plan comes out in key order, no
+        /// window holds more than `block` planned events, the cuts are the
+        /// batch greedy's (seeded with the window cuts), every surviving
+        /// crossing has a cut in (send, delivery], and each shard gets the
+        /// events the batch plan gave it, with the same outcomes.
+        #[test]
+        fn the_streaming_planner_cuts_as_the_batch_greedy(
+            n in 2usize..12,
+            steps in 0usize..4 * BLOCK,
+            seed in 0u64..u64::MAX,
+            pattern in 0usize..3,
+            loss in 0.0f64..0.2,
+            crash in 0.0f64..0.01,
+            correlated in 0.0f64..0.5,
+            min_delay in 1u64..=3,
+            control in 0usize..2,
+            strided in 0usize..2,
+            shards in 1usize..=4,
+            block in prop::sample::select(vec![1usize, 2, 5, 64, BLOCK]),
+        ) {
+            let spec = WorkloadSpec::uniform_random(n, steps)
+                .with_pattern(PATTERNS[pattern])
+                .with_seed(seed)
+                .with_checkpoint_prob(0.25)
+                .with_crash_prob(crash);
+            let partitioning = if strided == 1 {
+                Partitioning::Strided
+            } else {
+                Partitioning::Contiguous
+            };
+            let shards = shards.min(n);
+            let builder = SimulationBuilder::new(spec).config(SimConfig {
+                channel: ChannelConfig {
+                    min_delay,
+                    max_delay: 20,
+                    loss_rate: loss,
+                },
+                control_every: (control == 1).then_some(90),
+                correlated_crash_prob: correlated,
+                shard: ShardConfig {
+                    shards,
+                    partitioning,
+                },
+                ..SimConfig::default()
+            });
+            let shard_of: Vec<u32> = (0..n)
+                .map(|p| partitioning.shard_of(p, n, shards) as u32)
+                .collect();
+
+            let mut locals: Vec<Vec<(u64, u64, PlannedLocal)>> = vec![Vec::new(); shards];
+            let (mut cuts, mut globals, mut local_keys) = (Vec::new(), Vec::new(), BTreeSet::new());
+            let (mut window, mut last) = (0, None);
+            for planned in Planner::new(&builder, &shard_of, block) {
+                match planned {
+                    Planned::Local { shard, at, seq, event } => {
+                        // Strictly after everything before, a cut at its
+                        // own key aside.
+                        prop_assert!(last < Some((at, seq)) || cuts.last() == Some(&(at, seq)));
+                        window += 1;
+                        prop_assert!(window <= block, "a window of {} events", window);
+                        locals[shard].push((at, seq, event));
+                        local_keys.insert((at, seq));
+                        last = Some((at, seq));
+                    }
+                    Planned::Cut(key) => {
+                        prop_assert!(last < Some(key), "cut {:?} after {:?}", key, last);
+                        cuts.push(key);
+                        window = 0;
+                        last = Some(key);
+                    }
+                    Planned::Global { at, seq, plan } => {
+                        prop_assert_eq!(cuts.last(), Some(&(at, seq)), "a global event behind its cut");
+                        globals.push((at, seq, plan));
+                    }
+                }
+            }
+            prop_assert_eq!(cuts.last(), Some(&(u64::MAX, u64::MAX)));
+
+            let forced: BTreeSet<(u64, u64)> = cuts
+                .iter()
+                .copied()
+                .filter(|key| local_keys.contains(key))
+                .collect();
+            let reference = batch_plan(&builder, &shard_of, &forced);
+            let cuts: BTreeSet<(u64, u64)> = cuts.into_iter().collect();
+            prop_assert_eq!(&cuts, &reference.cuts);
+            prop_assert_eq!(globals, reference.globals);
+            for (got, want) in locals.iter().zip(&reference.locals) {
+                prop_assert_eq!(got.len(), want.len());
+                for (&(at, seq, got), &(want_at, want_seq, want)) in got.iter().zip(want) {
+                    prop_assert_eq!((at, seq), (want_at, want_seq));
+                    match (got, want) {
+                        (PlannedLocal::Checkpoint(p), BatchLocal::Checkpoint(q)) => {
+                            prop_assert_eq!(p, q);
+                        }
+                        (
+                            PlannedLocal::Send { from, to, delivery },
+                            BatchLocal::Send { from: want_from, to: want_to, lost, cancelled, delivery: d },
+                        ) => {
+                            prop_assert_eq!((from, to), (want_from, want_to));
+                            prop_assert_eq!(delivery.is_none(), lost);
+                            if lost || cancelled {
+                                continue;
+                            }
+                            prop_assert_eq!(delivery, Some(d));
+                            if shard_of[from.index()] != shard_of[to.index()] {
+                                let covering = cuts.range((Excluded((at, seq)), Included(d)));
+                                prop_assert!(covering.count() > 0, "no cut for {:?} → {:?}", (at, seq), d);
+                            }
+                        }
+                        (got, want) => prop_assert!(false, "{:?} planned as {:?}", got, want),
+                    }
+                }
+            }
+        }
     }
 }

@@ -242,3 +242,87 @@ proptest! {
         }
     }
 }
+
+/// One run of `s` at `shards` (1: the sequential engine) with trace and
+/// occupancy off, its report rendered whole — metrics with
+/// `peak_global_retained`, final vectors, last-stable indices, retained
+/// sets, incarnations and every recovery session.
+fn unrecorded_at(
+    s: &Scenario,
+    checkpoint_prob: f64,
+    shards: usize,
+    partitioning: Partitioning,
+) -> String {
+    let spec = WorkloadSpec::uniform_random(s.n, s.steps)
+        .with_pattern(s.pattern)
+        .with_seed(s.seed)
+        .with_checkpoint_prob(checkpoint_prob)
+        .with_crash_prob(s.crash);
+    let report = SimulationBuilder::new(spec)
+        .protocol(s.protocol)
+        .garbage_collector(s.gc)
+        .config(SimConfig {
+            channel: ChannelConfig::lossy(s.loss),
+            control_every: s.control_every,
+            correlated_crash_prob: s.correlated,
+            shard: ShardConfig {
+                shards,
+                partitioning,
+            },
+            ..SimConfig::default()
+        })
+        .recovery_mode(s.mode)
+        .run()
+        .expect("simulation runs");
+    assert!(report.trace.is_none() && report.occupancy.is_none());
+    assert_eq!(report.metrics.sequential_fallbacks, 0);
+    format!("{report:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Long runs with nothing recorded: 3 200 to 4 000 ops, past three of
+    /// the planner's 1 024-event windows, where the metrics fold in place
+    /// and only retained changes cross shards, the coordinator hands on
+    /// full batches and waits on full command queues. At a checkpoint
+    /// probability of 0.995 a ring's crossings are rarer than one in 1 024
+    /// events, so its windows are cut by count. n = 16 or 65..80, crashes
+    /// with correlated faults and control rounds in the mix, 2 and 4
+    /// shards: the report equals the sequential engine's.
+    #[test]
+    fn long_unrecorded_runs_shard_like_the_sequential_engine(
+        wide in 0usize..2,
+        n_wide in 65usize..=80,
+        steps in 3200usize..4000,
+        seed in 0u64..u64::MAX,
+        pattern in 0usize..3,
+        sparse in 0usize..2,
+        crash in 0.0f64..0.004,
+        control in 0usize..2,
+        gc in 0usize..3,
+        four in 0usize..2,
+        strided in 0usize..2,
+    ) {
+        let scenario = Scenario {
+            name: "long",
+            n: if wide == 1 { n_wide } else { 16 },
+            steps,
+            seed,
+            protocol: ProtocolKind::Fdas,
+            gc: [GcKind::RdtLgc, GcKind::WangGlobal, GcKind::SimpleCoordinated][gc],
+            pattern: PATTERNS[pattern],
+            crash,
+            correlated: 0.2,
+            loss: 0.05,
+            control_every: (control == 1).then_some(90),
+            mode: RecoveryMode::Coordinated,
+        };
+        let checkpoint_prob = if sparse == 1 { 0.995 } else { 0.25 };
+        let partitioning = PARTITIONINGS[strided];
+        let shards = if four == 1 { 4 } else { 2 };
+        let sequential = unrecorded_at(&scenario, checkpoint_prob, 1, partitioning);
+        let sharded = unrecorded_at(&scenario, checkpoint_prob, shards, partitioning);
+        prop_assert_eq!(sharded, sequential, "{} shards diverged from sequential", shards);
+    }
+}
