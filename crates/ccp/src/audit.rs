@@ -23,7 +23,7 @@
 //! longer in the live history, and a collect of it is not a garbage
 //! collection decision: it is skipped.
 
-use rdt_base::{CheckpointId, Error, Result, TraceEvent};
+use rdt_base::{CheckpointId, CheckpointIndex, Error, ProcessId, Result, TraceEvent};
 
 use crate::builder::CcpBuilder;
 
@@ -118,6 +118,29 @@ pub fn collection_safety_violations_through_sessions<S: AsRef<[CheckpointId]>>(
         )));
     }
     Ok(audit.violations)
+}
+
+/// The checkpoints a crash-free run still retains at its end
+/// (`retained[i]`: p_i's stored indices) that are causally identifiable
+/// as obsolete there: [`Ccp::witnesses`](crate::Ccp::witnesses) is
+/// empty, so an optimal collector (Theorem 5) would have eliminated them.
+///
+/// # Errors
+///
+/// Malformed traces as in [`CcpBuilder::from_trace`].
+///
+/// # Panics
+///
+/// Panics if a retained index is not a stable checkpoint of the trace.
+pub fn missed_at_the_end(n: usize, trace: &[TraceEvent], retained: &[Vec<usize>]) -> Result<usize> {
+    let ccp = CcpBuilder::from_trace(n, trace)?.build();
+    let stored = retained.iter().enumerate().flat_map(|(p, indices)| {
+        let p = ProcessId::new(p);
+        indices
+            .iter()
+            .map(move |&i| CheckpointId::new(p, CheckpointIndex::new(i)))
+    });
+    Ok(stored.filter(|&s| ccp.witnesses(s).is_empty()).count())
 }
 
 /// The replay under audit.

@@ -53,7 +53,9 @@ mod provenance;
 mod recovery_line;
 mod render;
 
-pub use audit::{collection_safety_violations, collection_safety_violations_through_sessions};
+pub use audit::{
+    collection_safety_violations, collection_safety_violations_through_sessions, missed_at_the_end,
+};
 pub use builder::CcpBuilder;
 pub use consistency::GlobalCheckpoint;
 pub use model::{Ccp, GeneralCheckpoint, LocalEvent, MessageRecord};

@@ -1,18 +1,16 @@
 //! `rdt causal` — merge per-process event logs into one
-//! happened-before-ordered causal trace.
+//! happened-before order.
 //!
-//! Each worker of an `rdt serve` run (or any process with the event log /
-//! `RDT_LOG_JSONL` active) leaves a JSONL log of its `rdt_sim::live`
-//! events. This command reads them through the one merger
-//! ([`rdt_cli::merge`], the same reader `rdt serve`'s oracle check uses)
-//! and prints the frame events of the merged order — `send`, `recv`,
-//! `apply`, and a `synthetic_send` for each send whose origin's log was
-//! not an input — as `{"type":"causal",…}` lines: every receive after its
+//! Each worker of an `rdt serve` run (or any process with the event log
+//! installed) leaves a log of the trace lines of what it did. This command
+//! reads them through the one merger ([`rdt_cli::merge`], the same reader
+//! `rdt serve`'s oracle check uses) and prints the merged order in the
+//! same line shape ([`rdt_sim::TraceLine`]): every delivery after its
 //! send, the learned dependency-vector lineage checked against what the
-//! sender said on the wire. Checkpoints and collects stay in the logs.
+//! sender said on the wire, and `"synthetic":true` on a send stood in for
+//! because its sender's log was not an input.
 
-use rdt_cli::merge::{Kind, Logs, Merged};
-use rdt_obs::json::JsonValue;
+use rdt_cli::merge::Logs;
 
 /// Entry point for the `causal` subcommand.
 pub fn causal(m: &clap::ArgMatches) -> Result<(), String> {
@@ -28,12 +26,9 @@ pub fn causal(m: &clap::ArgMatches) -> Result<(), String> {
     }
 
     let merged = Logs::read(&inputs)?.merge()?;
-    let lines = causal_lines(&merged);
     let mut doc = String::new();
-    for line in &lines {
-        rdt_obs::check::check_jsonl_line(line)
-            .map_err(|e| format!("internal: emitted invalid causal line: {e}"))?;
-        doc.push_str(line);
+    for line in &merged.order {
+        line.render(&mut doc);
         doc.push('\n');
     }
     match m.get_one::<String>("out") {
@@ -42,7 +37,7 @@ pub fn causal(m: &clap::ArgMatches) -> Result<(), String> {
     }
     eprintln!(
         "causal: {} events from {} processes merged ({} synthetic sends)",
-        lines.len(),
+        merged.order.len(),
         merged.processes,
         merged.synthetic
     );
@@ -68,137 +63,65 @@ fn harvest(dir: &std::path::Path) -> Result<Vec<std::path::PathBuf>, String> {
     Ok(found)
 }
 
-/// The frame events of the merged order as causal lines: `pos` counts the
-/// lines, sends carry the entry they said, applies the one they learned
-/// and their checkpoint effects.
-fn causal_lines(merged: &Merged) -> Vec<String> {
-    let frames = merged
-        .order
-        .iter()
-        .filter(|r| matches!(r.kind, Kind::Send | Kind::Recv | Kind::Apply));
-    frames
-        .enumerate()
-        .map(|(pos, r)| {
-            let kind = if r.synthetic {
-                "synthetic_send"
-            } else {
-                r.kind.as_str()
-            };
-            let mut obj = JsonValue::obj()
-                .field("type", "causal")
-                .field("pos", pos)
-                .field("kind", kind)
-                .field("process", r.process)
-                .field("peer", r.peer)
-                .field("seq", r.seq);
-            if r.kind != Kind::Recv {
-                obj = obj.field("inc", r.inc).field("interval", r.interval);
-            }
-            if r.kind == Kind::Apply {
-                obj = obj
-                    .field("forced", r.forced)
-                    .field("eliminated", r.eliminated);
-            }
-            obj.build().to_string()
-        })
-        .collect()
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
-    use rdt_base::{CheckpointIndex, MessageId, ProcessId, TraceEvent};
-    use rdt_obs::json;
+    use rdt_base::{
+        CheckpointIndex, DvEntry, Incarnation, IntervalIndex, MessageId, ProcessId, TraceEvent,
+    };
+    use rdt_cli::merge::Merged;
+    use rdt_sim::TraceLine;
 
     use super::*;
 
-    /// One `LiveNode` log line: `event` with `fields`.
-    fn line(event: &str, fields: Vec<(&str, JsonValue)>) -> String {
-        let mut obj = vec![
-            ("level".to_string(), JsonValue::Str("debug".into())),
-            ("target".to_string(), JsonValue::Str("rdt_sim::live".into())),
-            ("event".to_string(), JsonValue::Str(event.into())),
-            ("msg".to_string(), JsonValue::Str(String::new())),
-        ];
-        obj.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    fn p(i: usize) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    fn m(sender: usize, seq: u64) -> MessageId {
+        MessageId::new(p(sender), seq)
+    }
+
+    /// One event-log line: `event` at `process`, with a lineage
+    /// `(incarnation, interval)` if given.
+    fn line(process: usize, event: TraceEvent, lineage: Option<(u32, usize)>) -> String {
         let mut out = String::new();
-        JsonValue::Obj(obj).render(&mut out);
+        TraceLine {
+            lineage: lineage.map(|(inc, interval)| {
+                DvEntry::new(Incarnation::new(inc), IntervalIndex::new(interval))
+            }),
+            ..TraceLine::new(Some(p(process)), event)
+        }
+        .render(&mut out);
         out
     }
 
-    pub(crate) fn checkpoint(process: u64, index: u64) -> String {
-        line(
-            "checkpoint",
-            vec![
-                ("process", JsonValue::UInt(process)),
-                ("index", JsonValue::UInt(index)),
-            ],
-        )
+    pub(crate) fn checkpoint(process: usize, forced: bool) -> String {
+        let event = TraceEvent::Checkpoint {
+            process: p(process),
+            forced,
+        };
+        line(process, event, None)
     }
 
-    pub(crate) fn send(
-        process: u64,
-        to: u64,
-        seq: u64,
-        inc: u64,
-        interval: u64,
-        forced: bool,
-    ) -> String {
-        line(
-            "frame_send",
-            vec![
-                ("process", JsonValue::UInt(process)),
-                ("to", JsonValue::UInt(to)),
-                ("seq", JsonValue::UInt(seq)),
-                ("inc", JsonValue::UInt(inc)),
-                ("interval", JsonValue::UInt(interval)),
-                ("forced", JsonValue::Bool(forced)),
-            ],
-        )
+    pub(crate) fn send(process: usize, to: usize, seq: u64, inc: u32, interval: usize) -> String {
+        let event = TraceEvent::Send {
+            id: m(process, seq),
+            to: p(to),
+        };
+        line(process, event, Some((inc, interval)))
     }
 
-    pub(crate) fn recv(process: u64, from: u64, seq: u64) -> String {
-        line(
-            "frame_recv",
-            vec![
-                ("process", JsonValue::UInt(process)),
-                ("from", JsonValue::UInt(from)),
-                ("seq", JsonValue::UInt(seq)),
-            ],
-        )
+    fn deliver(process: usize, from: usize, seq: u64, inc: u32, interval: usize) -> String {
+        let event = TraceEvent::Deliver { id: m(from, seq) };
+        line(process, event, Some((inc, interval)))
     }
 
-    pub(crate) fn apply(
-        process: u64,
-        from: u64,
-        seq: u64,
-        inc: u64,
-        interval: u64,
-        forced: bool,
-    ) -> String {
-        line(
-            "frame_apply",
-            vec![
-                ("process", JsonValue::UInt(process)),
-                ("from", JsonValue::UInt(from)),
-                ("seq", JsonValue::UInt(seq)),
-                ("inc", JsonValue::UInt(inc)),
-                ("interval", JsonValue::UInt(interval)),
-                ("forced", JsonValue::Bool(forced)),
-                ("eliminated", JsonValue::UInt(0)),
-            ],
-        )
-    }
-
-    pub(crate) fn collect(process: u64, indices: &[usize]) -> String {
-        let list: Vec<String> = indices.iter().map(usize::to_string).collect();
-        line(
-            "gc_collect",
-            vec![
-                ("process", JsonValue::UInt(process)),
-                ("eliminated", JsonValue::UInt(indices.len() as u64)),
-                ("collected", JsonValue::Str(list.join(","))),
-            ],
-        )
+    fn collect(process: usize, index: usize) -> String {
+        let event = TraceEvent::Collect {
+            process: p(process),
+            index: CheckpointIndex::new(index),
+        };
+        line(process, event, None)
     }
 
     pub(crate) fn merge(logs: &[(&str, Vec<String>)]) -> Result<Merged, String> {
@@ -210,45 +133,58 @@ pub(crate) mod tests {
     }
 
     fn kinds(merged: &Merged) -> Vec<String> {
-        causal_lines(merged)
-            .iter()
-            .map(|l| {
-                let v = json::parse(l).unwrap();
-                let kind = v.get("kind").unwrap().as_str().unwrap();
-                format!("{kind} {}", v.get("seq").unwrap().as_u64().unwrap())
-            })
-            .collect()
+        let kind = |line: &TraceLine| match line.event {
+            TraceEvent::Send { id, .. } if line.synthetic => format!("synthetic send {}", id.seq),
+            TraceEvent::Send { id, .. } => format!("send {}", id.seq),
+            TraceEvent::Deliver { id } => format!("deliver {}", id.seq),
+            other => other.to_string(),
+        };
+        merged.order.iter().map(kind).collect()
     }
 
-    fn p(i: usize) -> ProcessId {
-        ProcessId::new(i)
-    }
-
-    fn m(sender: usize, seq: u64) -> MessageId {
-        MessageId::new(p(sender), seq)
-    }
-
-    fn ckpt(i: usize, forced: bool) -> TraceEvent {
-        TraceEvent::Checkpoint {
-            process: p(i),
-            forced,
+    /// The merged order as `rdt causal` prints it, checked against the
+    /// trace schema, and read back: the output is itself a log the merge
+    /// reads, to the same order.
+    fn printed(merged: &Merged) -> String {
+        let mut doc = String::new();
+        for line in &merged.order {
+            line.render(&mut doc);
+            rdt_obs::check::check_jsonl_line(doc.lines().last().unwrap()).unwrap();
+            doc.push('\n');
         }
+        let again = merge(&[("out", doc.lines().map(str::to_string).collect())]).unwrap();
+        assert_eq!(again.order, merged.order);
+        doc
     }
 
     #[test]
     fn merges_recv_after_its_send() {
-        // p1's log lists its recv first; the merge must still place p0's
-        // send before it.
+        // p1's log lists its delivery first; the merge must still place
+        // p0's send before it.
         let merged = merge(&[
-            ("p1", vec![recv(1, 0, 0), apply(1, 0, 0, 0, 1, false)]),
-            ("p0", vec![send(0, 1, 0, 0, 1, false)]),
+            ("p1", vec![deliver(1, 0, 0, 0, 1)]),
+            ("p0", vec![send(0, 1, 0, 0, 1)]),
         ])
         .unwrap();
-        assert_eq!(kinds(&merged), ["send 0", "recv 0", "apply 0"]);
+        assert_eq!(kinds(&merged), ["send 0", "deliver 0"]);
         assert_eq!(merged.synthetic, 0);
-        for l in causal_lines(&merged) {
-            rdt_obs::check::check_jsonl_line(&l).unwrap();
-        }
+        printed(&merged);
+    }
+
+    #[test]
+    fn a_forced_checkpoint_waits_with_the_delivery_that_forced_it() {
+        // p0's receive stored a forced checkpoint before delivering p1's
+        // frame: both come after the send, so a collect judged in between
+        // sees the cut the receiver was in.
+        let merged = merge(&[
+            ("p0", vec![checkpoint(0, true), deliver(0, 1, 0, 0, 1)]),
+            ("p1", vec![send(1, 0, 0, 0, 1), collect(1, 0)]),
+        ])
+        .unwrap();
+        assert_eq!(
+            kinds(&merged),
+            ["send 0", "collect p2 s^0", "ckpt p1 (forced)", "deliver 0"]
+        );
     }
 
     #[test]
@@ -256,18 +192,20 @@ pub(crate) mod tests {
         // p2 is not an input: its frame gets a stand-in, right before the
         // first event that needs it; p0's frame has its real send.
         let merged = merge(&[
-            ("p0", vec![send(0, 1, 0, 0, 3, false)]),
-            ("p1", vec![recv(1, 2, 4), recv(1, 0, 0)]),
+            ("p0", vec![send(0, 1, 0, 0, 3)]),
+            ("p1", vec![deliver(1, 2, 4, 0, 1), deliver(1, 0, 0, 0, 3)]),
         ])
         .unwrap();
         assert_eq!(merged.synthetic, 1);
         assert_eq!(
             kinds(&merged),
-            ["send 0", "synthetic_send 4", "recv 4", "recv 0"]
+            ["send 0", "synthetic send 4", "deliver 4", "deliver 0"]
         );
-        for l in causal_lines(&merged) {
-            rdt_obs::check::check_jsonl_line(&l).unwrap();
-        }
+        let doc = printed(&merged);
+        assert_eq!(
+            doc.lines().nth(1),
+            Some(r#"{"type":"event","kind":"send","process":2,"seq":4,"to":1,"synthetic":true}"#)
+        );
     }
 
     #[test]
@@ -275,8 +213,8 @@ pub(crate) mod tests {
         // p0's log is an input and holds only its send 0: there is no
         // window a send 1 could hide outside of.
         let err = merge(&[
-            ("p0", vec![send(0, 1, 0, 0, 1, false)]),
-            ("p1", vec![apply(1, 0, 1, 0, 2, false)]),
+            ("p0", vec![send(0, 1, 0, 0, 1)]),
+            ("p1", vec![deliver(1, 0, 1, 0, 2)]),
         ])
         .unwrap_err();
         assert!(err.contains("has no send in process 0's log"), "{err}");
@@ -285,18 +223,14 @@ pub(crate) mod tests {
     #[test]
     fn drops_the_torn_tail_a_kill_leaves() {
         // A kill mid-write leaves part of one line and no newline: dropped.
-        let whole = send(0, 1, 1, 0, 1, false);
-        let torn = format!(
-            "{}\n{}",
-            send(0, 1, 0, 0, 1, false),
-            &whole[..whole.len() / 2]
-        );
+        let whole = send(0, 1, 1, 0, 1);
+        let torn = format!("{}\n{}", send(0, 1, 0, 0, 1), &whole[..whole.len() / 2]);
         let mut logs = Logs::default();
         logs.add("p0", &torn).unwrap();
         assert_eq!(kinds(&logs.merge().unwrap()), ["send 0"]);
         // A whole line that ends the log is kept.
         let mut logs = Logs::default();
-        logs.add("p0", &format!("{}\n{whole}", send(0, 1, 0, 0, 1, false)))
+        logs.add("p0", &format!("{}\n{whole}", send(0, 1, 0, 0, 1)))
             .unwrap();
         assert_eq!(kinds(&logs.merge().unwrap()), ["send 0", "send 1"]);
     }
@@ -305,9 +239,9 @@ pub(crate) mod tests {
     fn rejects_garbage_anywhere_but_the_tail() {
         // The torn bytes followed by a newline — or by more lines — are no
         // kill's tail.
-        let whole = send(0, 1, 1, 0, 1, false);
+        let whole = send(0, 1, 1, 0, 1);
         let torn = &whole[..whole.len() / 2];
-        let first = send(0, 1, 0, 0, 1, false);
+        let first = send(0, 1, 0, 0, 1);
         for body in [
             format!("{first}\n{torn}\n"),
             format!("{first}\n{torn}\n{whole}\n"),
@@ -317,21 +251,23 @@ pub(crate) mod tests {
         }
         // A line of the right shape missing a field is garbage too.
         let err = Logs::default()
-            .add("p0", &(recv(0, 1, 0).replace(",\"seq\":0", "") + "\n"))
+            .add(
+                "p0",
+                &(deliver(0, 1, 0, 0, 1).replace(",\"seq\":0", "") + "\n"),
+            )
             .unwrap_err();
         assert!(err.contains("missing integer field \"seq\""), "{err}");
     }
 
     #[test]
     fn rejects_a_gap_in_a_process_sends_and_a_process_in_two_files() {
-        let err = merge(&[(
-            "p0",
-            vec![send(0, 1, 0, 0, 1, false), send(0, 1, 2, 0, 1, false)],
-        )])
-        .unwrap_err();
+        let err = merge(&[("p0", vec![send(0, 1, 0, 0, 1), send(0, 1, 2, 0, 1)])]).unwrap_err();
         assert!(err.contains("send seq 2 where 1 is next"), "{err}");
-        let err =
-            merge(&[("a", vec![checkpoint(0, 1)]), ("b", vec![checkpoint(0, 2)])]).unwrap_err();
+        let err = merge(&[
+            ("a", vec![checkpoint(0, false)]),
+            ("b", vec![checkpoint(0, false)]),
+        ])
+        .unwrap_err();
         assert!(err.contains("process 0 appears in both a and b"), "{err}");
     }
 
@@ -339,14 +275,8 @@ pub(crate) mod tests {
     fn rejects_a_causal_cycle() {
         // Each process applies the other's frame before sending its own.
         let err = merge(&[
-            (
-                "p0",
-                vec![apply(0, 1, 0, 0, 1, false), send(0, 1, 0, 0, 1, false)],
-            ),
-            (
-                "p1",
-                vec![apply(1, 0, 0, 0, 1, false), send(1, 0, 0, 0, 1, false)],
-            ),
+            ("p0", vec![deliver(0, 1, 0, 0, 1), send(0, 1, 0, 0, 1)]),
+            ("p1", vec![deliver(1, 0, 0, 0, 1), send(1, 0, 0, 0, 1)]),
         ])
         .unwrap_err();
         assert!(err.contains("causal cycle"), "{err}");
@@ -355,31 +285,32 @@ pub(crate) mod tests {
     #[test]
     fn rejects_an_apply_that_unlearned_the_senders_lineage() {
         let err = merge(&[
-            ("p0", vec![send(0, 1, 0, 1, 4, false)]),
-            ("p1", vec![recv(1, 0, 0), apply(1, 0, 0, 1, 3, false)]),
+            ("p0", vec![send(0, 1, 0, 1, 4)]),
+            ("p1", vec![deliver(1, 0, 0, 1, 3)]),
         ])
         .unwrap_err();
         assert!(err.contains("older than the send"), "{err}");
     }
 
     #[test]
-    fn skips_foreign_lines_and_gc_events() {
-        // Simulator trace lines and other targets are not log events; the
-        // checkpoints and collects are, for the oracle, but the causal
-        // trace carries only frames.
+    fn skips_foreign_lines_and_drops() {
+        // A trace's header, a diagnostic sink's record and a drop (which
+        // the merge re-derives) are not a process's events; the
+        // checkpoints, sends and collects are, and all of them are kept.
         let foreign = [
             r#"{"type":"run","n":2,"steps":5,"seed":1,"shards":1,"protocol":"fdas","gc":"rdt"}"#,
             r#"{"level":"info","target":"rdt_sim::engine","event":"other","msg":""}"#,
+            r#"{"type":"event","kind":"drop","from":0,"seq":0}"#,
         ];
         let mut lines: Vec<String> = foreign.iter().map(|l| l.to_string()).collect();
-        lines.extend([
-            checkpoint(0, 1),
-            send(0, 1, 0, 0, 2, false),
-            collect(0, &[0]),
-        ]);
+        lines.extend([checkpoint(0, false), send(0, 1, 0, 0, 2), collect(0, 0)]);
         let merged = merge(&[("p0", lines)]).unwrap();
-        assert_eq!(merged.order.len(), 3);
-        assert_eq!(kinds(&merged), ["send 0"]);
+        assert_eq!(
+            kinds(&merged),
+            ["ckpt p1", "send 0", "collect p1 s^0"],
+            "{:?}",
+            merged.order
+        );
     }
 
     #[test]
@@ -388,18 +319,23 @@ pub(crate) mod tests {
         // receipt; then p1 applies the frame again, and sends one p0
         // never applies, which ends as a drop.
         let merged = merge(&[
-            ("p0", vec![send(0, 1, 0, 0, 1, true)]),
+            ("p0", vec![send(0, 1, 0, 0, 1), checkpoint(0, true)]),
             (
                 "p1",
                 vec![
-                    apply(1, 0, 0, 0, 1, true),
-                    collect(1, &[0]),
-                    apply(1, 0, 0, 0, 1, false),
-                    send(1, 0, 0, 0, 2, false),
+                    checkpoint(1, true),
+                    deliver(1, 0, 0, 0, 1),
+                    collect(1, 0),
+                    deliver(1, 0, 0, 0, 1),
+                    send(1, 0, 0, 0, 2),
                 ],
             ),
         ])
         .unwrap();
+        let ckpt = |i: usize| TraceEvent::Checkpoint {
+            process: p(i),
+            forced: true,
+        };
         assert_eq!(
             merged.oracle_trace(),
             [
@@ -407,8 +343,8 @@ pub(crate) mod tests {
                     id: m(0, 0),
                     to: p(1)
                 },
-                ckpt(0, true),
-                ckpt(1, true),
+                ckpt(0),
+                ckpt(1),
                 TraceEvent::Deliver { id: m(0, 0) },
                 TraceEvent::Collect {
                     process: p(1),
@@ -430,18 +366,18 @@ pub(crate) mod tests {
         // Without the message it is not pinned, and the same collect is safe.
         let audit = |p1: Vec<String>, p0_first: Option<String>| {
             let mut p0: Vec<String> = p0_first.into_iter().collect();
-            p0.extend([checkpoint(0, 1), collect(0, &[0])]);
+            p0.extend([checkpoint(0, false), collect(0, 0)]);
             let trace = merge(&[("p0", p0), ("p1", p1)]).unwrap().oracle_trace();
             rdt_ccp::collection_safety_violations(2, &trace).unwrap()
         };
         let pinned = audit(
-            vec![checkpoint(1, 1), send(1, 0, 0, 0, 1, false)],
-            Some(apply(0, 1, 0, 0, 1, false)),
+            vec![checkpoint(1, false), send(1, 0, 0, 0, 1)],
+            Some(deliver(0, 1, 0, 0, 1)),
         );
         assert_eq!(
             pinned,
             [rdt_base::CheckpointId::new(p(0), CheckpointIndex::ZERO)]
         );
-        assert!(audit(vec![checkpoint(1, 1)], None).is_empty());
+        assert!(audit(vec![checkpoint(1, false)], None).is_empty());
     }
 }

@@ -2,12 +2,12 @@
 //! subcommands.
 
 use rdt_analysis::{worst_single_failure, CcpStats, OccupancyTimeline};
-use rdt_base::{CheckpointId, CheckpointIndex, ProcessId, TraceEvent};
+use rdt_base::{CheckpointId, ProcessId};
 use rdt_bench::{derive_seed, par_map};
-use rdt_ccp::{collection_safety_violations_through_sessions, CcpBuilder};
+use rdt_ccp::{collection_safety_violations_through_sessions, missed_at_the_end, CcpBuilder};
 use rdt_core::GcKind;
 use rdt_obs::json::JsonValue;
-use rdt_sim::{Metrics, SimulationBuilder, SimulationReport};
+use rdt_sim::{Metrics, SimulationBuilder, SimulationReport, TraceLine};
 
 use crate::opts::RunOpts;
 
@@ -407,9 +407,10 @@ fn print_run(summary: &SimulateSummary, report: &SimulationReport) {
 }
 
 /// `rdt trace` — replay a run and emit its global event sequence as JSONL
-/// (one `{"type":"run"}` header, one `{"type":"event"}` line per trace
-/// event, and — with `--profile` — `span`/`counter` lines from the phase
-/// profile). The stream is what `obs_check` validates in CI.
+/// (one `{"type":"run"}` header, one [`TraceLine`] per trace event — the
+/// shape a live process's event log has — and, with `--profile`,
+/// `span`/`counter` lines from the phase profile). The stream is what
+/// `obs_check` validates in CI.
 pub fn trace(opts: &RunOpts, out: Option<&str>) -> Result<(), String> {
     let report = run(opts, true)?;
     if let Some(path) = &opts.metrics_out {
@@ -430,39 +431,8 @@ pub fn trace(opts: &RunOpts, out: Option<&str>) -> Result<(), String> {
             .to_string(),
     );
     lines.push('\n');
-    for (i, event) in trace.iter().enumerate() {
-        let base = JsonValue::obj().field("type", "event").field("i", i);
-        let doc = match event {
-            TraceEvent::Checkpoint { process, forced } => base
-                .field("kind", "ckpt")
-                .field("process", process.index())
-                .field("forced", *forced),
-            TraceEvent::Send { id, to } => base
-                .field("kind", "send")
-                .field("from", id.sender.index())
-                .field("seq", id.seq)
-                .field("to", to.index()),
-            TraceEvent::Deliver { id } => base
-                .field("kind", "deliver")
-                .field("from", id.sender.index())
-                .field("seq", id.seq),
-            TraceEvent::Drop { id } => base
-                .field("kind", "drop")
-                .field("from", id.sender.index())
-                .field("seq", id.seq),
-            TraceEvent::Collect { process, index } => base
-                .field("kind", "collect")
-                .field("process", process.index())
-                .field("index", index.value()),
-            TraceEvent::Crash { process } => base
-                .field("kind", "crash")
-                .field("process", process.index()),
-            TraceEvent::Restore { process, to } => base
-                .field("kind", "restore")
-                .field("process", process.index())
-                .field("to", to.value()),
-        };
-        lines.push_str(&doc.build().to_string());
+    for line in TraceLine::of_trace(trace) {
+        line.render(&mut lines);
         lines.push('\n');
     }
     if let Some(profile) = &report.profile {
@@ -631,26 +601,6 @@ struct AuditSummary {
     missed: Option<usize>,
 }
 
-/// The checkpoints a crash-free run still retains at its end that are
-/// causally identifiable as obsolete there: `Ccp::witnesses` is empty, so
-/// an optimal collector (Theorem 5) would have eliminated them.
-fn missed_at_the_end(
-    n: usize,
-    trace: &[TraceEvent],
-    retained: &[Vec<usize>],
-) -> Result<usize, String> {
-    let ccp = CcpBuilder::from_trace(n, trace)
-        .map_err(|e| format!("trace replay failed: {e}"))?
-        .build();
-    let stored = retained.iter().enumerate().flat_map(|(p, indices)| {
-        let p = ProcessId::new(p);
-        indices
-            .iter()
-            .map(move |&i| CheckpointId::new(p, CheckpointIndex::new(i)))
-    });
-    Ok(stored.filter(|&s| ccp.witnesses(s).is_empty()).count())
-}
-
 /// `rdt audit` — run and check every garbage-collection event against the
 /// Theorem-1 oracle at its own cut. A crashy run is judged on the history
 /// its recovery sessions left live, each session's own eliminations
@@ -671,11 +621,10 @@ pub fn audit(opts: &RunOpts) -> Result<(), String> {
             collection_safety_violations_through_sessions(opts.spec.n, trace, &sessions)
                 .map_err(|e| format!("trace replay failed: {e}"))?;
         let missed = if sessions.is_empty() {
-            Some(missed_at_the_end(
-                opts.spec.n,
-                trace,
-                &report.final_retained,
-            )?)
+            Some(
+                missed_at_the_end(opts.spec.n, trace, &report.final_retained)
+                    .map_err(|e| format!("trace replay failed: {e}"))?,
+            )
         } else {
             None
         };

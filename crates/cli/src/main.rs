@@ -84,7 +84,7 @@ fn cli() -> Command {
                 .about("merge per-process event logs into one happened-before-ordered trace")
                 .arg(
                     clap::Arg::new("inputs")
-                        .help("per-process JSONL event logs (rdt serve's flight_p*.jsonl or RDT_LOG_JSONL output)")
+                        .help("per-process JSONL event logs (rdt serve's flight_p*.jsonl)")
                         .value_name("file")
                         .action(clap::ArgAction::Append),
                 )
@@ -98,7 +98,7 @@ fn cli() -> Command {
                     clap::Arg::new("out")
                         .long("out")
                         .short('o')
-                        .help("write the merged causal JSONL to this file instead of stdout")
+                        .help("write the merged trace lines to this file instead of stdout")
                         .value_name("path"),
                 ),
         )

@@ -15,17 +15,19 @@
 //! # The event log and its write ordering
 //!
 //! Every worker's history is its one event log (`flight_p<rank>.jsonl`,
-//! the `rdt_obs::flight` log): the [`LiveNode`] logs each operation —
-//! basic checkpoint, send (with its post-send forced checkpoint), receive,
-//! apply (with its forced checkpoint) and the collects that followed —
-//! and the chaos harness merges the logs through the one merger
-//! ([`rdt_cli::merge`]) into a global [`TraceEvent`] sequence for the
-//! offline oracle. The worker writes nothing of its own. The per-op
-//! discipline is **apply → log → transmit**:
+//! the `rdt_obs::flight` log): the [`LiveNode`] logs the trace events of
+//! each operation — basic checkpoint, send and its post-send forced
+//! checkpoint, a delivery's forced checkpoint and the delivery, the
+//! collects that followed — in the line shape `rdt trace` prints
+//! ([`TraceLine`]), and the harness merges the logs through the one
+//! merger ([`rdt_cli::merge`]) into a global [`TraceEvent`] sequence for
+//! the offline oracle. The run's totals are those logs' lines counted,
+//! the resumed segment's included. The worker writes nothing of its own.
+//! The per-op discipline is **apply → log → transmit**:
 //!
 //! 1. the middleware operation runs (which commits durable state through
 //!    the sink),
-//! 2. the node writes its event line(s), each with one `write` the page
+//! 2. the node writes the operation's event lines in one `write` the page
 //!    cache keeps through a kill,
 //! 3. only then — and only if every write succeeded — is a sent frame put
 //!    on the wire.
@@ -39,7 +41,9 @@
 //! before the frame leaves, every apply in any log finds its send in the
 //! sender's log, and the merge is total. The merged trace carries the
 //! collects too, so the harness audits every live elimination against
-//! Theorem 4 (`collection_safety_violations`) beside the recovery line.
+//! Theorem 4 (`collection_safety_violations`) beside the recovery line,
+//! and a clean run's final stores against Theorem 5 (`missed_at_the_end`:
+//! no retained checkpoint may lack a witness under RDT-LGC).
 //!
 //! # Chaos cycle
 //!
@@ -60,7 +64,7 @@ use std::time::{Duration, Instant};
 use clap::ArgMatches;
 
 use rdt_base::{CheckpointId, ProcessId, TraceEvent};
-use rdt_ccp::CcpBuilder;
+use rdt_ccp::{missed_at_the_end, CcpBuilder};
 use rdt_cli::merge::Logs;
 use rdt_core::GcKind;
 use rdt_env::transport::MAX_FRAME;
@@ -69,7 +73,7 @@ use rdt_obs::json::JsonValue;
 use rdt_obs::ProfileReport;
 use rdt_protocols::{Middleware, ProtocolKind};
 use rdt_recovery::{FaultySet, RecoveryManager};
-use rdt_sim::LiveNode;
+use rdt_sim::{LiveNode, TraceLine};
 use rdt_storage::{DiskSink, DurableStore};
 
 use crate::opts::{parse_gc, parse_protocol};
@@ -195,9 +199,11 @@ fn pump(
 /// Writes one worker's Prometheus-style textfile dump
 /// (`metrics_p<rank>.prom`): phase latencies — frame encode/decode,
 /// socket send/recv, `store/*` I/O — when `RDT_PROFILE` is on, plus the
-/// always-present traffic and checkpoint counters, which are all the
-/// parent reads of a worker's run. The closest a socket-driven worker
-/// gets to a `/metrics` endpoint without a server thread.
+/// always-present traffic and checkpoint counters of this worker's
+/// segment (a resumed worker rewrites the file). The parent reads only
+/// `checkpoints_retained` of it; its totals come from the event logs. The
+/// closest a socket-driven worker gets to a `/metrics` endpoint without a
+/// server thread.
 fn write_prom(
     dir: &Path,
     rank: usize,
@@ -387,6 +393,10 @@ struct Verdict {
     offline: Vec<usize>,
     /// Logged collects of a checkpoint that was not obsolete (Theorem 4).
     gc_violations: Vec<CheckpointId>,
+    /// Checkpoints the stores retain at the cut that no process witnesses
+    /// (Theorem 5); `None` after a chaos cycle, whose resumed segment went
+    /// through a recovery session.
+    gc_missed: Option<usize>,
 }
 
 /// Appends the checkpoints each process's store holds beyond what the
@@ -411,12 +421,19 @@ fn reconcile(trace: &mut Vec<TraceEvent>, newest: &[usize]) {
     }
 }
 
-/// Merges the workers' logs, audits every logged collect, rebuilds every
+/// Merges the workers' logs (counting their events into `summary`),
+/// audits every logged collect and what the stores retain, rebuilds every
 /// process from disk, and runs a full recovery session (all faulty)
 /// against the oracle's line.
-fn check_lines(dir: &Path, cfg: &ServeConfig) -> Result<Verdict, String> {
-    let logs: Vec<PathBuf> = (0..cfg.n).map(|i| flight_path(dir, i, false)).collect();
-    let mut trace = Logs::read(&logs)?.merge()?.oracle_trace();
+fn check_lines(
+    dir: &Path,
+    cfg: &ServeConfig,
+    summary: &mut ServeSummary,
+) -> Result<Verdict, String> {
+    let paths: Vec<PathBuf> = (0..cfg.n).map(|i| flight_path(dir, i, false)).collect();
+    let logs = Logs::read(&paths)?;
+    summary.count(logs.lines());
+    let mut trace = logs.merge()?.oracle_trace();
     let mut newest = Vec::with_capacity(cfg.n);
     for i in 0..cfg.n {
         let disk = DurableStore::open(store_dir(dir, i), ProcessId::new(i))
@@ -437,6 +454,7 @@ fn check_lines(dir: &Path, cfg: &ServeConfig) -> Result<Verdict, String> {
         .to_raw();
 
     let mut mws = Vec::with_capacity(cfg.n);
+    let mut retained = Vec::with_capacity(cfg.n);
     for i in 0..cfg.n {
         let me = ProcessId::new(i);
         let disk = DurableStore::open(store_dir(dir, i), me)
@@ -447,6 +465,7 @@ fn check_lines(dir: &Path, cfg: &ServeConfig) -> Result<Verdict, String> {
         if store.is_empty() {
             return Err(format!("p{i} has no surviving checkpoint to recover from"));
         }
+        retained.push(store.indices().map(|c| c.value()).collect());
         mws.push(Middleware::from_store_with(
             me,
             cfg.n,
@@ -456,6 +475,8 @@ fn check_lines(dir: &Path, cfg: &ServeConfig) -> Result<Verdict, String> {
             DiskSink::over(disk),
         ));
     }
+    let gc_missed = missed_at_the_end(cfg.n, &trace, &retained)
+        .map_err(|e| format!("Theorem 5 audit failed: {e}"))?;
     let session = RecoveryManager::new()
         .recover(&mut mws, &faulty)
         .map_err(|e| format!("online recovery failed: {e}"))?;
@@ -464,6 +485,7 @@ fn check_lines(dir: &Path, cfg: &ServeConfig) -> Result<Verdict, String> {
         online,
         offline,
         gc_violations,
+        gc_missed: Some(gc_missed),
     })
 }
 
@@ -608,31 +630,30 @@ fn spawn_metrics_listener(
     Ok(local)
 }
 
-/// The run's traffic and checkpoint totals, read off the merged `.prom`
-/// dumps: cluster-wide counters, and the largest per-rank retention.
-#[derive(Debug)]
+/// The run's traffic and checkpoint totals, counted off the event logs of
+/// every segment of the run, and the largest per-rank store at its end.
+#[derive(Debug, Default)]
 struct ServeSummary {
     sent: u64,
     delivered: u64,
     basic: u64,
     forced: u64,
-    eliminated: u64,
+    collected: u64,
     max_retained: u64,
 }
 
 impl ServeSummary {
-    fn from_metrics(merged: &ProfileReport, n: usize) -> Self {
-        let count = |name: &str| merged.counters.get(name).copied().unwrap_or(0);
-        ServeSummary {
-            sent: count("frames_sent"),
-            delivered: count("frames_delivered"),
-            basic: count("checkpoints_basic"),
-            forced: count("checkpoints_forced"),
-            eliminated: count("checkpoints_eliminated"),
-            max_retained: (0..n)
-                .map(|i| count(&format!("checkpoints_retained/p{i}")))
-                .max()
-                .unwrap_or(0),
+    /// Adds the events of one segment's logs.
+    fn count<'a>(&mut self, lines: impl Iterator<Item = &'a TraceLine>) {
+        for line in lines {
+            match line.event {
+                TraceEvent::Send { .. } => self.sent += 1,
+                TraceEvent::Deliver { .. } => self.delivered += 1,
+                TraceEvent::Checkpoint { forced: false, .. } => self.basic += 1,
+                TraceEvent::Checkpoint { forced: true, .. } => self.forced += 1,
+                TraceEvent::Collect { .. } => self.collected += 1,
+                _ => {}
+            }
         }
     }
 }
@@ -662,17 +683,25 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
     if !user_dir {
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
-    let Verdict {
-        online,
-        offline,
-        gc_violations,
-    } = outcome?;
+    let (
+        Verdict {
+            online,
+            offline,
+            gc_violations,
+            gc_missed,
+        },
+        mut summary,
+    ) = outcome?;
     let metrics = metrics?;
     if let Some(path) = m.get_one::<String>("metrics-out") {
         std::fs::write(path, metrics.to_prometheus())
             .map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
-    let summary = ServeSummary::from_metrics(&metrics, cfg.n);
+    summary.max_retained = (0..cfg.n)
+        .filter_map(|i| metrics.counters.get(&format!("checkpoints_retained/p{i}")))
+        .copied()
+        .max()
+        .unwrap_or(0);
     let agree = online == offline;
 
     if json {
@@ -684,11 +713,15 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
             .field("oracle_line", offline.clone())
             .field("lines_agree", agree)
             .field("gc_violations", gc_violations.len())
+            .field(
+                "gc_missed",
+                gc_missed.map_or(JsonValue::Null, JsonValue::from),
+            )
             .field("sent", summary.sent)
             .field("delivered", summary.delivered)
             .field("basic_checkpoints", summary.basic)
             .field("forced_checkpoints", summary.forced)
-            .field("collected", summary.eliminated)
+            .field("collected", summary.collected)
             .field("max_retained", summary.max_retained)
             .build();
         println!("{}", doc.pretty());
@@ -704,7 +737,7 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
                 summary.delivered,
                 summary.basic,
                 summary.forced,
-                summary.eliminated,
+                summary.collected,
                 summary.max_retained
             );
         }
@@ -717,6 +750,9 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
             "Theorem 4 audit of the logged collects: {} violations",
             gc_violations.len()
         );
+        if let Some(missed) = gc_missed {
+            println!("Theorem 5 at the end: {missed} retained checkpoints with no witness");
+        }
     }
     if !agree {
         return Err(format!(
@@ -728,12 +764,19 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
             "collected checkpoints that were not obsolete: {gc_violations:?}"
         ));
     }
-    Ok(())
+    match gc_missed {
+        Some(missed) if missed > 0 && matches!(cfg.gc, GcKind::RdtLgc) => Err(format!(
+            "RDT-LGC retained {missed} checkpoints no process witnesses"
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Runs the workers (one chaos cycle when asked) and returns the verdict
-/// on the kill point (chaos) or the final state (clean run).
-fn run_serve(cfg: &ServeConfig, chaos: bool) -> Result<Verdict, String> {
+/// on the kill point (chaos) or the final state (clean run), with the
+/// totals of every segment's logs.
+fn run_serve(cfg: &ServeConfig, chaos: bool) -> Result<(Verdict, ServeSummary), String> {
+    let mut summary = ServeSummary::default();
     if chaos {
         // Endless workload; the kill decides the cut.
         let mut children = spawn_workers(cfg, 0, false)?;
@@ -742,16 +785,23 @@ fn run_serve(cfg: &ServeConfig, chaos: bool) -> Result<Verdict, String> {
             return Err(e);
         }
         kill_workers(&mut children)?;
-        let lines = check_lines(&cfg.dir, cfg)?;
+        let verdict = check_lines(&cfg.dir, cfg, &mut summary)?;
         // Restart the real processes from the recovered disks: rollback
         // (second WAL round), fresh traffic, clean exit.
         let resumed = spawn_workers(cfg, cfg.ops.max(20), true)?;
         join_workers(resumed)?;
-        Ok(lines)
+        let paths: Vec<PathBuf> = (0..cfg.n).map(|i| flight_path(&cfg.dir, i, true)).collect();
+        summary.count(Logs::read(&paths)?.lines());
+        let verdict = Verdict {
+            gc_missed: None,
+            ..verdict
+        };
+        Ok((verdict, summary))
     } else {
         let children = spawn_workers(cfg, cfg.ops, false)?;
         join_workers(children)?;
-        check_lines(&cfg.dir, cfg)
+        let verdict = check_lines(&cfg.dir, cfg, &mut summary)?;
+        Ok((verdict, summary))
     }
 }
 
@@ -839,8 +889,8 @@ mod tests {
         // the op short between the commit and the log. p1's disk holds
         // what its log says.
         let logs = [
-            ("p0", vec![checkpoint(0, 1), send(0, 1, 0, 0, 2, false)]),
-            ("p1", vec![checkpoint(1, 1)]),
+            ("p0", vec![checkpoint(0, false), send(0, 1, 0, 0, 2)]),
+            ("p1", vec![checkpoint(1, false)]),
         ];
         let logged = merge(&logs).unwrap().oracle_trace();
         let mut trace = logged.clone();

@@ -7,6 +7,8 @@ use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
+use rdt_base::TraceEvent;
+
 fn rdt() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rdt"))
 }
@@ -131,32 +133,39 @@ fn serve_flight_dumps_merge_into_a_causal_trace() {
         String::from_utf8_lossy(&causal.stderr)
     );
 
-    // Happened-before sanity on the merged trace itself: no recv before
-    // the send of the same (origin, seq) frame.
+    // Happened-before sanity on the merged trace itself: no delivery
+    // before the send of the same frame, no send stood in for, and every
+    // logged event printed.
     let body = std::fs::read_to_string(&merged).unwrap();
     let mut seen_send = std::collections::BTreeSet::new();
     let mut events = 0usize;
     for line in body.lines() {
         rdt_obs::check::check_jsonl_line(line).unwrap();
-        let v = rdt_obs::json::parse(line).unwrap();
-        let kind = v.get("kind").unwrap().as_str().unwrap().to_string();
-        let process = v.get("process").unwrap().as_u64().unwrap();
-        let peer = v.get("peer").unwrap().as_u64().unwrap();
-        let seq = v.get("seq").unwrap().as_u64().unwrap();
-        match kind.as_str() {
-            "send" | "synthetic_send" => {
-                seen_send.insert((process, seq));
+        let line = rdt_sim::TraceLine::parse(line)
+            .unwrap()
+            .expect("an event line");
+        assert!(!line.synthetic, "{line:?}");
+        match line.event {
+            TraceEvent::Send { id, .. } => {
+                seen_send.insert(id);
             }
-            "recv" | "apply" => {
+            TraceEvent::Deliver { id } => {
                 assert!(
-                    seen_send.contains(&(peer, seq)),
-                    "{kind} of ({peer}, {seq}) precedes its send"
+                    seen_send.contains(&id),
+                    "delivery of {id} precedes its send"
                 );
             }
-            other => panic!("unexpected kind {other}"),
+            _ => {}
         }
         events += 1;
     }
+    let logged: usize = (0..3)
+        .map(|rank| {
+            let log = std::fs::read_to_string(dir.join(format!("flight_p{rank}.jsonl"))).unwrap();
+            log.lines().count()
+        })
+        .sum();
+    assert_eq!(events, logged);
     assert!(events > 0, "empty causal trace");
     let _ = std::fs::remove_dir_all(&dir);
 }

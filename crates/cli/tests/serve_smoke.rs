@@ -46,6 +46,7 @@ fn clean_run_agrees_with_the_oracle() {
     );
     assert!(stdout.contains("\"chaos\": false"));
     assert!(stdout.contains("\"gc_violations\": 0"), "{stdout}");
+    assert!(stdout.contains("\"gc_missed\": 0,"), "{stdout}");
     // Every checkpoint a worker stored — its initial one, basic and forced
     // — is retained or was eliminated by one of its operations, and the
     // summed eliminations are what the run reports as collected.
@@ -90,9 +91,53 @@ fn a_time_based_collector_fails_the_audit_live() {
 }
 
 #[test]
+fn without_a_collector_the_live_theorem_5_audit_counts_what_is_retained() {
+    // Nothing is collected, so every checkpoint a later one superseded is
+    // retained with no witness; only RDT-LGC fails the run for it.
+    let output = rdt()
+        .args([
+            "serve", "-n", "3", "--ops", "60", "-S", "42", "--gc", "none", "--json",
+        ])
+        .output()
+        .expect("spawning rdt");
+    let stdout = stdout_of(&output);
+    assert!(
+        output.status.success(),
+        "{stdout}\n{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let doc = rdt_obs::json::parse(&stdout).unwrap();
+    let missed = doc.get("gc_missed").and_then(|v| v.as_u64());
+    assert!(missed > Some(0), "{stdout}");
+}
+
+/// Event lines of `kind` in the event logs under `dir` whose file names
+/// start with `prefix`, a torn final line not counted.
+fn logged(dir: &std::path::Path, prefix: &str, kind: &str) -> u64 {
+    let mut count = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with(prefix) && name.ends_with(".jsonl")) {
+            continue;
+        }
+        let body = std::fs::read_to_string(&path).unwrap();
+        count += body
+            .split_inclusive('\n')
+            .filter(|l| l.ends_with('\n') && l.contains(kind))
+            .count() as u64;
+    }
+    count
+}
+
+#[test]
 fn chaos_cycle_survives_kill9_and_matches_the_oracle() {
+    let dir = std::env::temp_dir().join(format!("rdt_serve_smoke_chaos_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let output = rdt()
         .args(["serve", "-n", "3", "-S", "1337", "--chaos", "--json"])
+        .arg("--dir")
+        .arg(&dir)
         .output()
         .expect("spawning rdt");
     let stdout = stdout_of(&output);
@@ -107,6 +152,26 @@ fn chaos_cycle_survives_kill9_and_matches_the_oracle() {
         "no agreement in {stdout}"
     );
     assert!(stdout.contains("\"gc_violations\": 0"), "{stdout}");
+    assert!(stdout.contains("\"gc_missed\": null"), "{stdout}");
+    // The totals are both segments' logged events: the kill-point logs
+    // (`flight_p*`) and the resumed ones (`flight_resume_p*`).
+    let doc = rdt_obs::json::parse(&stdout).unwrap();
+    let total = |key: &str| doc.get(key).and_then(|v| v.as_u64()).unwrap();
+    for (key, kind) in [
+        ("sent", r#""kind":"send""#),
+        ("delivered", r#""kind":"deliver""#),
+        ("basic_checkpoints", r#""forced":false"#),
+        ("forced_checkpoints", r#""forced":true"#),
+        ("collected", r#""kind":"collect""#),
+    ] {
+        let (killed, resumed) = (
+            logged(&dir, "flight_p", kind),
+            logged(&dir, "flight_resume_p", kind),
+        );
+        assert_eq!(total(key), killed + resumed, "{key}: {stdout}");
+    }
+    assert!(logged(&dir, "flight_p", r#""kind":"send""#) > 0);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

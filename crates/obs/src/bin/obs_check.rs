@@ -1,6 +1,7 @@
-//! `obs_check`: schema validator for the files this stack emits — `rdt
-//! trace` span files, `RDT_LOG_JSONL` structured-log files, per-process
-//! event logs, merged causal traces, and `.prom` metric textfiles.
+//! `obs_check`: schema validator for the files this stack emits — trace
+//! lines wherever they were written (`rdt trace` output, per-process event
+//! logs, `rdt causal` output), `RDT_LOG_JSONL` structured-log files, and
+//! `.prom` metric textfiles.
 //!
 //! Validation logic lives in [`rdt_obs::check`]; this binary only handles
 //! file I/O and exit codes. Files ending in `.prom` are validated as

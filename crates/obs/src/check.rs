@@ -1,7 +1,8 @@
-//! Schema validation for everything this stack writes to disk: `rdt trace`
-//! span files, `RDT_LOG_JSONL` structured-log files, per-process event
-//! logs (`rdt_obs::flight`), merged causal traces, and `.prom` metric
-//! textfiles.
+//! Schema validation for everything this stack writes to disk: one event
+//! schema — the trace lines `rdt trace` prints, a live process's event
+//! log (`rdt_obs::flight`) holds and `rdt causal` prints — beside `rdt
+//! trace`'s header, span and counter lines; the `RDT_LOG_JSONL`
+//! structured-log envelope; and `.prom` metric textfiles.
 //!
 //! The `obs_check` binary is a thin wrapper over this module; the logic
 //! lives in the library so tests (including the JSONL round-trip proptests)
@@ -13,10 +14,9 @@ use crate::profile::ProfileReport;
 /// Validates one JSONL line against the known shapes:
 ///
 /// - **trace lines** carry a `type` discriminator: `run` (header),
-///   `event` (i/kind + kind-specific fields), `span`, `counter`, and
-///   `causal` (one merged happened-before-ordered trace entry);
-/// - **log lines** carry the sink envelope `level`/`target`/`event`/`msg`
-///   (the per-process event logs are log lines too).
+///   `event` (one trace event: its kind and the kind's fields, wherever it
+///   was written), `span` and `counter`;
+/// - **log lines** carry the sink envelope `level`/`target`/`event`/`msg`.
 ///
 /// # Errors
 ///
@@ -81,43 +81,7 @@ fn check_trace_line(ty: &str, v: &JsonValue) -> Result<(), String> {
             require_str(v, "gc")?;
             Ok(())
         }
-        "event" => {
-            require_u64(v, "i")?;
-            let kind = require_str(v, "kind")?;
-            match kind {
-                "send" => {
-                    require_u64(v, "from")?;
-                    require_u64(v, "seq")?;
-                    require_u64(v, "to")?;
-                    Ok(())
-                }
-                "deliver" | "drop" => {
-                    require_u64(v, "from")?;
-                    require_u64(v, "seq")?;
-                    Ok(())
-                }
-                "ckpt" => {
-                    require_u64(v, "process")?;
-                    require_bool(v, "forced")?;
-                    Ok(())
-                }
-                "collect" => {
-                    require_u64(v, "process")?;
-                    require_u64(v, "index")?;
-                    Ok(())
-                }
-                "crash" => {
-                    require_u64(v, "process")?;
-                    Ok(())
-                }
-                "restore" => {
-                    require_u64(v, "process")?;
-                    require_u64(v, "to")?;
-                    Ok(())
-                }
-                other => Err(format!("unknown event kind {other:?}")),
-            }
-        }
+        "event" => check_event_line(v),
         "span" => {
             require_str(v, "phase")?;
             require_u64(v, "count")?;
@@ -129,37 +93,46 @@ fn check_trace_line(ty: &str, v: &JsonValue) -> Result<(), String> {
             require_u64(v, "value")?;
             Ok(())
         }
-        "causal" => check_causal_line(v),
         other => Err(format!("unknown line type {other:?}")),
     }
 }
 
-/// One entry of a merged causal trace (`rdt causal` output):
-/// `pos` is the happened-before-consistent position, `kind` one of
-/// `send`/`recv`/`apply`/`synthetic_send`, `process` the acting process,
-/// `peer` the other endpoint, `seq` the sender-local sequence number.
-/// Sends carry the sender's own DV `interval`; applies carry the learned
-/// `interval` plus `forced`/`eliminated` checkpoint effects.
-fn check_causal_line(v: &JsonValue) -> Result<(), String> {
-    require_u64(v, "pos")?;
-    require_u64(v, "process")?;
-    require_u64(v, "peer")?;
-    require_u64(v, "seq")?;
+/// One trace event. Every kind but `drop` names its `process`; a message
+/// is named by `from` (a send's is its `process`) and `seq`. A live
+/// log's send and deliver lines add `inc`/`interval`, and a merge's
+/// stand-in send `synthetic`.
+fn check_event_line(v: &JsonValue) -> Result<(), String> {
     let kind = require_str(v, "kind")?;
-    match kind {
-        "send" | "synthetic_send" => {
-            require_u64(v, "interval")?;
-            Ok(())
-        }
-        "recv" => Ok(()),
-        "apply" => {
-            require_u64(v, "interval")?;
-            require_bool(v, "forced")?;
-            require_u64(v, "eliminated")?;
-            Ok(())
-        }
-        other => Err(format!("unknown causal kind {other:?}")),
+    if kind != "drop" {
+        require_u64(v, "process")?;
     }
+    match kind {
+        "send" => {
+            require_u64(v, "seq")?;
+            require_u64(v, "to")?;
+        }
+        "deliver" | "drop" => {
+            require_u64(v, "from")?;
+            require_u64(v, "seq")?;
+        }
+        "ckpt" => require_bool(v, "forced")?,
+        "collect" => {
+            require_u64(v, "index")?;
+        }
+        "crash" => {}
+        "restore" => {
+            require_u64(v, "to")?;
+        }
+        other => return Err(format!("unknown event kind {other:?}")),
+    }
+    if v.get("inc").is_some() || v.get("interval").is_some() {
+        require_u64(v, "inc")?;
+        require_u64(v, "interval")?;
+    }
+    if v.get("synthetic").is_some() {
+        require_bool(v, "synthetic")?;
+    }
+    Ok(())
 }
 
 fn check_log_line(v: &JsonValue) -> Result<(), String> {
@@ -183,10 +156,9 @@ mod tests {
             r#"{"type":"run","n":4,"steps":100,"seed":7,"shards":2,"protocol":"rdt-lgc","gc":"rdt"}"#,
         )
         .unwrap();
-        check_jsonl_line(r#"{"type":"event","i":0,"kind":"send","from":1,"seq":0,"to":2}"#)
-            .unwrap();
-        check_jsonl_line(r#"{"type":"event","i":1,"kind":"ckpt","process":0,"forced":true}"#)
-            .unwrap();
+        check_jsonl_line(r#"{"type":"event","kind":"send","process":1,"seq":0,"to":2}"#).unwrap();
+        check_jsonl_line(r#"{"type":"event","kind":"ckpt","process":0,"forced":true}"#).unwrap();
+        check_jsonl_line(r#"{"type":"event","kind":"drop","from":1,"seq":0}"#).unwrap();
         check_jsonl_line(r#"{"type":"span","phase":"engine/drain","count":10,"total_ns":1234}"#)
             .unwrap();
         check_jsonl_line(r#"{"type":"counter","name":"events","value":3}"#).unwrap();
@@ -195,21 +167,17 @@ mod tests {
     }
 
     #[test]
-    fn accepts_causal_lines() {
+    fn accepts_live_and_merged_event_lines() {
         check_jsonl_line(
-            r#"{"type":"causal","pos":0,"kind":"send","process":0,"peer":1,"seq":0,"interval":3}"#,
+            r#"{"type":"event","kind":"send","process":0,"seq":0,"to":1,"inc":0,"interval":3}"#,
         )
         .unwrap();
         check_jsonl_line(
-            r#"{"type":"causal","pos":1,"kind":"recv","process":1,"peer":0,"seq":0}"#,
+            r#"{"type":"event","kind":"deliver","process":1,"from":0,"seq":0,"inc":0,"interval":3}"#,
         )
         .unwrap();
         check_jsonl_line(
-            r#"{"type":"causal","pos":2,"kind":"apply","process":1,"peer":0,"seq":0,"interval":3,"forced":false,"eliminated":0}"#,
-        )
-        .unwrap();
-        check_jsonl_line(
-            r#"{"type":"causal","pos":0,"kind":"synthetic_send","process":0,"peer":1,"seq":4,"interval":9}"#,
+            r#"{"type":"event","kind":"send","process":2,"seq":4,"to":1,"synthetic":true}"#,
         )
         .unwrap();
     }
@@ -219,18 +187,25 @@ mod tests {
         assert!(check_jsonl_line("not json").is_err());
         assert!(check_jsonl_line("[1,2]").is_err());
         assert!(check_jsonl_line(r#"{"type":"mystery"}"#).is_err());
-        assert!(check_jsonl_line(r#"{"type":"event","i":0,"kind":"send","from":1}"#).is_err());
-        assert!(check_jsonl_line(r#"{"type":"span","phase":"p","count":-1,"total_ns":0}"#).is_err());
-        assert!(check_jsonl_line(r#"{"level":"loud","target":"t","event":"e","msg":"m"}"#).is_err());
-        assert!(check_jsonl_line(r#"{"no":"discriminator"}"#).is_err());
+        assert!(check_jsonl_line(r#"{"type":"event","kind":"send","process":1}"#).is_err());
         assert!(
-            check_jsonl_line(r#"{"type":"causal","pos":0,"kind":"warp","process":0,"peer":1,"seq":0}"#)
-                .is_err()
+            check_jsonl_line(r#"{"type":"span","phase":"p","count":-1,"total_ns":0}"#).is_err()
         );
         assert!(
-            check_jsonl_line(r#"{"type":"causal","pos":0,"kind":"apply","process":0,"peer":1,"seq":0}"#)
-                .is_err(),
-            "apply without interval/forced/eliminated"
+            check_jsonl_line(r#"{"level":"loud","target":"t","event":"e","msg":"m"}"#).is_err()
+        );
+        assert!(check_jsonl_line(r#"{"no":"discriminator"}"#).is_err());
+        assert!(check_jsonl_line(r#"{"type":"event","kind":"warp","process":0}"#).is_err());
+        assert!(
+            check_jsonl_line(r#"{"type":"event","kind":"deliver","from":0,"seq":0}"#).is_err(),
+            "a delivery names its receiver"
+        );
+        assert!(
+            check_jsonl_line(
+                r#"{"type":"event","kind":"send","process":0,"seq":0,"to":1,"interval":3}"#
+            )
+            .is_err(),
+            "interval without inc"
         );
     }
 

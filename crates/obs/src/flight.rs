@@ -1,14 +1,14 @@
-//! The process event log: every recorded event, one JSONL line each,
-//! appended to a file the moment it happens.
+//! The process event log: whole JSONL lines, appended to a file the moment
+//! they happen.
 //!
 //! The log is process-wide and off until [`install`]ed (serve workers
-//! install one per rank). Recording bypasses the level filter — call sites
-//! hand fully-built [`Event`]s to [`record`] unconditionally — so the log
-//! holds the whole history even when the sink threshold is `warn`.
+//! install one per rank). It is not the diagnostic sink: no level filters
+//! it, and what goes in is whatever lines the caller [`record`]s — a
+//! `LiveNode` records the trace lines of each operation it performs.
 //!
-//! Durability model: each line is rendered, then handed to the kernel in
-//! one `write_all` on an unbuffered file. Nothing waits in the process, so
-//! a SIGKILL loses no line the process finished writing — the page cache
+//! Durability model: each [`record`] hands its text to the kernel in one
+//! `write_all` on an unbuffered file. Nothing waits in the process, so a
+//! SIGKILL loses no line the process finished writing — the page cache
 //! keeps it — and can tear at most the one it was writing, which a reader
 //! drops as the log's torn tail. A failed write is kept (the first one)
 //! for the owner to [`take_error`]: a log that silently missed a line
@@ -19,8 +19,6 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-
-use crate::event::Event;
 
 #[derive(Debug, Default)]
 struct Recorder {
@@ -39,7 +37,7 @@ fn recorder() -> MutexGuard<'static, Recorder> {
 
 /// Installs the process-wide event log at `path`, created or truncated.
 /// Replaces any previously installed log. `_capacity` is unused: the log
-/// keeps every event. If the file cannot be opened, nothing is installed
+/// keeps every line. If the file cannot be opened, nothing is installed
 /// and the error waits in [`take_error`].
 pub fn install(path: impl AsRef<Path>, _capacity: usize) {
     let path = path.as_ref().to_path_buf();
@@ -55,24 +53,22 @@ pub fn install(path: impl AsRef<Path>, _capacity: usize) {
 }
 
 /// Whether a log is installed (one atomic load — the fast path for call
-/// sites that build an [`Event`] only to record it).
+/// sites that render lines only to record them).
 #[inline]
 pub fn enabled() -> bool {
     INSTALLED.load(Ordering::Acquire)
 }
 
-/// Appends one event as one line (no-op when not installed). Bypasses the
-/// sink level filter by design.
-pub fn record(event: &Event) {
+/// Appends `lines` — whole lines, each ending in a newline — in one write
+/// (no-op when not installed).
+pub fn record(lines: &str) {
     if !enabled() {
         return;
     }
-    let mut line = event.to_json().to_string();
-    line.push('\n');
     let mut rec = recorder();
     let Recorder { log, error } = &mut *rec;
     if let Some((_, file)) = log {
-        if let Err(e) = file.write_all(line.as_bytes()) {
+        if let Err(e) = file.write_all(lines.as_bytes()) {
             error.get_or_insert(e);
         }
     }
@@ -93,16 +89,9 @@ pub fn uninstall() -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Level, Value};
 
-    fn sample(i: u64) -> Event {
-        Event {
-            level: Level::Debug,
-            target: "rdt_obs::flight_tests",
-            name: "tick",
-            message: String::new(),
-            fields: vec![("i", Value::U64(i))],
-        }
+    fn sample(i: u64) -> String {
+        format!("{{\"i\":{i}}}\n")
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -113,9 +102,6 @@ mod tests {
     // avoid cross-test interference under the parallel test runner.
     #[test]
     fn every_event_is_on_disk_when_record_returns() {
-        // Below-threshold events are still recorded (bypass the filter).
-        crate::set_level(Some(Level::Error));
-
         let path = temp_path("log");
         std::fs::write(&path, "left over\n").unwrap();
         install(&path, 8);

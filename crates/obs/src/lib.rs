@@ -20,9 +20,9 @@
 //!   `obs_check` binary (backed by the [`check`] module) validating JSONL
 //!   streams and `.prom` textfiles in CI.
 //!
-//! Plus the per-process [`flight`] event log: every recorded event, one
-//! JSONL line each, in the file the moment it happens, so a kill-9 leaves
-//! the whole history behind.
+//! Plus the per-process [`flight`] event log: whole JSONL lines (a live
+//! node's trace lines), in the file the moment they are recorded, so a
+//! kill-9 leaves the whole history behind.
 //! See `crates/obs/OBSERVABILITY.md` for the operator-facing knobs.
 
 #![forbid(unsafe_code)]

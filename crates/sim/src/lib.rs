@@ -56,6 +56,10 @@
 //!   `rdt serve` multi-process runtime runs over real sockets (and
 //!   `examples/threaded_runtime.rs` over OS threads), validating that the
 //!   algorithm's guarantees do not depend on the simulator's determinism.
+//!   It logs the step core's trace events for what it does.
+//! * [`TraceLine`] — the one JSONL codec of those events: `rdt trace`,
+//!   a live node's event log and `rdt causal` write it, and the merge of
+//!   event logs reads it.
 //!
 //! ```
 //! use rdt_sim::SimulationBuilder;
@@ -77,6 +81,7 @@ mod metrics;
 mod parallel;
 mod script;
 mod step;
+mod trace_line;
 mod worker;
 
 pub use config::{ChannelConfig, Partitioning, ShardConfig, SimConfig, ZeroLookaheadFallback};
@@ -84,6 +89,7 @@ pub use engine::{Simulation, SimulationBuilder, SimulationReport};
 pub use live::{DeliverOutcome, LiveNode};
 pub use metrics::{Metrics, ProcessMetrics};
 pub use script::{run_script, run_script_with, ScriptRun};
+pub use trace_line::TraceLine;
 
 // Re-exported so report consumers can name the profile types without
 // depending on `rdt-obs` directly.

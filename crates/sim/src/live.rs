@@ -17,75 +17,65 @@
 //! middleware merges by reference. With observability off the steady state
 //! allocates nothing (`tests/live_alloc.rs` counts).
 //!
-//! Every operation also logs what it did (target `rdt_sim::live`), after
-//! applying it and before the caller transmits anything: `checkpoint` for
-//! a basic checkpoint; `frame_send` (with `forced` for the CAS/CASBR
-//! post-send checkpoint), `frame_recv` and `frame_apply` (with `forced`
-//! for the checkpoint stored before the merge) for frames; and
-//! `gc_collect` after every operation (a clock [`tick`](LiveNode::tick)
-//! included) that eliminated checkpoints. That is
-//! the whole history the offline oracle replays, in the shape the
-//! simulator's trace has. Sends are stamped with the node's causal parent
-//! — the identity of the last frame it applied — which travels on the wire
-//! in the [`WireFrame`] trace context, and `rdt causal` later stitches the
-//! per-process logs into one happened-before order. The events flow into
-//! the process event log unconditionally (when one is installed) and
-//! through the normal sink at `debug`; when neither is active the fields
-//! are never materialized, so the hot path stays cheap and the
-//! deterministic engine is untouched.
+//! Every operation also logs what it did to the process event log
+//! (`rdt_obs::flight`), when one is installed, after applying it and
+//! before the caller transmits anything: the step core's
+//! [`TraceEvent`]s for the same operation, in its order and in the one
+//! line shape ([`TraceLine`]) — a send and then its post-send forced
+//! checkpoint (CAS/CASBR); a delivery's forced checkpoint and then the
+//! delivery; one collect per eliminated checkpoint after the operation (a
+//! clock [`tick`](LiveNode::tick) included). Send and deliver lines carry
+//! the sender's entry the frame said and the receiver learned, which the
+//! merge of logs checks. That is the whole history the offline oracle
+//! replays. With no log installed the check is one atomic load and no
+//! line is rendered, so the hot path stays cheap and the deterministic
+//! engine is untouched.
+//!
+//! Sends are stamped with the node's causal parent — the identity of the
+//! last frame it applied — which travels on the wire in the
+//! [`WireFrame`] trace context.
 
-use rdt_base::{CheckpointIndex, DependencyVector, ProcessId, Result};
+use rdt_base::{
+    CheckpointIndex, DependencyVector, DvEntry, MessageId, ProcessId, Result, TraceEvent,
+};
 use rdt_core::GcKind;
 use rdt_env::{Storage, Volatile, WireFrame};
-use rdt_obs::{Event, Level, Value};
 use rdt_protocols::{Middleware, ProtocolKind, ReceiveReport};
 
-/// Target for causal span events.
-const OBS_TARGET: &str = "rdt_sim::live";
+use crate::TraceLine;
 
-/// Whether causal span events would go anywhere right now.
-#[inline]
-fn obs_active() -> bool {
-    rdt_obs::flight::enabled() || rdt_obs::sink::enabled(Level::Debug)
+/// Appends `event` at `process` to the lines of the operation being
+/// logged.
+fn log_line(log: &mut String, process: ProcessId, event: TraceEvent, lineage: Option<DvEntry>) {
+    TraceLine {
+        lineage,
+        ..TraceLine::new(Some(process), event)
+    }
+    .render(log);
+    log.push('\n');
 }
 
-/// Hands one event to the process event log (unfiltered) and the process
-/// sink (level-filtered).
-fn obs_record(level: Level, name: &'static str, fields: Vec<(&'static str, Value)>) {
-    let event = Event {
-        level,
-        target: OBS_TARGET,
-        name,
-        message: String::new(),
-        fields,
-    };
-    rdt_obs::flight::record(&event);
-    rdt_obs::sink::emit(&event);
+/// Appends a checkpoint of `process`.
+fn log_checkpoint(log: &mut String, process: ProcessId, forced: bool) {
+    log_line(
+        log,
+        process,
+        TraceEvent::Checkpoint { process, forced },
+        None,
+    );
 }
 
-/// Logs the checkpoints an operation of `mw` eliminated, if any, with the
-/// peer entries that still pin the survivors (the uc view): the typed
-/// live-GC provenance, and the `Collect`s the offline audit judges.
-fn log_collects<S: Storage>(mw: &Middleware<S>, eliminated: &[CheckpointIndex]) {
-    if eliminated.is_empty() || !(rdt_obs::flight::enabled() || rdt_obs::sink::enabled(Level::Info))
-    {
-        return;
+/// Appends one collect line per checkpoint `process` eliminated.
+fn log_collects(log: &mut String, process: ProcessId, eliminated: &[CheckpointIndex]) {
+    for &index in eliminated {
+        log_line(log, process, TraceEvent::Collect { process, index }, None);
     }
-    let collected: Vec<String> = eliminated.iter().map(|c| c.value().to_string()).collect();
-    let mut fields = vec![
-        ("process", Value::U64(mw.owner().index() as u64)),
-        ("eliminated", Value::U64(eliminated.len() as u64)),
-        ("collected", Value::Str(collected.join(","))),
-    ];
-    if let Some(uc) = mw.uc_snapshot() {
-        let pins: Vec<String> = uc
-            .iter()
-            .enumerate()
-            .filter_map(|(q, c)| c.map(|c| format!("{q}:{}", c.value())))
-            .collect();
-        fields.push(("pins", Value::Str(pins.join(","))));
-    }
-    obs_record(Level::Info, "gc_collect", fields);
+}
+
+/// Writes the lines of one operation to the event log in one write.
+fn flush(log: &mut String) {
+    rdt_obs::flight::record(log);
+    log.clear();
 }
 
 /// What a delivered frame did to the local middleware.
@@ -123,6 +113,8 @@ pub struct LiveNode<S: Storage = Volatile> {
     /// Frame encode/decode timings (`live/encode`, `live/decode`);
     /// disabled by default — see [`set_profiling`](Self::set_profiling).
     prof: rdt_obs::Profiler,
+    /// The event-log lines of the operation being performed.
+    log: String,
 }
 
 impl LiveNode {
@@ -144,6 +136,7 @@ impl<S: Storage> LiveNode<S> {
             next_seq: 0,
             last_applied: None,
             prof: rdt_obs::Profiler::disabled(),
+            log: String::new(),
         }
     }
 
@@ -160,12 +153,6 @@ impl<S: Storage> LiveNode<S> {
     /// The accumulated frame-path timings (`Some` iff profiling is on).
     pub fn profile(&self) -> Option<&rdt_obs::ProfileReport> {
         self.prof.report()
-    }
-
-    /// Removes and returns the accumulated timings, leaving profiling on.
-    pub fn take_profile(&mut self) -> Option<rdt_obs::ProfileReport> {
-        let on = self.prof.enabled();
-        std::mem::replace(&mut self.prof, rdt_obs::Profiler::new(on)).into_report()
     }
 
     /// The wrapped middleware.
@@ -191,17 +178,12 @@ impl<S: Storage> LiveNode<S> {
     pub fn checkpoint(&mut self) -> Result<CheckpointIndex> {
         let report = self.mw.basic_checkpoint()?;
         crate::step::debug_assert_retained_bound(&self.mw);
-        if obs_active() {
-            obs_record(
-                Level::Debug,
-                "checkpoint",
-                vec![
-                    ("process", Value::U64(self.mw.owner().index() as u64)),
-                    ("index", Value::U64(report.stored.value() as u64)),
-                ],
-            );
+        if rdt_obs::flight::enabled() {
+            let p = self.mw.owner();
+            log_checkpoint(&mut self.log, p, false);
+            log_collects(&mut self.log, p, &report.eliminated);
+            flush(&mut self.log);
         }
-        log_collects(&self.mw, &report.eliminated);
         Ok(report.stored)
     }
 
@@ -210,7 +192,10 @@ impl<S: Storage> LiveNode<S> {
     /// it) and logs what it eliminated. Returns the eliminated indices.
     pub fn tick(&mut self, now: u64) -> Vec<CheckpointIndex> {
         let eliminated = self.mw.tick(now);
-        log_collects(&self.mw, &eliminated);
+        if !eliminated.is_empty() && rdt_obs::flight::enabled() {
+            log_collects(&mut self.log, self.mw.owner(), &eliminated);
+            flush(&mut self.log);
+        }
         eliminated
     }
 
@@ -234,26 +219,16 @@ impl<S: Storage> LiveNode<S> {
             .mw
             .send_with(move |dv, index| WireFrame::write(out, owner, seq, index, parent, dv));
         self.prof.stop("live/encode", t);
-        if obs_active() {
-            let mut fields = vec![
-                ("process", Value::U64(owner.index() as u64)),
-                ("to", Value::U64(to.index() as u64)),
-                ("seq", Value::U64(seq)),
-                ("inc", Value::U64(u64::from(own.incarnation().value()))),
-                ("interval", Value::U64(own.interval().value() as u64)),
-                ("forced", Value::Bool(forced.is_some())),
-            ];
-            if let Some((po, ps)) = frame.parent {
-                fields.push(("parent_process", Value::U64(u64::from(po))));
-                fields.push(("parent_seq", Value::U64(ps)));
+        if rdt_obs::flight::enabled() {
+            let id = MessageId::new(owner, seq);
+            log_line(&mut self.log, owner, TraceEvent::Send { id, to }, Some(own));
+            if let Some(report) = &forced {
+                log_checkpoint(&mut self.log, owner, true);
+                log_collects(&mut self.log, owner, &report.eliminated);
             }
-            obs_record(Level::Debug, "frame_send", fields);
+            flush(&mut self.log);
         }
-        let forced = forced.map(|report| {
-            log_collects(&self.mw, &report.eliminated);
-            report.stored
-        });
-        (frame, forced)
+        (frame, forced.map(|report| report.stored))
     }
 
     /// Decodes and delivers one received frame. Returns `Ok(None)` for
@@ -280,49 +255,29 @@ impl<S: Storage> LiveNode<S> {
         if frame.sender.index() >= self.mw.n() || frame.unpack_into(&mut self.incoming).is_err() {
             return Ok(None);
         }
-        let active = obs_active();
-        if active {
-            let mut fields = vec![
-                ("process", Value::U64(self.mw.owner().index() as u64)),
-                ("from", Value::U64(frame.sender.index() as u64)),
-                ("seq", Value::U64(frame.seq)),
-            ];
-            if let Some((po, ps)) = frame.parent {
-                fields.push(("parent_process", Value::U64(u64::from(po))));
-                fields.push(("parent_seq", Value::U64(ps)));
-            }
-            obs_record(Level::Debug, "frame_recv", fields);
-        }
         self.mw
             .receive_vector_into(&self.incoming, frame.index, &mut self.scratch)?;
         crate::step::debug_assert_retained_bound(&self.mw);
         self.last_applied = Some((frame.sender.index() as u32, frame.seq));
-        let eliminated = self.scratch.eliminated.len();
-        if active {
-            // The learned entry for the sender after the merge — must
-            // dominate (≥, lexicographic on incarnation then interval)
-            // what the frame carried; `rdt causal` checks exactly that.
+        if rdt_obs::flight::enabled() {
+            let me = self.mw.owner();
+            if self.scratch.forced.is_some() {
+                log_checkpoint(&mut self.log, me, true);
+            }
+            // The entry for the sender after the merge: never older
+            // (lexicographic on incarnation, then interval) than what the
+            // frame carried, which the merge of logs checks.
             let learned = self.mw.dv().lineage(frame.sender);
-            obs_record(
-                Level::Debug,
-                "frame_apply",
-                vec![
-                    ("process", Value::U64(self.mw.owner().index() as u64)),
-                    ("from", Value::U64(frame.sender.index() as u64)),
-                    ("seq", Value::U64(frame.seq)),
-                    ("inc", Value::U64(u64::from(learned.incarnation().value()))),
-                    ("interval", Value::U64(learned.interval().value() as u64)),
-                    ("forced", Value::Bool(self.scratch.forced.is_some())),
-                    ("eliminated", Value::U64(eliminated as u64)),
-                ],
-            );
+            let id = MessageId::new(frame.sender, frame.seq);
+            log_line(&mut self.log, me, TraceEvent::Deliver { id }, Some(learned));
+            log_collects(&mut self.log, me, &self.scratch.eliminated);
+            flush(&mut self.log);
         }
-        log_collects(&self.mw, &self.scratch.eliminated);
         Ok(Some(DeliverOutcome {
             sender: frame.sender,
             seq: frame.seq,
             forced: self.scratch.forced,
-            eliminated,
+            eliminated: self.scratch.eliminated.len(),
         }))
     }
 }

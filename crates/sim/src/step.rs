@@ -14,10 +14,15 @@
 //! **The one invariant both callers rely on:** every observable — trace
 //! event, metric mutation, occupancy sample — leaves through the [`Sink`],
 //! in handler order, and nothing else does. The sequential engine's sink
-//! applies each one on the spot; a shard worker's sink logs it under the
-//! event's global `(at, seq)` key for the coordinator to replay. Because
-//! the calls are the same calls in the same order, the two engines agree
-//! byte for byte without a second copy of any handler to keep in step.
+//! applies each one on the spot. A shard worker's sink folds every metric
+//! op into its own metrics in place, and keys the rest under the event's
+//! global `(at, seq)` key for the coordinator to merge: trace events and
+//! occupancy samples when they are recorded, and each change of a
+//! process's retained count (for the global retained peak). Because the
+//! calls are the same calls in the same order, the two engines agree byte
+//! for byte without a second copy of any handler to keep in step. A
+//! [`LiveNode`](crate::LiveNode) logs the same trace events for the same
+//! operations, in the same order.
 
 use rdt_base::{
     CheckpointIndex, DependencyVector, Incarnation, MessageId, Payload, ProcessId, Result,

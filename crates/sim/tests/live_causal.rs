@@ -1,4 +1,5 @@
-//! Causal span events and the event log from the live frame path.
+//! The event log of the live frame path: the trace events of each
+//! operation, in the one line shape, and nothing in the diagnostic sink.
 //!
 //! Own integration binary (own process): the sink, level and event log
 //! are process-global, so this must not share a process with other tests
@@ -6,11 +7,11 @@
 
 use std::sync::Arc;
 
-use rdt_base::ProcessId;
+use rdt_base::{CheckpointIndex, MessageId, ProcessId, TraceEvent};
 use rdt_core::GcKind;
 use rdt_obs::{CaptureSink, Level};
 use rdt_protocols::ProtocolKind;
-use rdt_sim::LiveNode;
+use rdt_sim::{LiveNode, TraceLine};
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -22,11 +23,11 @@ fn live_frames_emit_causal_events_and_flight_dump() {
     std::fs::create_dir_all(&dir).unwrap();
     let dump = dir.join("flight_p0.jsonl");
 
+    // The sink at its most verbose: the frame path still writes nothing
+    // to it.
     let capture = Arc::new(CaptureSink::new());
     rdt_obs::set_sink(capture.clone());
-    // Sink at info: the debug-level events must still reach the event log
-    // (which bypasses the filter) but not the sink.
-    rdt_obs::set_level(Some(Level::Info));
+    rdt_obs::set_level(Some(Level::Debug));
     rdt_obs::flight::install(&dump, 0);
 
     let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
@@ -41,66 +42,80 @@ fn live_frames_emit_causal_events_and_flight_dump() {
 
     // Every line is in the file when the call that logged it returns.
     let body = std::fs::read_to_string(&dump).unwrap();
-    let lines: Vec<&str> = body.lines().collect();
-    // b's basic checkpoint, which supersedes its lone s^0 (one typed
-    // gc_collect event), 2 sends, 2 recvs, 2 applies, and the second
-    // apply's fresher DV lets RDT-LGC collect b's checkpoint — another.
-    assert_eq!(lines.len(), 9, "unexpected log: {body}");
-    for line in &lines {
-        rdt_obs::check::check_jsonl_line(line).unwrap();
-    }
-    let events: Vec<_> = lines
-        .iter()
-        .map(|l| rdt_obs::json::parse(l).unwrap())
+    let lines: Vec<TraceLine> = body
+        .lines()
+        .map(|l| {
+            rdt_obs::check::check_jsonl_line(l).unwrap();
+            TraceLine::parse(l).unwrap().expect("an event line")
+        })
         .collect();
-    let kinds: Vec<_> = events
-        .iter()
-        .map(|e| e.get("event").unwrap().as_str().unwrap().to_string())
-        .collect();
+    let at: Vec<_> = lines.iter().map(|l| (l.process, l.event)).collect();
+    let collect = |index| TraceEvent::Collect {
+        process: p(1),
+        index: CheckpointIndex::new(index),
+    };
+    // b's basic checkpoint supersedes its lone s^0; two sends, each
+    // delivered at its receiver. b sent since s^1, so FDAS forces s^2
+    // before the second delivery's news is merged, which lets RDT-LGC
+    // collect s^1 after it.
     assert_eq!(
-        kinds,
+        at,
         [
-            "checkpoint",
-            "gc_collect",
-            "frame_send",
-            "frame_recv",
-            "frame_apply",
-            "frame_send",
-            "frame_recv",
-            "frame_apply",
-            "gc_collect"
-        ]
+            (
+                Some(p(1)),
+                TraceEvent::Checkpoint {
+                    process: p(1),
+                    forced: false
+                }
+            ),
+            (Some(p(1)), collect(0)),
+            (
+                Some(p(1)),
+                TraceEvent::Send {
+                    id: MessageId::new(p(1), 0),
+                    to: p(0)
+                }
+            ),
+            (
+                Some(p(0)),
+                TraceEvent::Deliver {
+                    id: MessageId::new(p(1), 0)
+                }
+            ),
+            (
+                Some(p(0)),
+                TraceEvent::Send {
+                    id: MessageId::new(p(0), 0),
+                    to: p(1)
+                }
+            ),
+            (
+                Some(p(1)),
+                TraceEvent::Checkpoint {
+                    process: p(1),
+                    forced: true
+                }
+            ),
+            (
+                Some(p(1)),
+                TraceEvent::Deliver {
+                    id: MessageId::new(p(0), 0)
+                }
+            ),
+            (Some(p(1)), collect(1)),
+        ],
+        "{body}"
     );
-    assert_eq!(events[0].get("index").unwrap().as_u64(), Some(1));
-    assert_eq!(events[1].get("collected").unwrap().as_str(), Some("0"));
-    // The GC event names the collected checkpoint and the surviving pins.
-    assert_eq!(events[8].get("eliminated").unwrap().as_u64(), Some(1));
-    assert_eq!(events[8].get("collected").unwrap().as_str(), Some("1"));
-    assert!(events[8].get("pins").unwrap().as_str().is_some());
-    // The second send (a's) names b's frame 0 as its causal parent.
-    assert_eq!(events[5].get("parent_process").unwrap().as_u64(), Some(1));
-    assert_eq!(events[5].get("parent_seq").unwrap().as_u64(), Some(0));
-    assert_eq!(
-        events[5].get("forced"),
-        Some(&rdt_obs::json::JsonValue::Bool(false))
-    );
-    // The apply learned at least the interval the send carried.
-    let sent = events[2].get("interval").unwrap().as_u64().unwrap();
-    let learned = events[4].get("interval").unwrap().as_u64().unwrap();
-    assert!(learned >= sent, "apply learned {learned} < sent {sent}");
+    // The delivery learned at least the entry the send carried.
+    let (sent, learned) = (lines[2].lineage.unwrap(), lines[3].lineage.unwrap());
+    assert!(learned >= sent, "delivery learned {learned} < sent {sent}");
+    assert!(capture.drain().is_empty(), "live events reached the sink");
 
-    // The debug-level frame events were filtered from the sink...
-    let sunk = capture.drain();
-    assert!(
-        sunk.iter().all(|e| e.level >= Level::Info),
-        "debug event leaked through an info-level sink"
-    );
-
-    // ...and with the log uninstalled the frame path goes quiet.
+    // With the log uninstalled the frame path goes quiet.
     rdt_obs::flight::uninstall().unwrap();
-    rdt_obs::set_level(Some(Level::Error));
     let (f2, _) = b.send_frame(p(0));
     a.deliver_frame(f2.encode()).unwrap().unwrap();
+    assert_eq!(std::fs::read_to_string(&dump).unwrap(), body);
     assert!(capture.drain().is_empty());
 
     std::fs::remove_dir_all(&dir).unwrap();
