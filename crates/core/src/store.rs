@@ -14,11 +14,14 @@
 //!
 //! An entry is full unless its owner says what changed
 //! ([`insert_changed`](CheckpointStore::insert_changed)) since a
-//! predecessor that is still the newest stored. The checkpointing
-//! middleware knows it only through its change log (above 64 processes),
-//! and only while the log reaches back to the last checkpoint, so every
-//! entry of a system of up to 64 processes is full, as is the first after
-//! a rollback and every entry of a store rebuilt from disk.
+//! predecessor that is still the newest stored. In a system of more than
+//! 64 processes the checkpointing middleware knows it, however much
+//! changed, from its first interned snapshot on: it keeps the set of
+//! entries changed since its last checkpoint (or since the checkpoint a
+//! rollback restored). So every entry of a system of up to 64 processes
+//! is full, as are the checkpoints a process stores before its first
+//! interned snapshot and the first one after it, and every entry of a
+//! store rebuilt from disk.
 //!
 //! * **Collecting the oldest** applies its successor's changes to its
 //!   vector in place; the successor is the full one from then on.
@@ -122,23 +125,17 @@ impl Kept {
     }
 }
 
-/// The processes in the runs `changed` (repeats allowed), if any.
-fn changed_set(changed: &[&[u32]]) -> Option<UpdateSet> {
-    let mut top = None;
-    for run in changed {
-        for &f in *run {
-            top = top.max(Some(f));
-        }
-    }
+/// A copy of the non-empty `changed`, its spill no longer than its
+/// highest member needs.
+fn trimmed(changed: &UpdateSet) -> UpdateSet {
     let mut at = UpdateSet::new();
     // The highest first: the set's spill grows once.
-    at.insert(ProcessId::new(top? as usize));
-    for run in changed {
-        for &f in *run {
-            at.insert(ProcessId::new(f as usize));
-        }
-    }
-    Some(at)
+    let highest = changed.words().last();
+    highest
+        .into_iter()
+        .chain(changed.words())
+        .for_each(|(word, bits)| at.or_word(word, bits));
+    at
 }
 
 /// How many members of `at` precede its member `f`.
@@ -260,9 +257,9 @@ impl CheckpointStore {
 
     /// Stores checkpoint `index` with vector `dv`, given that `dv` differs
     /// from the vector of stored checkpoint `predecessor` at most at the
-    /// entries in the runs `changed` (repeats allowed): if `predecessor`
-    /// is the newest stored and `index` comes after it, only those entries
-    /// are kept; otherwise `dv` is copied in full.
+    /// entries in `changed`: if `predecessor` is the newest stored, `index`
+    /// comes after it and `changed` is not empty, only those entries are
+    /// kept; otherwise `dv` is copied in full.
     ///
     /// # Panics
     ///
@@ -272,17 +269,15 @@ impl CheckpointStore {
         index: CheckpointIndex,
         dv: &DependencyVector,
         predecessor: CheckpointIndex,
-        changed: &[&[u32]],
+        changed: &UpdateSet,
         bytes: usize,
     ) {
-        let at = match self.last() {
-            Some(last) if last == predecessor && index > last => changed_set(changed),
-            _ => None,
-        };
-        let Some(at) = at else {
+        let newest = self.last() == Some(predecessor) && index > predecessor;
+        if !newest || changed.is_empty() {
             return self.insert_with_size(index, dv.clone(), bytes);
-        };
+        }
         self.read.take();
+        let at = trimmed(changed);
         let values = dv.gather(&at);
         let stored = Stored {
             kept: Kept::Changed { at, values },
@@ -727,9 +722,11 @@ mod tests {
             }
             dv.merge_from(&news);
             full.insert_with_size(idx(i), dv.clone(), 8);
-            let changes: Vec<u32> = learned.into_iter().chain([0, 0]).collect();
+            let changes: UpdateSet = (learned.into_iter().chain([0]))
+                .map(|f| ProcessId::new(f as usize))
+                .collect();
             match i.checked_sub(1) {
-                Some(before) => changed.insert_changed(idx(i), &dv, idx(before), &[&changes], 8),
+                Some(before) => changed.insert_changed(idx(i), &dv, idx(before), &changes, 8),
                 None => changed.insert_with_size(idx(i), dv.clone(), 8),
             }
             vectors.push(dv.clone());
@@ -771,9 +768,14 @@ mod tests {
     fn changes_against_a_checkpoint_no_longer_newest_are_stored_in_full() {
         let (_, mut changed, vectors) = wide_pair();
         changed.truncate_after(idx(1));
-        changed.insert_changed(idx(3), &vectors[2], idx(2), &[&[0]], 0);
+        let owner = [ProcessId::new(0)].into_iter().collect();
+        changed.insert_changed(idx(3), &vectors[2], idx(2), &owner, 0);
         assert_eq!(changed.changed_at(2), None);
         assert_eq!(read(&changed, 3), vectors[2]);
+        // Nothing changed: there is nothing to keep but the vector.
+        changed.insert_changed(idx(4), &vectors[2], idx(3), &UpdateSet::new(), 0);
+        assert_eq!(changed.changed_at(3), None);
+        assert_eq!(read(&changed, 4), vectors[2]);
     }
 
     #[test]
@@ -902,11 +904,11 @@ mod tests {
                         0 => self.model[stale].0,
                         _ => newest,
                     };
-                    // Unchanged entries and repeats are allowed, in two runs.
-                    changed.extend([0, changed.first().copied().unwrap_or(0)]);
-                    let (first, second) = changed.split_at(self.draw(changed.len() + 1));
+                    // Unchanged entries are allowed.
+                    changed.insert(ProcessId::new(0));
+                    changed.insert(ProcessId::new(self.draw(self.dv.len())));
                     self.store
-                        .insert_changed(index, &self.dv, predecessor, &[first, second], bytes)
+                        .insert_changed(index, &self.dv, predecessor, &changed, bytes)
                 }
                 _ => self.store.insert_with_size(index, self.dv.clone(), bytes),
             }
@@ -914,12 +916,11 @@ mod tests {
             self.dv.begin_next_interval(ProcessId::new(0));
         }
 
-        fn changed_since(&self, newest: CheckpointIndex) -> Vec<u32> {
+        fn changed_since(&self, newest: CheckpointIndex) -> UpdateSet {
             let at = self.model.iter().position(|&(i, _)| i == newest).unwrap();
             let old = &self.model[at].1;
             let differs = |f: &ProcessId| old.lineage(*f) != self.dv.lineage(*f);
-            let all = ProcessId::all(self.dv.len());
-            all.filter(differs).map(|f| f.index() as u32).collect()
+            ProcessId::all(self.dv.len()).filter(differs).collect()
         }
 
         /// A rollback: the later checkpoints go, the restored vector is

@@ -38,10 +38,13 @@
 //! In a wide system (`n > LOG_CAP`) the work not yet done is a few entries
 //! of a vector of thousands, and finding them by scanning is the cost. So
 //! from its first interned snapshot on, such a middleware keeps a *change
-//! log*: the indices of the entries of `dv` it mutated, in order, in a
-//! ring of `LOG_CAP`. There are two mutators and both append — a merge,
-//! the entries of the [`UpdateSet`] it returned; a checkpoint, the owner's
-//! entry — and three readers:
+//! log* of the entries of `dv` it mutated, twice over: their indices, in
+//! order, in a ring of `LOG_CAP`; and those changed since the last
+//! checkpoint, as an [`UpdateSet`] no number of changes overflows. There
+//! are two mutators — a merge appends the entries of the [`UpdateSet`] it
+//! returned and ORs them into the set word by word; a checkpoint appends
+//! the owner's entry and restarts the set as that entry alone — and three
+//! readers:
 //!
 //! * **Send.** A snapshot interned under the log names its predecessor —
 //!   the snapshot this process interned before it — and carries the
@@ -53,12 +56,13 @@
 //!   stamp advances. Any other receive — another sender in between, a
 //!   snapshot missed, a log that wrapped, a rollback on either side, a
 //!   bare vector — is the full scan.
-//! * **Checkpoint** notes the log position at which the vector it stores
-//!   equalled `dv`. The next checkpoint stores only the entries logged
-//!   since ([`CheckpointStore::insert_changed`]) if the log still reaches
-//!   back that far and that checkpoint is still the newest stored, and
-//!   `dv` in full otherwise. So a store of changes takes a log; without
-//!   one every stored vector is full.
+//! * **Checkpoint** hands the set to the store
+//!   ([`CheckpointStore::insert_changed`]), which keeps only those entries
+//!   if the last checkpoint stored under the log is still its newest, and
+//!   `dv` in full otherwise. So a store of changes takes a log, and then
+//!   holds however much changed: every checkpoint after the first one
+//!   under the log keeps only its changes. Without a log every stored
+//!   vector is full.
 //! * **Copy.** A snapshot no message carries when it is invalidated is
 //!   kept, with the log position at which it equalled `dv`. The next
 //!   intern takes the newest of the (at most `KEPT`) kept buffers and
@@ -67,7 +71,9 @@
 //!   plain in-place copy.
 //! * **Rollback** replaces `dv` wholesale: still the one event that
 //!   forgets — the remembered stamp, the predecessor, and every position
-//!   a tag could name.
+//!   a tag could name. The set it restarts instead: `dv` is the restored
+//!   checkpoint's vector but at the owner's entry, which opens the next
+//!   incarnation, so the set is that entry, against that checkpoint.
 //!
 //! One condition governs the writers and every reader: `n > LOG_CAP` says
 //! whether a middleware will ever log (or look for a link), and
@@ -137,9 +143,9 @@ const LOG_CAP: usize = 64;
 /// Vector buffers kept per process for the next copy of `dv`.
 const KEPT: usize = 2;
 
-/// Which entries of `dv` changed, in order, since a position — and what
-/// that lets the middleware skip. See "What an event costs" in the
-/// [module docs](self).
+/// Which entries of `dv` changed, in order, since a position, and which
+/// since the last checkpoint — and what that lets the middleware skip.
+/// See "What an event costs" in the [module docs](self).
 ///
 /// A *position* counts the entries ever appended; entry `k` sits at
 /// `ring[k % LOG_CAP]`, so the log answers for the last `LOG_CAP` of them
@@ -153,9 +159,10 @@ struct ChangeLog {
     /// Stamp of the last snapshot interned, and the position it was
     /// interned at; `None` once the log has forgotten that far back.
     interned: Option<(u64, u64)>,
-    /// The position at which `dv` equalled the vector of the last
-    /// checkpoint stored under the log, and that checkpoint.
-    checkpointed: Option<(u64, CheckpointIndex)>,
+    /// The checkpoint `dv` was last stored with under the log — or that a
+    /// rollback restored — and the entries of `dv` changed since: every
+    /// merge's update set ORed in, not bounded by the ring.
+    since_checkpoint: Option<(CheckpointIndex, UpdateSet)>,
     /// Buffers that left use, each with the position at which it equalled
     /// `dv`.
     kept: [Option<(DependencyVector, u64)>; KEPT],
@@ -171,7 +178,7 @@ impl ChangeLog {
             pos: 0,
             floor: 0,
             interned: None,
-            checkpointed: None,
+            since_checkpoint: None,
             kept: [const { None }; KEPT],
             #[cfg(test)]
             patched_copies: 0,
@@ -186,6 +193,23 @@ impl ChangeLog {
     /// Appends the entries a merge updated.
     fn push_all(&mut self, updated: &UpdateSet) {
         updated.iter().for_each(|j| self.push(j));
+        if let Some((_, changed)) = &mut self.since_checkpoint {
+            updated
+                .words()
+                .for_each(|(word, bits)| changed.or_word(word, bits));
+        }
+    }
+
+    /// Starts the entries changed since checkpoint `index` afresh: `dv`
+    /// equals its stored vector but at `owner`'s entry, where a checkpoint
+    /// opened the next interval, a rollback the next incarnation.
+    fn restart_since(&mut self, index: CheckpointIndex, owner: ProcessId) {
+        let (at, changed) = self
+            .since_checkpoint
+            .get_or_insert_with(|| (index, UpdateSet::new()));
+        *at = index;
+        changed.clear();
+        changed.insert(owner);
     }
 
     /// The entries appended after position `from`, oldest first, as the
@@ -636,33 +660,30 @@ impl<S: Storage> Middleware<S> {
     /// a caller-owned scratch buffer; returns the stored index. The core
     /// every checkpoint path funnels through.
     ///
-    /// Under the change log the store keeps only the entries logged since
-    /// the last checkpoint, if the log reaches back to it (the owner's own
-    /// entry, advanced when that checkpoint was stored, is among them);
-    /// the store itself checks that the last checkpoint is still its
-    /// newest. Otherwise `dv` is copied in full; for inline vectors
-    /// (n <= 16) a pure memcpy into the store's entry.
+    /// Under the change log the store keeps only the entries changed
+    /// since the last checkpoint stored under it (the owner's own entry,
+    /// advanced when that checkpoint was stored, is among them); the store
+    /// itself checks that the last checkpoint is still its newest.
+    /// Otherwise `dv` is copied in full; for inline vectors (n <= 16) a
+    /// pure memcpy into the store's entry.
     fn take_checkpoint_into(
         &mut self,
         forced: bool,
         eliminated: &mut Vec<CheckpointIndex>,
     ) -> CheckpointIndex {
         let index = self.dv.entry(self.owner).as_checkpoint();
-        let since = self.changes.as_deref().and_then(|log| {
-            let (at, predecessor) = log.checkpointed?;
-            Some((predecessor, log.since(at)?))
-        });
+        let since = self
+            .changes
+            .as_deref()
+            .and_then(|log| log.since_checkpoint.as_ref());
         match since {
-            Some((predecessor, runs)) => {
+            Some((predecessor, changed)) => {
                 self.store
-                    .insert_changed(index, &self.dv, predecessor, &runs, self.state_size);
+                    .insert_changed(index, &self.dv, *predecessor, changed, self.state_size);
             }
             None => self
                 .store
                 .insert_with_size(index, self.dv.clone(), self.state_size),
-        }
-        if let Some(log) = &mut self.changes {
-            log.checkpointed = Some((log.pos, index));
         }
         self.gc
             .after_checkpoint_into(&mut self.store, index, &self.dv, eliminated);
@@ -673,6 +694,7 @@ impl<S: Storage> Middleware<S> {
         self.dv.begin_next_interval(self.owner);
         if let Some(log) = &mut self.changes {
             log.push(self.owner);
+            log.restart_since(index, self.owner);
         }
         self.invalidate_snapshots();
         self.commit_sink();
@@ -1040,11 +1062,13 @@ impl<S: Storage> Middleware<S> {
         // later restart from the store alone must not reuse it either.
         self.store.raise_incarnation_floor(self.incarnation);
         // The restored vector may lie below what was merged before, and
-        // differs from the old one anywhere: the one event that forgets.
+        // differs from the old one anywhere: the one event that forgets —
+        // all but what changed since `ri`, which is the owner's entry.
         self.merged = None;
         self.invalidate_snapshots();
         if let Some(log) = &mut self.changes {
             log.forget();
+            log.restart_since(ri, self.owner);
         }
         self.gc
             .after_rollback_into(&mut self.store, ri, li, &self.dv, eliminated);
@@ -1448,11 +1472,6 @@ mod tests {
     #[test]
     fn a_wide_checkpoint_stores_the_entries_logged_since_the_last_one() {
         let (mut a, mut b, mut c) = (wide(0), wide(1), wide(2));
-        let stored = |mw: &Middleware, index| {
-            let mut dv = DependencyVector::new(1);
-            mw.store().dv(index, &mut dv).unwrap();
-            dv
-        };
         // The log starts with the first snapshot, after s^0: the first
         // checkpoint under it has nothing to be relative to.
         a.piggyback();
@@ -1477,6 +1496,67 @@ mod tests {
         x.receive_piggyback(&y.piggyback()).unwrap();
         x.basic_checkpoint().unwrap();
         assert!((0..x.store().len()).all(|k| x.store().changed_at(k).is_none()));
+    }
+
+    /// The vector `mw` stored with `index`.
+    fn stored(mw: &Middleware, index: CheckpointIndex) -> DependencyVector {
+        let mut dv = DependencyVector::new(1);
+        mw.store().dv(index, &mut dv).unwrap();
+        dv
+    }
+
+    #[test]
+    fn a_wide_checkpoint_keeps_its_changes_past_the_rings_reach() {
+        // Two words and a spill of entries, so 70 distinct senders fit.
+        const N: usize = 2 * LOG_CAP + 2;
+        let distinct: Vec<usize> = (1..36).chain(N - 35..N).collect();
+        for senders in [distinct, vec![N - 1; LOG_CAP + 6]] {
+            let mut all: Vec<Middleware> = (0..N)
+                .map(|i| Middleware::new(p(i), N, ProtocolKind::Fdas, GcKind::RdtLgc))
+                .collect();
+            let (a, others) = all.split_first_mut().unwrap();
+            a.piggyback();
+            a.basic_checkpoint().unwrap();
+            let from = a.changes.as_ref().unwrap().pos;
+            for &f in &senders {
+                let sender = &mut others[f - 1];
+                sender.basic_checkpoint().unwrap();
+                a.receive_piggyback(&sender.piggyback()).unwrap();
+            }
+            let pushes = a.changes.as_ref().unwrap().pos - from;
+            assert!(pushes > LOG_CAP as u64, "{pushes} pushes");
+            let at_checkpoint = a.dv().clone();
+            let index = a.basic_checkpoint().unwrap().stored;
+            // The senders pin the checkpoint before it, so it stays.
+            let k = a.store().len() - 1;
+            assert_eq!((k, a.store().index_at(k)), (1, index));
+            let changed: UpdateSet = senders.iter().chain(&[0]).map(|&f| p(f)).collect();
+            assert_eq!(a.store().changed_at(k), Some(&changed));
+            assert_eq!(stored(a, index), at_checkpoint);
+        }
+    }
+
+    #[test]
+    fn the_first_checkpoint_after_a_rollback_keeps_its_changes() {
+        let (mut a, mut b, mut c) = (wide(0), wide(1), wide(2));
+        a.piggyback();
+        a.basic_checkpoint().unwrap();
+        b.basic_checkpoint().unwrap();
+        a.receive_piggyback(&b.piggyback()).unwrap();
+        let restored = a.basic_checkpoint().unwrap().stored;
+        a.crash();
+        a.rollback(restored, None).unwrap();
+        assert_eq!(a.store().last(), Some(restored));
+        // News from c after the rollback, and the owner's new incarnation.
+        c.basic_checkpoint().unwrap();
+        a.receive_piggyback(&c.piggyback()).unwrap();
+        let at_checkpoint = a.dv().clone();
+        let index = a.basic_checkpoint().unwrap().stored;
+        let k = a.store().len() - 1;
+        assert_eq!(a.store().index_at(k), index);
+        let changed: UpdateSet = [p(0), p(2)].into_iter().collect();
+        assert_eq!(a.store().changed_at(k), Some(&changed));
+        assert_eq!(stored(&a, index), at_checkpoint);
     }
 
     #[test]

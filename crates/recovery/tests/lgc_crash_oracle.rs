@@ -25,10 +25,16 @@
 //!   its dependency vector is the mirror's.
 //!
 //! Besides systems of a few processes, whose stores keep every vector in
-//! full, a wide one (65 processes, the traffic among four of them across
-//! the first word boundary) has a change log, so its stores keep the
-//! entries that changed since the predecessor: folds, hand-overs and
-//! rollbacks read through them.
+//! full, wide ones have a change log, so their stores keep the entries
+//! that changed since the predecessor: folds, hand-overs and rollbacks
+//! read through them. Three wide shapes: 65 processes, the traffic among
+//! four of them across the first word boundary; the same after one of
+//! them told another of more than 64 of its checkpoints in a row; and
+//! 130 processes, 70 of which told one of theirs before it checkpoints —
+//! the last two past the reach of the change log's 64-entry ring. In a
+//! wide system one more shape is checked: after its first send a process
+//! stores every checkpoint but the first as changes, the first after a
+//! rollback too.
 //!
 //! Checkpoints a rollback discards leave the live history with it, and a
 //! later checkpoint may reuse their index: they are dropped from the
@@ -57,6 +63,20 @@ struct System {
     /// process the session's `LI` showed stale, zero for the others.
     released: Vec<Vec<DvEntry>>,
     sessions: usize,
+    /// Per process, how far it is from storing changes.
+    shape: Vec<Shape>,
+}
+
+/// Where a process of a wide system stands towards storing its
+/// checkpoints as changes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// No change log yet (or never: the system is not wide).
+    Unlogged,
+    /// A log since its first send; the next checkpoint is stored in full.
+    FirstDue,
+    /// Every checkpoint is stored as changes.
+    Changes,
 }
 
 impl System {
@@ -70,7 +90,36 @@ impl System {
             eliminated: BTreeSet::new(),
             released: vec![vec![DvEntry::ZERO; n]; n],
             sessions: 0,
+            shape: vec![Shape::Unlogged; n],
         }
+    }
+
+    /// The newest checkpoint `p` stores.
+    fn newest(&self, p: ProcessId) -> CheckpointIndex {
+        self.mws[p.index()].store().last().expect("never empty")
+    }
+
+    /// Checks how `p` stored `index`, its newest checkpoint having been
+    /// `before`: as changes, once past its first checkpoint under the
+    /// change log. What the newest entry keeps shows only while `before`
+    /// is stored: collecting it may hand a full vector over.
+    fn stored_as(&mut self, p: ProcessId, index: CheckpointIndex, before: CheckpointIndex) {
+        let shape = &mut self.shape[p.index()];
+        match *shape {
+            Shape::Unlogged => return,
+            Shape::FirstDue => return *shape = Shape::Changes,
+            Shape::Changes => {}
+        }
+        let store = self.mws[p.index()].store();
+        if !store.contains(before) {
+            return;
+        }
+        let k = store.len() - 1;
+        assert_eq!(store.index_at(k), index, "{p} stored s^{index} last");
+        assert!(
+            store.changed_at(k).is_some(),
+            "{p} stored s^{index} in full, after s^{before}"
+        );
     }
 
     fn collected(&mut self, p: ProcessId, gone: &[CheckpointIndex]) {
@@ -88,18 +137,26 @@ impl System {
     }
 
     fn checkpoint(&mut self, p: ProcessId) {
+        let before = self.newest(p);
         let report = self.mws[p.index()].basic_checkpoint().expect("alive");
         self.mirror_checkpoint(p, report.stored);
         self.collected(p, &report.eliminated);
+        self.stored_as(p, report.stored, before);
     }
 
     fn send(&mut self, from: ProcessId, to: ProcessId) {
+        let before = self.newest(from);
         let (msg, forced) = self.mws[from.index()].send_reported(to, Payload::empty());
         let id = self.mirror.send(from, to);
+        // The send interned a snapshot: in a wide system, the log starts.
+        if self.mws.len() > 64 && self.shape[from.index()] == Shape::Unlogged {
+            self.shape[from.index()] = Shape::FirstDue;
+        }
         // CAS / CASBR: the post-send forced checkpoint follows the send.
         if let Some(report) = forced {
             self.mirror_checkpoint(from, report.stored);
             self.collected(from, &report.eliminated);
+            self.stored_as(from, report.stored, before);
         }
         self.in_flight.push((id, msg));
     }
@@ -107,6 +164,7 @@ impl System {
     fn deliver(&mut self, k: usize) {
         let (id, msg) = self.in_flight.remove(k % self.in_flight.len());
         let dst = msg.meta.dst;
+        let before = self.newest(dst);
         let report = self.mws[dst.index()].receive(&msg).expect("alive");
         // A forced checkpoint is stored before the message is processed.
         if let Some(stored) = report.forced {
@@ -114,6 +172,9 @@ impl System {
         }
         self.mirror.deliver(id);
         self.collected(dst, &report.eliminated);
+        if let Some(stored) = report.forced {
+            self.stored_as(dst, stored, before);
+        }
     }
 
     fn drop_message(&mut self, k: usize) {
@@ -250,11 +311,24 @@ fn op() -> impl Strategy<Value = Op> {
 /// Runs `ops` over `n` processes of which those in `active` do all the
 /// work.
 fn run_among(n: usize, active: &[usize], protocol: ProtocolKind, ops: &[Op]) -> System {
+    run_after(n, active, protocol, &[], ops)
+}
+
+/// [`run_among`] for `ops` after `prefix`, which is checked only once it
+/// has run: a fixed prefix is checked op by op once, not once per case.
+fn run_after(
+    n: usize,
+    active: &[usize],
+    protocol: ProtocolKind,
+    prefix: &[Op],
+    ops: &[Op],
+) -> System {
     let k = active.len();
     let at = |a: usize| ProcessId::new(active[a % k]);
     let mut sys = System::new(n, protocol);
     sys.check("the initial checkpoints");
-    for (step, &op) in ops.iter().enumerate() {
+    let all = prefix.iter().chain(ops).enumerate();
+    for (step, &op) in all {
         match op {
             Op::Checkpoint(a) => sys.checkpoint(at(a)),
             Op::Send(a, b) => {
@@ -265,15 +339,20 @@ fn run_among(n: usize, active: &[usize], protocol: ProtocolKind, ops: &[Op]) -> 
             Op::Drop(k) if !sys.in_flight.is_empty() => sys.drop_message(k),
             Op::Deliver(_) | Op::Drop(_) => continue,
             Op::Crash(mask) => {
-                let mut faulty: FaultySet =
-                    (0..k).filter(|i| mask & (1 << i) != 0).map(at).collect();
+                // Bit `i % 32` for the `i`-th active process.
+                let mut faulty: FaultySet = (0..k)
+                    .filter(|i| mask & (1 << (i % 32)) != 0)
+                    .map(at)
+                    .collect();
                 if faulty.is_empty() {
                     faulty.insert(at(mask as usize));
                 }
                 sys.crash(&faulty);
             }
         }
-        sys.check(&format!("step {step} ({op:?})"));
+        if step + 1 >= prefix.len() {
+            sys.check(&format!("step {step} ({op:?})"));
+        }
     }
     sys
 }
@@ -281,6 +360,23 @@ fn run_among(n: usize, active: &[usize], protocol: ProtocolKind, ops: &[Op]) -> 
 fn run(n: usize, protocol: ProtocolKind, ops: &[Op]) -> System {
     run_among(n, &(0..n).collect::<Vec<_>>(), protocol, ops)
 }
+
+/// Ops by which the first of `k` active processes sends (its change log
+/// starts) and checkpoints; then each of `senders` (positions among the
+/// active) checkpoints and tells it, and it checkpoints again: the news of
+/// every sender lands between two of its checkpoints, a push of the
+/// change log's ring each at least.
+fn gather(k: usize, senders: impl IntoIterator<Item = usize>) -> Vec<Op> {
+    let first = [Op::Send(0, 0), Op::Deliver(0), Op::Checkpoint(0)];
+    let told = |a: usize| [Op::Checkpoint(a), Op::Send(a, k - 1 - a), Op::Deliver(0)];
+    let ops = first.into_iter().chain(senders.into_iter().flat_map(told));
+    ops.chain([Op::Checkpoint(0)]).collect()
+}
+
+/// The protocols that force no checkpoint on a receive in an interval
+/// without a send (FDI forces on any news, CBR and CASBR on every
+/// receive): under them [`gather`]'s news all lands in one interval.
+const GATHERING: [ProtocolKind; 3] = [ProtocolKind::Cas, ProtocolKind::Mrs, ProtocolKind::Fdas];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -305,6 +401,42 @@ proptest! {
     ) {
         run_among(WIDE, &ACTIVE, protocol, &ops);
     }
+}
+
+proptest! {
+    // Each case replays a prefix of 200 ops or more, and the variety is in
+    // the three protocols and what follows.
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The same past the ring's reach, one entry changed more than 64
+    /// times: `p64` tells `p0` of 70 checkpoints in a row before `p0`
+    /// checkpoints, then the traffic goes on.
+    #[test]
+    fn an_entry_changed_past_the_rings_reach_is_stored_as_changes(
+        protocol in prop::sample::select(GATHERING.to_vec()),
+        ops in prop::collection::vec(op(), 0..60),
+    ) {
+        run_after(WIDE, &ACTIVE, protocol, &gather(ACTIVE.len(), [3; 70]), &ops);
+    }
+
+    /// The same past the ring's reach, more than 64 entries changed: 130
+    /// processes, 70 of them active on both sides of both word
+    /// boundaries, each of which tells the first before it checkpoints.
+    #[test]
+    fn entries_changed_past_the_rings_reach_are_stored_as_changes(
+        protocol in prop::sample::select(GATHERING.to_vec()),
+        ops in prop::collection::vec(op(), 0..30),
+    ) {
+        let active = wider_active();
+        run_after(WIDER, &active, protocol, &gather(active.len(), 1..active.len()), &ops);
+    }
+}
+
+/// A system twice as wide, and its 70 active processes.
+const WIDER: usize = 130;
+
+fn wider_active() -> Vec<usize> {
+    (0..35).chain(WIDER - 35..WIDER).collect()
 }
 
 /// A system wide enough for a change log, and the processes of it that
@@ -382,6 +514,29 @@ fn dead_incarnation_news_after_a_session_pins_like_any_news() {
         .ccp()
         .witnesses_live(c, &sys.released[0])
         .contains(&p1));
+}
+
+/// The prefixes past the ring's reach do what they are for, checked op by
+/// op: the first process's last checkpoint follows more than 64 changes
+/// of its vector — 70 of one entry, or news of 70 processes — and keeps
+/// just the entries they changed.
+#[test]
+fn the_gathering_prefixes_reach_past_the_ring() {
+    let wider = wider_active();
+    for protocol in GATHERING {
+        for (n, active, senders) in [
+            (WIDE, &ACTIVE[..], vec![3; 70]),
+            (WIDER, &wider[..], (1..wider.len()).collect()),
+        ] {
+            let gathered = gather(active.len(), senders.iter().copied());
+            let sys = run_among(n, active, protocol, &gathered);
+            let store = sys.mws[0].store();
+            let changed = store.changed_at(store.len() - 1).expect("changes");
+            let expected: BTreeSet<usize> = senders.iter().map(|&a| active[a]).collect();
+            let got: BTreeSet<usize> = changed.iter().map(ProcessId::index).collect();
+            assert_eq!(got, &expected | &[0].into(), "{protocol:?} n = {n}");
+        }
+    }
 }
 
 /// The wide generator reaches what it is for: a store that keeps changes,
