@@ -81,6 +81,8 @@ pub enum Error {
     /// The durability sink behind a middleware failed (write-ahead log or
     /// checkpoint commit); carries the sink's own error rendering.
     Storage(String),
+    /// A live runtime's transport failed to send or receive a frame.
+    Transport(String),
 }
 
 impl fmt::Display for Error {
@@ -122,6 +124,7 @@ impl fmt::Display for Error {
             }
             Error::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
             Error::Storage(what) => write!(f, "storage sink failed: {what}"),
+            Error::Transport(what) => write!(f, "transport failed: {what}"),
         }
     }
 }

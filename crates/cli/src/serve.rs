@@ -7,10 +7,13 @@
 //!
 //! The parent re-executes its own binary once per rank with the hidden
 //! `__serve-worker` subcommand. Each worker binds a datagram socket in the
-//! shared run directory, opens its durable checkpoint directory
-//! (`p<rank>/`, a `DiskSink` behind a generic `Middleware`), and drives a
-//! [`LiveNode`] — the same delivery path as the threaded example — over a
-//! [`RealEnv`] bundle: monotonic clock, seeded generator, UDS transport.
+//! shared run directory ([`UdsTransport`]), opens its durable checkpoint
+//! directory (`p<rank>/`, a `DiskSink` behind a generic `Middleware`), and
+//! steps a [`LiveWorker`] over them — the one live loop, which the
+//! threaded example and the in-process worker oracle step too. What is
+//! left here is what only a real process needs: arguments, the socket,
+//! the store and its `--resume` rebuild, a 300 µs pause between steps, a
+//! 250 ms drain at the end and the `.prom` dumps.
 //!
 //! # The event log and its write ordering
 //!
@@ -23,14 +26,17 @@
 //! merger ([`rdt_cli::merge`]) into a global [`TraceEvent`] sequence for
 //! the offline oracle. The run's totals are those logs' lines counted,
 //! the resumed segment's included. The worker writes nothing of its own.
-//! The per-op discipline is **apply → log → transmit**:
+//! The per-op discipline, kept by [`LiveWorker`], is
+//! **apply → log → transmit**:
 //!
 //! 1. the middleware operation runs (which commits durable state through
 //!    the sink),
 //! 2. the node writes the operation's event lines in one `write` the page
 //!    cache keeps through a kill,
-//! 3. only then — and only if every write succeeded — is a sent frame put
-//!    on the wire.
+//! 3. the sink's commits and the log's writes are checked — after every
+//!    delivery, and again after a send and its forced checkpoint — and
+//!    only if all of them succeeded is the sent frame put on the wire; a
+//!    failure ends the worker with nothing transmitted.
 //!
 //! A SIGKILL therefore leaves at most one in-doubt *tail* op per worker,
 //! and each case reconciles from what survives: an applied-but-unlogged
@@ -40,10 +46,10 @@
 //! only volatile state, which the crash discards. Because a send is logged
 //! before the frame leaves, every apply in any log finds its send in the
 //! sender's log, and the merge is total. The merged trace carries the
-//! collects too, so the harness audits every live elimination against
-//! Theorem 4 (`collection_safety_violations`) beside the recovery line,
-//! and a clean run's final stores against Theorem 5 (`missed_at_the_end`:
-//! no retained checkpoint may lack a witness under RDT-LGC).
+//! collects too, so the harness judges it ([`rdt_cli::verdict`]): every
+//! live elimination against Theorem 4 beside the recovery line, and a
+//! clean run's final stores against Theorem 5 (no retained checkpoint may
+//! lack a witness under RDT-LGC).
 //!
 //! # Chaos cycle
 //!
@@ -63,18 +69,17 @@ use std::time::{Duration, Instant};
 
 use clap::ArgMatches;
 
-use rdt_base::{CheckpointId, ProcessId, TraceEvent};
-use rdt_ccp::{missed_at_the_end, CcpBuilder};
+use rdt_base::{ProcessId, TraceEvent};
 use rdt_cli::merge::Logs;
+use rdt_cli::verdict::{judge, Verdict};
 use rdt_core::GcKind;
 use rdt_env::transport::MAX_FRAME;
-use rdt_env::{RealEnv, Rng as _, Transport as _, UdsTransport, WireFrame};
+use rdt_env::{UdsTransport, WireFrame};
 use rdt_obs::json::JsonValue;
 use rdt_obs::ProfileReport;
 use rdt_protocols::{Middleware, ProtocolKind};
-use rdt_recovery::{FaultySet, RecoveryManager};
-use rdt_sim::{LiveNode, TraceLine};
-use rdt_storage::{DiskSink, DurableStore};
+use rdt_sim::{LiveNode, LiveWorker, TraceLine};
+use rdt_storage::{DiskSink, DurableStore, RestartReport};
 
 use crate::opts::{parse_gc, parse_protocol};
 
@@ -143,59 +148,6 @@ fn flight_path(dir: &Path, rank: usize, resume: bool) -> PathBuf {
 // Worker side
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Default)]
-struct WorkerStats {
-    sent: u64,
-    delivered: u64,
-    basic: u64,
-    forced: u64,
-    /// The store's eliminations before this worker's first operation.
-    collected_before: usize,
-    restart: Option<rdt_storage::RestartReport>,
-}
-
-impl WorkerStats {
-    /// Checkpoints this worker's operations eliminated: by checkpoints,
-    /// forcing sends and deliveries alike.
-    fn eliminated(&self, node: &LiveNode<DiskSink>) -> u64 {
-        (node.middleware().store().total_collected() - self.collected_before) as u64
-    }
-}
-
-/// The event log's first failed write since the last call, as the
-/// worker's failure: a log that missed a line is no longer its history.
-fn logged() -> Result<(), String> {
-    rdt_obs::flight::take_error().map_or(Ok(()), |e| Err(format!("event log write failed: {e}")))
-}
-
-/// Drains every frame currently deliverable.
-fn pump(
-    transport: &mut UdsTransport,
-    node: &mut LiveNode<DiskSink>,
-    buf: &mut [u8],
-    stats: &mut WorkerStats,
-    prof: &mut rdt_obs::Profiler,
-) -> Result<(), String> {
-    loop {
-        let t = prof.start();
-        let received = transport.recv(buf);
-        prof.stop("live/recv", t);
-        match received {
-            Ok(Some(len)) => {
-                let outcome = node
-                    .deliver_frame(&buf[..len])
-                    .map_err(|e| format!("deliver failed: {e}"))?;
-                logged()?;
-                let Some(out) = outcome else { continue };
-                stats.forced += u64::from(out.forced.is_some());
-                stats.delivered += 1;
-            }
-            Ok(None) => return Ok(()),
-            Err(e) => return Err(format!("recv failed: {e}")),
-        }
-    }
-}
-
 /// Writes one worker's Prometheus-style textfile dump
 /// (`metrics_p<rank>.prom`): phase latencies — frame encode/decode,
 /// socket send/recv, `store/*` I/O — when `RDT_PROFILE` is on, plus the
@@ -207,30 +159,22 @@ fn pump(
 fn write_prom(
     dir: &Path,
     rank: usize,
-    node: &LiveNode<DiskSink>,
-    prof: &rdt_obs::Profiler,
-    stats: &WorkerStats,
+    worker: &LiveWorker<UdsTransport, DiskSink>,
+    restart: Option<&RestartReport>,
 ) -> Result<(), String> {
-    let mut report = ProfileReport::new();
-    if let Some(p) = prof.report() {
-        report.merge(p);
-    }
-    if let Some(p) = node.profile() {
-        report.merge(p);
-    }
-    if let Some(p) = node.middleware().sink().disk().profile() {
+    let mut report = worker.profile();
+    let mw = worker.node().middleware();
+    if let Some(p) = mw.sink().disk().profile() {
         report.merge(&p);
     }
+    let stats = worker.stats();
     report.add("frames_sent", stats.sent);
     report.add("frames_delivered", stats.delivered);
     report.add("checkpoints_basic", stats.basic);
     report.add("checkpoints_forced", stats.forced);
-    report.add("checkpoints_eliminated", stats.eliminated(node));
-    report.add(
-        "checkpoints_retained",
-        node.middleware().store().len() as u64,
-    );
-    if let Some(restart) = &stats.restart {
+    report.add("checkpoints_eliminated", stats.eliminated);
+    report.add("checkpoints_retained", mw.store().len() as u64);
+    if let Some(restart) = restart {
         report.add("restart_loaded", restart.loaded as u64);
         report.add("restart_quarantined", restart.quarantined as u64);
         report.add("restart_log_bytes", restart.log_bytes as u64);
@@ -248,24 +192,29 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
         .expect("required")
         .parse()
         .map_err(|e| format!("--rank: {e}"))?;
+    if rank >= cfg.n {
+        return Err(format!("--rank {rank}: out of range for -n {}", cfg.n));
+    }
     let resume = m.get_flag("resume");
     let me = ProcessId::new(rank);
 
     // The event log: every operation of the node, as it happens.
     rdt_obs::flight::install(flight_path(&cfg.dir, rank, resume), 0);
-    logged()?;
+    if let Some(e) = rdt_obs::flight::take_error() {
+        return Err(format!("event log: {e}"));
+    }
 
     let transport = UdsTransport::bind(&cfg.dir, rank, Duration::from_millis(1))
         .map_err(|e| format!("bind failed: {e}"))?;
     let disk = DurableStore::open(store_dir(&cfg.dir, rank), me)
         .map_err(|e| format!("durable store failed: {e}"))?;
 
-    let mut restart_report = None;
+    let mut restart = None;
     let mut node = if resume {
         let (store, report) = disk
             .rebuild_reported()
             .map_err(|e| format!("rebuild failed: {e}"))?;
-        restart_report = Some(report);
+        restart = Some(report);
         let target = store
             .indices()
             .last()
@@ -297,107 +246,34 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
         return Err(format!("initial commit failed: {e}"));
     }
 
-    let mut env = RealEnv::new(
-        cfg.seed ^ (rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        transport,
-    );
-    let mut buf = vec![0u8; MAX_FRAME];
-    let mut stats = WorkerStats {
-        collected_before: node.middleware().store().total_collected(),
-        restart: restart_report,
-        ..WorkerStats::default()
-    };
+    let mut worker = LiveWorker::new(node, transport, cfg.seed);
     // Frame-path and socket-path profiling, plus periodic .prom dumps,
     // keyed off the same env switch as everywhere else.
-    let profiling = rdt_obs::profile::env_enabled();
-    node.set_profiling(profiling);
-    let mut prof = rdt_obs::Profiler::new(profiling);
-    let mut step = 0usize;
-    loop {
-        if cfg.ops > 0 && step >= cfg.ops {
-            break;
-        }
+    worker.set_profiling(rdt_obs::profile::env_enabled());
+    let mut step = 0;
+    while cfg.ops == 0 || step < cfg.ops as u64 {
         step += 1;
         if step.is_multiple_of(64) {
-            write_prom(&cfg.dir, rank, &node, &prof, &stats)?;
+            write_prom(&cfg.dir, rank, &worker, restart.as_ref())?;
         }
-        pump(
-            &mut env.transport,
-            &mut node,
-            &mut buf,
-            &mut stats,
-            &mut prof,
-        )?;
         // The collector's clock is the step count: a time-based collector
         // discards what is older than its horizon in steps.
-        node.tick(step as u64);
-        logged()?;
-        let roll = env.rng.between(0, 99);
-        if roll < 35 {
-            node.checkpoint()
-                .map_err(|e| format!("checkpoint failed: {e}"))?;
-            logged()?;
-            stats.basic += 1;
-        } else {
-            let peer = {
-                let k = env.rng.between(0, cfg.n as u64 - 2) as usize;
-                ProcessId::new(if k >= rank { k + 1 } else { k })
-            };
-            let (frame, forced) = node.send_frame(peer);
-            let bytes = frame.encode();
-            stats.forced += u64::from(forced.is_some());
-            // Transmit strictly after the send is in the log: a peer can
-            // only deliver a message whose Send the oracle will find.
-            logged()?;
-            let t = prof.start();
-            let sent = env.transport.send(peer, bytes);
-            prof.stop("live/send", t);
-            sent.map_err(|e| format!("send failed: {e}"))?;
-            stats.sent += 1;
-        }
-        if let Some(e) = node.middleware_mut().take_sink_error() {
-            return Err(format!("durable commit failed: {e}"));
-        }
+        worker.step(step).map_err(|e| e.to_string())?;
         std::thread::sleep(Duration::from_micros(300));
     }
 
     // Finite run: drain in-flight traffic for a grace window, then report.
     let deadline = Instant::now() + Duration::from_millis(250);
     while Instant::now() < deadline {
-        pump(
-            &mut env.transport,
-            &mut node,
-            &mut buf,
-            &mut stats,
-            &mut prof,
-        )?;
+        worker.pump().map_err(|e| e.to_string())?;
         std::thread::sleep(Duration::from_millis(5));
     }
-    if let Some(e) = node.middleware_mut().take_sink_error() {
-        return Err(format!("durable commit failed: {e}"));
-    }
-    write_prom(&cfg.dir, rank, &node, &prof, &stats)
+    write_prom(&cfg.dir, rank, &worker, restart.as_ref())
 }
 
 // ---------------------------------------------------------------------------
 // Parent side: the recovery-line check and the GC audit
 // ---------------------------------------------------------------------------
-
-/// What the merged kill-point (or final) logs say against the processes
-/// rebuilt from disk.
-#[derive(Debug)]
-struct Verdict {
-    /// The recovery line the online session chose.
-    online: Vec<usize>,
-    /// The offline `rdt-ccp` oracle's line over the merged trace.
-    offline: Vec<usize>,
-    /// Logged collects of a checkpoint that was not obsolete (Theorem 4).
-    gc_violations: Vec<CheckpointId>,
-    /// Checkpoints the stores retain at the cut that no process witnesses
-    /// (Theorem 5); `None` after a chaos cycle, whose resumed segment went
-    /// through a recovery session.
-    gc_missed: Option<usize>,
-}
 
 /// Appends the checkpoints each process's store holds beyond what the
 /// trace shows (`newest[i]`: the newest index on p_i's disk): the sink
@@ -422,9 +298,8 @@ fn reconcile(trace: &mut Vec<TraceEvent>, newest: &[usize]) {
 }
 
 /// Merges the workers' logs (counting their events into `summary`),
-/// audits every logged collect and what the stores retain, rebuilds every
-/// process from disk, and runs a full recovery session (all faulty)
-/// against the oracle's line.
+/// reconciles the merged trace with the stores, rebuilds every process
+/// from disk and [`judge`]s the trace against them.
 fn check_lines(
     dir: &Path,
     cfg: &ServeConfig,
@@ -434,38 +309,21 @@ fn check_lines(
     let logs = Logs::read(&paths)?;
     summary.count(logs.lines());
     let mut trace = logs.merge()?.oracle_trace();
-    let mut newest = Vec::with_capacity(cfg.n);
+    let (mut newest, mut mws) = (Vec::with_capacity(cfg.n), Vec::with_capacity(cfg.n));
     for i in 0..cfg.n {
-        let disk = DurableStore::open(store_dir(dir, i), ProcessId::new(i))
+        let me = ProcessId::new(i);
+        let disk = DurableStore::open(store_dir(dir, i), me)
             .map_err(|e| format!("opening store of p{i}: {e}"))?;
         let indices = disk
             .indices()
             .map_err(|e| format!("listing store of p{i}: {e}"))?;
         newest.push(indices.last().map_or(0, |c| c.value()));
-    }
-    reconcile(&mut trace, &newest);
-    let gc_violations = rdt_ccp::collection_safety_violations(cfg.n, &trace)
-        .map_err(|e| format!("GC audit failed: {e}"))?;
-    let faulty: FaultySet = ProcessId::all(cfg.n).collect();
-    let offline = CcpBuilder::from_trace(cfg.n, &trace)
-        .map_err(|e| format!("oracle replay failed: {e}"))?
-        .build()
-        .recovery_line(&faulty)
-        .to_raw();
-
-    let mut mws = Vec::with_capacity(cfg.n);
-    let mut retained = Vec::with_capacity(cfg.n);
-    for i in 0..cfg.n {
-        let me = ProcessId::new(i);
-        let disk = DurableStore::open(store_dir(dir, i), me)
-            .map_err(|e| format!("opening store of p{i}: {e}"))?;
         let (store, _report) = disk
             .rebuild_reported()
             .map_err(|e| format!("rebuilding p{i}: {e}"))?;
         if store.is_empty() {
             return Err(format!("p{i} has no surviving checkpoint to recover from"));
         }
-        retained.push(store.indices().map(|c| c.value()).collect());
         mws.push(Middleware::from_store_with(
             me,
             cfg.n,
@@ -475,18 +333,8 @@ fn check_lines(
             DiskSink::over(disk),
         ));
     }
-    let gc_missed = missed_at_the_end(cfg.n, &trace, &retained)
-        .map_err(|e| format!("Theorem 5 audit failed: {e}"))?;
-    let session = RecoveryManager::new()
-        .recover(&mut mws, &faulty)
-        .map_err(|e| format!("online recovery failed: {e}"))?;
-    let online: Vec<usize> = session.line.iter().map(|c| c.value()).collect();
-    Ok(Verdict {
-        online,
-        offline,
-        gc_violations,
-        gc_missed: Some(gc_missed),
-    })
+    reconcile(&mut trace, &newest);
+    judge(&trace, &mut mws)
 }
 
 // ---------------------------------------------------------------------------
@@ -882,6 +730,8 @@ pub fn worker_args(cmd: clap::Command) -> clap::Command {
 mod tests {
     use super::*;
     use crate::causal::tests::{checkpoint, merge, send};
+    use rdt_ccp::CcpBuilder;
+    use rdt_recovery::FaultySet;
 
     #[test]
     fn a_checkpoint_the_disk_holds_beyond_the_log_closes_the_process_tail() {

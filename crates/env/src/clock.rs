@@ -1,17 +1,8 @@
-//! Clock capability: a monotone tick source.
+//! Virtual time: a monotone tick counter the simulation loop advances.
 //!
-//! The simulated clock is a plain counter advanced by the event loop; the
-//! real clock counts microseconds on `std::time::Instant`. Both report
-//! `u64` ticks so the protocol drivers never branch on which world they
-//! are in.
-
-use std::time::Instant;
-
-/// A monotone source of ticks. Implementations never go backwards.
-pub trait Clock {
-    /// The current tick.
-    fn now(&self) -> u64;
-}
+//! Both simulated environments ([`SimEnv`](crate::SimEnv) and
+//! [`ShardEnv`](crate::ShardEnv)) read their time off one; a live worker
+//! is handed its tick by whoever steps it.
 
 /// Deterministic virtual time: a counter the simulation loop advances as
 /// it consumes events. Never moves on its own.
@@ -26,45 +17,16 @@ impl VirtualClock {
         Self::default()
     }
 
+    /// The current tick.
+    pub fn now(&self) -> u64 {
+        self.now
+    }
+
     /// Advances to `at` if it is ahead; a lagging `at` leaves the clock
     /// untouched (time never rewinds, mirroring the old engine's
     /// `self.time = at.max(self.time)`).
     pub fn advance_to(&mut self, at: u64) {
         self.now = self.now.max(at);
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> u64 {
-        self.now
-    }
-}
-
-/// Real time: microseconds elapsed since the clock was built, measured on
-/// the OS monotonic clock.
-#[derive(Debug, Clone, Copy)]
-pub struct MonotonicClock {
-    origin: Instant,
-}
-
-impl MonotonicClock {
-    /// A clock whose tick 0 is "now".
-    pub fn new() -> Self {
-        Self {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for MonotonicClock {
-    fn now(&self) -> u64 {
-        self.origin.elapsed().as_micros() as u64
     }
 }
 
@@ -80,13 +42,5 @@ mod tests {
         assert_eq!(c.now(), 10);
         c.advance_to(4); // lagging event tick must not rewind time
         assert_eq!(c.now(), 10);
-    }
-
-    #[test]
-    fn monotonic_clock_never_decreases() {
-        let c = MonotonicClock::new();
-        let a = c.now();
-        let b = c.now();
-        assert!(b >= a);
     }
 }

@@ -2,27 +2,27 @@
 //!
 //! The paper defines the middleware independently of any simulator; this
 //! crate makes the code match. Everything the protocol layer needs from
-//! "the outside world" is narrowed to four trait capabilities:
+//! "the outside world" is narrowed to three trait capabilities:
 //!
-//! * [`Clock`] — a monotone source of ticks;
 //! * [`Rng`] — the two random draws the drivers actually make
 //!   (Bernoulli trials and inclusive uniform ranges);
-//! * [`Transport`] — framed, unreliable, unordered message exchange;
+//! * [`Transport`] — framed, unreliable, unordered message exchange,
+//!   between real processes ([`UdsTransport`]) or threads and in-process
+//!   tests ([`ChannelTransport`]);
 //! * [`Storage`] — the durability sink a middleware commits its
-//!   checkpoint store and incarnation WAL into.
+//!   checkpoint store and incarnation WAL into ([`Volatile`] here; the
+//!   durable `DiskSink` lives in `rdt-storage`, since durability depends
+//!   on crates above this one).
 //!
-//! Two bundles implement them:
-//!
-//! * [`SimEnv`] — deterministic virtual clock over a binary-heap event
-//!   queue of what is in flight, plus a seeded generator; a run's
-//!   pre-planned events merge in from an ordered [`Lane`] beside it.
-//!   Fixed-seed runs are replay-golden:
-//!   the discrete-event engine draws through this bundle in exactly the
-//!   order it always did, so goldens stay byte-identical.
-//! * [`RealEnv`] — a monotonic OS clock, an entropy-seeded generator and
-//!   a Unix-domain-socket loopback transport for N real processes. The
-//!   matching durable [`Storage`] implementation lives in `rdt-storage`
-//!   (`DiskSink`), since durability depends on crates above this one.
+//! The simulated runtime is one bundle, [`SimEnv`]: a deterministic
+//! [`VirtualClock`] over a binary-heap event queue of what is in flight,
+//! plus a seeded generator; a run's pre-planned events merge in from an
+//! ordered [`Lane`] beside it. Fixed-seed runs are replay-golden: the
+//! discrete-event engine draws through this bundle in exactly the order it
+//! always did, so goldens stay byte-identical. [`ShardEnv`] is its
+//! generator-less slice for one shard. A live process needs no bundle:
+//! `rdt_sim::LiveWorker` takes a transport, a sink and a seed, and is
+//! handed its tick by whoever steps it.
 //!
 //! The [`wire`] module carries piggybacked dependency vectors between real
 //! processes in a checksummed frame; [`queue`] holds the event queue the
@@ -39,7 +39,7 @@ pub mod storage;
 pub mod transport;
 pub mod wire;
 
-pub use clock::{Clock, MonotonicClock, VirtualClock};
+pub use clock::VirtualClock;
 pub use queue::{EventQueue, Lane};
 pub use rng::{DetRng, Rng};
 pub use shard::ShardEnv;
@@ -47,30 +47,3 @@ pub use sim::SimEnv;
 pub use storage::{Storage, Volatile};
 pub use transport::{ChannelTransport, Transport, UdsTransport};
 pub use wire::WireFrame;
-
-/// The real-runtime bundle: monotonic clock + entropy-seeded generator +
-/// a caller-chosen transport. The durability half of a real environment
-/// attaches to the middleware itself (see `rdt_storage::DiskSink`), so
-/// this bundle stays below the storage crates in the dependency order.
-#[derive(Debug)]
-pub struct RealEnv<T: Transport> {
-    /// Monotonic wall-clock ticks (microseconds since construction).
-    pub clock: MonotonicClock,
-    /// Seeded generator driving workload decisions.
-    pub rng: DetRng,
-    /// Loopback transport to the other processes.
-    pub transport: T,
-}
-
-impl<T: Transport> RealEnv<T> {
-    /// Bundles a transport with a fresh monotonic clock and a generator
-    /// seeded from `seed` (pass an entropy-derived seed for production
-    /// use, a fixed one for reproducible demos).
-    pub fn new(seed: u64, transport: T) -> Self {
-        Self {
-            clock: MonotonicClock::new(),
-            rng: DetRng::seeded(seed),
-            transport,
-        }
-    }
-}

@@ -8,8 +8,6 @@
 //! onto `StdRng::{gen_bool, gen_range}`, so a fixed seed produces the
 //! same stream through the trait as it did through the concrete type.
 
-use std::time::{SystemTime, UNIX_EPOCH};
-
 use rand::rngs::StdRng;
 use rand::{Rng as _, SeedableRng};
 
@@ -35,19 +33,6 @@ impl DetRng {
         Self {
             inner: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// A generator seeded from ambient entropy (wall time + PID). Good
-    /// enough for the real runtime's workload jitter; use [`seeded`] for
-    /// anything that must replay.
-    ///
-    /// [`seeded`]: DetRng::seeded
-    pub fn from_entropy() -> Self {
-        let nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x5eed);
-        Self::seeded(nanos ^ (u64::from(std::process::id()) << 32))
     }
 }
 
@@ -90,20 +75,5 @@ mod tests {
             let w = rng.between(0, 2);
             assert!(w <= 2);
         }
-    }
-
-    #[test]
-    fn entropy_seeds_differ_across_draws() {
-        // Not a strict guarantee (time could tie), but two constructions
-        // separated by a spin should disagree on at least one of a few
-        // draws almost surely.
-        let mut a = DetRng::from_entropy();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let mut b = DetRng::from_entropy();
-        let same = (0..8).all(|_| a.between(0, u64::MAX - 1) == b.between(0, u64::MAX - 1));
-        assert!(
-            !same,
-            "independent entropy seeds produced identical streams"
-        );
     }
 }

@@ -11,7 +11,7 @@
 //! key is the planner's, so this bundle has neither an rng nor a sequence
 //! counter — which is why it is not a `SimEnv`.
 
-use crate::clock::{Clock, VirtualClock};
+use crate::clock::VirtualClock;
 use crate::queue::EventQueue;
 
 /// Event queue + clock for one shard of a partitioned simulation.

@@ -9,7 +9,7 @@
 //! `SimEnv` are byte-identical to the pre-refactor engine, which the
 //! replay goldens in `rdt-sim` pin.
 
-use crate::clock::{Clock, VirtualClock};
+use crate::clock::VirtualClock;
 use crate::queue::{EventQueue, Lane};
 use crate::rng::DetRng;
 

@@ -52,11 +52,13 @@
 //!   [`Script`](rdt_workloads::Script)s through the same step core, used
 //!   to reproduce the paper's worked figures (2, 4 and 5);
 //!   [`run_script_with`] shows the state after every op.
-//! * [`LiveNode`] — the wire-frame driver around one middleware that the
-//!   `rdt serve` multi-process runtime runs over real sockets (and
-//!   `examples/threaded_runtime.rs` over OS threads), validating that the
-//!   algorithm's guarantees do not depend on the simulator's determinism.
-//!   It logs the step core's trace events for what it does.
+//! * [`LiveNode`] — the wire-frame driver around one middleware, which
+//!   logs the step core's trace events for what it does, and
+//!   [`LiveWorker`] — the one loop of a live process over any transport,
+//!   which the `rdt serve` multi-process runtime steps over real sockets
+//!   (and `examples/threaded_runtime.rs` over OS threads), validating that
+//!   the algorithm's guarantees do not depend on the simulator's
+//!   determinism.
 //! * [`TraceLine`] — the one JSONL codec of those events: `rdt trace`,
 //!   a live node's event log and `rdt causal` write it, and the merge of
 //!   event logs reads it.
@@ -86,7 +88,7 @@ mod worker;
 
 pub use config::{ChannelConfig, Partitioning, ShardConfig, SimConfig, ZeroLookaheadFallback};
 pub use engine::{Simulation, SimulationBuilder, SimulationReport};
-pub use live::{DeliverOutcome, LiveNode};
+pub use live::{DeliverOutcome, LiveNode, LiveStats, LiveWorker};
 pub use metrics::{Metrics, ProcessMetrics};
 pub use script::{run_script, run_script_with, ScriptRun};
 pub use trace_line::TraceLine;

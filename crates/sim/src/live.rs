@@ -4,11 +4,18 @@
 //!
 //! A [`LiveNode`] wraps one middleware and speaks the crate-neutral
 //! [`WireFrame`] codec: sends produce an encoded frame ready for any
-//! [`Transport`](rdt_env::Transport) (or an in-process channel), receives
-//! consume raw bytes and reject malformed or alien frames instead of
-//! panicking. The `rdt serve` workers, the benchmark's frame path and the
-//! threaded example all drive this type, so the protocol-side handling of
-//! a message exists exactly once.
+//! [`Transport`] (or an in-process channel), receives consume raw bytes
+//! and reject malformed or alien frames instead of panicking, so the
+//! protocol-side handling of a message exists exactly once. The
+//! benchmark's frame path drives it directly.
+//!
+//! A [`LiveWorker`] is the one loop that runs a live process: a node over
+//! any [`Transport`], stepped by its caller — pump what arrived, tick,
+//! one operation of a fixed mix — with every write of a step checked
+//! before a frame leaves. `rdt serve`'s workers step it over Unix-domain
+//! sockets, the threaded example over channels between threads, and the
+//! in-process worker oracle over a channel mesh it steps in a seeded
+//! order.
 //!
 //! There is no representation between the middleware's vector and the
 //! frame's bytes: a send encodes straight from `Middleware::dv()` into a
@@ -36,10 +43,11 @@
 //! [`WireFrame`] trace context.
 
 use rdt_base::{
-    CheckpointIndex, DependencyVector, DvEntry, MessageId, ProcessId, Result, TraceEvent,
+    CheckpointIndex, DependencyVector, DvEntry, Error, MessageId, ProcessId, Result, TraceEvent,
 };
 use rdt_core::GcKind;
-use rdt_env::{Storage, Volatile, WireFrame};
+use rdt_env::transport::MAX_FRAME;
+use rdt_env::{DetRng, Rng as _, Storage, Transport, Volatile, WireFrame};
 use rdt_protocols::{Middleware, ProtocolKind, ReceiveReport};
 
 use crate::TraceLine;
@@ -282,6 +290,187 @@ impl<S: Storage> LiveNode<S> {
     }
 }
 
+/// Percent of a worker's operations that are basic checkpoints; the rest
+/// are sends to a uniformly drawn other process.
+const CHECKPOINT_PERCENT: u64 = 35;
+
+/// What a [`LiveWorker`]'s operations did, counted as they happened.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LiveStats {
+    /// Frames put on the wire.
+    pub sent: u64,
+    /// Frames delivered (validated and applied).
+    pub delivered: u64,
+    /// Basic checkpoints taken.
+    pub basic: u64,
+    /// Forced checkpoints, after a send (CAS/CASBR) or before a delivery.
+    pub forced: u64,
+    /// Checkpoints the worker's operations eliminated.
+    pub eliminated: u64,
+}
+
+/// One live process: a [`LiveNode`] over a [`Transport`], running its
+/// workload one [`step`](Self::step) at a time for whoever drives it — a
+/// real process pacing itself, a thread, or a test choosing which worker
+/// steps next.
+///
+/// Each operation is **apply → log → transmit**: the middleware commits
+/// through its sink, the node logs the operation's lines, and the sink and
+/// the event log are checked after every delivery and again before a frame
+/// goes out. A step whose commit or log write failed returns the error
+/// and transmits nothing, so a peer never holds a frame whose sender's
+/// disk or log is behind it.
+#[derive(Debug)]
+pub struct LiveWorker<T: Transport, S: Storage = Volatile> {
+    node: LiveNode<S>,
+    transport: T,
+    rng: DetRng,
+    /// The receive buffer, [`MAX_FRAME`] long.
+    buf: Vec<u8>,
+    /// The frame being sent, held while its step's writes are checked.
+    out: Vec<u8>,
+    stats: LiveStats,
+    /// The store's eliminations before the worker's first operation.
+    collected_before: usize,
+    /// Transport timings (`live/recv`, `live/send`).
+    prof: rdt_obs::Profiler,
+}
+
+impl<T: Transport, S: Storage> LiveWorker<T, S> {
+    /// A worker running `node` over `transport`. Its operations are drawn
+    /// from `seed` mixed with the node's rank, so the processes of a run
+    /// share one seed and draw different streams.
+    pub fn new(node: LiveNode<S>, transport: T, seed: u64) -> Self {
+        let rank = node.middleware().owner().index() as u64;
+        Self {
+            rng: DetRng::seeded(seed ^ rank.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            collected_before: node.middleware().store().total_collected(),
+            node,
+            transport,
+            buf: vec![0; MAX_FRAME],
+            out: Vec::new(),
+            stats: LiveStats::default(),
+            prof: rdt_obs::Profiler::disabled(),
+        }
+    }
+
+    /// Enables (or disables) profiling of the frame path
+    /// ([`LiveNode::set_profiling`]) and of the transport (`live/recv`,
+    /// `live/send`), replacing what was accumulated.
+    pub fn set_profiling(&mut self, on: bool) {
+        self.node.set_profiling(on);
+        self.prof = rdt_obs::Profiler::new(on);
+    }
+
+    /// The accumulated frame-path and transport timings (empty unless
+    /// profiling is on).
+    pub fn profile(&self) -> rdt_obs::ProfileReport {
+        let mut report = self.prof.report().cloned().unwrap_or_default();
+        if let Some(node) = self.node.profile() {
+            report.merge(node);
+        }
+        report
+    }
+
+    /// The node.
+    pub fn node(&self) -> &LiveNode<S> {
+        &self.node
+    }
+
+    /// Unwraps the node.
+    pub fn into_node(self) -> LiveNode<S> {
+        self.node
+    }
+
+    /// What the worker's operations did so far.
+    pub fn stats(&self) -> LiveStats {
+        let collected = self.node.middleware().store().total_collected();
+        LiveStats {
+            eliminated: (collected - self.collected_before) as u64,
+            ..self.stats
+        }
+    }
+
+    /// Delivers every frame the transport has ready; frames that fail
+    /// validation are dropped as channel noise.
+    ///
+    /// # Errors
+    ///
+    /// A failed receive, a crashed node, or a delivery whose commit or
+    /// log write failed.
+    pub fn pump(&mut self) -> Result<()> {
+        loop {
+            let t = self.prof.start();
+            let received = self.transport.recv(&mut self.buf);
+            self.prof.stop("live/recv", t);
+            let Some(len) = received.map_err(|e| Error::Transport(format!("recv: {e}")))? else {
+                return Ok(());
+            };
+            let outcome = self.node.deliver_frame(&self.buf[..len])?;
+            self.written()?;
+            if let Some(out) = outcome {
+                self.stats.forced += u64::from(out.forced.is_some());
+                self.stats.delivered += 1;
+            }
+        }
+    }
+
+    /// One step at tick `now`: [`pump`](Self::pump), advance the
+    /// collector's clock to `now`, then a basic checkpoint (35 %) or a
+    /// send to a uniformly drawn other process.
+    ///
+    /// # Errors
+    ///
+    /// As [`pump`](Self::pump); a failed send; a crashed node; an
+    /// operation whose commit or log write failed, which then transmits
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// In a system of one process, which has no one to send to.
+    pub fn step(&mut self, now: u64) -> Result<()> {
+        self.pump()?;
+        // A time-based collector discards what is older than its horizon
+        // in these ticks.
+        self.node.tick(now);
+        self.written()?;
+        if self.rng.between(0, 99) < CHECKPOINT_PERCENT {
+            self.node.checkpoint()?;
+            self.stats.basic += 1;
+            return self.written();
+        }
+        let (n, me) = (self.node.mw.n() as u64, self.node.mw.owner().index() as u64);
+        let k = self.rng.between(0, n - 2);
+        let peer = ProcessId::new((k + u64::from(k >= me)) as usize);
+        let (frame, forced) = self.node.send_frame(peer);
+        self.out.clear();
+        self.out.extend_from_slice(frame.encode());
+        self.stats.forced += u64::from(forced.is_some());
+        // Transmit strictly after the send and its forced checkpoint are
+        // committed and logged: a peer can only deliver a message whose
+        // Send the oracle will find, from a sender whose disk is not
+        // behind its log.
+        self.written()?;
+        let t = self.prof.start();
+        let sent = self.transport.send(peer, &self.out);
+        self.prof.stop("live/send", t);
+        sent.map_err(|e| Error::Transport(format!("send: {e}")))?;
+        self.stats.sent += 1;
+        Ok(())
+    }
+
+    /// The sink's first failed commit, else the event log's first failed
+    /// write, since the last check: either way the process's history is no
+    /// longer what it will say it did.
+    fn written(&mut self) -> Result<()> {
+        if let Some(e) = self.node.mw.take_sink_error() {
+            return Err(Error::Storage(e));
+        }
+        rdt_obs::flight::take_error()
+            .map_or(Ok(()), |e| Err(Error::Storage(format!("event log: {e}"))))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +610,41 @@ mod tests {
             assert_eq!(a.middleware().dv().entry(p(1)).value(), 1, "not scanned");
             assert_eq!(a.middleware().merged_stamp(), stamp, "memo displaced");
         }
+    }
+
+    #[test]
+    fn workers_over_a_mesh_deliver_every_frame_they_send() {
+        let mesh = rdt_env::ChannelTransport::mesh(3, std::time::Duration::ZERO);
+        let mut workers: Vec<_> = mesh
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| {
+                let node = LiveNode::new(p(i), 3, ProtocolKind::Cas, GcKind::RdtLgc);
+                LiveWorker::new(node, t, 5)
+            })
+            .collect();
+        for now in 1..=50 {
+            for worker in &mut workers {
+                worker.step(now).unwrap();
+            }
+        }
+        for worker in &mut workers {
+            worker.pump().unwrap();
+        }
+        let total =
+            |count: fn(LiveStats) -> u64| -> u64 { workers.iter().map(|w| count(w.stats())).sum() };
+        assert_eq!(total(|s| s.sent) + total(|s| s.basic), 150, "one op a step");
+        assert_eq!(total(|s| s.delivered), total(|s| s.sent));
+        assert_eq!(
+            total(|s| s.forced),
+            total(|s| s.sent),
+            "CAS forces after a send"
+        );
+        for worker in &workers {
+            let store = worker.node().middleware().store();
+            assert_eq!(worker.stats().eliminated, store.total_collected() as u64);
+        }
+        assert!(total(|s| s.eliminated) > 0);
     }
 
     #[test]

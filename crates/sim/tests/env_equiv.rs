@@ -1,6 +1,6 @@
 //! Environment-equivalence properties: moving the engine onto the
 //! `rdt-env` runtime abstraction (`SimEnv`: virtual clock, event queue
-//! and deterministic rng behind the `Clock`/`Transport`/`Rng` traits)
+//! and deterministic rng behind the `Rng` trait)
 //! must be invisible to every observable of a simulation.
 //!
 //! Two properties pin this:

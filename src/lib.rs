@@ -15,10 +15,13 @@
 //! * [`protocols`] — RDT checkpointing protocols (FDAS, FDI, MRS, CAS,
 //!   CASBR, CBR, plus the BCS and no-forced baselines) and the merged
 //!   FDAS + RDT-LGC implementation (Algorithm 4).
+//! * [`env`] — the runtime capabilities (`Rng`, `Transport`, `Storage`),
+//!   the simulated environment and the socket and channel transports.
 //! * [`analysis`] — rollback-dependency graphs, rollback-propagation
 //!   quantification, CCP statistics and storage timelines.
 //! * [`sim`] — deterministic discrete-event simulators (sequential and
-//!   sharded), the script runner and the `LiveNode` wire-frame driver.
+//!   sharded), the script runner, the `LiveNode` wire-frame driver and the
+//!   `LiveWorker` loop of a live process.
 //! * [`recovery`] — recovery-line computation, rollback orchestration, and
 //!   Wang's decentralized online min/max consistent global checkpoints.
 //! * [`storage`] — file-backed stable storage that survives crashes, with
@@ -51,6 +54,7 @@ pub use rdt_analysis as analysis;
 pub use rdt_base as base;
 pub use rdt_ccp as ccp;
 pub use rdt_core as core;
+pub use rdt_env as env;
 pub use rdt_protocols as protocols;
 pub use rdt_recovery as recovery;
 pub use rdt_sim as sim;
