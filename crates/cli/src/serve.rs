@@ -18,19 +18,22 @@
 //! # The event log and its write ordering
 //!
 //! Every worker's history is its one event log (`flight_p<rank>.jsonl`,
-//! the `rdt_obs::flight` log): the [`LiveNode`] logs the trace events of
-//! each operation — basic checkpoint, send and its post-send forced
-//! checkpoint, a delivery's forced checkpoint and the delivery, the
-//! collects that followed — in the line shape `rdt trace` prints
-//! ([`TraceLine`]), and the harness merges the logs through the one
-//! merger ([`rdt_cli::merge`]) into a global [`TraceEvent`] sequence for
-//! the offline oracle. The run's totals are those logs' lines counted,
-//! the resumed segment's included. The worker writes nothing of its own.
-//! The per-op discipline, kept by [`LiveWorker`], is
-//! **apply → log → transmit**:
+//! the `rdt_obs::flight` log). The [`LiveNode`] runs each operation —
+//! basic checkpoint, send and its post-send forced checkpoint, a
+//! delivery's forced checkpoint and the delivery, the collects that
+//! followed — through the simulators' step core, whose trace events it
+//! renders in the line shape `rdt trace` prints ([`TraceLine`]): the
+//! simulated and the live history of an operation are one sequence of
+//! events. The harness merges the logs through the one merger
+//! ([`rdt_cli::merge`]) into a global [`TraceEvent`] sequence for the
+//! offline oracle. The run's totals are those logs' lines counted, the
+//! resumed segment's included; a worker's own counters in its `.prom`
+//! dump count the same events. The worker writes nothing of its own. The
+//! per-op discipline, kept by [`LiveWorker`], is **apply → log →
+//! transmit**:
 //!
 //! 1. the middleware operation runs (which commits durable state through
-//!    the sink),
+//!    the store's sink),
 //! 2. the node writes the operation's event lines in one `write` the page
 //!    cache keeps through a kill,
 //! 3. the sink's commits and the log's writes are checked — after every

@@ -7,7 +7,9 @@
 //! (Theorem 5), the online recovery line equal to the offline oracle's
 //! with every process faulty, and at most n retained checkpoints a process
 //! (n + 1 at the peak). A seed's log is the same bytes every time, and a
-//! time-based collector is caught.
+//! time-based collector is caught. After every run, each worker's
+//! `LiveStats` are the counts of its own lines in the log, and no channel
+//! dropped a frame.
 //!
 //! Own integration binary (own process): the event log is process-global.
 
@@ -15,13 +17,13 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rdt_base::ProcessId;
+use rdt_base::{ProcessId, TraceEvent};
 use rdt_cli::merge::Logs;
 use rdt_cli::verdict::{judge, Verdict};
 use rdt_core::GcKind;
 use rdt_env::{ChannelTransport, DetRng, Rng as _};
 use rdt_protocols::{Middleware, ProtocolKind};
-use rdt_sim::{LiveNode, LiveWorker};
+use rdt_sim::{LiveNode, LiveStats, LiveWorker, TraceLine};
 
 /// One run at a time: the event log is the process's.
 static LOG: Mutex<()> = Mutex::new(());
@@ -59,11 +61,35 @@ fn run(
     assert!(rdt_obs::flight::take_error().is_none());
     let log = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).unwrap();
+    let logged = counted(&log, n);
+    for (i, worker) in workers.iter().enumerate() {
+        assert_eq!(worker.stats(), logged[i], "p{i}: stats against its lines");
+        assert_eq!(worker.transport().dropped(), 0, "p{i} dropped a frame");
+    }
     let mws = workers
         .into_iter()
         .map(|w| w.into_node().into_middleware())
         .collect();
     (log, mws)
+}
+
+/// Each process's own lines of `log`, counted as [`LiveStats`].
+fn counted(log: &str, n: usize) -> Vec<LiveStats> {
+    let mut stats = vec![LiveStats::default(); n];
+    for line in log.lines() {
+        let line = TraceLine::parse(line).unwrap().expect("an event line");
+        let Some(p) = line.process else { continue };
+        let s = &mut stats[p.index()];
+        match line.event {
+            TraceEvent::Send { .. } => s.sent += 1,
+            TraceEvent::Deliver { .. } => s.delivered += 1,
+            TraceEvent::Checkpoint { forced: false, .. } => s.basic += 1,
+            TraceEvent::Checkpoint { forced: true, .. } => s.forced += 1,
+            TraceEvent::Collect { .. } => s.eliminated += 1,
+            _ => {}
+        }
+    }
+    stats
 }
 
 /// The verdict on a run: its log merged, judged against its processes.

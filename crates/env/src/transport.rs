@@ -211,6 +211,9 @@ pub struct ChannelTransport {
     inbox: Receiver<Vec<u8>>,
     peers: Vec<SyncSender<Vec<u8>>>,
     timeout: Duration,
+    /// Frames [`send`](Transport::send) dropped on a full or disconnected
+    /// inbox.
+    dropped: u64,
 }
 
 impl ChannelTransport {
@@ -225,8 +228,15 @@ impl ChannelTransport {
                 inbox,
                 peers: senders.clone(),
                 timeout,
+                dropped: 0,
             })
             .collect()
+    }
+
+    /// The frames this endpoint's sends dropped on a full or disconnected
+    /// inbox.
+    pub fn dropped(&self) -> u64 {
+        self.dropped
     }
 }
 
@@ -235,7 +245,9 @@ impl Transport for ChannelTransport {
         check_frame_len(frame)?;
         // A full or disconnected inbox is a dropped frame, per the lossy
         // contract.
-        let _ = self.peers[to.index()].try_send(frame.to_vec());
+        if self.peers[to.index()].try_send(frame.to_vec()).is_err() {
+            self.dropped += 1;
+        }
         Ok(())
     }
 
@@ -265,6 +277,16 @@ mod tests {
         assert_eq!(&buf[..got], frame);
         // Nothing else pending: recv times out as None, not an error.
         assert!(mesh[2].recv(&mut buf).unwrap().is_none());
+        assert_eq!(mesh[0].dropped(), 0);
+        // A full inbox drops the frame, and the sender counts it; so does a
+        // disconnected one.
+        for _ in 0..1025 {
+            mesh[1].send(ProcessId::new(0), frame).unwrap();
+        }
+        assert_eq!(mesh[1].dropped(), 1);
+        drop(mesh.pop());
+        mesh[0].send(ProcessId::new(2), frame).unwrap();
+        assert_eq!(mesh[0].dropped(), 1);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! The log is process-wide and off until [`install`]ed (serve workers
 //! install one per rank). It is not the diagnostic sink: no level filters
 //! it, and what goes in is whatever lines the caller [`record`]s — a
-//! `LiveNode` records the trace lines of each operation it performs.
+//! `LiveNode` records the trace lines of each operation it performs, as
+//! its sink renders the step core's trace events, in one record per
+//! operation.
 //!
 //! Durability model: each [`record`] hands its text to the kernel in one
 //! `write_all` on an unbuffered file. Nothing waits in the process, so a

@@ -331,8 +331,7 @@ impl ProfileReport {
                     let idx = if le == "+Inf" {
                         HIST_BUCKETS - 1
                     } else {
-                        let bound: u64 =
-                            le.parse().map_err(|_| err("le bound is not a number"))?;
+                        let bound: u64 = le.parse().map_err(|_| err("le bound is not a number"))?;
                         let idx = bucket_of(bound);
                         if bucket_upper_ns(idx) != bound {
                             return Err(err("le bound is not a bucket upper bound"));

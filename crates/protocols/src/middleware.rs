@@ -78,9 +78,10 @@
 //! One condition governs the writers and every reader: `n > LOG_CAP` says
 //! whether a middleware will ever log (or look for a link), and
 //! `changes.is_some()` — true from its first intern on — whether it does
-//! yet. A middleware that never interns (`LiveNode` sends with
-//! [`send_with`](Middleware::send_with)) or whose vectors are short never
-//! has a log, and pays one branch per mutation. In debug builds every
+//! yet. A middleware that never interns — a live node's: its step core
+//! sends with [`send_with`](Middleware::send_with), encoding the frame
+//! straight from `dv`, and mints no snapshot for a frame — or whose
+//! vectors are short never has a log, and pays one branch per mutation. In debug builds every
 //! patched copy is compared with `dv` and every merged piggyback is
 //! checked to be dominated by it.
 
@@ -831,20 +832,20 @@ impl<S: Storage> Middleware<S> {
     /// A send whose piggyback the caller serialises on the spot: performs
     /// the send-side protocol duties ([`send`](Self::send)'s `sent` flag,
     /// sequence bump, and the CAS/CASBR post-send forced checkpoint) and
-    /// hands `encode` the vector and the BCS index as of the send event —
-    /// borrowed, so a frame that never leaves the thread as a snapshot
-    /// mints no [`SharedDv`]. Returns what `encode` made and the report of
-    /// the forced checkpoint, if any.
+    /// hands `encode` the message's id, and the vector and the BCS index as
+    /// of the send event — borrowed, so a frame that never leaves the
+    /// thread as a snapshot mints no [`SharedDv`]. Returns what `encode`
+    /// made and the report of the forced checkpoint, if any.
     ///
     /// # Panics
     ///
     /// Panics while crashed, like [`send`](Self::send).
     pub fn send_with<R>(
         &mut self,
-        encode: impl FnOnce(&DependencyVector, u64) -> R,
+        encode: impl FnOnce(MessageId, &DependencyVector, u64) -> R,
     ) -> (R, Option<CheckpointReport>) {
-        let _seq = self.begin_send();
-        let encoded = encode(&self.dv, self.protocol.index());
+        let id = MessageId::new(self.owner, self.begin_send());
+        let encoded = encode(id, &self.dv, self.protocol.index());
         let forced = self.post_send_force();
         (encoded, forced)
     }
@@ -1298,17 +1299,19 @@ mod tests {
 
     #[test]
     fn send_with_matches_send_side_effects() {
-        // CAS: the closure sees the pre-checkpoint vector and the
-        // post-send forced checkpoint is reported, exactly like send.
+        // CAS: the closure sees the message's id and the pre-checkpoint
+        // vector, and the post-send forced checkpoint is reported, exactly
+        // like send.
         let (mut a, _) = pair(ProtocolKind::Cas);
-        let (own, forced) = a.send_with(|dv, _index| dv.entry(p(0)).value());
+        let ((id, own), forced) = a.send_with(|id, dv, _index| (id, dv.entry(p(0)).value()));
+        assert_eq!(id, MessageId::new(p(0), 0));
         assert_eq!(own, 1);
         assert_eq!(forced.expect("CAS forces after send").stored, idx(1));
         assert_eq!(a.forced_count(), 1);
         // FDAS: no post-send force, but the sent flag is noted — the next
         // news-bearing receive forces.
         let (mut c, mut d) = pair(ProtocolKind::Fdas);
-        let ((), none) = c.send_with(|_, _| ());
+        let ((), none) = c.send_with(|_, _, _| ());
         assert!(none.is_none());
         d.basic_checkpoint().unwrap();
         let m = d.send(p(0), Payload::empty());

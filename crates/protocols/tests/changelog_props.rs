@@ -100,7 +100,7 @@ impl Systems {
                     let logged = self.logged[p].piggyback();
                     prop_assert_eq!(&*logged.dv, self.logged[p].dv(), "{:?}", at);
                     let (_, forced) = self.logged[p].send_reported(self.ids[to], Payload::empty());
-                    let (plain, reference) = self.plain[p].send_with(|dv, i| (dv.clone(), i));
+                    let (plain, reference) = self.plain[p].send_with(|_, dv, i| (dv.clone(), i));
                     prop_assert_eq!(forced, reference, "{:?}", at);
                     prop_assert_eq!((&*logged.dv, logged.index), (&plain.0, plain.1), "{:?}", at);
                     self.in_flight.push(Flight { to, logged, plain });

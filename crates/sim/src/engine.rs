@@ -1,6 +1,6 @@
 //! The deterministic discrete-event simulator.
 
-use rdt_base::{Incarnation, MessageId, ProcessId, Result, TraceEvent};
+use rdt_base::{DvEntry, Incarnation, MessageId, ProcessId, Result, TraceEvent};
 use rdt_core::GcKind;
 use rdt_env::{Lane, Rng as _, SimEnv};
 use rdt_protocols::{Middleware, Piggyback, ProtocolKind};
@@ -424,7 +424,7 @@ struct DirectSink {
 }
 
 impl Sink for DirectSink {
-    fn trace(&mut self, event: TraceEvent) {
+    fn trace(&mut self, event: TraceEvent, _lineage: Option<DvEntry>) {
         if let Some(trace) = &mut self.trace {
             trace.push(event);
         }
@@ -550,8 +550,7 @@ impl Simulation {
                     self.core.checkpoint(p, now, &mut self.out)?;
                 }
                 EventKind::App(AppOp::Send { from, to }) => {
-                    let mint = Middleware::piggyback;
-                    if let Some((id, pb)) = self.core.send(from, to, now, &mut self.out, mint) {
+                    if let Some((id, pb)) = self.core.send(from, to, now, &mut self.out) {
                         if self.sched.transmit(to, id, pb).is_none() {
                             step::lose(to, id, &mut self.out);
                         }

@@ -6,7 +6,8 @@
 //! step core: each per-process event — checkpoint, send, receive, a
 //! process's share of a control round or recovery session — is
 //! implemented once, and an engine only decides *when* it runs and *where
-//! its observables go*.
+//! its observables go*. A live node (below) runs the same core over its
+//! one process.
 //!
 //! * [`SimulationBuilder`] / [`Simulation`] — a deterministic, seeded
 //!   **discrete-event simulator** over `SimEnv` (virtual clock + a heap
@@ -52,8 +53,8 @@
 //!   [`Script`](rdt_workloads::Script)s through the same step core, used
 //!   to reproduce the paper's worked figures (2, 4 and 5);
 //!   [`run_script_with`] shows the state after every op.
-//! * [`LiveNode`] — the wire-frame driver around one middleware, which
-//!   logs the step core's trace events for what it does, and
+//! * [`LiveNode`] — the step core over one process behind a wire-frame
+//!   codec, which logs the core's trace events for what it does, and
 //!   [`LiveWorker`] — the one loop of a live process over any transport,
 //!   which the `rdt serve` multi-process runtime steps over real sockets
 //!   (and `examples/threaded_runtime.rs` over OS threads), validating that

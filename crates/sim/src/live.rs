@@ -2,12 +2,19 @@
 //! real OS processes) — every delivery path that is not the
 //! discrete-event engine funnels through here.
 //!
-//! A [`LiveNode`] wraps one middleware and speaks the crate-neutral
-//! [`WireFrame`] codec: sends produce an encoded frame ready for any
-//! [`Transport`] (or an in-process channel), receives consume raw bytes
-//! and reject malformed or alien frames instead of panicking, so the
-//! protocol-side handling of a message exists exactly once. The
-//! benchmark's frame path drives it directly.
+//! A [`LiveNode`] is the simulators' step core over one process, plus the
+//! crate-neutral [`WireFrame`] codec: its checkpoint, send and delivery
+//! are the engines' handlers, event for event, so the protocol-side
+//! handling of every event exists exactly once. Sends produce an encoded
+//! frame ready for any [`Transport`] (or an in-process channel), receives
+//! consume raw bytes and reject malformed or alien frames instead of
+//! panicking. Where a live process differs from a simulated one is its
+//! wire state alone: the frame buffers, the last applied frame and a
+//! clock. The clock is what [`tick`](LiveNode::tick) sets, and every event
+//! first advances the collector to it (only the time-based baseline
+//! reacts). A frame delivered to a crashed node is lost and logged as a
+//! drop, as in the engines. The benchmark's frame path drives a node
+//! directly.
 //!
 //! A [`LiveWorker`] is the one loop that runs a live process: a node over
 //! any [`Transport`], stepped by its caller — pump what arrived, tick,
@@ -19,24 +26,30 @@
 //!
 //! There is no representation between the middleware's vector and the
 //! frame's bytes: a send encodes straight from `Middleware::dv()` into a
-//! frame-sized buffer the node keeps, a delivery validates the bytes and
-//! unpacks them into an n-entry vector the node keeps, which the
-//! middleware merges by reference. With observability off the steady state
-//! allocates nothing (`tests/live_alloc.rs` counts).
+//! frame-sized buffer the node keeps, and mints no shared snapshot; a
+//! delivery validates the bytes and unpacks them into an n-entry vector
+//! the node keeps, which the middleware merges by reference. With
+//! observability off the steady state allocates nothing
+//! (`tests/live_alloc.rs` counts).
 //!
 //! Every operation also logs what it did to the process event log
 //! (`rdt_obs::flight`), when one is installed, after applying it and
-//! before the caller transmits anything: the step core's
-//! [`TraceEvent`]s for the same operation, in its order and in the one
-//! line shape ([`TraceLine`]) — a send and then its post-send forced
+//! before the caller transmits anything: the node's sink renders the step
+//! core's [`TraceEvent`]s for the operation, in its order, as
+//! [`TraceLine`]s in one write — a send and then its post-send forced
 //! checkpoint (CAS/CASBR); a delivery's forced checkpoint and then the
-//! delivery; one collect per eliminated checkpoint after the operation (a
-//! clock [`tick`](LiveNode::tick) included). Send and deliver lines carry
-//! the sender's entry the frame said and the receiver learned, which the
-//! merge of logs checks. That is the whole history the offline oracle
-//! replays. With no log installed the check is one atomic load and no
-//! line is rendered, so the hot path stays cheap and the deterministic
-//! engine is untouched.
+//! delivery; one collect per eliminated checkpoint after the operation,
+//! and before it those of the clock's advance. The sink also counts what
+//! the events say into [`LiveStats`].
+//!
+//! **Lineage.** Send and deliver lines carry the sender's dependency
+//! entry: a send's is the sender's own entry as the frame carried it,
+//! read before a post-send forced checkpoint moves it on; a delivery's is
+//! the receiver's entry for the sender after the merge, which is never
+//! older (lexicographic on incarnation, then interval) than what the frame
+//! carried — the merge of logs checks it. That is the whole history the
+//! offline oracle replays. With no log installed no line is rendered, so
+//! the hot path stays cheap and the deterministic engines are untouched.
 //!
 //! Sends are stamped with the node's causal parent — the identity of the
 //! last frame it applied — which travels on the wire in the
@@ -48,43 +61,11 @@ use rdt_base::{
 use rdt_core::GcKind;
 use rdt_env::transport::MAX_FRAME;
 use rdt_env::{DetRng, Rng as _, Storage, Transport, Volatile, WireFrame};
-use rdt_protocols::{Middleware, ProtocolKind, ReceiveReport};
+use rdt_protocols::{Middleware, ProtocolKind};
 
+use crate::metrics::MetricOp;
+use crate::step::{Sink, StepCore};
 use crate::TraceLine;
-
-/// Appends `event` at `process` to the lines of the operation being
-/// logged.
-fn log_line(log: &mut String, process: ProcessId, event: TraceEvent, lineage: Option<DvEntry>) {
-    TraceLine {
-        lineage,
-        ..TraceLine::new(Some(process), event)
-    }
-    .render(log);
-    log.push('\n');
-}
-
-/// Appends a checkpoint of `process`.
-fn log_checkpoint(log: &mut String, process: ProcessId, forced: bool) {
-    log_line(
-        log,
-        process,
-        TraceEvent::Checkpoint { process, forced },
-        None,
-    );
-}
-
-/// Appends one collect line per checkpoint `process` eliminated.
-fn log_collects(log: &mut String, process: ProcessId, eliminated: &[CheckpointIndex]) {
-    for &index in eliminated {
-        log_line(log, process, TraceEvent::Collect { process, index }, None);
-    }
-}
-
-/// Writes the lines of one operation to the event log in one write.
-fn flush(log: &mut String) {
-    rdt_obs::flight::record(log);
-    log.clear();
-}
 
 /// What a delivered frame did to the local middleware.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,29 +81,90 @@ pub struct DeliverOutcome {
     pub eliminated: usize,
 }
 
-/// One process of a live runtime: a middleware plus the wire codec and
-/// the reused buffers of the frame path.
+/// What a live node's operations did, counted from the step core's
+/// observables as they happened.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LiveStats {
+    /// Frames sent.
+    pub sent: u64,
+    /// Frames delivered (validated and applied).
+    pub delivered: u64,
+    /// Basic checkpoints taken.
+    pub basic: u64,
+    /// Forced checkpoints, after a send (CAS/CASBR) or before a delivery.
+    pub forced: u64,
+    /// Checkpoints the operations eliminated.
+    pub eliminated: u64,
+}
+
+/// A live node's [`Sink`]: each trace event becomes a line of the
+/// operation's event-log write, and what the events and metric ops say
+/// the node did is counted.
+#[derive(Debug)]
+struct LiveSink {
+    owner: ProcessId,
+    /// The lines of the operation being performed.
+    log: String,
+    stats: LiveStats,
+}
+
+impl LiveSink {
+    /// Writes the operation's lines to the event log in one write.
+    fn write(&mut self) {
+        rdt_obs::flight::record(&self.log);
+        self.log.clear();
+    }
+}
+
+impl Sink for LiveSink {
+    const LINEAGE: bool = true;
+
+    fn trace(&mut self, event: TraceEvent, lineage: Option<DvEntry>) {
+        match event {
+            TraceEvent::Checkpoint { forced: false, .. } => self.stats.basic += 1,
+            TraceEvent::Checkpoint { forced: true, .. } => self.stats.forced += 1,
+            TraceEvent::Collect { .. } => self.stats.eliminated += 1,
+            _ => {}
+        }
+        if rdt_obs::flight::enabled() {
+            // A drop happens in the network; everything else here.
+            let process = (!matches!(event, TraceEvent::Drop { .. })).then_some(self.owner);
+            let mut line = TraceLine::new(process, event);
+            line.lineage = lineage;
+            line.render(&mut self.log);
+            self.log.push('\n');
+        }
+    }
+
+    fn metric(&mut self, op: MetricOp) {
+        match op {
+            MetricOp::Sent(_) => self.stats.sent += 1,
+            MetricOp::Delivered(_) => self.stats.delivered += 1,
+            _ => {}
+        }
+    }
+
+    fn occupancy(&mut self, _at: u64, _p: ProcessId, _retained: usize) {}
+}
+
+/// One process of a live runtime: a one-process step core plus the wire
+/// codec and the reused buffers of the frame path.
 #[derive(Debug)]
 pub struct LiveNode<S: Storage = Volatile> {
-    mw: Middleware<S>,
-    scratch: ReceiveReport,
+    core: StepCore<S>,
+    sink: LiveSink,
+    /// The collector's clock: [`tick`](Self::tick) sets it, every
+    /// operation first advances the collector to it.
+    now: u64,
     /// The outgoing frame; [`send_frame`](Self::send_frame) returns a view
     /// over it.
     out: Vec<u8>,
     /// The vector of the frame being delivered.
     incoming: DependencyVector,
-    /// Sender-local sequence of the next outgoing message — the wire
-    /// identity peers see; volatile, like the middleware's own counter.
-    next_seq: u64,
     /// Causal parent for the next send: the `(origin, seq)` of the last
     /// frame this node applied. Volatile — after a crash the first send
     /// is a causal root again, which is exactly right post-rollback.
     last_applied: Option<(u32, u64)>,
-    /// Frame encode/decode timings (`live/encode`, `live/decode`);
-    /// disabled by default — see [`set_profiling`](Self::set_profiling).
-    prof: rdt_obs::Profiler,
-    /// The event-log lines of the operation being performed.
-    log: String,
 }
 
 impl LiveNode {
@@ -136,75 +178,58 @@ impl<S: Storage> LiveNode<S> {
     /// Wraps an existing middleware (e.g. one rebuilt from durable
     /// storage after a crash).
     pub fn over(mw: Middleware<S>) -> Self {
+        let n = mw.n();
         Self {
-            scratch: ReceiveReport::default(),
+            sink: LiveSink {
+                owner: mw.owner(),
+                log: String::new(),
+                stats: LiveStats::default(),
+            },
+            now: 0,
             out: Vec::new(),
-            incoming: DependencyVector::new(mw.n()),
-            mw,
-            next_seq: 0,
+            incoming: DependencyVector::new(n),
+            core: StepCore::over(vec![mw], n),
             last_applied: None,
-            prof: rdt_obs::Profiler::disabled(),
-            log: String::new(),
         }
-    }
-
-    /// Enables (or disables) frame-path profiling: [`send_frame`]
-    /// (`live/encode`) and [`deliver_frame`](Self::deliver_frame)
-    /// (`live/decode`) record per-call latencies. Replaces any
-    /// previously accumulated timings.
-    ///
-    /// [`send_frame`]: Self::send_frame
-    pub fn set_profiling(&mut self, on: bool) {
-        self.prof = rdt_obs::Profiler::new(on);
-    }
-
-    /// The accumulated frame-path timings (`Some` iff profiling is on).
-    pub fn profile(&self) -> Option<&rdt_obs::ProfileReport> {
-        self.prof.report()
     }
 
     /// The wrapped middleware.
     pub fn middleware(&self) -> &Middleware<S> {
-        &self.mw
+        &self.core.processes()[0]
     }
 
     /// The wrapped middleware, mutably (rollback, sink access).
     pub fn middleware_mut(&mut self) -> &mut Middleware<S> {
-        &mut self.mw
+        &mut self.core.processes_mut()[0]
     }
 
     /// Unwraps the middleware.
     pub fn into_middleware(self) -> Middleware<S> {
-        self.mw
+        self.core.into_processes().pop().expect("one process")
+    }
+
+    /// What the node's operations did so far.
+    pub fn stats(&self) -> LiveStats {
+        self.sink.stats
+    }
+
+    /// Sets the collector's clock to `now`: every later operation first
+    /// advances the collector to it ([`Middleware::tick`]: the time-based
+    /// baseline collects there, every other collector ignores it).
+    pub fn tick(&mut self, now: u64) {
+        self.now = now;
     }
 
     /// Takes a basic checkpoint; returns the stored index.
     ///
     /// # Errors
     ///
-    /// As [`Middleware::basic_checkpoint`].
+    /// [`rdt_base::Error::ProcessCrashed`] while crashed.
     pub fn checkpoint(&mut self) -> Result<CheckpointIndex> {
-        let report = self.mw.basic_checkpoint()?;
-        crate::step::debug_assert_retained_bound(&self.mw);
-        if rdt_obs::flight::enabled() {
-            let p = self.mw.owner();
-            log_checkpoint(&mut self.log, p, false);
-            log_collects(&mut self.log, p, &report.eliminated);
-            flush(&mut self.log);
-        }
-        Ok(report.stored)
-    }
-
-    /// Advances the collector's clock to `now` ([`Middleware::tick`]: the
-    /// time-based baseline collects here, every other collector ignores
-    /// it) and logs what it eliminated. Returns the eliminated indices.
-    pub fn tick(&mut self, now: u64) -> Vec<CheckpointIndex> {
-        let eliminated = self.mw.tick(now);
-        if !eliminated.is_empty() && rdt_obs::flight::enabled() {
-            log_collects(&mut self.log, self.mw.owner(), &eliminated);
-            flush(&mut self.log);
-        }
-        eliminated
+        let p = self.sink.owner;
+        let stored = self.core.checkpoint(p, self.now, &mut self.sink);
+        self.sink.write();
+        stored?.ok_or(Error::ProcessCrashed(p))
     }
 
     /// Performs a send's protocol duties and encodes the piggyback as a
@@ -216,76 +241,50 @@ impl<S: Storage> LiveNode<S> {
     ///
     /// Panics while crashed, like [`Middleware::send`].
     pub fn send_frame(&mut self, to: ProcessId) -> (WireFrame<'_>, Option<CheckpointIndex>) {
-        let t = self.prof.start();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let (owner, parent, out) = (self.mw.owner(), self.last_applied, &mut self.out);
-        // The sender's own entry as the frame carries it: a post-send
-        // forced checkpoint moves it on.
-        let own = self.mw.dv().lineage(owner);
-        let (frame, forced) = self
-            .mw
-            .send_with(move |dv, index| WireFrame::write(out, owner, seq, index, parent, dv));
-        self.prof.stop("live/encode", t);
-        if rdt_obs::flight::enabled() {
-            let id = MessageId::new(owner, seq);
-            log_line(&mut self.log, owner, TraceEvent::Send { id, to }, Some(own));
-            if let Some(report) = &forced {
-                log_checkpoint(&mut self.log, owner, true);
-                log_collects(&mut self.log, owner, &report.eliminated);
-            }
-            flush(&mut self.log);
-        }
-        (frame, forced.map(|report| report.stored))
+        let (owner, parent, out) = (self.sink.owner, self.last_applied, &mut self.out);
+        let sent = self
+            .core
+            .send_encoded(owner, to, self.now, &mut self.sink, |id, dv, index| {
+                WireFrame::write(out, owner, id.seq, index, parent, dv)
+            });
+        self.sink.write();
+        sent.expect("crashed processes do not send")
     }
 
     /// Decodes and delivers one received frame. Returns `Ok(None)` for
     /// frames that fail validation — torn datagrams, wrong magic, vectors
     /// of a different system size, overflowing lineages — which a lossy
-    /// transport treats as channel noise, not an error.
+    /// transport treats as channel noise, not an error, and for a frame a
+    /// crashed node loses.
     ///
     /// # Errors
     ///
-    /// [`rdt_base::Error::ProcessCrashed`] while crashed.
+    /// A receive that fails in the middleware, or its commit.
     pub fn deliver_frame(&mut self, bytes: &[u8]) -> Result<Option<DeliverOutcome>> {
-        let t = self.prof.start();
-        let outcome = self.deliver_frame_inner(bytes);
-        self.prof.stop("live/decode", t);
-        outcome
-    }
-
-    fn deliver_frame_inner(&mut self, bytes: &[u8]) -> Result<Option<DeliverOutcome>> {
         let Some(frame) = WireFrame::decode(bytes) else {
             return Ok(None);
         };
         // A vector of another system size or with an overflowing lineage
         // fails to unpack; `incoming` is scratch, the middleware untouched.
-        if frame.sender.index() >= self.mw.n() || frame.unpack_into(&mut self.incoming).is_err() {
+        let id = MessageId::new(frame.sender, frame.seq);
+        let n = self.incoming.len();
+        if id.sender.index() >= n || frame.unpack_into(&mut self.incoming).is_err() {
             return Ok(None);
         }
-        self.mw
-            .receive_vector_into(&self.incoming, frame.index, &mut self.scratch)?;
-        crate::step::debug_assert_retained_bound(&self.mw);
-        self.last_applied = Some((frame.sender.index() as u32, frame.seq));
-        if rdt_obs::flight::enabled() {
-            let me = self.mw.owner();
-            if self.scratch.forced.is_some() {
-                log_checkpoint(&mut self.log, me, true);
-            }
-            // The entry for the sender after the merge: never older
-            // (lexicographic on incarnation, then interval) than what the
-            // frame carried, which the merge of logs checks.
-            let learned = self.mw.dv().lineage(frame.sender);
-            let id = MessageId::new(frame.sender, frame.seq);
-            log_line(&mut self.log, me, TraceEvent::Deliver { id }, Some(learned));
-            log_collects(&mut self.log, me, &self.scratch.eliminated);
-            flush(&mut self.log);
-        }
+        let carried = (&self.incoming, frame.index);
+        let report = self
+            .core
+            .deliver(self.sink.owner, id, &carried, self.now, &mut self.sink);
+        self.sink.write();
+        let Some(report) = report? else {
+            return Ok(None);
+        };
+        self.last_applied = Some((id.sender.index() as u32, id.seq));
         Ok(Some(DeliverOutcome {
-            sender: frame.sender,
-            seq: frame.seq,
-            forced: self.scratch.forced,
-            eliminated: self.scratch.eliminated.len(),
+            sender: id.sender,
+            seq: id.seq,
+            forced: report.forced,
+            eliminated: report.eliminated.len(),
         }))
     }
 }
@@ -293,21 +292,6 @@ impl<S: Storage> LiveNode<S> {
 /// Percent of a worker's operations that are basic checkpoints; the rest
 /// are sends to a uniformly drawn other process.
 const CHECKPOINT_PERCENT: u64 = 35;
-
-/// What a [`LiveWorker`]'s operations did, counted as they happened.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LiveStats {
-    /// Frames put on the wire.
-    pub sent: u64,
-    /// Frames delivered (validated and applied).
-    pub delivered: u64,
-    /// Basic checkpoints taken.
-    pub basic: u64,
-    /// Forced checkpoints, after a send (CAS/CASBR) or before a delivery.
-    pub forced: u64,
-    /// Checkpoints the worker's operations eliminated.
-    pub eliminated: u64,
-}
 
 /// One live process: a [`LiveNode`] over a [`Transport`], running its
 /// workload one [`step`](Self::step) at a time for whoever drives it — a
@@ -329,10 +313,11 @@ pub struct LiveWorker<T: Transport, S: Storage = Volatile> {
     buf: Vec<u8>,
     /// The frame being sent, held while its step's writes are checked.
     out: Vec<u8>,
-    stats: LiveStats,
-    /// The store's eliminations before the worker's first operation.
-    collected_before: usize,
-    /// Transport timings (`live/recv`, `live/send`).
+    /// The node's stats as of the last check that found every write of
+    /// its operations done.
+    written: LiveStats,
+    /// Frame-path and transport timings (`live/decode`, `live/encode`,
+    /// `live/recv`, `live/send`).
     prof: rdt_obs::Profiler,
 }
 
@@ -344,32 +329,27 @@ impl<T: Transport, S: Storage> LiveWorker<T, S> {
         let rank = node.middleware().owner().index() as u64;
         Self {
             rng: DetRng::seeded(seed ^ rank.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            collected_before: node.middleware().store().total_collected(),
+            written: node.stats(),
             node,
             transport,
             buf: vec![0; MAX_FRAME],
             out: Vec::new(),
-            stats: LiveStats::default(),
             prof: rdt_obs::Profiler::disabled(),
         }
     }
 
-    /// Enables (or disables) profiling of the frame path
-    /// ([`LiveNode::set_profiling`]) and of the transport (`live/recv`,
-    /// `live/send`), replacing what was accumulated.
+    /// Enables (or disables) profiling of the frame path — a delivery
+    /// (`live/decode`) and a send (`live/encode`), each with its log
+    /// write — and of the transport (`live/recv`, `live/send`), replacing
+    /// what was accumulated.
     pub fn set_profiling(&mut self, on: bool) {
-        self.node.set_profiling(on);
         self.prof = rdt_obs::Profiler::new(on);
     }
 
     /// The accumulated frame-path and transport timings (empty unless
     /// profiling is on).
     pub fn profile(&self) -> rdt_obs::ProfileReport {
-        let mut report = self.prof.report().cloned().unwrap_or_default();
-        if let Some(node) = self.node.profile() {
-            report.merge(node);
-        }
-        report
+        self.prof.report().cloned().unwrap_or_default()
     }
 
     /// The node.
@@ -377,18 +357,21 @@ impl<T: Transport, S: Storage> LiveWorker<T, S> {
         &self.node
     }
 
+    /// The transport.
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
     /// Unwraps the node.
     pub fn into_node(self) -> LiveNode<S> {
         self.node
     }
 
-    /// What the worker's operations did so far.
+    /// What the worker's operations did so far, counting only operations
+    /// whose every write succeeded: the node's [`LiveStats`] as of the
+    /// last step or delivery that did not fail.
     pub fn stats(&self) -> LiveStats {
-        let collected = self.node.middleware().store().total_collected();
-        LiveStats {
-            eliminated: (collected - self.collected_before) as u64,
-            ..self.stats
-        }
+        self.written
     }
 
     /// Delivers every frame the transport has ready; frames that fail
@@ -396,56 +379,54 @@ impl<T: Transport, S: Storage> LiveWorker<T, S> {
     ///
     /// # Errors
     ///
-    /// A failed receive, a crashed node, or a delivery whose commit or
-    /// log write failed.
+    /// A failed receive, or a delivery whose commit or log write failed.
     pub fn pump(&mut self) -> Result<()> {
         loop {
-            let t = self.prof.start();
+            let mut t = self.prof.start();
             let received = self.transport.recv(&mut self.buf);
-            self.prof.stop("live/recv", t);
+            self.prof.lap("live/recv", &mut t);
             let Some(len) = received.map_err(|e| Error::Transport(format!("recv: {e}")))? else {
                 return Ok(());
             };
-            let outcome = self.node.deliver_frame(&self.buf[..len])?;
+            let delivered = self.node.deliver_frame(&self.buf[..len]);
+            self.prof.stop("live/decode", t);
+            delivered?;
             self.written()?;
-            if let Some(out) = outcome {
-                self.stats.forced += u64::from(out.forced.is_some());
-                self.stats.delivered += 1;
-            }
         }
     }
 
-    /// One step at tick `now`: [`pump`](Self::pump), advance the
-    /// collector's clock to `now`, then a basic checkpoint (35 %) or a
-    /// send to a uniformly drawn other process.
+    /// One step at tick `now`: [`pump`](Self::pump), set the node's clock
+    /// to `now`, then a basic checkpoint (35 %) or a send to a uniformly
+    /// drawn other process, which first advances the collector to it.
     ///
     /// # Errors
     ///
-    /// As [`pump`](Self::pump); a failed send; a crashed node; an
-    /// operation whose commit or log write failed, which then transmits
-    /// nothing.
+    /// As [`pump`](Self::pump); a failed send; a crashed node's
+    /// checkpoint; an operation whose commit or log write failed, which
+    /// then transmits nothing.
     ///
     /// # Panics
     ///
-    /// In a system of one process, which has no one to send to.
+    /// In a system of one process, which has no one to send to, and on a
+    /// crashed node's send.
     pub fn step(&mut self, now: u64) -> Result<()> {
         self.pump()?;
         // A time-based collector discards what is older than its horizon
-        // in these ticks.
+        // in these ticks, at the step's operation.
         self.node.tick(now);
-        self.written()?;
         if self.rng.between(0, 99) < CHECKPOINT_PERCENT {
             self.node.checkpoint()?;
-            self.stats.basic += 1;
             return self.written();
         }
-        let (n, me) = (self.node.mw.n() as u64, self.node.mw.owner().index() as u64);
+        let mw = self.node.middleware();
+        let (n, me) = (mw.n() as u64, mw.owner().index() as u64);
         let k = self.rng.between(0, n - 2);
         let peer = ProcessId::new((k + u64::from(k >= me)) as usize);
-        let (frame, forced) = self.node.send_frame(peer);
+        let t = self.prof.start();
+        let (frame, _forced) = self.node.send_frame(peer);
         self.out.clear();
         self.out.extend_from_slice(frame.encode());
-        self.stats.forced += u64::from(forced.is_some());
+        self.prof.stop("live/encode", t);
         // Transmit strictly after the send and its forced checkpoint are
         // committed and logged: a peer can only deliver a message whose
         // Send the oracle will find, from a sender whose disk is not
@@ -454,20 +435,22 @@ impl<T: Transport, S: Storage> LiveWorker<T, S> {
         let t = self.prof.start();
         let sent = self.transport.send(peer, &self.out);
         self.prof.stop("live/send", t);
-        sent.map_err(|e| Error::Transport(format!("send: {e}")))?;
-        self.stats.sent += 1;
-        Ok(())
+        sent.map_err(|e| Error::Transport(format!("send: {e}")))
     }
 
     /// The sink's first failed commit, else the event log's first failed
     /// write, since the last check: either way the process's history is no
-    /// longer what it will say it did.
+    /// longer what it will say it did. With neither, the node's stats so
+    /// far are written ones.
     fn written(&mut self) -> Result<()> {
-        if let Some(e) = self.node.mw.take_sink_error() {
+        if let Some(e) = self.node.middleware_mut().take_sink_error() {
             return Err(Error::Storage(e));
         }
-        rdt_obs::flight::take_error()
-            .map_or(Ok(()), |e| Err(Error::Storage(format!("event log: {e}"))))
+        if let Some(e) = rdt_obs::flight::take_error() {
+            return Err(Error::Storage(format!("event log: {e}")));
+        }
+        self.written = self.node.stats();
+        Ok(())
     }
 }
 
@@ -649,10 +632,19 @@ mod tests {
 
     #[test]
     fn crashed_node_rejects_delivery() {
+        // As in the simulators, a crashed process loses the message: not
+        // an error, nothing applied, nothing counted as delivered.
         let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
         let mut b = LiveNode::new(p(1), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
+        b.checkpoint().unwrap();
         let (frame, _) = b.send_frame(p(0));
         a.middleware_mut().crash();
-        assert!(a.deliver_frame(frame.encode()).is_err());
+        assert_eq!(a.deliver_frame(frame.encode()).unwrap(), None);
+        assert_eq!(a.middleware().dv().entry(p(1)).value(), 0);
+        assert_eq!(a.stats(), LiveStats::default());
+        assert!(
+            a.checkpoint().is_err(),
+            "a crashed node takes no checkpoint"
+        );
     }
 }

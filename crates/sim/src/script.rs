@@ -4,7 +4,7 @@
 //! each [`ScriptOp`] is one [`StepCore`] event, so a figure replays the
 //! same checkpoint / send / receive handlers the simulators run.
 
-use rdt_base::{MessageId, ProcessId, Result, TraceEvent};
+use rdt_base::{DvEntry, MessageId, ProcessId, Result, TraceEvent};
 use rdt_core::GcKind;
 use rdt_protocols::{Middleware, Piggyback, ProtocolKind};
 use rdt_workloads::{Script, ScriptOp};
@@ -44,7 +44,7 @@ impl ScriptRun {
 /// A script keeps its trace and nothing else: it has no clock and no
 /// metrics.
 impl Sink for Vec<TraceEvent> {
-    fn trace(&mut self, event: TraceEvent) {
+    fn trace(&mut self, event: TraceEvent, _lineage: Option<DvEntry>) {
         self.push(event);
     }
 
@@ -116,10 +116,12 @@ pub fn run_script_with(
 
     for op in script.ops() {
         match *op {
-            ScriptOp::Checkpoint(p) => core.checkpoint(p, NOW, &mut trace)?,
+            ScriptOp::Checkpoint(p) => {
+                core.checkpoint(p, NOW, &mut trace)?;
+            }
             ScriptOp::Send { from, to } => {
                 let (id, pb) = core
-                    .send(from, to, NOW, &mut trace, |mw| mw.piggyback())
+                    .send(from, to, NOW, &mut trace)
                     .expect("scripts never crash a process");
                 sends.push(Some((id, to, pb)));
             }

@@ -1,15 +1,18 @@
 //! The per-process step core: the single implementation of the paper's
 //! three per-process events — checkpoint, send, receive (Algorithms 1–2) —
 //! and of each process's share of the two stop-the-world events (control
-//! round; recovery session, Algorithm 3), driven by both engines.
+//! round; recovery session, Algorithm 3), driven by both engines and by
+//! every live node.
 //!
 //! The core owns middlewares and nothing else: it never schedules, never
 //! draws randomness and never looks at a queue. Its callers decide *when*
 //! an event runs and *what happens to the message afterwards* — the
 //! sequential [`Simulation`](crate::Simulation) by drawing from the run's
-//! `Schedule`, a shard worker by reading the plan drawn from it — and
-//! where a send's piggyback goes: into a queue on the same thread, or, as
-//! a copy of its vector and index, to the shard that owns the receiver.
+//! `Schedule`, a shard worker by reading the plan drawn from it, a
+//! [`LiveNode`](crate::LiveNode) (a core of one process over any storage)
+//! when its caller asks — and where a send's piggyback goes: into a queue
+//! on the same thread, as a copy of its vector and index to the shard that
+//! owns the receiver, or encoded into a wire frame.
 //!
 //! **The one invariant both callers rely on:** every observable — trace
 //! event, metric mutation, occupancy sample — leaves through the [`Sink`],
@@ -20,15 +23,16 @@
 //! occupancy samples when they are recorded, and each change of a
 //! process's retained count (for the global retained peak). Because the
 //! calls are the same calls in the same order, the two engines agree byte
-//! for byte without a second copy of any handler to keep in step. A
-//! [`LiveNode`](crate::LiveNode) logs the same trace events for the same
-//! operations, in the same order.
+//! for byte without a second copy of any handler to keep in step. A live
+//! node's sink renders the trace events as its event-log lines, with the
+//! lineage of each send and delivery, and counts what they did.
 
 use rdt_base::{
-    CheckpointIndex, DependencyVector, Incarnation, MessageId, Payload, ProcessId, Result,
+    CheckpointIndex, DependencyVector, DvEntry, Incarnation, MessageId, ProcessId, Result,
     TraceEvent,
 };
 use rdt_core::{ControlInfo, GcKind, LastIntervals};
+use rdt_env::{Storage, Volatile};
 use rdt_protocols::{CheckpointReport, Middleware, Piggyback, ProtocolKind, ReceiveReport};
 use rdt_recovery::{
     FaultySet, LineSource, ProcessView, RecoveryError, RecoveryManager, RecoveryPlan,
@@ -41,20 +45,34 @@ use crate::metrics::{MetricOp, Metrics};
 /// Where a step's observables go. Implementations decide whether traces
 /// and occupancy samples are recorded at all.
 pub(crate) trait Sink {
-    fn trace(&mut self, event: TraceEvent);
+    /// Whether the sink keeps lineages: only then does the core read a
+    /// send's or a delivery's.
+    const LINEAGE: bool = false;
+    /// A trace event; a send or a delivery carries its lineage iff
+    /// [`LINEAGE`](Self::LINEAGE).
+    fn trace(&mut self, event: TraceEvent, lineage: Option<DvEntry>);
     fn metric(&mut self, op: MetricOp);
     fn occupancy(&mut self, at: u64, p: ProcessId, retained: usize);
 }
 
 /// A piggyback in flight: a [`Piggyback`] as the sequential engine's queue
-/// holds it, a [`Flight`] in a shard worker's.
-pub(crate) trait Carried {
-    fn receive_into(&self, mw: &mut Middleware, report: &mut ReceiveReport) -> Result<()>;
+/// holds it, a [`Flight`] in a shard worker's, a vector and BCS index a
+/// live node decoded from a frame.
+pub(crate) trait Carried<S: Storage = Volatile> {
+    fn receive_into(&self, mw: &mut Middleware<S>, report: &mut ReceiveReport) -> Result<()>;
 }
 
-impl Carried for Piggyback {
-    fn receive_into(&self, mw: &mut Middleware, report: &mut ReceiveReport) -> Result<()> {
+impl<S: Storage> Carried<S> for Piggyback {
+    fn receive_into(&self, mw: &mut Middleware<S>, report: &mut ReceiveReport) -> Result<()> {
         mw.receive_piggyback_into(self, report)
+    }
+}
+
+/// A vector that crossed a thread or process boundary, with its BCS index:
+/// merged as a bare vector, having no snapshot stamp.
+impl<S: Storage> Carried<S> for (&DependencyVector, u64) {
+    fn receive_into(&self, mw: &mut Middleware<S>, report: &mut ReceiveReport) -> Result<()> {
+        mw.receive_vector_into(self.0, self.1, report)
     }
 }
 
@@ -73,18 +91,19 @@ pub(crate) enum Flight {
 impl Carried for Flight {
     fn receive_into(&self, mw: &mut Middleware, report: &mut ReceiveReport) -> Result<()> {
         match self {
-            Flight::Local(pb) => mw.receive_piggyback_into(pb, report),
-            Flight::Remote(remote) => mw.receive_vector_into(&remote.0, remote.1, report),
+            Flight::Local(pb) => pb.receive_into(mw, report),
+            Flight::Remote(remote) => (&remote.0, remote.1).receive_into(mw, report),
         }
     }
 }
 
 /// The middlewares one engine thread owns — all of them in the sequential
-/// engine, one shard's subset in a worker — plus the reports reused across
-/// every event of a run (cleared, never reallocated).
+/// engine, one shard's subset in a worker, a live node's one — plus the
+/// reports reused across every event of a run (cleared, never
+/// reallocated).
 #[derive(Debug)]
-pub(crate) struct StepCore {
-    mws: Vec<Middleware>,
+pub(crate) struct StepCore<S: Storage = Volatile> {
+    mws: Vec<Middleware<S>>,
     /// Process id → position in `mws` (`u32::MAX` for a process owned
     /// elsewhere).
     slot: Vec<u32>,
@@ -105,17 +124,23 @@ impl StepCore {
         gc: GcKind,
         state_size: usize,
     ) -> Self {
+        let mws = owned.into_iter().map(|p| {
+            let mut mw = Middleware::new(p, n, protocol, gc);
+            mw.set_state_size(state_size);
+            mw
+        });
+        Self::over(mws.collect(), n)
+    }
+}
+
+impl<S: Storage> StepCore<S> {
+    /// A core over existing middlewares of an `n`-process system — a live
+    /// node's one.
+    pub(crate) fn over(mws: Vec<Middleware<S>>, n: usize) -> Self {
         let mut slot = vec![u32::MAX; n];
-        let mws = owned
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| {
-                slot[p.index()] = i as u32;
-                let mut mw = Middleware::new(p, n, protocol, gc);
-                mw.set_state_size(state_size);
-                mw
-            })
-            .collect();
+        for (i, mw) in mws.iter().enumerate() {
+            slot[mw.owner().index()] = i as u32;
+        }
         Self {
             mws,
             slot,
@@ -126,12 +151,17 @@ impl StepCore {
     }
 
     /// The owned middlewares, ascending by process id.
-    pub(crate) fn processes(&self) -> &[Middleware] {
+    pub(crate) fn processes(&self) -> &[Middleware<S>] {
         &self.mws
     }
 
+    /// The owned middlewares, mutably (a live node's rollback and sink).
+    pub(crate) fn processes_mut(&mut self) -> &mut [Middleware<S>] {
+        &mut self.mws
+    }
+
     /// The owned middlewares, by value.
-    pub(crate) fn into_processes(self) -> Vec<Middleware> {
+    pub(crate) fn into_processes(self) -> Vec<Middleware<S>> {
         self.mws
     }
 
@@ -140,7 +170,7 @@ impl StepCore {
     }
 
     /// Samples `p`'s stable-store occupancy.
-    pub(crate) fn sample<S: Sink>(&self, p: ProcessId, now: u64, sink: &mut S) {
+    pub(crate) fn sample<K: Sink>(&self, p: ProcessId, now: u64, sink: &mut K) {
         let store = self.mws[self.slot(p)].store();
         let (retained, peak) = (store.len(), store.peak());
         sink.metric(MetricOp::Sample { p, retained, peak });
@@ -149,7 +179,7 @@ impl StepCore {
 
     /// Advances `p`'s garbage-collector clock to `now` (only the
     /// time-based baseline reacts).
-    fn tick_process<S: Sink>(&mut self, p: ProcessId, now: u64, sink: &mut S) {
+    fn tick_process<K: Sink>(&mut self, p: ProcessId, now: u64, sink: &mut K) {
         let i = self.slot(p);
         let collected = self.mws[i].tick(now);
         if !collected.is_empty() {
@@ -158,16 +188,17 @@ impl StepCore {
         }
     }
 
-    /// A basic checkpoint of `p` (ignored while crashed).
-    pub(crate) fn checkpoint<S: Sink>(
+    /// A basic checkpoint of `p`; returns the stored index, `None` (and
+    /// nothing done) while `p` is crashed.
+    pub(crate) fn checkpoint<K: Sink>(
         &mut self,
         p: ProcessId,
         now: u64,
-        sink: &mut S,
-    ) -> Result<()> {
+        sink: &mut K,
+    ) -> Result<Option<CheckpointIndex>> {
         let i = self.slot(p);
         if self.mws[i].is_crashed() {
-            return Ok(());
+            return Ok(None);
         }
         self.tick_process(p, now, sink);
         self.mws[i].basic_checkpoint_into(&mut self.checkpoint)?;
@@ -175,55 +206,76 @@ impl StepCore {
         trace_checkpoint(p, false, sink);
         trace_collects(p, &self.checkpoint.eliminated, sink);
         self.sample(p, now, sink);
-        Ok(())
+        Ok(Some(self.checkpoint.stored))
     }
 
-    /// A send from `from` to `to`; `None` while `from` is crashed. `mint`
-    /// takes whatever piggyback the caller will deliver — before the send,
-    /// because a post-send forced checkpoint (CAS, CASBR) opens the next
-    /// interval. Minting only fills a private snapshot cache, so whether a
-    /// piggyback is minted has no effect on protocol state. The
-    /// message's fate (lost, queued, shipped to a peer shard) is the
+    /// A send from `from` to `to` with the piggyback the simulators
+    /// deliver; `None` while `from` is crashed. The piggyback is minted
+    /// before the send, because a post-send forced checkpoint (CAS, CASBR)
+    /// opens the next interval; minting only fills a private snapshot
+    /// cache, so whether it is delivered has no effect on protocol state.
+    /// The message's fate (lost, queued, shipped to a peer shard) is the
     /// caller's scheduling decision.
-    pub(crate) fn send<P, S: Sink>(
+    pub(crate) fn send<K: Sink>(
         &mut self,
         from: ProcessId,
         to: ProcessId,
         now: u64,
-        sink: &mut S,
-        mint: impl FnOnce(&mut Middleware) -> P,
-    ) -> Option<(MessageId, P)> {
+        sink: &mut K,
+    ) -> Option<(MessageId, Piggyback)> {
+        let i = self.slot(from);
+        let pb = (!self.mws[i].is_crashed()).then(|| self.mws[i].piggyback())?;
+        let sent = self.send_encoded(from, to, now, sink, |id, _, _| (id, pb));
+        sent.map(|(sent, _)| sent)
+    }
+
+    /// A send from `from` to `to` whose message `encode` serialises on the
+    /// spot from its id, the vector and the BCS index as of the send event,
+    /// borrowed: the send mints no snapshot. Returns what `encode` made and
+    /// the post-send forced checkpoint, if any; `None` while `from` is
+    /// crashed.
+    pub(crate) fn send_encoded<R, K: Sink>(
+        &mut self,
+        from: ProcessId,
+        to: ProcessId,
+        now: u64,
+        sink: &mut K,
+        encode: impl FnOnce(MessageId, &DependencyVector, u64) -> R,
+    ) -> Option<(R, Option<CheckpointIndex>)> {
         let i = self.slot(from);
         if self.mws[i].is_crashed() {
             return None;
         }
         self.tick_process(from, now, sink);
-        let pb = mint(&mut self.mws[i]);
-        let (msg, forced) = self.mws[i].send_reported(to, Payload::empty());
-        let id = msg.meta.id;
+        // The sender's own entry as the message carries it: a post-send
+        // forced checkpoint moves it on.
+        let own = K::LINEAGE.then(|| self.mws[i].dv().lineage(from));
+        let ((id, out), forced) =
+            self.mws[i].send_with(|id, dv, index| (id, encode(id, dv, index)));
         sink.metric(MetricOp::Sent(from));
-        sink.trace(TraceEvent::Send { id, to });
-        if let Some(ck) = forced {
+        sink.trace(TraceEvent::Send { id, to }, own);
+        if let Some(ck) = &forced {
             trace_checkpoint(from, true, sink);
             trace_collects(from, &ck.eliminated, sink);
             self.sample(from, now, sink);
         }
-        Some((id, pb))
+        Some((out, forced.map(|ck| ck.stored)))
     }
 
-    /// Delivery of message `id` to `to`; lost if `to` is crashed.
-    pub(crate) fn deliver<C: Carried, S: Sink>(
+    /// Delivery of message `id` to `to`; returns what the receive did,
+    /// `None` if `to` is crashed, which loses the message.
+    pub(crate) fn deliver<C: Carried<S>, K: Sink>(
         &mut self,
         to: ProcessId,
         id: MessageId,
         pb: &C,
         now: u64,
-        sink: &mut S,
-    ) -> Result<()> {
+        sink: &mut K,
+    ) -> Result<Option<&ReceiveReport>> {
         let i = self.slot(to);
         if self.mws[i].is_crashed() {
             lose(to, id, sink);
-            return Ok(());
+            return Ok(None);
         }
         self.tick_process(to, now, sink);
         pb.receive_into(&mut self.mws[i], &mut self.receive)?;
@@ -232,20 +284,24 @@ impl StepCore {
         if self.receive.forced.is_some() {
             trace_checkpoint(to, true, sink);
         }
-        sink.trace(TraceEvent::Deliver { id });
+        // The receiver's entry for the sender after the merge: never older
+        // (lexicographic on incarnation, then interval) than what the
+        // message carried, which the merge of live logs checks.
+        let learned = K::LINEAGE.then(|| self.mws[i].dv().lineage(id.sender));
+        sink.trace(TraceEvent::Deliver { id }, learned);
         trace_collects(to, &self.receive.eliminated, sink);
         self.sample(to, now, sink);
-        Ok(())
+        Ok(Some(&self.receive))
     }
 
     /// `p`'s share of a control round: the coordinator's information, if
     /// the collector consumes any, then a sample.
-    pub(crate) fn control<S: Sink>(
+    pub(crate) fn control<K: Sink>(
         &mut self,
         p: ProcessId,
         info: Option<&ControlInfo>,
         now: u64,
-        sink: &mut S,
+        sink: &mut K,
     ) {
         if let Some(info) = info {
             let i = self.slot(p);
@@ -317,7 +373,7 @@ impl StepCore {
 /// and incarnations too. It is what lets a durable store stay one small
 /// log. The baseline collectors promise nothing of the kind. Debug builds
 /// only.
-pub(crate) fn debug_assert_retained_bound<S: rdt_env::Storage>(mw: &Middleware<S>) {
+fn debug_assert_retained_bound<S: Storage>(mw: &Middleware<S>) {
     let (store, n) = (mw.store(), mw.n());
     debug_assert!(
         !matches!(mw.gc_kind(), GcKind::RdtLgc) || (store.len() <= n && store.peak() <= n + 1),
@@ -328,23 +384,23 @@ pub(crate) fn debug_assert_retained_bound<S: rdt_env::Storage>(mw: &Middleware<S
     );
 }
 
-fn trace_checkpoint<S: Sink>(process: ProcessId, forced: bool, sink: &mut S) {
-    sink.trace(TraceEvent::Checkpoint { process, forced });
+fn trace_checkpoint<K: Sink>(process: ProcessId, forced: bool, sink: &mut K) {
+    sink.trace(TraceEvent::Checkpoint { process, forced }, None);
 }
 
 /// Records garbage-collection eliminations in the trace, for the offline
 /// safety audit.
-fn trace_collects<S: Sink>(p: ProcessId, collected: &[CheckpointIndex], sink: &mut S) {
+fn trace_collects<K: Sink>(p: ProcessId, collected: &[CheckpointIndex], sink: &mut K) {
     for &index in collected {
-        sink.trace(TraceEvent::Collect { process: p, index });
+        sink.trace(TraceEvent::Collect { process: p, index }, None);
     }
 }
 
 /// A message that will never be delivered: dropped by the channel, sent to
 /// a crashed process, or in flight when a crash struck.
-pub(crate) fn lose<S: Sink>(to: ProcessId, id: MessageId, sink: &mut S) {
+pub(crate) fn lose<K: Sink>(to: ProcessId, id: MessageId, sink: &mut K) {
     sink.metric(MetricOp::Lost(to));
-    sink.trace(TraceEvent::Drop { id });
+    sink.trace(TraceEvent::Drop { id }, None);
 }
 
 /// What a control round distributes for a collector that
@@ -388,21 +444,21 @@ pub(crate) fn last_intervals(lasts: &[Last]) -> ControlInfo {
 }
 
 /// Opens a recovery session's bookkeeping: the crashes themselves.
-pub(crate) fn open_session<S: Sink>(faulty: &FaultySet, sink: &mut S) {
+pub(crate) fn open_session<K: Sink>(faulty: &FaultySet, sink: &mut K) {
     for &process in faulty {
-        sink.trace(TraceEvent::Crash { process });
+        sink.trace(TraceEvent::Crash { process }, None);
     }
 }
 
 /// Closes a recovery session's bookkeeping: folds the apply outcomes
 /// (ascending by process) into the session report and emits the session
 /// metric and the restore traces.
-pub(crate) fn close_session<S: Sink>(
+pub(crate) fn close_session<K: Sink>(
     manager: &RecoveryManager,
     faulty: &FaultySet,
     mut plan: RecoveryPlan,
     outcomes: &mut SessionOutcomes,
-    sink: &mut S,
+    sink: &mut K,
 ) -> RecoverySessionReport {
     // Every rollback opened exactly the incarnation the plan promised
     // (`apply_to` asserts it), so the plan is the post-session truth.
@@ -413,7 +469,7 @@ pub(crate) fn close_session<S: Sink>(
         degraded: report.degraded.len() as u64,
     });
     for &(process, to) in &report.rolled_back {
-        sink.trace(TraceEvent::Restore { process, to });
+        sink.trace(TraceEvent::Restore { process, to }, None);
     }
     report
 }

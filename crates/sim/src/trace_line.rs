@@ -2,9 +2,9 @@
 //!
 //! Every history this stack writes is a sequence of [`TraceEvent`]s, one
 //! JSON object per line: `rdt trace` prints a simulated run's trace, a
-//! [`LiveNode`](crate::LiveNode) appends its own events to the process
-//! event log (`rdt_obs::flight`) as it performs them, and `rdt causal`
-//! prints the merge of such logs. All three go through
+//! [`LiveNode`](crate::LiveNode) appends the same step core's events for
+//! its own operations to the process event log (`rdt_obs::flight`) as it
+//! performs them, and `rdt causal` prints the merge of such logs. All three go through
 //! [`TraceLine::render`], and every reader goes through
 //! [`TraceLine::parse`]:
 //!

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
 
-use rdt_base::{DependencyVector, MessageId, ProcessId, TraceEvent};
+use rdt_base::{DependencyVector, DvEntry, MessageId, ProcessId, TraceEvent};
 use rdt_core::ControlInfo;
 use rdt_env::ShardEnv;
 use rdt_recovery::{
@@ -107,7 +107,7 @@ impl KeyedSink {
 }
 
 impl Sink for KeyedSink {
-    fn trace(&mut self, event: TraceEvent) {
+    fn trace(&mut self, event: TraceEvent, _lineage: Option<DvEntry>) {
         if self.record_trace {
             let key = self.next_key();
             self.logs.trace.push((key, event));
@@ -492,9 +492,8 @@ impl Worker<'_> {
                 core.checkpoint(p, at, sink).expect(ALIVE);
             }
             PlannedLocal::Send { from, to, delivery } => {
-                let mint = |mw: &mut rdt_protocols::Middleware| delivery.map(|_| mw.piggyback());
-                let (id, pb) = core.send(from, to, at, sink, mint).expect(ALIVE);
-                let (Some((d_at, d_seq)), Some(pb)) = (delivery, pb) else {
+                let (id, pb) = core.send(from, to, at, sink).expect(ALIVE);
+                let Some((d_at, d_seq)) = delivery else {
                     step::lose(to, id, sink);
                     return;
                 };

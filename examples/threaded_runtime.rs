@@ -1,6 +1,7 @@
 //! The same middleware under real OS threads: one `LiveWorker` per thread — the loop each `rdt
 //! serve` process runs — over an in-process channel mesh; the paper's retention bounds hold under
-//! whatever schedule the OS produces.
+//! whatever schedule the OS produces, and every frame sent is either delivered or counted as
+//! dropped by a full inbox.
 
 use rdt_checkpointing::env::ChannelTransport;
 use rdt_checkpointing::prelude::*;
@@ -29,15 +30,25 @@ fn main() {
                 worker.pump().expect("alive");
                 let (stats, store) = (worker.stats(), worker.node().middleware().store());
                 let (retained, peak) = (store.len(), store.peak());
+                let dropped = worker.transport().dropped();
                 println!(
-                    "p{me}: {} sent, {} delivered; retained {retained} (≤ {n}), peak {peak} (≤ {n} + 1)",
+                    "p{me}: {} sent, {} delivered, {dropped} dropped; retained {retained} (≤ {n}), peak {peak} (≤ {n} + 1)",
                     stats.sent, stats.delivered
                 );
                 assert!(retained <= n && peak <= n + 1, "the n / n + 1 bounds");
+                (stats.sent, stats.delivered, dropped)
             })
         })
         .collect();
+    let (mut sent, mut delivered, mut dropped) = (0, 0, 0);
     for process in processes {
-        process.join().expect("a process broke a bound");
+        let (s, d, x) = process.join().expect("a process broke a bound");
+        (sent, delivered, dropped) = (sent + s, delivered + d, dropped + x);
     }
+    println!("all: {sent} sent, {delivered} delivered, {dropped} dropped");
+    assert_eq!(
+        sent,
+        delivered + dropped,
+        "a frame neither delivered nor dropped"
+    );
 }
