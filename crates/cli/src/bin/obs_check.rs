@@ -1,11 +1,12 @@
 //! `obs_check`: schema validator for the files this stack emits — trace
 //! lines wherever they were written (`rdt trace` output, per-process event
-//! logs, `rdt causal` output), `RDT_LOG_JSONL` structured-log files, and
-//! `.prom` metric textfiles.
+//! logs, `rdt causal` output) and `.prom` metric textfiles.
 //!
-//! Validation logic lives in [`rdt_obs::check`]; this binary only handles
-//! file I/O and exit codes. Files ending in `.prom` are validated as
-//! Prometheus textfiles; everything else line-by-line as JSONL.
+//! This binary only handles file I/O and exit codes. Files ending in
+//! `.prom` are validated as Prometheus textfiles
+//! ([`rdt_obs::check::check_prom_text`]); everything else line by line
+//! ([`rdt_cli::check::check_line`]: event lines through
+//! `rdt_sim::TraceLine::parse`, the rest through [`rdt_obs::check`]).
 //!
 //! Usage: `obs_check <file>...` — exits 0 iff every file validates,
 //! printing a per-file summary; violations print as `file:line: message`
@@ -13,7 +14,8 @@
 
 use std::process::ExitCode;
 
-use rdt_obs::check::{check_jsonl_line, check_prom_text};
+use rdt_cli::check::check_line;
+use rdt_obs::check::check_prom_text;
 
 fn main() -> ExitCode {
     let files: Vec<String> = std::env::args().skip(1).collect();
@@ -50,7 +52,7 @@ fn main() -> ExitCode {
                 continue;
             }
             lines += 1;
-            if let Err(msg) = check_jsonl_line(line) {
+            if let Err(msg) = check_line(line) {
                 eprintln!("{path}:{}: {msg}", i + 1);
                 errors += 1;
             }

@@ -149,7 +149,7 @@ pub(crate) mod tests {
         let mut doc = String::new();
         for line in &merged.order {
             line.render(&mut doc);
-            rdt_obs::check::check_jsonl_line(doc.lines().last().unwrap()).unwrap();
+            rdt_cli::check::check_line(doc.lines().last().unwrap()).unwrap();
             doc.push('\n');
         }
         let again = merge(&[("out", doc.lines().map(str::to_string).collect())]).unwrap();
@@ -294,12 +294,12 @@ pub(crate) mod tests {
 
     #[test]
     fn skips_foreign_lines_and_drops() {
-        // A trace's header, a diagnostic sink's record and a drop (which
-        // the merge re-derives) are not a process's events; the
-        // checkpoints, sends and collects are, and all of them are kept.
+        // A trace's header, a profile's span line and a drop (which the
+        // merge re-derives) are not a process's events; the checkpoints,
+        // sends and collects are, and all of them are kept.
         let foreign = [
             r#"{"type":"run","n":2,"steps":5,"seed":1,"shards":1,"protocol":"fdas","gc":"rdt"}"#,
-            r#"{"level":"info","target":"rdt_sim::engine","event":"other","msg":""}"#,
+            r#"{"type":"span","phase":"engine/drain","count":1,"total_ns":9}"#,
             r#"{"type":"event","kind":"drop","from":0,"seq":0}"#,
         ];
         let mut lines: Vec<String> = foreign.iter().map(|l| l.to_string()).collect();

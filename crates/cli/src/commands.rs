@@ -7,7 +7,7 @@ use rdt_bench::{derive_seed, par_map};
 use rdt_ccp::{collection_safety_violations_through_sessions, missed_at_the_end, CcpBuilder};
 use rdt_core::GcKind;
 use rdt_obs::json::JsonValue;
-use rdt_sim::{Metrics, SimulationBuilder, SimulationReport, TraceLine};
+use rdt_sim::{Metrics, SimulationBuilder, SimulationReport, TraceLine, ZeroLookaheadFallback};
 
 use crate::opts::RunOpts;
 
@@ -16,6 +16,8 @@ fn run(opts: &RunOpts, record_trace: bool) -> Result<SimulationReport, String> {
     run_with(opts, opts.spec.seed, record_trace, false)
 }
 
+/// Runs the simulator once on `seed`, saying on stderr when a sharded run
+/// fell back to the sequential engine.
 fn run_with(
     opts: &RunOpts,
     seed: u64,
@@ -33,7 +35,14 @@ fn run_with(
     if record_occupancy {
         builder = builder.record_occupancy();
     }
-    builder.run().map_err(|e| format!("simulation failed: {e}"))
+    let report = builder
+        .run()
+        .map_err(|e| format!("simulation failed: {e}"))?;
+    if report.metrics.sequential_fallbacks > 0 {
+        let shards = opts.config.shard.shards;
+        eprintln!("warning: {}", ZeroLookaheadFallback { shards });
+    }
+    Ok(report)
 }
 
 /// Calls `run` once per `--runs` seed and returns the results in run

@@ -22,13 +22,14 @@
 //! basic checkpoint, send and its post-send forced checkpoint, a
 //! delivery's forced checkpoint and the delivery, the collects that
 //! followed — through the simulators' step core, whose trace events it
-//! renders in the line shape `rdt trace` prints ([`TraceLine`]): the
-//! simulated and the live history of an operation are one sequence of
+//! renders in the line shape `rdt trace` prints ([`rdt_sim::TraceLine`]):
+//! the simulated and the live history of an operation are one sequence of
 //! events. The harness merges the logs through the one merger
 //! ([`rdt_cli::merge`]) into a global [`TraceEvent`] sequence for the
-//! offline oracle. The run's totals are those logs' lines counted, the
-//! resumed segment's included; a worker's own counters in its `.prom`
-//! dump count the same events. The worker writes nothing of its own. The
+//! offline oracle. The run's totals are those logs' lines tallied by
+//! [`LiveStats::tally`], the resumed segment's included; a worker's own
+//! counters in its `.prom` dump are its node's [`LiveStats`], counted as
+//! the events happened. The worker writes nothing of its own. The
 //! per-op discipline, kept by [`LiveWorker`], is **apply → log →
 //! transmit**:
 //!
@@ -81,7 +82,7 @@ use rdt_env::{UdsTransport, WireFrame};
 use rdt_obs::json::JsonValue;
 use rdt_obs::ProfileReport;
 use rdt_protocols::{Middleware, ProtocolKind};
-use rdt_sim::{LiveNode, LiveWorker, TraceLine};
+use rdt_sim::{LiveNode, LiveStats, LiveWorker};
 use rdt_storage::{DiskSink, DurableStore, RestartReport};
 
 use crate::opts::{parse_gc, parse_protocol};
@@ -300,17 +301,13 @@ fn reconcile(trace: &mut Vec<TraceEvent>, newest: &[usize]) {
     }
 }
 
-/// Merges the workers' logs (counting their events into `summary`),
+/// Merges the workers' logs (tallying their events into `totals`),
 /// reconciles the merged trace with the stores, rebuilds every process
 /// from disk and [`judge`]s the trace against them.
-fn check_lines(
-    dir: &Path,
-    cfg: &ServeConfig,
-    summary: &mut ServeSummary,
-) -> Result<Verdict, String> {
+fn check_lines(dir: &Path, cfg: &ServeConfig, totals: &mut LiveStats) -> Result<Verdict, String> {
     let paths: Vec<PathBuf> = (0..cfg.n).map(|i| flight_path(dir, i, false)).collect();
     let logs = Logs::read(&paths)?;
-    summary.count(logs.lines());
+    logs.lines().for_each(|line| totals.tally(line.event));
     let mut trace = logs.merge()?.oracle_trace();
     let (mut newest, mut mws) = (Vec::with_capacity(cfg.n), Vec::with_capacity(cfg.n));
     for i in 0..cfg.n {
@@ -481,34 +478,6 @@ fn spawn_metrics_listener(
     Ok(local)
 }
 
-/// The run's traffic and checkpoint totals, counted off the event logs of
-/// every segment of the run, and the largest per-rank store at its end.
-#[derive(Debug, Default)]
-struct ServeSummary {
-    sent: u64,
-    delivered: u64,
-    basic: u64,
-    forced: u64,
-    collected: u64,
-    max_retained: u64,
-}
-
-impl ServeSummary {
-    /// Adds the events of one segment's logs.
-    fn count<'a>(&mut self, lines: impl Iterator<Item = &'a TraceLine>) {
-        for line in lines {
-            match line.event {
-                TraceEvent::Send { .. } => self.sent += 1,
-                TraceEvent::Deliver { .. } => self.delivered += 1,
-                TraceEvent::Checkpoint { forced: false, .. } => self.basic += 1,
-                TraceEvent::Checkpoint { forced: true, .. } => self.forced += 1,
-                TraceEvent::Collect { .. } => self.collected += 1,
-                _ => {}
-            }
-        }
-    }
-}
-
 /// The `serve` subcommand.
 pub fn serve(m: &ArgMatches) -> Result<(), String> {
     let user_dir = m.get_one::<String>("dir").is_some();
@@ -541,14 +510,14 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
             gc_violations,
             gc_missed,
         },
-        mut summary,
+        totals,
     ) = outcome?;
     let metrics = metrics?;
     if let Some(path) = m.get_one::<String>("metrics-out") {
         std::fs::write(path, metrics.to_prometheus())
             .map_err(|e| format!("--metrics-out {path}: {e}"))?;
     }
-    summary.max_retained = (0..cfg.n)
+    let max_retained = (0..cfg.n)
         .filter_map(|i| metrics.counters.get(&format!("checkpoints_retained/p{i}")))
         .copied()
         .max()
@@ -568,12 +537,12 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
                 "gc_missed",
                 gc_missed.map_or(JsonValue::Null, JsonValue::from),
             )
-            .field("sent", summary.sent)
-            .field("delivered", summary.delivered)
-            .field("basic_checkpoints", summary.basic)
-            .field("forced_checkpoints", summary.forced)
-            .field("collected", summary.collected)
-            .field("max_retained", summary.max_retained)
+            .field("sent", totals.sent)
+            .field("delivered", totals.delivered)
+            .field("basic_checkpoints", totals.basic)
+            .field("forced_checkpoints", totals.forced)
+            .field("collected", totals.eliminated)
+            .field("max_retained", max_retained)
             .build();
         println!("{}", doc.pretty());
     } else {
@@ -581,15 +550,10 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
             "served {} real processes over unix-datagram loopback ({} {})",
             cfg.n, cfg.protocol, cfg.gc
         );
-        if summary.sent + summary.delivered > 0 {
+        if totals.sent + totals.delivered > 0 {
             println!(
-                "traffic: {} sent, {} delivered; checkpoints: {} basic + {} forced, {} collected live (max retained {})",
-                summary.sent,
-                summary.delivered,
-                summary.basic,
-                summary.forced,
-                summary.collected,
-                summary.max_retained
+                "traffic: {} sent, {} delivered; checkpoints: {} basic + {} forced, {} collected live (max retained {max_retained})",
+                totals.sent, totals.delivered, totals.basic, totals.forced, totals.eliminated,
             );
         }
         if chaos {
@@ -625,9 +589,9 @@ pub fn serve(m: &ArgMatches) -> Result<(), String> {
 
 /// Runs the workers (one chaos cycle when asked) and returns the verdict
 /// on the kill point (chaos) or the final state (clean run), with the
-/// totals of every segment's logs.
-fn run_serve(cfg: &ServeConfig, chaos: bool) -> Result<(Verdict, ServeSummary), String> {
-    let mut summary = ServeSummary::default();
+/// events of every segment's logs tallied.
+fn run_serve(cfg: &ServeConfig, chaos: bool) -> Result<(Verdict, LiveStats), String> {
+    let mut totals = LiveStats::default();
     if chaos {
         // Endless workload; the kill decides the cut.
         let mut children = spawn_workers(cfg, 0, false)?;
@@ -636,23 +600,25 @@ fn run_serve(cfg: &ServeConfig, chaos: bool) -> Result<(Verdict, ServeSummary), 
             return Err(e);
         }
         kill_workers(&mut children)?;
-        let verdict = check_lines(&cfg.dir, cfg, &mut summary)?;
+        let verdict = check_lines(&cfg.dir, cfg, &mut totals)?;
         // Restart the real processes from the recovered disks: rollback
         // (second WAL round), fresh traffic, clean exit.
         let resumed = spawn_workers(cfg, cfg.ops.max(20), true)?;
         join_workers(resumed)?;
         let paths: Vec<PathBuf> = (0..cfg.n).map(|i| flight_path(&cfg.dir, i, true)).collect();
-        summary.count(Logs::read(&paths)?.lines());
+        Logs::read(&paths)?
+            .lines()
+            .for_each(|line| totals.tally(line.event));
         let verdict = Verdict {
             gc_missed: None,
             ..verdict
         };
-        Ok((verdict, summary))
+        Ok((verdict, totals))
     } else {
         let children = spawn_workers(cfg, cfg.ops, false)?;
         join_workers(children)?;
-        let verdict = check_lines(&cfg.dir, cfg, &mut summary)?;
-        Ok((verdict, summary))
+        let verdict = check_lines(&cfg.dir, cfg, &mut totals)?;
+        Ok((verdict, totals))
     }
 }
 
@@ -735,6 +701,39 @@ mod tests {
     use crate::causal::tests::{checkpoint, merge, send};
     use rdt_ccp::CcpBuilder;
     use rdt_recovery::FaultySet;
+    use std::io::Read as _;
+
+    #[test]
+    fn the_metrics_listener_serves_the_merged_dumps() {
+        let dir = std::env::temp_dir().join(format!("rdt_serve_listener_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (rank, sent) in [(0, 3), (1, 4)] {
+            let mut dump = ProfileReport::new();
+            dump.add("frames_sent", sent);
+            dump.phase_mut("live/encode").record(100 * sent);
+            std::fs::write(prom_path(&dir, rank), dump.to_prometheus()).unwrap();
+        }
+        let addr = spawn_metrics_listener("127.0.0.1:0", dir.clone(), 2).unwrap();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+
+        let (head, body) = response.split_once("\r\n\r\n").expect("a header block");
+        assert!(head.starts_with("HTTP/1.0 200 OK"), "{head}");
+        let expected = merge_prom(&dir, 2).unwrap().to_prometheus();
+        assert_eq!(body, expected);
+        assert!(
+            body.contains("rdt_counter_total{name=\"frames_sent\"} 7"),
+            "{body}"
+        );
+        let length = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .expect("a Content-Length header");
+        assert_eq!(length.parse::<usize>().unwrap(), body.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn a_checkpoint_the_disk_holds_beyond_the_log_closes_the_process_tail() {

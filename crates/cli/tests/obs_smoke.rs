@@ -1,7 +1,8 @@
 //! End-to-end smoke tests for the observability subcommands: `rdt
 //! explain` provenance against the oracle, crash-free and crashy, the
-//! serve → event log → `rdt causal` merge pipeline, and `rdt trace`
-//! into a reader that stops early.
+//! serve → event log → `rdt causal` merge pipeline, `rdt trace` into a
+//! reader that stops early, and the zero-lookahead fallback said on
+//! stderr and counted in the metrics document.
 
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -22,6 +23,31 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+#[test]
+fn a_zero_lookahead_fallback_is_said_on_stderr_and_counted() {
+    let dir = temp_dir("fallback");
+    let run = |min_delay: &str| {
+        let doc = dir.join(format!("min_delay_{min_delay}.json"));
+        let output = rdt()
+            .args(["simulate", "-n", "6", "-s", "500", "-j", "2"])
+            .args(["--min-delay", min_delay, "--max-delay", "10"])
+            .arg("--metrics-out")
+            .arg(&doc)
+            .output()
+            .expect("spawning rdt");
+        let stderr = String::from_utf8_lossy(&output.stderr).into_owned();
+        assert!(output.status.success(), "{stderr}");
+        (stderr, std::fs::read_to_string(&doc).unwrap())
+    };
+    let (stderr, doc) = run("0");
+    assert_eq!(stderr.matches("min_delay is 0").count(), 1, "{stderr}");
+    assert!(doc.contains("\"sequential_fallbacks\": 1"), "{doc}");
+    let (stderr, doc) = run("1");
+    assert!(!stderr.contains("min_delay"), "{stderr}");
+    assert!(doc.contains("\"sequential_fallbacks\": 0"), "{doc}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -140,7 +166,6 @@ fn serve_flight_dumps_merge_into_a_causal_trace() {
     let mut seen_send = std::collections::BTreeSet::new();
     let mut events = 0usize;
     for line in body.lines() {
-        rdt_obs::check::check_jsonl_line(line).unwrap();
         let line = rdt_sim::TraceLine::parse(line)
             .unwrap()
             .expect("an event line");

@@ -11,60 +11,85 @@ fn stdout_of(output: &std::process::Output) -> String {
     String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
-/// One worker's series of the run's merged metrics snapshot
-/// (`metrics_merged.prom`), by counter name.
-fn per_rank(dir: &std::path::Path, rank: usize) -> std::collections::BTreeMap<String, u64> {
+/// The counters of the run's merged metrics snapshot
+/// (`metrics_merged.prom`): un-suffixed, the cluster-wide totals.
+fn merged(dir: &std::path::Path) -> std::collections::BTreeMap<String, u64> {
     let text = std::fs::read_to_string(dir.join("metrics_merged.prom")).unwrap();
-    let merged = rdt_obs::ProfileReport::from_prometheus(&text).unwrap();
-    let suffix = format!("/p{rank}");
-    merged
+    rdt_obs::ProfileReport::from_prometheus(&text)
+        .unwrap()
         .counters
-        .iter()
-        .filter_map(|(name, &v)| Some((name.strip_suffix(&suffix)?.to_string(), v)))
+}
+
+/// One worker's series of the merged snapshot, by counter name.
+fn per_rank(dir: &std::path::Path, rank: usize) -> std::collections::BTreeMap<String, u64> {
+    let suffix = format!("/p{rank}");
+    merged(dir)
+        .into_iter()
+        .filter_map(|(name, v)| Some((name.strip_suffix(&suffix)?.to_string(), v)))
         .collect()
 }
 
 #[test]
 fn clean_run_agrees_with_the_oracle() {
-    let dir = std::env::temp_dir().join(format!("rdt_serve_smoke_clean_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let output = rdt()
-        .args(["serve", "-n", "3", "--ops", "60", "-S", "42", "--json"])
-        .arg("--dir")
-        .arg(&dir)
-        .output()
-        .expect("spawning rdt");
-    let stdout = stdout_of(&output);
-    assert!(
-        output.status.success(),
-        "serve failed: {stdout}\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    assert!(
-        stdout.contains("\"lines_agree\": true"),
-        "no agreement in {stdout}"
-    );
-    assert!(stdout.contains("\"chaos\": false"));
-    assert!(stdout.contains("\"gc_violations\": 0"), "{stdout}");
-    assert!(stdout.contains("\"gc_missed\": 0,"), "{stdout}");
-    // Every checkpoint a worker stored — its initial one, basic and forced
-    // — is retained or was eliminated by one of its operations, and the
-    // summed eliminations are what the run reports as collected.
-    let mut collected = 0;
-    for rank in 0..3 {
-        let s = per_rank(&dir, rank);
-        assert_eq!(
-            s["checkpoints_eliminated"],
-            1 + s["checkpoints_basic"] + s["checkpoints_forced"] - s["checkpoints_retained"],
-            "p{rank}: {s:?}"
+    for protocol in rdt_protocols::ProtocolKind::ALL.map(|k| k.to_string()) {
+        let dir = std::env::temp_dir().join(format!(
+            "rdt_serve_smoke_clean_{protocol}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let output = rdt()
+            .args(["serve", "-n", "3", "--ops", "60", "-S", "42", "--json"])
+            .args(["--protocol", &protocol])
+            .arg("--dir")
+            .arg(&dir)
+            .output()
+            .expect("spawning rdt");
+        let stdout = stdout_of(&output);
+        assert!(
+            output.status.success(),
+            "{protocol}: serve failed: {stdout}\n{}",
+            String::from_utf8_lossy(&output.stderr)
         );
-        collected += s["checkpoints_eliminated"];
+        assert!(
+            stdout.contains("\"lines_agree\": true"),
+            "{protocol}: no agreement in {stdout}"
+        );
+        assert!(stdout.contains("\"chaos\": false"));
+        assert!(
+            stdout.contains("\"gc_violations\": 0"),
+            "{protocol}: {stdout}"
+        );
+        assert!(stdout.contains("\"gc_missed\": 0,"), "{protocol}: {stdout}");
+        // Every checkpoint a worker stored — its initial one, basic and
+        // forced — is retained or was eliminated by one of its operations.
+        for rank in 0..3 {
+            let s = per_rank(&dir, rank);
+            assert_eq!(
+                s["checkpoints_eliminated"],
+                1 + s["checkpoints_basic"] + s["checkpoints_forced"] - s["checkpoints_retained"],
+                "{protocol} p{rank}: {s:?}"
+            );
+        }
+        // The workers' own counts, summed, are the run's totals read off
+        // the logged lines: two independent counts of one history.
+        let doc = rdt_obs::json::parse(&stdout).unwrap();
+        let counted = merged(&dir);
+        for (key, counter) in [
+            ("sent", "frames_sent"),
+            ("delivered", "frames_delivered"),
+            ("basic_checkpoints", "checkpoints_basic"),
+            ("forced_checkpoints", "checkpoints_forced"),
+            ("collected", "checkpoints_eliminated"),
+        ] {
+            let logged = doc.get(key).and_then(|v| v.as_u64());
+            assert_eq!(
+                logged,
+                Some(counted[counter]),
+                "{protocol}: {key} against {counter}: {stdout}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(
-        stdout.contains(&format!("\"collected\": {collected},")),
-        "{stdout}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rdt_base::{ProcessId, TraceEvent};
+use rdt_base::ProcessId;
 use rdt_cli::merge::Logs;
 use rdt_cli::verdict::{judge, Verdict};
 use rdt_core::GcKind;
@@ -78,15 +78,8 @@ fn counted(log: &str, n: usize) -> Vec<LiveStats> {
     let mut stats = vec![LiveStats::default(); n];
     for line in log.lines() {
         let line = TraceLine::parse(line).unwrap().expect("an event line");
-        let Some(p) = line.process else { continue };
-        let s = &mut stats[p.index()];
-        match line.event {
-            TraceEvent::Send { .. } => s.sent += 1,
-            TraceEvent::Deliver { .. } => s.delivered += 1,
-            TraceEvent::Checkpoint { forced: false, .. } => s.basic += 1,
-            TraceEvent::Checkpoint { forced: true, .. } => s.forced += 1,
-            TraceEvent::Collect { .. } => s.eliminated += 1,
-            _ => {}
+        if let Some(p) = line.process {
+            stats[p.index()].tally(line.event);
         }
     }
     stats

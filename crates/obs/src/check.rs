@@ -1,39 +1,46 @@
-//! Schema validation for everything this stack writes to disk: one event
-//! schema — the trace lines `rdt trace` prints, a live process's event
-//! log (`rdt_obs::flight`) holds and `rdt causal` prints — beside `rdt
-//! trace`'s header, span and counter lines; the `RDT_LOG_JSONL`
-//! structured-log envelope; and `.prom` metric textfiles.
+//! Schema validation for what this stack writes beside its events: `rdt
+//! trace`'s header, span and counter lines, and `.prom` metric textfiles.
 //!
-//! The `obs_check` binary is a thin wrapper over this module; the logic
-//! lives in the library so tests (including the JSONL round-trip proptests)
-//! can call it directly.
+//! Event lines have one codec, `rdt_sim::TraceLine`, and are validated by
+//! parsing them with it; this module knows no event line. The `obs_check`
+//! binary (in `rdt-cli`) reads files and sends each line to one or the
+//! other.
 
 use crate::json::{self, JsonValue};
 use crate::profile::ProfileReport;
 
-/// Validates one JSONL line against the known shapes:
-///
-/// - **trace lines** carry a `type` discriminator: `run` (header),
-///   `event` (one trace event: its kind and the kind's fields, wherever it
-///   was written), `span` and `counter`;
-/// - **log lines** carry the sink envelope `level`/`target`/`event`/`msg`.
+/// Validates one trace line that is not an event line: a `run` header, a
+/// `span` or a `counter` line, told apart by the `type` discriminator.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first schema violation.
 pub fn check_jsonl_line(line: &str) -> Result<(), String> {
-    let value = json::parse(line)?;
-    if !matches!(value, JsonValue::Obj(_)) {
+    let v = json::parse(line)?;
+    if !matches!(v, JsonValue::Obj(_)) {
         return Err("line is not a JSON object".into());
     }
-    if let Some(ty) = value.get("type") {
-        let ty = ty.as_str().ok_or("\"type\" is not a string")?;
-        return check_trace_line(ty, &value);
+    match require_str(&v, "type")? {
+        "run" => {
+            require_u64(&v, "n")?;
+            require_u64(&v, "steps")?;
+            require_u64(&v, "seed")?;
+            require_u64(&v, "shards")?;
+            require_str(&v, "protocol")?;
+            require_str(&v, "gc")?;
+        }
+        "span" => {
+            require_str(&v, "phase")?;
+            require_u64(&v, "count")?;
+            require_u64(&v, "total_ns")?;
+        }
+        "counter" => {
+            require_str(&v, "name")?;
+            require_u64(&v, "value")?;
+        }
+        other => return Err(format!("unknown line type {other:?}")),
     }
-    if value.get("level").is_some() {
-        return check_log_line(&value);
-    }
-    Err("object has neither a \"type\" (trace) nor a \"level\" (log) key".into())
+    Ok(())
 }
 
 /// Validates a Prometheus textfile as written by
@@ -62,90 +69,6 @@ fn require_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("key {key:?} is not a string"))
 }
 
-fn require_bool(v: &JsonValue, key: &str) -> Result<(), String> {
-    match v.get(key) {
-        Some(JsonValue::Bool(_)) => Ok(()),
-        Some(_) => Err(format!("key {key:?} is not a boolean")),
-        None => Err(format!("missing key {key:?}")),
-    }
-}
-
-fn check_trace_line(ty: &str, v: &JsonValue) -> Result<(), String> {
-    match ty {
-        "run" => {
-            require_u64(v, "n")?;
-            require_u64(v, "steps")?;
-            require_u64(v, "seed")?;
-            require_u64(v, "shards")?;
-            require_str(v, "protocol")?;
-            require_str(v, "gc")?;
-            Ok(())
-        }
-        "event" => check_event_line(v),
-        "span" => {
-            require_str(v, "phase")?;
-            require_u64(v, "count")?;
-            require_u64(v, "total_ns")?;
-            Ok(())
-        }
-        "counter" => {
-            require_str(v, "name")?;
-            require_u64(v, "value")?;
-            Ok(())
-        }
-        other => Err(format!("unknown line type {other:?}")),
-    }
-}
-
-/// One trace event. Every kind but `drop` names its `process`; a message
-/// is named by `from` (a send's is its `process`) and `seq`. A live
-/// log's send and deliver lines add `inc`/`interval`, and a merge's
-/// stand-in send `synthetic`.
-fn check_event_line(v: &JsonValue) -> Result<(), String> {
-    let kind = require_str(v, "kind")?;
-    if kind != "drop" {
-        require_u64(v, "process")?;
-    }
-    match kind {
-        "send" => {
-            require_u64(v, "seq")?;
-            require_u64(v, "to")?;
-        }
-        "deliver" | "drop" => {
-            require_u64(v, "from")?;
-            require_u64(v, "seq")?;
-        }
-        "ckpt" => require_bool(v, "forced")?,
-        "collect" => {
-            require_u64(v, "index")?;
-        }
-        "crash" => {}
-        "restore" => {
-            require_u64(v, "to")?;
-        }
-        other => return Err(format!("unknown event kind {other:?}")),
-    }
-    if v.get("inc").is_some() || v.get("interval").is_some() {
-        require_u64(v, "inc")?;
-        require_u64(v, "interval")?;
-    }
-    if v.get("synthetic").is_some() {
-        require_bool(v, "synthetic")?;
-    }
-    Ok(())
-}
-
-fn check_log_line(v: &JsonValue) -> Result<(), String> {
-    let level = require_str(v, "level")?;
-    if crate::Level::parse(level).is_none() {
-        return Err(format!("unknown level {level:?}"));
-    }
-    require_str(v, "target")?;
-    require_str(v, "event")?;
-    require_str(v, "msg")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,30 +79,9 @@ mod tests {
             r#"{"type":"run","n":4,"steps":100,"seed":7,"shards":2,"protocol":"rdt-lgc","gc":"rdt"}"#,
         )
         .unwrap();
-        check_jsonl_line(r#"{"type":"event","kind":"send","process":1,"seq":0,"to":2}"#).unwrap();
-        check_jsonl_line(r#"{"type":"event","kind":"ckpt","process":0,"forced":true}"#).unwrap();
-        check_jsonl_line(r#"{"type":"event","kind":"drop","from":1,"seq":0}"#).unwrap();
         check_jsonl_line(r#"{"type":"span","phase":"engine/drain","count":10,"total_ns":1234}"#)
             .unwrap();
-        check_jsonl_line(r#"{"type":"counter","name":"events","value":3}"#).unwrap();
-        check_jsonl_line(r#"{"level":"warn","target":"t","event":"e","msg":"m","extra":1}"#)
-            .unwrap();
-    }
-
-    #[test]
-    fn accepts_live_and_merged_event_lines() {
-        check_jsonl_line(
-            r#"{"type":"event","kind":"send","process":0,"seq":0,"to":1,"inc":0,"interval":3}"#,
-        )
-        .unwrap();
-        check_jsonl_line(
-            r#"{"type":"event","kind":"deliver","process":1,"from":0,"seq":0,"inc":0,"interval":3}"#,
-        )
-        .unwrap();
-        check_jsonl_line(
-            r#"{"type":"event","kind":"send","process":2,"seq":4,"to":1,"synthetic":true}"#,
-        )
-        .unwrap();
+        check_jsonl_line(r#"{"type":"counter","name":"events","value":3,"extra":1}"#).unwrap();
     }
 
     #[test]
@@ -187,25 +89,18 @@ mod tests {
         assert!(check_jsonl_line("not json").is_err());
         assert!(check_jsonl_line("[1,2]").is_err());
         assert!(check_jsonl_line(r#"{"type":"mystery"}"#).is_err());
-        assert!(check_jsonl_line(r#"{"type":"event","kind":"send","process":1}"#).is_err());
         assert!(
             check_jsonl_line(r#"{"type":"span","phase":"p","count":-1,"total_ns":0}"#).is_err()
         );
-        assert!(
-            check_jsonl_line(r#"{"level":"loud","target":"t","event":"e","msg":"m"}"#).is_err()
-        );
+        assert!(check_jsonl_line(r#"{"type":"counter","name":"c"}"#).is_err());
         assert!(check_jsonl_line(r#"{"no":"discriminator"}"#).is_err());
-        assert!(check_jsonl_line(r#"{"type":"event","kind":"warp","process":0}"#).is_err());
         assert!(
-            check_jsonl_line(r#"{"type":"event","kind":"deliver","from":0,"seq":0}"#).is_err(),
-            "a delivery names its receiver"
+            check_jsonl_line(r#"{"level":"warn","target":"t","event":"e","msg":"m"}"#).is_err()
         );
         assert!(
-            check_jsonl_line(
-                r#"{"type":"event","kind":"send","process":0,"seq":0,"to":1,"interval":3}"#
-            )
-            .is_err(),
-            "interval without inc"
+            check_jsonl_line(r#"{"type":"event","kind":"send","process":0,"seq":0,"to":1}"#)
+                .is_err(),
+            "event lines are TraceLine's to parse"
         );
     }
 

@@ -1,6 +1,6 @@
 //! Minimal owned JSON values, the workspace's one JSON writer: compact
-//! rendering for the exposition paths (JSONL sink,
-//! [`ProfileReport::to_json`](crate::ProfileReport::to_json), `rdt trace`),
+//! rendering for the exposition paths
+//! ([`ProfileReport::to_json`](crate::ProfileReport::to_json), `rdt trace`),
 //! the indented layout of the `rdt` documents (`--json`, `--metrics-out`)
 //! and a strict parser for the `obs_check` schema validator.
 //!

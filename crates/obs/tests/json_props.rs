@@ -1,11 +1,11 @@
 //! Property tests for the exposition codecs: arbitrary field strings and
 //! non-finite floats through the JSONL writer and back through the
-//! `obs_check` validator, and Prometheus textfile round-trips with hostile
-//! label values.
+//! `counter`-line validator, and Prometheus textfile round-trips with
+//! hostile label values.
 
 use proptest::prelude::*;
 use rdt_obs::json::{self, JsonValue};
-use rdt_obs::{Event, Level, ProfileReport, Value};
+use rdt_obs::ProfileReport;
 
 /// Arbitrary unicode strings seasoned with the characters the escapers
 /// must handle: quotes, backslashes, newlines, tabs, control bytes and
@@ -25,19 +25,18 @@ fn string_strategy() -> impl Strategy<Value = String> {
     })
 }
 
-fn event_json(message: String, field: Value) -> JsonValue {
-    Event {
-        level: Level::Info,
-        target: "props::json",
-        name: "roundtrip",
-        message,
-        fields: vec![("payload", field)],
-    }
-    .to_json()
+/// A `counter` line named `name`, carrying `payload` beside its fields.
+fn line_json(name: String, payload: impl Into<JsonValue>) -> JsonValue {
+    JsonValue::obj()
+        .field("type", "counter")
+        .field("name", name)
+        .field("value", 1u64)
+        .field("payload", payload)
+        .build()
 }
 
-fn render_event(message: String, field: Value) -> String {
-    event_json(message, field).to_string()
+fn render_line(name: String, payload: f64) -> String {
+    line_json(name, JsonValue::Num(payload)).to_string()
 }
 
 proptest! {
@@ -48,7 +47,7 @@ proptest! {
     /// layout parses back to the same value.
     #[test]
     fn strings_roundtrip_through_the_jsonl_writer(s in string_strategy(), msg in string_strategy()) {
-        let value = event_json(msg.clone(), Value::Str(s.clone()));
+        let value = line_json(msg.clone(), s.clone());
         prop_assert_eq!(json::parse(&value.pretty()), Ok(value.clone()));
         let line = value.to_string();
         prop_assert!(!line.contains('\n'), "embedded newline leaked: {line:?}");
@@ -56,7 +55,7 @@ proptest! {
             panic!("validator rejected {line:?}: {e}");
         }
         let parsed = json::parse(&line).unwrap_or_else(|e| panic!("reparse of {line:?}: {e}"));
-        prop_assert_eq!(parsed.get("msg").and_then(JsonValue::as_str), Some(msg.as_str()));
+        prop_assert_eq!(parsed.get("name").and_then(JsonValue::as_str), Some(msg.as_str()));
         prop_assert_eq!(parsed.get("payload").and_then(JsonValue::as_str), Some(s.as_str()));
     }
 
@@ -66,13 +65,13 @@ proptest! {
     #[test]
     fn floats_render_as_valid_json(bits in 0u64..u64::MAX) {
         let f = f64::from_bits(bits);
-        let line = render_event(String::new(), Value::F64(f));
+        let line = render_line(String::new(), f);
         if let Err(e) = rdt_obs::check::check_jsonl_line(&line) {
             panic!("validator rejected {line:?}: {e}");
         }
         let parsed = json::parse(&line).unwrap_or_else(|e| panic!("reparse of {line:?}: {e}"));
         // The indented layout keeps a finite float a float, exactly.
-        let value = event_json(String::new(), Value::F64(f));
+        let value = line_json(String::new(), JsonValue::Num(f));
         let pretty = json::parse(&value.pretty()).unwrap();
         if f.is_finite() {
             prop_assert_eq!(pretty, value);
@@ -93,7 +92,7 @@ proptest! {
     #[test]
     fn non_finite_floats_degrade_to_null(which in 0usize..3) {
         let f = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][which];
-        let line = render_event(String::new(), Value::F64(f));
+        let line = render_line(String::new(), f);
         let parsed = json::parse(&line).unwrap();
         prop_assert_eq!(parsed.get("payload"), Some(&JsonValue::Null));
     }

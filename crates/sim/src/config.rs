@@ -139,11 +139,11 @@ impl Default for ShardConfig {
 
 /// Why a multi-shard run degraded to the sequential engine: the channel's
 /// `min_delay` is 0, so a cross-shard message can be delivered in the tick
-/// it was sent and the conservative lookahead window is empty. Surfaced
-/// loudly (a structured `zero_lookahead_fallback` warning through the
-/// `rdt_obs` sink and counted in
-/// [`Metrics::sequential_fallbacks`](crate::Metrics::sequential_fallbacks))
-/// rather than silently degrading to lockstep barriers every tick.
+/// it was sent and the conservative lookahead window is empty. The run
+/// counts it in
+/// [`Metrics::sequential_fallbacks`](crate::Metrics::sequential_fallbacks)
+/// rather than silently degrading to lockstep barriers every tick, and
+/// `rdt` prints this message on stderr when that count is not zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ZeroLookaheadFallback {
     /// The shard count that was requested.

@@ -136,7 +136,9 @@ impl SimulationBuilder {
     /// sequential engine). Output is byte-identical for a fixed seed
     /// regardless of the count; if the channel's `min_delay` is 0 the
     /// lookahead window is empty and the run falls back to the sequential
-    /// engine loudly ([`crate::ZeroLookaheadFallback`]).
+    /// engine, counted in the report's
+    /// [`Metrics::sequential_fallbacks`](crate::Metrics::sequential_fallbacks)
+    /// ([`crate::ZeroLookaheadFallback`] says why).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shard.shards = shards;
         self
@@ -163,14 +165,8 @@ impl SimulationBuilder {
         if shards > 1 {
             if self.config.channel.min_delay == 0 {
                 // Zero cross-shard lookahead: every window would be a
-                // single tick (lockstep barriers). Degrade loudly to the
-                // sequential engine instead.
-                let warning = crate::ZeroLookaheadFallback { shards };
-                rdt_obs::warn("rdt_sim::engine", "zero_lookahead_fallback")
-                    .message(warning)
-                    .u64("shards", shards as u64)
-                    .u64("min_delay", self.config.channel.min_delay)
-                    .emit();
+                // single tick (lockstep barriers). Fall back to the
+                // sequential engine instead, and count it.
                 let mut report = self.run_sequential()?;
                 report.metrics.sequential_fallbacks = 1;
                 return Ok(report);

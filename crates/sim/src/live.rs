@@ -97,6 +97,21 @@ pub struct LiveStats {
     pub eliminated: u64,
 }
 
+impl LiveStats {
+    /// Counts one event a process logged: the rule by which a history's
+    /// lines are read back as the counts its node kept.
+    pub fn tally(&mut self, event: TraceEvent) {
+        match event {
+            TraceEvent::Send { .. } => self.sent += 1,
+            TraceEvent::Deliver { .. } => self.delivered += 1,
+            TraceEvent::Checkpoint { forced: false, .. } => self.basic += 1,
+            TraceEvent::Checkpoint { forced: true, .. } => self.forced += 1,
+            TraceEvent::Collect { .. } => self.eliminated += 1,
+            TraceEvent::Drop { .. } | TraceEvent::Crash { .. } | TraceEvent::Restore { .. } => {}
+        }
+    }
+}
+
 /// A live node's [`Sink`]: each trace event becomes a line of the
 /// operation's event-log write, and what the events and metric ops say
 /// the node did is counted.

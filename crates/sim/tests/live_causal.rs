@@ -1,15 +1,11 @@
 //! The event log of the live frame path: the trace events of each
-//! operation, in the one line shape, and nothing in the diagnostic sink.
+//! operation, in the one line shape.
 //!
-//! Own integration binary (own process): the sink, level and event log
-//! are process-global, so this must not share a process with other tests
-//! that touch them.
-
-use std::sync::Arc;
+//! Own integration binary (own process): the event log is process-global,
+//! so this must not share a process with other tests that touch it.
 
 use rdt_base::{CheckpointIndex, MessageId, ProcessId, TraceEvent};
 use rdt_core::GcKind;
-use rdt_obs::{CaptureSink, Level};
 use rdt_protocols::ProtocolKind;
 use rdt_sim::{LiveNode, TraceLine};
 
@@ -23,11 +19,6 @@ fn live_frames_emit_causal_events_and_flight_dump() {
     std::fs::create_dir_all(&dir).unwrap();
     let dump = dir.join("flight_p0.jsonl");
 
-    // The sink at its most verbose: the frame path still writes nothing
-    // to it.
-    let capture = Arc::new(CaptureSink::new());
-    rdt_obs::set_sink(capture.clone());
-    rdt_obs::set_level(Some(Level::Debug));
     rdt_obs::flight::install(&dump, 0);
 
     let mut a = LiveNode::new(p(0), 2, ProtocolKind::Fdas, GcKind::RdtLgc);
@@ -44,10 +35,7 @@ fn live_frames_emit_causal_events_and_flight_dump() {
     let body = std::fs::read_to_string(&dump).unwrap();
     let lines: Vec<TraceLine> = body
         .lines()
-        .map(|l| {
-            rdt_obs::check::check_jsonl_line(l).unwrap();
-            TraceLine::parse(l).unwrap().expect("an event line")
-        })
+        .map(|l| TraceLine::parse(l).unwrap().expect("an event line"))
         .collect();
     let at: Vec<_> = lines.iter().map(|l| (l.process, l.event)).collect();
     let collect = |index| TraceEvent::Collect {
@@ -109,14 +97,12 @@ fn live_frames_emit_causal_events_and_flight_dump() {
     // The delivery learned at least the entry the send carried.
     let (sent, learned) = (lines[2].lineage.unwrap(), lines[3].lineage.unwrap());
     assert!(learned >= sent, "delivery learned {learned} < sent {sent}");
-    assert!(capture.drain().is_empty(), "live events reached the sink");
 
     // With the log uninstalled the frame path goes quiet.
     rdt_obs::flight::uninstall().unwrap();
     let (f2, _) = b.send_frame(p(0));
     a.deliver_frame(f2.encode()).unwrap().unwrap();
     assert_eq!(std::fs::read_to_string(&dump).unwrap(), body);
-    assert!(capture.drain().is_empty());
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,8 +1,7 @@
 //! Observability must be a pure observer: with phase profiling switched
 //! on, every golden scenario — sequential and sharded — must still produce
 //! the **byte-identical** canonical dump recorded in the committed golden
-//! file, and the structured warning path must carry the same typed payload
-//! the old `eprintln!` lost.
+//! file.
 //!
 //! Also pins the sharded profile's accounting: per shard, the worker
 //! phases (`setup`/`cmd_wait`/`drain`/`exchange`/`barrier_wait`/`global`/
@@ -12,7 +11,6 @@
 use proptest::prelude::*;
 
 use rdt_core::GcKind;
-use rdt_obs::{CaptureSink, Level, Value};
 use rdt_protocols::ProtocolKind;
 use rdt_recovery::RecoveryMode;
 use rdt_sim::{ChannelConfig, Partitioning, ShardConfig, SimConfig, SimulationBuilder};
@@ -126,45 +124,6 @@ fn shard_phase_totals_sum_to_the_shard_wall_clock() {
         }
     }
     panic!("phase sums outside ±5% of wall-clock on 3 attempts: {last_err}");
-}
-
-/// The zero-lookahead fallback warning reaches the structured sink as a
-/// typed event — name, level, target and the fields the old `eprintln!`
-/// buried in prose.
-#[test]
-fn zero_lookahead_fallback_emits_a_structured_warning() {
-    let capture = std::sync::Arc::new(CaptureSink::new());
-    let prev = rdt_obs::set_sink(capture.clone());
-    rdt_obs::set_level(Some(Level::Warn));
-    let spec = WorkloadSpec::uniform_random(4, 200).with_seed(9);
-    let report = SimulationBuilder::new(spec)
-        .config(SimConfig {
-            channel: ChannelConfig::instant(), // min_delay == 0: no lookahead
-            ..SimConfig::default()
-        })
-        .shards(2)
-        .run()
-        .expect("fallback run succeeds");
-    let events = capture.events();
-    rdt_obs::set_sink(prev);
-
-    assert_eq!(report.metrics.sequential_fallbacks, 1);
-    let ev = events
-        .iter()
-        .find(|e| e.name == "zero_lookahead_fallback")
-        .expect("structured fallback warning captured");
-    assert_eq!(ev.level, Level::Warn);
-    assert_eq!(ev.target, "rdt_sim::engine");
-    assert!(ev.message.contains("min_delay"), "{}", ev.message);
-    let field = |key: &str| {
-        ev.fields
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| panic!("field '{key}' missing from {ev:?}"))
-    };
-    assert_eq!(field("shards"), Value::U64(2));
-    assert_eq!(field("min_delay"), Value::U64(0));
 }
 
 proptest! {

@@ -25,11 +25,12 @@
 //! injector in [`backend`](crate::backend) can crash, tear, or corrupt any
 //! single operation deterministically. Transient `EIO`/`ENOSPC` style
 //! failures are absorbed by a bounded retry-with-backoff path; exhaustion
-//! surfaces as [`Error::Transient`]. Every absorbed retry is reported as a
-//! structured `transient_retry` info event through the [`rdt_obs`] sink
-//! (exhaustion as a `transient_exhausted` warning), and when profiling is
-//! on (see [`DurableStore::set_profiling`]) each backend operation's
-//! latency lands in a `store/*` phase.
+//! surfaces as [`Error::Transient`], which names the operation. Every
+//! absorbed retry is counted ([`DurableStore::transient_retries`], the
+//! restart's [`RestartReport::transient_retries`] and the profile's
+//! `store/transient_retries` counter), and when profiling is on (see
+//! [`DurableStore::set_profiling`]) each backend operation's latency lands
+//! in a `store/*` phase.
 //!
 //! [`codec`]: crate::codec
 
@@ -199,8 +200,8 @@ impl DurableStore {
     /// policy: transient errors (see [`is_transient`]) are retried up to
     /// [`RETRY_ATTEMPTS`] times with escalating micro-sleeps; anything
     /// else is permanent and returned immediately. `phase` names the
-    /// operation for the latency profile and the structured retry events
-    /// (info per absorbed retry, warn on exhaustion).
+    /// operation for the latency profile and for the error an exhausted
+    /// retry returns; every retry is counted.
     fn with_retry<T>(
         &self,
         phase: &'static str,
@@ -215,21 +216,12 @@ impl DurableStore {
                 Err(source) if is_transient(&source) => {
                     self.retries.set(self.retries.get() + 1);
                     self.prof.borrow_mut().add("store/transient_retries", 1);
-                    rdt_obs::info("rdt_storage::durable", "transient_retry")
-                        .message(&source)
-                        .str("op", phase)
-                        .str("process", self.owner)
-                        .u64("attempt", u64::from(attempt))
-                        .emit();
                     if attempt == RETRY_ATTEMPTS {
-                        rdt_obs::warn("rdt_storage::durable", "transient_exhausted")
-                            .message(&source)
-                            .str("op", phase)
-                            .str("process", self.owner)
-                            .u64("attempts", u64::from(RETRY_ATTEMPTS))
-                            .emit();
-                        let attempts = RETRY_ATTEMPTS;
-                        break Err(Error::Transient { source, attempts });
+                        break Err(Error::Transient {
+                            op: phase,
+                            source,
+                            attempts: RETRY_ATTEMPTS,
+                        });
                     }
                     std::thread::sleep(delay);
                     delay *= 2;
@@ -957,6 +949,31 @@ mod tests {
         assert_eq!(durable.transient_retries(), 2);
         assert_eq!(durable.indices().unwrap(), vec![idx(0), idx(1)]);
         fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn an_exhausted_retry_names_its_operation() {
+        let dir = scratch("exhausted");
+        // The first commit's first op, the read, fails on every attempt.
+        let plan = (0..u64::from(RETRY_ATTEMPTS)).fold(FaultPlan::none(), |plan, op| {
+            plan.with_fault(op, FaultKind::TransientEio)
+        });
+        let durable = DurableStore::open_with(&dir, OWNER, Box::new(FaultFs::new(plan))).unwrap();
+        let err = durable.sync(&store_of(&[0])).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::Transient {
+                    op: "store/read",
+                    attempts: RETRY_ATTEMPTS,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("store/read"), "{err}");
+        assert_eq!(durable.transient_retries(), u64::from(RETRY_ATTEMPTS));
+        let _ = fs::remove_dir_all(dir);
     }
 
     #[test]

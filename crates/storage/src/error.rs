@@ -23,6 +23,8 @@ pub enum Error {
     /// A transient filesystem error (`EIO`, `ENOSPC`, interrupt) persisted
     /// through every bounded retry attempt.
     Transient {
+        /// The backend operation that kept failing (`store/append`, …).
+        op: &'static str,
         /// The last error observed.
         source: io::Error,
         /// How many attempts were made before giving up.
@@ -35,9 +37,13 @@ impl fmt::Display for Error {
         match self {
             Error::Io(e) => write!(f, "stable-storage i/o failed: {e}"),
             Error::Corrupt(what) => write!(f, "corrupt checkpoint record: {what}"),
-            Error::Transient { source, attempts } => write!(
+            Error::Transient {
+                op,
+                source,
+                attempts,
+            } => write!(
                 f,
-                "transient storage error persisted through {attempts} attempts: {source}"
+                "transient storage error persisted through {attempts} attempts of {op}: {source}"
             ),
         }
     }
@@ -70,10 +76,12 @@ mod tests {
         assert!(s.starts_with(char::is_lowercase));
         assert!(!s.ends_with('.'));
         let t = Error::Transient {
+            op: "store/append",
             source: io::Error::from_raw_os_error(5),
             attempts: 5,
         };
         assert!(t.to_string().starts_with(char::is_lowercase));
+        assert!(t.to_string().contains("of store/append"), "{t}");
     }
 
     #[test]
@@ -82,6 +90,7 @@ mod tests {
         let e = Error::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
         assert!(e.source().is_some());
         let t = Error::Transient {
+            op: "store/fsync",
             source: io::Error::from_raw_os_error(28),
             attempts: 3,
         };
