@@ -5,7 +5,7 @@ use rdt_base::{CheckpointId, CheckpointIndex, ProcessId};
 use rdt_bench::header;
 use rdt_ccp::CcpBuilder;
 use rdt_core::GcKind;
-use rdt_protocols::ProtocolKind;
+use rdt_protocols::{Middleware, ProtocolKind};
 use rdt_sim::run_script_with;
 use rdt_workloads::figures::figure4_script;
 use rdt_workloads::ScriptOp;
@@ -27,34 +27,31 @@ pub fn run() {
     let n = 3;
     // Destination per send ordinal, to name the receiver of a delivery.
     let mut sent_to: Vec<ProcessId> = Vec::new();
-    let run = run_script_with(
-        n,
-        &figure4_script(),
-        ProtocolKind::Fdas,
-        GcKind::RdtLgc,
-        |op, mws| {
-            let what = match *op {
-                ScriptOp::Checkpoint(p) => format!("ckpt  s_{p}^{}", mws[p.index()].last_stable()),
-                ScriptOp::Send { from, to } => {
-                    sent_to.push(to);
-                    format!("send  {from} → {to}")
-                }
-                ScriptOp::Deliver { send_ordinal } => {
-                    format!("recv  m{} at {}", send_ordinal + 1, sent_to[send_ordinal])
-                }
-            };
-            print!("{what:<16}");
-            for mw in mws {
-                print!(
-                    "  {}:{}{}",
-                    mw.owner(),
-                    mw.dv(),
-                    fmt_uc(&mw.uc_snapshot().expect("RDT-LGC")),
-                );
+    let processes = ProcessId::all(n)
+        .map(|p| Middleware::new(p, n, ProtocolKind::Fdas, GcKind::RdtLgc))
+        .collect();
+    let run = run_script_with(processes, &figure4_script(), |op, mws, _trace| {
+        let what = match *op {
+            ScriptOp::Checkpoint(p) => format!("ckpt  s_{p}^{}", mws[p.index()].last_stable()),
+            ScriptOp::Send { from, to } => {
+                sent_to.push(to);
+                format!("send  {from} → {to}")
             }
-            println!();
-        },
-    )
+            ScriptOp::Deliver { send_ordinal } => {
+                format!("recv  m{} at {}", send_ordinal + 1, sent_to[send_ordinal])
+            }
+        };
+        print!("{what:<16}");
+        for mw in mws {
+            print!(
+                "  {}:{}{}",
+                mw.owner(),
+                mw.dv(),
+                fmt_uc(&mw.uc_snapshot().expect("RDT-LGC")),
+            );
+        }
+        println!();
+    })
     .expect("script runs");
 
     println!();

@@ -928,9 +928,9 @@ pub fn explain(opts: &RunOpts, faulty_arg: Option<&str>) -> Result<(), String> {
 }
 
 /// The `torture` subcommand: crash-point sweep + seeded corruption plans
-/// over the durable storage layer (see `rdt_storage::torture`).
+/// over `Middleware<DiskSink>` (see `rdt_cli::torture`).
 pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
-    use rdt_storage::torture::{run_torture, TortureOptions};
+    use rdt_cli::torture::{run_torture, TortureOptions};
     let get = |name: &str| m.get_one::<String>(name).expect("defaulted").clone();
     let n: usize = get("processes").parse().map_err(|e| format!("-n: {e}"))?;
     if n < 2 {

@@ -12,8 +12,9 @@
 //! steps a [`LiveWorker`] over them — the one live loop, which the
 //! threaded example and the in-process worker oracle step too. What is
 //! left here is what only a real process needs: arguments, the socket,
-//! the store and its `--resume` rebuild, a 300 µs pause between steps, a
-//! 250 ms drain at the end and the `.prom` dumps.
+//! the store (restarted on `--resume` through [`rdt_cli::restart`], the
+//! one restart from disk), a 300 µs pause between steps, a 250 ms drain
+//! at the end and the `.prom` dumps.
 //!
 //! # The event log and its write ordering
 //!
@@ -210,34 +211,22 @@ pub fn worker(m: &ArgMatches) -> Result<(), String> {
 
     let transport = UdsTransport::bind(&cfg.dir, rank, Duration::from_millis(1))
         .map_err(|e| format!("bind failed: {e}"))?;
-    let disk = DurableStore::open(store_dir(&cfg.dir, rank), me)
-        .map_err(|e| format!("durable store failed: {e}"))?;
 
     let mut restart = None;
     let mut node = if resume {
-        let (store, report) = disk
-            .rebuild_reported()
-            .map_err(|e| format!("rebuild failed: {e}"))?;
+        let (mut mw, report) =
+            rdt_cli::restart(&store_dir(&cfg.dir, rank), me, cfg.n, cfg.protocol, cfg.gc)?;
         restart = Some(report);
-        let target = store
-            .indices()
-            .last()
-            .ok_or_else(|| "resume found no checkpoint to anchor recovery".to_string())?;
-        let mut mw = Middleware::from_store_with(
-            me,
-            cfg.n,
-            cfg.protocol,
-            cfg.gc,
-            store,
-            DiskSink::over(disk),
-        );
         // Uncoordinated self-recovery to the newest surviving checkpoint
         // (the parent's recovery session already truncated every store to
         // the line); the write-ahead incarnation log runs again here.
+        let target = mw.store().last().expect("a restarted store is not empty");
         mw.rollback(target, None)
             .map_err(|e| format!("resume rollback failed: {e}"))?;
         LiveNode::over(mw)
     } else {
+        let disk = DurableStore::open(store_dir(&cfg.dir, rank), me)
+            .map_err(|e| format!("durable store failed: {e}"))?;
         LiveNode::over(Middleware::with_storage(
             me,
             cfg.n,
@@ -310,28 +299,10 @@ fn check_lines(dir: &Path, cfg: &ServeConfig, totals: &mut LiveStats) -> Result<
     logs.lines().for_each(|line| totals.tally(line.event));
     let mut trace = logs.merge()?.oracle_trace();
     let (mut newest, mut mws) = (Vec::with_capacity(cfg.n), Vec::with_capacity(cfg.n));
-    for i in 0..cfg.n {
-        let me = ProcessId::new(i);
-        let disk = DurableStore::open(store_dir(dir, i), me)
-            .map_err(|e| format!("opening store of p{i}: {e}"))?;
-        let indices = disk
-            .indices()
-            .map_err(|e| format!("listing store of p{i}: {e}"))?;
-        newest.push(indices.last().map_or(0, |c| c.value()));
-        let (store, _report) = disk
-            .rebuild_reported()
-            .map_err(|e| format!("rebuilding p{i}: {e}"))?;
-        if store.is_empty() {
-            return Err(format!("p{i} has no surviving checkpoint to recover from"));
-        }
-        mws.push(Middleware::from_store_with(
-            me,
-            cfg.n,
-            cfg.protocol,
-            cfg.gc,
-            store,
-            DiskSink::over(disk),
-        ));
+    for (i, me) in ProcessId::all(cfg.n).enumerate() {
+        let (mw, _report) = rdt_cli::restart(&store_dir(dir, i), me, cfg.n, cfg.protocol, cfg.gc)?;
+        newest.push(mw.store().last().map_or(0, |c| c.value()));
+        mws.push(mw);
     }
     reconcile(&mut trace, &newest);
     judge(&trace, &mut mws)

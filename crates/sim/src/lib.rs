@@ -52,7 +52,9 @@
 //! * [`run_script`] — exact, delivery-placed execution of
 //!   [`Script`](rdt_workloads::Script)s through the same step core, used
 //!   to reproduce the paper's worked figures (2, 4 and 5);
-//!   [`run_script_with`] shows the state after every op.
+//!   [`run_script_with`] runs one over processes of any storage (`rdt
+//!   torture`'s `Middleware<DiskSink>`s) and shows the state after every
+//!   op.
 //! * [`LiveNode`] — the step core over one process behind a wire-frame
 //!   codec, which logs the core's trace events for what it does, and
 //!   [`LiveWorker`] — the one loop of a live process over any transport,

@@ -2,10 +2,14 @@
 //!
 //! A script is a schedule whose deliveries sit where the script puts them:
 //! each [`ScriptOp`] is one [`StepCore`] event, so a figure replays the
-//! same checkpoint / send / receive handlers the simulators run.
+//! same checkpoint / send / receive handlers the simulators run, over
+//! volatile processes or over any other [`Storage`]. Its clock is the op's
+//! position: op `k` runs at tick `k + 1`, which only the time-based
+//! collector reads.
 
-use rdt_base::{DvEntry, MessageId, ProcessId, Result, TraceEvent};
+use rdt_base::{DvEntry, Error, MessageId, ProcessId, Result, TraceEvent};
 use rdt_core::GcKind;
+use rdt_env::{Storage, Volatile};
 use rdt_protocols::{Middleware, Piggyback, ProtocolKind};
 use rdt_workloads::{Script, ScriptOp};
 
@@ -14,9 +18,9 @@ use crate::step::{Sink, StepCore};
 
 /// Outcome of running a script.
 #[derive(Debug)]
-pub struct ScriptRun {
+pub struct ScriptRun<S: Storage = Volatile> {
     /// The middleware instances after the run, in process-id order.
-    pub processes: Vec<Middleware>,
+    pub processes: Vec<Middleware<S>>,
     /// The event trace (checkpoints including forced ones, sends,
     /// deliveries, collects), replayable into an offline CCP.
     pub trace: Vec<TraceEvent>,
@@ -25,7 +29,7 @@ pub struct ScriptRun {
     pub eliminated: Vec<(ProcessId, usize)>,
 }
 
-impl ScriptRun {
+impl<S: Storage> ScriptRun<S> {
     /// Retained checkpoint indices of process `p`, ascending.
     pub fn retained(&self, p: ProcessId) -> Vec<usize> {
         self.processes[p.index()]
@@ -41,8 +45,7 @@ impl ScriptRun {
     }
 }
 
-/// A script keeps its trace and nothing else: it has no clock and no
-/// metrics.
+/// A script keeps its trace and nothing else: it has no metrics.
 impl Sink for Vec<TraceEvent> {
     fn trace(&mut self, event: TraceEvent, _lineage: Option<DvEntry>) {
         self.push(event);
@@ -53,8 +56,9 @@ impl Sink for Vec<TraceEvent> {
     fn occupancy(&mut self, _at: u64, _p: ProcessId, _retained: usize) {}
 }
 
-/// Runs `script` over `n` fresh processes with the given protocol and
-/// collector. Deliveries happen exactly where the script places them.
+/// Runs `script` over `n` fresh volatile processes with the given
+/// protocol and collector. Deliveries happen exactly where the script
+/// places them.
 ///
 /// # Errors
 ///
@@ -86,53 +90,62 @@ pub fn run_script(
     protocol: ProtocolKind,
     gc: GcKind,
 ) -> Result<ScriptRun> {
-    run_script_with(n, script, protocol, gc, |_, _| {})
+    let processes = ProcessId::all(n)
+        .map(|p| Middleware::new(p, n, protocol, gc))
+        .collect();
+    run_script_with(processes, script, |_, _, _| {})
 }
 
-/// [`run_script`], calling `each` after every op with the op and every
-/// process's middleware.
+/// [`run_script`] over `processes` — every process of the system, in
+/// process-id order, over any storage — calling `each` after every op
+/// with the op, the processes and the trace so far.
 ///
 /// # Errors
 ///
-/// As [`run_script`].
+/// As [`run_script`], and [`Error::Storage`] with the first commit a
+/// process's sink failed: like a live worker, the run stops at the op
+/// whose commit failed.
 ///
 /// # Panics
 ///
 /// As [`run_script`].
-pub fn run_script_with(
-    n: usize,
+pub fn run_script_with<S: Storage>(
+    processes: Vec<Middleware<S>>,
     script: &Script,
-    protocol: ProtocolKind,
-    gc: GcKind,
-    mut each: impl FnMut(&ScriptOp, &[Middleware]),
-) -> Result<ScriptRun> {
-    // Scripts have no clock: every event runs at tick 0, where no
-    // collector's timer fires.
-    const NOW: u64 = 0;
-    let mut core = StepCore::new(ProcessId::all(n), n, protocol, gc, 0);
+    mut each: impl FnMut(&ScriptOp, &[Middleware<S>], &[TraceEvent]),
+) -> Result<ScriptRun<S>> {
+    let n = processes.len();
+    let mut core = StepCore::over(processes, n);
     let mut trace = Vec::new();
     // Per send ordinal: (id, destination, piggyback), consumed on delivery.
     let mut sends: Vec<Option<(MessageId, ProcessId, Piggyback)>> = Vec::new();
 
-    for op in script.ops() {
-        match *op {
+    for (k, op) in script.ops().iter().enumerate() {
+        let now = k as u64 + 1;
+        let touched = match *op {
             ScriptOp::Checkpoint(p) => {
-                core.checkpoint(p, NOW, &mut trace)?;
+                core.checkpoint(p, now, &mut trace)?;
+                p
             }
             ScriptOp::Send { from, to } => {
                 let (id, pb) = core
-                    .send(from, to, NOW, &mut trace)
+                    .send(from, to, now, &mut trace)
                     .expect("scripts never crash a process");
                 sends.push(Some((id, to, pb)));
+                from
             }
             ScriptOp::Deliver { send_ordinal } => {
                 let (id, to, pb) = sends[send_ordinal]
                     .take()
                     .expect("script delivers each send at most once");
-                core.deliver(to, id, &pb, NOW, &mut trace)?;
+                core.deliver(to, id, &pb, now, &mut trace)?;
+                to
             }
+        };
+        if let Some(e) = core.processes_mut()[touched.index()].take_sink_error() {
+            return Err(Error::Storage(e));
         }
-        each(op, core.processes());
+        each(op, core.processes(), &trace);
     }
 
     // Undelivered sends are in-transit: mark them dropped so offline replay
@@ -254,6 +267,65 @@ mod tests {
             };
             assert!(run.trace.contains(&collect), "{collect:?}");
         }
+    }
+
+    /// A script's clock is its op count: a collector that discards what is
+    /// older than one tick collects as the script goes.
+    #[test]
+    fn op_k_runs_at_tick_k_plus_one() {
+        let mut script = Script::new();
+        for _ in 0..4 {
+            script.checkpoint(p(0));
+        }
+        let gc = GcKind::TimeBased { horizon: 1 };
+        let run = run_script(2, &script, ProtocolKind::Fdas, gc).unwrap();
+        assert!(!run.eliminated.is_empty());
+        let run = run_script(2, &script, ProtocolKind::Fdas, GcKind::None).unwrap();
+        assert!(run.eliminated.is_empty());
+    }
+
+    /// A sink whose commits fail once `ok` of them succeeded.
+    #[derive(Debug)]
+    struct FailingSink {
+        ok: usize,
+    }
+
+    impl Storage for FailingSink {
+        type Error = &'static str;
+
+        fn commit(
+            &mut self,
+            _store: &rdt_core::CheckpointStore,
+        ) -> std::result::Result<(), &'static str> {
+            self.ok = self.ok.checked_sub(1).ok_or("disk gone")?;
+            Ok(())
+        }
+
+        fn wal_incarnation(
+            &mut self,
+            _incarnation: rdt_base::Incarnation,
+        ) -> std::result::Result<(), &'static str> {
+            Ok(())
+        }
+    }
+
+    /// Like a live worker, the runner stops at the op whose commit failed.
+    #[test]
+    fn a_failed_commit_stops_the_run_at_its_op() {
+        let processes = ProcessId::all(2)
+            .map(|q| {
+                let sink = FailingSink { ok: 1 };
+                Middleware::with_storage(q, 2, ProtocolKind::Fdas, GcKind::RdtLgc, sink)
+            })
+            .collect();
+        let mut script = Script::new();
+        script.send(p(0), p(1));
+        script.checkpoint(p(0));
+        script.checkpoint(p(1));
+        let mut ran = 0;
+        let run = run_script_with(processes, &script, |_, _, _| ran += 1);
+        assert!(matches!(run, Err(Error::Storage(e)) if e == "disk gone"));
+        assert_eq!(ran, 1, "only the send, which commits nothing, completed");
     }
 
     #[test]

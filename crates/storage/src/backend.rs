@@ -15,7 +15,7 @@
 //! counter shared by every clone of a `FaultFs`, so a multi-process
 //! harness (one store per process directory) enumerates crash points over
 //! one deterministic, totally ordered operation sequence — the basis of
-//! the [`torture`](crate::torture) harness.
+//! `rdt torture`'s crash-point sweep.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -254,6 +254,10 @@ struct FaultState {
     injected: u64,
     /// How many of the injected faults tore or bit-flipped an append.
     append_faults: u64,
+    /// How many of the injected faults were transient errors.
+    transient: u64,
+    /// The operations that were appends, in order.
+    appends: Vec<u64>,
 }
 
 /// A deterministic fault-injecting backend over the real filesystem.
@@ -287,6 +291,8 @@ impl FaultFs {
                 crashed: false,
                 injected: 0,
                 append_faults: 0,
+                transient: 0,
+                appends: Vec::new(),
             })),
             inner: StdFs,
         }
@@ -311,6 +317,17 @@ impl FaultFs {
     /// Number of torn or bit-flipped **appends** among the injected faults.
     pub fn append_faults_injected(&self) -> u64 {
         self.state.lock().expect("fault state").append_faults
+    }
+
+    /// Number of transient errors among the injected faults.
+    pub fn transient_faults_injected(&self) -> u64 {
+        self.state.lock().expect("fault state").transient
+    }
+
+    /// The operations, counted as [`ops_executed`](Self::ops_executed)
+    /// counts them, that were appends, ascending.
+    pub fn append_ops(&self) -> Vec<u64> {
+        self.state.lock().expect("fault state").appends.clone()
     }
 
     /// Admits a `write` or `append` of `bytes`; returns what reaches the
@@ -348,13 +365,18 @@ impl FaultFs {
             }
         }
         st.ops += 1;
+        if kind == OpKind::Append {
+            st.appends.push(op);
+        }
         match st.plan.faults.get(&op).copied() {
             Some(FaultKind::TransientEio) => {
                 st.injected += 1;
+                st.transient += 1;
                 Err(io::Error::from_raw_os_error(libc_eio()))
             }
             Some(FaultKind::TransientEnospc) => {
                 st.injected += 1;
+                st.transient += 1;
                 Err(io::Error::from_raw_os_error(libc_enospc()))
             }
             Some(f @ FaultKind::TornWrite) | Some(f @ FaultKind::BitFlip)
@@ -589,6 +611,7 @@ mod tests {
         assert!(is_transient(&err));
         f.write(&dir.join("t"), b"x").unwrap(); // next op passes
         assert!(!f.has_crashed());
+        assert_eq!(f.transient_faults_injected(), 1);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -603,9 +626,10 @@ mod tests {
         let a = FaultFs::new(FaultPlan::none());
         let b = a.clone();
         a.write(&dir.join("a"), b"x").unwrap();
-        b.write(&dir.join("b"), b"y").unwrap();
+        b.append(&dir.join("b"), b"y").unwrap();
         assert_eq!(a.ops_executed(), 2);
         assert_eq!(b.ops_executed(), 2);
+        assert_eq!(a.append_ops(), [1]);
         fs::remove_dir_all(dir).unwrap();
     }
 }

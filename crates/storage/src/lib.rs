@@ -37,7 +37,6 @@ mod durable;
 mod error;
 pub mod log;
 mod sink;
-pub mod torture;
 
 pub use backend::{FaultFs, FaultKind, FaultPlan, StdFs, StorageBackend};
 pub use durable::{DurableStore, RestartReport};
