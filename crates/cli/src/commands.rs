@@ -1028,9 +1028,9 @@ pub fn torture(m: &clap::ArgMatches) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!(
-            "{} of {} probes violated the crash-consistency contract",
+            "{} of {} runs violated the crash-consistency contract",
             report.failures.len(),
-            report.crash_points_tested + report.fault_plans_tested
+            report.runs_judged()
         ))
     }
 }

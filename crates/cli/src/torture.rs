@@ -118,6 +118,12 @@ impl TortureReport {
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
     }
+
+    /// The runs judged: the reference run, every crash point and every
+    /// fault plan. Each files at most one of [`failures`](Self::failures).
+    pub fn runs_judged(&self) -> usize {
+        1 + self.crash_points_tested + self.fault_plans_tested
+    }
 }
 
 /// Generates the scripted workload: ~30% basic checkpoints, ~45% sends,

@@ -6,6 +6,20 @@
 //! distributes the last-interval vector `LI`, and drives each process's
 //! Algorithm-3 rollback through the `rdt-protocols` middleware.
 //!
+//! # What a session reads of another process
+//!
+//! By Lemma 1 a process's line component depends on its own volatile and
+//! stored vectors and, of every *other* process, only on the faulty ones'
+//! last stable checkpoint and live incarnation. A session therefore reads
+//! those triples into [`Blockers`] once; each process's
+//! [`choose`](RecoveryManager::choose) then runs where the process lives,
+//! over its own store, and [`plan_from`](RecoveryManager::plan_from)
+//! assembles the line, the degraded set and `LI` from the choices. No
+//! vector and no store of one process is ever read on behalf of another:
+//! the sharded simulator ships the triples, the blockers and the choices
+//! between threads, nothing else. [`RecoveryManager::plan`] is the same
+//! composition over a slice of middlewares in one place.
+//!
 //! Two modes mirror Section 4.3:
 //!
 //! * [`RecoveryMode::Coordinated`] — global information available, garbage
@@ -49,6 +63,6 @@ mod manager;
 pub mod wang;
 
 pub use manager::{
-    FaultySet, LineSource, ProcessView, RecoveryError, RecoveryManager, RecoveryMode, RecoveryPlan,
+    Blockers, Chosen, FaultySet, RecoveryError, RecoveryManager, RecoveryMode, RecoveryPlan,
     RecoverySessionReport, SessionOutcomes,
 };

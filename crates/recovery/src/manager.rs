@@ -13,114 +13,6 @@ use rdt_protocols::Middleware;
 /// The set of processes that failed, triggering the recovery session.
 pub type FaultySet = BTreeSet<ProcessId>;
 
-/// What the manager needs to know about one process to compute a recovery
-/// line: Lemma 1 reads only dependency vectors and store metadata, never
-/// application state. Implemented by [`Middleware`] itself (the in-place
-/// sequential path — no copying) and by [`ProcessView`] (an owned snapshot
-/// a shard worker can ship across threads).
-pub trait LineSource {
-    /// The process this state belongs to.
-    fn owner(&self) -> ProcessId;
-    /// The volatile dependency vector.
-    fn dv(&self) -> &DependencyVector;
-    /// Index of the last stable checkpoint.
-    fn last_stable(&self) -> CheckpointIndex;
-    /// The live incarnation.
-    fn incarnation(&self) -> Incarnation;
-    /// The collector in force (decides exhaustion vs. degradation).
-    fn gc_kind(&self) -> GcKind;
-    /// The stable store: the candidates past the volatile state, and the
-    /// oldest survivor a degraded line falls back to.
-    fn store(&self) -> &CheckpointStore;
-}
-
-impl<S: Storage> LineSource for Middleware<S> {
-    fn owner(&self) -> ProcessId {
-        Middleware::owner(self)
-    }
-
-    fn dv(&self) -> &DependencyVector {
-        Middleware::dv(self)
-    }
-
-    fn last_stable(&self) -> CheckpointIndex {
-        Middleware::last_stable(self)
-    }
-
-    fn incarnation(&self) -> Incarnation {
-        Middleware::incarnation(self)
-    }
-
-    fn gc_kind(&self) -> GcKind {
-        Middleware::gc_kind(self)
-    }
-
-    fn store(&self) -> &CheckpointStore {
-        Middleware::store(self)
-    }
-}
-
-/// An owned snapshot of one process's line-relevant state, detached from
-/// the middleware so it can cross a thread boundary (the sharded engine's
-/// workers gather these at a recovery barrier; the coordinator plans the
-/// session over them).
-#[derive(Debug, Clone)]
-pub struct ProcessView {
-    /// The process snapshotted.
-    pub owner: ProcessId,
-    /// Its volatile dependency vector.
-    pub dv: DependencyVector,
-    /// Its last stable checkpoint index.
-    pub last_stable: CheckpointIndex,
-    /// Its live incarnation.
-    pub incarnation: Incarnation,
-    /// Its collector.
-    pub gc_kind: GcKind,
-    /// Its stable store: a copy of what each stored entry keeps, which for
-    /// a wide system is mostly changes, not vectors.
-    pub stored: CheckpointStore,
-}
-
-impl ProcessView {
-    /// Snapshots `mw`'s line-relevant state.
-    pub fn of<S: Storage>(mw: &Middleware<S>) -> Self {
-        Self {
-            owner: Middleware::owner(mw),
-            dv: Middleware::dv(mw).clone(),
-            last_stable: Middleware::last_stable(mw),
-            incarnation: Middleware::incarnation(mw),
-            gc_kind: Middleware::gc_kind(mw),
-            stored: Middleware::store(mw).clone(),
-        }
-    }
-}
-
-impl LineSource for ProcessView {
-    fn owner(&self) -> ProcessId {
-        self.owner
-    }
-
-    fn dv(&self) -> &DependencyVector {
-        &self.dv
-    }
-
-    fn last_stable(&self) -> CheckpointIndex {
-        self.last_stable
-    }
-
-    fn incarnation(&self) -> Incarnation {
-        self.incarnation
-    }
-
-    fn gc_kind(&self) -> GcKind {
-        self.gc_kind
-    }
-
-    fn store(&self) -> &CheckpointStore {
-        &self.stored
-    }
-}
-
 /// A recovery-session failure.
 ///
 /// With incarnation-numbered intervals, Lemma 1 is total for every
@@ -293,14 +185,6 @@ impl RecoveryManager {
     /// Returns one component per process; `last_stable + 1` denotes the
     /// volatile state.
     ///
-    /// **Cost.** The faulty set is read once, into one range of packed
-    /// entries per faulty process (its live incarnation past its last stable
-    /// checkpoint) and a membership bitmap. A candidate is tested against
-    /// every range at once: the hits are counted without a branch per
-    /// faulty process and without stopping at the first, and the candidate
-    /// is blocked iff any is left after the self guard. Each process's
-    /// candidates are tried newest first, as Lemma 1 reads them.
-    ///
     /// # Errors
     ///
     /// [`RecoveryError::LineExhausted`] if every stored checkpoint of some
@@ -314,175 +198,106 @@ impl RecoveryManager {
     ///
     /// Panics if `faulty` references processes outside `processes`, or if
     /// process ids do not match vector positions.
-    pub fn recovery_line<V: LineSource>(
+    pub fn recovery_line<S: Storage>(
         &self,
-        processes: &[V],
+        processes: &[Middleware<S>],
         faulty: &FaultySet,
     ) -> Result<Vec<CheckpointIndex>, RecoveryError> {
-        self.line_with_degradation(processes, faulty)
-            .map(|(line, _)| line)
+        self.plan(processes, faulty).map(|plan| plan.line)
     }
 
-    /// [`recovery_line`](Self::recovery_line) with provenance: the same
-    /// scan, additionally recording per process which DV entry pinned the
-    /// chosen component (the entry that blocked the lowest rejected
-    /// candidate) and which dead-incarnation entries were amnestied.
-    ///
-    /// Unlike the offline [`rdt_ccp::Ccp::explain_recovery_line`], the
-    /// online scan only sees checkpoints the collector retained, so a
-    /// pin's `rejected` candidate is the lowest *stored* rejection — not
-    /// necessarily `chosen + 1`. A process degraded to its oldest survivor
-    /// (time-based GC only) reports the pin that blocked that survivor,
-    /// with `chosen == pinned_by.rejected` marking the degradation.
+    /// One process's share of Lemma 1: its line component under
+    /// `blockers`, the `LI` entry it will have after the session, and
+    /// whether the component degraded to the oldest survivor. Reads `mw`'s
+    /// own vector and stored vectors, and of the other processes only what
+    /// `blockers` holds — so it runs wherever `mw` lives.
     ///
     /// # Errors
     ///
-    /// As for [`recovery_line`](Self::recovery_line).
-    ///
-    /// # Panics
-    ///
-    /// As for [`recovery_line`](Self::recovery_line).
-    pub fn explain<V: LineSource>(
+    /// As for [`recovery_line`](Self::recovery_line), for this process.
+    pub fn choose<S: Storage>(
         &self,
-        processes: &[V],
-        faulty: &FaultySet,
-    ) -> Result<rdt_ccp::LineExplanation, RecoveryError> {
-        use rdt_ccp::{AmnestiedEntry, ComponentProvenance, LineExplanation, PinCause};
-        let session = Blockers::of(processes, faulty);
-        let list = Blocker::list(processes, faulty);
-        let mut components = Vec::with_capacity(processes.len());
-        for mw in processes {
-            let i = mw.owner();
-            let is_faulty = session.is_faulty(i);
-            let ceiling = if is_faulty {
-                mw.last_stable()
-            } else {
-                mw.last_stable().next()
-            };
-            let mut amnestied: Vec<AmnestiedEntry> = Vec::new();
-            let mut last_pin: Option<PinCause> = None;
-            let chosen = session.candidates(mw).find(|&(idx, candidate)| {
-                // Dead-incarnation knowledge past a faulty process's last
-                // stable checkpoint: it would block, were it live.
-                for b in &list {
-                    let entry = candidate.lineage(b.f);
-                    if b.last_stable.value() < entry.interval().value()
-                        && entry.incarnation() < b.live
-                    {
-                        amnestied.push(AmnestiedEntry {
-                            at: idx,
-                            faulty: b.f,
-                            incarnation: entry.incarnation().value(),
-                            interval: entry.interval().value(),
-                            live_incarnation: b.live.value(),
-                        });
-                    }
-                }
-                // The first faulty process that blocks the candidate.
-                let blocker = list.iter().find(|b| b.blocks(i, idx, candidate));
-                debug_assert_eq!(
-                    blocker.is_some(),
-                    session.blocked(mw, idx, candidate),
-                    "the per-blocker scan and the word-parallel test agree"
-                );
-                if let Some(b) = blocker {
-                    let entry = candidate.lineage(b.f);
-                    last_pin = Some(PinCause {
-                        blocker: b.f,
-                        rejected: idx,
-                        incarnation: entry.incarnation().value(),
-                        interval: entry.interval().value(),
-                        last_stable: b.last_stable,
-                    });
-                }
-                blocker.is_none()
-            });
-            let chosen = match chosen {
-                Some((c, _)) => c,
-                None => exhausted(mw)?,
-            };
-            components.push(ComponentProvenance {
-                process: i,
-                chosen,
-                ceiling,
-                volatile_kept: !is_faulty && chosen == ceiling,
-                pinned_by: last_pin,
-                amnestied,
-            });
-        }
-        Ok(LineExplanation { components })
-    }
-
-    /// [`recovery_line`](Self::recovery_line), also reporting which
-    /// processes degraded to the oldest survivor.
-    fn line_with_degradation<V: LineSource>(
-        &self,
-        processes: &[V],
-        faulty: &FaultySet,
-    ) -> Result<(Vec<CheckpointIndex>, Vec<ProcessId>), RecoveryError> {
-        let session = Blockers::of(processes, faulty);
-        let mut line = Vec::with_capacity(processes.len());
-        let mut degraded = Vec::new();
-        for mw in processes {
-            let component = match session.choose(mw) {
-                Some(c) => c,
-                None => {
-                    degraded.push(mw.owner());
-                    exhausted(mw)?
-                }
-            };
-            line.push(component);
-        }
-        Ok((line, degraded))
-    }
-
-    /// Computes everything a recovery session decides — the line, the
-    /// degraded set, the post-session `(component, incarnation)` pairs and
-    /// the `LI` vector — without touching any process state. The first
-    /// half of [`recover`](Self::recover), usable over [`ProcessView`]
-    /// snapshots gathered from worker threads.
-    ///
-    /// # Errors
-    ///
-    /// As for [`recovery_line`](Self::recovery_line).
-    ///
-    /// # Panics
-    ///
-    /// As for [`recovery_line`](Self::recovery_line).
-    pub fn plan<V: LineSource>(
-        &self,
-        processes: &[V],
-        faulty: &FaultySet,
-    ) -> Result<RecoveryPlan, RecoveryError> {
-        let (line, degraded) = self.line_with_degradation(processes, faulty)?;
-
+        mw: &Middleware<S>,
+        blockers: &Blockers,
+    ) -> Result<Chosen, RecoveryError> {
+        let (component, degraded) = match blockers.choose(mw) {
+            Some(component) => (component, false),
+            None => (exhausted(mw)?, true),
+        };
         // LI over the post-recovery CCP: a rolling process's last stable
         // becomes its component and its rollback opens a fresh incarnation;
         // a non-rolling process keeps both its own. Building LI with the
         // *post-session* incarnations is what lets every receiver compare
         // `DV[f] < LI[f]` lexicographically and recognize pre-rollback
         // knowledge of `f` as stale.
-        let components: Vec<(CheckpointIndex, Incarnation)> = processes
-            .iter()
-            .zip(&line)
-            .map(|(mw, &component)| {
-                let will_roll = component < mw.last_stable().next();
-                let incarnation = if will_roll {
-                    mw.incarnation().next()
-                } else {
-                    mw.incarnation()
-                };
-                (component.min(mw.last_stable()), incarnation)
-            })
-            .collect();
-        let li = LastIntervals::from_components(&components);
-
-        Ok(RecoveryPlan {
-            line,
+        let last_stable = mw.last_stable();
+        let incarnation = if component < last_stable.next() {
+            mw.incarnation().next()
+        } else {
+            mw.incarnation()
+        };
+        Ok(Chosen {
+            process: mw.owner(),
+            component,
+            li: (component.min(last_stable), incarnation),
             degraded,
-            components,
-            li,
         })
+    }
+
+    /// Everything a recovery session decides — the line, the degraded set,
+    /// the post-session `(component, incarnation)` pairs and the `LI`
+    /// vector — from every process's [`choose`](Self::choose), ascending by
+    /// process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chosen` is not one choice per process in id order.
+    pub fn plan_from(&self, chosen: &[Chosen]) -> RecoveryPlan {
+        for (k, c) in chosen.iter().enumerate() {
+            assert_eq!(c.process.index(), k, "one choice per process, in id order");
+        }
+        let components: Vec<_> = chosen.iter().map(|c| c.li).collect();
+        RecoveryPlan {
+            line: chosen.iter().map(|c| c.component).collect(),
+            degraded: chosen
+                .iter()
+                .filter(|c| c.degraded)
+                .map(|c| c.process)
+                .collect(),
+            li: LastIntervals::from_components(&components),
+            components,
+        }
+    }
+
+    /// The first half of [`recover`](Self::recover), touching no process
+    /// state: the faulty set's [`Blockers`], each process's
+    /// [`choose`](Self::choose), then [`plan_from`](Self::plan_from).
+    ///
+    /// # Errors
+    ///
+    /// As for [`recovery_line`](Self::recovery_line): the lowest-id
+    /// process's failure.
+    ///
+    /// # Panics
+    ///
+    /// As for [`recovery_line`](Self::recovery_line).
+    pub fn plan<S: Storage>(
+        &self,
+        processes: &[Middleware<S>],
+        faulty: &FaultySet,
+    ) -> Result<RecoveryPlan, RecoveryError> {
+        let faulty = faulty.iter().map(|&f| {
+            let mw = processes
+                .get(f.index())
+                .expect("faulty process out of range");
+            (f, mw.last_stable(), mw.incarnation())
+        });
+        let blockers = Blockers::new(processes.len(), faulty);
+        let chosen = processes
+            .iter()
+            .map(|mw| self.choose(mw, &blockers))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(self.plan_from(&chosen))
     }
 
     /// Applies one process's share of a planned session: the Algorithm-3
@@ -633,52 +448,6 @@ impl SessionOutcomes {
     }
 }
 
-/// A faulty process as Lemma 1 reads it, one blocker at a time: what
-/// [`RecoveryManager::explain`] names. The line itself tests a candidate
-/// against every faulty process at once ([`Blockers::blocked`]).
-#[derive(Debug, Clone, Copy)]
-struct Blocker {
-    f: ProcessId,
-    /// `s_f^last`, its last stable checkpoint.
-    last_stable: CheckpointIndex,
-    /// Its live incarnation.
-    live: Incarnation,
-}
-
-impl Blocker {
-    /// Every faulty process's blocker, ascending.
-    fn list<V: LineSource>(processes: &[V], faulty: &FaultySet) -> Vec<Self> {
-        let blocker = |&f: &ProcessId| {
-            let mw = &processes[f.index()];
-            Blocker {
-                f,
-                last_stable: mw.last_stable(),
-                live: mw.incarnation(),
-            }
-        };
-        faulty.iter().map(blocker).collect()
-    }
-
-    /// Lemma 1's blocked test: does `s_f^last` causally precede candidate
-    /// `idx` of process `i` in `f`'s live incarnation
-    /// ([`DependencyVector::dominates_live_checkpoint`] of the candidate's
-    /// entry for `f`)?
-    ///
-    /// A checkpoint never precedes itself. The guard holds across
-    /// incarnations: the stored copy of the last stable checkpoint may have
-    /// been written in an earlier incarnation than the one now executing
-    /// (repeated rollbacks onto the same index), and it still must not
-    /// count as its own blocker. A volatile candidate sits above
-    /// `last_stable`, so the guard never fires for it.
-    fn blocks(&self, i: ProcessId, idx: CheckpointIndex, candidate: Candidate<'_>) -> bool {
-        let entry = candidate.lineage(self.f);
-        debug_assert!(entry.incarnation() <= self.live, "no news from the future");
-        !(self.f == i && idx == self.last_stable)
-            && entry.incarnation() == self.live
-            && self.last_stable.value() < entry.interval().value()
-    }
-}
-
 /// A Lemma-1 candidate's dependency vector: the volatile one or a stored
 /// one kept in full, or a stored checkpoint's read one entry at a time
 /// through the changes its store keeps ([`CheckpointStore::lineage`]) — a
@@ -698,8 +467,13 @@ impl Candidate<'_> {
     }
 }
 
-/// One session's faulty set, read once into a membership bitmap and, per
-/// faulty process, the range of packed entries it blocks.
+/// One session's faulty set as Lemma 1 reads it: each faulty process's
+/// last stable checkpoint and live incarnation — nothing else of any
+/// process — kept as a membership bitmap and, per faulty process, the
+/// range of packed entries it blocks. Small and `Send`: the sharded
+/// engine builds it from gathered triples and hands it to every worker,
+/// which then [chooses](RecoveryManager::choose) its own processes'
+/// components in place.
 ///
 /// Faulty `f` blocks a candidate whose entry for `f` lies in its live
 /// incarnation past its last stable checkpoint: `(live, last_stable + 1) ≤
@@ -709,7 +483,8 @@ impl Candidate<'_> {
 /// A candidate is blocked iff some faulty entry falls in its range: the
 /// hits are counted over every faulty process, without a branch per
 /// process and without stopping at the first blocker.
-struct Blockers {
+#[derive(Debug, Clone)]
+pub struct Blockers {
     /// Bit `f` set iff `f` is faulty: `⌈n/64⌉` words.
     faulty: Vec<u64>,
     /// Every faulty process's range, ascending by process.
@@ -733,23 +508,23 @@ impl Range {
 }
 
 impl Blockers {
+    /// The blockers of an `n`-process system from each faulty process's
+    /// `(process, last stable checkpoint, live incarnation)`.
+    ///
     /// # Panics
     ///
-    /// Panics if `faulty` references processes outside `processes`, or if
-    /// process ids do not match positions.
-    fn of<V: LineSource>(processes: &[V], faulty: &FaultySet) -> Self {
-        for (k, mw) in processes.iter().enumerate() {
-            assert_eq!(mw.owner().index(), k, "middlewares must be in id order");
-        }
-        let mut members = vec![0; processes.len().div_ceil(64)];
-        let range = |&f: &ProcessId| {
-            let mw = processes
-                .get(f.index())
-                .expect("faulty process out of range");
+    /// Panics if a faulty process is not below `n`.
+    pub fn new(
+        n: usize,
+        faulty: impl IntoIterator<Item = (ProcessId, CheckpointIndex, Incarnation)>,
+    ) -> Self {
+        let mut members = vec![0; n.div_ceil(64)];
+        let range = |(f, last_stable, live): (ProcessId, CheckpointIndex, Incarnation)| {
+            assert!(f.index() < n, "faulty process out of range");
             members[f.index() / 64] |= 1 << (f.index() % 64);
-            let live = u64::from(mw.incarnation().value()) << DvEntry::INTERVAL_BITS;
+            let live = u64::from(live.value()) << DvEntry::INTERVAL_BITS;
             // Wrapping: the newest incarnation's range ends at 2^64.
-            let lo = live.wrapping_add(mw.last_stable().value() as u64 + 1);
+            let lo = live.wrapping_add(last_stable.value() as u64 + 1);
             let end = live.wrapping_add(1 << DvEntry::INTERVAL_BITS);
             Range {
                 f: f.index(),
@@ -757,7 +532,8 @@ impl Blockers {
                 width: end.wrapping_sub(lo),
             }
         };
-        let ranges = faulty.iter().map(range).collect();
+        let mut ranges: Vec<Range> = faulty.into_iter().map(range).collect();
+        ranges.sort_unstable_by_key(|r| r.f);
         Self {
             faulty: members,
             ranges,
@@ -768,13 +544,24 @@ impl Blockers {
         self.faulty[p.index() / 64] >> (p.index() % 64) & 1 == 1
     }
 
-    /// Whether some faulty process blocks candidate `idx` of `mw`:
-    /// [`Blocker::blocks`] over every faulty process at once. The self
-    /// guard discounts a faulty process's own hit on its stored last stable
-    /// checkpoint.
-    fn blocked<V: LineSource>(
+    /// Lemma 1's blocked test for candidate `idx` of process `i`, whose
+    /// last stable checkpoint is `last_stable`: does the last stable
+    /// checkpoint of some faulty process causally precede it in that
+    /// process's live incarnation
+    /// ([`DependencyVector::dominates_live_checkpoint`] of the candidate's
+    /// entry for it)? Tested against every faulty process at once.
+    ///
+    /// A checkpoint never precedes itself: the self guard discounts a
+    /// faulty process's own hit on its stored last stable checkpoint. The
+    /// guard holds across incarnations: the stored copy of the last stable
+    /// checkpoint may have been written in an earlier incarnation than the
+    /// one now executing (repeated rollbacks onto the same index), and it
+    /// still must not count as its own blocker. A volatile candidate sits
+    /// above `last_stable`, so the guard never fires for it.
+    fn blocked(
         &self,
-        mw: &V,
+        i: ProcessId,
+        last_stable: CheckpointIndex,
         idx: CheckpointIndex,
         candidate: Candidate<'_>,
     ) -> bool {
@@ -783,8 +570,7 @@ impl Blockers {
             .iter()
             .map(|r| usize::from(r.holds(candidate)))
             .sum();
-        let i = mw.owner();
-        let guarded = self.is_faulty(i) && idx == mw.last_stable() && {
+        let guarded = self.is_faulty(i) && idx == last_stable && {
             let own = self.ranges.binary_search_by_key(&i.index(), |r| r.f);
             self.ranges[own.expect("a faulty process has a range")].holds(candidate)
         };
@@ -793,9 +579,9 @@ impl Blockers {
 
     /// A process's Lemma-1 candidates, newest first: its volatile state
     /// unless it is faulty, then its stored checkpoints.
-    fn candidates<'a, V: LineSource>(
+    fn candidates<'a, S: Storage>(
         &self,
-        mw: &'a V,
+        mw: &'a Middleware<S>,
     ) -> impl Iterator<Item = (CheckpointIndex, Candidate<'a>)> {
         let volatile = (!self.is_faulty(mw.owner()))
             .then(|| (mw.last_stable().next(), Candidate::Whole(mw.dv())));
@@ -811,9 +597,10 @@ impl Blockers {
 
     /// Lemma 1 for one process: its newest candidate that no faulty
     /// process blocks, or `None` if every one is blocked.
-    fn choose<V: LineSource>(&self, mw: &V) -> Option<CheckpointIndex> {
+    fn choose<S: Storage>(&self, mw: &Middleware<S>) -> Option<CheckpointIndex> {
+        let (i, last_stable) = (mw.owner(), mw.last_stable());
         self.candidates(mw)
-            .find(|&(idx, candidate)| !self.blocked(mw, idx, candidate))
+            .find(|&(idx, candidate)| !self.blocked(i, last_stable, idx, candidate))
             .map(|(idx, _)| idx)
     }
 }
@@ -826,7 +613,7 @@ impl Blockers {
 /// it degrades to the oldest survivor: the closest available approximation
 /// of the true line, and exactly the data-loss scenario the paper's safety
 /// comparison quantifies.
-fn exhausted<V: LineSource>(mw: &V) -> Result<CheckpointIndex, RecoveryError> {
+fn exhausted<S: Storage>(mw: &Middleware<S>) -> Result<CheckpointIndex, RecoveryError> {
     if !mw.gc_kind().needs_time_assumptions() {
         return Err(RecoveryError::LineExhausted {
             process: mw.owner(),
@@ -840,10 +627,26 @@ fn exhausted<V: LineSource>(mw: &V) -> Result<CheckpointIndex, RecoveryError> {
         .expect("stable storage retains at least one checkpoint"))
 }
 
+/// One process's share of a recovery session's decisions, as
+/// [`RecoveryManager::choose`] makes them where the process lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Chosen {
+    /// The process.
+    pub process: ProcessId,
+    /// Its recovery-line component (`last_stable + 1` = volatile state).
+    pub component: CheckpointIndex,
+    /// Its post-session `(LI component, incarnation)`.
+    pub li: (CheckpointIndex, Incarnation),
+    /// Whether the component degraded to the oldest survivor (time-based
+    /// GC only).
+    pub degraded: bool,
+}
+
 /// The decisions of one recovery session, separated from their
-/// application so the two halves can run on different threads (plan on
-/// the coordinator over gathered [`ProcessView`]s, apply on the workers
-/// owning the middlewares).
+/// application so the two halves can run on different threads (the
+/// sharded engine's workers choose their processes' components, the
+/// coordinator assembles the plan from the choices, and the workers
+/// apply it to the middlewares they own).
 #[derive(Debug, Clone)]
 pub struct RecoveryPlan {
     /// The recovery line (`last_stable + 1` = volatile state).
@@ -953,76 +756,25 @@ mod tests {
     }
 
     #[test]
-    fn explain_agrees_with_the_line_and_names_valid_pins() {
-        let mws = chain();
+    fn choices_made_apart_plan_as_the_whole() {
+        // What the sharded engine does: the faulty set's triples, each
+        // process's choice made on its own, the plan assembled from them.
+        let mut mws = chain();
+        mws[0].crash();
+        let faulty: FaultySet = [p(0)].into_iter().collect();
         let mgr = RecoveryManager::new();
-        for mask in 0u8..8 {
-            let faulty: FaultySet = (0..3).filter(|i| mask & (1 << i) != 0).map(p).collect();
-            let line = mgr.recovery_line(&mws, &faulty).unwrap();
-            let exp = mgr.explain(&mws, &faulty).unwrap();
-            assert_eq!(
-                exp.line().to_raw(),
-                line.iter().map(|c| c.value()).collect::<Vec<_>>(),
-                "faulty {faulty:?}"
-            );
-            for comp in &exp.components {
-                let mw = &mws[comp.process.index()];
-                match &comp.pinned_by {
-                    None => assert_eq!(comp.chosen, comp.ceiling, "unpinned = at ceiling"),
-                    Some(pin) => {
-                        assert!(faulty.contains(&pin.blocker));
-                        assert!(pin.rejected > comp.chosen);
-                        assert_eq!(pin.last_stable, mws[pin.blocker.index()].last_stable());
-                        // The named entry ties the rejected candidate to the
-                        // blocker's post-last-stable live execution.
-                        assert_eq!(
-                            pin.incarnation,
-                            mws[pin.blocker.index()].incarnation().value()
-                        );
-                        assert!(pin.last_stable.value() < pin.interval);
-                        // The rejected candidate is the volatile state or a
-                        // stored checkpoint whose DV carries that entry.
-                        let mut dv = mw.dv().clone();
-                        if pin.rejected != mw.last_stable().next() {
-                            mw.store().dv(pin.rejected, &mut dv).unwrap();
-                        }
-                        assert_eq!(dv.lineage(pin.blocker).interval().value(), pin.interval);
-                    }
-                }
-                assert!(comp.amnestied.is_empty(), "crash-free chain: no amnesty");
-            }
-        }
-    }
-
-    #[test]
-    fn explain_matches_offline_provenance_when_nothing_was_collected() {
-        // With every checkpoint still stored, the online scan sees the same
-        // dense candidate set as the offline CCP model, so the explanations
-        // agree pin-for-pin.
-        use rdt_ccp::CcpBuilder;
-        let mws = chain();
-        let mut b = CcpBuilder::new(3);
-        b.checkpoint(p(0));
-        b.message(p(0), p(1));
-        b.checkpoint(p(1));
-        b.message(p(1), p(2));
-        let ccp = b.build();
-        let mgr = RecoveryManager::new();
-        for mask in 0u8..8 {
-            let faulty: FaultySet = (0..3).filter(|i| mask & (1 << i) != 0).map(p).collect();
-            let online = mgr.explain(&mws, &faulty).unwrap();
-            let offline = ccp.explain_recovery_line(&faulty.iter().copied().collect());
-            assert_eq!(online.line(), offline.line(), "faulty {faulty:?}");
-            for (on, off) in online.components.iter().zip(&offline.components) {
-                // Chains never GC under these protocols before any crash,
-                // so pins name identical entries. (If a future protocol
-                // change starts collecting here, the line comparison above
-                // still holds; this pin comparison would need the sparse
-                // adjustment documented on `explain`.)
-                assert_eq!(on.pinned_by, off.pinned_by, "faulty {faulty:?}");
-                assert_eq!(on.volatile_kept, off.volatile_kept);
-            }
-        }
+        let blockers = Blockers::new(3, [(p(0), idx(1), Incarnation::ZERO)]);
+        let chosen: Vec<Chosen> = mws
+            .iter()
+            .map(|mw| mgr.choose(mw, &blockers).unwrap())
+            .collect();
+        let apart = mgr.plan_from(&chosen);
+        let whole = mgr.plan(&mws, &faulty).unwrap();
+        assert_eq!(apart.line, whole.line);
+        assert_eq!(apart.components, whole.components);
+        assert_eq!(apart.degraded, whole.degraded);
+        assert_eq!(apart.li, whole.li);
+        assert_eq!(whole.line, vec![idx(1), idx(0), idx(0)]);
     }
 
     #[test]
@@ -1052,53 +804,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn views_plan_identically_to_live_middlewares() {
-        // The sharded engine plans over gathered snapshots; the plan must
-        // match what the sequential path computes in place.
-        let mut mws = chain();
-        mws[0].crash();
-        let faulty: FaultySet = [p(0)].into_iter().collect();
-        let views: Vec<ProcessView> = mws.iter().map(ProcessView::of).collect();
-        let mgr = RecoveryManager::new();
-        let from_views = mgr.plan(&views, &faulty).unwrap();
-        let from_live = mgr.plan(&mws, &faulty).unwrap();
-        assert_eq!(from_views.line, from_live.line);
-        assert_eq!(from_views.components, from_live.components);
-        assert_eq!(from_views.degraded, from_live.degraded);
-        assert_eq!(from_views.li, from_live.li);
+    /// A faulty process as Lemma 1 reads it, one blocker at a time: the
+    /// reference the word-parallel [`Blockers::blocked`] is checked against.
+    struct Blocker {
+        f: ProcessId,
+        /// `s_f^last`, its last stable checkpoint.
+        last_stable: CheckpointIndex,
+        /// Its live incarnation.
+        live: Incarnation,
     }
 
-    /// A faulty process `p1` (incarnation 2, last stable `s^3`) beside a
-    /// healthy `p0`, as views whose vectors the test spells out.
-    fn guarded_pair(own: (u32, usize), other: (u32, usize)) -> Vec<ProcessView> {
-        let view = |i: usize, last: usize, lineages: Vec<(u32, usize)>| {
-            let mut stored = CheckpointStore::new(p(i));
-            stored.insert(idx(last), DependencyVector::from_lineages(lineages.clone()));
-            ProcessView {
-                owner: p(i),
-                dv: DependencyVector::from_lineages(lineages),
-                last_stable: idx(last),
-                incarnation: Incarnation::new(2),
-                gc_kind: GcKind::RdtLgc,
-                stored,
-            }
-        };
-        vec![
-            view(0, 1, vec![(2, 2), other]),
-            view(1, 3, vec![other, own]),
+    impl Blocker {
+        /// Does `s_f^last` causally precede candidate `idx` of process `i`
+        /// in `f`'s live incarnation? Never when the candidate is `s_f^last`
+        /// itself.
+        fn blocks(&self, i: ProcessId, idx: CheckpointIndex, candidate: Candidate<'_>) -> bool {
+            let entry = candidate.lineage(self.f);
+            assert!(entry.incarnation() <= self.live, "no news from the future");
+            !(self.f == i && idx == self.last_stable)
+                && entry.incarnation() == self.live
+                && self.last_stable.value() < entry.interval().value()
+        }
+    }
+
+    /// A healthy `p0` (last stable `s^1`) beside `p1` (last stable `s^3`),
+    /// both in incarnation 2, as `(process, last stable, vector)`: a
+    /// process's volatile state and its stored last stable checkpoint carry
+    /// the vector the test spells out.
+    fn guarded_pair(
+        own: (u32, usize),
+        other: (u32, usize),
+    ) -> [(ProcessId, CheckpointIndex, DependencyVector); 2] {
+        [
+            (
+                p(0),
+                idx(1),
+                DependencyVector::from_lineages(vec![(2, 2), other]),
+            ),
+            (
+                p(1),
+                idx(3),
+                DependencyVector::from_lineages(vec![other, own]),
+            ),
         ]
     }
 
-    /// Both Lemma-1 tests over every candidate of every process.
-    fn both_tests(views: &[ProcessView], faulty: &FaultySet) -> Vec<(bool, bool)> {
-        let session = Blockers::of(views, faulty);
-        let list = Blocker::list(views, faulty);
+    /// Both Lemma-1 tests over every candidate of every process: the
+    /// volatile state unless the process is faulty, then its last stable
+    /// checkpoint.
+    fn both_tests(
+        pair: &[(ProcessId, CheckpointIndex, DependencyVector)],
+        faulty: &FaultySet,
+    ) -> Vec<(bool, bool)> {
+        let live = Incarnation::new(2);
+        let list: Vec<Blocker> = faulty
+            .iter()
+            .map(|&f| Blocker {
+                f,
+                last_stable: pair[f.index()].1,
+                live,
+            })
+            .collect();
+        let session = Blockers::new(
+            pair.len(),
+            list.iter().map(|b| (b.f, b.last_stable, b.live)),
+        );
         let mut verdicts = Vec::new();
-        for v in views {
-            for (at, dv) in session.candidates(v) {
-                let one_by_one = list.iter().any(|b| b.blocks(v.owner, at, dv));
-                verdicts.push((session.blocked(v, at, dv), one_by_one));
+        for (i, last, dv) in pair {
+            let volatile = (!faulty.contains(i)).then(|| last.next());
+            for at in volatile.into_iter().chain([*last]) {
+                let candidate = Candidate::Whole(dv);
+                let one_by_one = list.iter().any(|b| b.blocks(*i, at, candidate));
+                verdicts.push((session.blocked(*i, *last, at, candidate), one_by_one));
             }
         }
         verdicts
@@ -1108,9 +885,9 @@ mod tests {
     fn the_word_parallel_test_keeps_the_self_guard() {
         // p1's stored s^3 carries an entry of its own live incarnation past
         // s^3: it would block, were it not p1's own last stable checkpoint.
-        let views = guarded_pair((2, 4), (0, 0));
+        let pair = guarded_pair((2, 4), (0, 0));
         let faulty: FaultySet = [p(1)].into_iter().collect();
-        let verdicts = both_tests(&views, &faulty);
+        let verdicts = both_tests(&pair, &faulty);
         assert_eq!(
             verdicts,
             vec![(false, false); 3],
@@ -1118,8 +895,8 @@ mod tests {
         );
         // Another faulty process's hit still blocks under the guard.
         let faulty: FaultySet = [p(0), p(1)].into_iter().collect();
-        let views = guarded_pair((2, 4), (2, 3));
-        let verdicts = both_tests(&views, &faulty);
+        let pair = guarded_pair((2, 4), (2, 3));
+        let verdicts = both_tests(&pair, &faulty);
         assert!(
             verdicts.iter().all(|&(fast, slow)| fast == slow),
             "{verdicts:?}"
@@ -1137,8 +914,8 @@ mod tests {
         // incarnation 2 from s^3 on. Interval 4 of incarnation 2 blocks.
         let faulty: FaultySet = [p(1)].into_iter().collect();
         for (other, blocked) in [((1, 9), false), ((2, 4), true), ((2, 3), false)] {
-            let views = guarded_pair((2, 3), other);
-            let verdicts = both_tests(&views, &faulty);
+            let pair = guarded_pair((2, 3), other);
+            let verdicts = both_tests(&pair, &faulty);
             assert_eq!(
                 verdicts[0],
                 (blocked, blocked),

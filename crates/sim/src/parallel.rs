@@ -44,10 +44,19 @@
 //! before, so every cross-shard delivery below it has been exchanged —
 //! then its deliveries below the cut, and exchanges outboxes over bounded
 //! channels (an all-to-all with one batch per directed pair); the
-//! coordinator runs any global event. Per-process
-//! state transitions are the sequential engine's own — both drive the one
-//! step core in `step.rs` — and metrics are folded where they arise; see
-//! [`crate::worker`] for the one order-sensitive aggregate.
+//! coordinator runs any global event.
+//!
+//! No vector and no store crosses threads in a global event. The
+//! coordinator gathers every process's last stable checkpoint and
+//! incarnation — a session crashes the faulty set on its workers first —
+//! which is all a `wang` control round needs. A session, and a `simple`
+//! round, then hand every worker the Lemma-1 blockers of the faulty set
+//! (of every process, for the round); each worker chooses its own
+//! processes' components in place, and the coordinator plans from the
+//! choices. Per-process state transitions are the sequential engine's own
+//! — both drive the one step core in `step.rs` — and metrics are folded
+//! where they arise; see [`crate::worker`] for the one order-sensitive
+//! aggregate.
 //!
 //! # What a run costs per op
 //!
@@ -65,8 +74,10 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use rdt_base::{MessageId, ProcessId, Result};
+use rdt_core::ControlInfo;
 use rdt_recovery::{
-    FaultySet, ProcessView, RecoveryError, RecoveryManager, RecoverySessionReport, SessionOutcomes,
+    Blockers, Chosen, FaultySet, RecoveryError, RecoveryManager, RecoverySessionReport,
+    SessionOutcomes,
 };
 use rdt_workloads::AppOp;
 
@@ -356,26 +367,12 @@ impl Coordinator<'_> {
         })
     }
 
-    /// Crashes `crash` on its owning workers, then merges every worker's
-    /// `Views` reply into process-id order.
-    fn gather_views(&self, crash: &Arc<FaultySet>) -> Vec<ProcessView> {
-        self.broadcast(|| Cmd::GatherViews {
+    /// Crashes `crash` on its owning workers (none for a control round),
+    /// then merges every worker's `Lasts` reply into process-id order.
+    fn gather_lasts(&self, crash: &Arc<FaultySet>) -> Vec<Last> {
+        self.broadcast(|| Cmd::GatherLasts {
             crash: crash.clone(),
         });
-        let mut views: Vec<ProcessView> = self
-            .replies()
-            .flat_map(|reply| match reply {
-                Reply::Views(views) => views,
-                _ => panic!("worker sent a non-view reply to a gather"),
-            })
-            .collect();
-        views.sort_unstable_by_key(|v| v.owner);
-        views
-    }
-
-    /// Merges every worker's `Lasts` reply into process-id order.
-    fn gather_lasts(&self) -> Vec<Last> {
-        self.broadcast(|| Cmd::GatherLasts);
         let mut lasts: Vec<Last> = self
             .replies()
             .flat_map(|reply| match reply {
@@ -387,20 +384,44 @@ impl Coordinator<'_> {
         lasts
     }
 
-    /// A control round: the coordinator builds the `ControlInfo` from
-    /// gathered state — full views only for a collector that reads the
-    /// line, else three words per process — and broadcasts it; each worker
-    /// delivers it to its owned processes.
+    /// Lemma 1 where the processes live: hands `blockers` to every worker
+    /// and merges the choices they reply with into process-id order.
+    fn choose(&self, blockers: Blockers) -> std::result::Result<Vec<Chosen>, RecoveryError> {
+        let blockers = Arc::new(blockers);
+        self.broadcast(|| Cmd::Choose {
+            blockers: blockers.clone(),
+        });
+        let mut chosen = Vec::new();
+        let mut errors = Vec::new();
+        for reply in self.replies() {
+            match reply {
+                Reply::Chosen(Ok(shard)) => chosen.extend(shard),
+                Reply::Chosen(Err(e)) => errors.push(e),
+                _ => panic!("worker sent a non-choice reply to a choice"),
+            }
+        }
+        lowest_failure(errors)?;
+        chosen.sort_unstable_by_key(|c| c.process);
+        Ok(chosen)
+    }
+
+    /// A control round: the coordinator builds the `ControlInfo` from the
+    /// gathered [`Last`]s — for a collector that reads the line, the
+    /// workers choose every process's component with every process faulty
+    /// — and broadcasts it; each worker delivers it to its owned processes.
     fn control_round(&mut self, builder: &SimulationBuilder, at: u64, seq: u64) -> Result<()> {
         self.sink.begin((at, seq), 0);
         self.sink.metric(MetricOp::ControlRound);
-        let info = if !builder.gc.needs_control_messages() {
-            None
-        } else if step::reads_line(builder.gc) {
-            let views = self.gather_views(&Arc::default());
-            Some(Arc::new(step::control_info(&self.manager, &views)?))
+        let info = if builder.gc.needs_control_messages() {
+            let lasts = self.gather_lasts(&Arc::default());
+            Some(Arc::new(if step::reads_line(builder.gc) {
+                let chosen = self.choose(Blockers::new(lasts.len(), lasts))?;
+                ControlInfo::GlobalLine(chosen.iter().map(|c| c.component).collect())
+            } else {
+                step::last_intervals(&lasts)
+            }))
         } else {
-            Some(Arc::new(step::last_intervals(&self.gather_lasts())))
+            None
         };
         self.broadcast(|| Cmd::Control {
             at,
@@ -411,10 +432,12 @@ impl Coordinator<'_> {
     }
 
     /// A recovery session: crash the faulty set on their owning workers
-    /// (which drop every delivery in flight), gather views, plan here,
-    /// apply on the workers, fold the outcomes into the report. The
-    /// cancelled deliveries' observable side effects — `Drop` traces and
-    /// lost counts — are emitted here, in the sequential engine's
+    /// (which drop every delivery in flight) and gather every process's
+    /// [`Last`]; hand the faulty processes' [`Blockers`] to the workers,
+    /// which choose their processes' components; plan here from the
+    /// choices, apply on the workers, fold the outcomes into the report.
+    /// The cancelled deliveries' observable side effects — `Drop` traces
+    /// and lost counts — are emitted here, in the sequential engine's
     /// cancellation order.
     fn crash_session(
         &mut self,
@@ -426,12 +449,16 @@ impl Coordinator<'_> {
         self.sink.begin((at, seq), 0);
         let faulty = Arc::new(faulty);
         step::open_session(&faulty, &mut self.sink);
-        let views = self.gather_views(&faulty);
+        let lasts = self.gather_lasts(&faulty);
         for (to, id) in drops {
             step::lose(to, id, &mut self.sink);
         }
 
-        let plan = Arc::new(self.manager.plan(&views, &faulty)?);
+        let blockers = Blockers::new(
+            lasts.len(),
+            lasts.into_iter().filter(|l| faulty.contains(&l.0)),
+        );
+        let plan = Arc::new(self.manager.plan_from(&self.choose(blockers)?));
         self.broadcast(|| Cmd::ApplyRecovery {
             at,
             seq,
@@ -446,15 +473,7 @@ impl Coordinator<'_> {
                 _ => panic!("worker sent a non-apply reply to a recovery"),
             }
         }
-        // Report the failure of the lowest-id process, matching the
-        // sequential apply loop's first.
-        let proc_of = |e: &RecoveryError| match e {
-            RecoveryError::LineExhausted { process, .. }
-            | RecoveryError::Storage { process, .. } => *process,
-        };
-        if let Some(e) = errors.into_iter().min_by_key(proc_of) {
-            return Err(e.into());
-        }
+        lowest_failure(errors)?;
         let plan = Arc::unwrap_or_clone(plan);
         let report =
             step::close_session(&self.manager, &faulty, plan, &mut outcomes, &mut self.sink);
@@ -462,6 +481,17 @@ impl Coordinator<'_> {
         self.recovery_sessions.push(report);
         Ok(())
     }
+}
+
+/// The failure of the lowest-id process among the workers' — each worker
+/// stops at its own lowest — matching the sequential loop's first.
+fn lowest_failure(errors: Vec<RecoveryError>) -> std::result::Result<(), RecoveryError> {
+    let process = |e: &RecoveryError| match e {
+        RecoveryError::LineExhausted { process, .. } | RecoveryError::Storage { process, .. } => {
+            *process
+        }
+    };
+    errors.into_iter().min_by_key(process).map_or(Ok(()), Err)
 }
 
 /// Key-ordered runs of keyed entries merged into global key order,

@@ -35,8 +35,7 @@ use rdt_core::{ControlInfo, GcKind, LastIntervals};
 use rdt_env::{Storage, Volatile};
 use rdt_protocols::{CheckpointReport, Middleware, Piggyback, ProtocolKind, ReceiveReport};
 use rdt_recovery::{
-    FaultySet, LineSource, ProcessView, RecoveryError, RecoveryManager, RecoveryPlan,
-    RecoverySessionReport, SessionOutcomes,
+    FaultySet, RecoveryError, RecoveryManager, RecoveryPlan, RecoverySessionReport, SessionOutcomes,
 };
 
 use crate::engine::SimulationReport;
@@ -320,12 +319,6 @@ impl<S: Storage> StepCore<S> {
         }
     }
 
-    /// Thread-portable snapshots of every owned process's line-relevant
-    /// state: its vector and every stored one, deep-copied.
-    pub(crate) fn views(&self) -> Vec<ProcessView> {
-        self.mws.iter().map(ProcessView::of).collect()
-    }
-
     /// Applies a planned recovery session to every owned process,
     /// ascending, gathering what they roll back and eliminate into
     /// [`outcomes`](Self::outcomes); stops at the first failure.
@@ -407,11 +400,12 @@ pub(crate) fn lose<K: Sink>(to: ProcessId, id: MessageId, sink: &mut K) {
 /// [`needs_control_messages`](GcKind::needs_control_messages): the
 /// coordinator, with reliable control messages, sees everyone's
 /// stable-store state — the coordination RDT-LGC does *without*. Built
-/// once per round over the middlewares themselves or over views gathered
-/// from shard workers.
-pub(crate) fn control_info<V: LineSource>(
+/// once per round over the sequential engine's middlewares; the sharded
+/// coordinator builds the same from gathered [`Last`]s and the workers'
+/// choices.
+pub(crate) fn control_info(
     manager: &RecoveryManager,
-    processes: &[V],
+    processes: &[Middleware],
 ) -> Result<ControlInfo> {
     if !reads_line(processes[0].gc_kind()) {
         let lasts: Vec<Last> = processes.iter().map(last).collect();
@@ -423,8 +417,8 @@ pub(crate) fn control_info<V: LineSource>(
 }
 
 /// Whether `gc`'s control rounds distribute the global recovery line —
-/// computed from every vector of every process — rather than the last
-/// intervals, for which the sharded coordinator gathers only [`Last`]s.
+/// Lemma 1 with every process faulty, chosen over every vector of every
+/// process — rather than the last intervals.
 pub(crate) fn reads_line(gc: GcKind) -> bool {
     matches!(gc, GcKind::SimpleCoordinated)
 }
@@ -432,7 +426,7 @@ pub(crate) fn reads_line(gc: GcKind) -> bool {
 /// `(owner, last_stable, incarnation)` of one process; no vectors.
 pub(crate) type Last = (ProcessId, CheckpointIndex, Incarnation);
 
-pub(crate) fn last<V: LineSource>(m: &V) -> Last {
+pub(crate) fn last<S: Storage>(m: &Middleware<S>) -> Last {
     (m.owner(), m.last_stable(), m.incarnation())
 }
 

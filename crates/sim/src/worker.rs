@@ -30,7 +30,7 @@ use rdt_base::{DependencyVector, DvEntry, MessageId, ProcessId, TraceEvent};
 use rdt_core::ControlInfo;
 use rdt_env::ShardEnv;
 use rdt_recovery::{
-    FaultySet, ProcessView, RecoveryError, RecoveryManager, RecoveryPlan, SessionOutcomes,
+    Blockers, Chosen, FaultySet, RecoveryError, RecoveryManager, RecoveryPlan, SessionOutcomes,
 };
 
 use crate::engine::SimulationBuilder;
@@ -206,14 +206,15 @@ pub(crate) enum Cmd {
         events: Vec<(u64, u64, PlannedLocal)>,
         upto: (u64, u64),
     },
-    /// Reply with a [`Last`] per owned process (control rounds of
-    /// collectors that do not [read the line](step::reads_line)).
-    GatherLasts,
     /// Crash the owned members of `crash` (a recovery session's faulty
-    /// set; empty for a control round), then reply with a [`ProcessView`]
-    /// per owned process. A session also loses every message in transit,
-    /// so a non-empty `crash` empties the delivery queue.
-    GatherViews { crash: Arc<FaultySet> },
+    /// set; empty for a control round), then reply with a [`Last`] per
+    /// owned process. A session also loses every message in transit, so a
+    /// non-empty `crash` empties the delivery queue.
+    GatherLasts { crash: Arc<FaultySet> },
+    /// Reply with every owned process's Lemma-1 choice under `blockers`
+    /// (a recovery session, or a control round that
+    /// [reads the line](step::reads_line)).
+    Choose { blockers: Arc<Blockers> },
     /// Deliver a control round to every owned process.
     Control {
         at: u64,
@@ -233,7 +234,7 @@ pub(crate) enum Cmd {
 /// Worker-to-coordinator replies.
 pub(crate) enum Reply {
     Lasts(Vec<Last>),
-    Views(Vec<ProcessView>),
+    Chosen(Result<Vec<Chosen>, RecoveryError>),
     Applied(Result<SessionOutcomes, RecoveryError>),
     Done(Box<FinishData>),
 }
@@ -314,19 +315,24 @@ pub(crate) fn run_worker(setup: WorkerSetup<'_>) {
         w.prof.stop("shard/cmd_wait", t_wait);
         match cmd {
             Cmd::Window { events, upto } => w.window(events, upto),
-            Cmd::GatherLasts => {
-                let t = w.prof.start();
-                let lasts = w.core.processes().iter().map(step::last).collect();
-                reply(Reply::Lasts(lasts));
-                w.prof.stop("shard/global", t);
-            }
-            Cmd::GatherViews { crash } => {
+            Cmd::GatherLasts { crash } => {
                 let t = w.prof.start();
                 w.core.crash(&crash);
                 if !crash.is_empty() {
                     w.env.clear();
                 }
-                reply(Reply::Views(w.core.views()));
+                let lasts = w.core.processes().iter().map(step::last).collect();
+                reply(Reply::Lasts(lasts));
+                w.prof.stop("shard/global", t);
+            }
+            Cmd::Choose { blockers } => {
+                let t = w.prof.start();
+                // Each owned process's choice, ascending; the first failure
+                // is the lowest-id one.
+                let processes = w.core.processes().iter();
+                reply(Reply::Chosen(
+                    processes.map(|mw| manager.choose(mw, &blockers)).collect(),
+                ));
                 w.prof.stop("shard/global", t);
             }
             Cmd::Control { at, seq, info } => {

@@ -149,7 +149,7 @@ proptest! {
     // 32 cases: under the shim's per-test seed, fewer never pair
     // `SimpleCoordinated` with control rounds at more than one shard, and
     // no golden scenario takes its `GlobalLine` control path (gathered
-    // views → recovery line).
+    // last stable checkpoints → choices on the workers → recovery line).
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Arbitrary seeds, topologies, protocols, collectors, crash/loss
@@ -324,5 +324,54 @@ proptest! {
         let sequential = unrecorded_at(&scenario, checkpoint_prob, 1, partitioning);
         let sharded = unrecorded_at(&scenario, checkpoint_prob, shards, partitioning);
         prop_assert_eq!(sharded, sequential, "{} shards diverged from sequential", shards);
+    }
+}
+
+/// A wide, crashy run under a time-based collector whose horizon is too
+/// short for the channel: n = 72 > 64, so every candidate past a store's
+/// first is read through the changes it keeps, and some recovery lines
+/// degrade to the oldest survivor. The workers choose each process's
+/// component where it lives, so the degraded flags and the order of any
+/// failure cross threads: at 2 and 4 shards, in both recovery modes, the
+/// dump is the sequential engine's, byte for byte.
+#[test]
+fn wide_degraded_sessions_shard_byte_identically() {
+    let at = |shards: usize, mode: RecoveryMode| {
+        let spec = WorkloadSpec::uniform_random(72, 3000)
+            .with_pattern(Pattern::Ring)
+            .with_seed(7)
+            .with_checkpoint_prob(0.25)
+            .with_crash_prob(0.004);
+        SimulationBuilder::new(spec)
+            .garbage_collector(GcKind::TimeBased { horizon: 20 })
+            .config(SimConfig {
+                channel: ChannelConfig::lossy(0.05),
+                correlated_crash_prob: 0.2,
+                record_trace: true,
+                record_occupancy: true,
+                shard: ShardConfig {
+                    shards,
+                    partitioning: Partitioning::Contiguous,
+                },
+                ..SimConfig::default()
+            })
+            .recovery_mode(mode)
+            .run()
+            .expect("simulation runs")
+    };
+    for mode in [RecoveryMode::Coordinated, RecoveryMode::Uncoordinated] {
+        let sequential = at(1, mode);
+        let degraded = sequential.metrics.degraded_lines;
+        assert!(degraded > 0, "{mode}: no line degraded");
+        let sequential = canonical_dump(&sequential);
+        for shards in [2, 4] {
+            let sharded = at(shards, mode);
+            assert_eq!(sharded.metrics.sequential_fallbacks, 0);
+            let sharded = canonical_dump(&sharded);
+            assert!(
+                sharded == sequential,
+                "{mode}, {shards} shards diverged from sequential ({degraded} degraded lines)"
+            );
+        }
     }
 }

@@ -61,20 +61,16 @@ pub use rdt_sim as sim;
 pub use rdt_storage as storage;
 pub use rdt_workloads as workloads;
 
-/// Commonly used items, re-exported for convenience.
+/// The items the examples and the integration tests import; everything
+/// else is reached through the module re-exports above.
 pub mod prelude {
-    pub use rdt_analysis::{CcpStats, OccupancyTimeline, PropagationReport, RollbackGraph};
-    pub use rdt_base::{
-        CheckpointId, CheckpointIndex, DependencyVector, IntervalIndex, Message, MessageId,
-        MessageMeta, Payload, ProcessId,
-    };
-    pub use rdt_ccp::{Ccp, CcpBuilder, GeneralCheckpoint, GlobalCheckpoint};
-    pub use rdt_core::{CheckpointStore, GarbageCollector, GcKind, LastIntervals, RdtLgc};
+    pub use rdt_analysis::{CcpStats, RollbackGraph};
+    pub use rdt_base::{CheckpointId, CheckpointIndex, DependencyVector, Payload, ProcessId};
+    pub use rdt_ccp::CcpBuilder;
+    pub use rdt_core::{CheckpointStore, GcKind};
     pub use rdt_protocols::{Middleware, ProtocolKind};
-    pub use rdt_recovery::{RecoveryManager, RecoveryMode};
+    pub use rdt_recovery::RecoveryMode;
     pub use rdt_sim::{run_script, ChannelConfig, SimConfig, SimulationBuilder, SimulationReport};
-    pub use rdt_storage::{
-        DurableStore, FaultFs, FaultKind, FaultPlan, RestartReport, StdFs, StorageBackend,
-    };
-    pub use rdt_workloads::{Pattern, Script, WorkloadSpec};
+    pub use rdt_storage::{DurableStore, FaultFs, FaultKind, FaultPlan, RestartReport};
+    pub use rdt_workloads::WorkloadSpec;
 }
